@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -87,6 +88,8 @@ def read_solution(path):
         if coeffs.size != int(np.prod(extent)):
             raise FileFormatError("coefficient count does not match extent")
         coeffs = coeffs.reshape(extent)
+        if not np.all(np.isfinite(coeffs)):
+            raise FileFormatError(f"non-finite coefficient in solution file {path}")
         if coeffs[(0,) * len(extent)] != 0.0:
             raise FileFormatError("solution coefficient of k = 0 must be zero")
         prm = payload["params"]
@@ -96,6 +99,8 @@ def read_solution(path):
             mu=float(prm["mu"]),
             f_coeffs=tuple(float(c) for c in prm["f_coeffs"]),
         )
+        if not all(math.isfinite(v) for v in (p.lam, p.sigma, p.mu, *p.f_coeffs)):
+            raise FileFormatError(f"non-finite parameter in solution file {path}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FileFormatError):
             raise

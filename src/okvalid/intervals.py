@@ -4,6 +4,11 @@ Endpoints are IEEE doubles.  Outward rounding is implemented by nextafter
 adjustment of round-to-nearest results; an operation whose result is provably
 exact (detected via error-free transforms or exact rational comparison) is not
 widened, so integer-endpoint arithmetic stays sharp and zero stays zero.
+Matrix products are computed in midpoint-radius form through BLAS: the
+midpoint is one floating gemm, and the radius adds the a-priori rounding
+bound gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
+underflow term, valid for any summation order, blocking and FMA (Rump, BIT 39,
+1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).
 The contract is containment: every arithmetic result encloses all pointwise
 results of its operands.
 """
@@ -19,6 +24,9 @@ import numpy as np
 _INF = math.inf
 # generous unit roundoff (2x the true 2^-53) used in aggregate error bounds
 _EPS = 2.0 ** -52
+# unit roundoff of round-to-nearest doubles, and the smallest subnormal
+_U = Fraction(1, 2**53)
+_ETA = 2.0 ** -1074
 
 
 class IntervalDomainError(ValueError):
@@ -359,6 +367,8 @@ class IntervalMatrix:
         self.hi = np.ascontiguousarray(self.hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
             raise ValueError("IntervalMatrix needs two 2-d arrays of equal shape")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise IntervalDomainError("matrix with NaN entry")
         if np.any(self.lo > self.hi):
             raise IntervalDomainError("matrix with lo > hi entry")
 
@@ -388,11 +398,23 @@ class IntervalMatrix:
         return self.lo.shape[1]
 
     def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = 0.5 * (self.lo + self.hi)
+        bad = ~np.isfinite(m)
+        if bad.any():
+            # lo + hi overflowed; halving first cannot
+            m[bad] = 0.5 * self.lo[bad] + 0.5 * self.hi[bad]
+        return m
 
-    def rad(self) -> np.ndarray:
-        # outward radius: mid - rad <= lo and mid + rad >= hi
-        return _nup(np.maximum(self.mid() - self.lo, self.hi - self.mid()))
+    def rad(self, mid: np.ndarray | None = None) -> np.ndarray:
+        """Outward radius about mid(): mid - rad <= lo and mid + rad >= hi.
+
+        A point entry (mid == lo == hi) gets an exact zero radius.
+        """
+        m = self.mid() if mid is None else mid
+        r = np.maximum(m - self.lo, self.hi - m)
+        # a rounded difference is zero only when it is exactly zero
+        return np.where(r == 0.0, 0.0, _nup(r))
 
     def mag(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
@@ -433,46 +455,74 @@ class IntervalMatrix:
         return mat_norm2_upper(self, refine=refine)
 
 
-def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
-    """Interval matrix product with entrywise containment.
+def _gamma(k: int) -> Fraction:
+    """gamma_k = k u / (1 - k u), exactly (Higham, ch. 3)."""
+    return k * _U / (1 - k * _U)
 
-    One rank-1 update per inner index; every elementary operation is rounded
-    outward, so the result contains every real product of member matrices.
+
+def _mid_rad(a: IntervalMatrix):
+    """(mid, rad) of a; rad is None for a point matrix, whose radius is zero."""
+    if np.array_equal(a.lo, a.hi):
+        return a.lo, None
+    m = a.mid()
+    return m, a.rad(m)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
+def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
+    """Interval matrix product with entrywise containment, in midpoint-radius form.
+
+    With A in <Am, Ar> and B in <Bm, Br> and inner dimension p, every product
+    of members lies within |Am| Br + Ar (|Bm| + Br) of Am Bm.  The midpoint
+    C = fl(Am Bm) is one gemm, whose error is at most gamma_p |Am||Bm| plus
+    p 2^-1074 for underflow, for any summation order, blocking and FMA
+    (Higham, ch. 3; Rump, BIT 39, 1999; Ozaki, Ogita, Oishi and Rump, JCAM 236,
+    2012).  The radius gemms are nonnegative, so the same a-priori bounds
+    turn their rounded values, and the rounded elementwise sums that combine
+    them, into an upper bound by one scalar factor.  A point operand has a
+    zero radius, and its radius gemm is skipped.  Entries where anything
+    overflows become [-inf, inf].
     """
-    m, p = a.shape
-    p2, n = b.shape
-    if p != p2:
+    if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    clo = np.zeros((m, n))
-    chi = np.zeros((m, n))
-    a_point = np.array_equal(a.lo, a.hi)
-    for k in range(p):
-        blo = b.lo[k, :][np.newaxis, :]
-        bhi = b.hi[k, :][np.newaxis, :]
-        if a_point:
-            col = a.lo[:, k][:, np.newaxis]
-            p1 = col * blo
-            p2_ = col * bhi
-            plo = np.minimum(p1, p2_)
-            phi = np.maximum(p1, p2_)
-            nz = col != 0.0
-        else:
-            alo = a.lo[:, k][:, np.newaxis]
-            ahi = a.hi[:, k][:, np.newaxis]
-            p1 = alo * blo
-            p2_ = alo * bhi
-            p3 = ahi * blo
-            p4 = ahi * bhi
-            plo = np.minimum(np.minimum(p1, p2_), np.minimum(p3, p4))
-            phi = np.maximum(np.maximum(p1, p2_), np.maximum(p3, p4))
-            nz = (alo != 0.0) | (ahi != 0.0)
-        bnz = (blo != 0.0) | (bhi != 0.0)
-        active = nz & bnz
-        np.add(clo, _ndown(plo), out=plo)
-        np.add(chi, _nup(phi), out=phi)
-        clo = np.where(active, _ndown(plo), clo)
-        chi = np.where(active, _nup(phi), chi)
-    return IntervalMatrix(clo, chi)
+    p = a.cols
+    am, ar = _mid_rad(a)
+    bm, br = _mid_rad(b)
+    c = am @ bm
+    am = np.abs(am)
+    bm = np.abs(bm)
+    # rad = g |Am||Bm| + |Am| Br + Ar (|Bm| + Br) + (4p + 16) eta, rounded to
+    # nearest, with g >= gamma_p.  Every term is nonnegative.  Exact gemms are
+    # at most (rounded gemm + p eta) / (1 - gamma_p), and |Bm| + Br at most its
+    # rounded sum / (1 - u).  The four elementwise roundings of rad and the
+    # final scaling lose at most a factor 1 - gamma_5 <= 1 - gamma_6.  The
+    # constant covers the underflow of the three gemms (p eta each, with
+    # margin) and of the product by g.
+    g = _gamma(p)
+    rad = am @ bm
+    rad *= _up(float(g))
+    tmp = np.empty_like(rad)
+    if br is not None:
+        np.matmul(am, br, out=tmp)
+        rad += tmp
+        bm += br
+    del am, br
+    if ar is not None:
+        np.matmul(ar, bm, out=tmp)
+        rad += tmp
+    del tmp, ar, bm
+    rad += (4 * p + 16) * _ETA
+    rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
+    lo = c - rad
+    np.add(c, rad, out=c)
+    del rad
+    np.nextafter(lo, -_INF, out=lo)
+    np.nextafter(c, _INF, out=c)
+    bad = ~(np.isfinite(lo) & np.isfinite(c))
+    if bad.any():
+        lo[bad] = -_INF
+        c[bad] = _INF
+    return IntervalMatrix(lo, c)
 
 
 def mat_sub_identity(a: IntervalMatrix) -> IntervalMatrix:
@@ -559,7 +609,7 @@ def mat_norm2_upper(a: IntervalMatrix, refine: str = "auto") -> float:
     enclosure of the spectrum of A^T A sharpens it.
     """
     cheap = _sqrt_up(_mul_up(a.norm1_upper(), a.norminf_upper()))
-    if refine == "never":
+    if refine == "never" or cheap == _INF:
         return cheap
     if refine == "auto":
         try:

@@ -11,6 +11,7 @@ inverse of the full derivative.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,11 @@ from .series import (
 
 
 class CertificationError(RuntimeError):
-    """A rigorous bound could not be certified at the requested size."""
+    """A rigorous bound could not be certified at the requested size.
+
+    suggested_n is a larger truncation that may succeed; None means that no
+    larger truncation can help.
+    """
 
     def __init__(self, stage: str, message: str, suggested_n: int | None = None):
         super().__init__(message)
@@ -344,14 +349,52 @@ class InverseBound:
     defect: float
 
 
+# Peak number of live m x m double arrays in the K_N stage (Galerkin assembly
+# and certified inverse norm), measured from the peak RSS at m = 783..1727:
+# about 20 in 2-d and 22 in 3-d.
+KN_LIVE_ARRAYS = 24
+
+
+def available_memory_bytes() -> float:
+    """Memory the process may still allocate: MemAvailable, else free pages."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return float(line.split()[1]) * 1024.0
+    except OSError:
+        pass
+    try:
+        return float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (ValueError, OSError, AttributeError):
+        return math.inf
+
+
+def _check_kn_memory(dim: int, n: int) -> None:
+    m = n**dim - 1
+    need = KN_LIVE_ARRAYS * 8.0 * m * m
+    avail = available_memory_bytes()
+    if need > avail:
+        raise CertificationError(
+            "kn_bound",
+            f"truncation n={n} ({m} modes) needs about {need / 1e6:.0f} MB "
+            f"for the K_N stage, {avail / 1e6:.0f} MB available",
+        )
+
+
 def derivative_inverse_bound(
     p: ModelParams,
     u: CosineSeries,
     n: int,
     q_info=None,
 ) -> InverseBound:
-    """Assemble q bounds, the finite inverse bound, and the full bound K at cut n."""
+    """Assemble q bounds, the finite inverse bound, and the full bound K at cut n.
+
+    Raises CertificationError at stage kn_bound, without a suggested
+    truncation, when the K_N stage would not fit in the available memory.
+    """
     q, q_sup, q_h2 = q_info if q_info is not None else linearization_coefficient(p, u)
+    _check_kn_memory(u.dim, n)
     g = galerkin_matrix(p, u, n, q=q)
     kn = galerkin_inverse_bound(g)
     cb = table_constants(u.dim).cb
@@ -384,7 +427,11 @@ def auto_inverse_bound(
     ceiling: int | None = None,
     tau_target: float = 0.5,
 ) -> InverseBound:
-    """Double the truncation from a rule-of-thumb start until tau is comfortable."""
+    """Double the truncation from a rule-of-thumb start until tau is comfortable.
+
+    Escalation stops at the ceiling, or at a failure for which no larger
+    truncation can help (one without a suggested truncation).
+    """
     q_info = linearization_coefficient(p, u)
     ceiling = ceiling if ceiling is not None else TRUNCATION_CEILING[u.dim]
     n = n0 if n0 is not None else min(rule_of_thumb_n(q_info[2]), ceiling)
@@ -399,6 +446,8 @@ def auto_inverse_bound(
                 return cand
         except CertificationError as exc:
             last_error = exc
+            if exc.suggested_n is None:
+                break
         if n >= ceiling:
             break
         n = min(2 * n, ceiling)

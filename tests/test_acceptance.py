@@ -206,18 +206,17 @@ def test_criterion_08_end_to_end_2d(tmp_path):
     res = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9))
     assert sup_bound(res.solution).hi > 0.1  # nontrivial pattern
     cert = validate(p, res.solution, "lambda", n=28)
-    known_stages = {"complete", "inverse_bound", "kn_bound", "solve_radii", "residual"}
-    assert cert.stage in known_stages, cert.stage
-    if cert.valid:
-        ok, failures = verify_certificate(cert)
-        assert ok, failures
-        path = tmp_path / "c2d.cert.json"
-        write_certificate(path, cert, None)
-        assert main(["check", "--cert", str(path)]) == 0
-        _CERTS.append((str(path), cert))
-    else:
-        assert cert.reason  # diagnosable failure
-    _stamp(8, "end-to-end 2-d smoke test", t0, 1800)
+    assert cert.valid, (cert.stage, cert.reason)
+    assert cert.tau < 1.0
+    # K recorded for this case in bench/data/reference.json
+    assert abs(cert.k - 42.38408991878724) <= 1e-4
+    ok, failures = verify_certificate(cert)
+    assert ok, failures
+    path = tmp_path / "c2d.cert.json"
+    write_certificate(path, cert, None)
+    assert main(["check", "--cert", str(path)]) == 0
+    _CERTS.append((str(path), cert))
+    _stamp(8, "end-to-end 2-d validation", t0, 1800)
 
 
 def test_criterion_09_sweep_shape(tmp_path):

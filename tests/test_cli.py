@@ -85,6 +85,29 @@ def test_validate_small_truncation_fails(workdir, solution_file):
     assert not cert.valid and cert.stage == "inverse_bound"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("coeffs", float("nan")),
+    ("coeffs", float("inf")),
+    ("sigma", float("inf")),
+    ("mu", float("nan")),
+])
+def test_validate_rejects_non_finite_input(workdir, solution_file, capsys, field, value):
+    payload = json.loads(solution_file.read_text())
+    if field == "coeffs":
+        payload["coeffs"][1] = value
+    else:
+        payload["params"][field] = value
+    bad = workdir / f"nonfinite_{field}_{value}.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["validate", "--in", str(bad), "--param", "lambda",
+                 "--out", str(workdir / "nonfinite.cert.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_detects_tampering(workdir, solution_file):
     cert_path = workdir / "sol.lambda.cert.json"
     payload = json.loads(cert_path.read_text())

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okvalid.intervals import (
     Interval,
@@ -323,3 +325,143 @@ def test_sub_identity_exact():
     e = mat_sub_identity(a)
     assert e.lo[0, 0] == 1.0 and e.hi[0, 0] == 1.0
     assert e.lo[0, 1] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# mat_mul against exact rational products
+# ---------------------------------------------------------------------------
+
+def _random_interval_matrix(rng, shape, point=False, scale=1.0):
+    lo = rng.standard_normal(shape) * scale
+    if point:
+        return IntervalMatrix.from_point(lo)
+    width = np.abs(rng.standard_normal(shape)) * scale * rng.choice([0.0, 1e-12, 0.5], shape)
+    return IntervalMatrix(lo, lo + width)
+
+
+def _exact_entry_hull(a: IntervalMatrix, b: IntervalMatrix, i: int, j: int):
+    """Exact range of entry (i, j) over all member products: a sum of
+    independent scalar product ranges, each with rational endpoints."""
+    lo = hi = Fraction(0)
+    for k in range(a.cols):
+        ends = [
+            Fraction(x) * Fraction(y)
+            for x in (a.lo[i, k], a.hi[i, k])
+            for y in (b.lo[k, j], b.hi[k, j])
+        ]
+        lo += min(ends)
+        hi += max(ends)
+    return lo, hi
+
+
+def assert_matmul_contains_exact(a: IntervalMatrix, b: IntervalMatrix):
+    prod = mat_mul(a, b)
+    assert prod.shape == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            lo, hi = _exact_entry_hull(a, b, i, j)
+            assert Fraction(prod.lo[i, j]) <= lo, (i, j)
+            assert hi <= Fraction(prod.hi[i, j]), (i, j)
+    return prod
+
+
+@pytest.mark.parametrize("a_point,b_point", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("shape", [(4, 4, 4), (3, 7, 2), (1, 5, 6), (6, 1, 3)])
+def test_matmul_exact_hull_oracle(rng, a_point, b_point, shape):
+    m, p, n = shape
+    a = _random_interval_matrix(rng, (m, p), point=a_point)
+    b = _random_interval_matrix(rng, (p, n), point=b_point)
+    assert_matmul_contains_exact(a, b)
+
+
+def test_matmul_zero_rows_and_columns(rng):
+    a = _random_interval_matrix(rng, (4, 5))
+    b = _random_interval_matrix(rng, (5, 3))
+    a.lo[1, :] = a.hi[1, :] = 0.0
+    b.lo[:, 2] = b.hi[:, 2] = 0.0
+    prod = assert_matmul_contains_exact(a, b)
+    # a zero row or column leaves only the underflow term
+    assert np.all(np.abs(prod.lo[1, :]) < 1e-300) and np.all(np.abs(prod.hi[1, :]) < 1e-300)
+    assert np.all(np.abs(prod.lo[:, 2]) < 1e-300) and np.all(np.abs(prod.hi[:, 2]) < 1e-300)
+
+
+@pytest.mark.parametrize("a_point", [False, True])
+def test_matmul_near_1e300(rng, a_point):
+    a = _random_interval_matrix(rng, (3, 4), point=a_point, scale=1e300)
+    b = _random_interval_matrix(rng, (4, 3), scale=0.1)
+    prod = assert_matmul_contains_exact(a, b)
+    assert np.all(np.isfinite(prod.lo)) and np.all(np.isfinite(prod.hi))
+
+
+def test_matmul_overflow_gives_unbounded_entry():
+    a = IntervalMatrix.from_point(np.array([[1e300, 1.0]]))
+    b = IntervalMatrix.from_point(np.array([[1e300], [1.0]]))
+    prod = mat_mul(a, b)
+    assert prod.lo[0, 0] == -math.inf and prod.hi[0, 0] == math.inf
+
+
+@pytest.mark.parametrize("a_point,b_point", [(False, False), (True, False), (False, True)])
+def test_matmul_subnormal_range(rng, a_point, b_point):
+    # products near 1e-320 and 5e-324 * O(1) underflow into the subnormal range
+    a = _random_interval_matrix(rng, (3, 5), point=a_point, scale=1e-160)
+    b = _random_interval_matrix(rng, (5, 4), point=b_point, scale=1e-160)
+    assert_matmul_contains_exact(a, b)
+    tiny = IntervalMatrix.from_point(rng.integers(-3, 4, (3, 5)) * 5e-324)
+    assert_matmul_contains_exact(tiny, _random_interval_matrix(rng, (5, 4), point=b_point))
+
+
+_ENDPOINT = st.floats(
+    min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _interval_matrix(draw, rows, cols, point):
+    lo = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
+    lo = lo.reshape(rows, cols)
+    if point:
+        return IntervalMatrix.from_point(lo)
+    other = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
+    other = other.reshape(rows, cols)
+    return IntervalMatrix(np.minimum(lo, other), np.maximum(lo, other))
+
+
+@st.composite
+def _matmul_operands(draw):
+    m, p, n = (draw(st.integers(1, 4)) for _ in range(3))
+    a_point, b_point = draw(st.sampled_from([(False, False), (True, False), (False, True)]))
+    return draw(_interval_matrix(m, p, a_point)), draw(_interval_matrix(p, n, b_point))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matmul_operands())
+def test_matmul_contains_exact_property(operands):
+    assert_matmul_contains_exact(*operands)
+
+
+# ---------------------------------------------------------------------------
+# IntervalMatrix edge cases
+# ---------------------------------------------------------------------------
+
+def test_rad_of_point_entries_is_exact_zero():
+    m = IntervalMatrix(np.array([[1.0, 0.0], [1e-300, -2.0]]), np.array([[1.0, 0.0], [1e-300, 3.0]]))
+    r = m.rad()
+    assert r[0, 0] == 0.0 and r[0, 1] == 0.0 and r[1, 0] == 0.0
+    assert m.mid()[1, 1] - r[1, 1] <= -2.0 and m.mid()[1, 1] + r[1, 1] >= 3.0
+
+
+def test_mid_does_not_overflow():
+    big = 1.5e308
+    m = IntervalMatrix(np.array([[big, -big]]), np.array([[big * 1.1, -big]]))
+    mid = m.mid()
+    assert np.all(np.isfinite(mid))
+    assert m.lo[0, 0] <= mid[0, 0] <= m.hi[0, 0] and mid[0, 1] == -big
+    r = m.rad()
+    assert np.all(mid - r <= m.lo) and np.all(mid + r >= m.hi)
+
+
+def test_matrix_rejects_nan_entries():
+    with pytest.raises(IntervalDomainError):
+        IntervalMatrix(np.array([[np.nan]]), np.array([[1.0]]))
+    with pytest.raises(IntervalDomainError):
+        IntervalMatrix(np.array([[0.0]]), np.array([[np.nan]]))

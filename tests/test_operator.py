@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from conftest import gauss_rule, make_random_series
+from okvalid import operator
 from okvalid.intervals import IntervalDomainError
 from okvalid.operator import (
     CertificationError,
@@ -315,3 +316,58 @@ def test_point_jacobian_matches_interval_matrix(rng):
     kap = math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
     scaled = b / kap[:, None] / kap[None, :]
     assert np.max(np.abs(scaled - g.mat.mid())) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# memory ceiling of the K_N stage
+# ---------------------------------------------------------------------------
+
+def _memory_for_modes(m: int) -> float:
+    return operator.KN_LIVE_ARRAYS * 8.0 * m * m
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("Galerkin matrix assembled past the memory ceiling")
+
+
+def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
+    p, result = solved_1d
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(63) - 1)
+    monkeypatch.setattr(operator, "galerkin_matrix", _fail_if_called)
+    with pytest.raises(CertificationError) as err:
+        derivative_inverse_bound(p, result.solution, 64)
+    assert err.value.stage == "kn_bound"
+    assert err.value.suggested_n is None
+    assert "MB" in str(err.value)
+
+
+def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
+    p, result = solved_1d
+    tried = []
+    bound = operator.derivative_inverse_bound
+
+    def recording(p, u, n, q_info=None):
+        tried.append(n)
+        return bound(p, u, n, q_info=q_info)
+
+    monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(63))
+    ib = auto_inverse_bound(p, result.solution, n0=32)
+    # tau at n = 64 misses the target; n = 128 does not fit, and neither
+    # would anything larger, so the escalation stops there
+    assert tried == [32, 64, 128]
+    assert ib.n == 64 and 0.5 < ib.tau < 1.0
+
+
+def test_validate_reports_memory_ceiling(solved_1d, monkeypatch):
+    from okvalid.cift import validate
+
+    p, result = solved_1d
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e6)
+    cert = validate(p, result.solution, "lambda")
+    assert not cert.valid and cert.stage == "kn_bound"
+    assert "MB" in cert.reason and "suggested truncation" not in cert.reason
+
+
+def test_available_memory_is_positive():
+    assert operator.available_memory_bytes() > 0
