@@ -182,19 +182,6 @@ class Certificate:
     rounds: int = 0
     provenance: dict = field(default_factory=dict)
 
-    def summary_rows(self):
-        return [
-            ("param", self.which),
-            ("valid", self.valid),
-            ("stage", self.stage),
-            ("K", self.k),
-            ("N", self.n),
-            ("rho", self.rho),
-            ("tau", self.tau),
-            ("delta_alpha", self.delta_alpha),
-            ("delta_x", self.delta_x),
-        ]
-
 
 def _provenance() -> dict:
     return {

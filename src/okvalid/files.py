@@ -8,11 +8,11 @@ certificates detectable.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 
@@ -34,6 +34,19 @@ def _utcnow() -> str:
 def file_sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _read_params(prm: dict, path) -> ModelParams:
+    """ModelParams from a file's params block; the type rejects non-finite values."""
+    try:
+        return ModelParams(
+            lam=float(prm["lambda"]),
+            sigma=float(prm["sigma"]),
+            mu=float(prm["mu"]),
+            f_coeffs=tuple(float(c) for c in prm["f_coeffs"]),
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"{exc} in {path}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +105,7 @@ def read_solution(path):
             raise FileFormatError(f"non-finite coefficient in solution file {path}")
         if coeffs[(0,) * len(extent)] != 0.0:
             raise FileFormatError("solution coefficient of k = 0 must be zero")
-        prm = payload["params"]
-        p = ModelParams(
-            lam=float(prm["lambda"]),
-            sigma=float(prm["sigma"]),
-            mu=float(prm["mu"]),
-            f_coeffs=tuple(float(c) for c in prm["f_coeffs"]),
-        )
-        if not all(math.isfinite(v) for v in (p.lam, p.sigma, p.mu, *p.f_coeffs)):
-            raise FileFormatError(f"non-finite parameter in solution file {path}")
+        p = _read_params(payload["params"], path)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FileFormatError):
             raise
@@ -114,7 +119,7 @@ def read_solution(path):
 # ---------------------------------------------------------------------------
 
 def certificate_payload(cert: Certificate, solution_sha256: str | None) -> dict:
-    payload = asdict(cert)
+    payload = dataclasses.asdict(cert)
     prm = payload.pop("params")
     payload["params"] = {
         "lambda": prm["lam"],
@@ -145,22 +150,15 @@ def read_certificate(path):
     try:
         if payload["format_version"] != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format_version {payload['format_version']}")
-        prm = payload["params"]
-        p = ModelParams(
-            lam=float(prm["lambda"]),
-            sigma=float(prm["sigma"]),
-            mu=float(prm["mu"]),
-            f_coeffs=tuple(float(c) for c in prm["f_coeffs"]),
-        )
+        p = _read_params(payload["params"], path)
         fields = {
-            key: payload.get(key)
-            for key in (
-                "which", "valid", "stage", "reason", "n", "rho", "kn", "tau",
-                "k", "q_sup", "q_h2", "l1", "l2", "l3", "l4", "fmax1", "fmax2",
-                "ell_x", "ell_alpha", "delta_alpha", "delta_x", "delta_x_sup",
-                "infeasible_witness", "point_only", "rounds", "provenance",
-            )
+            f.name: payload.get(f.name)
+            for f in dataclasses.fields(Certificate)
+            if f.name != "params"
         }
+        for name, value in fields.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FileFormatError(f"non-finite {name} in certificate file {path}")
         fields["point_only"] = bool(fields.get("point_only"))
         fields["rounds"] = int(fields.get("rounds") or 0)
         fields["provenance"] = fields.get("provenance") or {}

@@ -8,7 +8,9 @@ Matrix products are computed in midpoint-radius form through BLAS: the
 midpoint is one floating gemm, and the radius adds the a-priori rounding
 bound gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
 underflow term, valid for any summation order, blocking and FMA (Rump, BIT 39,
-1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).
+1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Spectral-norm bounds
+take the smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky
+certificate (Rump, BIT 46, 2006).
 The contract is containment: every arithmetic result encloses all pointwise
 results of its operands.
 """
@@ -102,10 +104,6 @@ class Interval:
     def point(cls, v: float) -> "Interval":
         return cls(v, v)
 
-    @classmethod
-    def hull(cls, *values: float) -> "Interval":
-        return cls(min(values), max(values))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -128,9 +126,6 @@ class Interval:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= x <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -279,10 +274,6 @@ def vadd(alo, ahi, blo, bhi):
     return np.where(lo_exact, slo, _ndown(slo)), np.where(hi_exact, shi, _nup(shi))
 
 
-def vneg(lo, hi):
-    return -hi, -lo
-
-
 def vmul(alo, ahi, blo, bhi):
     p1 = alo * blo
     p2 = alo * bhi
@@ -332,23 +323,6 @@ def vsum(lo, hi) -> Interval:
     lower = slo if err_lo == 0.0 else _down(_down(slo) - err_lo)
     upper = shi if err_hi == 0.0 else _up(_up(shi) + err_hi)
     return Interval(lower, upper)
-
-
-def vsum_upper_nonneg(x) -> float:
-    """Upper bound for the sum of a nonnegative float vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    s = float(np.sum(x))
-    slack = _sum_slack(s, x.size)
-    return s if slack == 0.0 else _up(_up(s) + slack)
-
-
-def vdot_upper_nonneg(x, y) -> float:
-    """Upper bound for sum(x*y) with x, y nonnegative float vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    s = float(np.dot(x, y))
-    slack = _sum_slack(s, x.size + 1)
-    return s if slack == 0.0 else _up(_up(s) + slack)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +425,8 @@ class IntervalMatrix:
         worst = float(np.max(sums))
         return _up(_up(worst) + _sum_slack(worst, self.cols))
 
-    def norm2_upper(self, refine: str = "auto") -> float:
-        return mat_norm2_upper(self, refine=refine)
+    def norm2_upper(self) -> float:
+        return mat_norm2_upper(self)
 
 
 def _gamma(k: int) -> Fraction:
@@ -460,7 +434,7 @@ def _gamma(k: int) -> Fraction:
     return k * _U / (1 - k * _U)
 
 
-def _mid_rad(a: IntervalMatrix):
+def mid_rad(a: IntervalMatrix):
     """(mid, rad) of a; rad is None for a point matrix, whose radius is zero."""
     if np.array_equal(a.lo, a.hi):
         return a.lo, None
@@ -486,18 +460,15 @@ def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     p = a.cols
-    am, ar = _mid_rad(a)
-    bm, br = _mid_rad(b)
+    am, ar = mid_rad(a)
+    bm, br = mid_rad(b)
     c = am @ bm
     am = np.abs(am)
     bm = np.abs(bm)
-    # rad = g |Am||Bm| + |Am| Br + Ar (|Bm| + Br) + (4p + 16) eta, rounded to
-    # nearest, with g >= gamma_p.  Every term is nonnegative.  Exact gemms are
-    # at most (rounded gemm + p eta) / (1 - gamma_p), and |Bm| + Br at most its
-    # rounded sum / (1 - u).  The four elementwise roundings of rad and the
-    # final scaling lose at most a factor 1 - gamma_5 <= 1 - gamma_6.  The
-    # constant covers the underflow of the three gemms (p eta each, with
-    # margin) and of the product by g.
+    # rad = g |Am||Bm| + |Am| Br + Ar (|Bm| + Br), rounded to nearest, with
+    # g >= gamma_p.  Every term is nonnegative.  Exact gemms are at most
+    # (rounded gemm + p eta) / (1 - gamma_p), and |Bm| + Br at most its
+    # rounded sum / (1 - u); _outward covers both.
     g = _gamma(p)
     rad = am @ bm
     rad *= _up(float(g))
@@ -511,6 +482,35 @@ def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
         np.matmul(ar, bm, out=tmp)
         rad += tmp
     del tmp, ar, bm
+    return IntervalMatrix(*_outward(c, rad, p, g))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
+def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
+    """(lo, hi) enclosing each exact sum of `terms` interval terms t_i +- r_i,
+    from fl(sum t_i), fl(sum |t_i|) and fl(sum r_i) (None when every r_i is
+    zero), accumulated in any order from products exact up to underflow.
+    The radius is gamma_terms fl(sum |t_i|) + fl(sum r_i), made an upper
+    bound by _outward (Higham, ch. 3).  The arguments are overwritten.
+    """
+    g = _gamma(terms)
+    rad = abs_sum
+    rad *= _up(float(g))
+    if rad_sum is not None:
+        rad += rad_sum
+    return _outward(mid_sum, rad, terms, g)
+
+
+def _outward(c, rad, p: int, g: Fraction):
+    """[c - r, c + r] rounded outward, overwriting c and rad; entries where
+    anything overflows become [-inf, inf].
+
+    rad holds nonnegative sums of at most p terms, each at most (rounded sum
+    + p eta) / (1 - gamma_p), one (mat_mul's |Bm| + Br) with a further factor
+    1 - u, combined by at most three roundings; with the two below they lose
+    at most 1 - gamma_6.  The constant covers the underflow of three sums and
+    of the product by g >= gamma_p.
+    """
     rad += (4 * p + 16) * _ETA
     rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
     lo = c - rad
@@ -522,7 +522,7 @@ def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     if bad.any():
         lo[bad] = -_INF
         c[bad] = _INF
-    return IntervalMatrix(lo, c)
+    return lo, c
 
 
 def mat_sub_identity(a: IntervalMatrix) -> IntervalMatrix:
@@ -550,78 +550,58 @@ def _mul_up(a: float, b: float) -> float:
 
 
 def _cholesky_shift(n: int, norm_bound: float) -> float:
-    # covers the backward error of (blocked) floating Cholesky on n x n input,
-    # plus the rounding made while forming the shifted matrix's diagonal
+    # covers the backward error of (blocked) floating Cholesky on n x n input
+    # whose diagonal is at most norm_bound
     g = (n + 1) * _EPS / (1.0 - (n + 1) * _EPS)
     return (2.0 * n * g + 8.0 * _EPS) * norm_bound
 
 
-def _psd_upper_bound(g: IntervalMatrix) -> float:
-    """Smallest certified s with lambda_max(G) <= s for all symmetric G in g.
-
-    Verified by the shifted Cholesky test: if floating Cholesky succeeds on
-    s*I - mid(G) - beta*I with beta covering the interval radii and the
-    factorization's backward error, then s*I - G is positive semidefinite for
-    every member.  Returns inf when no shift in the ladder certifies.
-    """
-    gm = 0.5 * (g.mid() + g.mid().T)
-    n = gm.shape[0]
-    rad = IntervalMatrix(-g.rad(), g.rad())
-    rho_rad = rad.norminf_upper()
-    try:
-        lam_hat = float(np.linalg.eigvalsh(gm)[-1])
-    except np.linalg.LinAlgError:
-        return _INF
-    lam_hat = max(lam_hat, 0.0)
-    scale = max(lam_hat, float(np.max(np.abs(gm))), 1.0)
-    gm_norm = float(np.linalg.norm(gm, np.inf))
-    for bump in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0):
-        s = lam_hat + bump * scale + rho_rad
-        # alpha also absorbs the rounding made while forming the shifted matrix
-        alpha = _cholesky_shift(n, s + gm_norm)
-        c_shift = _down(_down(s - rho_rad) - alpha)
-        shifted = c_shift * np.eye(n) - gm
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return _up(s)
-    return _INF
+def _cheap_norm2_upper(a: IntervalMatrix) -> float:
+    """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2 for every member."""
+    return _sqrt_up(_mul_up(a.norm1_upper(), a.norminf_upper()))
 
 
-def _gersh_sq_upper(g: IntervalMatrix) -> float:
-    """Gershgorin upper bound for lambda_max of a symmetric interval matrix."""
-    m = g.mag()
-    n = g.rows
-    rowsum = np.sum(m, axis=1)
-    diag_hi = np.diag(g.hi)
-    diag_mag = np.diag(m)
-    vals = rowsum - diag_mag + diag_hi
-    worst = float(np.max(vals))
-    return _up(_up(worst) + _sum_slack(float(np.max(rowsum)), n))
+def _mirror_lower(x: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle is that of x (exact)."""
+    return np.tril(x) + np.tril(x, -1).T
 
 
-def mat_norm2_upper(a: IntervalMatrix, refine: str = "auto") -> float:
+def mat_norm2_upper(a: IntervalMatrix) -> float:
     """Rigorous upper bound on the spectral norm of every member of a.
 
-    The cheap bound sqrt(norm1 * norminf) always holds; when it looks loose
-    against a floating estimate (or refinement is forced), a verified
-    enclosure of the spectrum of A^T A sharpens it.
+    The smaller of the cheap bound sqrt(||A||_1 ||A||_inf) and one
+    shifted-Cholesky certificate for lambda_max(A^T A) (Rump, "Verification
+    of positive definiteness", BIT 46, 2006).  With the lower triangles of
+    the enclosure of A^T A mirrored, its midpoint Gm is within ||Gr||_inf of
+    every (symmetric) member in the 2-norm, Gr being the radius.  If floating
+    Cholesky succeeds on X = c I - Gm, with c the eigvalsh estimate of
+    lambda_max(Gm) plus the backward-error term, then X + beta I is positive
+    semidefinite for the backward-error term beta of X, and lambda_max(A^T A)
+    <= max_i (X_ii + Gm_ii) + beta + ||Gr||_inf.  If it fails, the cheap
+    bound stands.
     """
-    cheap = _sqrt_up(_mul_up(a.norm1_upper(), a.norminf_upper()))
-    if refine == "never" or cheap == _INF:
+    cheap = _cheap_norm2_upper(a)
+    if cheap == _INF:
         return cheap
-    if refine == "auto":
-        try:
-            sigma_hat = float(np.linalg.norm(a.mid(), 2))
-        except np.linalg.LinAlgError:
-            sigma_hat = cheap
-        if cheap <= 1.1 * sigma_hat or cheap == 0.0:
-            return cheap
+    n = a.cols
     g = mat_mul(a.T, a)
-    best_sq = min(_gersh_sq_upper(g), _psd_upper_bound(g))
-    best_sq = max(best_sq, 0.0)
-    return min(cheap, _sqrt_up(best_sq))
+    gm = _mirror_lower(g.mid())
+    gr = _mirror_lower(g.rad())
+    spread = IntervalMatrix(gr, gr).norminf_upper()
+    del g, gr
+    x = -gm
+    d = np.arange(n)
+    try:
+        lam = float(np.linalg.eigvalsh(gm)[-1])
+        x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gm[d, d]))))
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return cheap
+    beta = _cholesky_shift(n, float(np.max(x[d, d])))
+    top = float(np.max(_nup(x[d, d] + gm[d, d])))
+    bound = _sqrt_up(_up(_up(top + beta) + spread))
+    # also the fallback when anything was not finite (a NaN compares false)
+    return bound if bound < cheap else cheap
 
 
 def mat_inverse_norm2_upper(a: IntervalMatrix):
@@ -637,14 +617,11 @@ def mat_inverse_norm2_upper(a: IntervalMatrix):
     except np.linalg.LinAlgError as exc:
         raise IntervalDomainError(f"approximate inverse failed: {exc}") from exc
     cm = IntervalMatrix.from_point(c)
-    e_mat = mat_sub_identity(mat_mul(cm, a))
-    e = e_mat.norm2_upper(refine="never")
-    if e >= 0.01:
-        e = min(e, e_mat.norm2_upper(refine="force"))
+    e = _cheap_norm2_upper(mat_sub_identity(mat_mul(cm, a)))
     if e >= 1.0:
         raise IntervalDomainError(
             f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1"
         )
-    c_norm = cm.norm2_upper(refine="auto")
+    c_norm = mat_norm2_upper(cm)
     bound = _up(_up(c_norm) / _down(1.0 - e))
     return bound, e, c_norm

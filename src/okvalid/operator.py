@@ -10,6 +10,7 @@ inverse of the full derivative.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .intervals import (
     _ndown,
     _nup,
     mat_inverse_norm2_upper,
+    mid_rad,
+    sum_enclosure,
     vadd,
     vmul,
     vscale,
@@ -64,13 +67,6 @@ def poly_deriv(coeffs) -> tuple:
     return tuple(float(j * c) for j, c in enumerate(coeffs) if j >= 1)
 
 
-def poly_eval_interval(coeffs, x: Interval) -> Interval:
-    acc = Interval(0.0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + Interval(float(c))
-    return acc
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Equation parameters: -Delta(Delta u + lam f(u+mu)) - lam sigma u = 0."""
@@ -81,12 +77,14 @@ class ModelParams:
     f_coeffs: tuple = (0.0, 1.0, 0.0, -1.0)  # f(v) = v - v^3
 
     def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.f_coeffs)
+        object.__setattr__(self, "f_coeffs", coeffs)
+        if not all(math.isfinite(v) for v in (self.lam, self.sigma, self.mu, *coeffs)):
+            raise ValueError(f"non-finite parameter: {self}")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        coeffs = tuple(float(c) for c in self.f_coeffs)
-        object.__setattr__(self, "f_coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("nonlinearity must have formal degree >= 1")
 
@@ -198,55 +196,58 @@ def _mode_kappa_bounds(modes: np.ndarray):
     return np.maximum(_ndown(PI2.lo * k2), 0.0), _nup(PI2.hi * k2)
 
 
-def _gather_raw(raw_lo, raw_hi, idx):
-    """Gather raw coefficients at integer multi-indices, zero outside extent."""
-    ext = raw_lo.shape
-    valid = np.ones(idx.shape[:-1], dtype=bool)
-    for axis, n in enumerate(ext):
-        valid &= idx[..., axis] < n
-    clipped = np.minimum(idx, np.array(ext) - 1)
-    flat = np.ravel_multi_index(
-        tuple(clipped[..., a] for a in range(len(ext))), ext
-    )
-    glo = np.where(valid, raw_lo.ravel()[flat], 0.0)
-    ghi = np.where(valid, raw_hi.ravel()[flat], 0.0)
-    return glo, ghi
-
-
-def _inner_product_matrix(q_raw_lo, q_raw_hi, modes: np.ndarray):
-    """Interval matrix of (q phi_ell, phi_k)_{L2} read off q's raw coefficients."""
-    d = modes.shape[1]
-    m = modes.shape[0]
-    acc_lo = np.zeros((m, m))
-    acc_hi = np.zeros((m, m))
-    K = modes[:, None, :]
-    L = modes[None, :, :]
-    for signs in np.ndindex(*(2,) * d):
-        sgn = np.array([1 if s == 0 else -1 for s in signs])
-        idx = np.abs(K + sgn * L)
-        w = 0.5 ** np.count_nonzero(idx != 0, axis=-1)
-        glo, ghi = _gather_raw(q_raw_lo, q_raw_hi, idx)
-        tlo, thi = vmul(glo, ghi, w, w)
-        acc_lo, acc_hi = vadd(acc_lo, acc_hi, tlo, thi)
-    # multiply by c_k c_ell / 2^d
-    nz = np.count_nonzero(modes, axis=1)
-    flo = np.array([f.lo for f in _C_FACTOR])[nz]
-    fhi = np.array([f.hi for f in _C_FACTOR])[nz]
-    plo, phi = vmul(flo[:, None], fhi[:, None], flo[None, :], fhi[None, :])
-    acc_lo, acc_hi = vmul(acc_lo, acc_hi, plo, phi)
-    return vscale(acc_lo, acc_hi, Interval(0.5**d))
+def _galerkin_sums(modes: np.ndarray, ext, arrays) -> list:
+    """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
+    coefficient array a of extent ext: the sum over sign patterns s of
+    2^-nz(k + s ell) a[|k + s ell|], zero outside ext.  Each pattern's index,
+    mask and power-of-two weights are computed once for every array.
+    """
+    m, d = modes.shape
+    arrays = [a.ravel() for a in arrays]
+    sums = [np.zeros((m, m)) for _ in arrays]
+    for signs in itertools.product((1, -1), repeat=d):
+        flat = np.zeros((m, m), dtype=np.intp)
+        valid = np.ones((m, m), dtype=bool)
+        nz = np.zeros((m, m), dtype=np.intp)
+        for axis, (s, n) in enumerate(zip(signs, ext)):
+            idx = np.abs(modes[:, None, axis] + s * modes[None, :, axis])
+            valid &= idx < n
+            nz += idx != 0
+            flat *= n
+            flat += np.minimum(idx, n - 1)
+        w = 0.5**nz
+        for acc, a in zip(sums, arrays):
+            acc += np.where(valid, a[flat], 0.0) * w
+    return sums
 
 
 def galerkin_matrix(
     p: ModelParams, u: CosineSeries, n: int, q: CosineSeries | None = None
 ) -> GalerkinMatrix:
     """Interval matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
-    + (q phi_ell, phi_k) / kappa_ell."""
+    + (q phi_ell, phi_k) / kappa_ell: the float sums of galerkin_matrix_point
+    at mid(q), with a radius from the same sums at |mid(q)| and rad(q)."""
     if q is None:
         q = linearization_coefficient(p, u)[0]
-    modes = truncation_modes(u.dim, n)
-    q_raw_lo, q_raw_hi = to_raw(q)
-    blo, bhi = _inner_product_matrix(q_raw_lo, q_raw_hi, modes)
+    d = u.dim
+    modes = truncation_modes(d, n)
+    q_raw = IntervalMatrix(*(c.reshape(1, -1) for c in to_raw(q)))
+    qm, qr = mid_rad(q_raw)
+    # an entry that gathers only point-zero coefficients is an exact zero; it
+    # keeps a zero radius, so later products see no subnormal radii
+    support = ((q_raw.lo != 0.0) | (q_raw.hi != 0.0)).astype(np.float64)
+    arrays = [qm, np.abs(qm), support] + ([] if qr is None else [qr])
+    s_mid, s_abs, s_support, *s_rad = _galerkin_sums(modes, q.extent, arrays)
+    blo, bhi = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d)
+    blo[s_support == 0.0] = 0.0
+    bhi[s_support == 0.0] = 0.0
+    del s_mid, s_abs, s_support, s_rad
+    # multiply by c_k c_ell / 2^d
+    nz = np.count_nonzero(modes, axis=1)
+    flo = np.array([f.lo for f in _C_FACTOR])[nz]
+    fhi = np.array([f.hi for f in _C_FACTOR])[nz]
+    plo, phi = vmul(flo[:, None], fhi[:, None], flo[None, :], fhi[None, :])
+    blo, bhi = vscale(*vmul(blo, bhi, plo, phi), Interval(0.5**d))
     klo, khi = _mode_kappa_bounds(modes)
     # column scaling by 1/kappa_ell
     inv_lo = np.maximum(_ndown(1.0 / khi), 0.0)
@@ -279,15 +280,7 @@ def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndar
     q_raw = q * math.sqrt(2.0) ** nz_grid(q.shape)
     modes = truncation_modes(d, n)
     m = modes.shape[0]
-    acc = np.zeros((m, m))
-    K = modes[:, None, :]
-    L = modes[None, :, :]
-    for signs in np.ndindex(*(2,) * d):
-        sgn = np.array([1 if s == 0 else -1 for s in signs])
-        idx = np.abs(K + sgn * L)
-        w = 0.5 ** np.count_nonzero(idx != 0, axis=-1)
-        glo, _ = _gather_raw(q_raw, q_raw, idx)
-        acc += glo * w
+    (acc,) = _galerkin_sums(modes, q.shape, (q_raw,))
     nz = np.count_nonzero(modes, axis=1)
     cf = math.sqrt(2.0) ** nz
     acc *= cf[:, None] * cf[None, :] * 0.5**d
@@ -350,8 +343,8 @@ class InverseBound:
 
 
 # Peak number of live m x m double arrays in the K_N stage (Galerkin assembly
-# and certified inverse norm), measured from the peak RSS at m = 783..1727:
-# about 20 in 2-d and 22 in 3-d.
+# and certified inverse norm), measured from the peak RSS at m = 783..1763:
+# about 15 in 2-d and 3-d, well inside this ceiling.
 KN_LIVE_ARRAYS = 24
 
 

@@ -122,6 +122,8 @@ class CosineSeries:
             raise ValueError("coefficient bound arrays must have equal shape")
         if not 1 <= self.lo.ndim <= 3:
             raise ValueError("only dimensions 1-3 are supported")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise IntervalDomainError("series with NaN coefficient")
         if np.any(self.lo > self.hi):
             raise IntervalDomainError("series with lo > hi coefficient")
         if self.zero_mean:

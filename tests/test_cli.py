@@ -117,6 +117,28 @@ def test_check_detects_tampering(workdir, solution_file):
     assert main(["check", "--cert", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", float("nan")),
+    ("rho", float("inf")),
+    ("tau", float("-inf")),
+    ("lambda", float("nan")),
+])
+def test_check_rejects_non_finite_certificate(workdir, solution_file, capsys, field, value):
+    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    if field == "lambda":
+        payload["params"][field] = value
+    else:
+        payload[field] = value
+    bad = workdir / f"nonfinite_{field}.cert.json"
+    bad.write_text(json.dumps(payload))  # NaN / Infinity / -Infinity literals
+    capsys.readouterr()
+    code = main(["check", "--cert", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_detects_stale_hash(workdir, solution_file):
     cert_path = workdir / "sol.lambda.cert.json"
     other = workdir / "trivial.json"

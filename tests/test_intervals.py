@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from okvalid.intervals import (
     IntervalMatrix,
     mat_inverse_norm2_upper,
     mat_mul,
+    mat_norm2_upper,
     mat_sub_identity,
     vadd,
     vmul,
@@ -282,7 +284,7 @@ def test_norm2_identity():
 
 def test_norm2_diagonal():
     d = IntervalMatrix.from_point(np.diag([1.0, 2.0, 3.0]))
-    bound = d.norm2_upper(refine="force")
+    bound = d.norm2_upper()
     assert 3.0 <= bound <= 3.0 * (1.0 + 1e-12)
 
 
@@ -290,18 +292,88 @@ def test_norm2_upper_bounds_svd(rng):
     for _ in range(20):
         m = rng.standard_normal((8, 8))
         sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        for refine in ("never", "auto", "force"):
-            assert IntervalMatrix.from_point(m).norm2_upper(refine=refine) >= sigma_max
+        assert IntervalMatrix.from_point(m).norm2_upper() >= sigma_max
 
 
 def test_norm2_upper_interval_members(rng):
     lo = rng.standard_normal((7, 7))
     hi = lo + abs(rng.standard_normal((7, 7)))
     m = IntervalMatrix(lo, hi)
-    bound = m.norm2_upper(refine="force")
+    bound = m.norm2_upper()
     for _ in range(50):
         member = lo + rng.uniform(size=(7, 7)) * (hi - lo)
         assert np.linalg.svd(member, compute_uv=False)[0] <= bound
+
+
+def _cheap_bound(a: IntervalMatrix) -> float:
+    up = lambda x: math.nextafter(x, math.inf)  # noqa: E731
+    return up(math.sqrt(up(a.norm1_upper() * a.norminf_upper())))
+
+
+def _sampled_members(rng, m: IntervalMatrix, count: int):
+    """Uniform members, the midpoint and random vertices of m."""
+    yield m.mid()
+    for _ in range(count):
+        yield m.lo + rng.uniform(size=m.shape) * (m.hi - m.lo)
+        yield np.where(rng.uniform(size=m.shape) < 0.5, m.lo, m.hi)
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (6, 9), (9, 6), (40, 40)])
+@pytest.mark.parametrize("width", [1e-12, 1e-3, 0.5])
+def test_norm2_upper_bounds_sampled_members(rng, shape, width):
+    lo = rng.standard_normal(shape)
+    m = IntervalMatrix(lo, lo + width * np.abs(rng.standard_normal(shape)))
+    bound = mat_norm2_upper(m)
+    assert bound <= _cheap_bound(m)
+    for member in _sampled_members(rng, m, 20):
+        assert np.linalg.svd(member, compute_uv=False)[0] <= bound
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 200])
+def test_norm2_upper_sharp_on_point_matrices(rng, n):
+    for m in (rng.standard_normal((n, n)), np.diag(np.logspace(-8, 3, n)),
+              np.triu(np.ones((n, n)))):
+        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+        bound = mat_norm2_upper(IntervalMatrix.from_point(m))
+        assert sigma_max <= bound <= sigma_max * (1.0 + 1e-9)
+
+
+def test_norm2_upper_returns_cheap_bound_when_cholesky_fails(rng, monkeypatch):
+    a = IntervalMatrix.from_point(rng.standard_normal((12, 12)))
+    sharp = mat_norm2_upper(a)
+
+    def fail(x):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    assert mat_norm2_upper(a) == _cheap_bound(a) > sharp
+
+
+def _mp_inverse_norm(m: np.ndarray):
+    """1 / sigma_min(m) to 50 digits."""
+    with mpmath.workdps(50):
+        sv = mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False)
+        return 1 / min(sv)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_inverse_norm_bound_mpmath_oracle(rng, n):
+    for shift in (5.0, 1.0, 0.0):
+        m = rng.standard_normal((n, n)) + shift * np.eye(n)
+        bound, defect, _ = mat_inverse_norm2_upper(IntervalMatrix.from_point(m))
+        oracle = _mp_inverse_norm(m)
+        assert bound >= oracle
+        if shift == 5.0:  # well conditioned
+            assert bound <= oracle * (1 + mpmath.mpf("1e-9"))
+        assert defect < 1.0
+
+
+def test_inverse_norm_bound_interval_members_mpmath(rng):
+    lo = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+    m = IntervalMatrix(lo, lo + 1e-3 * np.abs(rng.standard_normal((6, 6))))
+    bound, _, _ = mat_inverse_norm2_upper(m)
+    for member in _sampled_members(rng, m, 5):
+        assert bound >= _mp_inverse_norm(member)
 
 
 def test_inverse_norm_bound(rng):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -38,6 +39,18 @@ def test_model_params_validation():
     assert p.fp_coeffs == (1.0, 0.0, -3.0)
     assert p.fpp_coeffs == (0.0, -6.0)
     assert poly_deriv((5.0,)) == ()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(lam=75.0, sigma=math.nan, mu=math.inf),
+    dict(lam=math.inf),
+    dict(lam=math.nan),
+    dict(lam=1.0, mu=-math.inf),
+    dict(lam=1.0, f_coeffs=(0.0, 1.0, math.nan)),
+])
+def test_model_params_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="non-finite"):
+        ModelParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +201,64 @@ def test_galerkin_vs_quadrature_d1(rng):
             val += float(np.sum(w * qvals * phil * phik)) / kapl
             iv = g.mat.entry(i, j)
             assert iv.lo - 1e-9 <= val <= iv.hi + 1e-9
+
+
+def _triple_cos_integral(a: int, b: int, c: int) -> Fraction:
+    """int_0^1 cos(a pi x) cos(b pi x) cos(c pi x) dx, exactly."""
+    hits = sum(1 for sb in (1, -1) for sc in (1, -1) if a + sb * b + sc * c == 0)
+    return Fraction(hits, 4)
+
+
+def _exact_galerkin_hull(p, q: CosineSeries, modes):
+    """Exact range of every Galerkin entry over all members of the interval
+    series q, to 50 digits: -(1 + lam sigma / kappa_k^2) delta_{k,ell} plus
+    sum_j q_j (phi_j phi_ell, phi_k) / kappa_ell, whose weights are >= 0."""
+    mp = mpmath.mp
+    coeffs = list(np.ndindex(*q.extent))
+    lam_sigma = mpmath.mpf(p.lam) * mpmath.mpf(p.sigma)
+    kappa = [mp.pi**2 * int(np.sum(k**2)) for k in modes]
+    c = [mpmath.sqrt(2) ** np.count_nonzero(j) for j in coeffs]
+    cm = [mpmath.sqrt(2) ** np.count_nonzero(k) for k in modes]
+    lo = [[None] * len(modes) for _ in modes]
+    hi = [[None] * len(modes) for _ in modes]
+    for a, k in enumerate(modes):
+        for b, ell in enumerate(modes):
+            s_lo = s_hi = mpmath.mpf(0)
+            for j, cj in zip(coeffs, c):
+                tri = Fraction(1)
+                for ji, li, ki in zip(j, ell, k):
+                    tri *= _triple_cos_integral(int(ji), int(li), int(ki))
+                if tri:
+                    w = cj * cm[a] * cm[b] * tri.numerator / tri.denominator
+                    s_lo += w * mpmath.mpf(q.lo[j])
+                    s_hi += w * mpmath.mpf(q.hi[j])
+            diag = -(1 + lam_sigma / kappa[a] ** 2) if a == b else 0
+            lo[a][b] = diag + s_lo / kappa[b]
+            hi[a][b] = diag + s_hi / kappa[b]
+    return lo, hi
+
+
+@pytest.mark.parametrize("extent,n", [((5, 3), 4), ((3, 4, 2), 3)])
+def test_galerkin_contains_exact_inner_products(rng, extent, n):
+    # non-point coefficients exercise the radius term, point zeros the exact
+    # zero entries, and the extents differ per axis and from the modes'
+    mid = rng.standard_normal(extent)
+    width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
+    mid[rng.uniform(size=extent) < 0.3] = 0.0
+    width[mid == 0.0] = 0.0
+    q = CosineSeries(mid - width, mid + width)
+    assert (q.hi > q.lo).any() and ((q.lo == 0.0) & (q.hi == 0.0)).any()
+    p = ModelParams(lam=7.0, sigma=1.5)
+    dim = len(extent)
+    g = galerkin_matrix(p, CosineSeries.zeros((2,) * dim), n, q=q)
+    modes = truncation_modes(dim, n)
+    with mpmath.workdps(50):
+        lo, hi = _exact_galerkin_hull(p, q, modes)
+        for a in range(len(modes)):
+            for b in range(len(modes)):
+                assert mpmath.mpf(g.mat.lo[a, b]) <= lo[a][b], (a, b)
+                assert hi[a][b] <= mpmath.mpf(g.mat.hi[a, b]), (a, b)
+    assert (g.mat.lo == 0.0).any() and (g.mat.hi > g.mat.lo).any()
 
 
 def test_kn_diagonal_oracle():

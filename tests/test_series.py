@@ -53,6 +53,15 @@ def test_single_mode_norms():
     assert s.lo <= math.sqrt(2) <= s.hi
 
 
+@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_series_rejects_nan_coefficient(lo, hi):
+    a = np.zeros(4)
+    b = np.ones(4)
+    a[2], b[2] = lo, hi
+    with pytest.raises(IntervalDomainError):
+        CosineSeries(a, b)
+
+
 def test_hbar_requires_zero_mean():
     u = CosineSeries.from_point(np.array([1.0, 0.5]))
     with pytest.raises(IntervalDomainError):
