@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,17 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _thread_count(n_jobs: int) -> int:
-    env = os.environ.get("OKVALID_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-        return min(cap, n_jobs)
-    return min(4, max(1, n_jobs))
-
-
 def _model_from_args(args) -> ModelParams:
     f_coeffs = tuple(float(c) for c in args.f.split(","))
     return ModelParams(lam=args.lam, sigma=args.sigma, mu=args.mu, f_coeffs=f_coeffs)
@@ -85,17 +73,17 @@ def cmd_constants(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    p = _model_from_args(args)
     n = args.n if args.n else _DEFAULT_N[args.dim]
     try:
+        p = _model_from_args(args)
         seed = parse_seed(args.seed, args.dim, n)
+        opts = SolveOptions(
+            n=n, max_iter=args.max_iter, tol_residual=args.tol, damping=args.damping,
+            seed=args.seed,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    opts = SolveOptions(
-        n=n, max_iter=args.max_iter, tol_residual=args.tol, damping=args.damping,
-        seed=args.seed,
-    )
     try:
         result = newton_solve(p, seed, opts)
     except NewtonError as exc:
@@ -134,11 +122,7 @@ def _print_certificate(cert) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        p, u, _meta = read_solution(args.infile)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    p, u, _meta = read_solution(args.infile)
     sha = file_sha256(args.infile)
     cert = validate(
         p, u, args.param, n=args.n, du=args.du, dp=args.dp,
@@ -161,17 +145,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        cert, sha = read_certificate(args.cert)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert, sha = read_certificate(args.cert)
     if args.solution:
-        try:
-            actual = file_sha256(args.solution)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        actual = file_sha256(args.solution)
         if sha is not None and actual != sha:
             print("solution file hash mismatch: certificate is stale")
             return EXIT_CERT
@@ -185,11 +161,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p, u, _meta = read_solution(args.infile)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    p, u, _meta = read_solution(args.infile)
     try:
         n_list = [int(s) for s in args.nlist.split(",") if s.strip()]
     except ValueError:
@@ -205,7 +177,7 @@ def cmd_sweep(args) -> int:
         ms = 1000.0 * (time.perf_counter() - t0)
         return cert, ms
 
-    with ThreadPoolExecutor(max_workers=_thread_count(len(n_list))) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, len(n_list))) as pool:
         results = list(pool.map(one, n_list))
 
     rows = [["N", "K_N", "tau", "K", "delta_alpha", "delta_x", "wall_ms", "status"]]
@@ -229,11 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        _p, u, _meta = read_solution(args.infile)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _p, u, _meta = read_solution(args.infile)
     pts = np.linspace(0.0, 1.0, args.grid)
     vals = evaluate_grid(u, [pts] * u.dim)
     out = args.out or str(Path(args.infile).with_suffix(".render.csv"))
@@ -259,14 +227,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    p, u, meta = read_solution(args.infile)
+    n = args.n if args.n else max(u.extent)
     try:
-        p, u, meta = read_solution(args.infile)
-    except FileFormatError as exc:
+        opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
+                            damping=args.damping)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    n = args.n if args.n else max(u.extent)
-    opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
-                        damping=args.damping)
     steps = parameter_walk(p, u, args.param, args.step, args.count, opts)
     if not steps:
         print("walk produced no converged solutions", file=sys.stderr)

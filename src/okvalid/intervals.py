@@ -506,9 +506,9 @@ def _outward(c, rad, p: int, g: Fraction):
     anything overflows become [-inf, inf].
 
     rad holds nonnegative sums of at most p terms, each at most (rounded sum
-    + p eta) / (1 - gamma_p), one (mat_mul's |Bm| + Br) with a further factor
-    1 - u, combined by at most three roundings; with the two below they lose
-    at most 1 - gamma_6.  The constant covers the underflow of three sums and
+    + p eta) / (1 - gamma_p), one (the product by |Bm| + Br) with a further
+    factor 1 - u, combined by at most three roundings; with the two below
+    they lose at most 1 - gamma_6.  The constant covers the underflow of three sums and
     of the product by g >= gamma_p.
     """
     rad += (4 * p + 16) * _ETA

@@ -1,7 +1,8 @@
 """Floating-point Galerkin Newton iteration producing approximate equilibria.
 
-Non-rigorous machinery: it uses the same exact convolution algebra as the
-rigorous path, in plain float arithmetic, and solves the projected system
+Non-rigorous machinery: it calls the float convolution fold and Galerkin
+kernel that the rigorous path encloses, without their error bounds, and
+solves the projected system
 P_N F(u) = 0.  Convergence is judged on the projected residual; the full
 residual over every populated mode is reported alongside (it is floored by
 the truncation and is what the rigorous certificate will see).

@@ -42,7 +42,7 @@ from .series import (
     nz_grid,
     sup_bound,
     to_raw,
-    _C_FACTOR,
+    _c_factor,
 )
 
 
@@ -243,9 +243,7 @@ def galerkin_matrix(
     bhi[s_support == 0.0] = 0.0
     del s_mid, s_abs, s_support, s_rad
     # multiply by c_k c_ell / 2^d
-    nz = np.count_nonzero(modes, axis=1)
-    flo = np.array([f.lo for f in _C_FACTOR])[nz]
-    fhi = np.array([f.hi for f in _C_FACTOR])[nz]
+    flo, fhi = _c_factor(np.count_nonzero(modes, axis=1))
     plo, phi = vmul(flo[:, None], fhi[:, None], flo[None, :], fhi[None, :])
     blo, bhi = vscale(*vmul(blo, bhi, plo, phi), Interval(0.5**d))
     klo, khi = _mode_kappa_bounds(modes)

@@ -3,8 +3,10 @@
 Functions are represented by dense multi-index coefficient arrays in the
 orthonormal basis phi_k(x) = c_k * prod_i cos(k_i pi x_i), c_0 = 1 and
 c_m = sqrt(2) for m >= 1.  Coefficients are intervals, so every norm and
-product below is a rigorous enclosure; Newton iteration uses the same
-convolution fold in plain float arithmetic.
+product below is a rigorous enclosure.  Products share one float
+convolution fold: Newton calls it on point coefficients, and the interval
+product runs it on midpoints with Wilkinson's running error bound and adds
+the radii's spread.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from .intervals import (
     SQRT2,
     Interval,
     IntervalDomainError,
+    IntervalMatrix,
+    _gamma,
     _ndown,
     _nup,
+    _outward,
     vadd,
     vmul,
     vscale,
@@ -32,6 +37,8 @@ from .intervals import (
 # interval values of c_k and 1/c_k by number of nonzero index components
 _C_FACTOR = (Interval(1.0), SQRT2, Interval(2.0), Interval(2.0) * SQRT2)
 _C_INVERSE = tuple(Interval(1.0) / f for f in _C_FACTOR)
+# the least magnitude whose product by 2^-d, d <= 3, is a normal double
+_FOLD_MIN = 2.0**-1019
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +272,7 @@ def sup_bound(u: CosineSeries) -> Interval:
     """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
     alo = np.where(u.lo > 0.0, u.lo, np.where(u.hi < 0.0, -u.hi, 0.0))
     ahi = np.maximum(np.abs(u.lo), np.abs(u.hi))
-    nz = nz_grid(u.extent)
-    clo = np.array([f.lo for f in _C_FACTOR])[nz]
-    chi = np.array([f.hi for f in _C_FACTOR])[nz]
-    return vsum(*vmul(alo, ahi, clo, chi))
+    return vsum(*vmul(alo, ahi, *_c_factor(nz_grid(u.extent))))
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +337,15 @@ def _fold_segments(a_idx, b_shape):
         yield tuple(c[0] for c in combo), tuple(c[1] for c in combo)
 
 
-def _raw_conv(alo, ahi, blo, bhi):
-    """Exact cosine-product convolution of raw coefficient interval arrays."""
-    d = alo.ndim
-    out_shape = tuple(na + nb - 1 for na, nb in zip(alo.shape, blo.shape))
-    out_lo = np.zeros(out_shape)
-    out_hi = np.zeros(out_shape)
-    half = Interval(0.5 ** d)
-    for idx in np.argwhere((alo != 0.0) | (ahi != 0.0)):
-        a_idx = tuple(int(i) for i in idx)
-        w = Interval(alo[a_idx], ahi[a_idx]) * half
-        for out_sl, b_sl in _fold_segments(a_idx, blo.shape):
-            clo, chi = vscale(blo[b_sl], bhi[b_sl], w)
-            rlo, rhi = vadd(out_lo[out_sl], out_hi[out_sl], clo, chi)
-            out_lo[out_sl] = rlo
-            out_hi[out_sl] = rhi
-    return out_lo, out_hi
+def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np.ndarray:
+    """Cosine-product convolution of raw coefficient arrays in float.
 
-
-def _raw_conv_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float version of the same fold (non-rigorous Newton path)."""
+    Given err (zeros of the output's shape), it also accumulates Wilkinson's
+    running error bound: each term t = fl(w b) added to a partial sum s adds
+    |t| + |s|, and the rounding error of every output entry is at most u err
+    plus 2^-1075 per underflowing product (Higham, Accuracy and Stability,
+    sec. 3.3), provided every w = a 2^-d is exact.
+    """
     d = a.ndim
     out = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
     half = 0.5 ** d
@@ -360,33 +353,60 @@ def _raw_conv_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a_idx = tuple(int(i) for i in idx)
         w = a[a_idx] * half
         for out_sl, b_sl in _fold_segments(a_idx, b.shape):
-            out[out_sl] += w * b[b_sl]
+            t = w * b[b_sl]
+            s = out[out_sl]
+            s += t
+            if err is not None:
+                err[out_sl] += np.abs(t) + np.abs(s)
     return out
 
 
-def _c_factor_arrays(extent, inverse: bool):
+def _c_factor(nz, inverse: bool = False):
+    """(lo, hi) arrays enclosing c_k, or 1/c_k, from the counts nz of nonzero
+    index components."""
     table = _C_INVERSE if inverse else _C_FACTOR
-    nz = nz_grid(extent)
-    return (
-        np.array([f.lo for f in table])[nz],
-        np.array([f.hi for f in table])[nz],
-    )
+    return np.array([f.lo for f in table])[nz], np.array([f.hi for f in table])[nz]
 
 
 def to_raw(u: CosineSeries):
     """Raw cosine coefficients alpha_k c_k as interval arrays."""
-    clo, chi = _c_factor_arrays(u.extent, inverse=False)
-    return vmul(u.lo, u.hi, clo, chi)
+    return vmul(u.lo, u.hi, *_c_factor(nz_grid(u.extent)))
 
 
 def from_raw(lo: np.ndarray, hi: np.ndarray, zero_mean: bool = False) -> CosineSeries:
-    clo, chi = _c_factor_arrays(lo.shape, inverse=True)
-    nlo, nhi = vmul(lo, hi, clo, chi)
+    nlo, nhi = vmul(lo, hi, *_c_factor(nz_grid(lo.shape), inverse=True))
     return CosineSeries(nlo, nhi, zero_mean)
 
 
+def _raw_mid_rad(u: CosineSeries):
+    """Midpoint, radius and 0/1 support of u's raw coefficients.  Below
+    _FOLD_MIN the fold's scaling by 2^-d would round, so smaller midpoints
+    move into the radius and smaller radii round up to _FOLD_MIN."""
+    lo, hi = to_raw(u)
+    a = IntervalMatrix(lo.reshape(1, -1), hi.reshape(1, -1))
+    m = a.mid()
+    r = a.rad(m).reshape(lo.shape)
+    m = m.reshape(lo.shape)
+    tiny = np.abs(m) < _FOLD_MIN
+    r = np.where(tiny & (m != 0.0), _nup(r + _FOLD_MIN), r)
+    r[(r > 0.0) & (r < _FOLD_MIN)] = _FOLD_MIN
+    m[tiny] = 0.0
+    return m, r, ((lo != 0.0) | (hi != 0.0)).astype(np.float64)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
 def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
-    """Exact product of two series (no truncation, outward rounding only)."""
+    """Exact product of two series (no truncation), in midpoint-radius form.
+
+    With raw coefficients A in <Am, Ar> and B in <Bm, Br>, every product of
+    members lies within |Am|*Br + Ar*(|Bm| + Br) of Am*Bm, * being the fold.
+    The float fold of Am*Bm is off by at most u times its running error
+    bound plus 2^-1075 per underflowing product (Higham, sec. 3.3).  A fold
+    adds at most p = 3^d nnz(A) terms into one entry, so _outward's a-priori
+    gamma_p factor covers the rounding of the radius folds and of the error
+    sum, and its constant the underflow of all three folds (Higham, ch. 3).
+    Entries that no pair of nonzero coefficients reaches stay exact zeros.
+    """
     if u.dim != v.dim:
         raise ValueError("product of series with different dimensions")
     # iterate over the factor with fewer populated modes
@@ -394,10 +414,18 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     nv = int(np.count_nonzero((v.lo != 0.0) | (v.hi != 0.0)))
     if nv < nu:
         u, v = v, u
-    ulo, uhi = to_raw(u)
-    vlo, vhi = to_raw(v)
-    rlo, rhi = _raw_conv(ulo, uhi, vlo, vhi)
-    return from_raw(rlo, rhi, zero_mean=False)
+        nu = nv
+    am, ar, asup = _raw_mid_rad(u)
+    bm, br, bsup = _raw_mid_rad(v)
+    err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
+    c = _raw_conv(am, bm, err)
+    rad = err * 2.0**-53 + _raw_conv(np.abs(am), br) + _raw_conv(ar, np.abs(bm) + br)
+    p = 3**u.dim * nu
+    lo, hi = _outward(c, rad, p, _gamma(p))
+    unreached = _raw_conv(asup, bsup) == 0.0
+    lo[unreached] = 0.0
+    hi[unreached] = 0.0
+    return from_raw(lo, hi, zero_mean=False)
 
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -406,7 +434,7 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     ca = math.sqrt(2.0) ** nz_grid(a.shape)
     cb = math.sqrt(2.0) ** nz_grid(b.shape)
-    raw = _raw_conv_point(a * ca, b * cb)
+    raw = _raw_conv(a * ca, b * cb)
     return raw / (math.sqrt(2.0) ** nz_grid(raw.shape))
 
 

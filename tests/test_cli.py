@@ -56,6 +56,30 @@ def test_solve_bad_seed(workdir):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"],
+    ["--lambda", "-1"],
+    ["--lambda", "10", "--f", "1,x"],
+])
+def test_solve_bad_model_usage_error(workdir, capsys, flags):
+    code = main(["solve", "--dim", "1", "--N", "16", *flags,
+                 "--out", str(workdir / "bad_model.json")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (workdir / "bad_model.json").exists()
+
+
+def test_walk_bad_damping_usage_error(workdir, solution_file, capsys):
+    code = main(["walk", "--in", str(solution_file), "--param", "lambda",
+                 "--step", "1", "--damping", "0",
+                 "--out-prefix", str(workdir / "bad_walk_")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: damping must be in (0, 1]"]
+    assert not list(workdir.glob("bad_walk_*"))
+
+
 def test_solver_failure_exit_code(workdir):
     code = main([
         "solve", "--dim", "1", "--N", "32", "--lambda", "150", "--sigma", "6",
@@ -221,8 +245,7 @@ def test_render_3d_slices(workdir):
     assert len(rows) == 1 + 64
 
 
-def test_sweep_thread_cap(workdir, solution_file, monkeypatch):
-    monkeypatch.setenv("OKVALID_THREADS", "2")
+def test_sweep_thread_cap(workdir, solution_file):
     out = workdir / "sweep_threads.csv"
     assert main(["sweep", "--in", str(solution_file), "--param", "sigma",
                  "--Nlist", "48,64,96", "--out", str(out)]) == 0

@@ -1,7 +1,11 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eval_series_naive, gauss_rule, make_random_series
 from okvalid.intervals import IntervalDomainError
@@ -14,7 +18,9 @@ from okvalid.series import (
     laplacian,
     mode_sup,
     multiply,
+    multiply_point,
     norm,
+    nz_grid,
     project,
     sup_bound,
     tail,
@@ -248,6 +254,198 @@ def test_zero_product_stays_zero():
     u = CosineSeries.from_point(np.ones((3, 3)))
     prod = multiply(z, u)
     assert np.all(prod.lo == 0.0) and np.all(prod.hi == 0.0)
+
+
+def _product_oracle(a, b):
+    """50-digit coefficients of the product of two normalized coefficient
+    arrays: for modes k, l and each sign pattern s, alpha_k beta_l c_k c_l
+    2^-d / c_m lands on mode m = |k + s l|.  Returns {m: value}."""
+    d = a.ndim
+    out = {}
+    with mpmath.workdps(50):
+        c = [mpmath.sqrt(2) ** j for j in range(d + 1)]
+        for k in np.ndindex(*a.shape):
+            if a[k] == 0.0:
+                continue
+            for ell in np.ndindex(*b.shape):
+                if b[ell] == 0.0:
+                    continue
+                w = mpmath.mpf(a[k]) * mpmath.mpf(b[ell]) / 2**d
+                w *= c[np.count_nonzero(k)] * c[np.count_nonzero(ell)]
+                for s in itertools.product((1, -1), repeat=d):
+                    m = tuple(abs(ki + si * li) for ki, si, li in zip(k, s, ell))
+                    out[m] = out.get(m, 0) + w / c[np.count_nonzero(m)]
+    return out
+
+
+def _members(rng, u: CosineSeries, count: int = 3):
+    """Random vertices and random interior points of u, plus its endpoints."""
+    yield u.lo
+    yield u.hi
+    for _ in range(count):
+        yield np.where(rng.random(u.extent) < 0.5, u.lo, u.hi)
+        t = rng.random(u.extent)
+        yield np.clip(u.lo + t * (u.hi - u.lo), u.lo, u.hi)
+
+
+def assert_product_contains(prod: CosineSeries, a, b):
+    exact = _product_oracle(a, b)
+    with mpmath.workdps(50):
+        for m in np.ndindex(*prod.extent):
+            x = exact.get(m, 0)
+            assert mpmath.mpf(prod.lo[m]) <= x <= mpmath.mpf(prod.hi[m]), (m, x, prod.lo[m], prod.hi[m])
+
+
+def _interval_series(rng, a):
+    r = 1e-6 * np.abs(a) * rng.random(a.shape)
+    return CosineSeries(a - r, a + r)
+
+
+def _cancelling_pair(rng, extent):
+    """Point coefficients over six orders of magnitude whose product's mean
+    mode (the inner product) cancels to rounding level.  In 2-d and 3-d only
+    modes with an even number of nonzero indices are used, so the raw
+    coefficients are exact and no input radius hides rounding error."""
+    mask = nz_grid(extent) % 2 == 0 if len(extent) > 1 else np.ones(extent, bool)
+    a = rng.standard_normal(extent) * 10.0 ** rng.uniform(-3, 3, extent) * mask
+    b = rng.standard_normal(extent) * 10.0 ** rng.uniform(-3, 3, extent) * mask
+    origin = (0,) * len(extent)
+    a[origin] = 1.0
+    b[origin] = 0.0
+    b[origin] = -float(np.sum(a * b))
+    return a, b
+
+
+_EXTENTS = [(7,), (4, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
+def test_multiply_point_cancellation_mpmath(rng, extent):
+    for _ in range(3):
+        a, b = _cancelling_pair(rng, extent)
+        prod = multiply(CosineSeries.from_point(a), CosineSeries.from_point(b))
+        assert_product_contains(prod, a, b)
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
+@pytest.mark.parametrize("both_intervals", [False, True])
+def test_multiply_interval_members_mpmath(rng, extent, both_intervals):
+    a, b = _cancelling_pair(rng, extent)
+    u = _interval_series(rng, a)
+    v = _interval_series(rng, b) if both_intervals else CosineSeries.from_point(b)
+    prod = multiply(u, v)
+    for x in _members(rng, u):
+        for y in (_members(rng, v, 1) if both_intervals else [b]):
+            assert_product_contains(prod, x, y)
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
+@pytest.mark.parametrize("point", [True, False])
+def test_multiply_underflow_enclosed(rng, extent, point):
+    # products near 1e-400 underflow; coefficients near 2^-1019 and subnormal
+    # ones are scaled by 2^-d in the fold
+    a = rng.standard_normal(extent) * 1e-200
+    b = rng.standard_normal(extent) * 1e-200
+    b.flat[::2] = rng.integers(-3, 4, b.flat[::2].shape) * 2.0**-1019
+    b.flat[1::3] = rng.integers(-3, 4, b.flat[1::3].shape) * 5e-324
+    u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
+    v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
+    prod = multiply(u, v)
+    assert_product_contains(prod, a, b)
+    assert_product_contains(multiply(v, v), b, b)
+    assert_product_contains(multiply(u, CosineSeries.from_point(np.ones(extent))), a, np.ones(extent))
+
+
+def _along_first_axis(values, d):
+    return np.asarray(values, dtype=np.float64).reshape((-1,) + (1,) * (d - 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multiply_absorbed_terms_mpmath(d):
+    # the mean mode sums 1, then 38 terms below half an ulp of 1, each lost to
+    # rounding, then -1: only the running error bound covers what was lost
+    b = np.full(40, 0.8 * 2.0**-53)
+    b[0], b[-1] = 1.0, -1.0
+    a, b = _along_first_axis(np.ones(40), d), _along_first_axis(b, d)
+    prod = multiply(CosineSeries.from_point(a), CosineSeries.from_point(b))
+    assert_product_contains(prod, a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multiply_subnormal_terms_mpmath(rng, d):
+    # 24 products of 0.3 * 2^-1074 each round to zero on the mean mode
+    a = _along_first_axis(np.full(24, 2.0**-537), d)
+    b = _along_first_axis(np.full(24, 0.3 * 2.0**-537), d)
+    assert_product_contains(
+        multiply(CosineSeries.from_point(a), CosineSeries.from_point(b)), a, b
+    )
+    # a subnormal coefficient, and a subnormal radius, times huge ones: the
+    # fold's 2^-d scaling of the subnormal would round
+    huge = _along_first_axis(rng.standard_normal(5) * 1e300, d)
+    tiny = np.zeros_like(huge[:1])
+    tiny.flat[0] = 3 * 5e-324
+    assert_product_contains(
+        multiply(CosineSeries.from_point(tiny), CosineSeries.from_point(huge)), tiny, huge
+    )
+    prod = multiply(CosineSeries(-tiny / 3, tiny / 3), CosineSeries.from_point(huge))
+    assert_product_contains(prod, tiny / 3, huge)
+    assert_product_contains(prod, -tiny / 3, huge)
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
+def test_multiply_overflow_gives_unbounded_entries(rng, extent):
+    a = rng.standard_normal(extent) * 1e200
+    prod = multiply(CosineSeries.from_point(a), _interval_series(rng, a))
+    populated = (prod.lo != 0.0) | (prod.hi != 0.0)
+    assert populated.any()
+    assert np.all(prod.lo[populated] == -math.inf) and np.all(prod.hi[populated] == math.inf)
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
+@pytest.mark.parametrize("point", [True, False])
+def test_multiply_keeps_parity_zeros(rng, extent, point):
+    # only modes with an even index sum: the product stays in that class
+    even = np.indices(extent).sum(axis=0) % 2 == 0
+    a = rng.standard_normal(extent) * even
+    b = rng.standard_normal(extent) * even
+    u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
+    v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
+    prod = multiply(u, v)
+    populated = (prod.lo != 0.0) | (prod.hi != 0.0)
+    assert np.array_equal(populated, multiply_point(u.mid(), v.mid()) != 0.0)
+    assert not populated[np.indices(prod.extent).sum(axis=0) % 2 == 1].any()
+
+
+_COEFF = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _series(draw, extent):
+    size = math.prod(extent)
+    lo = np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(extent)
+    if draw(st.booleans()):
+        return CosineSeries.from_point(lo)
+    other = np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(extent)
+    return CosineSeries(np.minimum(lo, other), np.maximum(lo, other))
+
+
+@st.composite
+def _multiply_operands(draw):
+    d = draw(st.integers(1, 3))
+    top = 4 if d == 1 else 3 if d == 2 else 2
+    ext_u = tuple(draw(st.integers(1, top)) for _ in range(d))
+    ext_v = tuple(draw(st.integers(1, top)) for _ in range(d))
+    return draw(_series(ext_u)), draw(_series(ext_v)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multiply_operands())
+def test_multiply_contains_exact_property(operands):
+    u, v, seed = operands
+    prod = multiply(u, v)
+    rng = np.random.default_rng(seed)
+    for x, y in zip(_members(rng, u, 1), _members(rng, v, 1)):
+        assert_product_contains(prod, x, y)
 
 
 # ---------------------------------------------------------------------------
