@@ -24,6 +24,8 @@ from .operator import (
     ModelParams,
     auto_inverse_bound,
     derivative_inverse_bound,
+    fprime_series,
+    linearization_coefficient,
     residual_norm,
 )
 from .series import CosineSeries, norm
@@ -280,11 +282,16 @@ def validate(
     except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
         return _invalid(p, which, "residual", str(exc))
 
+    # f'(u + mu) enters q and the lambda Lipschitz bounds; it is built once
+    fprime = fprime_series(p, u)
+    q_info = linearization_coefficient(p, u, fprime)
     try:
         if n is not None:
-            ib = derivative_inverse_bound(p, u, n)
+            ib = derivative_inverse_bound(p, u, n, q_info=q_info)
         else:
-            ib = auto_inverse_bound(p, u, ceiling=ceiling, tau_target=tau_target)
+            ib = auto_inverse_bound(
+                p, u, ceiling=ceiling, tau_target=tau_target, q_info=q_info
+            )
     except CertificationError as exc:
         reason = str(exc)
         if exc.suggested_n is not None:
@@ -297,7 +304,7 @@ def validate(
     for _ in range(max_rounds):
         rounds += 1
         choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
-        lb = lipschitz_bounds(p, u, choice)
+        lb = lipschitz_bounds(p, u, choice, fprime)
         try:
             radii = solve_radii(
                 ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,

@@ -26,7 +26,14 @@ from .files import (
     write_certificate,
     write_solution,
 )
-from .newton import NewtonError, SolveOptions, newton_solve, parameter_walk, parse_seed
+from .newton import (
+    NewtonError,
+    SolveOptions,
+    check_walk,
+    newton_solve,
+    parameter_walk,
+    parse_seed,
+)
 from .operator import ModelParams
 from .series import evaluate_grid
 
@@ -43,6 +50,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _model_from_args(args) -> ModelParams:
@@ -82,8 +94,7 @@ def cmd_solve(args) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     try:
         result = newton_solve(p, seed, opts)
     except NewtonError as exc:
@@ -122,6 +133,8 @@ def _print_certificate(cert) -> None:
 
 
 def cmd_validate(args) -> int:
+    if args.n is not None and args.n < 2:
+        return _usage_error("truncation must be >= 2")
     p, u, _meta = read_solution(args.infile)
     sha = file_sha256(args.infile)
     cert = validate(
@@ -165,11 +178,11 @@ def cmd_sweep(args) -> int:
     try:
         n_list = [int(s) for s in args.nlist.split(",") if s.strip()]
     except ValueError:
-        print("error: --Nlist must be a comma-separated list of integers", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--Nlist must be a comma-separated list of integers")
     if not n_list:
-        print("error: empty --Nlist", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("empty --Nlist")
+    if min(n_list) < 2:
+        return _usage_error("truncation must be >= 2")
 
     def one(n):
         t0 = time.perf_counter()
@@ -232,9 +245,9 @@ def cmd_walk(args) -> int:
     try:
         opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
                             damping=args.damping)
+        check_walk(args.param, args.step)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     steps = parameter_walk(p, u, args.param, args.step, args.count, opts)
     if not steps:
         print("walk produced no converged solutions", file=sys.stderr)
@@ -347,8 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import table_constants
 from .intervals import PI2, PI4, Interval
-from .operator import ModelParams, poly_eval_series
+from .operator import ModelParams, fprime_series
 from .series import CosineSeries, sup_bound
 
 
@@ -109,14 +109,19 @@ def _f_range_radius(u: CosineSeries, du: float, include_mean: float | None = Non
     return r.hi
 
 
-def bounds_lambda(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> LipschitzBounds:
+def bounds_lambda(
+    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries | None = None
+) -> LipschitzBounds:
+    """fprime, when given, is fprime_series(p, u)."""
     if c.which != "lambda":
         raise ValueError("continuation choice must vary lambda")
+    if fprime is None:
+        fprime = fprime_series(p, u)
     consts = table_constants(u.dim)
     radius = _f_range_radius(u, c.du)
     fmax1 = poly_range_max(poly_shift(p.fp_coeffs, p.mu), radius)
     fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
-    fprime_sup = sup_bound(poly_eval_series(p.fp_coeffs, u.add_constant(p.mu))).hi
+    fprime_sup = sup_bound(fprime).hi
     lam_reach = abs(Interval(p.lam)) + Interval(c.dp)
     l1 = (Interval(consts.cm_bar) * Interval(fmax2) * lam_reach / PI2).hi
     l2 = (Interval(fprime_sup) / PI2 + Interval(p.sigma) / PI4).hi
@@ -148,8 +153,11 @@ def bounds_mu(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> Lipschi
     return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=lam_f.hi, fmax2=fmax2)
 
 
-_DISPATCH = {"lambda": bounds_lambda, "sigma": bounds_sigma, "mu": bounds_mu}
-
-
-def lipschitz_bounds(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> LipschitzBounds:
-    return _DISPATCH[c.which](p, u, c)
+def lipschitz_bounds(
+    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries | None = None
+) -> LipschitzBounds:
+    """The bounds for c.which; fprime (fprime_series(p, u)) spares the lambda
+    bounds recomputing it."""
+    if c.which == "lambda":
+        return bounds_lambda(p, u, c, fprime)
+    return {"sigma": bounds_sigma, "mu": bounds_mu}[c.which](p, u, c)

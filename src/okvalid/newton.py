@@ -42,6 +42,8 @@ class SolveOptions:
             raise ValueError("tol_residual must be positive")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must be in (0, 1]")
+        if self.n < 2:
+            raise ValueError("truncation must be >= 2")
 
 
 def parse_seed(description: str, dim: int, n: int) -> np.ndarray:
@@ -151,6 +153,14 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     )
 
 
+def check_walk(which: str, step: float) -> None:
+    """Raise ValueError unless which names a parameter and step is finite and nonzero."""
+    if not (math.isfinite(step) and step != 0):
+        raise ValueError("step must be finite and nonzero")
+    if which not in ("lambda", "sigma", "mu"):
+        raise ValueError(f"unknown walk parameter {which!r}")
+
+
 def parameter_walk(
     p0: ModelParams,
     u0: CosineSeries | np.ndarray,
@@ -165,10 +175,7 @@ def parameter_walk(
     first Newton failure; count is the number of steps beyond the initial
     solve.
     """
-    if step == 0:
-        raise ValueError("step must be nonzero")
-    if which not in ("lambda", "sigma", "mu"):
-        raise ValueError(f"unknown walk parameter {which!r}")
+    check_walk(which, step)
     out = []
     p = p0
     guess = u0

@@ -144,12 +144,22 @@ def residual_norm(p: ModelParams, u: CosineSeries) -> Interval:
     return norm(residual_series(p, u), "Hbar", -2)
 
 
-def linearization_coefficient(p: ModelParams, u: CosineSeries):
+def fprime_series(p: ModelParams, u: CosineSeries) -> CosineSeries:
+    """Exact interval series of f'(u + mu)."""
+    return poly_eval_series(p.fp_coeffs, u.add_constant(p.mu))
+
+
+def linearization_coefficient(
+    p: ModelParams, u: CosineSeries, fprime: CosineSeries | None = None
+):
     """The series lam * f'(u + mu) with bounds on its sup and H2 norms.
 
-    Returns (q, q_sup, q_h2) where the two floats are rigorous upper bounds.
+    fprime, when given, is fprime_series(p, u).  Returns (q, q_sup, q_h2)
+    where the two floats are rigorous upper bounds.
     """
-    q = poly_eval_series(p.fp_coeffs, u.add_constant(p.mu)).scale(p.lam)
+    if fprime is None:
+        fprime = fprime_series(p, u)
+    q = fprime.scale(p.lam)
     return q, sup_bound(q).hi, norm(q, "H", 2).hi
 
 
@@ -196,28 +206,37 @@ def _mode_kappa_bounds(modes: np.ndarray):
     return np.maximum(_ndown(PI2.lo * k2), 0.0), _nup(PI2.hi * k2)
 
 
-def _galerkin_sums(modes: np.ndarray, ext, arrays) -> list:
+def _galerkin_sums(n: int, arrays) -> list:
     """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
-    coefficient array a of extent ext: the sum over sign patterns s of
-    2^-nz(k + s ell) a[|k + s ell|], zero outside ext.  Each pattern's index,
-    mask and power-of-two weights are computed once for every array.
+    coefficient array a (all of one extent) and every pair of
+    truncation_modes(d, n): the sum over sign patterns s of
+    2^-nz(k + s ell) a[|k + s ell|], zero outside a's extent.
+
+    The modes are the lexicographic n^d grid without the origin, so each
+    pattern is one gather from the weighted arrays a 2^-nz, zero-padded to
+    2n - 1 per axis, through the per-axis n x n tables |k +- ell|; no m x m
+    index, mask or weight array is built.
     """
-    m, d = modes.shape
-    arrays = [a.ravel() for a in arrays]
+    d = arrays[0].ndim
+    crop = tuple(slice(0, min(e, 2 * n - 1)) for e in arrays[0].shape)
+    weighted = np.stack([a[crop] for a in arrays])
+    weighted *= 0.5 ** nz_grid(weighted.shape[1:])
+    aw = np.zeros((len(arrays),) + (2 * n - 1,) * d)
+    aw[(slice(None),) + crop] = weighted
+    k = np.arange(n)
+    tables = {1: k[:, None] + k[None, :], -1: np.abs(k[:, None] - k[None, :])}
+    m = n**d - 1
     sums = [np.zeros((m, m)) for _ in arrays]
     for signs in itertools.product((1, -1), repeat=d):
-        flat = np.zeros((m, m), dtype=np.intp)
-        valid = np.ones((m, m), dtype=bool)
-        nz = np.zeros((m, m), dtype=np.intp)
-        for axis, (s, n) in enumerate(zip(signs, ext)):
-            idx = np.abs(modes[:, None, axis] + s * modes[None, :, axis])
-            valid &= idx < n
-            nz += idx != 0
-            flat *= n
-            flat += np.minimum(idx, n - 1)
-        w = 0.5**nz
-        for acc, a in zip(sums, arrays):
-            acc += np.where(valid, a[flat], 0.0) * w
+        # axis j's table spans result axes j (k_j) and d + j (ell_j)
+        idx = tuple(
+            tables[s].reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - 1 - j))
+            for j, s in enumerate(signs)
+        )
+        terms = aw[(slice(None),) + idx].reshape(-1, m + 1, m + 1)
+        for acc, t in zip(sums, terms[:, 1:, 1:]):
+            acc += t
+        del terms, t  # free this pattern's gather before the next one
     return sums
 
 
@@ -237,7 +256,8 @@ def galerkin_matrix(
     # keeps a zero radius, so later products see no subnormal radii
     support = ((q_raw.lo != 0.0) | (q_raw.hi != 0.0)).astype(np.float64)
     arrays = [qm, np.abs(qm), support] + ([] if qr is None else [qr])
-    s_mid, s_abs, s_support, *s_rad = _galerkin_sums(modes, q.extent, arrays)
+    arrays = [a.reshape(q.extent) for a in arrays]
+    s_mid, s_abs, s_support, *s_rad = _galerkin_sums(n, arrays)
     blo, bhi = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d)
     blo[s_support == 0.0] = 0.0
     bhi[s_support == 0.0] = 0.0
@@ -278,7 +298,7 @@ def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndar
     q_raw = q * math.sqrt(2.0) ** nz_grid(q.shape)
     modes = truncation_modes(d, n)
     m = modes.shape[0]
-    (acc,) = _galerkin_sums(modes, q.shape, (q_raw,))
+    (acc,) = _galerkin_sums(n, [q_raw])
     nz = np.count_nonzero(modes, axis=1)
     cf = math.sqrt(2.0) ** nz
     acc *= cf[:, None] * cf[None, :] * 0.5**d
@@ -417,13 +437,16 @@ def auto_inverse_bound(
     n0: int | None = None,
     ceiling: int | None = None,
     tau_target: float = 0.5,
+    q_info=None,
 ) -> InverseBound:
     """Double the truncation from a rule-of-thumb start until tau is comfortable.
 
     Escalation stops at the ceiling, or at a failure for which no larger
-    truncation can help (one without a suggested truncation).
+    truncation can help (one without a suggested truncation).  q_info, when
+    given, is linearization_coefficient(p, u).
     """
-    q_info = linearization_coefficient(p, u)
+    if q_info is None:
+        q_info = linearization_coefficient(p, u)
     ceiling = ceiling if ceiling is not None else TRUNCATION_CEILING[u.dim]
     n = n0 if n0 is not None else min(rule_of_thumb_n(q_info[2]), ceiling)
     n = max(4, min(n, ceiling))

@@ -318,46 +318,52 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # products
 # ---------------------------------------------------------------------------
 
-def _fold_segments(a_idx, b_shape):
-    """Per-axis (target, source) slice pairs for one cosine product shift.
+def _axis_segments(ai: int, nb: int) -> list:
+    """(target, source) slice pairs of one axis for the shift by index ai.
 
     cos(a t) cos(b t) = (cos((a+b)t) + cos(|a-b|t)) / 2, applied per axis;
     the |a-b| branch splits into a reversed and a forward slice.
     """
-    per_axis = []
-    for ai, nb in zip(a_idx, b_shape):
-        ai = int(ai)
-        segs = [(slice(ai, ai + nb), slice(0, nb, 1))]
-        m = min(ai, nb - 1)
-        segs.append((slice(ai - m, ai + 1), slice(m, None, -1)))
-        if nb - 1 > ai:
-            segs.append((slice(1, nb - ai), slice(ai + 1, nb, 1)))
-        per_axis.append(segs)
-    for combo in itertools.product(*per_axis):
-        yield tuple(c[0] for c in combo), tuple(c[1] for c in combo)
+    segs = [(slice(ai, ai + nb), slice(0, nb, 1))]
+    m = min(ai, nb - 1)
+    segs.append((slice(ai - m, ai + 1), slice(m, None, -1)))
+    if nb - 1 > ai:
+        segs.append((slice(1, nb - ai), slice(ai + 1, nb, 1)))
+    return segs
 
 
 def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np.ndarray:
-    """Cosine-product convolution of raw coefficient arrays in float.
+    """Cosine-product convolutions of raw coefficient arrays in float.
 
-    Given err (zeros of the output's shape), it also accumulates Wilkinson's
-    running error bound: each term t = fl(w b) added to a partial sum s adds
-    |t| + |s|, and the rounding error of every output entry is at most u err
-    plus 2^-1075 per underflowing product (Higham, Accuracy and Stability,
-    sec. 3.3), provided every w = a 2^-d is exact.
+    a and b stack the operands of several folds on their leading axis, and
+    out[f] is the fold of a[f] with b[f].  One loop runs over the union of
+    the supports of a, and one pass per segment (the product of the per-axis
+    slice pairs) serves every fold; where a[f] is zero, fold f adds exact
+    zeros (or NaN against an infinite b[f]).
+
+    Given err (zeros of one output's shape), fold 0 also accumulates
+    Wilkinson's running error bound: each term t = fl(w b) added to a partial
+    sum s adds |t| + |s|, and the rounding error of every output entry is at
+    most u err plus 2^-1075 per underflowing product (Higham, Accuracy and
+    Stability, sec. 3.3), provided every w = a 2^-d is exact.
     """
-    d = a.ndim
-    out = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
+    d = a.ndim - 1
+    every = (slice(None),)
+    out = np.zeros(a.shape[:1] + tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
+    segments = [
+        [_axis_segments(ai, nb) for ai in range(na)] for na, nb in zip(a.shape[1:], b.shape[1:])
+    ]
     half = 0.5 ** d
-    for idx in np.argwhere(a != 0.0):
-        a_idx = tuple(int(i) for i in idx)
-        w = a[a_idx] * half
-        for out_sl, b_sl in _fold_segments(a_idx, b.shape):
-            t = w * b[b_sl]
-            s = out[out_sl]
+    for idx in np.argwhere((a != 0.0).any(axis=0)).tolist():
+        w = a[every + tuple(idx)].reshape((-1,) + (1,) * d) * half
+        track = err is not None and a[(0, *idx)] != 0.0
+        for combo in itertools.product(*(axis[i] for axis, i in zip(segments, idx))):
+            out_sl, b_sl = zip(*combo)
+            t = w * b[every + b_sl]
+            s = out[every + out_sl]
             s += t
-            if err is not None:
-                err[out_sl] += np.abs(t) + np.abs(s)
+            if track:
+                err[out_sl] += np.abs(t[0]) + np.abs(s[0])
     return out
 
 
@@ -418,11 +424,15 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     am, ar, asup = _raw_mid_rad(u)
     bm, br, bsup = _raw_mid_rad(v)
     err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
-    c = _raw_conv(am, bm, err)
-    rad = err * 2.0**-53 + _raw_conv(np.abs(am), br) + _raw_conv(ar, np.abs(bm) + br)
+    c, r1, r2, reach = _raw_conv(
+        np.stack([am, np.abs(am), ar, asup]),
+        np.stack([bm, br, np.abs(bm) + br, bsup]),
+        err,
+    )
+    rad = err * 2.0**-53 + r1 + r2
     p = 3**u.dim * nu
     lo, hi = _outward(c, rad, p, _gamma(p))
-    unreached = _raw_conv(asup, bsup) == 0.0
+    unreached = reach == 0.0
     lo[unreached] = 0.0
     hi[unreached] = 0.0
     return from_raw(lo, hi, zero_mean=False)
@@ -434,7 +444,7 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     ca = math.sqrt(2.0) ** nz_grid(a.shape)
     cb = math.sqrt(2.0) ** nz_grid(b.shape)
-    raw = _raw_conv(a * ca, b * cb)
+    (raw,) = _raw_conv((a * ca)[None], (b * cb)[None])
     return raw / (math.sqrt(2.0) ** nz_grid(raw.shape))
 
 

@@ -80,6 +80,35 @@ def test_walk_bad_damping_usage_error(workdir, solution_file, capsys):
     assert not list(workdir.glob("bad_walk_*"))
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("validate", ["--N", "0"], "truncation must be >= 2"),
+    ("validate", ["--N", "1"], "truncation must be >= 2"),
+    ("sweep", ["--Nlist", "1,24"], "truncation must be >= 2"),
+    ("walk", ["--N", "1", "--step", "1"], "truncation must be >= 2"),
+    ("walk", ["--step", "0"], "step must be finite and nonzero"),
+    ("walk", ["--step", "nan"], "step must be finite and nonzero"),
+    ("walk", ["--step", "inf"], "step must be finite and nonzero"),
+])
+def test_bad_truncation_or_step_usage_error(workdir, solution_file, capsys, monkeypatch,
+                                            command, flags, message):
+    from okvalid import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a usage error")
+
+    monkeypatch.setattr(cli, "validate", no_work)
+    monkeypatch.setattr(cli, "parameter_walk", no_work)
+    out = workdir / f"usage_{command}"
+    extra = {"validate": ["--param", "lambda", "--out", str(out)],
+             "sweep": ["--param", "lambda", "--out", str(out)],
+             "walk": ["--param", "lambda", "--out-prefix", str(out)]}[command]
+    capsys.readouterr()
+    code = main([command, "--in", str(solution_file), *extra, *flags])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not list(workdir.glob(f"usage_{command}*"))
+
+
 def test_solver_failure_exit_code(workdir):
     code = main([
         "solve", "--dim", "1", "--N", "32", "--lambda", "150", "--sigma", "6",

@@ -14,7 +14,7 @@ from okvalid.lipschitz import (
     poly_range_max,
     poly_shift,
 )
-from okvalid.operator import ModelParams, galerkin_matrix
+from okvalid.operator import ModelParams, fprime_series, galerkin_matrix
 from okvalid.series import CosineSeries, norm
 
 
@@ -202,3 +202,31 @@ def test_finite_projection_necessary_condition(rng):
             lhs = float(np.linalg.norm(diff, 2))
             rhs = lb.l1 * du_actual + lb.l2 * abs(dp_actual)
             assert lhs <= rhs + 1e-8
+
+
+def test_lambda_bounds_take_fprime(rng):
+    p = ModelParams(lam=40.0, sigma=3.0, mu=0.1)
+    u = make_random_series(rng, (3, 4), scale=0.3)
+    c = ContinuationChoice("lambda", 0.2, 0.05)
+    fprime = fprime_series(p, u)
+    assert bounds_lambda(p, u, c, fprime) == bounds_lambda(p, u, c)
+    assert lipschitz_bounds(p, u, c, fprime) == lipschitz_bounds(p, u, c)
+
+
+def test_validate_builds_fprime_once(solved_1d, monkeypatch):
+    # f'(u + mu) feeds q and every tightening round's lambda bounds
+    from okvalid import cift, lipschitz, operator
+
+    calls = []
+    real = operator.fprime_series
+
+    def counting(p, u):
+        calls.append(1)
+        return real(p, u)
+
+    for module in (cift, lipschitz, operator):
+        monkeypatch.setattr(module, "fprime_series", counting)
+    p, result = solved_1d
+    cert = cift.validate(p, result.solution, "lambda")
+    assert cert.valid and cert.rounds >= 2
+    assert len(calls) == 1

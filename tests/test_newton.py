@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,16 @@ def test_walk_requires_nonzero_step():
     p = ModelParams(lam=10.0)
     with pytest.raises(ValueError):
         parameter_walk(p, parse_seed("zero", 1, 8), "lambda", 0.0, 1, SolveOptions(n=8))
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_walk_rejects_non_finite_step(step):
+    p = ModelParams(lam=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        parameter_walk(p, parse_seed("zero", 1, 8), "lambda", step, 1, SolveOptions(n=8))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_solve_options_reject_small_truncation(n):
+    with pytest.raises(ValueError, match="truncation"):
+        SolveOptions(n=n)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -259,6 +261,58 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n):
                 assert mpmath.mpf(g.mat.lo[a, b]) <= lo[a][b], (a, b)
                 assert hi[a][b] <= mpmath.mpf(g.mat.hi[a, b]), (a, b)
     assert (g.mat.lo == 0.0).any() and (g.mat.hi > g.mat.lo).any()
+
+
+def _galerkin_sums_reference(n, a):
+    """Per entry, straight from the definition: the sum over sign patterns s,
+    in order, of 2^-nz(k + s ell) a[|k + s ell|], where |k + s ell| lies
+    in a's extent."""
+    d = a.ndim
+    modes = list(np.ndindex(*(n,) * d))[1:]
+    out = np.zeros((len(modes), len(modes)))
+    for i, k in enumerate(modes):
+        for j, ell in enumerate(modes):
+            acc = 0.0
+            for s in itertools.product((1, -1), repeat=d):
+                idx = tuple(abs(ki + si * li) for ki, si, li in zip(k, s, ell))
+                if all(x < e for x, e in zip(idx, a.shape)):
+                    acc += a[idx] * 0.5 ** sum(x != 0 for x in idx)
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("n,extent", [
+    (6, (5,)), (6, (11,)), (6, (14,)),
+    (4, (3, 5)), (4, (7, 7)), (4, (9, 8)), (4, (2, 11)),
+    (3, (2, 4, 3)), (3, (5, 5, 5)), (3, (6, 7, 5)), (3, (1, 8, 2)),
+])
+def test_galerkin_sums_match_definition(rng, n, extent):
+    # extents below, equal to and above 2n - 1 per axis, with exact zeros
+    arrays = [rng.standard_normal(extent) * 10.0 ** rng.integers(-3, 4, extent)
+              for _ in range(2)]
+    arrays[0][rng.uniform(size=extent) < 0.3] = 0.0
+    arrays[1] = np.abs(arrays[1])
+    sums = operator._galerkin_sums(n, arrays)
+    assert len(sums) == 2
+    for got, a in zip(sums, arrays):
+        assert np.array_equal(got, _galerkin_sums_reference(n, a))
+
+
+def test_point_jacobian_memory_peak(rng):
+    # the Jacobian's assembly keeps the sums and one pattern's gather live,
+    # and no m x m index, mask or weight array
+    n = 24
+    a = make_random_series(rng, (n, n), scale=0.3).mid()
+    p = ModelParams(lam=30.0, sigma=2.0)
+    galerkin_matrix_point(p, a, n)
+    m = n * n - 1
+    tracemalloc.start()
+    try:
+        galerkin_matrix_point(p, a, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * m * m
 
 
 def test_kn_diagonal_oracle():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eval_series_naive, gauss_rule, make_random_series
-from okvalid.intervals import IntervalDomainError
+from okvalid import series
+from okvalid.intervals import IntervalDomainError, _gamma, _outward
 from okvalid.series import (
     CosineSeries,
     evaluate,
@@ -414,6 +415,87 @@ def test_multiply_keeps_parity_zeros(rng, extent, point):
     populated = (prod.lo != 0.0) | (prod.hi != 0.0)
     assert np.array_equal(populated, multiply_point(u.mid(), v.mid()) != 0.0)
     assert not populated[np.indices(prod.extent).sum(axis=0) % 2 == 1].any()
+
+
+def _fold_reference(a, b, err=None):
+    """One cosine-product fold on its own: each nonzero a[k], in order, adds
+    a[k] 2^-d b to the output on |k + l| and |k - l| per axis (the forward
+    shift, then the reversed and the forward halves of |k - l|)."""
+    d = a.ndim
+    out = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
+    for k in map(tuple, np.argwhere(a != 0.0)):
+        w = a[k] * 0.5**d
+        per_axis = []
+        for ki, nb in zip(k, b.shape):
+            segs = [(slice(ki, ki + nb), slice(0, nb))]
+            top = min(ki, nb - 1)
+            segs.append((slice(ki - top, ki + 1), slice(top, None, -1)))
+            if nb - 1 > ki:
+                segs.append((slice(1, nb - ki), slice(ki + 1, nb)))
+            per_axis.append(segs)
+        for combo in itertools.product(*per_axis):
+            out_sl = tuple(c[0] for c in combo)
+            t = w * b[tuple(c[1] for c in combo)]
+            out[out_sl] += t
+            if err is not None:
+                err[out_sl] += np.abs(t) + np.abs(out[out_sl])
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _multiply_reference(u, v):
+    """multiply with its four folds run one after the other."""
+    populated = [int(np.count_nonzero((s.lo != 0.0) | (s.hi != 0.0))) for s in (u, v)]
+    if populated[1] < populated[0]:
+        u, v = v, u
+    am, ar, asup = series._raw_mid_rad(u)
+    bm, br, bsup = series._raw_mid_rad(v)
+    err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
+    c = _fold_reference(am, bm, err)
+    rad = err * 2.0**-53 + _fold_reference(np.abs(am), br)
+    rad = rad + _fold_reference(ar, np.abs(bm) + br)
+    p = 3**u.dim * min(populated)
+    lo, hi = _outward(c, rad, p, _gamma(p))
+    unreached = _fold_reference(asup, bsup) == 0.0
+    lo[unreached] = 0.0
+    hi[unreached] = 0.0
+    return series.from_raw(lo, hi)
+
+
+@pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("special", ["none", "zero_mid", "tiny_mid", "inf"])
+def test_multiply_matches_per_fold_reference(rng, extent, special):
+    # the sparser factor u holds an interval coefficient whose midpoint is
+    # zero (or moved into the radius), or an infinite one; v is dense
+    a = rng.standard_normal(extent)
+    a[rng.uniform(size=extent) < 0.4] = 0.0
+    a.flat[0] = 0.0
+    r = 1e-6 * np.abs(a) * rng.random(extent)
+    r.flat[1::4] = 0.0
+    lo, hi = a - r, a + r
+    last = (-1,) * len(extent)
+    if special == "zero_mid":
+        lo[last], hi[last] = -0.25, 0.25
+    elif special == "tiny_mid":
+        lo[last], hi[last] = 2.0**-1030, 2.0**-1029
+    elif special == "inf":
+        # with a zero midpoint, so that 0 * inf = NaN arises in the fused folds
+        lo[last], hi[last] = 1.0, math.inf
+        lo.flat[1], hi.flat[1] = -0.25, 0.25
+    u = CosineSeries(lo, hi)
+    b = rng.standard_normal(extent) + 0.1
+    v = _interval_series(rng, b)
+    if special == "inf":
+        v.hi.flat[2] = math.inf
+    for x, y in ((u, v), (v, u), (u, u)):
+        got, want = multiply(x, y), _multiply_reference(x, y)
+        assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+    if special == "inf":
+        assert np.isinf(multiply(u, v).hi).any()
+    # Newton's product is fold 0 alone, over the sparser factor
+    c = math.sqrt(2.0) ** nz_grid(extent)
+    raw = _fold_reference(a * c, b * c)
+    assert np.array_equal(multiply_point(b, a), raw / math.sqrt(2.0) ** nz_grid(raw.shape))
 
 
 _COEFF = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
