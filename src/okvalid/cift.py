@@ -257,7 +257,6 @@ def validate(
     dp: float | None = None,
     max_rounds: int = 5,
     tau_target: float = 0.5,
-    ceiling: int | None = None,
 ) -> Certificate:
     """Run residual -> inverse bound -> Lipschitz -> radii and emit a certificate.
 
@@ -289,9 +288,7 @@ def validate(
         if n is not None:
             ib = derivative_inverse_bound(p, u, n, q_info=q_info)
         else:
-            ib = auto_inverse_bound(
-                p, u, ceiling=ceiling, tau_target=tau_target, q_info=q_info
-            )
+            ib = auto_inverse_bound(p, u, tau_target=tau_target, q_info=q_info)
     except CertificationError as exc:
         reason = str(exc)
         if exc.suggested_n is not None:

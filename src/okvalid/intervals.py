@@ -8,7 +8,9 @@ Matrix products are computed in midpoint-radius form through BLAS: the
 midpoint is one floating gemm, and the radius adds the a-priori rounding
 bound gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
 underflow term, valid for any summation order, blocking and FMA (Rump, BIT 39,
-1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Spectral-norm bounds
+1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Float sums scaled by
+float weights raise that count by the scaling's roundings and the weights'
+errors, and one outward rounding ends each enclosure.  Spectral-norm bounds
 take the smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky
 certificate (Rump, BIT 46, 2006).
 The contract is containment: every arithmetic result encloses all pointwise
@@ -249,7 +251,6 @@ class Interval:
 # enclosures of the constants every rigorous formula needs; the float seeds are
 # correctly rounded, so one ulp on each side is enough
 PI = Interval(_down(math.pi), _up(math.pi))
-SQRT2 = Interval(_down(math.sqrt(2.0)), _up(math.sqrt(2.0)))
 PI2 = PI.square()
 PI4 = PI2.square()
 
@@ -286,11 +287,6 @@ def vmul(alo, ahi, blo, bhi):
     lo = np.where(pzero, 0.0, _ndown(lo))
     hi = np.where(pzero, 0.0, _nup(hi))
     return lo, hi
-
-
-def vscale(lo, hi, c: Interval):
-    """interval scalar times interval vector"""
-    return vmul(lo, hi, np.float64(c.lo), np.float64(c.hi))
 
 
 def vsquare(lo, hi):
@@ -487,11 +483,15 @@ def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
 def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
-    """(lo, hi) enclosing each exact sum of `terms` interval terms t_i +- r_i,
-    from fl(sum t_i), fl(sum |t_i|) and fl(sum r_i) (None when every r_i is
-    zero), accumulated in any order from products exact up to underflow.
-    The radius is gamma_terms fl(sum |t_i|) + fl(sum r_i), made an upper
-    bound by _outward (Higham, ch. 3).  The arguments are overwritten.
+    """(lo, hi) enclosing each exact sum of interval terms t_i +- r_i, from
+    float evaluations S of sum t_i, A of sum |t_i| and R of sum r_i (None
+    when every r_i is zero).  The arguments are overwritten.
+
+    terms bounds the factors (1 + delta)^(+-1), |delta| <= u, that a term
+    meets on its way into S, A or R: n - 1 for a sum of n terms in any
+    order, plus one per rounded product and one per float weight within
+    one rounding of exact.  By Higham's lemma 3.1 the radius gamma_terms A
+    + R, which _outward rounds up, then holds up to underflow.
     """
     g = _gamma(terms)
     rad = abs_sum
@@ -505,11 +505,14 @@ def _outward(c, rad, p: int, g: Fraction):
     """[c - r, c + r] rounded outward, overwriting c and rad; entries where
     anything overflows become [-inf, inf].
 
-    rad holds nonnegative sums of at most p terms, each at most (rounded sum
-    + p eta) / (1 - gamma_p), one (the product by |Bm| + Br) with a further
-    factor 1 - u, combined by at most three roundings; with the two below
-    they lose at most 1 - gamma_6.  The constant covers the underflow of three sums and
-    of the product by g >= gamma_p.
+    The rounding budget: rad combines, by at most four roundings,
+    nonnegative float quantities, each at least (1 - g)(1 - u) times the
+    exact one it bounds, less underflow.  g >= gamma_k covers k factors
+    (1 + delta)^(+-1): a sum of at most p terms, plus, where the caller
+    scales by float weights (1/c_k, or c_k and c_ell 2^-d / kappa_ell),
+    their errors and products.  1 - u covers |Bm| + Br, and 1 - gamma_6 the
+    four roundings and the two below.  The constant covers the underflow
+    of three sums of at most p products and of a few more products.
     """
     rad += (4 * p + 16) * _ETA
     rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))

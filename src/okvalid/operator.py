@@ -24,16 +24,11 @@ from .intervals import (
     Interval,
     IntervalDomainError,
     IntervalMatrix,
-    _ndown,
-    _nup,
     mat_inverse_norm2_upper,
-    mid_rad,
     sum_enclosure,
-    vadd,
-    vmul,
-    vscale,
 )
 from .series import (
+    C_FLOAT,
     CosineSeries,
     laplacian,
     multiply,
@@ -41,8 +36,7 @@ from .series import (
     norm,
     nz_grid,
     sup_bound,
-    to_raw,
-    _c_factor,
+    _raw_mid_rad,
 )
 
 
@@ -201,9 +195,9 @@ class GalerkinMatrix:
         return self.mat.rows
 
 
-def _mode_kappa_bounds(modes: np.ndarray):
-    k2 = np.sum(modes.astype(np.float64) ** 2, axis=1)
-    return np.maximum(_ndown(PI2.lo * k2), 0.0), _nup(PI2.hi * k2)
+# pi^2 and pi^4 rounded to nearest, each within one rounding of exact
+_PI2_NEAREST = 9.869604401089358
+_PI4_NEAREST = 97.40909103400244
 
 
 def _galerkin_sums(n: int, arrays) -> list:
@@ -213,16 +207,16 @@ def _galerkin_sums(n: int, arrays) -> list:
     2^-nz(k + s ell) a[|k + s ell|], zero outside a's extent.
 
     The modes are the lexicographic n^d grid without the origin, so each
-    pattern is one gather from the weighted arrays a 2^-nz, zero-padded to
-    2n - 1 per axis, through the per-axis n x n tables |k +- ell|; no m x m
-    index, mask or weight array is built.
+    pattern is one gather per array from a 2^-nz, zero-padded to 2n - 1 per
+    axis, through the per-axis n x n tables |k +- ell|; no m x m index, mask
+    or weight array is built, and one gather is live at a time.
     """
     d = arrays[0].ndim
     crop = tuple(slice(0, min(e, 2 * n - 1)) for e in arrays[0].shape)
-    weighted = np.stack([a[crop] for a in arrays])
-    weighted *= 0.5 ** nz_grid(weighted.shape[1:])
-    aw = np.zeros((len(arrays),) + (2 * n - 1,) * d)
-    aw[(slice(None),) + crop] = weighted
+    half = 0.5 ** nz_grid(tuple(c.stop for c in crop))
+    padded = [np.zeros((2 * n - 1,) * d) for _ in arrays]
+    for aw, a in zip(padded, arrays):
+        aw[crop] = a[crop] * half
     k = np.arange(n)
     tables = {1: k[:, None] + k[None, :], -1: np.abs(k[:, None] - k[None, :])}
     m = n**d - 1
@@ -233,10 +227,8 @@ def _galerkin_sums(n: int, arrays) -> list:
             tables[s].reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - 1 - j))
             for j, s in enumerate(signs)
         )
-        terms = aw[(slice(None),) + idx].reshape(-1, m + 1, m + 1)
-        for acc, t in zip(sums, terms[:, 1:, 1:]):
-            acc += t
-        del terms, t  # free this pattern's gather before the next one
+        for acc, aw in zip(sums, padded):
+            acc += aw[idx].reshape(m + 1, m + 1)[1:, 1:]
     return sums
 
 
@@ -244,48 +236,48 @@ def galerkin_matrix(
     p: ModelParams, u: CosineSeries, n: int, q: CosineSeries | None = None
 ) -> GalerkinMatrix:
     """Interval matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
-    + (q phi_ell, phi_k) / kappa_ell: the float sums of galerkin_matrix_point
-    at mid(q), with a radius from the same sums at |mid(q)| and rad(q)."""
+    + (q phi_ell, phi_k) / kappa_ell.
+
+    The float sums of galerkin_matrix_point at the raw midpoint of q, at its
+    absolute value and at the raw radius are scaled in place by the weights
+    fl(c_k) and fl(c_ell 2^-d / fl(pi^2 |ell|^2)); the diagonal fl(1 +
+    fl(lam sigma) / fl(pi^4 |k|^4)) joins the midpoint and the absolute sum.
+    With c_k, pi^2 and pi^4 each within one rounding, sum_enclosure counts
+    for a coefficient of q 2^d - 1 factors in its sum, 2 for the row weight,
+    5 for the column weight (c_ell, pi^2 and its product by |ell|^2, the
+    quotient, the product) and 1 for the diagonal; for lam sigma / kappa_k^2
+    4 in the quotient, 1 for adding 1 and 1 for the diagonal: terms = 2^d + 7.
+    Every nonzero raw coefficient has a midpoint or radius of at least
+    _FOLD_MIN, so each gathered term is a normal double, and an off-diagonal
+    entry with zero sums gathers only point zeros: it becomes an exact zero,
+    which keeps later products free of subnormal radii.
+    """
     if q is None:
         q = linearization_coefficient(p, u)[0]
     d = u.dim
     modes = truncation_modes(d, n)
-    q_raw = IntervalMatrix(*(c.reshape(1, -1) for c in to_raw(q)))
-    qm, qr = mid_rad(q_raw)
-    # an entry that gathers only point-zero coefficients is an exact zero; it
-    # keeps a zero radius, so later products see no subnormal radii
-    support = ((q_raw.lo != 0.0) | (q_raw.hi != 0.0)).astype(np.float64)
-    arrays = [qm, np.abs(qm), support] + ([] if qr is None else [qr])
-    arrays = [a.reshape(q.extent) for a in arrays]
-    s_mid, s_abs, s_support, *s_rad = _galerkin_sums(n, arrays)
-    blo, bhi = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d)
-    blo[s_support == 0.0] = 0.0
-    bhi[s_support == 0.0] = 0.0
-    del s_mid, s_abs, s_support, s_rad
-    # multiply by c_k c_ell / 2^d
-    flo, fhi = _c_factor(np.count_nonzero(modes, axis=1))
-    plo, phi = vmul(flo[:, None], fhi[:, None], flo[None, :], fhi[None, :])
-    blo, bhi = vscale(*vmul(blo, bhi, plo, phi), Interval(0.5**d))
-    klo, khi = _mode_kappa_bounds(modes)
-    # column scaling by 1/kappa_ell
-    inv_lo = np.maximum(_ndown(1.0 / khi), 0.0)
-    inv_hi = _nup(1.0 / klo)
-    blo, bhi = vmul(blo, bhi, inv_lo[None, :], inv_hi[None, :])
-    # diagonal term
-    lam_sigma = Interval(p.lam) * Interval(p.sigma)
-    k2lo, k2hi = np.maximum(_ndown(klo * klo), 0.0), _nup(khi * khi)
-    if lam_sigma.lo == 0.0 and lam_sigma.hi == 0.0:
-        rat_lo = np.zeros_like(k2lo)
-        rat_hi = np.zeros_like(k2hi)
-    else:
-        rat_lo = np.maximum(_ndown(lam_sigma.lo / k2hi), 0.0)
-        rat_hi = _nup(lam_sigma.hi / k2lo)
-    dlo, dhi = vadd(np.ones_like(rat_lo), np.ones_like(rat_hi), rat_lo, rat_hi)
-    idx = np.arange(modes.shape[0])
-    new_lo, new_hi = vadd(blo[idx, idx], bhi[idx, idx], -dhi, -dlo)
-    blo[idx, idx] = new_lo
-    bhi[idx, idx] = new_hi
-    return GalerkinMatrix(n=n, dim=u.dim, modes=modes, mat=IntervalMatrix(blo, bhi))
+    m = modes.shape[0]
+    qm, qr, _ = _raw_mid_rad(q)
+    arrays = [qm, np.abs(qm)] + ([qr] if qr.any() else [])
+    s_mid, s_abs, *s_rad = _galerkin_sums(n, arrays)
+    diag = np.arange(m)
+    free = s_abs == 0.0
+    for s in s_rad:
+        free &= s == 0.0
+    free[diag, diag] = False
+    k2 = np.sum(modes.astype(np.float64) ** 2, axis=1)
+    row = C_FLOAT[np.count_nonzero(modes, axis=1)]
+    col = row * 0.5**d / (_PI2_NEAREST * k2)
+    for s in (s_mid, s_abs, *s_rad):
+        s *= row[:, None]
+        s *= col
+    dm = 1.0 + (p.lam * p.sigma) / (_PI4_NEAREST * (k2 * k2))
+    s_mid[diag, diag] -= dm
+    s_abs[diag, diag] += dm
+    lo, hi = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
+    lo[free] = 0.0
+    hi[free] = 0.0
+    return GalerkinMatrix(n=n, dim=d, modes=modes, mat=IntervalMatrix(lo, hi))
 
 
 def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -361,9 +353,11 @@ class InverseBound:
 
 
 # Peak number of live m x m double arrays in the K_N stage (Galerkin assembly
-# and certified inverse norm), measured from the peak RSS at m = 783..1763:
-# about 15 in 2-d and 3-d, well inside this ceiling.
-KN_LIVE_ARRAYS = 24
+# and certified inverse norm).  Measured in 2-d at m = 783 and 2303: the
+# tracemalloc peak is 4.4 in galerkin_matrix and 12.1 in
+# galerkin_inverse_bound, the rise of the peak RSS over the whole stage
+# 12.4; this is the larger, rounded up.
+KN_LIVE_ARRAYS = 13
 
 
 def available_memory_bytes() -> float:
@@ -435,19 +429,18 @@ def auto_inverse_bound(
     p: ModelParams,
     u: CosineSeries,
     n0: int | None = None,
-    ceiling: int | None = None,
     tau_target: float = 0.5,
     q_info=None,
 ) -> InverseBound:
     """Double the truncation from a rule-of-thumb start until tau is comfortable.
 
-    Escalation stops at the ceiling, or at a failure for which no larger
-    truncation can help (one without a suggested truncation).  q_info, when
-    given, is linearization_coefficient(p, u).
+    Escalation stops at TRUNCATION_CEILING, or at a failure for which no
+    larger truncation can help (one without a suggested truncation).
+    q_info, when given, is linearization_coefficient(p, u).
     """
     if q_info is None:
         q_info = linearization_coefficient(p, u)
-    ceiling = ceiling if ceiling is not None else TRUNCATION_CEILING[u.dim]
+    ceiling = TRUNCATION_CEILING[u.dim]
     n = n0 if n0 is not None else min(rule_of_thumb_n(q_info[2]), ceiling)
     n = max(4, min(n, ceiling))
     best: InverseBound | None = None

@@ -6,7 +6,9 @@ c_m = sqrt(2) for m >= 1.  Coefficients are intervals, so every norm and
 product below is a rigorous enclosure.  Products share one float
 convolution fold: Newton calls it on point coefficients, and the interval
 product runs it on midpoints with Wilkinson's running error bound and adds
-the radii's spread.
+the radii's spread.  It folds raw coefficients alpha_k c_k, formed with
+the float c_k (exact where c_k is 1 or 2), and scales back by the float
+1/c_k inside its one outward rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .intervals import (
     PI2,
-    SQRT2,
     Interval,
     IntervalDomainError,
     IntervalMatrix,
@@ -29,14 +30,15 @@ from .intervals import (
     _outward,
     vadd,
     vmul,
-    vscale,
     vsquare,
     vsum,
 )
 
-# interval values of c_k and 1/c_k by number of nonzero index components
-_C_FACTOR = (Interval(1.0), SQRT2, Interval(2.0), Interval(2.0) * SQRT2)
-_C_INVERSE = tuple(Interval(1.0) / f for f in _C_FACTOR)
+# c_k and 1/c_k rounded to nearest by number of nonzero index components nz
+# (sqrt is correctly rounded): exact where nz is even, within 0.62 u of
+# exact, relatively, where it is odd
+C_FLOAT = np.array([1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0)])
+_C_INV_FLOAT = np.array([1.0, math.sqrt(0.5), 0.5, 0.5 * math.sqrt(0.5)])
 # the least magnitude whose product by 2^-d, d <= 3, is a normal double
 _FOLD_MIN = 2.0**-1019
 
@@ -205,7 +207,7 @@ class CosineSeries:
 
     def scale(self, c) -> "CosineSeries":
         c = c if isinstance(c, Interval) else Interval(float(c))
-        lo, hi = vscale(self.lo, self.hi, c)
+        lo, hi = vmul(self.lo, self.hi, np.float64(c.lo), np.float64(c.hi))
         return CosineSeries(lo, hi, self.zero_mean)
 
     def add_constant(self, c) -> "CosineSeries":
@@ -272,7 +274,10 @@ def sup_bound(u: CosineSeries) -> Interval:
     """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
     alo = np.where(u.lo > 0.0, u.lo, np.where(u.hi < 0.0, -u.hi, 0.0))
     ahi = np.maximum(np.abs(u.lo), np.abs(u.hi))
-    return vsum(*vmul(alo, ahi, *_c_factor(nz_grid(u.extent))))
+    nz = nz_grid(u.extent)
+    c = C_FLOAT[nz]
+    odd = nz % 2 == 1
+    return vsum(*vmul(alo, ahi, np.where(odd, _ndown(c), c), np.where(odd, _nup(c), c)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,37 +372,30 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
     return out
 
 
-def _c_factor(nz, inverse: bool = False):
-    """(lo, hi) arrays enclosing c_k, or 1/c_k, from the counts nz of nonzero
-    index components."""
-    table = _C_INVERSE if inverse else _C_FACTOR
-    return np.array([f.lo for f in table])[nz], np.array([f.hi for f in table])[nz]
-
-
-def to_raw(u: CosineSeries):
-    """Raw cosine coefficients alpha_k c_k as interval arrays."""
-    return vmul(u.lo, u.hi, *_c_factor(nz_grid(u.extent)))
-
-
-def from_raw(lo: np.ndarray, hi: np.ndarray, zero_mean: bool = False) -> CosineSeries:
-    nlo, nhi = vmul(lo, hi, *_c_factor(nz_grid(lo.shape), inverse=True))
-    return CosineSeries(nlo, nhi, zero_mean)
-
-
 def _raw_mid_rad(u: CosineSeries):
-    """Midpoint, radius and 0/1 support of u's raw coefficients.  Below
-    _FOLD_MIN the fold's scaling by 2^-d would round, so smaller midpoints
-    move into the radius and smaller radii round up to _FOLD_MIN."""
-    lo, hi = to_raw(u)
-    a = IntervalMatrix(lo.reshape(1, -1), hi.reshape(1, -1))
-    m = a.mid()
-    r = a.rad(m).reshape(lo.shape)
-    m = m.reshape(lo.shape)
+    """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k.
+
+    The midpoint M = fl(mid(alpha_k) c_k) is exact where nz is even, so a
+    point coefficient keeps a zero radius there.  Where nz is odd and M is
+    normal, M is within (0.62 u (1 + u) + u) |M| < 2^-52 |M| of mid(alpha_k)
+    c_k; the radius, rounded up, gains 2^-52 |M| and one more upward step.
+    Below _FOLD_MIN the fold's scaling by 2^-d would round, so smaller
+    midpoints move into the radius (the upward step also covers their
+    underflow) and smaller radii round up to _FOLD_MIN.
+    """
+    nz = nz_grid(u.extent)
+    a = IntervalMatrix(u.lo.reshape(1, -1), u.hi.reshape(1, -1))
+    m = a.mid().reshape(u.extent)
+    r = a.rad(m.reshape(1, -1)).reshape(u.extent)
+    odd = (nz % 2 == 1) & ((m != 0.0) | (r != 0.0))
+    m *= C_FLOAT[nz]
+    r[~odd] *= C_FLOAT[nz[~odd]]
+    r[odd] = _nup(_nup(r[odd] * _nup(C_FLOAT[nz[odd]])) + np.abs(m[odd]) * 2.0**-52)
     tiny = np.abs(m) < _FOLD_MIN
     r = np.where(tiny & (m != 0.0), _nup(r + _FOLD_MIN), r)
     r[(r > 0.0) & (r < _FOLD_MIN)] = _FOLD_MIN
     m[tiny] = 0.0
-    return m, r, ((lo != 0.0) | (hi != 0.0)).astype(np.float64)
+    return m, r, ((u.lo != 0.0) | (u.hi != 0.0)).astype(np.float64)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
@@ -411,7 +409,11 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     adds at most p = 3^d nnz(A) terms into one entry, so _outward's a-priori
     gamma_p factor covers the rounding of the radius folds and of the error
     sum, and its constant the underflow of all three folds (Higham, ch. 3).
-    Entries that no pair of nonzero coefficients reaches stay exact zeros.
+    The raw C +- rho becomes fl(C w) +- fl(rho w), w the float 1/c_m, exact
+    where nz is even.  Where it is odd, w's error is one factor more for
+    rho, hence gamma_{p+1}, and fl(C w) is within (0.62 u (1 + u) + u)
+    |fl(C w)| < 2^-52 |fl(C w)| of C / c_m, which the radius gains.  Entries
+    that no pair of nonzero coefficients reaches stay exact zeros.
     """
     if u.dim != v.dim:
         raise ValueError("product of series with different dimensions")
@@ -430,12 +432,16 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
         err,
     )
     rad = err * 2.0**-53 + r1 + r2
+    nz = nz_grid(c.shape)
+    c *= _C_INV_FLOAT[nz]
+    rad *= _C_INV_FLOAT[nz]
+    rad += np.abs(c) * (nz % 2 * 2.0**-52)
     p = 3**u.dim * nu
-    lo, hi = _outward(c, rad, p, _gamma(p))
+    lo, hi = _outward(c, rad, p, _gamma(p + 1))
     unreached = reach == 0.0
     lo[unreached] = 0.0
     hi[unreached] = 0.0
-    return from_raw(lo, hi, zero_mean=False)
+    return CosineSeries(lo, hi)
 
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:

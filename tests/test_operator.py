@@ -11,6 +11,7 @@ import sympy
 from conftest import gauss_rule, make_random_series
 from okvalid import operator
 from okvalid.intervals import IntervalDomainError
+from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
     ModelParams,
@@ -240,16 +241,20 @@ def _exact_galerkin_hull(p, q: CosineSeries, modes):
     return lo, hi
 
 
-@pytest.mark.parametrize("extent,n", [((5, 3), 4), ((3, 4, 2), 3)])
-def test_galerkin_contains_exact_inner_products(rng, extent, n):
+@pytest.mark.parametrize("extent,n,point", [
+    ((5, 3), 4, False), ((3, 4, 2), 3, False), ((5,), 9, True), ((6, 5), 5, True),
+], ids=["extent0-4", "extent1-3", "point-1d", "point-2d"])
+def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     # non-point coefficients exercise the radius term, point zeros the exact
-    # zero entries, and the extents differ per axis and from the modes'
+    # zero entries, and the extents differ per axis and from the modes'; an
+    # all-point q leaves only the rounding of the sums and their float
+    # scaling, over modes with odd and even numbers of nonzero indices
     mid = rng.standard_normal(extent)
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
     mid[rng.uniform(size=extent) < 0.3] = 0.0
-    width[mid == 0.0] = 0.0
+    width[(mid == 0.0) | point] = 0.0
     q = CosineSeries(mid - width, mid + width)
-    assert (q.hi > q.lo).any() and ((q.lo == 0.0) & (q.hi == 0.0)).any()
+    assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
     g = galerkin_matrix(p, CosineSeries.zeros((2,) * dim), n, q=q)
@@ -261,6 +266,31 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n):
                 assert mpmath.mpf(g.mat.lo[a, b]) <= lo[a][b], (a, b)
                 assert hi[a][b] <= mpmath.mpf(g.mat.hi[a, b]), (a, b)
     assert (g.mat.lo == 0.0).any() and (g.mat.hi > g.mat.lo).any()
+
+
+def test_pi_powers_rounded_to_nearest():
+    with mpmath.workdps(50):
+        for got, want in ((operator._PI2_NEAREST, mpmath.pi**2), (operator._PI4_NEAREST, mpmath.pi**4)):
+            assert abs(got - want) <= 2.0**-53 * want
+
+
+def test_galerkin_point_scaling_mpmath(rng):
+    # a constant point q reaches each diagonal entry through one exact term,
+    # so what remains is the rounding of the float weights c_k and c_k 2^-1 /
+    # kappa_k, of their products and of the diagonal; with a large q the
+    # enclosure's gamma count, not the diagonal's 1, must cover it
+    p = ModelParams(lam=7.0, sigma=1.5)
+    n = 64
+    off = ~np.eye(n - 1, dtype=bool)
+    with mpmath.workdps(50):
+        for q0 in rng.standard_normal(6) * 1e6:
+            q = CosineSeries.from_point(np.array([q0]))
+            g = galerkin_matrix(p, CosineSeries.zeros((2,)), n, q=q)
+            assert np.all(g.mat.lo[off] == 0.0) and np.all(g.mat.hi[off] == 0.0)
+            for i in range(n - 1):
+                kappa = mpmath.pi**2 * (i + 1) ** 2
+                exact = q0 / kappa - (1 + mpmath.mpf(p.lam) * p.sigma / kappa**2)
+                assert g.mat.lo[i, i] <= exact <= g.mat.hi[i, i], (q0, i)
 
 
 def _galerkin_sums_reference(n, a):
@@ -449,6 +479,25 @@ def test_point_jacobian_matches_interval_matrix(rng):
 
 def _memory_for_modes(m: int) -> float:
     return operator.KN_LIVE_ARRAYS * 8.0 * m * m
+
+
+def test_kn_stage_memory_peak_within_live_arrays():
+    # the traced peak of the Galerkin assembly and the certified inverse
+    # norm on the canonical 2-d case stays inside the budget that the
+    # memory check charges
+    n = 28
+    p = ModelParams(lam=75.0, sigma=6.0)
+    u = newton_solve(
+        p, parse_seed("mode:1,1,0.5", 2, n), SolveOptions(n=n, tol_residual=1e-9)
+    ).solution
+    q = linearization_coefficient(p, u)[0]
+    tracemalloc.start()
+    try:
+        galerkin_inverse_bound(galerkin_matrix(p, u, n, q=q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _memory_for_modes(n * n - 1)
 
 
 def _fail_if_called(*args, **kwargs):

@@ -321,6 +321,30 @@ _EXTENTS = [(7,), (4, 3), (3, 2, 3)]
 
 
 @pytest.mark.parametrize("extent", _EXTENTS)
+def test_point_raw_coefficients_exact_where_nz_even(rng, extent):
+    # c_k = 1 or 2 is exact, so only nonzero modes with an odd number of
+    # nonzero indices carry a radius, and only those are rounded
+    a = rng.standard_normal(extent)
+    a.flat[1::3] = 0.0
+    m, r, support = series._raw_mid_rad(CosineSeries.from_point(a))
+    nz = nz_grid(extent)
+    even = nz % 2 == 0
+    assert np.array_equal(m[even], a[even] * 2.0 ** (nz[even] // 2))
+    assert np.all(r[even | (a == 0.0)] == 0.0) and np.all(m[a == 0.0] == 0.0)
+    assert np.all(r[~even & (a != 0.0)] > 0.0)
+    assert np.array_equal(support, (a != 0.0).astype(float))
+
+
+def test_float_c_factors_mpmath():
+    # the float c_k and 1/c_k are within 0.62 u of exact, relatively
+    with mpmath.workdps(50):
+        for j in range(4):
+            c = mpmath.sqrt(2) ** j
+            for got, want in ((series.C_FLOAT[j], c), (series._C_INV_FLOAT[j], 1 / c)):
+                assert abs(got - want) <= 0.62 * 2.0**-53 * want, j
+
+
+@pytest.mark.parametrize("extent", _EXTENTS)
 def test_multiply_point_cancellation_mpmath(rng, extent):
     for _ in range(3):
         a, b = _cancelling_pair(rng, extent)
@@ -454,12 +478,18 @@ def _multiply_reference(u, v):
     c = _fold_reference(am, bm, err)
     rad = err * 2.0**-53 + _fold_reference(np.abs(am), br)
     rad = rad + _fold_reference(ar, np.abs(bm) + br)
+    # back to normalized coefficients by the float 1/c_k, whose rounding
+    # where nz is odd the radius and gamma_{p+1} cover
+    nz = nz_grid(c.shape)
+    inv = np.where(nz % 2 == 0, 0.5 ** (nz // 2), math.sqrt(0.5) * 0.5 ** (nz // 2))
+    c = c * inv
+    rad = rad * inv + np.abs(c) * np.where(nz % 2 == 1, 2.0**-52, 0.0)
     p = 3**u.dim * min(populated)
-    lo, hi = _outward(c, rad, p, _gamma(p))
+    lo, hi = _outward(c, rad, p, _gamma(p + 1))
     unreached = _fold_reference(asup, bsup) == 0.0
     lo[unreached] = 0.0
     hi[unreached] = 0.0
-    return series.from_raw(lo, hi)
+    return CosineSeries(lo, hi)
 
 
 @pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
