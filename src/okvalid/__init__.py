@@ -16,7 +16,7 @@ from .cift import (
     verify_certificate,
 )
 from .embeddings import EmbeddingConstants, equiv_factor, recompute_cmbar, table_constants
-from .intervals import Interval, IntervalDomainError, IntervalMatrix
+from .intervals import BallMatrix, Interval, IntervalDomainError
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,

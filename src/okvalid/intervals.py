@@ -1,20 +1,23 @@
-"""Directed-rounding interval arithmetic for scalars, vectors, and dense matrices.
+"""Interval arithmetic for scalars and vectors, ball arithmetic for matrices.
 
-Endpoints are IEEE doubles.  Outward rounding is implemented by nextafter
-adjustment of round-to-nearest results; an operation whose result is provably
-exact (detected via error-free transforms or exact rational comparison) is not
-widened, so integer-endpoint arithmetic stays sharp and zero stays zero.
-Matrix products are computed in midpoint-radius form through BLAS: the
-midpoint is one floating gemm, and the radius adds the a-priori rounding
-bound gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
-underflow term, valid for any summation order, blocking and FMA (Rump, BIT 39,
-1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Float sums scaled by
-float weights raise that count by the scaling's roundings and the weights'
-errors, and one outward rounding ends each enclosure.  Spectral-norm bounds
-take the smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky
-certificate (Rump, BIT 46, 2006).
-The contract is containment: every arithmetic result encloses all pointwise
-results of its operands.
+Scalar and vector endpoints are IEEE doubles.  Outward rounding is
+implemented by nextafter adjustment of round-to-nearest results; an operation
+whose result is provably exact (detected via error-free transforms or exact
+rational comparison) is not widened, so integer-endpoint arithmetic stays
+sharp and zero stays zero.  A BallMatrix (mid, rad) is the set of real X
+with |X - mid| <= rad entrywise: rad is rounded up, the midpoint is any
+float, and an entry that overflowed is (0, inf); mid_rad is the one place
+where endpoints become balls.  Products run through BLAS: the midpoint is
+one floating gemm, and the radius adds the a-priori rounding bound
+gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
+underflow term, valid for any summation order, blocking and FMA (Rump, BIT
+39, 1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Float sums scaled
+by float weights raise that count by the scaling's roundings and the
+weights' errors, and one rounding budget ends each radius.  Spectral-norm
+bounds take the smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky
+certificate (Rump, BIT 46, 2006).  The contract is containment: every
+result encloses all pointwise results of its operands, a ball X with
+mid - rad <= X <= mid + rad in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -99,12 +102,6 @@ class Interval:
             raise IntervalDomainError(f"invalid interval endpoints [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def point(cls, v: float) -> "Interval":
-        return cls(v, v)
 
     # -- queries -----------------------------------------------------------
 
@@ -322,125 +319,148 @@ def vsum(lo, hi) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# dense interval matrices
+# dense ball matrices
 # ---------------------------------------------------------------------------
-
-@dataclass
-class IntervalMatrix:
-    """Dense matrix of intervals stored as a pair of float arrays."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.ascontiguousarray(self.lo, dtype=np.float64)
-        self.hi = np.ascontiguousarray(self.hi, dtype=np.float64)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
-            raise ValueError("IntervalMatrix needs two 2-d arrays of equal shape")
-        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
-            raise IntervalDomainError("matrix with NaN entry")
-        if np.any(self.lo > self.hi):
-            raise IntervalDomainError("matrix with lo > hi entry")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_point(cls, a: np.ndarray) -> "IntervalMatrix":
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        return cls(a, a.copy())
-
-    @classmethod
-    def identity(cls, n: int) -> "IntervalMatrix":
-        return cls.from_point(np.eye(n))
-
-    # -- basics ------------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.lo.shape
-
-    @property
-    def rows(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.lo.shape[1]
-
-    def mid(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = 0.5 * (self.lo + self.hi)
-        bad = ~np.isfinite(m)
-        if bad.any():
-            # lo + hi overflowed; halving first cannot
-            m[bad] = 0.5 * self.lo[bad] + 0.5 * self.hi[bad]
-        return m
-
-    def rad(self, mid: np.ndarray | None = None) -> np.ndarray:
-        """Outward radius about mid(): mid - rad <= lo and mid + rad >= hi.
-
-        A point entry (mid == lo == hi) gets an exact zero radius.
-        """
-        m = self.mid() if mid is None else mid
-        r = np.maximum(m - self.lo, self.hi - m)
-        # a rounded difference is zero only when it is exactly zero
-        return np.where(r == 0.0, 0.0, _nup(r))
-
-    def mag(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    @property
-    def T(self) -> "IntervalMatrix":
-        return IntervalMatrix(self.lo.T, self.hi.T)
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(self.lo[i, j], self.hi[i, j])
-
-    def contains_point(self, a: np.ndarray) -> bool:
-        return bool(np.all(self.lo <= a) and np.all(a <= self.hi))
-
-    def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        return mat_mul(self, other)
-
-    def __sub__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        lo = _ndown(self.lo - other.hi)
-        hi = _nup(self.hi - other.lo)
-        return IntervalMatrix(lo, hi)
-
-    # -- norms -------------------------------------------------------------
-
-    def norm1_upper(self) -> float:
-        m = self.mag()
-        sums = np.sum(m, axis=0)
-        worst = float(np.max(sums))
-        return _up(_up(worst) + _sum_slack(worst, self.rows))
-
-    def norminf_upper(self) -> float:
-        m = self.mag()
-        sums = np.sum(m, axis=1)
-        worst = float(np.max(sums))
-        return _up(_up(worst) + _sum_slack(worst, self.cols))
-
-    def norm2_upper(self) -> float:
-        return mat_norm2_upper(self)
-
 
 def _gamma(k: int) -> Fraction:
     """gamma_k = k u / (1 - k u), exactly (Higham, ch. 3)."""
     return k * _U / (1 - k * _U)
 
 
-def mid_rad(a: IntervalMatrix):
-    """(mid, rad) of a; rad is None for a point matrix, whose radius is zero."""
-    if np.array_equal(a.lo, a.hi):
-        return a.lo, None
-    m = a.mid()
-    return m, a.rad(m)
+def _unbounded_where_overflow(m: np.ndarray, r: np.ndarray):
+    """(m, r) with every entry where either is not finite set to (0, inf)."""
+    bad = ~(np.isfinite(m) & np.isfinite(r))
+    m[bad] = 0.0
+    r[bad] = _INF
+    return m, r
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
-def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
-    """Interval matrix product with entrywise containment, in midpoint-radius form.
+@np.errstate(over="ignore", invalid="ignore")  # infinite endpoints give (0, inf)
+def mid_rad(lo, hi):
+    """(mid, rad) of balls enclosing the intervals [lo, hi] entrywise.
+
+    mid - rad <= lo and hi <= mid + rad hold exactly: rad is the larger
+    rounded distance from mid to an endpoint, one step up unless it is
+    zero, so a point entry gets an exact zero radius.  mid halves lo + hi,
+    or each endpoint first where that sum overflows.  An entry with an
+    infinite endpoint becomes (0, inf).
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not (lo <= hi).all():  # also false on NaN
+        raise IntervalDomainError("interval with NaN or lo > hi endpoints")
+    m = 0.5 * (lo + hi)
+    bad = ~np.isfinite(m)
+    m[bad] = 0.5 * lo[bad] + 0.5 * hi[bad]
+    r = np.maximum(m - lo, hi - m)
+    # a rounded difference is zero only when it is exactly zero
+    r = np.where(r == 0.0, 0.0, _nup(r))
+    return _unbounded_where_overflow(m, r)
+
+
+def _ball_up(c, rad, p: int, g: Fraction):
+    """(c, rad) with rad raised by the rounding budget below, overwriting
+    both; entries where anything overflowed become (0, inf).
+
+    The budget: rad combines, by at most four roundings, nonnegative float
+    quantities, each at least (1 - g)(1 - u) times the exact one it bounds,
+    less underflow.  g >= gamma_k covers k factors (1 + delta)^(+-1): a sum
+    of at most p terms, plus, where the caller scales by float weights
+    (1/c_k, or c_k and c_ell 2^-d / kappa_ell), their errors and products.
+    1 - u covers |Bm| + Br, and 1 - gamma_6 the four roundings and the two
+    here.  The constant covers the underflow of three sums of at most p
+    products and of a few more products.
+    """
+    rad += (4 * p + 16) * _ETA
+    rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
+    return _unbounded_where_overflow(c, rad)
+
+
+def _outward(c, rad, p: int, g: Fraction):
+    """Endpoints [c - r, c + r] rounded outward, r being rad raised by
+    _ball_up's budget; c and rad are overwritten."""
+    c, rad = _ball_up(c, rad, p, g)
+    lo = c - rad
+    np.add(c, rad, out=c)
+    np.nextafter(lo, -_INF, out=lo)
+    np.nextafter(c, _INF, out=c)
+    return lo, c
+
+
+def _max_sum_upper(x: np.ndarray, axis: int) -> float:
+    """Upper bound on the largest exact sum along axis of nonnegative
+    quantities, each at most one rounding above its float entry of x."""
+    worst = float(np.max(np.sum(x, axis=axis)))
+    return _up(_up(worst) + _sum_slack(worst, x.shape[axis] + 1))
+
+
+@dataclass
+class BallMatrix:
+    """Dense matrix of real balls: the X with |X - mid| <= rad entrywise.
+
+    mid is finite and rad >= 0; an entry that overflowed is (0, inf).
+    Balls may share arrays with one another and are not changed once built.
+    """
+
+    mid: np.ndarray
+    rad: np.ndarray
+
+    def __post_init__(self):
+        self.mid = np.asarray(self.mid, dtype=np.float64)
+        self.rad = np.asarray(self.rad, dtype=np.float64)
+        if self.mid.shape != self.rad.shape or self.mid.ndim != 2:
+            raise ValueError("BallMatrix needs two 2-d arrays of equal shape")
+        if not np.isfinite(self.mid).all():
+            raise IntervalDomainError("matrix with NaN or infinite midpoint")
+        if not (self.rad >= 0.0).all():  # also false on NaN
+            raise IntervalDomainError("matrix with NaN or negative radius")
+
+    @classmethod
+    def hull(cls, lo, hi) -> "BallMatrix":
+        """Balls enclosing the interval matrix [lo, hi]."""
+        return cls(*mid_rad(lo, hi))
+
+    @classmethod
+    def point(cls, a) -> "BallMatrix":
+        """The point matrix a itself, not a copy, with a zero radius."""
+        a = np.asarray(a, dtype=np.float64)
+        return cls(a, np.broadcast_to(0.0, a.shape))
+
+    @property
+    def shape(self):
+        return self.mid.shape
+
+    @property
+    def rows(self) -> int:
+        return self.mid.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.mid.shape[1]
+
+    @property
+    def T(self) -> "BallMatrix":
+        return BallMatrix(self.mid.T, self.rad.T)
+
+    def mag(self) -> np.ndarray:
+        """fl(|mid| + rad): each entry within one rounding of its largest |X|."""
+        m = np.abs(self.mid)
+        m += self.rad
+        return m
+
+    def norm1_upper(self) -> float:
+        return _max_sum_upper(self.mag(), 0)
+
+    def norminf_upper(self) -> float:
+        return _max_sum_upper(self.mag(), 1)
+
+    def norm2_upper(self) -> float:
+        return mat_norm2_upper(self)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
+def mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
+    """Ball matrix product with entrywise containment.
 
     With A in <Am, Ar> and B in <Bm, Br> and inner dimension p, every product
     of members lies within |Am| Br + Ar (|Bm| + Br) of Am Bm.  The midpoint
@@ -450,106 +470,81 @@ def mat_mul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
     2012).  The radius gemms are nonnegative, so the same a-priori bounds
     turn their rounded values, and the rounded elementwise sums that combine
     them, into an upper bound by one scalar factor.  A point operand has a
-    zero radius, and its radius gemm is skipped.  Entries where anything
-    overflows become [-inf, inf].
+    zero radius, and its radius gemm is skipped.  A zero row of A or column
+    of B gives exact zeros.  Entries where anything overflows become
+    (0, inf).
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     p = a.cols
-    am, ar = mid_rad(a)
-    bm, br = mid_rad(b)
-    c = am @ bm
-    am = np.abs(am)
-    bm = np.abs(bm)
+    ar = a.rad if a.rad.any() else None
+    br = b.rad if b.rad.any() else None
+    c = a.mid @ b.mid
+    am = np.abs(a.mid)
+    bm = np.abs(b.mid)
     # rad = g |Am||Bm| + |Am| Br + Ar (|Bm| + Br), rounded to nearest, with
     # g >= gamma_p.  Every term is nonnegative.  Exact gemms are at most
     # (rounded gemm + p eta) / (1 - gamma_p), and |Bm| + Br at most its
-    # rounded sum / (1 - u); _outward covers both.
+    # rounded sum / (1 - u); _ball_up covers both.
     g = _gamma(p)
     rad = am @ bm
     rad *= _up(float(g))
-    tmp = np.empty_like(rad)
-    if br is not None:
-        np.matmul(am, br, out=tmp)
-        rad += tmp
+    if ar is None:
+        bm = None  # |Bm| + Br is needed only against Ar
+    elif br is not None:
         bm += br
-    del am, br
+    if br is not None:
+        rad += am @ br
+    del am
     if ar is not None:
-        np.matmul(ar, bm, out=tmp)
-        rad += tmp
-    del tmp, ar, bm
-    return IntervalMatrix(*_outward(c, rad, p, g))
+        rad += ar @ bm
+    del bm
+    c, rad = _ball_up(c, rad, p, g)
+    # every term of an entry in a zero row of A or column of B is an exact zero
+    zero_rows = ~(a.mid.any(axis=1) | a.rad.any(axis=1))
+    zero_cols = ~(b.mid.any(axis=0) | b.rad.any(axis=0))
+    for sel in (zero_rows, (slice(None), zero_cols)):
+        c[sel] = 0.0
+        rad[sel] = 0.0
+    return BallMatrix(c, rad)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
-    """(lo, hi) enclosing each exact sum of interval terms t_i +- r_i, from
-    float evaluations S of sum t_i, A of sum |t_i| and R of sum r_i (None
-    when every r_i is zero).  The arguments are overwritten.
+    """Balls (mid, rad) enclosing each exact sum of interval terms t_i +- r_i,
+    from float evaluations S of sum t_i, A of sum |t_i| and R of sum r_i
+    (None when every r_i is zero).  The arguments are overwritten, and mid
+    is S.
 
     terms bounds the factors (1 + delta)^(+-1), |delta| <= u, that a term
     meets on its way into S, A or R: n - 1 for a sum of n terms in any
     order, plus one per rounded product and one per float weight within
     one rounding of exact.  By Higham's lemma 3.1 the radius gamma_terms A
-    + R, which _outward rounds up, then holds up to underflow.
+    + R, which _ball_up rounds up, then holds up to underflow.
     """
     g = _gamma(terms)
     rad = abs_sum
     rad *= _up(float(g))
     if rad_sum is not None:
         rad += rad_sum
-    return _outward(mid_sum, rad, terms, g)
+    return _ball_up(mid_sum, rad, terms, g)
 
 
-def _outward(c, rad, p: int, g: Fraction):
-    """[c - r, c + r] rounded outward, overwriting c and rad; entries where
-    anything overflows become [-inf, inf].
-
-    The rounding budget: rad combines, by at most four roundings,
-    nonnegative float quantities, each at least (1 - g)(1 - u) times the
-    exact one it bounds, less underflow.  g >= gamma_k covers k factors
-    (1 + delta)^(+-1): a sum of at most p terms, plus, where the caller
-    scales by float weights (1/c_k, or c_k and c_ell 2^-d / kappa_ell),
-    their errors and products.  1 - u covers |Bm| + Br, and 1 - gamma_6 the
-    four roundings and the two below.  The constant covers the underflow
-    of three sums of at most p products and of a few more products.
-    """
-    rad += (4 * p + 16) * _ETA
-    rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
-    lo = c - rad
-    np.add(c, rad, out=c)
-    del rad
-    np.nextafter(lo, -_INF, out=lo)
-    np.nextafter(c, _INF, out=c)
-    bad = ~(np.isfinite(lo) & np.isfinite(c))
-    if bad.any():
-        lo[bad] = -_INF
-        c[bad] = _INF
-    return lo, c
-
-
-def mat_sub_identity(a: IntervalMatrix) -> IntervalMatrix:
-    n = min(a.shape)
-    lo = a.lo.copy()
-    hi = a.hi.copy()
-    idx = np.arange(n)
-    alo = lo[idx, idx]
-    ahi = hi[idx, idx]
-    slo = alo - 1.0
-    shi = ahi - 1.0
-    lo_exact = ((slo - alo) == -1.0) & ((slo + 1.0) == alo)
-    hi_exact = ((shi - ahi) == -1.0) & ((shi + 1.0) == ahi)
-    lo[idx, idx] = np.where(lo_exact, slo, _ndown(slo))
-    hi[idx, idx] = np.where(hi_exact, shi, _nup(shi))
-    return IntervalMatrix(lo, hi)
-
-
-def _sqrt_up(x: float) -> float:
-    return _up(math.sqrt(x))
-
-
-def _mul_up(a: float, b: float) -> float:
-    return _up(a * b)
+def mat_sub_identity(a: BallMatrix) -> BallMatrix:
+    """a - I.  Where a diagonal midpoint minus one rounds, its rounding
+    error, recovered exactly by TwoSum (Knuth), joins the radius, rounded
+    up; inside [0.5, 2] the subtraction is exact (Sterbenz)."""
+    mid = a.mid.copy()
+    rad = a.rad.copy()
+    d = np.arange(min(a.shape))
+    x = mid[d, d]
+    s = x - 1.0
+    t = s - x
+    err = np.abs((x - (s - t)) + (-1.0 - t))
+    mid[d, d] = s
+    r = rad[d, d]
+    rad[d, d] = np.where(err == 0.0, r, _nup(r + err))
+    return BallMatrix(mid, rad)
 
 
 def _cholesky_shift(n: int, norm_bound: float) -> float:
@@ -559,67 +554,69 @@ def _cholesky_shift(n: int, norm_bound: float) -> float:
     return (2.0 * n * g + 8.0 * _EPS) * norm_bound
 
 
-def _cheap_norm2_upper(a: IntervalMatrix) -> float:
+def _cheap_norm2_upper(a: BallMatrix) -> float:
     """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2 for every member."""
-    return _sqrt_up(_mul_up(a.norm1_upper(), a.norminf_upper()))
+    mag = a.mag()
+    return _up(math.sqrt(_up(_max_sum_upper(mag, 0) * _max_sum_upper(mag, 1))))
 
 
 def _mirror_lower(x: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose lower triangle is that of x (exact)."""
-    return np.tril(x) + np.tril(x, -1).T
+    """x, its upper triangle overwritten by its lower one (exact)."""
+    for k in range(1, x.shape[0]):
+        x[k - 1, k:] = x[k:, k - 1]
+    return x
 
 
-def mat_norm2_upper(a: IntervalMatrix) -> float:
+def mat_norm2_upper(a: BallMatrix) -> float:
     """Rigorous upper bound on the spectral norm of every member of a.
 
     The smaller of the cheap bound sqrt(||A||_1 ||A||_inf) and one
     shifted-Cholesky certificate for lambda_max(A^T A) (Rump, "Verification
     of positive definiteness", BIT 46, 2006).  With the lower triangles of
-    the enclosure of A^T A mirrored, its midpoint Gm is within ||Gr||_inf of
-    every (symmetric) member in the 2-norm, Gr being the radius.  If floating
-    Cholesky succeeds on X = c I - Gm, with c the eigvalsh estimate of
-    lambda_max(Gm) plus the backward-error term, then X + beta I is positive
-    semidefinite for the backward-error term beta of X, and lambda_max(A^T A)
-    <= max_i (X_ii + Gm_ii) + beta + ||Gr||_inf.  If it fails, the cheap
-    bound stands.
+    the ball enclosure of A^T A mirrored, its midpoint Gm is within
+    ||Gr||_inf of every (symmetric) member in the 2-norm, Gr being the
+    radius.  If floating Cholesky succeeds on X = c I - Gm, with c the
+    eigvalsh estimate of lambda_max(Gm) plus the backward-error term, then
+    X + beta I is positive semidefinite for the backward-error term beta of
+    X, and lambda_max(A^T A) <= max_i (X_ii + Gm_ii) + beta + ||Gr||_inf.
+    If it fails, the cheap bound stands.
     """
     cheap = _cheap_norm2_upper(a)
     if cheap == _INF:
         return cheap
     n = a.cols
-    g = mat_mul(a.T, a)
-    gm = _mirror_lower(g.mid())
-    gr = _mirror_lower(g.rad())
-    spread = IntervalMatrix(gr, gr).norminf_upper()
-    del g, gr
-    x = -gm
+    g = mat_mul(a.T, a)  # a fresh product, mirrored in place
+    gm = _mirror_lower(g.mid)
+    spread = _max_sum_upper(_mirror_lower(g.rad), 1)
+    del g
     d = np.arange(n)
+    gd = gm[d, d]
     try:
         lam = float(np.linalg.eigvalsh(gm)[-1])
-        x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gm[d, d]))))
+        x = np.negative(gm, out=gm)
+        x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gd))))
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         return cheap
     beta = _cholesky_shift(n, float(np.max(x[d, d])))
-    top = float(np.max(_nup(x[d, d] + gm[d, d])))
-    bound = _sqrt_up(_up(_up(top + beta) + spread))
+    top = float(np.max(_nup(x[d, d] + gd)))
+    bound = _up(math.sqrt(_up(_up(top + beta) + spread)))
     # also the fallback when anything was not finite (a NaN compares false)
     return bound if bound < cheap else cheap
 
 
-def mat_inverse_norm2_upper(a: IntervalMatrix):
+def mat_inverse_norm2_upper(a: BallMatrix):
     """Certified upper bound for ||A^{-1}||_2 via an approximate inverse.
 
     Computes a floating inverse C of mid(A), encloses E = C*A - I, and if
     ||E|| = e < 1 returns (||C|| / (1 - e), e, ||C||).  Raises
     IntervalDomainError when the defect cannot be certified below one.
     """
-    mid = a.mid()
     try:
-        c = np.linalg.inv(mid)
+        c = np.linalg.inv(a.mid)
     except np.linalg.LinAlgError as exc:
         raise IntervalDomainError(f"approximate inverse failed: {exc}") from exc
-    cm = IntervalMatrix.from_point(c)
+    cm = BallMatrix.point(c)
     e = _cheap_norm2_upper(mat_sub_identity(mat_mul(cm, a)))
     if e >= 1.0:
         raise IntervalDomainError(

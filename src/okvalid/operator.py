@@ -21,15 +21,16 @@ from .embeddings import table_constants
 from .intervals import (
     PI2,
     PI4,
+    BallMatrix,
     Interval,
     IntervalDomainError,
-    IntervalMatrix,
     mat_inverse_norm2_upper,
     sum_enclosure,
 )
 from .series import (
     C_FLOAT,
     CosineSeries,
+    c_grid,
     laplacian,
     multiply,
     multiply_point,
@@ -187,7 +188,7 @@ class GalerkinMatrix:
     n: int
     dim: int
     modes: np.ndarray
-    mat: IntervalMatrix
+    mat: BallMatrix
     ordering: str = "lex"
 
     @property
@@ -274,10 +275,10 @@ def galerkin_matrix(
     dm = 1.0 + (p.lam * p.sigma) / (_PI4_NEAREST * (k2 * k2))
     s_mid[diag, diag] -= dm
     s_abs[diag, diag] += dm
-    lo, hi = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
-    lo[free] = 0.0
-    hi[free] = 0.0
-    return GalerkinMatrix(n=n, dim=d, modes=modes, mat=IntervalMatrix(lo, hi))
+    mid, rad = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
+    mid[free] = 0.0
+    rad[free] = 0.0
+    return GalerkinMatrix(n=n, dim=d, modes=modes, mat=BallMatrix(mid, rad))
 
 
 def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -287,12 +288,11 @@ def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndar
     """
     d = coeffs.ndim
     q = poly_eval_series_point(poly_deriv(p.f_coeffs), _with_mean(coeffs, p.mu)) * p.lam
-    q_raw = q * math.sqrt(2.0) ** nz_grid(q.shape)
+    q_raw = q * c_grid(q.shape)
     modes = truncation_modes(d, n)
     m = modes.shape[0]
     (acc,) = _galerkin_sums(n, [q_raw])
-    nz = np.count_nonzero(modes, axis=1)
-    cf = math.sqrt(2.0) ** nz
+    cf = C_FLOAT[np.count_nonzero(modes, axis=1)]
     acc *= cf[:, None] * cf[None, :] * 0.5**d
     kap = math.pi**2 * np.sum(modes.astype(np.float64) ** 2, axis=1)
     b = kap[:, None] * acc
@@ -353,11 +353,11 @@ class InverseBound:
 
 
 # Peak number of live m x m double arrays in the K_N stage (Galerkin assembly
-# and certified inverse norm).  Measured in 2-d at m = 783 and 2303: the
-# tracemalloc peak is 4.4 in galerkin_matrix and 12.1 in
-# galerkin_inverse_bound, the rise of the peak RSS over the whole stage
-# 12.4; this is the larger, rounded up.
-KN_LIVE_ARRAYS = 13
+# and certified inverse norm).  Measured in 2-d at m = 783 and 2303 (OpenBLAS,
+# 1 and 2 threads): the tracemalloc peak is 4.1 in galerkin_matrix and 7.14
+# in galerkin_inverse_bound, the rise of the peak RSS over the whole stage
+# 6.8 at m = 2303; this is the larger, rounded up.
+KN_LIVE_ARRAYS = 8
 
 
 def available_memory_bytes() -> float:

@@ -23,11 +23,11 @@ from .intervals import (
     PI2,
     Interval,
     IntervalDomainError,
-    IntervalMatrix,
     _gamma,
     _ndown,
     _nup,
     _outward,
+    mid_rad,
     vadd,
     vmul,
     vsquare,
@@ -56,9 +56,8 @@ def kappa_iv(k) -> Interval:
     return PI2 * Interval(float(sum(int(ki) ** 2 for ki in k)))
 
 def mode_sup(k) -> float:
-    """Sup norm c_k of the basis mode phi_k."""
-    nz = sum(1 for ki in k if int(ki) != 0)
-    return math.sqrt(2.0) ** nz
+    """Sup norm c_k of the basis mode phi_k (the float c_k)."""
+    return float(C_FLOAT[sum(1 for ki in k if int(ki) != 0)])
 
 def k2_grid(extent) -> np.ndarray:
     """|k|^2 over the coefficient grid (exact integers as floats)."""
@@ -69,6 +68,10 @@ def nz_grid(extent) -> np.ndarray:
     """Number of nonzero index components over the coefficient grid."""
     grids = np.indices(extent, dtype=np.int64)
     return np.sum(grids != 0, axis=0)
+
+def c_grid(extent) -> np.ndarray:
+    """The float c_k over the coefficient grid."""
+    return C_FLOAT[nz_grid(extent)]
 
 
 def _vpow_pos(lo: np.ndarray, hi: np.ndarray, n: int):
@@ -384,9 +387,7 @@ def _raw_mid_rad(u: CosineSeries):
     underflow) and smaller radii round up to _FOLD_MIN.
     """
     nz = nz_grid(u.extent)
-    a = IntervalMatrix(u.lo.reshape(1, -1), u.hi.reshape(1, -1))
-    m = a.mid().reshape(u.extent)
-    r = a.rad(m.reshape(1, -1)).reshape(u.extent)
+    m, r = mid_rad(u.lo, u.hi)
     odd = (nz % 2 == 1) & ((m != 0.0) | (r != 0.0))
     m *= C_FLOAT[nz]
     r[~odd] *= C_FLOAT[nz[~odd]]
@@ -448,10 +449,8 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float product in normalized coefficients (Newton path)."""
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
-    ca = math.sqrt(2.0) ** nz_grid(a.shape)
-    cb = math.sqrt(2.0) ** nz_grid(b.shape)
-    (raw,) = _raw_conv((a * ca)[None], (b * cb)[None])
-    return raw / (math.sqrt(2.0) ** nz_grid(raw.shape))
+    (raw,) = _raw_conv((a * c_grid(a.shape))[None], (b * c_grid(b.shape))[None])
+    return raw / c_grid(raw.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def evaluate(u: CosineSeries, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.size != u.dim:
         raise ValueError("point dimension mismatch")
-    raw = u.mid() * math.sqrt(2.0) ** nz_grid(u.extent)
+    raw = u.mid() * c_grid(u.extent)
     val = raw
     for axis in range(u.dim):
         kcos = np.cos(np.arange(u.extent[axis]) * math.pi * x[axis])
@@ -473,7 +472,7 @@ def evaluate(u: CosineSeries, x) -> float:
 
 def evaluate_grid(u: CosineSeries, axes) -> np.ndarray:
     """Values of the midpoint series on a tensor grid (one 1-d array per axis)."""
-    raw = u.mid() * math.sqrt(2.0) ** nz_grid(u.extent)
+    raw = u.mid() * c_grid(u.extent)
     val = raw
     for axis, pts in enumerate(axes):
         pts = np.asarray(pts, dtype=np.float64)

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okvalid.intervals import (
+    BallMatrix,
     Interval,
     IntervalDomainError,
-    IntervalMatrix,
     mat_inverse_norm2_upper,
     mat_mul,
     mat_norm2_upper,
     mat_sub_identity,
+    mid_rad,
     vadd,
     vmul,
     vsquare,
@@ -245,45 +246,55 @@ def test_vsum_rigor(rng):
 # matrices
 # ---------------------------------------------------------------------------
 
+def _ends(b: BallMatrix, i: int, j: int):
+    """Exact endpoints mid - rad and mid + rad of entry (i, j) of b."""
+    mid, rad = Fraction(b.mid[i, j]), Fraction(b.rad[i, j])
+    return mid - rad, mid + rad
+
+
 def test_matmul_identity_widening(rng):
     a = rng.standard_normal((6, 6))
-    am = IntervalMatrix.from_point(a)
-    prod = mat_mul(IntervalMatrix.identity(6), am)
-    assert prod.contains_point(a)
-    assert np.max(prod.hi - prod.lo) <= 16 * ULP * np.max(np.abs(a))
+    prod = mat_mul(BallMatrix.point(np.eye(6)), BallMatrix.point(a))
+    for i in range(6):
+        for j in range(6):
+            lo, hi = _ends(prod, i, j)
+            assert lo <= Fraction(a[i, j]) <= hi
+    assert 2.0 * np.max(prod.rad) <= 16 * ULP * np.max(np.abs(a))
 
 
 def test_matmul_1x1_is_scalar_mul():
-    a = IntervalMatrix(np.array([[1.5]]), np.array([[2.0]]))
-    b = IntervalMatrix(np.array([[-3.0]]), np.array([[0.5]]))
+    a = BallMatrix.hull(np.array([[1.5]]), np.array([[2.0]]))
+    b = BallMatrix.hull(np.array([[-3.0]]), np.array([[0.5]]))
     prod = mat_mul(a, b)
     scalar = Interval(1.5, 2.0) * Interval(-3.0, 0.5)
-    assert prod.lo[0, 0] <= scalar.lo and scalar.hi <= prod.hi[0, 0]
+    lo, hi = _ends(prod, 0, 0)
+    assert lo <= Fraction(scalar.lo) and Fraction(scalar.hi) <= hi
 
 
 def test_matmul_exact_rational_oracle(rng):
     a = rng.standard_normal((5, 5))
     b = rng.standard_normal((5, 5))
-    prod = mat_mul(IntervalMatrix.from_point(a), IntervalMatrix.from_point(b))
+    prod = mat_mul(BallMatrix.point(a), BallMatrix.point(b))
     for i in range(5):
         for j in range(5):
             exact = sum(Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(5))
-            assert Fraction(prod.lo[i, j]) <= exact <= Fraction(prod.hi[i, j])
+            lo, hi = _ends(prod, i, j)
+            assert lo <= exact <= hi
 
 
 def test_matmul_dim_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(IntervalMatrix.identity(3), IntervalMatrix.identity(4))
+        mat_mul(BallMatrix.point(np.eye(3)), BallMatrix.point(np.eye(4)))
 
 
 def test_norm2_identity():
     for n in (1, 8, 50):
-        bound = IntervalMatrix.identity(n).norm2_upper()
+        bound = BallMatrix.point(np.eye(n)).norm2_upper()
         assert 1.0 <= bound <= 1.0 + 1e-12
 
 
 def test_norm2_diagonal():
-    d = IntervalMatrix.from_point(np.diag([1.0, 2.0, 3.0]))
+    d = BallMatrix.point(np.diag([1.0, 2.0, 3.0]))
     bound = d.norm2_upper()
     assert 3.0 <= bound <= 3.0 * (1.0 + 1e-12)
 
@@ -292,40 +303,41 @@ def test_norm2_upper_bounds_svd(rng):
     for _ in range(20):
         m = rng.standard_normal((8, 8))
         sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        assert IntervalMatrix.from_point(m).norm2_upper() >= sigma_max
+        assert BallMatrix.point(m).norm2_upper() >= sigma_max
 
 
 def test_norm2_upper_interval_members(rng):
     lo = rng.standard_normal((7, 7))
     hi = lo + abs(rng.standard_normal((7, 7)))
-    m = IntervalMatrix(lo, hi)
+    m = BallMatrix.hull(lo, hi)
     bound = m.norm2_upper()
     for _ in range(50):
         member = lo + rng.uniform(size=(7, 7)) * (hi - lo)
         assert np.linalg.svd(member, compute_uv=False)[0] <= bound
 
 
-def _cheap_bound(a: IntervalMatrix) -> float:
+def _cheap_bound(a: BallMatrix) -> float:
     up = lambda x: math.nextafter(x, math.inf)  # noqa: E731
     return up(math.sqrt(up(a.norm1_upper() * a.norminf_upper())))
 
 
-def _sampled_members(rng, m: IntervalMatrix, count: int):
-    """Uniform members, the midpoint and random vertices of m."""
-    yield m.mid()
+def _sampled_members(rng, lo, hi, count: int):
+    """Uniform members, the midpoint and random vertices of [lo, hi]."""
+    yield 0.5 * (lo + hi)
     for _ in range(count):
-        yield m.lo + rng.uniform(size=m.shape) * (m.hi - m.lo)
-        yield np.where(rng.uniform(size=m.shape) < 0.5, m.lo, m.hi)
+        yield lo + rng.uniform(size=lo.shape) * (hi - lo)
+        yield np.where(rng.uniform(size=lo.shape) < 0.5, lo, hi)
 
 
 @pytest.mark.parametrize("shape", [(7, 7), (6, 9), (9, 6), (40, 40)])
 @pytest.mark.parametrize("width", [1e-12, 1e-3, 0.5])
 def test_norm2_upper_bounds_sampled_members(rng, shape, width):
     lo = rng.standard_normal(shape)
-    m = IntervalMatrix(lo, lo + width * np.abs(rng.standard_normal(shape)))
+    hi = lo + width * np.abs(rng.standard_normal(shape))
+    m = BallMatrix.hull(lo, hi)
     bound = mat_norm2_upper(m)
     assert bound <= _cheap_bound(m)
-    for member in _sampled_members(rng, m, 20):
+    for member in _sampled_members(rng, lo, hi, 20):
         assert np.linalg.svd(member, compute_uv=False)[0] <= bound
 
 
@@ -334,12 +346,12 @@ def test_norm2_upper_sharp_on_point_matrices(rng, n):
     for m in (rng.standard_normal((n, n)), np.diag(np.logspace(-8, 3, n)),
               np.triu(np.ones((n, n)))):
         sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        bound = mat_norm2_upper(IntervalMatrix.from_point(m))
+        bound = mat_norm2_upper(BallMatrix.point(m))
         assert sigma_max <= bound <= sigma_max * (1.0 + 1e-9)
 
 
 def test_norm2_upper_returns_cheap_bound_when_cholesky_fails(rng, monkeypatch):
-    a = IntervalMatrix.from_point(rng.standard_normal((12, 12)))
+    a = BallMatrix.point(rng.standard_normal((12, 12)))
     sharp = mat_norm2_upper(a)
 
     def fail(x):
@@ -360,7 +372,7 @@ def _mp_inverse_norm(m: np.ndarray):
 def test_inverse_norm_bound_mpmath_oracle(rng, n):
     for shift in (5.0, 1.0, 0.0):
         m = rng.standard_normal((n, n)) + shift * np.eye(n)
-        bound, defect, _ = mat_inverse_norm2_upper(IntervalMatrix.from_point(m))
+        bound, defect, _ = mat_inverse_norm2_upper(BallMatrix.point(m))
         oracle = _mp_inverse_norm(m)
         assert bound >= oracle
         if shift == 5.0:  # well conditioned
@@ -370,16 +382,16 @@ def test_inverse_norm_bound_mpmath_oracle(rng, n):
 
 def test_inverse_norm_bound_interval_members_mpmath(rng):
     lo = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
-    m = IntervalMatrix(lo, lo + 1e-3 * np.abs(rng.standard_normal((6, 6))))
-    bound, _, _ = mat_inverse_norm2_upper(m)
-    for member in _sampled_members(rng, m, 5):
+    hi = lo + 1e-3 * np.abs(rng.standard_normal((6, 6)))
+    bound, _, _ = mat_inverse_norm2_upper(BallMatrix.hull(lo, hi))
+    for member in _sampled_members(rng, lo, hi, 5):
         assert bound >= _mp_inverse_norm(member)
 
 
 def test_inverse_norm_bound(rng):
     for _ in range(10):
         m = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
-        bound, defect, _ = mat_inverse_norm2_upper(IntervalMatrix.from_point(m))
+        bound, defect, _ = mat_inverse_norm2_upper(BallMatrix.point(m))
         oracle = 1.0 / np.linalg.svd(m, compute_uv=False)[-1]
         assert bound >= oracle  # inequality direction
         assert bound <= 1.5 * oracle
@@ -389,14 +401,43 @@ def test_inverse_norm_bound(rng):
 def test_inverse_norm_bound_rejects_singular():
     m = np.zeros((4, 4))
     with pytest.raises(IntervalDomainError):
-        mat_inverse_norm2_upper(IntervalMatrix.from_point(m))
+        mat_inverse_norm2_upper(BallMatrix.point(m))
 
 
 def test_sub_identity_exact():
-    a = IntervalMatrix.from_point(np.full((3, 3), 2.0))
+    a = BallMatrix.point(np.full((3, 3), 2.0))
     e = mat_sub_identity(a)
-    assert e.lo[0, 0] == 1.0 and e.hi[0, 0] == 1.0
-    assert e.lo[0, 1] == 2.0
+    assert e.mid[0, 0] == 1.0 and e.rad[0, 0] == 0.0
+    assert e.mid[0, 1] == 2.0 and e.rad[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("point", [True, False])
+def test_sub_identity_fraction_oracle(rng, point):
+    # diagonal midpoints in [0.5, 2] subtract 1 exactly (Sterbenz); outside,
+    # small, negative and huge ones round, and the rounding joins the radius
+    n = 12
+    mid = rng.standard_normal((n, n))
+    diag = np.concatenate([rng.uniform(0.5, 2.0, 4), [0.5, 2.0, 0.1, 1e-20, -0.3, 3.7e16],
+                           rng.uniform(-3.0, 0.4, 2)])
+    mid[np.arange(n), np.arange(n)] = diag
+    rad = np.zeros((n, n)) if point else np.abs(rng.standard_normal((n, n))) * 1e-10
+    a = BallMatrix(mid, rad)
+    e = mat_sub_identity(a)
+    rounded = 0
+    for i in range(n):
+        for j in range(n):
+            lo, hi = _ends(e, i, j)
+            shift = Fraction(int(i == j))
+            for end in _ends(a, i, j):
+                assert lo <= end - shift <= hi, (i, j)
+            if i != j:
+                assert e.mid[i, j] == mid[i, j] and e.rad[i, j] == rad[i, j]
+        exact = Fraction(e.mid[i, i]) == Fraction(mid[i, i]) - 1
+        if 0.5 <= mid[i, i] <= 2.0:
+            assert exact and e.rad[i, i] == rad[i, i], i
+        rounded += not exact
+    assert rounded >= 4
+    assert np.array_equal(a.mid, mid) and np.array_equal(a.rad, rad)  # a is unchanged
 
 
 # ---------------------------------------------------------------------------
@@ -406,34 +447,34 @@ def test_sub_identity_exact():
 def _random_interval_matrix(rng, shape, point=False, scale=1.0):
     lo = rng.standard_normal(shape) * scale
     if point:
-        return IntervalMatrix.from_point(lo)
+        return BallMatrix.point(lo)
     width = np.abs(rng.standard_normal(shape)) * scale * rng.choice([0.0, 1e-12, 0.5], shape)
-    return IntervalMatrix(lo, lo + width)
+    return BallMatrix.hull(lo, lo + width)
 
 
-def _exact_entry_hull(a: IntervalMatrix, b: IntervalMatrix, i: int, j: int):
+def _exact_entry_hull(a: BallMatrix, b: BallMatrix, i: int, j: int):
     """Exact range of entry (i, j) over all member products: a sum of
     independent scalar product ranges, each with rational endpoints."""
     lo = hi = Fraction(0)
     for k in range(a.cols):
-        ends = [
-            Fraction(x) * Fraction(y)
-            for x in (a.lo[i, k], a.hi[i, k])
-            for y in (b.lo[k, j], b.hi[k, j])
-        ]
+        ends = [x * y for x in _ends(a, i, k) for y in _ends(b, k, j)]
         lo += min(ends)
         hi += max(ends)
     return lo, hi
 
 
-def assert_matmul_contains_exact(a: IntervalMatrix, b: IntervalMatrix):
+def assert_matmul_contains_exact(a: BallMatrix, b: BallMatrix):
     prod = mat_mul(a, b)
     assert prod.shape == (a.rows, b.cols)
     for i in range(a.rows):
         for j in range(b.cols):
+            if prod.rad[i, j] == math.inf:
+                assert prod.mid[i, j] == 0.0
+                continue
             lo, hi = _exact_entry_hull(a, b, i, j)
-            assert Fraction(prod.lo[i, j]) <= lo, (i, j)
-            assert hi <= Fraction(prod.hi[i, j]), (i, j)
+            blo, bhi = _ends(prod, i, j)
+            assert blo <= lo, (i, j)
+            assert hi <= bhi, (i, j)
     return prod
 
 
@@ -447,14 +488,20 @@ def test_matmul_exact_hull_oracle(rng, a_point, b_point, shape):
 
 
 def test_matmul_zero_rows_and_columns(rng):
-    a = _random_interval_matrix(rng, (4, 5))
-    b = _random_interval_matrix(rng, (5, 3))
-    a.lo[1, :] = a.hi[1, :] = 0.0
-    b.lo[:, 2] = b.hi[:, 2] = 0.0
-    prod = assert_matmul_contains_exact(a, b)
-    # a zero row or column leaves only the underflow term
-    assert np.all(np.abs(prod.lo[1, :]) < 1e-300) and np.all(np.abs(prod.hi[1, :]) < 1e-300)
-    assert np.all(np.abs(prod.lo[:, 2]) < 1e-300) and np.all(np.abs(prod.hi[:, 2]) < 1e-300)
+    for a_point, b_point in ((False, False), (True, False), (False, True)):
+        a = _random_interval_matrix(rng, (4, 5), point=a_point)
+        b = _random_interval_matrix(rng, (5, 3), point=b_point)
+        a = BallMatrix(a.mid.copy(), a.rad.copy())
+        b = BallMatrix(b.mid.copy(), b.rad.copy())
+        a.mid[1, :] = 0.0
+        a.rad[1, :] = 0.0
+        b.mid[:, 2] = 0.0
+        b.rad[:, 2] = 0.0
+        prod = assert_matmul_contains_exact(a, b)
+        # a zero row or column gives exact zeros, without an underflow radius
+        for sel in (np.s_[1, :], np.s_[:, 2]):
+            assert np.all(prod.mid[sel] == 0.0) and np.all(prod.rad[sel] == 0.0)
+        assert np.all(prod.rad[np.arange(4) != 1][:, :2] > 0.0)
 
 
 @pytest.mark.parametrize("a_point", [False, True])
@@ -462,14 +509,14 @@ def test_matmul_near_1e300(rng, a_point):
     a = _random_interval_matrix(rng, (3, 4), point=a_point, scale=1e300)
     b = _random_interval_matrix(rng, (4, 3), scale=0.1)
     prod = assert_matmul_contains_exact(a, b)
-    assert np.all(np.isfinite(prod.lo)) and np.all(np.isfinite(prod.hi))
+    assert np.all(np.isfinite(prod.rad))
 
 
 def test_matmul_overflow_gives_unbounded_entry():
-    a = IntervalMatrix.from_point(np.array([[1e300, 1.0]]))
-    b = IntervalMatrix.from_point(np.array([[1e300], [1.0]]))
+    a = BallMatrix.point(np.array([[1e300, 1.0]]))
+    b = BallMatrix.point(np.array([[1e300], [1.0]]))
     prod = mat_mul(a, b)
-    assert prod.lo[0, 0] == -math.inf and prod.hi[0, 0] == math.inf
+    assert prod.mid[0, 0] == 0.0 and prod.rad[0, 0] == math.inf
 
 
 @pytest.mark.parametrize("a_point,b_point", [(False, False), (True, False), (False, True)])
@@ -478,7 +525,7 @@ def test_matmul_subnormal_range(rng, a_point, b_point):
     a = _random_interval_matrix(rng, (3, 5), point=a_point, scale=1e-160)
     b = _random_interval_matrix(rng, (5, 4), point=b_point, scale=1e-160)
     assert_matmul_contains_exact(a, b)
-    tiny = IntervalMatrix.from_point(rng.integers(-3, 4, (3, 5)) * 5e-324)
+    tiny = BallMatrix.point(rng.integers(-3, 4, (3, 5)) * 5e-324)
     assert_matmul_contains_exact(tiny, _random_interval_matrix(rng, (5, 4), point=b_point))
 
 
@@ -492,10 +539,10 @@ def _interval_matrix(draw, rows, cols, point):
     lo = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
     lo = lo.reshape(rows, cols)
     if point:
-        return IntervalMatrix.from_point(lo)
+        return BallMatrix.point(lo)
     other = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
     other = other.reshape(rows, cols)
-    return IntervalMatrix(np.minimum(lo, other), np.maximum(lo, other))
+    return BallMatrix.hull(np.minimum(lo, other), np.maximum(lo, other))
 
 
 @st.composite
@@ -512,28 +559,64 @@ def test_matmul_contains_exact_property(operands):
 
 
 # ---------------------------------------------------------------------------
-# IntervalMatrix edge cases
+# balls from endpoints, and BallMatrix edge cases
 # ---------------------------------------------------------------------------
 
+def _assert_ball_holds_endpoints(lo, hi):
+    mid, rad = mid_rad(lo, hi)
+    for x, y, m, r in zip(np.ravel(lo), np.ravel(hi), np.ravel(mid), np.ravel(rad)):
+        if r == math.inf:  # the whole real line
+            assert m == 0.0
+            continue
+        assert Fraction(m) - Fraction(r) <= Fraction(x)
+        assert Fraction(y) <= Fraction(m) + Fraction(r)
+    return mid, rad
+
+
 def test_rad_of_point_entries_is_exact_zero():
-    m = IntervalMatrix(np.array([[1.0, 0.0], [1e-300, -2.0]]), np.array([[1.0, 0.0], [1e-300, 3.0]]))
-    r = m.rad()
-    assert r[0, 0] == 0.0 and r[0, 1] == 0.0 and r[1, 0] == 0.0
-    assert m.mid()[1, 1] - r[1, 1] <= -2.0 and m.mid()[1, 1] + r[1, 1] >= 3.0
+    lo = np.array([[1.0, 0.0], [1e-300, -2.0], [5e-324, -5e-324]])
+    hi = np.array([[1.0, 0.0], [1e-300, 3.0], [5e-324, 1e-323]])
+    mid, rad = _assert_ball_holds_endpoints(lo, hi)
+    point = lo == hi
+    assert np.all(rad[point] == 0.0) and np.all(mid[point] == lo[point])
+    assert np.all(rad[~point] > 0.0)
 
 
 def test_mid_does_not_overflow():
     big = 1.5e308
-    m = IntervalMatrix(np.array([[big, -big]]), np.array([[big * 1.1, -big]]))
-    mid = m.mid()
-    assert np.all(np.isfinite(mid))
-    assert m.lo[0, 0] <= mid[0, 0] <= m.hi[0, 0] and mid[0, 1] == -big
-    r = m.rad()
-    assert np.all(mid - r <= m.lo) and np.all(mid + r >= m.hi)
+    lo = np.array([[big, -big, -big]])
+    hi = np.array([[big * 1.1, -big, big]])
+    mid, rad = _assert_ball_holds_endpoints(lo, hi)
+    assert np.all(np.isfinite(mid)) and np.all(np.isfinite(rad))
+    assert lo[0, 0] <= mid[0, 0] <= hi[0, 0] and mid[0, 1] == -big and rad[0, 1] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=6))
+def test_mid_rad_holds_endpoints_property(pairs):
+    lo = np.array([min(p) for p in pairs])
+    hi = np.array([max(p) for p in pairs])
+    _assert_ball_holds_endpoints(lo, hi)
+
+
+def test_mid_rad_unbounded_endpoints():
+    mid, rad = mid_rad(np.array([-math.inf, 1.0, -math.inf]), np.array([math.inf, math.inf, 0.0]))
+    assert np.all(mid == 0.0) and np.all(rad == math.inf)
 
 
 def test_matrix_rejects_nan_entries():
-    with pytest.raises(IntervalDomainError):
-        IntervalMatrix(np.array([[np.nan]]), np.array([[1.0]]))
-    with pytest.raises(IntervalDomainError):
-        IntervalMatrix(np.array([[0.0]]), np.array([[np.nan]]))
+    for mid, rad in (([[np.nan]], [[1.0]]), ([[0.0]], [[np.nan]]), ([[math.inf]], [[0.0]])):
+        with pytest.raises(IntervalDomainError):
+            BallMatrix(np.array(mid), np.array(rad))
+    for lo, hi in (([[np.nan]], [[1.0]]), ([[0.0]], [[np.nan]]), ([[1.0]], [[0.0]])):
+        with pytest.raises(IntervalDomainError):
+            BallMatrix.hull(np.array(lo), np.array(hi))
+
+
+def test_matrix_rejects_negative_radii():
+    for rad in (-1e-300, -5e-324, -math.inf):
+        with pytest.raises(IntervalDomainError):
+            BallMatrix(np.zeros((2, 2)), np.array([[0.0, 1.0], [rad, 0.0]]))
+    assert BallMatrix(np.array([[0.0]]), np.array([[math.inf]])).rad[0, 0] == math.inf

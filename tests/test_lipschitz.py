@@ -181,7 +181,7 @@ def test_finite_projection_necessary_condition(rng):
     n = 6
     p_star = ModelParams(lam=18.0, sigma=2.0, mu=0.1)
     u_star = make_random_series(rng, (n,), scale=0.3)
-    base = galerkin_matrix(p_star, u_star, n).mat.mid()
+    base = galerkin_matrix(p_star, u_star, n).mat.mid
     for which in ("lambda", "sigma", "mu"):
         du, dp = 0.2, 0.4
         lb = lipschitz_bounds(p_star, u_star, ContinuationChoice(which, dp, du))
@@ -198,7 +198,7 @@ def test_finite_projection_necessary_condition(rng):
             key = {"lambda": "lam", "sigma": "sigma", "mu": "mu"}[which]
             fields[key] += dp_actual
             p_new = ModelParams(f_coeffs=p_star.f_coeffs, **fields)
-            diff = galerkin_matrix(p_new, u_new, n).mat.mid() - base
+            diff = galerkin_matrix(p_new, u_new, n).mat.mid - base
             lhs = float(np.linalg.norm(diff, 2))
             rhs = lb.l1 * du_actual + lb.l2 * abs(dp_actual)
             assert lhs <= rhs + 1e-8

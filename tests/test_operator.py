@@ -167,7 +167,7 @@ def test_truncation_modes_lex():
 def test_galerkin_zero_q_is_minus_identity():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
     g = galerkin_matrix(p, CosineSeries.zeros((2,)), 6)
-    assert np.allclose(g.mat.mid(), -np.eye(5), atol=1e-14)
+    assert np.allclose(g.mat.mid, -np.eye(5), atol=1e-14)
     kn = galerkin_inverse_bound(g)
     assert 1.0 <= kn.value <= 1.0 + 1e-10
 
@@ -180,9 +180,9 @@ def test_galerkin_diagonal_hand_formula():
     for i, k in enumerate(range(1, n)):
         kap = math.pi**2 * k * k
         expect = -(1 + lam * sig / kap**2) + lam / kap
-        iv = g.mat.entry(i, i)
-        assert iv.lo - 1e-12 <= expect <= iv.hi + 1e-12
-    off = np.max(np.abs(g.mat.mid() - np.diag(np.diag(g.mat.mid()))))
+        mid, rad = g.mat.mid[i, i], g.mat.rad[i, i]
+        assert abs(expect - mid) <= rad + 1e-12
+    off = np.max(np.abs(g.mat.mid - np.diag(np.diag(g.mat.mid))))
     assert off < 1e-14
 
 
@@ -202,8 +202,8 @@ def test_galerkin_vs_quadrature_d1(rng):
             phil = (math.sqrt(2.0)) * np.cos(ell * math.pi * x)
             val = -(1 + p.lam * p.sigma / kapk**2) * (k == ell)
             val += float(np.sum(w * qvals * phil * phik)) / kapl
-            iv = g.mat.entry(i, j)
-            assert iv.lo - 1e-9 <= val <= iv.hi + 1e-9
+            mid, rad = g.mat.mid[i, j], g.mat.rad[i, j]
+            assert abs(val - mid) <= rad + 1e-9
 
 
 def _triple_cos_integral(a: int, b: int, c: int) -> Fraction:
@@ -263,9 +263,10 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
         lo, hi = _exact_galerkin_hull(p, q, modes)
         for a in range(len(modes)):
             for b in range(len(modes)):
-                assert mpmath.mpf(g.mat.lo[a, b]) <= lo[a][b], (a, b)
-                assert hi[a][b] <= mpmath.mpf(g.mat.hi[a, b]), (a, b)
-    assert (g.mat.lo == 0.0).any() and (g.mat.hi > g.mat.lo).any()
+                mid, rad = mpmath.mpf(g.mat.mid[a, b]), mpmath.mpf(g.mat.rad[a, b])
+                assert mid - rad <= lo[a][b], (a, b)
+                assert hi[a][b] <= mid + rad, (a, b)
+    assert ((g.mat.mid == 0.0) & (g.mat.rad == 0.0)).any() and (g.mat.rad > 0.0).any()
 
 
 def test_pi_powers_rounded_to_nearest():
@@ -286,11 +287,12 @@ def test_galerkin_point_scaling_mpmath(rng):
         for q0 in rng.standard_normal(6) * 1e6:
             q = CosineSeries.from_point(np.array([q0]))
             g = galerkin_matrix(p, CosineSeries.zeros((2,)), n, q=q)
-            assert np.all(g.mat.lo[off] == 0.0) and np.all(g.mat.hi[off] == 0.0)
+            assert np.all(g.mat.mid[off] == 0.0) and np.all(g.mat.rad[off] == 0.0)
             for i in range(n - 1):
                 kappa = mpmath.pi**2 * (i + 1) ** 2
                 exact = q0 / kappa - (1 + mpmath.mpf(p.lam) * p.sigma / kappa**2)
-                assert g.mat.lo[i, i] <= exact <= g.mat.hi[i, i], (q0, i)
+                mid, rad = mpmath.mpf(g.mat.mid[i, i]), mpmath.mpf(g.mat.rad[i, i])
+                assert mid - rad <= exact <= mid + rad, (q0, i)
 
 
 def _galerkin_sums_reference(n, a):
@@ -358,14 +360,14 @@ def test_kn_diagonal_oracle():
 
 def test_kn_self_consistency(rng):
     # recertify: the approximate inverse of the stored matrix keeps e < 1
-    from okvalid.intervals import mat_mul, mat_sub_identity, IntervalMatrix
+    from okvalid.intervals import BallMatrix, mat_mul, mat_sub_identity
 
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
     g = galerkin_matrix(p, u, 12)
     kn = galerkin_inverse_bound(g)
-    c = np.linalg.inv(g.mat.mid())
-    e = mat_sub_identity(mat_mul(IntervalMatrix.from_point(c), g.mat))
+    c = np.linalg.inv(g.mat.mid)
+    e = mat_sub_identity(mat_mul(BallMatrix.point(c), g.mat))
     assert e.norm2_upper() < 1.0
     assert kn.defect < 1.0
 
@@ -470,7 +472,7 @@ def test_point_jacobian_matches_interval_matrix(rng):
     modes = truncation_modes(2, 5)
     kap = math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
     scaled = b / kap[:, None] / kap[None, :]
-    assert np.max(np.abs(scaled - g.mat.mid())) < 1e-13
+    assert np.max(np.abs(scaled - g.mat.mid)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +539,8 @@ def test_validate_reports_memory_ceiling(solved_1d, monkeypatch):
     from okvalid.cift import validate
 
     p, result = solved_1d
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e6)
+    # less than the K_N stage needs at the smallest truncation, n = 4
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(3) - 1)
     cert = validate(p, result.solution, "lambda")
     assert not cert.valid and cert.stage == "kn_bound"
     assert "MB" in cert.reason and "suggested truncation" not in cert.reason
