@@ -181,19 +181,79 @@ def truncation_modes(dim: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(grids[1:])
 
 
+def split_axes(q: CosineSeries) -> tuple:
+    """Per axis, whether every nonzero coefficient of q has an even index along it.
+
+    A raw coefficient of q has a nonzero midpoint or radius exactly where
+    q's interval is not the point zero.  Along such an axis every term of
+    (q phi_ell, phi_k) with k_j - ell_j odd meets |k_j +- ell_j| odd, a point
+    zero, so the Galerkin matrix splits by the parity of k_j.
+    """
+    support = (q.lo != 0.0) | (q.hi != 0.0)
+    return tuple(
+        not np.moveaxis(support, j, 0)[1::2].any() for j in range(support.ndim)
+    )
+
+
+def parity_classes(split, n: int) -> list:
+    """Per-axis index sets of the mode classes k_j mod 2 on the split axes.
+
+    Each class is a lexicographic tensor sub-grid of truncation_modes; the
+    classes run in lexicographic order of their parities, and a class that
+    is only the origin is left out.  No split axis gives one class, the
+    full grid.
+    """
+    out = []
+    for cls in itertools.product(*[(0, 1) if s else (None,) for s in split]):
+        axes = tuple(np.arange(n) if c is None else np.arange(c, n, 2) for c in cls)
+        if _class_size(axes) > 0:
+            out.append(axes)
+    return out
+
+
+def _class_size(axes) -> int:
+    return math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
+
+
+def _class_positions(axes, n: int) -> np.ndarray:
+    """Row indices in truncation_modes of the class's modes, in its order."""
+    flat = np.ravel_multi_index(np.ix_(*axes), (n,) * len(axes)).ravel()
+    return flat[flat > 0] - 1
+
+
 @dataclass
 class GalerkinMatrix:
-    """Scaled matrix of the projected linearization on modes 0 < |k|_inf < n."""
+    """Scaled matrix of the projected linearization on modes 0 < |k|_inf < n.
+
+    The matrix is block-diagonal by the parity classes of split: blocks
+    holds, per class, the row indices of its modes in modes and the ball
+    matrix on them.  Every entry outside the blocks is an exact zero.
+    """
 
     n: int
     dim: int
     modes: np.ndarray
-    mat: BallMatrix
-    ordering: str = "lex"
+    split: tuple
+    blocks: list
 
     @property
     def size(self) -> int:
-        return self.mat.rows
+        return self.modes.shape[0]
+
+    @property
+    def mat(self) -> BallMatrix:
+        """The full block-diagonal ball matrix, scattered from the blocks."""
+        mid = np.zeros((self.size, self.size))
+        rad = np.zeros((self.size, self.size))
+        for idx, b in self.blocks:
+            mid[np.ix_(idx, idx)] = b.mid
+            rad[np.ix_(idx, idx)] = b.rad
+        return BallMatrix(mid, rad)
+
+    def parity_label(self, idx) -> str:
+        """The block's class: k_j mod 2 per split axis, * on the others."""
+        k = self.modes[idx[0]]
+        return "(" + ", ".join(str(v % 2) if s else "*" for v, s in zip(k, self.split)) + ")"
 
 
 # pi^2 and pi^4 rounded to nearest, each within one rounding of exact
@@ -201,43 +261,49 @@ _PI2_NEAREST = 9.869604401089358
 _PI4_NEAREST = 97.40909103400244
 
 
-def _galerkin_sums(n: int, arrays) -> list:
+def _galerkin_sums(axes, arrays) -> list:
     """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
-    coefficient array a (all of one extent) and every pair of
-    truncation_modes(d, n): the sum over sign patterns s of
+    coefficient array a (all of one extent) and every pair of modes of the
+    lexicographic grid axes[0] x ... x axes[d-1] of per-axis indices, less
+    the origin where the grid holds it: the sum over sign patterns s of
     2^-nz(k + s ell) a[|k + s ell|], zero outside a's extent.
 
-    The modes are the lexicographic n^d grid without the origin, so each
-    pattern is one gather per array from a 2^-nz, zero-padded to 2n - 1 per
-    axis, through the per-axis n x n tables |k +- ell|; no m x m index, mask
-    or weight array is built, and one gather is live at a time.
+    Each pattern is one gather per array from a 2^-nz, zero-padded to
+    2 max(axes[j]) + 1 along axis j, through the grid's per-axis tables
+    |k_j +- ell_j|; no m x m index, mask or weight array is built, and one
+    gather is live at a time.  Full ranges give the truncation_modes grid.
     """
     d = arrays[0].ndim
-    crop = tuple(slice(0, min(e, 2 * n - 1)) for e in arrays[0].shape)
+    ext = tuple(2 * int(a[-1]) + 1 for a in axes)
+    crop = tuple(slice(0, min(e, x)) for e, x in zip(arrays[0].shape, ext))
     half = 0.5 ** nz_grid(tuple(c.stop for c in crop))
-    padded = [np.zeros((2 * n - 1,) * d) for _ in arrays]
+    padded = [np.zeros(ext) for _ in arrays]
     for aw, a in zip(padded, arrays):
         aw[crop] = a[crop] * half
-    k = np.arange(n)
-    tables = {1: k[:, None] + k[None, :], -1: np.abs(k[:, None] - k[None, :])}
-    m = n**d - 1
+    tables = [{1: a[:, None] + a[None, :], -1: np.abs(a[:, None] - a[None, :])} for a in axes]
+    size = math.prod(a.size for a in axes)
+    m = _class_size(axes)
+    drop = size - m  # the origin, first where the grid holds it
     sums = [np.zeros((m, m)) for _ in arrays]
     for signs in itertools.product((1, -1), repeat=d):
         # axis j's table spans result axes j (k_j) and d + j (ell_j)
         idx = tuple(
-            tables[s].reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - 1 - j))
+            tables[j][s].reshape(
+                (1,) * j + (axes[j].size,) + (1,) * (d - 1) + (axes[j].size,) + (1,) * (d - 1 - j)
+            )
             for j, s in enumerate(signs)
         )
         for acc, aw in zip(sums, padded):
-            acc += aw[idx].reshape(m + 1, m + 1)[1:, 1:]
+            acc += aw[idx].reshape(size, size)[drop:, drop:]
     return sums
 
 
 def galerkin_matrix(
     p: ModelParams, u: CosineSeries, n: int, q: CosineSeries | None = None
 ) -> GalerkinMatrix:
-    """Interval matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
-    + (q phi_ell, phi_k) / kappa_ell.
+    """Ball matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
+    + (q phi_ell, phi_k) / kappa_ell, one block per parity class of
+    split_axes(q).
 
     The float sums of galerkin_matrix_point at the raw midpoint of q, at its
     absolute value and at the raw radius are scaled in place by the weights
@@ -251,16 +317,30 @@ def galerkin_matrix(
     Every nonzero raw coefficient has a midpoint or radius of at least
     _FOLD_MIN, so each gathered term is a normal double, and an off-diagonal
     entry with zero sums gathers only point zeros: it becomes an exact zero,
-    which keeps later products free of subnormal radii.
+    which keeps later products free of subnormal radii.  Every entry is
+    computed elementwise, so a block holds the same bits as the one-block
+    assembly does on its rows and columns.
     """
     if q is None:
         q = linearization_coefficient(p, u)[0]
     d = u.dim
     modes = truncation_modes(d, n)
-    m = modes.shape[0]
+    split = split_axes(q)
     qm, qr, _ = _raw_mid_rad(q)
     arrays = [qm, np.abs(qm)] + ([qr] if qr.any() else [])
-    s_mid, s_abs, *s_rad = _galerkin_sums(n, arrays)
+    blocks = []
+    for axes in parity_classes(split, n):
+        idx = _class_positions(axes, n)
+        blocks.append((idx, _galerkin_block(p, modes[idx], axes, arrays)))
+    return GalerkinMatrix(n=n, dim=d, modes=modes, split=split, blocks=blocks)
+
+
+def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatrix:
+    """galerkin_matrix's ball matrix on one parity class: axes are its
+    per-axis indices, modes its rows of truncation_modes in that order."""
+    d = modes.shape[1]
+    m = modes.shape[0]
+    s_mid, s_abs, *s_rad = _galerkin_sums(axes, arrays)
     diag = np.arange(m)
     free = s_abs == 0.0
     for s in s_rad:
@@ -278,7 +358,7 @@ def galerkin_matrix(
     mid, rad = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
     mid[free] = 0.0
     rad[free] = 0.0
-    return GalerkinMatrix(n=n, dim=d, modes=modes, mat=BallMatrix(mid, rad))
+    return BallMatrix(mid, rad)
 
 
 def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -291,7 +371,7 @@ def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndar
     q_raw = q * c_grid(q.shape)
     modes = truncation_modes(d, n)
     m = modes.shape[0]
-    (acc,) = _galerkin_sums(n, [q_raw])
+    (acc,) = _galerkin_sums([np.arange(n)] * d, [q_raw])
     cf = C_FLOAT[np.count_nonzero(modes, axis=1)]
     acc *= cf[:, None] * cf[None, :] * 0.5**d
     kap = math.pi**2 * np.sum(modes.astype(np.float64) ** 2, axis=1)
@@ -320,14 +400,24 @@ class KnResult:
 
 
 def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
-    try:
-        bound, defect, c_norm = mat_inverse_norm2_upper(g.mat)
-    except IntervalDomainError as exc:
-        raise CertificationError(
-            "kn_bound",
-            f"finite inverse not certified at n={g.n}: {exc}",
-            suggested_n=2 * g.n,
-        ) from exc
+    """K_N as the largest of mat_inverse_norm2_upper's bounds over the blocks.
+
+    Every member of the ball matrix is block-diagonal, its blocks members of
+    the block balls, so the 2-norm of its inverse is the largest of theirs;
+    defect and c_norm are the largest e and ||C|| over the blocks.
+    """
+    per_block = []
+    for idx, b in g.blocks:
+        try:
+            per_block.append(mat_inverse_norm2_upper(b))
+        except IntervalDomainError as exc:
+            raise CertificationError(
+                "kn_bound",
+                f"finite inverse not certified at n={g.n} on parity class "
+                f"{g.parity_label(idx)} ({idx.size} modes): {exc}",
+                suggested_n=2 * g.n,
+            ) from exc
+    bound, defect, c_norm = (max(v) for v in zip(*per_block))
     return KnResult(value=bound, defect=defect, c_norm=c_norm)
 
 
@@ -352,12 +442,15 @@ class InverseBound:
     defect: float
 
 
-# Peak number of live m x m double arrays in the K_N stage (Galerkin assembly
-# and certified inverse norm).  Measured in 2-d at m = 783 and 2303 (OpenBLAS,
-# 1 and 2 threads): the tracemalloc peak is 4.1 in galerkin_matrix and 7.14
-# in galerkin_inverse_bound, the rise of the peak RSS over the whole stage
-# 6.8 at m = 2303; this is the larger, rounded up.
-KN_LIVE_ARRAYS = 8
+# Peak number of live m_b x m_b double arrays in the K_N stage besides the
+# blocks themselves (midpoint and radius, two per block), m_b being the
+# largest block: the Galerkin assembly of a block and its certified inverse
+# norm.  Measured in 2-d at m = 783 and 2303, split into 4 and into 2 blocks
+# (OpenBLAS, 1 thread): the tracemalloc peak of galerkin_matrix and
+# galerkin_inverse_bound less the blocks is 5.14 to 5.24, and at m = 4095
+# the rise of the peak RSS less the blocks at most 4.8; this is the larger,
+# rounded up.  With one block the charge is 8 m x m.
+KN_WORK_ARRAYS = 6
 
 
 def available_memory_bytes() -> float:
@@ -375,14 +468,20 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def _check_kn_memory(dim: int, n: int) -> None:
-    m = n**dim - 1
-    need = KN_LIVE_ARRAYS * 8.0 * m * m
+def kn_stage_bytes(q: CosineSeries, n: int) -> float:
+    """Bytes the K_N stage needs at truncation n: every block of the Galerkin
+    matrix of q, and the working set of the largest."""
+    sizes = [_class_size(axes) for axes in parity_classes(split_axes(q), n)]
+    return 8.0 * (2 * sum(s * s for s in sizes) + KN_WORK_ARRAYS * max(sizes) ** 2)
+
+
+def _check_kn_memory(q: CosineSeries, n: int) -> None:
+    need = kn_stage_bytes(q, n)
     avail = available_memory_bytes()
     if need > avail:
         raise CertificationError(
             "kn_bound",
-            f"truncation n={n} ({m} modes) needs about {need / 1e6:.0f} MB "
+            f"truncation n={n} ({n**q.dim - 1} modes) needs about {need / 1e6:.0f} MB "
             f"for the K_N stage, {avail / 1e6:.0f} MB available",
         )
 
@@ -399,7 +498,7 @@ def derivative_inverse_bound(
     truncation, when the K_N stage would not fit in the available memory.
     """
     q, q_sup, q_h2 = q_info if q_info is not None else linearization_coefficient(p, u)
-    _check_kn_memory(u.dim, n)
+    _check_kn_memory(q, n)
     g = galerkin_matrix(p, u, n, q=q)
     kn = galerkin_inverse_bound(g)
     cb = table_constants(u.dim).cb

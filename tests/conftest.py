@@ -69,3 +69,21 @@ def certificates_1d(solved_1d):
         which: validate(p, result.solution, which)
         for which in ("lambda", "sigma", "mu")
     }
+
+
+@pytest.fixture(scope="session")
+def solved_2d():
+    """The canonical 2-d equilibrium at (lam, sigma, mu) = (75, 6, 0), N = 28."""
+    p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
+    result = newton_solve(
+        p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9)
+    )
+    return p, result
+
+
+@pytest.fixture(scope="session")
+def solved_3d():
+    """The canonical 3-d equilibrium at (lam, sigma, mu) = (40, 3, 0), N = 12."""
+    p = ModelParams(lam=40.0, sigma=3.0, mu=0.0)
+    result = newton_solve(p, parse_seed("mode:1,1,1,0.5", 3, 12), SolveOptions(n=12))
+    return p, result

@@ -295,12 +295,12 @@ def test_galerkin_point_scaling_mpmath(rng):
                 assert mid - rad <= exact <= mid + rad, (q0, i)
 
 
-def _galerkin_sums_reference(n, a):
+def _galerkin_sums_reference(axes, a):
     """Per entry, straight from the definition: the sum over sign patterns s,
     in order, of 2^-nz(k + s ell) a[|k + s ell|], where |k + s ell| lies
-    in a's extent."""
+    in a's extent, over the lexicographic grid of axes less the origin."""
     d = a.ndim
-    modes = list(np.ndindex(*(n,) * d))[1:]
+    modes = [k for k in itertools.product(*axes) if any(k)]
     out = np.zeros((len(modes), len(modes)))
     for i, k in enumerate(modes):
         for j, ell in enumerate(modes):
@@ -319,15 +319,129 @@ def _galerkin_sums_reference(n, a):
     (3, (2, 4, 3)), (3, (5, 5, 5)), (3, (6, 7, 5)), (3, (1, 8, 2)),
 ])
 def test_galerkin_sums_match_definition(rng, n, extent):
-    # extents below, equal to and above 2n - 1 per axis, with exact zeros
+    # extents below, equal to and above 2n - 1 per axis, with exact zeros;
+    # the full grid, and the parity classes' sub-grids with and without the
+    # origin when every axis or a random subset of the axes splits
     arrays = [rng.standard_normal(extent) * 10.0 ** rng.integers(-3, 4, extent)
               for _ in range(2)]
     arrays[0][rng.uniform(size=extent) < 0.3] = 0.0
     arrays[1] = np.abs(arrays[1])
-    sums = operator._galerkin_sums(n, arrays)
-    assert len(sums) == 2
-    for got, a in zip(sums, arrays):
-        assert np.array_equal(got, _galerkin_sums_reference(n, a))
+    d = len(extent)
+    grids = []
+    for split in ((False,) * d, (True,) * d, tuple(rng.uniform(size=d) < 0.5)):
+        grids += operator.parity_classes(split, n)
+    for axes in grids:
+        sums = operator._galerkin_sums(axes, arrays)
+        assert len(sums) == 2
+        for got, a in zip(sums, arrays):
+            assert np.array_equal(got, _galerkin_sums_reference(axes, a)), axes
+
+
+def _same_parity(modes, split):
+    """Mask of the mode pairs whose indices agree mod 2 on every split axis."""
+    same = np.ones((len(modes), len(modes)), dtype=bool)
+    for j in np.flatnonzero(split):
+        same &= (modes[:, j, None] % 2) == (modes[None, :, j] % 2)
+    return same
+
+
+def _one_block(p, u, n, q, monkeypatch):
+    """galerkin_matrix assembled as a single block: no axis splits."""
+    with monkeypatch.context() as mp:
+        mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
+        g = galerkin_matrix(p, u, n, q=q)
+    assert len(g.blocks) == 1 and np.array_equal(g.blocks[0][0], np.arange(g.size))
+    return g.blocks[0][1]
+
+
+@pytest.mark.parametrize("extent,n", [((9,), 8), ((6, 7), 5), ((5, 4, 5), 4)])
+def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
+    # q with all-even support on a random subset of the axes, interval and
+    # point coefficients: the scattered blocks hold the one-block
+    # assembly's bits, and every entry off the blocks is a point zero there
+    d = len(extent)
+    p = ModelParams(lam=7.0, sigma=1.5)
+    u = CosineSeries.zeros((2,) * d)
+    for even in itertools.product((False, True), repeat=d):
+        mid = rng.standard_normal(extent)
+        width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
+        for j in np.flatnonzero(even):
+            odd = (slice(None),) * j + (slice(1, None, 2),)
+            mid[odd] = 0.0
+            width[odd] = 0.0
+        q = CosineSeries(mid - width, mid + width)
+        assert operator.split_axes(q) == even
+        g = galerkin_matrix(p, u, n, q=q)
+        assert g.split == even and len(g.blocks) == 2 ** sum(even)
+        assert np.array_equal(np.sort(np.concatenate([i for i, _ in g.blocks])), np.arange(g.size))
+        one = _one_block(p, u, n, q, monkeypatch)
+        full = g.mat
+        assert full.mid.tobytes() == one.mid.tobytes()
+        assert full.rad.tobytes() == one.rad.tobytes()
+        off = ~_same_parity(g.modes, even)
+        assert np.all(one.mid[off] == 0.0) and np.all(one.rad[off] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "radius-only"])
+def test_odd_coefficient_stops_axis_from_splitting(kind):
+    # one coefficient with an odd index along axis j couples the parities of
+    # k_j; a radius-only one has a zero raw midpoint but still couples
+    from okvalid.series import _raw_mid_rad
+
+    extent, n = (5, 4, 5), 4
+    base = np.zeros(extent)
+    base[0, 0, 0], base[2, 2, 2], base[4, 0, 2] = 1.0, 0.5, -0.25
+    assert operator.split_axes(CosineSeries.from_point(base)) == (True,) * 3
+    p = ModelParams(lam=7.0, sigma=1.5)
+    u = CosineSeries.zeros((2, 2, 2))
+    for j in range(3):
+        k = [2, 2, 2]
+        k[j] = 1
+        k = tuple(k)
+        lo, hi = base.copy(), base.copy()
+        if kind == "midpoint":
+            lo[k] = hi[k] = 0.3
+        else:
+            lo[k], hi[k] = -1e-3, 1e-3
+        q = CosineSeries(lo, hi)
+        qm, qr, _ = _raw_mid_rad(q)
+        if kind == "radius-only":
+            assert qm[k] == 0.0 and qr[k] > 0.0
+        else:
+            assert qm[k] != 0.0
+        want = tuple(i != j for i in range(3))
+        assert operator.split_axes(q) == want
+        g = galerkin_matrix(p, u, n, q=q)
+        assert g.split == want and len(g.blocks) == 4
+        # the coupling is real: entries across the parity of k_j are not point zeros
+        cross = _same_parity(g.modes, (True,) * 3) != _same_parity(g.modes, want)
+        full = g.mat
+        assert ((full.mid[cross] != 0.0) | (full.rad[cross] != 0.0)).any()
+
+
+@pytest.mark.parametrize("case,n", [("solved_1d", 112), ("solved_2d", 28), ("solved_3d", 12)])
+def test_block_kn_not_looser_than_full_matrix(request, case, n):
+    from okvalid.intervals import mat_inverse_norm2_upper
+
+    p, result = request.getfixturevalue(case)
+    g = galerkin_matrix(p, result.solution, n)
+    assert all(g.split) and len(g.blocks) == 2 ** g.dim
+    kn = galerkin_inverse_bound(g)
+    full, e_full, _ = mat_inverse_norm2_upper(g.mat)
+    assert kn.value <= full and kn.defect <= e_full
+
+
+def test_kn_failure_names_parity_class():
+    # a constant q whose interval puts zero inside the diagonal entries of
+    # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
+    q0 = math.pi**2 * (1.0 + 1e-6)
+    q = CosineSeries(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
+    g = galerkin_matrix(ModelParams(lam=7.0), CosineSeries.zeros((2, 2)), 6, q=q)
+    with pytest.raises(CertificationError) as err:
+        galerkin_inverse_bound(g)
+    assert err.value.stage == "kn_bound" and err.value.suggested_n == 12
+    assert "on parity class (0, 1) (9 modes): " in str(err.value)
+    assert ">= 1" in str(err.value)
 
 
 def test_point_jacobian_memory_peak(rng):
@@ -479,19 +593,13 @@ def test_point_jacobian_matches_interval_matrix(rng):
 # memory ceiling of the K_N stage
 # ---------------------------------------------------------------------------
 
-def _memory_for_modes(m: int) -> float:
-    return operator.KN_LIVE_ARRAYS * 8.0 * m * m
-
-
-def test_kn_stage_memory_peak_within_live_arrays():
+def test_kn_stage_memory_peak_within_live_arrays(solved_2d):
     # the traced peak of the Galerkin assembly and the certified inverse
-    # norm on the canonical 2-d case stays inside the budget that the
-    # memory check charges
+    # norm on the canonical 2-d case, four blocks of at most 196 modes, stays
+    # inside the budget that the memory check charges
     n = 28
-    p = ModelParams(lam=75.0, sigma=6.0)
-    u = newton_solve(
-        p, parse_seed("mode:1,1,0.5", 2, n), SolveOptions(n=n, tol_residual=1e-9)
-    ).solution
+    p, result = solved_2d
+    u = result.solution
     q = linearization_coefficient(p, u)[0]
     tracemalloc.start()
     try:
@@ -499,7 +607,22 @@ def test_kn_stage_memory_peak_within_live_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _memory_for_modes(n * n - 1)
+    assert peak <= operator.kn_stage_bytes(q, n)
+
+
+def test_kn_stage_charge_counts_blocks(solved_1d):
+    # the blocks' storage plus one block's working set; one block is the
+    # whole matrix's 2 + KN_WORK_ARRAYS arrays
+    p, result = solved_1d
+    q = linearization_coefficient(p, result.solution)[0]
+    assert operator.kn_stage_bytes(q, 64) == 8.0 * (2 * (31**2 + 32**2) + operator.KN_WORK_ARRAYS * 32**2)
+    q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
+    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * (2 + operator.KN_WORK_ARRAYS) * 63**2
+
+
+def _charge_1d(solved_1d, n: int) -> float:
+    p, result = solved_1d
+    return operator.kn_stage_bytes(linearization_coefficient(p, result.solution)[0], n)
 
 
 def _fail_if_called(*args, **kwargs):
@@ -508,7 +631,8 @@ def _fail_if_called(*args, **kwargs):
 
 def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
     p, result = solved_1d
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(63) - 1)
+    need = _charge_1d(solved_1d, 64)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(operator, "galerkin_matrix", _fail_if_called)
     with pytest.raises(CertificationError) as err:
         derivative_inverse_bound(p, result.solution, 64)
@@ -527,7 +651,8 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
         return bound(p, u, n, q_info=q_info)
 
     monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(63))
+    need = _charge_1d(solved_1d, 64)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
     ib = auto_inverse_bound(p, result.solution, n0=32)
     # tau at n = 64 misses the target; n = 128 does not fit, and neither
     # would anything larger, so the escalation stops there
@@ -540,7 +665,8 @@ def test_validate_reports_memory_ceiling(solved_1d, monkeypatch):
 
     p, result = solved_1d
     # less than the K_N stage needs at the smallest truncation, n = 4
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: _memory_for_modes(3) - 1)
+    need = _charge_1d(solved_1d, 4)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
     cert = validate(p, result.solution, "lambda")
     assert not cert.valid and cert.stage == "kn_bound"
     assert "MB" in cert.reason and "suggested truncation" not in cert.reason
