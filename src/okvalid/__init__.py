@@ -9,8 +9,10 @@ equilibria that seed the validation.
 from .cift import (
     Certificate,
     RadiiResult,
+    SolutionBounds,
     TOOL_VERSION,
     feasible_dx_range,
+    solution_bounds,
     solve_radii,
     validate,
     verify_certificate,

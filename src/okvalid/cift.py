@@ -8,13 +8,17 @@ inequalities
     2 K rho + 2 K l3 da + 2 K l4 da^2 <= dx
 
 admit a maximal parameter radius da; the tool reports that point, where the
-accuracy and uniqueness radii coincide.  Every emitted certificate replays
+accuracy and uniqueness radii coincide.  It is found by bisection: a trial
+point far from the float root of the two inequalities is decided by that
+root, the points near it by interval evaluation, and the final point and its
+infeasible witness are always evaluated.  Every emitted certificate replays
 its own inequalities in interval arithmetic before it is returned.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 
 from .intervals import Interval
@@ -67,6 +71,64 @@ class RadiiResult:
     point_only: bool
 
 
+BISECTION_STEPS = 50
+# A trial point further than this (relative) from the float root is decided
+# by that root.  The interval evaluation errs by a few ulps and the root by a
+# few more, so only the points near the boundary need evaluating.
+ROOT_MARGIN = 2.0 ** -40
+
+
+def _positive_root(a: float, b: float, c: float) -> float:
+    """Positive root of a x^2 + b x + c with a, b >= 0 > c, in the form free of
+    cancellation; inf where neither a nor b bounds x, nan where the float
+    evaluation fails."""
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return math.nan
+    den = b + math.sqrt(disc)
+    return -2.0 * c / den if den != 0.0 else math.inf
+
+
+def _root_estimate(
+    k: float, rho: float, l1: float, l2: float, l3: float, l4: float, ell_x: float,
+) -> float:
+    """Float estimate of the largest da at which both inequalities hold, with
+    dx at the radius requirement: the smaller of their two roots."""
+    tk = 2.0 * k
+    # the radius requirement reaches ell_x
+    box = _positive_root(tk * l4, tk * l3, tk * rho - ell_x)
+    # the contraction budget reaches 1
+    budget = _positive_root(
+        tk * tk * l1 * l4, tk * tk * l1 * l3 + tk * l2, tk * tk * l1 * rho - 1.0
+    )
+    if math.isnan(box) or math.isnan(budget):
+        return math.nan
+    return min(box, budget)
+
+
+def _bisect(feasible, hi: float, root: float) -> tuple[float, float]:
+    """BISECTION_STEPS halvings of [0, hi], feasible points to the left.
+
+    A trial point more than ROOT_MARGIN (relative) from a finite root is
+    decided by the side of the root it lies on; every other point is
+    evaluated.  Returns the final (lo, hi).
+    """
+    lo = 0.0
+    decided = math.isfinite(root)
+    margin = ROOT_MARGIN * root
+    for _ in range(BISECTION_STEPS):
+        mid_pt = 0.5 * (lo + hi)
+        if decided and abs(mid_pt - root) > margin:
+            ok = mid_pt < root
+        else:
+            ok = feasible(mid_pt)[0]
+        if ok:
+            lo = mid_pt
+        else:
+            hi = mid_pt
+    return lo, hi
+
+
 def solve_radii(
     k: float,
     rho: float,
@@ -76,13 +138,19 @@ def solve_radii(
     l4: float,
     ell_x: float,
     ell_alpha: float,
-    iterations: int = 50,
 ) -> RadiiResult:
     """Maximal da <= ell_alpha for which both inequalities hold, by bisection.
 
     Feasibility of a trial da is decided rigorously: dx is the outward value
     of the radius requirement, and the contraction budget is evaluated at
-    that dx.  Raises CertificationError when the preconditions fail.
+    that dx.  Trial points far from the float root of the two inequalities
+    are decided by the root instead.  The result is certified at the end:
+    the final da is evaluated feasible and its witness infeasible, and if
+    either check fails the bisection is rerun evaluating every trial point.
+    Away from the boundary feasibility only grows towards 0, so a certified
+    pair is reached only through the decisions evaluation would have made,
+    and the result is the plain bisection's.  Raises CertificationError
+    when the preconditions fail.
     """
     if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
         raise CertificationError("solve_radii", "4 K^2 rho l1 >= 1: residual too large")
@@ -98,21 +166,18 @@ def solve_radii(
     if not ok0:
         raise CertificationError("solve_radii", "radii infeasible even at da = 0")
 
-    lo = 0.0
-    hi = ell_alpha
+    ok, dx = feasible(ell_alpha)
     witness: float | None = None
-    if not feasible(hi)[0]:
-        for _ in range(iterations):
-            mid_pt = 0.5 * (lo + hi)
-            if feasible(mid_pt)[0]:
-                lo = mid_pt
-            else:
-                hi = mid_pt
-        witness = hi
-        da = lo
+    if ok:
+        da = ell_alpha
     else:
-        da = hi
-    dx = radius_requirement(k, rho, l3, l4, da).hi
+        root = _root_estimate(k, rho, l1, l2, l3, l4, ell_x)
+        da, witness = _bisect(feasible, ell_alpha, root)
+        ok, dx = feasible(da)
+        if not ok or feasible(witness)[0]:
+            # the root decided a trial point wrongly
+            da, witness = _bisect(feasible, ell_alpha, math.nan)
+            dx = feasible(da)[1]
     if l1 > 0.0:
         budget = (Interval(1.0) - _two_k(k) * Interval(l2) * Interval(da)) / (
             _two_k(k) * Interval(l1)
@@ -248,6 +313,27 @@ def _invalid(p, which, stage, reason, **fields) -> Certificate:
     )
 
 
+@dataclass(frozen=True)
+class SolutionBounds:
+    """The truncation-independent residual stage of a validation."""
+
+    rho: float  # upper bound on the residual norm
+    fprime: CosineSeries  # f'(u + mu)
+    q_info: tuple  # linearization_coefficient's (q, q_sup, q_h2)
+
+
+def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
+    """rho, f'(u + mu) and the linearization coefficient of u.
+
+    None of it depends on the truncation, so one SolutionBounds serves every
+    validate of the same solution and parameters.
+    """
+    rho = residual_norm(p, u).hi
+    # f'(u + mu) enters q and the lambda Lipschitz bounds; it is built once
+    fprime = fprime_series(p, u)
+    return SolutionBounds(rho, fprime, linearization_coefficient(p, u, fprime))
+
+
 def validate(
     p: ModelParams,
     u: CosineSeries,
@@ -257,6 +343,7 @@ def validate(
     dp: float | None = None,
     max_rounds: int = 5,
     tau_target: float = 0.5,
+    bounds: SolutionBounds | None = None,
 ) -> Certificate:
     """Run residual -> inverse bound -> Lipschitz -> radii and emit a certificate.
 
@@ -265,6 +352,7 @@ def validate(
     constants) unless the caller pinned them; the final certificate always has
     delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover the
     concluded region.  Invalid certificates carry the failing stage.
+    bounds, when given, is solution_bounds(p, u).
     """
     if which not in ("lambda", "sigma", "mu"):
         raise ValueError(f"unknown continuation parameter {which!r}")
@@ -276,14 +364,12 @@ def validate(
     du_cur = du if du is not None else du0
     dp_cur = dp if dp is not None else dp0
 
-    try:
-        rho = residual_norm(p, u).hi
-    except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
-        return _invalid(p, which, "residual", str(exc))
-
-    # f'(u + mu) enters q and the lambda Lipschitz bounds; it is built once
-    fprime = fprime_series(p, u)
-    q_info = linearization_coefficient(p, u, fprime)
+    if bounds is None:
+        try:
+            bounds = solution_bounds(p, u)
+        except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
+            return _invalid(p, which, "residual", str(exc))
+    rho, fprime, q_info = bounds.rho, bounds.fprime, bounds.q_info
     try:
         if n is not None:
             ib = derivative_inverse_bound(p, u, n, q_info=q_info)

@@ -11,12 +11,17 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .cift import TOOL_VERSION, validate, verify_certificate, feasible_dx_range
+from .cift import (
+    TOOL_VERSION,
+    feasible_dx_range,
+    solution_bounds,
+    validate,
+    verify_certificate,
+)
 from .embeddings import equiv_factor, recompute_cmbar, table_constants
 from .files import (
     FileFormatError,
@@ -184,17 +189,18 @@ def cmd_sweep(args) -> int:
     if min(n_list) < 2:
         return _usage_error("truncation must be >= 2")
 
-    def one(n):
-        t0 = time.perf_counter()
-        cert = validate(p, u, args.param, n=n)
-        ms = 1000.0 * (time.perf_counter() - t0)
-        return cert, ms
-
-    with ThreadPoolExecutor(max_workers=min(4, len(n_list))) as pool:
-        results = list(pool.map(one, n_list))
+    # the residual stage does not depend on N; a failure there is left to
+    # validate, which reports it on every row
+    try:
+        bounds = solution_bounds(p, u)
+    except Exception:  # noqa: BLE001
+        bounds = None
 
     rows = [["N", "K_N", "tau", "K", "delta_alpha", "delta_x", "wall_ms", "status"]]
-    for n, (cert, ms) in zip(n_list, results):
+    for n in n_list:
+        t0 = time.perf_counter()
+        cert = validate(p, u, args.param, n=n, bounds=bounds)
+        ms = 1000.0 * (time.perf_counter() - t0)
         if cert.valid:
             rows.append([
                 n, cert.kn, cert.tau, cert.k, cert.delta_alpha, cert.delta_x,

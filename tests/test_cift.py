@@ -1,15 +1,23 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from okvalid import cift
 from okvalid.cift import (
     Certificate,
+    RadiiResult,
+    derivative_budget,
     feasible_dx_range,
+    radius_requirement,
     solve_radii,
     validate,
     verify_certificate,
 )
+from okvalid.intervals import Interval
 from okvalid.operator import CertificationError, ModelParams
 from okvalid.series import CosineSeries
 
@@ -66,6 +74,155 @@ def test_radii_point_only():
     r = solve_radii(k=1.0, rho=0.0, l1=1.0, l2=1e30, l3=0.0, l4=0.0,
                     ell_x=1.0, ell_alpha=1.0)
     assert r.delta_alpha == 0.0 and r.point_only
+
+
+def reference_solve_radii(k, rho, l1, l2, l3, l4, ell_x, ell_alpha):
+    """The plain bisection: every trial point decided by interval evaluation."""
+    two_k = Interval(2.0) * Interval(k)
+    if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
+        raise CertificationError("solve_radii", "4 K^2 rho l1 >= 1: residual too large")
+    if (two_k * Interval(rho)).hi >= ell_x:
+        raise CertificationError("solve_radii", "2 K rho >= ell_x: box too small")
+
+    def feasible(da):
+        dx = radius_requirement(k, rho, l3, l4, da).hi
+        return dx <= ell_x and derivative_budget(k, l1, l2, da, dx).hi <= 1.0
+
+    if not feasible(0.0):
+        raise CertificationError("solve_radii", "radii infeasible even at da = 0")
+    lo, hi = 0.0, ell_alpha
+    witness = None
+    if not feasible(hi):
+        for _ in range(50):
+            mid_pt = 0.5 * (lo + hi)
+            if feasible(mid_pt):
+                lo = mid_pt
+            else:
+                hi = mid_pt
+        witness = hi
+        da = lo
+    else:
+        da = hi
+    dx = radius_requirement(k, rho, l3, l4, da).hi
+    if l1 > 0.0:
+        budget = (Interval(1.0) - two_k * Interval(l2) * Interval(da)) / (two_k * Interval(l1))
+        dx_sup = min(ell_x, max(dx, budget.lo))
+    else:
+        dx_sup = ell_x
+    return RadiiResult(da, dx, dx_sup, witness, da == 0.0)
+
+
+def _outcome(solver, *args):
+    """The solver's result with every float as its hex string, or its error."""
+    try:
+        r = solver(*args)
+    except CertificationError as exc:
+        return "raised", str(exc)
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)
+    )
+
+
+def _assert_matches_reference(*args):
+    got = _outcome(solve_radii, *args)
+    assert got == _outcome(reference_solve_radii, *args)
+    return got
+
+
+_decades = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.floats(min_value=1.0, max_value=100.0),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    l1=_decades, l2=_decades, l3=_decades,
+    l4=st.one_of(st.just(0.0), _decades),
+    ell_x=st.floats(min_value=-6.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    ell_alpha=st.floats(min_value=-6.0, max_value=1.0).map(lambda e: 10.0 ** e),
+)
+def test_radii_match_plain_bisection(k, share, l1, l2, l3, l4, ell_x, ell_alpha):
+    # rho a share of the largest residual the preconditions admit
+    rho = share * min(1.0 / (4.0 * k * k * l1), ell_x / (2.0 * k))
+    _assert_matches_reference(k, rho, l1, l2, l3, l4, ell_x, ell_alpha)
+
+
+@pytest.mark.parametrize("args", [
+    (2.0, 0.01, 0.0, 1.0, 0.5, 0.1, 10.0, 10.0),  # l1 = 0
+    (3.0, 1e-3, 2.0, 1e30, 0.5, 0.1, 1.0, 1.0),  # huge l2
+    (3.0, 1e-3, 2.0, 1e300, 1e5, 1e10, 1.0, 1.0),  # huge l2, overflowing estimate
+    (2.0, 0.01, 1.0, 1.0, 0.5, 0.1, 10.0, 1e-3),  # feasible at ell_alpha
+    (7.0, 1e-4, 3.0, 1e-2, 0.25, 0.0, 0.1, 5.0),  # l4 = 0
+    (7.0, 1e-4, 3.0, 1e-2, 0.25, 40.0, 0.1, 5.0),  # l4 > 0
+    (2.0, 0.01, 1.0, 1.0, 0.5, 0.0, 10.0, 10.0),  # crossing at da = 0.07
+])
+def test_radii_edge_cases_match_plain_bisection(args):
+    assert _assert_matches_reference(*args)[0] != "raised"
+
+
+def test_radii_infeasible_at_zero_raises_like_plain_bisection():
+    # 4 K^2 rho l1 just below 1, with the budget's own rounding above it
+    args = (2.209278197011611, 0.006033263235844804, 8.489593995678604,
+            1.0, 1.0, 0.0, 10.0, 1.0)
+    got = _assert_matches_reference(*args)
+    assert got == ("raised", "radii infeasible even at da = 0")
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 2.0])
+def test_radii_wrong_root_falls_back(monkeypatch, scale):
+    args = (2.0, 0.01, 1.0, 1.0, 0.5, 0.1, 10.0, 10.0)
+    estimate = cift._root_estimate
+    monkeypatch.setattr(
+        cift, "_root_estimate", lambda *a: scale * estimate(*a)
+    )
+    calls = []
+    bisect = cift._bisect
+    monkeypatch.setattr(
+        cift, "_bisect", lambda f, hi, root: calls.append(root) or bisect(f, hi, root)
+    )
+    _assert_matches_reference(*args)
+    assert len(calls) == 2 and np.isnan(calls[1])  # the plain bisection reran
+
+
+def test_radii_without_finite_estimate_evaluate_every_point(monkeypatch):
+    # 2 K overflows when squared, so the estimate is nan
+    args = (1e200, 0.0, 1e-199, 1e-195, 1e-190, 0.0, 1.0, 1.0)
+    assert math.isnan(cift._root_estimate(*args[:7]))
+    assert _assert_matches_reference(*args)[3] is not None  # bisected
+    counts = _radii_evaluations(monkeypatch, lambda: cift.solve_radii(*args))
+    assert counts == [2 + cift.BISECTION_STEPS + 2]
+
+
+def _radii_evaluations(monkeypatch, run):
+    """Interval evaluations of each solve_radii call that run() makes."""
+    counts = []
+    requirement, solve = cift.radius_requirement, cift.solve_radii
+
+    def counted_requirement(*args):
+        counts[-1] += 1
+        return requirement(*args)
+
+    def counted_solve(*args, **kwargs):
+        counts.append(0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cift, "radius_requirement", counted_requirement)
+    monkeypatch.setattr(cift, "solve_radii", counted_solve)
+    run()
+    return counts
+
+
+def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, solved_2d):
+    p1, r1 = solved_1d
+    p2, r2 = solved_2d
+
+    def run():
+        for which in ("lambda", "sigma", "mu"):
+            assert validate(p1, r1.solution, which).valid
+        assert validate(p2, r2.solution, "lambda", n=28).valid
+
+    counts = _radii_evaluations(monkeypatch, run)
+    assert counts and max(counts) <= 16, counts  # the plain bisection made 53
 
 
 def test_feasible_dx_range():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from okvalid import cift
 from okvalid.cli import main
 from okvalid.files import read_certificate, read_solution, write_solution
+from okvalid.intervals import IntervalDomainError
 from okvalid.operator import ModelParams, residual_norm
 from okvalid.series import CosineSeries
 
@@ -215,7 +217,9 @@ def test_sweep_single_matches_validate(workdir, solution_file):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
-    assert float(rows[0]["K"]) == pytest.approx(cert.k, rel=1e-12)
+    for col, value in (("K_N", cert.kn), ("tau", cert.tau), ("K", cert.k),
+                       ("delta_alpha", cert.delta_alpha), ("delta_x", cert.delta_x)):
+        assert float(rows[0][col]) == value, col
     assert float(rows[0]["wall_ms"]) > 0
 
 
@@ -274,13 +278,40 @@ def test_render_3d_slices(workdir):
     assert len(rows) == 1 + 64
 
 
-def test_sweep_thread_cap(workdir, solution_file):
-    out = workdir / "sweep_threads.csv"
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_computes_residual_stage_once(workdir, solution_file, monkeypatch):
+    calls = {}
+    for name in ("residual_norm", "fprime_series", "linearization_coefficient"):
+        _count_calls(monkeypatch, cift, name, calls)
+    out = workdir / "sweep_once.csv"
     assert main(["sweep", "--in", str(solution_file), "--param", "sigma",
                  "--Nlist", "48,64,96", "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert [int(r["N"]) for r in rows] == [48, 64, 96]  # order fixed by input
     assert all(r["status"] == "ok" for r in rows)
+    assert calls == {"residual_norm": 1, "fprime_series": 1,
+                     "linearization_coefficient": 1}
+
+
+def test_sweep_residual_failure_on_every_row(workdir, solution_file, monkeypatch):
+    def fail(p, u):
+        raise IntervalDomainError("residual overflow")
+
+    monkeypatch.setattr(cift, "residual_norm", fail)
+    out = workdir / "sweep_fail.csv"
+    assert main(["sweep", "--in", str(solution_file), "--param", "lambda",
+                 "--Nlist", "48,64", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["status"] for r in rows] == ["failed:residual"] * 2
 
 
 def test_walk_cli(workdir, solution_file, monkeypatch):
