@@ -34,7 +34,9 @@ from .operator import (
     GalerkinMatrix,
     InverseBound,
     KnResult,
+    Linearization,
     ModelParams,
+    PARAMETERS,
     apply_linearization,
     auto_inverse_bound,
     derivative_inverse_bound,

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from .intervals import Interval
 from .lipschitz import ContinuationChoice, LipschitzBounds, lipschitz_bounds
 from .operator import (
+    PARAMETERS,
     CertificationError,
+    Linearization,
     ModelParams,
     auto_inverse_bound,
     derivative_inverse_bound,
@@ -60,6 +62,17 @@ def derivative_budget(k: float, l1: float, l2: float, da: float, dx: float) -> I
     """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
     tk = _two_k(k)
     return tk * Interval(l1) * Interval(dx) + tk * Interval(l2) * Interval(da)
+
+
+def _dx_ceiling(k: float, l1: float, l2: float, ell_x: float, da: float) -> float:
+    """min(ell_x, (1 - 2 K l2 da) / (2 K l1)) rounded down: the largest dx in
+    the box that the contraction budget certainly admits at da."""
+    if not l1 > 0.0:
+        return ell_x
+    budget = (Interval(1.0) - _two_k(k) * Interval(l2) * Interval(da)) / (
+        _two_k(k) * Interval(l1)
+    )
+    return min(ell_x, budget.lo)
 
 
 @dataclass(frozen=True)
@@ -178,17 +191,11 @@ def solve_radii(
             # the root decided a trial point wrongly
             da, witness = _bisect(feasible, ell_alpha, math.nan)
             dx = feasible(da)[1]
-    if l1 > 0.0:
-        budget = (Interval(1.0) - _two_k(k) * Interval(l2) * Interval(da)) / (
-            _two_k(k) * Interval(l1)
-        )
-        dx_sup = min(ell_x, max(dx, budget.lo))
-    else:
-        dx_sup = ell_x
     return RadiiResult(
         delta_alpha=da,
         delta_x=dx,
-        delta_x_sup=dx_sup,
+        # dx <= ell_x, so this is min(ell_x, max(dx, the budget's bound))
+        delta_x_sup=max(dx, _dx_ceiling(k, l1, l2, ell_x, da)),
         infeasible_witness=witness,
         point_only=(da == 0.0),
     )
@@ -200,14 +207,7 @@ def feasible_dx_range(
 ):
     """The certified [lower, upper] range of dx available at a given da, or None."""
     lo = radius_requirement(k, rho, l3, l4, da).hi
-    if l1 > 0.0:
-        hi = min(
-            ell_x,
-            ((Interval(1.0) - _two_k(k) * Interval(l2) * Interval(da))
-             / (_two_k(k) * Interval(l1))).lo,
-        )
-    else:
-        hi = ell_x
+    hi = _dx_ceiling(k, l1, l2, ell_x, da)
     if lo > hi or derivative_budget(k, l1, l2, da, lo).hi > 1.0:
         return None
     return lo, hi
@@ -302,8 +302,7 @@ def verify_certificate(cert: Certificate):
 
 def _default_box(p: ModelParams, u: CosineSeries, which: str):
     u_norm = norm(u, "Hbar", 2).hi
-    p_star = {"lambda": p.lam, "sigma": p.sigma, "mu": p.mu}[which]
-    return 0.1 * max(1.0, u_norm), 0.05 * max(1.0, abs(p_star))
+    return 0.1 * max(1.0, u_norm), 0.05 * max(1.0, abs(p.get(which)))
 
 
 def _invalid(p, which, stage, reason, **fields) -> Certificate:
@@ -315,23 +314,27 @@ def _invalid(p, which, stage, reason, **fields) -> Certificate:
 
 @dataclass(frozen=True)
 class SolutionBounds:
-    """The truncation-independent residual stage of a validation."""
+    """The per-solution stage of a validation: everything that depends on
+    (p, u) alone, not on the truncation or the Lipschitz box."""
 
     rho: float  # upper bound on the residual norm
-    fprime: CosineSeries  # f'(u + mu)
-    q_info: tuple  # linearization_coefficient's (q, q_sup, q_h2)
+    fprime: CosineSeries  # f'(u + mu), read by the lambda Lipschitz bounds
+    lin: Linearization  # q = lam f'(u + mu) and its norm bounds
 
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
-    """rho, f'(u + mu) and the linearization coefficient of u.
+    """rho, f'(u + mu) and the linearization of F at u.
 
-    None of it depends on the truncation, so one SolutionBounds serves every
-    validate of the same solution and parameters.
+    One SolutionBounds serves every validate of the same solution and
+    parameters, whatever the truncation.
     """
     rho = residual_norm(p, u).hi
-    # f'(u + mu) enters q and the lambda Lipschitz bounds; it is built once
     fprime = fprime_series(p, u)
-    return SolutionBounds(rho, fprime, linearization_coefficient(p, u, fprime))
+    return SolutionBounds(rho, fprime, linearization_coefficient(p, fprime))
+
+
+# Lipschitz tightening rounds at most in one validate
+LIPSCHITZ_ROUNDS = 5
 
 
 def validate(
@@ -341,20 +344,22 @@ def validate(
     n: int | None = None,
     du: float | None = None,
     dp: float | None = None,
-    max_rounds: int = 5,
     tau_target: float = 0.5,
     bounds: SolutionBounds | None = None,
 ) -> Certificate:
-    """Run residual -> inverse bound -> Lipschitz -> radii and emit a certificate.
+    """Run solution_bounds -> inverse bound -> Lipschitz rounds -> radii and
+    emit a certificate.
 
-    The Lipschitz box radii default to 0.1 max(1, ||u||) and 0.05 max(1, |p*|)
-    and are tightened towards the concluded radii (which strictly improves the
-    constants) unless the caller pinned them; the final certificate always has
-    delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover the
-    concluded region.  Invalid certificates carry the failing stage.
-    bounds, when given, is solution_bounds(p, u).
+    bounds is the per-solution stage, solution_bounds(p, u); it is built
+    here when the caller passes None.  The inverse bound is taken at
+    truncation n, or escalated towards tau_target when n is None.  The
+    Lipschitz box radii default to 0.1 max(1, ||u||) and 0.05 max(1, |p*|)
+    and are tightened towards the concluded radii (which strictly improves
+    the constants) unless the caller pinned them; solve_radii concludes
+    delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover
+    the concluded region.  Invalid certificates carry the failing stage.
     """
-    if which not in ("lambda", "sigma", "mu"):
+    if which not in PARAMETERS:
         raise ValueError(f"unknown continuation parameter {which!r}")
     if not u.zero_mean:
         return _invalid(p, which, "input", "solution series is not zero-mean")
@@ -369,12 +374,12 @@ def validate(
             bounds = solution_bounds(p, u)
         except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
             return _invalid(p, which, "residual", str(exc))
-    rho, fprime, q_info = bounds.rho, bounds.fprime, bounds.q_info
+    rho, lin = bounds.rho, bounds.lin
     try:
         if n is not None:
-            ib = derivative_inverse_bound(p, u, n, q_info=q_info)
+            ib = derivative_inverse_bound(p, lin, n)
         else:
-            ib = auto_inverse_bound(p, u, tau_target=tau_target, q_info=q_info)
+            ib = auto_inverse_bound(p, lin, tau_target=tau_target)
     except CertificationError as exc:
         reason = str(exc)
         if exc.suggested_n is not None:
@@ -383,11 +388,9 @@ def validate(
 
     best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
     failure: CertificationError | None = None
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
+    for rounds in range(1, LIPSCHITZ_ROUNDS + 1):
         choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
-        lb = lipschitz_bounds(p, u, choice, fprime)
+        lb = lipschitz_bounds(p, u, choice, bounds.fprime)
         try:
             radii = solve_radii(
                 ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,
@@ -396,11 +399,6 @@ def validate(
         except CertificationError as exc:
             failure = exc
             break
-        if radii.delta_x > du_cur or radii.delta_alpha > dp_cur:
-            # defensive: enlarge so the Lipschitz box covers the conclusion
-            du_cur = max(du_cur, 2.0 * radii.delta_x)
-            dp_cur = max(dp_cur, 2.0 * radii.delta_alpha)
-            continue
         if best is None or radii.delta_alpha > best[0].delta_alpha:
             best = (radii, lb, du_cur, dp_cur)
         else:
@@ -419,7 +417,7 @@ def validate(
         reason = str(failure) if failure is not None else "no feasible radii"
         return _invalid(
             p, which, stage, reason, rho=rho, n=ib.n, kn=ib.kn, tau=ib.tau,
-            k=ib.k, q_sup=ib.q_sup, q_h2=ib.q_h2,
+            k=ib.k, q_sup=lin.q_sup, q_h2=lin.q_h2,
         )
 
     radii, lb, ell_x, ell_alpha = best
@@ -433,8 +431,8 @@ def validate(
         kn=ib.kn,
         tau=ib.tau,
         k=ib.k,
-        q_sup=ib.q_sup,
-        q_h2=ib.q_h2,
+        q_sup=lin.q_sup,
+        q_h2=lin.q_h2,
         l1=lb.l1,
         l2=lb.l2,
         l3=lb.l3,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,7 +40,7 @@ from .newton import (
     parameter_walk,
     parse_seed,
 )
-from .operator import ModelParams
+from .operator import PARAMETERS, ModelParams
 from .series import evaluate_grid
 
 EXIT_OK = 0
@@ -72,6 +73,8 @@ def _model_from_args(args) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
+    if args.ncut < 2:
+        return _usage_error("--ncut must be >= 2")
     dims = [args.dim] if args.dim else [1, 2, 3]
     out = {"ncut": args.ncut, "dims": {}}
     for d in dims:
@@ -90,14 +93,12 @@ def cmd_constants(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    n = args.n if args.n else _DEFAULT_N[args.dim]
+    n = args.n if args.n is not None else _DEFAULT_N[args.dim]
     try:
+        opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
+                            damping=args.damping)
         p = _model_from_args(args)
         seed = parse_seed(args.seed, args.dim, n)
-        opts = SolveOptions(
-            n=n, max_iter=args.max_iter, tol_residual=args.tol, damping=args.damping,
-            seed=args.seed,
-        )
     except ValueError as exc:
         return _usage_error(str(exc))
     try:
@@ -140,6 +141,11 @@ def _print_certificate(cert) -> None:
 def cmd_validate(args) -> int:
     if args.n is not None and args.n < 2:
         return _usage_error("truncation must be >= 2")
+    for flag, value in (("du", args.du), ("dp", args.dp), ("tau-target", args.tau_target)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return _usage_error(f"--{flag} must be finite and positive")
+    if args.at_alpha is not None and not (math.isfinite(args.at_alpha) and args.at_alpha >= 0):
+        return _usage_error("--at-alpha must be finite and nonnegative")
     p, u, _meta = read_solution(args.infile)
     sha = file_sha256(args.infile)
     cert = validate(
@@ -189,8 +195,8 @@ def cmd_sweep(args) -> int:
     if min(n_list) < 2:
         return _usage_error("truncation must be >= 2")
 
-    # the residual stage does not depend on N; a failure there is left to
-    # validate, which reports it on every row
+    # the per-solution stage does not depend on N; a failure there is left
+    # to validate, which reports it on every row
     try:
         bounds = solution_bounds(p, u)
     except Exception:  # noqa: BLE001
@@ -220,6 +226,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.grid < 1:
+        return _usage_error("--grid must be >= 1")
     _p, u, _meta = read_solution(args.infile)
     pts = np.linspace(0.0, 1.0, args.grid)
     vals = evaluate_grid(u, [pts] * u.dim)
@@ -246,8 +254,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    if args.count < 0:
+        return _usage_error("--count must be >= 0")
     p, u, meta = read_solution(args.infile)
-    n = args.n if args.n else max(u.extent)
+    n = args.n if args.n is not None else max(u.extent)
     try:
         opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
                             damping=args.damping)
@@ -316,7 +326,7 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("validate", help="emit an existence/uniqueness certificate")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--param", choices=("lambda", "sigma", "mu"), required=True)
+    v.add_argument("--param", choices=PARAMETERS, required=True)
     v.add_argument("--N", dest="n", type=int)
     v.add_argument("--du", type=float, help="pin the solution box radius")
     v.add_argument("--dp", type=float, help="pin the parameter box radius")
@@ -333,7 +343,7 @@ def build_parser() -> _Parser:
 
     w = sub.add_parser("sweep", help="K-vs-N tradeoff table (CSV)")
     w.add_argument("--in", dest="infile", required=True)
-    w.add_argument("--param", choices=("lambda", "sigma", "mu"), required=True)
+    w.add_argument("--param", choices=PARAMETERS, required=True)
     w.add_argument("--Nlist", dest="nlist", required=True)
     w.add_argument("--out")
     w.set_defaults(func=cmd_sweep)
@@ -346,7 +356,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("walk", help="natural-parameter stepping from a solution")
     g.add_argument("--in", dest="infile", required=True)
-    g.add_argument("--param", choices=("lambda", "sigma", "mu"), required=True)
+    g.add_argument("--param", choices=PARAMETERS, required=True)
     g.add_argument("--step", type=float, required=True)
     g.add_argument("--count", type=int, default=5)
     g.add_argument("--N", dest="n", type=int)

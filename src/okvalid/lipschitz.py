@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import table_constants
 from .intervals import PI2, PI4, Interval
-from .operator import ModelParams, fprime_series
+from .operator import PARAMETERS, ModelParams
 from .series import CosineSeries, sup_bound
 
 
@@ -27,7 +27,7 @@ class ContinuationChoice:
     du: float  # solution box radius in the H-bar-2 norm
 
     def __post_init__(self):
-        if self.which not in ("lambda", "sigma", "mu"):
+        if self.which not in PARAMETERS:
             raise ValueError(f"unknown continuation parameter {self.which!r}")
         if not (self.dp > 0 and np.isfinite(self.dp)):
             raise ValueError("dp must be finite and positive")
@@ -52,14 +52,16 @@ class LipschitzBounds:
     fmax2: float = 0.0
 
 
-def poly_range_max(
-    coeffs, radius: float, rel_tol: float = 1e-3, max_pieces: int = 4096
-) -> float:
+RANGE_REL_TOL = 1e-3
+RANGE_MAX_PIECES = 4096
+
+
+def poly_range_max(coeffs, radius: float) -> float:
     """Rigorous upper bound of max_{|x| <= radius} |g(x)| for a polynomial g.
 
     Interval Horner evaluation on a uniform subdivision, refined until the
-    bound improves by less than rel_tol relative (or the piece cap is hit).
-    The returned value is an upper bound at every refinement level.
+    bound improves by less than RANGE_REL_TOL relative (or RANGE_MAX_PIECES
+    is hit).  The returned value is an upper bound at every refinement level.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -84,7 +86,7 @@ def poly_range_max(
         for i in range(pieces):
             cell = Interval(min(xs[i], xs[i + 1]), max(xs[i], xs[i + 1]))
             cur = max(cur, abs(horner(cell)).hi)
-        if pieces >= max_pieces or (prev - cur) <= rel_tol * max(cur, 1e-300):
+        if pieces >= RANGE_MAX_PIECES or (prev - cur) <= RANGE_REL_TOL * max(cur, 1e-300):
             return cur
         prev = cur
         pieces *= 2
@@ -110,13 +112,11 @@ def _f_range_radius(u: CosineSeries, du: float, include_mean: float | None = Non
 
 
 def bounds_lambda(
-    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries | None = None
+    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries
 ) -> LipschitzBounds:
-    """fprime, when given, is fprime_series(p, u)."""
+    """The bounds for lambda; fprime is fprime_series(p, u)."""
     if c.which != "lambda":
         raise ValueError("continuation choice must vary lambda")
-    if fprime is None:
-        fprime = fprime_series(p, u)
     consts = table_constants(u.dim)
     radius = _f_range_radius(u, c.du)
     fmax1 = poly_range_max(poly_shift(p.fp_coeffs, p.mu), radius)
@@ -154,10 +154,10 @@ def bounds_mu(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> Lipschi
 
 
 def lipschitz_bounds(
-    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries | None = None
+    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries
 ) -> LipschitzBounds:
-    """The bounds for c.which; fprime (fprime_series(p, u)) spares the lambda
-    bounds recomputing it."""
+    """The bounds for c.which; fprime is fprime_series(p, u), which only the
+    lambda bounds read."""
     if c.which == "lambda":
         return bounds_lambda(p, u, c, fprime)
-    return {"sigma": bounds_sigma, "mu": bounds_mu}[c.which](p, u, c)
+    return (bounds_sigma if c.which == "sigma" else bounds_mu)(p, u, c)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import (
+    PARAMETERS,
     ModelParams,
     galerkin_matrix_point,
     poly_eval_series_point,
@@ -35,9 +36,10 @@ class SolveOptions:
     max_iter: int = 60
     tol_residual: float = 1e-10
     damping: float = 1.0
-    seed: str = "zero"
 
     def __post_init__(self):
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be >= 0")
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if not 0 < self.damping <= 1:
@@ -157,7 +159,7 @@ def check_walk(which: str, step: float) -> None:
     """Raise ValueError unless which names a parameter and step is finite and nonzero."""
     if not (math.isfinite(step) and step != 0):
         raise ValueError("step must be finite and nonzero")
-    if which not in ("lambda", "sigma", "mu"):
+    if which not in PARAMETERS:
         raise ValueError(f"unknown walk parameter {which!r}")
 
 
@@ -186,12 +188,8 @@ def parameter_walk(
             break
         out.append((p, res))
         guess = res.solution
-        fields = {"lam": p.lam, "sigma": p.sigma, "mu": p.mu}
-        key = {"lambda": "lam", "sigma": "sigma", "mu": "mu"}[which]
-        fields[key] = fields[key] + step
         try:
-            p = ModelParams(lam=fields["lam"], sigma=fields["sigma"], mu=fields["mu"],
-                            f_coeffs=p.f_coeffs)
+            p = p.step(which, step)
         except ValueError:
             break
     return out

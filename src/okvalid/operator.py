@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,11 @@ def poly_deriv(coeffs) -> tuple:
     return tuple(float(j * c) for j, c in enumerate(coeffs) if j >= 1)
 
 
+# the continuation parameters, by name, and the ModelParams field of each
+PARAMETERS = ("lambda", "sigma", "mu")
+_FIELDS = dict(zip(PARAMETERS, ("lam", "sigma", "mu")))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Equation parameters: -Delta(Delta u + lam f(u+mu)) - lam sigma u = 0."""
@@ -82,6 +88,14 @@ class ModelParams:
             raise ValueError("sigma must be nonnegative")
         if len(coeffs) < 2:
             raise ValueError("nonlinearity must have formal degree >= 1")
+
+    def get(self, which: str) -> float:
+        """The value of the parameter named which (one of PARAMETERS)."""
+        return getattr(self, _FIELDS[which])
+
+    def step(self, which: str, delta: float) -> "ModelParams":
+        """These parameters with which moved by delta, validated again."""
+        return replace(self, **{_FIELDS[which]: self.get(which) + delta})
 
     @property
     def fp_coeffs(self) -> tuple:
@@ -144,26 +158,24 @@ def fprime_series(p: ModelParams, u: CosineSeries) -> CosineSeries:
     return poly_eval_series(p.fp_coeffs, u.add_constant(p.mu))
 
 
-def linearization_coefficient(
-    p: ModelParams, u: CosineSeries, fprime: CosineSeries | None = None
-):
-    """The series lam * f'(u + mu) with bounds on its sup and H2 norms.
+class Linearization(NamedTuple):
+    """The coefficient q = lam f'(u + mu) of the derivative of F at u, with
+    rigorous upper bounds on its sup and H2 norms."""
 
-    fprime, when given, is fprime_series(p, u).  Returns (q, q_sup, q_h2)
-    where the two floats are rigorous upper bounds.
-    """
-    if fprime is None:
-        fprime = fprime_series(p, u)
+    q: CosineSeries
+    q_sup: float
+    q_h2: float
+
+
+def linearization_coefficient(p: ModelParams, fprime: CosineSeries) -> Linearization:
+    """The linearization of F at u from fprime = fprime_series(p, u)."""
     q = fprime.scale(p.lam)
-    return q, sup_bound(q).hi, norm(q, "H", 2).hi
+    return Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
 
 
-def apply_linearization(
-    p: ModelParams, u: CosineSeries, v: CosineSeries, q: CosineSeries | None = None
-) -> CosineSeries:
-    """Exact series of the derivative of F at u applied to v."""
-    if q is None:
-        q = linearization_coefficient(p, u)[0]
+def apply_linearization(p: ModelParams, q: CosineSeries, v: CosineSeries) -> CosineSeries:
+    """Exact series of the derivative of F applied to v, q being the
+    linearization coefficient at the point of differentiation."""
     inner = laplacian(v, 1) + multiply(q, v)
     lam_sigma = Interval(p.lam) * Interval(p.sigma)
     return (-laplacian(inner, 1)) + v.scale(-lam_sigma)
@@ -298,9 +310,7 @@ def _galerkin_sums(axes, arrays) -> list:
     return sums
 
 
-def galerkin_matrix(
-    p: ModelParams, u: CosineSeries, n: int, q: CosineSeries | None = None
-) -> GalerkinMatrix:
+def galerkin_matrix(p: ModelParams, q: CosineSeries, n: int) -> GalerkinMatrix:
     """Ball matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
     + (q phi_ell, phi_k) / kappa_ell, one block per parity class of
     split_axes(q).
@@ -321,9 +331,7 @@ def galerkin_matrix(
     computed elementwise, so a block holds the same bits as the one-block
     assembly does on its rows and columns.
     """
-    if q is None:
-        q = linearization_coefficient(p, u)[0]
-    d = u.dim
+    d = q.dim
     modes = truncation_modes(d, n)
     split = split_axes(q)
     qm, qr, _ = _raw_mid_rad(q)
@@ -396,7 +404,6 @@ class KnResult:
 
     value: float
     defect: float  # certified bound e on ||C B - I||
-    c_norm: float  # certified bound on ||C||
 
 
 def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
@@ -404,7 +411,7 @@ def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
 
     Every member of the ball matrix is block-diagonal, its blocks members of
     the block balls, so the 2-norm of its inverse is the largest of theirs;
-    defect and c_norm are the largest e and ||C|| over the blocks.
+    defect is the largest e over the blocks.
     """
     per_block = []
     for idx, b in g.blocks:
@@ -417,8 +424,8 @@ def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
                 f"{g.parity_label(idx)} ({idx.size} modes): {exc}",
                 suggested_n=2 * g.n,
             ) from exc
-    bound, defect, c_norm = (max(v) for v in zip(*per_block))
-    return KnResult(value=bound, defect=defect, c_norm=c_norm)
+    bounds, defects, _ = zip(*per_block)
+    return KnResult(value=max(bounds), defect=max(defects))
 
 
 def tau_formula(kn: float, q_sup: float, q_h2: float, cb: float, n: int) -> Interval:
@@ -437,9 +444,6 @@ class InverseBound:
     tau: float
     k: float
     n: int
-    q_sup: float
-    q_h2: float
-    defect: float
 
 
 # Peak number of live m_b x m_b double arrays in the K_N stage besides the
@@ -486,22 +490,16 @@ def _check_kn_memory(q: CosineSeries, n: int) -> None:
         )
 
 
-def derivative_inverse_bound(
-    p: ModelParams,
-    u: CosineSeries,
-    n: int,
-    q_info=None,
-) -> InverseBound:
-    """Assemble q bounds, the finite inverse bound, and the full bound K at cut n.
+def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> InverseBound:
+    """The finite inverse bound K_N at cut n and the full bound K.
 
     Raises CertificationError at stage kn_bound, without a suggested
     truncation, when the K_N stage would not fit in the available memory.
     """
-    q, q_sup, q_h2 = q_info if q_info is not None else linearization_coefficient(p, u)
+    q, q_sup, q_h2 = lin
     _check_kn_memory(q, n)
-    g = galerkin_matrix(p, u, n, q=q)
-    kn = galerkin_inverse_bound(g)
-    cb = table_constants(u.dim).cb
+    kn = galerkin_inverse_bound(galerkin_matrix(p, q, n))
+    cb = table_constants(q.dim).cb
     tau = tau_formula(kn.value, q_sup, q_h2, cb, n).hi
     if not tau < 1.0:
         raise CertificationError(
@@ -511,9 +509,7 @@ def derivative_inverse_bound(
             suggested_n=max(2 * n, rule_of_thumb_n(q_h2)),
         )
     k = (Interval(max(kn.value, 1.0)) / (Interval(1.0) - Interval(tau))).hi
-    return InverseBound(
-        kn=kn.value, tau=tau, k=k, n=n, q_sup=q_sup, q_h2=q_h2, defect=kn.defect
-    )
+    return InverseBound(kn=kn.value, tau=tau, k=k, n=n)
 
 
 TRUNCATION_CEILING = {1: 256, 2: 96, 3: 32}
@@ -525,28 +521,20 @@ def rule_of_thumb_n(q_h2: float) -> int:
 
 
 def auto_inverse_bound(
-    p: ModelParams,
-    u: CosineSeries,
-    n0: int | None = None,
-    tau_target: float = 0.5,
-    q_info=None,
+    p: ModelParams, lin: Linearization, tau_target: float = 0.5
 ) -> InverseBound:
     """Double the truncation from a rule-of-thumb start until tau is comfortable.
 
     Escalation stops at TRUNCATION_CEILING, or at a failure for which no
     larger truncation can help (one without a suggested truncation).
-    q_info, when given, is linearization_coefficient(p, u).
     """
-    if q_info is None:
-        q_info = linearization_coefficient(p, u)
-    ceiling = TRUNCATION_CEILING[u.dim]
-    n = n0 if n0 is not None else min(rule_of_thumb_n(q_info[2]), ceiling)
-    n = max(4, min(n, ceiling))
+    ceiling = TRUNCATION_CEILING[lin.q.dim]
+    n = min(rule_of_thumb_n(lin.q_h2), ceiling)
     best: InverseBound | None = None
     last_error: CertificationError | None = None
     while True:
         try:
-            cand = derivative_inverse_bound(p, u, n, q_info=q_info)
+            cand = derivative_inverse_bound(p, lin, n)
             best = cand if best is None or cand.tau < best.tau else best
             if cand.tau <= tau_target:
                 return cand

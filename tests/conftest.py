@@ -13,7 +13,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
-from okvalid.operator import ModelParams
+from okvalid.operator import ModelParams, fprime_series, linearization_coefficient
 from okvalid.series import CosineSeries, k2_grid
 
 
@@ -28,6 +28,11 @@ def make_random_series(rng, extent, zero_mean=True, scale=1.0, decay=2.0):
     if zero_mean:
         a[(0,) * len(extent)] = 0.0
     return CosineSeries.from_point(a, zero_mean=zero_mean)
+
+
+def lin_of(p, u):
+    """The linearization of the operator at u: q = lam f'(u + mu) and its bounds."""
+    return linearization_coefficient(p, fprime_series(p, u))
 
 
 def gauss_rule(n):

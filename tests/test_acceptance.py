@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import gauss_rule, make_random_series
+from conftest import gauss_rule, lin_of, make_random_series
 from okvalid.cift import validate, verify_certificate
 from okvalid.cli import main
 from okvalid.embeddings import recompute_cmbar
@@ -24,7 +24,6 @@ from okvalid.operator import (
     apply_linearization,
     galerkin_inverse_bound,
     galerkin_matrix,
-    linearization_coefficient,
     truncation_modes,
 )
 from okvalid.series import (
@@ -120,7 +119,7 @@ def test_criterion_04_galerkin_quadrature_oracle():
     p = ModelParams(lam=2.0, sigma=1.5, mu=0.1)
     u = make_random_series(rng, (6,), scale=0.4)
     n = 8
-    g = galerkin_matrix(p, u, n)
+    g = galerkin_matrix(p, lin_of(p, u).q, n)
     x, w = gauss_rule(2000)
     uvals = evaluate_grid(u, [x])
     qvals = p.lam * (1.0 - 3.0 * (uvals + p.mu) ** 2)
@@ -134,7 +133,7 @@ def test_criterion_04_galerkin_quadrature_oracle():
     p2 = ModelParams(lam=5.0, sigma=2.0, mu=0.05)
     u2 = make_random_series(rng, (3, 3), scale=0.4)
     n2 = 4
-    g2 = galerkin_matrix(p2, u2, n2)
+    g2 = galerkin_matrix(p2, lin_of(p2, u2).q, n2)
     x2, w2 = gauss_rule(160)
     u2vals = evaluate_grid(u2, [x2, x2])
     q2 = p2.lam * (1.0 - 3.0 * (u2vals + p2.mu) ** 2)
@@ -159,7 +158,7 @@ def test_criterion_05_diagonal_analytic_case():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 128):
-            kn = galerkin_inverse_bound(galerkin_matrix(p, u, n))
+            kn = galerkin_inverse_bound(galerkin_matrix(p, lin_of(p, u).q, n))
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1.0 + lam * sig / ks**2) + lam / ks))
             assert oracle * 0.99 <= kn.value <= oracle * 1.01, (lam, sig, n)
@@ -181,12 +180,12 @@ def test_criterion_06_inverse_bound_necessary_condition(pipeline_1d):
     cert = certs["lambda"]
     assert cert.valid
     k_bound = cert.k
-    q = linearization_coefficient(p, res.solution)[0]
+    q = lin_of(p, res.solution).q
     rng = np.random.default_rng(31)
     for _ in range(500):
         extent = int(rng.choice([8, 24, 64, 160]))
         v = make_random_series(rng, (extent,), decay=float(rng.uniform(0.5, 2.0)))
-        lv = apply_linearization(p, res.solution, v, q=q)
+        lv = apply_linearization(p, q, v)
         lhs = norm(v, "Hbar", 2).lo
         rhs = k_bound * norm(lv, "Hbar", -2).hi
         assert lhs <= rhs

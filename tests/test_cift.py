@@ -13,6 +13,7 @@ from okvalid.cift import (
     derivative_budget,
     feasible_dx_range,
     radius_requirement,
+    solution_bounds,
     solve_radii,
     validate,
     verify_certificate,
@@ -129,6 +130,12 @@ def _assert_matches_reference(*args):
     return got
 
 
+def _assert_inside_box(got, ell_x, ell_alpha):
+    # validate relies on the conclusion lying in the Lipschitz box
+    da, dx = float.fromhex(got[0]), float.fromhex(got[1])
+    assert 0.0 <= da <= ell_alpha and 0.0 <= dx <= ell_x
+
+
 _decades = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
 
 
@@ -144,7 +151,9 @@ _decades = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
 def test_radii_match_plain_bisection(k, share, l1, l2, l3, l4, ell_x, ell_alpha):
     # rho a share of the largest residual the preconditions admit
     rho = share * min(1.0 / (4.0 * k * k * l1), ell_x / (2.0 * k))
-    _assert_matches_reference(k, rho, l1, l2, l3, l4, ell_x, ell_alpha)
+    got = _assert_matches_reference(k, rho, l1, l2, l3, l4, ell_x, ell_alpha)
+    if got[0] != "raised":
+        _assert_inside_box(got, ell_x, ell_alpha)
 
 
 @pytest.mark.parametrize("args", [
@@ -157,7 +166,9 @@ def test_radii_match_plain_bisection(k, share, l1, l2, l3, l4, ell_x, ell_alpha)
     (2.0, 0.01, 1.0, 1.0, 0.5, 0.0, 10.0, 10.0),  # crossing at da = 0.07
 ])
 def test_radii_edge_cases_match_plain_bisection(args):
-    assert _assert_matches_reference(*args)[0] != "raised"
+    got = _assert_matches_reference(*args)
+    assert got[0] != "raised"
+    _assert_inside_box(got, ell_x=args[6], ell_alpha=args[7])
 
 
 def test_radii_infeasible_at_zero_raises_like_plain_bisection():
@@ -268,6 +279,41 @@ def test_validate_pinned_box():
     assert cert.valid
     assert cert.ell_x == 0.25 and cert.ell_alpha == 0.125
     assert cert.delta_x <= 0.25 and cert.delta_alpha <= 0.125
+
+
+@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
+def test_validate_given_solution_bounds_matches_built(solved_1d, which):
+    p, result = solved_1d
+    u = result.solution
+    given = validate(p, u, which, n=64, bounds=solution_bounds(p, u))
+    built = validate(p, u, which, n=64)
+    assert given.valid
+    for f in dataclasses.fields(Certificate):
+        if f.name != "provenance":
+            assert getattr(given, f.name) == getattr(built, f.name), f.name
+
+
+@pytest.mark.parametrize("n", [64, None])
+def test_validate_builds_solution_stage_once(solved_1d, monkeypatch, n):
+    # rho, f'(u + mu) and q are built once, not per truncation or round
+    from okvalid import operator
+
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return counted
+
+    for name in ("residual_norm", "fprime_series", "linearization_coefficient"):
+        wrapped = counting(name, getattr(operator, name))
+        for module in (cift, operator):
+            monkeypatch.setattr(module, name, wrapped)
+    p, result = solved_1d
+    cert = validate(p, result.solution, "lambda", n=n)
+    assert cert.valid and cert.rounds >= 2
+    assert calls == {"residual_norm": 1, "fprime_series": 1, "linearization_coefficient": 1}
 
 
 def test_validate_small_truncation_fails_cleanly(solved_1d):

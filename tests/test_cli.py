@@ -111,6 +111,43 @@ def test_bad_truncation_or_step_usage_error(workdir, solution_file, capsys, monk
     assert not list(workdir.glob(f"usage_{command}*"))
 
 
+_VALIDATE = ["validate", "--in", "IN", "--param", "lambda", "--out", "OUT"]
+_WALK = ["walk", "--in", "IN", "--param", "lambda", "--step", "1", "--out-prefix", "OUT"]
+_SOLVE = ["solve", "--dim", "1", "--lambda", "10", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_VALIDATE + ["--du", "-1"], "--du must be finite and positive"),
+    (_VALIDATE + ["--du", "inf"], "--du must be finite and positive"),
+    (_VALIDATE + ["--dp", "nan"], "--dp must be finite and positive"),
+    (_VALIDATE + ["--tau-target", "nan"], "--tau-target must be finite and positive"),
+    (_VALIDATE + ["--tau-target", "0"], "--tau-target must be finite and positive"),
+    (_VALIDATE + ["--at-alpha", "nan"], "--at-alpha must be finite and nonnegative"),
+    (_VALIDATE + ["--at-alpha=-1e-3"], "--at-alpha must be finite and nonnegative"),
+    (["render", "--in", "IN", "--grid", "-1", "--out", "OUT"], "--grid must be >= 1"),
+    (["constants", "--ncut", "1"], "--ncut must be >= 2"),
+    (_WALK + ["--count", "-1"], "--count must be >= 0"),
+    (_WALK + ["--N", "0"], "truncation must be >= 2"),
+    (_SOLVE + ["--N", "0"], "truncation must be >= 2"),
+    (_SOLVE + ["--max-iter", "-1"], "max_iter must be >= 0"),
+])
+def test_hostile_flag_usage_error(workdir, solution_file, capsys, monkeypatch, argv, message):
+    # one error line and exit 1 before any solve or validation starts
+    from okvalid import cli, newton
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a usage error")
+
+    for module, name in ((cli, "validate"), (cli, "newton_solve"), (newton, "newton_solve")):
+        monkeypatch.setattr(module, name, no_work)
+    out = workdir / "hostile_out"
+    argv = [{"IN": str(solution_file), "OUT": str(out)}.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not list(workdir.glob("hostile_out*"))
+
+
 def test_solver_failure_exit_code(workdir):
     code = main([
         "solve", "--dim", "1", "--N", "32", "--lambda", "150", "--sigma", "6",

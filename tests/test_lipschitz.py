@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import make_random_series
+from conftest import lin_of, make_random_series
 from okvalid.lipschitz import (
     ContinuationChoice,
     bounds_lambda,
@@ -67,14 +67,15 @@ def test_choice_validation():
     with pytest.raises(ValueError):
         ContinuationChoice("lambda", -0.1, 0.1)
     with pytest.raises(ValueError):
-        bounds_lambda(ModelParams(lam=1.0), CosineSeries.zeros((2,)),
-                      ContinuationChoice("sigma", 0.1, 0.1))
+        u = CosineSeries.zeros((2,))
+        bounds_lambda(ModelParams(lam=1.0), u, ContinuationChoice("sigma", 0.1, 0.1),
+                      fprime_series(ModelParams(lam=1.0), u))
 
 
 def test_lambda_trivial_state():
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1))
+    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p, u))
     # f'(0) = 1, so l2 = 1/pi^2 up to the range slack
     assert lb.l2 == pytest.approx(1 / math.pi**2, rel=1e-9)
     assert lb.l4 == 0.0
@@ -84,10 +85,9 @@ def test_lambda_trivial_state():
 def test_lambda_sigma_term():
     p = ModelParams(lam=1.0, sigma=6.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1))
-    base = bounds_lambda(
-        ModelParams(lam=1.0, sigma=0.0, mu=0.0), u, ContinuationChoice("lambda", 0.1, 0.1)
-    )
+    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p, u))
+    p0 = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
+    base = bounds_lambda(p0, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p0, u))
     assert lb.l3 - base.l3 == pytest.approx(6 / math.pi**4, rel=1e-9)
 
 
@@ -127,8 +127,9 @@ def test_mu_linear_f():
 def test_only_mu_has_l4(rng):
     p = ModelParams(lam=12.0, sigma=2.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.3)
-    for which, fn in (("lambda", bounds_lambda), ("sigma", bounds_sigma)):
-        assert fn(p, u, ContinuationChoice(which, 0.1, 0.1)).l4 == 0.0
+    fprime = fprime_series(p, u)
+    for which in ("lambda", "sigma"):
+        assert lipschitz_bounds(p, u, ContinuationChoice(which, 0.1, 0.1), fprime).l4 == 0.0
     assert bounds_mu(p, u, ContinuationChoice("mu", 0.1, 0.1)).l4 > 0.0
 
 
@@ -144,7 +145,7 @@ def test_formulas_against_mpmath_transcription(rng):
     f1 = max(abs(1 - 3 * (r + p.mu) ** 2) for r in (-radius, radius, mpmath.mpf(0)))
     f2 = 6 * (radius + abs(mpmath.mpf(p.mu)))
 
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", dp, du))
+    lb = bounds_lambda(p, u, ContinuationChoice("lambda", dp, du), fprime_series(p, u))
     ref_l1 = cmb * f2 * (p.lam + dp) / pi**2
     assert lb.l1 >= float(ref_l1) * (1 - 1e-12)
     assert lb.l1 <= float(ref_l1) * (1 + 5e-3)
@@ -170,8 +171,9 @@ def test_monotonicity_in_box(rng):
     p = ModelParams(lam=25.0, sigma=3.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.4)
     for which in ("lambda", "sigma", "mu"):
-        small = lipschitz_bounds(p, u, ContinuationChoice(which, 0.05, 0.05))
-        large = lipschitz_bounds(p, u, ContinuationChoice(which, 0.5, 0.5))
+        fprime = fprime_series(p, u)
+        small = lipschitz_bounds(p, u, ContinuationChoice(which, 0.05, 0.05), fprime)
+        large = lipschitz_bounds(p, u, ContinuationChoice(which, 0.5, 0.5), fprime)
         for attr in ("l1", "l2", "l3", "l4"):
             assert getattr(large, attr) >= getattr(small, attr) - 1e-15
 
@@ -181,10 +183,11 @@ def test_finite_projection_necessary_condition(rng):
     n = 6
     p_star = ModelParams(lam=18.0, sigma=2.0, mu=0.1)
     u_star = make_random_series(rng, (n,), scale=0.3)
-    base = galerkin_matrix(p_star, u_star, n).mat.mid
+    base = galerkin_matrix(p_star, lin_of(p_star, u_star).q, n).mat.mid
     for which in ("lambda", "sigma", "mu"):
         du, dp = 0.2, 0.4
-        lb = lipschitz_bounds(p_star, u_star, ContinuationChoice(which, dp, du))
+        lb = lipschitz_bounds(p_star, u_star, ContinuationChoice(which, dp, du),
+                              fprime_series(p_star, u_star))
         for _ in range(34):
             pert = make_random_series(rng, (n,), scale=1.0)
             pert_norm = norm(pert, "Hbar", 2).hi
@@ -194,39 +197,8 @@ def test_finite_projection_necessary_condition(rng):
             )
             du_actual = norm(u_new - u_star, "Hbar", 2).hi
             dp_actual = float(rng.uniform(-dp, dp))
-            fields = {"lam": p_star.lam, "sigma": p_star.sigma, "mu": p_star.mu}
-            key = {"lambda": "lam", "sigma": "sigma", "mu": "mu"}[which]
-            fields[key] += dp_actual
-            p_new = ModelParams(f_coeffs=p_star.f_coeffs, **fields)
-            diff = galerkin_matrix(p_new, u_new, n).mat.mid - base
+            p_new = p_star.step(which, dp_actual)
+            diff = galerkin_matrix(p_new, lin_of(p_new, u_new).q, n).mat.mid - base
             lhs = float(np.linalg.norm(diff, 2))
             rhs = lb.l1 * du_actual + lb.l2 * abs(dp_actual)
             assert lhs <= rhs + 1e-8
-
-
-def test_lambda_bounds_take_fprime(rng):
-    p = ModelParams(lam=40.0, sigma=3.0, mu=0.1)
-    u = make_random_series(rng, (3, 4), scale=0.3)
-    c = ContinuationChoice("lambda", 0.2, 0.05)
-    fprime = fprime_series(p, u)
-    assert bounds_lambda(p, u, c, fprime) == bounds_lambda(p, u, c)
-    assert lipschitz_bounds(p, u, c, fprime) == lipschitz_bounds(p, u, c)
-
-
-def test_validate_builds_fprime_once(solved_1d, monkeypatch):
-    # f'(u + mu) feeds q and every tightening round's lambda bounds
-    from okvalid import cift, lipschitz, operator
-
-    calls = []
-    real = operator.fprime_series
-
-    def counting(p, u):
-        calls.append(1)
-        return real(p, u)
-
-    for module in (cift, lipschitz, operator):
-        monkeypatch.setattr(module, "fprime_series", counting)
-    p, result = solved_1d
-    cert = cift.validate(p, result.solution, "lambda")
-    assert cert.valid and cert.rounds >= 2
-    assert len(calls) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import gauss_rule, make_random_series
+from conftest import gauss_rule, lin_of, make_random_series
 from okvalid import operator
 from okvalid.intervals import IntervalDomainError
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
@@ -21,7 +21,6 @@ from okvalid.operator import (
     galerkin_inverse_bound,
     galerkin_matrix,
     galerkin_matrix_point,
-    linearization_coefficient,
     poly_deriv,
     residual_norm,
     residual_series,
@@ -127,7 +126,7 @@ def test_residual_norm_matches_coefficients(rng):
 
 def test_q_constant_case():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.25)
-    q, q_sup, _ = linearization_coefficient(p, CosineSeries.zeros((4,)))
+    q, q_sup, _ = lin_of(p, CosineSeries.zeros((4,)))
     expect = 5.0 * (1 - 3 * 0.25**2)
     c0 = q.coefficient((0,))
     assert c0.lo <= expect <= c0.hi
@@ -138,7 +137,7 @@ def test_q_constant_case():
 def test_q_series_vs_quadrature(rng):
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
     u = CosineSeries.single_mode((2,), (1,), 1.0)
-    q, q_sup, _ = linearization_coefficient(p, u)
+    q, q_sup, _ = lin_of(p, u)
     x, w = gauss_rule(200)
     uvals = np.array([evaluate(u, [xi]) for xi in x])
     qvals = 1.0 - 3.0 * uvals**2
@@ -166,7 +165,7 @@ def test_truncation_modes_lex():
 
 def test_galerkin_zero_q_is_minus_identity():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
-    g = galerkin_matrix(p, CosineSeries.zeros((2,)), 6)
+    g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, 6)
     assert np.allclose(g.mat.mid, -np.eye(5), atol=1e-14)
     kn = galerkin_inverse_bound(g)
     assert 1.0 <= kn.value <= 1.0 + 1e-10
@@ -176,7 +175,7 @@ def test_galerkin_diagonal_hand_formula():
     lam, sig = 10.0, 1.0
     p = ModelParams(lam=lam, sigma=sig, mu=0.0)
     n = 8
-    g = galerkin_matrix(p, CosineSeries.zeros((2,)), n)
+    g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, n)
     for i, k in enumerate(range(1, n)):
         kap = math.pi**2 * k * k
         expect = -(1 + lam * sig / kap**2) + lam / kap
@@ -190,7 +189,7 @@ def test_galerkin_vs_quadrature_d1(rng):
     p = ModelParams(lam=2.0, sigma=1.5, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.4)
     n = 6
-    g = galerkin_matrix(p, u, n)
+    g = galerkin_matrix(p, lin_of(p, u).q, n)
     x, w = gauss_rule(500)
     uvals = np.array([evaluate(u, [xi]) for xi in x])
     qvals = p.lam * (1.0 - 3.0 * (uvals + p.mu) ** 2)
@@ -257,7 +256,7 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
-    g = galerkin_matrix(p, CosineSeries.zeros((2,) * dim), n, q=q)
+    g = galerkin_matrix(p, q, n)
     modes = truncation_modes(dim, n)
     with mpmath.workdps(50):
         lo, hi = _exact_galerkin_hull(p, q, modes)
@@ -286,7 +285,7 @@ def test_galerkin_point_scaling_mpmath(rng):
     with mpmath.workdps(50):
         for q0 in rng.standard_normal(6) * 1e6:
             q = CosineSeries.from_point(np.array([q0]))
-            g = galerkin_matrix(p, CosineSeries.zeros((2,)), n, q=q)
+            g = galerkin_matrix(p, q, n)
             assert np.all(g.mat.mid[off] == 0.0) and np.all(g.mat.rad[off] == 0.0)
             for i in range(n - 1):
                 kappa = mpmath.pi**2 * (i + 1) ** 2
@@ -345,11 +344,11 @@ def _same_parity(modes, split):
     return same
 
 
-def _one_block(p, u, n, q, monkeypatch):
+def _one_block(p, n, q, monkeypatch):
     """galerkin_matrix assembled as a single block: no axis splits."""
     with monkeypatch.context() as mp:
         mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
-        g = galerkin_matrix(p, u, n, q=q)
+        g = galerkin_matrix(p, q, n)
     assert len(g.blocks) == 1 and np.array_equal(g.blocks[0][0], np.arange(g.size))
     return g.blocks[0][1]
 
@@ -361,7 +360,6 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
     # assembly's bits, and every entry off the blocks is a point zero there
     d = len(extent)
     p = ModelParams(lam=7.0, sigma=1.5)
-    u = CosineSeries.zeros((2,) * d)
     for even in itertools.product((False, True), repeat=d):
         mid = rng.standard_normal(extent)
         width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
@@ -371,10 +369,10 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             width[odd] = 0.0
         q = CosineSeries(mid - width, mid + width)
         assert operator.split_axes(q) == even
-        g = galerkin_matrix(p, u, n, q=q)
+        g = galerkin_matrix(p, q, n)
         assert g.split == even and len(g.blocks) == 2 ** sum(even)
         assert np.array_equal(np.sort(np.concatenate([i for i, _ in g.blocks])), np.arange(g.size))
-        one = _one_block(p, u, n, q, monkeypatch)
+        one = _one_block(p, n, q, monkeypatch)
         full = g.mat
         assert full.mid.tobytes() == one.mid.tobytes()
         assert full.rad.tobytes() == one.rad.tobytes()
@@ -393,7 +391,6 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
     base[0, 0, 0], base[2, 2, 2], base[4, 0, 2] = 1.0, 0.5, -0.25
     assert operator.split_axes(CosineSeries.from_point(base)) == (True,) * 3
     p = ModelParams(lam=7.0, sigma=1.5)
-    u = CosineSeries.zeros((2, 2, 2))
     for j in range(3):
         k = [2, 2, 2]
         k[j] = 1
@@ -411,7 +408,7 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             assert qm[k] != 0.0
         want = tuple(i != j for i in range(3))
         assert operator.split_axes(q) == want
-        g = galerkin_matrix(p, u, n, q=q)
+        g = galerkin_matrix(p, q, n)
         assert g.split == want and len(g.blocks) == 4
         # the coupling is real: entries across the parity of k_j are not point zeros
         cross = _same_parity(g.modes, (True,) * 3) != _same_parity(g.modes, want)
@@ -424,7 +421,7 @@ def test_block_kn_not_looser_than_full_matrix(request, case, n):
     from okvalid.intervals import mat_inverse_norm2_upper
 
     p, result = request.getfixturevalue(case)
-    g = galerkin_matrix(p, result.solution, n)
+    g = galerkin_matrix(p, lin_of(p, result.solution).q, n)
     assert all(g.split) and len(g.blocks) == 2 ** g.dim
     kn = galerkin_inverse_bound(g)
     full, e_full, _ = mat_inverse_norm2_upper(g.mat)
@@ -436,7 +433,7 @@ def test_kn_failure_names_parity_class():
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
     q0 = math.pi**2 * (1.0 + 1e-6)
     q = CosineSeries(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
-    g = galerkin_matrix(ModelParams(lam=7.0), CosineSeries.zeros((2, 2)), 6, q=q)
+    g = galerkin_matrix(ModelParams(lam=7.0), q, 6)
     with pytest.raises(CertificationError) as err:
         galerkin_inverse_bound(g)
     assert err.value.stage == "kn_bound" and err.value.suggested_n == 12
@@ -465,7 +462,7 @@ def test_kn_diagonal_oracle():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 64):
-            g = galerkin_matrix(p, CosineSeries.zeros((2,)), n)
+            g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, n)
             kn = galerkin_inverse_bound(g)
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1 + lam * sig / ks**2) + lam / ks))
@@ -478,7 +475,7 @@ def test_kn_self_consistency(rng):
 
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
-    g = galerkin_matrix(p, u, 12)
+    g = galerkin_matrix(p, lin_of(p, u).q, 12)
     kn = galerkin_inverse_bound(g)
     c = np.linalg.inv(g.mat.mid)
     e = mat_sub_identity(mat_mul(BallMatrix.point(c), g.mat))
@@ -492,15 +489,14 @@ def test_kn_self_consistency(rng):
 
 def test_tau_zero_when_q_zero():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
-    ib = derivative_inverse_bound(p, CosineSeries.zeros((2,)), 8)
+    ib = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), 8)
     assert ib.tau == 0.0
     assert ib.k == pytest.approx(max(ib.kn, 1.0), rel=1e-12)
 
 
 def test_inverse_bound_diagonal_case():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
-    u = CosineSeries.zeros((2,))
-    ib = derivative_inverse_bound(p, u, 64)
+    ib = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), 64)
     ks = math.pi**2 * np.arange(1, 64, dtype=float) ** 2
     kn_oracle = 1.0 / np.min(np.abs(-(1 + 150.0 * 6.0 / ks**2) + 150.0 / ks))
     k_expected = max(kn_oracle, 1.0) / (1.0 - ib.tau)
@@ -510,9 +506,9 @@ def test_inverse_bound_diagonal_case():
 
 def test_tau_quarters_when_n_doubles():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
-    u = CosineSeries.zeros((2,))
-    t1 = derivative_inverse_bound(p, u, 32).tau
-    t2 = derivative_inverse_bound(p, u, 64).tau
+    lin = lin_of(p, CosineSeries.zeros((2,)))
+    t1 = derivative_inverse_bound(p, lin, 32).tau
+    t2 = derivative_inverse_bound(p, lin, 64).tau
     assert t2 <= t1 / 3.5
 
 
@@ -536,14 +532,14 @@ def test_tau_formula_against_mpmath(rng):
 def test_inverse_bound_raises_when_tau_large(solved_1d):
     p, result = solved_1d
     with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, result.solution, 8)
+        derivative_inverse_bound(p, lin_of(p, result.solution), 8)
     assert err.value.stage == "inverse_bound"
     assert err.value.suggested_n is not None and err.value.suggested_n > 8
 
 
 def test_auto_inverse_bound(solved_1d):
     p, result = solved_1d
-    ib = auto_inverse_bound(p, result.solution)
+    ib = auto_inverse_bound(p, lin_of(p, result.solution))
     assert ib.tau <= 0.5
     assert ib.n <= 160
 
@@ -556,7 +552,7 @@ def test_apply_linearization_vs_finite_difference(rng):
     p = ModelParams(lam=4.0, sigma=1.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.3)
     v = make_random_series(rng, (5,), scale=1.0)
-    lv = apply_linearization(p, u, v)
+    lv = apply_linearization(p, lin_of(p, u).q, v)
     h = 1e-6
     up = CosineSeries.from_point(u.mid() + h * v.mid(), zero_mean=True)
     um = CosineSeries.from_point(u.mid() - h * v.mid(), zero_mean=True)
@@ -570,7 +566,7 @@ def test_linearization_zero_mean_output(rng):
     p = ModelParams(lam=4.0, sigma=1.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.3)
     v = make_random_series(rng, (6,), scale=1.0)
-    lv = apply_linearization(p, u, v)
+    lv = apply_linearization(p, lin_of(p, u).q, v)
     assert lv.zero_mean and lv.coefficient((0,)).mag == 0.0
     f = residual_series(p, u)
     assert f.zero_mean and f.coefficient((0,)).mag == 0.0
@@ -582,7 +578,7 @@ def test_point_jacobian_matches_interval_matrix(rng):
     a[0, 1], a[1, 0], a[2, 2] = 0.2, -0.15, 0.05
     u = CosineSeries.from_point(a, zero_mean=True)
     b = galerkin_matrix_point(p, a, 5)
-    g = galerkin_matrix(p, u, 5)
+    g = galerkin_matrix(p, lin_of(p, u).q, 5)
     modes = truncation_modes(2, 5)
     kap = math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
     scaled = b / kap[:, None] / kap[None, :]
@@ -600,10 +596,10 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_2d):
     n = 28
     p, result = solved_2d
     u = result.solution
-    q = linearization_coefficient(p, u)[0]
+    q = lin_of(p, u).q
     tracemalloc.start()
     try:
-        galerkin_inverse_bound(galerkin_matrix(p, u, n, q=q))
+        galerkin_inverse_bound(galerkin_matrix(p, q, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -614,7 +610,7 @@ def test_kn_stage_charge_counts_blocks(solved_1d):
     # the blocks' storage plus one block's working set; one block is the
     # whole matrix's 2 + KN_WORK_ARRAYS arrays
     p, result = solved_1d
-    q = linearization_coefficient(p, result.solution)[0]
+    q = lin_of(p, result.solution).q
     assert operator.kn_stage_bytes(q, 64) == 8.0 * (2 * (31**2 + 32**2) + operator.KN_WORK_ARRAYS * 32**2)
     q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
     assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * (2 + operator.KN_WORK_ARRAYS) * 63**2
@@ -622,7 +618,7 @@ def test_kn_stage_charge_counts_blocks(solved_1d):
 
 def _charge_1d(solved_1d, n: int) -> float:
     p, result = solved_1d
-    return operator.kn_stage_bytes(linearization_coefficient(p, result.solution)[0], n)
+    return operator.kn_stage_bytes(lin_of(p, result.solution).q, n)
 
 
 def _fail_if_called(*args, **kwargs):
@@ -635,7 +631,7 @@ def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(operator, "galerkin_matrix", _fail_if_called)
     with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, result.solution, 64)
+        derivative_inverse_bound(p, lin_of(p, result.solution), 64)
     assert err.value.stage == "kn_bound"
     assert err.value.suggested_n is None
     assert "MB" in str(err.value)
@@ -646,14 +642,15 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
     tried = []
     bound = operator.derivative_inverse_bound
 
-    def recording(p, u, n, q_info=None):
+    def recording(p, lin, n):
         tried.append(n)
-        return bound(p, u, n, q_info=q_info)
+        return bound(p, lin, n)
 
     monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
+    monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
-    ib = auto_inverse_bound(p, result.solution, n0=32)
+    ib = auto_inverse_bound(p, lin_of(p, result.solution))
     # tau at n = 64 misses the target; n = 128 does not fit, and neither
     # would anything larger, so the escalation stops there
     assert tried == [32, 64, 128]
