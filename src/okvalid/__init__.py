@@ -47,20 +47,7 @@ from .operator import (
     residual_series,
     tau_formula,
 )
-from .series import (
-    CosineSeries,
-    evaluate,
-    evaluate_grid,
-    kappa,
-    kappa_iv,
-    laplacian,
-    mode_sup,
-    multiply,
-    norm,
-    project,
-    sup_bound,
-    tail,
-)
+from .series import CosineSeries, evaluate_grid, laplacian, multiply, norm, sup_bound, tail
 
 __version__ = TOOL_VERSION
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .intervals import Interval
 from .lipschitz import ContinuationChoice, LipschitzBounds, lipschitz_bounds
@@ -62,6 +62,18 @@ def derivative_budget(k: float, l1: float, l2: float, da: float, dx: float) -> I
     """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
     tk = _two_k(k)
     return tk * Interval(l1) * Interval(dx) + tk * Interval(l2) * Interval(da)
+
+
+def radii_preconditions(k: float, rho: float, l1: float, ell_x: float) -> list:
+    """The conditions for any radii that fail: 4 K^2 rho l1 < 1, without
+    which the contraction budget is spent at da = 0, and 2 K rho < ell_x,
+    without which the radius requirement leaves the box."""
+    failures = []
+    if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
+        failures.append("4 K^2 rho l1 >= 1: residual too large")
+    if (_two_k(k) * Interval(rho)).hi >= ell_x:
+        failures.append("2 K rho >= ell_x: box too small")
+    return failures
 
 
 def _dx_ceiling(k: float, l1: float, l2: float, ell_x: float, da: float) -> float:
@@ -165,10 +177,9 @@ def solve_radii(
     and the result is the plain bisection's.  Raises CertificationError
     when the preconditions fail.
     """
-    if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
-        raise CertificationError("solve_radii", "4 K^2 rho l1 >= 1: residual too large")
-    if (_two_k(k) * Interval(rho)).hi >= ell_x:
-        raise CertificationError("solve_radii", "2 K rho >= ell_x: box too small")
+    failures = radii_preconditions(k, rho, l1, ell_x)
+    if failures:
+        raise CertificationError("solve_radii", failures[0])
 
     def feasible(da: float):
         dx = radius_requirement(k, rho, l3, l4, da).hi
@@ -285,10 +296,7 @@ def verify_certificate(cert: Certificate):
     k_replay = (Interval(max(cert.kn, 1.0)) / (Interval(1.0) - Interval(cert.tau))).lo
     if cert.k < k_replay:
         failures.append("K inconsistent with kn and tau")
-    if (Interval(4.0) * Interval(cert.k).square() * Interval(cert.rho) * Interval(cert.l1)).hi >= 1.0:
-        failures.append("4 K^2 rho l1 >= 1")
-    if (_two_k(cert.k) * Interval(cert.rho)).hi >= cert.ell_x:
-        failures.append("2 K rho >= ell_x")
+    failures += radii_preconditions(cert.k, cert.rho, cert.l1, cert.ell_x)
     if derivative_budget(cert.k, cert.l1, cert.l2, da, dx).hi > 1.0:
         failures.append("contraction budget above 1")
     if radius_requirement(cert.k, cert.rho, cert.l3, cert.l4, da).hi > dx:
@@ -326,11 +334,17 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     """rho, f'(u + mu) and the linearization of F at u.
 
     One SolutionBounds serves every validate of the same solution and
-    parameters, whatever the truncation.
+    parameters, whatever the truncation.  Raises CertificationError at
+    stage residual, naming each of rho, q_sup and q_h2 that overflowed.
     """
     rho = residual_norm(p, u).hi
     fprime = fprime_series(p, u)
-    return SolutionBounds(rho, fprime, linearization_coefficient(p, fprime))
+    lin = linearization_coefficient(p, fprime)
+    bad = [name for name, v in (("rho", rho), ("q_sup", lin.q_sup), ("q_h2", lin.q_h2))
+           if not math.isfinite(v)]
+    if bad:
+        raise CertificationError("residual", f"{', '.join(bad)} not finite (overflow)")
+    return SolutionBounds(rho, fprime, lin)
 
 
 # Lipschitz tightening rounds at most in one validate
@@ -357,7 +371,9 @@ def validate(
     and are tightened towards the concluded radii (which strictly improves
     the constants) unless the caller pinned them; solve_radii concludes
     delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover
-    the concluded region.  Invalid certificates carry the failing stage.
+    the concluded region.  Invalid certificates carry the failing stage,
+    and from the Lipschitz rounds on the bounds that rho, q and the inverse
+    bound gave.
     """
     if which not in PARAMETERS:
         raise ValueError(f"unknown continuation parameter {which!r}")
@@ -385,6 +401,7 @@ def validate(
         if exc.suggested_n is not None:
             reason += f" (suggested truncation: {exc.suggested_n})"
         return _invalid(p, which, exc.stage, reason, rho=rho, n=n)
+    record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **asdict(ib))
 
     best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
     failure: CertificationError | None = None
@@ -412,48 +429,19 @@ def validate(
         du_cur = min(want_du, du_cur)
         dp_cur = min(want_dp, dp_cur)
 
-    if best is None:
-        stage = failure.stage if failure is not None else "solve_radii"
-        reason = str(failure) if failure is not None else "no feasible radii"
-        return _invalid(
-            p, which, stage, reason, rho=rho, n=ib.n, kn=ib.kn, tau=ib.tau,
-            k=ib.k, q_sup=lin.q_sup, q_h2=lin.q_h2,
-        )
+    if best is None:  # the first round's radii failed
+        return _invalid(p, which, failure.stage, str(failure), **record)
 
     radii, lb, ell_x, ell_alpha = best
     cert = Certificate(
-        params=p,
-        which=which,
-        valid=True,
-        stage="complete",
-        n=ib.n,
-        rho=rho,
-        kn=ib.kn,
-        tau=ib.tau,
-        k=ib.k,
-        q_sup=lin.q_sup,
-        q_h2=lin.q_h2,
-        l1=lb.l1,
-        l2=lb.l2,
-        l3=lb.l3,
-        l4=lb.l4,
-        fmax1=lb.fmax1,
-        fmax2=lb.fmax2,
-        ell_x=ell_x,
-        ell_alpha=ell_alpha,
-        delta_alpha=radii.delta_alpha,
-        delta_x=radii.delta_x,
-        delta_x_sup=radii.delta_x_sup,
-        infeasible_witness=radii.infeasible_witness,
-        point_only=radii.point_only,
-        rounds=rounds,
-        provenance=_provenance(),
+        params=p, which=which, valid=True, stage="complete",
+        **record, **asdict(lb), **asdict(radii),
+        ell_x=ell_x, ell_alpha=ell_alpha, rounds=rounds, provenance=_provenance(),
     )
     ok, failures = verify_certificate(cert)
     if not ok:
         return _invalid(
             p, which, "self_check",
-            "emitted certificate failed replay: " + "; ".join(failures),
-            rho=rho, n=ib.n, kn=ib.kn, tau=ib.tau, k=ib.k,
+            "emitted certificate failed replay: " + "; ".join(failures), **record,
         )
     return cert

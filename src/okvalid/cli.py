@@ -234,21 +234,9 @@ def cmd_render(args) -> int:
     out = args.out or str(Path(args.infile).with_suffix(".render.csv"))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if u.dim == 1:
-            writer.writerow(["x", "u"])
-            for i, x in enumerate(pts):
-                writer.writerow([x, vals[i]])
-        elif u.dim == 2:
-            writer.writerow(["x", "y", "u"])
-            for i, x in enumerate(pts):
-                for j, y in enumerate(pts):
-                    writer.writerow([x, y, vals[i, j]])
-        else:
-            writer.writerow(["x", "y", "z", "u"])
-            for i, x in enumerate(pts):
-                for j, y in enumerate(pts):
-                    for k, z in enumerate(pts):
-                        writer.writerow([x, y, z, vals[i, j, k]])
+        writer.writerow(["x", "y", "z"][: u.dim] + ["u"])
+        for idx in np.ndindex(vals.shape):
+            writer.writerow([pts[i] for i in idx] + [vals[idx]])
     print(f"wrote {out}")
     return EXIT_OK
 

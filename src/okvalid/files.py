@@ -13,11 +13,12 @@ import datetime
 import hashlib
 import json
 import math
+import typing
 
 import numpy as np
 
 from .cift import TOOL_VERSION, Certificate
-from .operator import ModelParams
+from .operator import PARAMETERS, ModelParams
 from .series import CosineSeries
 
 FORMAT_VERSION = 1
@@ -97,6 +98,10 @@ def read_solution(path):
         if payload["format_version"] != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format_version {payload['format_version']}")
         extent = tuple(int(n) for n in payload["extent"])
+        if not (1 <= len(extent) <= 3 and min(extent) >= 1):
+            raise FileFormatError(f"extent {list(extent)} is not 1 to 3 positive sizes in {path}")
+        if payload["dim"] != len(extent):
+            raise FileFormatError(f"dim {payload['dim']!r} does not match extent {list(extent)} in {path}")
         coeffs = np.asarray(payload["coeffs"], dtype=np.float64)
         if coeffs.size != int(np.prod(extent)):
             raise FileFormatError("coefficient count does not match extent")
@@ -106,11 +111,11 @@ def read_solution(path):
         if coeffs[(0,) * len(extent)] != 0.0:
             raise FileFormatError("solution coefficient of k = 0 must be zero")
         p = _read_params(payload["params"], path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FileFormatError):
             raise
         raise FileFormatError(f"malformed solution file {path}: {exc}") from exc
-    u = CosineSeries.from_point(coeffs, zero_mean=True)
+    u = CosineSeries.from_point(coeffs)
     return p, u, payload.get("meta", {})
 
 
@@ -140,6 +145,30 @@ def write_certificate(path, cert: Certificate, solution_sha256: str | None) -> d
     return payload
 
 
+_FIELD_TYPES = typing.get_type_hints(Certificate)
+
+
+def _certificate_field(f: dataclasses.Field, value, path):
+    """A certificate field's JSON value, checked against the field's type: a
+    JSON integer stands for a float, and a null or absent value takes the
+    field's default."""
+    if value is None and f.default is not dataclasses.MISSING:
+        return f.default
+    if value is None and f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    kind = _FIELD_TYPES[f.name]
+    if type(value) is int and isinstance(0.0, kind):
+        value = float(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        name = getattr(kind, "__name__", kind)
+        raise FileFormatError(
+            f"{f.name} must be {name}, not {type(value).__name__}, in certificate file {path}"
+        )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FileFormatError(f"non-finite {f.name} in certificate file {path}")
+    return value
+
+
 def read_certificate(path):
     """Returns (Certificate, solution_sha256)."""
     try:
@@ -152,19 +181,14 @@ def read_certificate(path):
             raise FileFormatError(f"unsupported format_version {payload['format_version']}")
         p = _read_params(payload["params"], path)
         fields = {
-            f.name: payload.get(f.name)
+            f.name: _certificate_field(f, payload.get(f.name), path)
             for f in dataclasses.fields(Certificate)
             if f.name != "params"
         }
-        for name, value in fields.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FileFormatError(f"non-finite {name} in certificate file {path}")
-        fields["point_only"] = bool(fields.get("point_only"))
-        fields["rounds"] = int(fields.get("rounds") or 0)
-        fields["provenance"] = fields.get("provenance") or {}
-        fields["reason"] = fields.get("reason") or ""
+        if fields["which"] not in PARAMETERS:
+            raise FileFormatError(f"unknown parameter {fields['which']!r} in certificate file {path}")
         cert = Certificate(params=p, **fields)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FileFormatError):
             raise
         raise FileFormatError(f"malformed certificate file {path}: {exc}") from exc

@@ -264,6 +264,11 @@ def _nup(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _INF)
 
 
+# The vector kernels run without numpy's overflow and invalid warnings: an
+# overflowed endpoint is infinite, and a NaN from inf - inf or 0 * inf fails
+# the exactness tests or is rejected where a series or interval is built.
+
+@np.errstate(over="ignore", invalid="ignore")
 def vadd(alo, ahi, blo, bhi):
     slo = alo + blo
     shi = ahi + bhi
@@ -272,6 +277,7 @@ def vadd(alo, ahi, blo, bhi):
     return np.where(lo_exact, slo, _ndown(slo)), np.where(hi_exact, shi, _nup(shi))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vmul(alo, ahi, blo, bhi):
     p1 = alo * blo
     p2 = alo * bhi
@@ -286,6 +292,7 @@ def vmul(alo, ahi, blo, bhi):
     return lo, hi
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vsquare(lo, hi):
     a = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))  # mignitude
     b = np.maximum(np.abs(lo), np.abs(hi))
@@ -302,6 +309,7 @@ def _sum_slack(abssum: float, n: int) -> float:
     return (n + 4) * _EPS * abssum
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vsum(lo, hi) -> Interval:
     """Rigorous enclosure of the sum of a vector of intervals."""
     lo = np.asarray(lo, dtype=np.float64).ravel()
@@ -447,15 +455,6 @@ class BallMatrix:
         m = np.abs(self.mid)
         m += self.rad
         return m
-
-    def norm1_upper(self) -> float:
-        return _max_sum_upper(self.mag(), 0)
-
-    def norminf_upper(self) -> float:
-        return _max_sum_upper(self.mag(), 1)
-
-    def norm2_upper(self) -> float:
-        return mat_norm2_upper(self)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)

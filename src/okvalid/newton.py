@@ -131,7 +131,7 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
             start_norm = proj
         if proj <= opts.tol_residual:
             return NewtonResult(
-                solution=CosineSeries.from_point(a, zero_mean=True),
+                solution=CosineSeries.from_point(a),
                 residual_proj=proj,
                 residual_full=full,
                 iterations=it,

@@ -47,18 +47,6 @@ _FOLD_MIN = 2.0**-1019
 # multi-index helpers
 # ---------------------------------------------------------------------------
 
-def kappa(k) -> float:
-    """Laplacian eigenvalue pi^2 |k|^2 of the cosine mode k (point value)."""
-    return math.pi ** 2 * sum(int(ki) ** 2 for ki in k)
-
-def kappa_iv(k) -> Interval:
-    """Interval enclosure of pi^2 |k|^2."""
-    return PI2 * Interval(float(sum(int(ki) ** 2 for ki in k)))
-
-def mode_sup(k) -> float:
-    """Sup norm c_k of the basis mode phi_k (the float c_k)."""
-    return float(C_FLOAT[sum(1 for ki in k if int(ki) != 0)])
-
 def k2_grid(extent) -> np.ndarray:
     """|k|^2 over the coefficient grid (exact integers as floats)."""
     grids = np.indices(extent, dtype=np.int64)
@@ -84,12 +72,10 @@ def _vpow_pos(lo: np.ndarray, hi: np.ndarray, n: int):
     return rlo, rhi
 
 
-def _kappa_pow_grid(extent, power: int, mask_origin: bool):
-    """Interval arrays of kappa_k^power over the grid.
-
-    For negative powers the origin entry is set to zero and must be masked
-    out by the caller (it is only used where the k=0 coefficient vanishes).
-    """
+def _kappa_pow_grid(extent, power: int):
+    """Interval arrays of kappa_k^power over the grid, zero at the origin
+    where kappa_0 = 0: exact for positive powers, and the other powers only
+    weight zero-mean series."""
     k2 = k2_grid(extent)
     klo = np.maximum(_ndown(PI2.lo * k2), 0.0)
     khi = _nup(PI2.hi * k2)
@@ -99,19 +85,14 @@ def _kappa_pow_grid(extent, power: int, mask_origin: bool):
         hi = np.ones(extent)
     elif power > 0:
         lo, hi = _vpow_pos(klo, khi, power)
-        lo[origin] = 0.0
-        hi[origin] = 0.0
     else:
         plo, phi = _vpow_pos(klo, khi, -power)
-        plo[origin] = 1.0  # placeholder, masked below
+        plo[origin] = 1.0  # placeholder for the zero at the origin
         phi[origin] = 1.0
         lo = np.maximum(_ndown(1.0 / phi), 0.0)
         hi = _nup(1.0 / plo)
-        lo[origin] = 0.0
-        hi[origin] = 0.0
-    if mask_origin and power >= 0:
-        lo[origin] = 0.0
-        hi[origin] = 0.0
+    lo[origin] = 0.0
+    hi[origin] = 0.0
     return lo, hi
 
 
@@ -125,7 +106,6 @@ class CosineSeries:
 
     lo: np.ndarray
     hi: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=np.float64)
@@ -138,30 +118,29 @@ class CosineSeries:
             raise IntervalDomainError("series with NaN coefficient")
         if np.any(self.lo > self.hi):
             raise IntervalDomainError("series with lo > hi coefficient")
-        if self.zero_mean:
-            origin = tuple(0 for _ in range(self.lo.ndim))
-            if self.lo[origin] != 0.0 or self.hi[origin] != 0.0:
-                raise IntervalDomainError("zero_mean series with nonzero k=0 mode")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, extent, zero_mean: bool = True) -> "CosineSeries":
+    def zeros(cls, extent) -> "CosineSeries":
         extent = tuple(int(n) for n in extent)
-        return cls(np.zeros(extent), np.zeros(extent), zero_mean)
+        return cls(np.zeros(extent), np.zeros(extent))
 
     @classmethod
     def from_point(cls, coeffs, zero_mean: bool = False) -> "CosineSeries":
+        """The point series coeffs; zero_mean=True checks that it is zero-mean."""
         a = np.asarray(coeffs, dtype=np.float64)
-        return cls(a.copy(), a.copy(), zero_mean)
+        u = cls(a.copy(), a.copy())
+        if zero_mean and not u.zero_mean:
+            raise IntervalDomainError("zero-mean series with nonzero k=0 mode")
+        return u
 
     @classmethod
     def single_mode(cls, extent, k, amplitude: float = 1.0) -> "CosineSeries":
         extent = tuple(int(n) for n in extent)
         a = np.zeros(extent)
         a[tuple(int(ki) for ki in k)] = amplitude
-        zm = a[tuple(0 for _ in extent)] == 0.0
-        return cls(a, a.copy(), zm)
+        return cls(a, a.copy())
 
     # -- basics --------------------------------------------------------------
 
@@ -172,6 +151,13 @@ class CosineSeries:
     @property
     def extent(self):
         return self.lo.shape
+
+    @property
+    def zero_mean(self) -> bool:
+        """Whether the series lies in the zero-mean space: its k=0
+        coefficient is the point zero."""
+        origin = (0,) * self.dim
+        return bool(self.lo[origin] == 0.0 == self.hi[origin])
 
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -189,12 +175,10 @@ class CosineSeries:
 
     def pad_to(self, extent) -> "CosineSeries":
         extent = tuple(int(n) for n in extent)
-        return CosineSeries(
-            _pad_to(self.lo, extent), _pad_to(self.hi, extent), self.zero_mean
-        )
+        return CosineSeries(_pad_to(self.lo, extent), _pad_to(self.hi, extent))
 
     def __neg__(self) -> "CosineSeries":
-        return CosineSeries(-self.hi, -self.lo, self.zero_mean)
+        return CosineSeries(-self.hi, -self.lo)
 
     def __add__(self, other: "CosineSeries") -> "CosineSeries":
         ext = tuple(
@@ -202,16 +186,14 @@ class CosineSeries:
         )
         a = self.pad_to(ext)
         b = other.pad_to(ext)
-        lo, hi = vadd(a.lo, a.hi, b.lo, b.hi)
-        return CosineSeries(lo, hi, self.zero_mean and other.zero_mean)
+        return CosineSeries(*vadd(a.lo, a.hi, b.lo, b.hi))
 
     def __sub__(self, other: "CosineSeries") -> "CosineSeries":
         return self + (-other)
 
     def scale(self, c) -> "CosineSeries":
         c = c if isinstance(c, Interval) else Interval(float(c))
-        lo, hi = vmul(self.lo, self.hi, np.float64(c.lo), np.float64(c.hi))
-        return CosineSeries(lo, hi, self.zero_mean)
+        return CosineSeries(*vmul(self.lo, self.hi, np.float64(c.lo), np.float64(c.hi)))
 
     def add_constant(self, c) -> "CosineSeries":
         """Add a constant (shifts only the mean mode)."""
@@ -222,7 +204,7 @@ class CosineSeries:
         mean = Interval(lo[origin], hi[origin]) + c
         lo[origin] = mean.lo
         hi[origin] = mean.hi
-        return CosineSeries(lo, hi, zero_mean=(mean.lo == 0.0 == mean.hi))
+        return CosineSeries(lo, hi)
 
 
 def _pad_to(a: np.ndarray, extent) -> np.ndarray:
@@ -239,6 +221,14 @@ def _pad_to(a: np.ndarray, extent) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
+def _sqrt_sum(lo, hi) -> Interval:
+    """Enclosure of the square root of a sum of nonnegative terms [lo, hi].
+    The sum is nonnegative, so a lower end that an overflowing error bound
+    drove below zero is raised to zero."""
+    s = vsum(lo, hi)
+    return Interval(max(s.lo, 0.0), s.hi).sqrt()
+
+
 def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
     """Enclosure of a Sobolev-type norm of the series.
 
@@ -246,30 +236,24 @@ def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
       "L2"    -- (sum alpha_k^2)^(1/2)
       "Hbar"  -- (sum_{|k|>0} kappa_k^ell alpha_k^2)^(1/2), zero-mean functions
       "H"     -- (sum (1 + kappa_k^ell) alpha_k^2)^(1/2), ell >= 0
-      "sup"   -- the l1 bound sum |alpha_k| c_k, an upper bound for the sup norm
     """
     if space == "L2":
-        sq = vsquare(u.lo, u.hi)
-        return vsum(*sq).sqrt()
+        return _sqrt_sum(*vsquare(u.lo, u.hi))
     if space == "Hbar":
         if not u.zero_mean:
             raise IntervalDomainError("Hbar norm requires a zero-mean series")
         sq = vsquare(u.lo, u.hi)
-        wlo, whi = _kappa_pow_grid(u.extent, ell, mask_origin=True)
-        tlo, thi = vmul(sq[0], sq[1], wlo, whi)
-        return vsum(tlo, thi).sqrt()
+        wlo, whi = _kappa_pow_grid(u.extent, ell)
+        return _sqrt_sum(*vmul(sq[0], sq[1], wlo, whi))
     if space == "H":
         if ell < 0:
             raise IntervalDomainError("H norm needs ell >= 0")
         if ell == 0:
             return norm(u, "L2")
         sq = vsquare(u.lo, u.hi)
-        klo, khi = _kappa_pow_grid(u.extent, ell, mask_origin=False)
+        klo, khi = _kappa_pow_grid(u.extent, ell)
         wlo, whi = vadd(np.ones(u.extent), np.ones(u.extent), klo, khi)
-        tlo, thi = vmul(sq[0], sq[1], wlo, whi)
-        return vsum(tlo, thi).sqrt()
-    if space == "sup":
-        return sup_bound(u)
+        return _sqrt_sum(*vmul(sq[0], sq[1], wlo, whi))
     raise ValueError(f"unknown norm space {space!r}")
 
 
@@ -284,7 +268,7 @@ def sup_bound(u: CosineSeries) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Laplacian and projections
+# Laplacian and tails
 # ---------------------------------------------------------------------------
 
 def laplacian(u: CosineSeries, power: int = 1) -> CosineSeries:
@@ -297,29 +281,20 @@ def laplacian(u: CosineSeries, power: int = 1) -> CosineSeries:
         return u
     if power < 0 and not u.zero_mean:
         raise IntervalDomainError("inverse Laplacian requires a zero-mean series")
-    wlo, whi = _kappa_pow_grid(u.extent, power, mask_origin=True)
+    wlo, whi = _kappa_pow_grid(u.extent, power)
     if power % 2:  # odd power of (-kappa)
         wlo, whi = -whi, -wlo
-    lo, hi = vmul(u.lo, u.hi, wlo, whi)
-    return CosineSeries(lo, hi, zero_mean=True)
-
-
-def project(u: CosineSeries, n: int) -> CosineSeries:
-    """Keep the modes with |k|_inf < n."""
-    if n < 1:
-        raise ValueError("projection cut must be >= 1")
-    sl = tuple(slice(0, min(n, s)) for s in u.extent)
-    return CosineSeries(u.lo[sl].copy(), u.hi[sl].copy(), u.zero_mean)
+    return CosineSeries(*vmul(u.lo, u.hi, wlo, whi))
 
 
 def tail(u: CosineSeries, n: int) -> CosineSeries:
-    """The complementary part u - P_n u."""
+    """u less its modes with |k|_inf < n."""
     lo = u.lo.copy()
     hi = u.hi.copy()
     sl = tuple(slice(0, min(n, s)) for s in u.extent)
     lo[sl] = 0.0
     hi[sl] = 0.0
-    return CosineSeries(lo, hi, u.zero_mean)
+    return CosineSeries(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +431,6 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation (non-rigorous; plotting and diagnostics)
 # ---------------------------------------------------------------------------
-
-def evaluate(u: CosineSeries, x) -> float:
-    """Pointwise value of the midpoint series at x in [0,1]^d."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.size != u.dim:
-        raise ValueError("point dimension mismatch")
-    raw = u.mid() * c_grid(u.extent)
-    val = raw
-    for axis in range(u.dim):
-        kcos = np.cos(np.arange(u.extent[axis]) * math.pi * x[axis])
-        val = np.tensordot(kcos, val, axes=(0, 0))
-    return float(val)
-
 
 def evaluate_grid(u: CosineSeries, axes) -> np.ndarray:
     """Values of the midpoint series on a tensor grid (one 1-d array per axis)."""

@@ -12,6 +12,7 @@ from okvalid.cift import (
     RadiiResult,
     derivative_budget,
     feasible_dx_range,
+    radii_preconditions,
     radius_requirement,
     solution_bounds,
     solve_radii,
@@ -46,6 +47,19 @@ def test_radii_precondition_box():
     with pytest.raises(CertificationError):
         solve_radii(k=1.0, rho=0.6, l1=0.01, l2=0.0, l3=0.0, l4=0.0,
                     ell_x=1.0, ell_alpha=1.0)
+
+
+def test_radii_preconditions_shared_by_solver_and_checker():
+    both = ["4 K^2 rho l1 >= 1: residual too large", "2 K rho >= ell_x: box too small"]
+    assert radii_preconditions(k=1.0, rho=0.6, l1=1.0, ell_x=1.0) == both
+    assert radii_preconditions(k=1.0, rho=0.01, l1=1.0, ell_x=1.0) == []
+    with pytest.raises(CertificationError, match="residual too large"):
+        solve_radii(k=1.0, rho=0.6, l1=1.0, l2=0.0, l3=0.0, l4=0.0,
+                    ell_x=1.0, ell_alpha=1.0)
+    cert = validate(ModelParams(lam=5.0, sigma=1.0), CosineSeries.zeros((2,)), "lambda")
+    rho = 2.0 * max(1.0 / (4.0 * cert.k**2 * cert.l1), cert.ell_x / (2.0 * cert.k))
+    ok, failures = verify_certificate(dataclasses.replace(cert, rho=rho))
+    assert not ok and all(f in failures for f in both)
 
 
 def test_radii_closed_form_crossing():
@@ -314,6 +328,20 @@ def test_validate_builds_solution_stage_once(solved_1d, monkeypatch, n):
     cert = validate(p, result.solution, "lambda", n=n)
     assert cert.valid and cert.rounds >= 2
     assert calls == {"residual_norm": 1, "fprime_series": 1, "linearization_coefficient": 1}
+
+
+@pytest.mark.parametrize("stage", ["solve_radii", "self_check"])
+def test_failed_certificate_carries_the_stage_records(solved_1d, monkeypatch, stage):
+    p, result = solved_1d
+    good = validate(p, result.solution, "lambda", n=64)
+    if stage == "self_check":
+        monkeypatch.setattr(cift, "verify_certificate", lambda cert: (False, ["replay"]))
+        bad = validate(p, result.solution, "lambda", n=64)
+    else:
+        bad = validate(p, result.solution, "lambda", n=64, du=1e-30)
+    assert not bad.valid and bad.stage == stage
+    for name in ("rho", "q_sup", "q_h2", "kn", "tau", "k", "n"):
+        assert getattr(bad, name) == getattr(good, name), name
 
 
 def test_validate_small_truncation_fails_cleanly(solved_1d):

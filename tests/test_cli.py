@@ -231,6 +231,61 @@ def test_check_rejects_non_finite_certificate(workdir, solution_file, capsys, fi
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("certificate", "rho", "0.5"),
+    ("certificate", "rho", [0.5]),
+    ("certificate", "valid", "yes"),
+    ("certificate", "which", "zeta"),
+    ("certificate", "n", "12"),
+    ("certificate", "kn", True),
+    ("solution", "extent", [0]),
+    ("solution", "extent", [48, 1, 1, 1]),
+    ("solution", "dim", 2),
+])
+def test_hostile_file_usage_error(workdir, solution_file, capsys, kind, field, value):
+    # a field of the wrong type or shape is one error line and exit 1
+    if kind == "certificate":
+        payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    else:
+        payload = json.loads(solution_file.read_text())
+        if value == [0]:
+            payload["coeffs"] = []
+    payload[field] = value
+    bad = workdir / f"hostile_{kind}_{field}.json"
+    bad.write_text(json.dumps(payload))
+    argv = (["check", "--cert", str(bad)] if kind == "certificate" else
+            ["validate", "--in", str(bad), "--param", "lambda",
+             "--out", str(workdir / "hostile.cert.json")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (workdir / "hostile.cert.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coeffs", 1e300),
+    ("lambda", 1e308),
+    ("sigma", 1e308),
+    ("f_coeffs", [0.0, 1e300, 0.0, -1e300]),
+])
+def test_validate_overflow_names_the_bound(workdir, solution_file, capsys, field, value):
+    payload = json.loads(solution_file.read_text())
+    if field == "coeffs":
+        payload["coeffs"][1] = value
+    else:
+        payload["params"][field] = value
+    bad = workdir / f"overflow_{field}.json"
+    bad.write_text(json.dumps(payload))
+    out = workdir / f"overflow_{field}.cert.json"
+    capsys.readouterr()
+    assert main(["validate", "--in", str(bad), "--param", "lambda", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""  # no numpy warnings
+    cert, _ = read_certificate(out)
+    assert cert.stage == "residual"
+    assert cert.reason.startswith("rho") and "not finite" in cert.reason
+
+
 def test_check_detects_stale_hash(workdir, solution_file):
     cert_path = workdir / "sol.lambda.cert.json"
     other = workdir / "trivial.json"

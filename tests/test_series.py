@@ -12,38 +12,33 @@ from okvalid import series
 from okvalid.intervals import IntervalDomainError, _gamma, _outward
 from okvalid.series import (
     CosineSeries,
-    evaluate,
     evaluate_grid,
-    kappa,
-    kappa_iv,
     laplacian,
-    mode_sup,
     multiply,
     multiply_point,
     norm,
     nz_grid,
-    project,
     sup_bound,
     tail,
 )
 
 
 # ---------------------------------------------------------------------------
-# multi-index helpers
+# zero mean, read off the k=0 coefficient
 # ---------------------------------------------------------------------------
 
-def test_kappa_values():
-    assert kappa((0, 0)) == 0.0
-    assert abs(kappa((1,)) - math.pi**2) < 1e-12
-    assert kappa_iv((1,)).contains(math.pi**2)
-    five = kappa_iv((1, 2))
-    assert five.lo <= 5 * math.pi**2 <= five.hi
-
-
-def test_mode_sup():
-    assert mode_sup((0,)) == 1.0
-    assert mode_sup((3,)) == pytest.approx(math.sqrt(2))
-    assert mode_sup((1, 1, 1)) == pytest.approx(2 * math.sqrt(2))
+def test_zero_mean_is_the_k0_coefficient(rng):
+    # no flag to set: a series with a point-zero k=0 coefficient is zero-mean
+    h2 = norm(CosineSeries.from_point([0.0, 0.5]), "Hbar", 2)
+    assert h2.lo <= 0.5 * math.pi**2 <= h2.hi
+    for extent in ((5,), (3, 4), (2, 3, 2)):
+        u = make_random_series(rng, extent, zero_mean=False)
+        assert not u.zero_mean
+        assert tail(u, 2).zero_mean
+    assert not CosineSeries(np.array([-1e-300, 0.0]), np.array([0.0, 1.0])).zero_mean
+    with pytest.raises(IntervalDomainError):
+        CosineSeries.from_point([1.0, 0.5], zero_mean=True)
+    assert CosineSeries.from_point([0.0, 0.5], zero_mean=True).zero_mean
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def test_h_norm_formula(rng):
     u = make_random_series(rng, (6,), zero_mean=False)
     h2 = norm(u, "H", 2)
     a = u.mid()
-    expect = math.sqrt(sum((1 + kappa((k,)) ** 2) * a[k] ** 2 for k in range(6)))
+    expect = math.sqrt(sum((1 + (math.pi * k) ** 4) * a[k] ** 2 for k in range(6)))
     assert h2.lo - 1e-10 <= expect <= h2.hi + 1e-10
 
 
@@ -141,25 +136,8 @@ def test_laplacian_kills_mean():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# tails
 # ---------------------------------------------------------------------------
-
-def test_project_idempotent(rng):
-    u = make_random_series(rng, (9,))
-    p1 = project(u, 4)
-    p2 = project(p1, 4)
-    assert np.array_equal(p1.lo, p2.lo) and np.array_equal(p1.hi, p2.hi)
-
-
-def test_project_contraction(rng):
-    for _ in range(20):
-        u = make_random_series(rng, (6, 6))
-        pn = project(u, 3)
-        for space, ell in (("L2", 0), ("Hbar", 2), ("Hbar", -1)):
-            np_norm = norm(pn, space, ell)
-            full = norm(u, space, ell)
-            assert np_norm.lo <= full.hi + 1e-15
-
 
 def test_tail_bound_lemma(rng):
     # ||(I-P_N)u|| in the weaker norm <= ||u||_m / (pi N)^(m-l)
@@ -188,7 +166,8 @@ def test_scale_lemma(rng):
 
 def test_tail_plus_project_is_identity(rng):
     u = make_random_series(rng, (6, 5))
-    s = project(u, 3).pad_to(u.extent) + tail(u, 3)
+    head = CosineSeries(u.lo[:3, :3], u.hi[:3, :3])
+    s = head.pad_to(u.extent) + tail(u, 3)
     assert np.max(np.abs(s.mid() - u.mid())) < 1e-15
 
 
@@ -564,19 +543,12 @@ def test_multiply_contains_exact_property(operands):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_evaluate_constants():
-    one = CosineSeries.from_point(np.ones((1,)))
-    assert evaluate(one, [0.37]) == 1.0
-    u = CosineSeries.single_mode((2,), (1,), 1.0)
-    assert evaluate(u, [0.0]) == pytest.approx(math.sqrt(2), abs=1e-14)
-
-
 def test_evaluate_matches_independent_sum(rng):
     for extent in ((6,), (4, 3)):
         u = make_random_series(rng, extent, zero_mean=False)
         pts = rng.uniform(size=(100, len(extent)))
         for xrow in pts:
-            mine = evaluate(u, xrow)
+            mine = evaluate_grid(u, [[xi] for xi in xrow]).item()
             ref = eval_series_naive(u.mid(), xrow)
             assert abs(mine - ref) < 1e-12
 
@@ -586,4 +558,5 @@ def test_evaluate_grid_matches_pointwise(rng):
     axes = [np.linspace(0, 1, 6), np.linspace(0, 1, 5)]
     grid = evaluate_grid(u, axes)
     assert grid.shape == (6, 5)
-    assert grid[2, 3] == pytest.approx(evaluate(u, [axes[0][2], axes[1][3]]), abs=1e-13)
+    ref = eval_series_naive(u.mid(), [axes[0][2], axes[1][3]])
+    assert grid[2, 3] == pytest.approx(ref, abs=1e-13)
