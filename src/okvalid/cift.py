@@ -99,8 +99,9 @@ class RadiiResult:
 BISECTION_STEPS = 50
 # A trial point further than this (relative) from the float root is decided
 # by that root.  The interval evaluation errs by a few ulps and the root by a
-# few more, so only the points near the boundary need evaluating.
-ROOT_MARGIN = 2.0 ** -40
+# few more, so only the points near the boundary need evaluating: 6 to 10 of
+# the 50 on the canonical certificates.
+ROOT_MARGIN = 2.0 ** -42
 
 
 def _positive_root(a: float, b: float, c: float) -> float:

@@ -252,9 +252,10 @@ def cmd_walk(args) -> int:
         check_walk(args.param, args.step)
     except ValueError as exc:
         return _usage_error(str(exc))
-    steps = parameter_walk(p, u, args.param, args.step, args.count, opts)
-    if not steps:
-        print("walk produced no converged solutions", file=sys.stderr)
+    try:
+        steps = parameter_walk(p, u, args.param, args.step, args.count, opts)
+    except NewtonError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     paths = []
     for i, (pi, res) in enumerate(steps):

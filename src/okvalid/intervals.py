@@ -1,23 +1,23 @@
-"""Interval arithmetic for scalars and vectors, ball arithmetic for matrices.
+"""Interval arithmetic for scalars, ball arithmetic for series and matrices.
 
-Scalar and vector endpoints are IEEE doubles.  Outward rounding is
-implemented by nextafter adjustment of round-to-nearest results; an operation
-whose result is provably exact (detected via error-free transforms or exact
-rational comparison) is not widened, so integer-endpoint arithmetic stays
-sharp and zero stays zero.  A BallMatrix (mid, rad) is the set of real X
-with |X - mid| <= rad entrywise: rad is rounded up, the midpoint is any
-float, and an entry that overflowed is (0, inf); mid_rad is the one place
-where endpoints become balls.  Products run through BLAS: the midpoint is
-one floating gemm, and the radius adds the a-priori rounding bound
-gamma_p |mid A| |mid B| (gamma_k = k u / (1 - k u), u = 2^-53) plus an
-underflow term, valid for any summation order, blocking and FMA (Rump, BIT
-39, 1999; Ozaki, Ogita, Oishi and Rump, JCAM 236, 2012).  Float sums scaled
-by float weights raise that count by the scaling's roundings and the
-weights' errors, and one rounding budget ends each radius.  Spectral-norm
-bounds take the smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky
-certificate (Rump, BIT 46, 2006).  The contract is containment: every
-result encloses all pointwise results of its operands, a ball X with
-mid - rad <= X <= mid + rad in exact arithmetic.
+A scalar Interval has IEEE double endpoints, rounded outward by nextafter
+unless the result is provably exact (by error-free transforms or exact
+rational comparison), so integer arithmetic stays sharp and zero stays zero.
+Everything else is a ball (mid, rad): the reals X with |X - mid| <= rad
+entrywise, rad rounded up, the midpoint any float, and an entry that
+overflowed (0, inf); mid_rad is the one place where endpoints become balls.
+Entrywise ball sums and products round each radius operation up one step
+unless it is exact (add_toward, mul_toward), so a point zero stays exact.
+Matrix products run through BLAS: the midpoint is one floating gemm, and
+the radius adds the a-priori rounding bound gamma_p |mid A| |mid B|
+(gamma_k = k u / (1 - k u), u = 2^-53) plus an underflow term, valid for
+any summation order, blocking and FMA (Rump, BIT 39, 1999; Ozaki, Ogita,
+Oishi and Rump, JCAM 236, 2012).  Float sums scaled by float weights raise
+that count by the scaling's roundings and the weights' errors, and one
+rounding budget (_ball_up) ends each radius.  Spectral-norm bounds take the
+smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky certificate
+(Rump, BIT 46, 2006).  The contract is containment: every result encloses
+all pointwise results of its operands.
 """
 
 from __future__ import annotations
@@ -104,13 +104,6 @@ class Interval:
         self.hi = hi
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        return m
 
     @property
     def width(self) -> float:
@@ -252,78 +245,91 @@ PI2 = PI.square()
 PI4 = PI2.square()
 
 
-# ---------------------------------------------------------------------------
-# vectorized kernels on (lo, hi) ndarray pairs
-# ---------------------------------------------------------------------------
+# pi^2 and pi^4 as balls: each the nearest double, within half its ulp
+PI2_BALL = (9.869604401089358, 2.0**-50)
+PI4_BALL = (97.40909103400244, 2.0**-47)
 
-def _ndown(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(x, -_INF)
 
+# ---------------------------------------------------------------------------
+# entrywise balls
+# ---------------------------------------------------------------------------
 
 def _nup(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _INF)
 
 
-# The vector kernels run without numpy's overflow and invalid warnings: an
-# overflowed endpoint is infinite, and a NaN from inf - inf or 0 * inf fails
-# the exactness tests or is rejected where a series or interval is built.
+# The entrywise kernels run without numpy's overflow and invalid warnings: a
+# NaN from inf - inf or 0 * inf becomes an exact zero or (0, inf).
 
 @np.errstate(over="ignore", invalid="ignore")
-def vadd(alo, ahi, blo, bhi):
-    slo = alo + blo
-    shi = ahi + bhi
-    lo_exact = ((slo - alo) == blo) & ((slo - blo) == alo)
-    hi_exact = ((shi - ahi) == bhi) & ((shi - bhi) == ahi)
-    return np.where(lo_exact, slo, _ndown(slo)), np.where(hi_exact, shi, _nup(shi))
+def add_toward(a, b, toward: float) -> np.ndarray:
+    """fl(a + b), one step toward +-inf where it is inexact (Fast2Sum test,
+    valid in both orderings)."""
+    s = np.asarray(a + b, dtype=np.float64)
+    return np.where(((s - a) == b) & ((s - b) == a), s, np.nextafter(s, toward))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def vmul(alo, ahi, blo, bhi):
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    # a point-zero factor gives an exact zero product; everything else rounds out
-    pzero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
-    lo = np.where(pzero, 0.0, _ndown(lo))
-    hi = np.where(pzero, 0.0, _nup(hi))
-    return lo, hi
+def mul_toward(a, b, toward: float) -> np.ndarray:
+    """fl(a b) of nonnegative a and b one step toward +-inf, which covers
+    round-to-nearest's error, underflow included; never below zero, and the
+    exact zero where a factor is zero."""
+    p = np.maximum(np.nextafter(a * b, toward), 0.0)
+    return np.where((a == 0.0) | (b == 0.0), 0.0, p)
+
+
+def _unbounded_where_overflow(m: np.ndarray, r: np.ndarray):
+    """(m, r) with every entry where either is not finite set to (0, inf)."""
+    bad = ~(np.isfinite(m) & np.isfinite(r))
+    m[bad] = 0.0
+    r[bad] = _INF
+    return m, r
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def vsquare(lo, hi):
-    a = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))  # mignitude
-    b = np.maximum(np.abs(lo), np.abs(hi))
-    plo = a * a
-    phi = b * b
-    exact = (lo == hi) & ((lo == np.rint(lo)) & (np.abs(lo) < 2**26))
-    out_lo = np.where(exact, plo, np.maximum(_ndown(plo), 0.0))
-    out_hi = np.where(exact, phi, _nup(phi))
-    return out_lo, out_hi
+def ball_add(am, ar, bm, br):
+    """Balls (m, r) enclosing a + b for a in <am, ar> and b in <bm, br>:
+    m = fl(am + bm), its error recovered exactly by TwoSum (Knuth), and r =
+    ar + br + |error|, each sum rounded up unless exact, so an exact sum of
+    points stays a point."""
+    m = np.asarray(am + bm, dtype=np.float64)
+    t = m - am
+    err = np.abs((am - (m - t)) + (bm - t))
+    return _unbounded_where_overflow(m, add_toward(add_toward(ar, br, _INF), err, _INF))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ball_mul(am, ar, bm, br):
+    """Balls (m, r) enclosing a b for a in <am, ar> and b in <bm, br>.
+
+    Every product lies within |am| br + ar (|bm| + br) of am bm (Rump, BIT
+    39, 1999), and m = fl(am bm) within u |m| of am bm, or eta / 2 where it
+    underflows, which the step up of fl(u |m|) covers; a zero factor makes
+    m exact.  Each radius operation rounds up, so a point zero stays exact.
+    """
+    m = np.asarray(am * bm, dtype=np.float64)
+    err = np.where((am == 0.0) | (bm == 0.0), 0.0, _nup(np.abs(m) * 2.0**-53))
+    spread = mul_toward(ar, add_toward(np.abs(bm), br, _INF), _INF)
+    spread = add_toward(mul_toward(np.abs(am), br, _INF), spread, _INF)
+    return _unbounded_where_overflow(m, add_toward(spread, err, _INF))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def ball_inv(m, r):
+    """Balls enclosing 1/x for x in <m, r> with m > r, and (0, 0) where m
+    is zero: |1/x - 1/m| <= r / (m (m - r)), and fl(1/m) is within u of
+    1/m relatively, rounded up as in ball_mul."""
+    zero = m == 0.0
+    inv = np.where(zero, 0.0, 1.0 / m)
+    low = mul_toward(m, add_toward(m, -r, -_INF), -_INF)
+    spread = np.where(r == 0.0, 0.0, _nup(r / low))
+    rad = add_toward(spread, _nup(np.abs(inv) * 2.0**-53), _INF)
+    return _unbounded_where_overflow(inv, np.where(zero, 0.0, rad))
 
 
 def _sum_slack(abssum: float, n: int) -> float:
     # valid for any summation order of n doubles under round-to-nearest
     return (n + 4) * _EPS * abssum
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def vsum(lo, hi) -> Interval:
-    """Rigorous enclosure of the sum of a vector of intervals."""
-    lo = np.asarray(lo, dtype=np.float64).ravel()
-    hi = np.asarray(hi, dtype=np.float64).ravel()
-    n = lo.size
-    if n == 0:
-        return Interval(0.0)
-    slo = float(np.sum(lo))
-    shi = float(np.sum(hi))
-    err_lo = _sum_slack(float(np.sum(np.abs(lo))), n)
-    err_hi = _sum_slack(float(np.sum(np.abs(hi))), n)
-    lower = slo if err_lo == 0.0 else _down(_down(slo) - err_lo)
-    upper = shi if err_hi == 0.0 else _up(_up(shi) + err_hi)
-    return Interval(lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +341,15 @@ def _gamma(k: int) -> Fraction:
     return k * _U / (1 - k * _U)
 
 
-def _unbounded_where_overflow(m: np.ndarray, r: np.ndarray):
-    """(m, r) with every entry where either is not finite set to (0, inf)."""
-    bad = ~(np.isfinite(m) & np.isfinite(r))
-    m[bad] = 0.0
-    r[bad] = _INF
-    return m, r
-
-
 @np.errstate(over="ignore", invalid="ignore")  # infinite endpoints give (0, inf)
 def mid_rad(lo, hi):
     """(mid, rad) of balls enclosing the intervals [lo, hi] entrywise.
 
     mid - rad <= lo and hi <= mid + rad hold exactly: rad is the larger
-    rounded distance from mid to an endpoint, one step up unless it is
-    zero, so a point entry gets an exact zero radius.  mid halves lo + hi,
-    or each endpoint first where that sum overflows.  An entry with an
-    infinite endpoint becomes (0, inf).
+    distance from mid to an endpoint, rounded up unless it is exact, so a
+    point entry gets an exact zero radius.  mid halves lo + hi, or each
+    endpoint first where that sum overflows.  An entry with an infinite
+    endpoint becomes (0, inf).
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -360,9 +358,7 @@ def mid_rad(lo, hi):
     m = 0.5 * (lo + hi)
     bad = ~np.isfinite(m)
     m[bad] = 0.5 * lo[bad] + 0.5 * hi[bad]
-    r = np.maximum(m - lo, hi - m)
-    # a rounded difference is zero only when it is exactly zero
-    r = np.where(r == 0.0, 0.0, _nup(r))
+    r = np.maximum(add_toward(m, -lo, _INF), add_toward(hi, -m, _INF))
     return _unbounded_where_overflow(m, r)
 
 
@@ -382,17 +378,6 @@ def _ball_up(c, rad, p: int, g: Fraction):
     rad += (4 * p + 16) * _ETA
     rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
     return _unbounded_where_overflow(c, rad)
-
-
-def _outward(c, rad, p: int, g: Fraction):
-    """Endpoints [c - r, c + r] rounded outward, r being rad raised by
-    _ball_up's budget; c and rad are overwritten."""
-    c, rad = _ball_up(c, rad, p, g)
-    lo = c - rad
-    np.add(c, rad, out=c)
-    np.nextafter(lo, -_INF, out=lo)
-    np.nextafter(c, _INF, out=c)
-    return lo, c
 
 
 def _max_sum_upper(x: np.ndarray, axis: int) -> float:
@@ -530,19 +515,12 @@ def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
 
 
 def mat_sub_identity(a: BallMatrix) -> BallMatrix:
-    """a - I.  Where a diagonal midpoint minus one rounds, its rounding
-    error, recovered exactly by TwoSum (Knuth), joins the radius, rounded
-    up; inside [0.5, 2] the subtraction is exact (Sterbenz)."""
+    """a - I, its diagonal by ball_add; inside [0.5, 2] the subtraction is
+    exact (Sterbenz)."""
     mid = a.mid.copy()
     rad = a.rad.copy()
     d = np.arange(min(a.shape))
-    x = mid[d, d]
-    s = x - 1.0
-    t = s - x
-    err = np.abs((x - (s - t)) + (-1.0 - t))
-    mid[d, d] = s
-    r = rad[d, d]
-    rad[d, d] = np.where(err == 0.0, r, _nup(r + err))
+    mid[d, d], rad[d, d] = ball_add(mid[d, d], rad[d, d], -1.0, 0.0)
     return BallMatrix(mid, rad)
 
 

@@ -21,7 +21,9 @@ import numpy as np
 from .embeddings import table_constants
 from .intervals import (
     PI2,
+    PI2_BALL,
     PI4,
+    PI4_BALL,
     BallMatrix,
     Interval,
     IntervalDomainError,
@@ -116,9 +118,7 @@ def _trim(coeffs) -> tuple:
 def poly_eval_series(coeffs, v: CosineSeries) -> CosineSeries:
     """Horner evaluation of a polynomial on a series (exact convolutions)."""
     coeffs = _trim(coeffs)
-    const = np.zeros(tuple(1 for _ in range(v.dim)))
-    acc = CosineSeries.from_point(const)
-    acc = acc.add_constant(coeffs[-1])
+    acc = CosineSeries.zeros((1,) * v.dim).add_constant(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = multiply(acc, v).add_constant(c)
     return acc
@@ -197,11 +197,11 @@ def split_axes(q: CosineSeries) -> tuple:
     """Per axis, whether every nonzero coefficient of q has an even index along it.
 
     A raw coefficient of q has a nonzero midpoint or radius exactly where
-    q's interval is not the point zero.  Along such an axis every term of
+    q's ball is not the point zero.  Along such an axis every term of
     (q phi_ell, phi_k) with k_j - ell_j odd meets |k_j +- ell_j| odd, a point
     zero, so the Galerkin matrix splits by the parity of k_j.
     """
-    support = (q.lo != 0.0) | (q.hi != 0.0)
+    support = q.support()
     return tuple(
         not np.moveaxis(support, j, 0)[1::2].any() for j in range(support.ndim)
     )
@@ -266,11 +266,6 @@ class GalerkinMatrix:
         """The block's class: k_j mod 2 per split axis, * on the others."""
         k = self.modes[idx[0]]
         return "(" + ", ".join(str(v % 2) if s else "*" for v, s in zip(k, self.split)) + ")"
-
-
-# pi^2 and pi^4 rounded to nearest, each within one rounding of exact
-_PI2_NEAREST = 9.869604401089358
-_PI4_NEAREST = 97.40909103400244
 
 
 def _galerkin_sums(axes, arrays) -> list:
@@ -356,11 +351,11 @@ def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatr
     free[diag, diag] = False
     k2 = np.sum(modes.astype(np.float64) ** 2, axis=1)
     row = C_FLOAT[np.count_nonzero(modes, axis=1)]
-    col = row * 0.5**d / (_PI2_NEAREST * k2)
+    col = row * 0.5**d / (PI2_BALL[0] * k2)
     for s in (s_mid, s_abs, *s_rad):
         s *= row[:, None]
         s *= col
-    dm = 1.0 + (p.lam * p.sigma) / (_PI4_NEAREST * (k2 * k2))
+    dm = 1.0 + (p.lam * p.sigma) / (PI4_BALL[0] * (k2 * k2))
     s_mid[diag, diag] -= dm
     s_abs[diag, diag] += dm
     mid, rad = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
@@ -479,15 +474,14 @@ def kn_stage_bytes(q: CosineSeries, n: int) -> float:
     return 8.0 * (2 * sum(s * s for s in sizes) + KN_WORK_ARRAYS * max(sizes) ** 2)
 
 
-def _check_kn_memory(q: CosineSeries, n: int) -> None:
-    need = kn_stage_bytes(q, n)
+def memory_shortfall(need: float, dim: int, n: int, stage: str) -> str | None:
+    """Why need bytes for stage at truncation n do not fit in the available
+    memory, or None when they do."""
     avail = available_memory_bytes()
-    if need > avail:
-        raise CertificationError(
-            "kn_bound",
-            f"truncation n={n} ({n**q.dim - 1} modes) needs about {need / 1e6:.0f} MB "
-            f"for the K_N stage, {avail / 1e6:.0f} MB available",
-        )
+    if need <= avail:
+        return None
+    return (f"truncation n={n} ({n**dim - 1} modes) needs about {need / 1e6:.0f} MB "
+            f"for the {stage}, {avail / 1e6:.0f} MB available")
 
 
 def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> InverseBound:
@@ -497,7 +491,9 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> Inve
     truncation, when the K_N stage would not fit in the available memory.
     """
     q, q_sup, q_h2 = lin
-    _check_kn_memory(q, n)
+    short = memory_shortfall(kn_stage_bytes(q, n), q.dim, n, "K_N stage")
+    if short:
+        raise CertificationError("kn_bound", short)
     kn = galerkin_inverse_bound(galerkin_matrix(p, q, n))
     cb = table_constants(q.dim).cb
     tau = tau_formula(kn.value, q_sup, q_h2, cb, n).hi

@@ -2,17 +2,27 @@
 
 Functions are represented by dense multi-index coefficient arrays in the
 orthonormal basis phi_k(x) = c_k * prod_i cos(k_i pi x_i), c_0 = 1 and
-c_m = sqrt(2) for m >= 1.  Coefficients are intervals, so every norm and
-product below is a rigorous enclosure.  Products share one float
-convolution fold: Newton calls it on point coefficients, and the interval
-product runs it on midpoints with Wilkinson's running error bound and adds
-the radii's spread.  It folds raw coefficients alpha_k c_k, formed with
-the float c_k (exact where c_k is 1 or 2), and scales back by the float
-1/c_k inside its one outward rounding.
+c_m = sqrt(2) for m >= 1.  Coefficients are the balls (center, rad) of
+okvalid.intervals, so every norm and product below is a rigorous
+enclosure.  Negation and tails are exact; a sum carries its midpoint's
+rounding error exactly (TwoSum); a scaling, and the Laplacian's weights
+(-kappa_k)^p, balls built from PI2_BALL and PI4_BALL, add u |mid| for the
+midpoint's rounding; norm and sup_bound round each term outward and bound
+each sum of n nonnegative terms by (n + 4) 2u a priori; a product ends in
+the gamma budget of intervals._ball_up (see multiply).  Every other radius
+operation rounds up one step unless it is exact, so a point zero stays
+exact, and so does the k=0 coefficient of a zero-mean series.
+
+Products share one float convolution fold: Newton calls it on point
+coefficients, and the ball product runs it on midpoints with Wilkinson's
+running error bound and adds the radii's spread.  It folds raw coefficients
+alpha_k c_k, formed with the float c_k (exact where c_k is 1 or 2), and
+scales back by the float 1/c_k inside its rounding budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,18 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import (
-    PI2,
+    _INF,
+    PI2_BALL,
+    PI4_BALL,
     Interval,
     IntervalDomainError,
+    _ball_up,
+    _down,
     _gamma,
-    _ndown,
     _nup,
-    _outward,
+    _sum_slack,
+    _up,
+    add_toward,
+    ball_add,
+    ball_inv,
+    ball_mul,
     mid_rad,
-    vadd,
-    vmul,
-    vsquare,
-    vsum,
+    mul_toward,
 )
 
 # c_k and 1/c_k rounded to nearest by number of nonzero index components nz
@@ -62,62 +77,51 @@ def c_grid(extent) -> np.ndarray:
     return C_FLOAT[nz_grid(extent)]
 
 
-def _vpow_pos(lo: np.ndarray, hi: np.ndarray, n: int):
-    """Entrywise n-th power of nonnegative intervals (n >= 1)."""
-    rlo = lo.copy()
-    rhi = hi.copy()
-    for _ in range(n - 1):
-        rlo = np.maximum(_ndown(rlo * lo), 0.0)
-        rhi = _nup(rhi * hi)
-    return rlo, rhi
-
-
-def _kappa_pow_grid(extent, power: int):
-    """Interval arrays of kappa_k^power over the grid, zero at the origin
-    where kappa_0 = 0: exact for positive powers, and the other powers only
-    weight zero-mean series."""
+@functools.lru_cache(maxsize=64)
+def _kappa_power(extent: tuple, power: int):
+    """Read-only balls of kappa_k^power = (pi^2 |k|^2)^power, 0 < |power| <= 2,
+    and (0, 0) at the origin, where kappa_0 = 0: exact for positive powers,
+    and the negative ones only weight zero-mean series."""
+    if not 0 < abs(power) <= 2:
+        raise ValueError(f"kappa powers of magnitude 1 or 2 only, not {power}")
     k2 = k2_grid(extent)
-    klo = np.maximum(_ndown(PI2.lo * k2), 0.0)
-    khi = _nup(PI2.hi * k2)
-    origin = tuple(0 for _ in extent)
-    if power == 0:
-        lo = np.ones(extent)
-        hi = np.ones(extent)
-    elif power > 0:
-        lo, hi = _vpow_pos(klo, khi, power)
-    else:
-        plo, phi = _vpow_pos(klo, khi, -power)
-        plo[origin] = 1.0  # placeholder for the zero at the origin
-        phi[origin] = 1.0
-        lo = np.maximum(_ndown(1.0 / phi), 0.0)
-        hi = _nup(1.0 / plo)
-    lo[origin] = 0.0
-    hi[origin] = 0.0
-    return lo, hi
+    k = (k2, 0.0) if abs(power) == 1 else ball_mul(k2, 0.0, k2, 0.0)
+    w = ball_mul(*(PI2_BALL if abs(power) == 1 else PI4_BALL), *k)
+    w = ball_inv(*w) if power < 0 else w
+    w[0].flags.writeable = w[1].flags.writeable = False
+    return w
 
 
 # ---------------------------------------------------------------------------
 # the series container
 # ---------------------------------------------------------------------------
 
+def _as_ball(c, dim: int):
+    """A number or Interval as a ball (mid, rad) of arrays of extent 1."""
+    ends = (c.lo, c.hi) if isinstance(c, Interval) else (c, c)
+    return mid_rad(*(np.full((1,) * dim, e, dtype=np.float64) for e in ends))
+
+
 @dataclass
 class CosineSeries:
-    """Truncated cosine expansion with interval coefficients."""
+    """Truncated cosine expansion with ball coefficients: the coefficient
+    of mode k lies within rad[k] of center[k].  center is finite and rad >= 0;
+    an entry that overflowed is (0, inf)."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    center: np.ndarray
+    rad: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("coefficient bound arrays must have equal shape")
-        if not 1 <= self.lo.ndim <= 3:
+        self.center = np.asarray(self.center, dtype=np.float64)
+        self.rad = np.asarray(self.rad, dtype=np.float64)
+        if self.center.shape != self.rad.shape:
+            raise ValueError("center and radius arrays must have equal shape")
+        if not 1 <= self.center.ndim <= 3:
             raise ValueError("only dimensions 1-3 are supported")
-        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
-            raise IntervalDomainError("series with NaN coefficient")
-        if np.any(self.lo > self.hi):
-            raise IntervalDomainError("series with lo > hi coefficient")
+        if not np.isfinite(self.center).all():
+            raise IntervalDomainError("series with NaN or infinite coefficient")
+        if not (self.rad >= 0.0).all():  # also false on NaN
+            raise IntervalDomainError("series with NaN or negative radius")
 
     # -- constructors ------------------------------------------------------
 
@@ -129,82 +133,84 @@ class CosineSeries:
     @classmethod
     def from_point(cls, coeffs, zero_mean: bool = False) -> "CosineSeries":
         """The point series coeffs; zero_mean=True checks that it is zero-mean."""
-        a = np.asarray(coeffs, dtype=np.float64)
-        u = cls(a.copy(), a.copy())
+        a = np.array(coeffs, dtype=np.float64)
+        u = cls(a, np.zeros(a.shape))
         if zero_mean and not u.zero_mean:
             raise IntervalDomainError("zero-mean series with nonzero k=0 mode")
         return u
 
     @classmethod
+    def hull(cls, lo, hi) -> "CosineSeries":
+        """Balls enclosing the interval coefficients [lo, hi]."""
+        return cls(*mid_rad(lo, hi))
+
+    @classmethod
     def single_mode(cls, extent, k, amplitude: float = 1.0) -> "CosineSeries":
-        extent = tuple(int(n) for n in extent)
-        a = np.zeros(extent)
-        a[tuple(int(ki) for ki in k)] = amplitude
-        return cls(a, a.copy())
+        u = cls.zeros(extent)
+        u.center[tuple(int(ki) for ki in k)] = amplitude
+        return u
 
     # -- basics --------------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.lo.ndim
+        return self.center.ndim
 
     @property
     def extent(self):
-        return self.lo.shape
+        return self.center.shape
 
     @property
     def zero_mean(self) -> bool:
         """Whether the series lies in the zero-mean space: its k=0
         coefficient is the point zero."""
         origin = (0,) * self.dim
-        return bool(self.lo[origin] == 0.0 == self.hi[origin])
+        return bool(self.center[origin] == 0.0 == self.rad[origin])
+
+    def _end(self, toward: float) -> np.ndarray:
+        end = add_toward(self.center, math.copysign(1.0, toward) * self.rad, toward)
+        end.flags.writeable = False
+        return end
+
+    @property
+    def lo(self) -> np.ndarray:
+        """Lower ends center - rad, rounded down (read-only)."""
+        return self._end(-_INF)
+
+    @property
+    def hi(self) -> np.ndarray:
+        """Upper ends center + rad, rounded up (read-only)."""
+        return self._end(_INF)
 
     def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return self.center.copy()
 
-    def width(self) -> float:
-        return float(np.max(self.hi - self.lo)) if self.lo.size else 0.0
+    def support(self) -> np.ndarray:
+        """Where the coefficient is not the point zero."""
+        return (self.center != 0.0) | (self.rad != 0.0)
 
     def coefficient(self, k) -> Interval:
         idx = tuple(int(ki) for ki in k)
         return Interval(self.lo[idx], self.hi[idx])
 
-    def contains_coeffs(self, coeffs: np.ndarray) -> bool:
-        c = _pad_to(np.asarray(coeffs, dtype=np.float64), self.extent)
-        return bool(np.all(self.lo <= c) and np.all(c <= self.hi))
-
-    def pad_to(self, extent) -> "CosineSeries":
-        extent = tuple(int(n) for n in extent)
-        return CosineSeries(_pad_to(self.lo, extent), _pad_to(self.hi, extent))
-
     def __neg__(self) -> "CosineSeries":
-        return CosineSeries(-self.hi, -self.lo)
+        return CosineSeries(-self.center, self.rad)
 
     def __add__(self, other: "CosineSeries") -> "CosineSeries":
-        ext = tuple(
-            max(a, b) for a, b in zip(self.extent, other.extent)
-        )
-        a = self.pad_to(ext)
-        b = other.pad_to(ext)
-        return CosineSeries(*vadd(a.lo, a.hi, b.lo, b.hi))
+        ext = tuple(map(max, self.extent, other.extent))
+        balls = (self.center, self.rad, other.center, other.rad)
+        return CosineSeries(*ball_add(*(_pad_to(x, ext) for x in balls)))
 
     def __sub__(self, other: "CosineSeries") -> "CosineSeries":
         return self + (-other)
 
     def scale(self, c) -> "CosineSeries":
-        c = c if isinstance(c, Interval) else Interval(float(c))
-        return CosineSeries(*vmul(self.lo, self.hi, np.float64(c.lo), np.float64(c.hi)))
+        """The series times a number or Interval c."""
+        return CosineSeries(*ball_mul(self.center, self.rad, *_as_ball(c, self.dim)))
 
     def add_constant(self, c) -> "CosineSeries":
-        """Add a constant (shifts only the mean mode)."""
-        c = c if isinstance(c, Interval) else Interval(float(c))
-        lo = self.lo.copy()
-        hi = self.hi.copy()
-        origin = tuple(0 for _ in range(self.dim))
-        mean = Interval(lo[origin], hi[origin]) + c
-        lo[origin] = mean.lo
-        hi[origin] = mean.hi
-        return CosineSeries(lo, hi)
+        """Add a number or Interval c (shifts only the mean mode)."""
+        return self + CosineSeries(*_as_ball(c, self.dim))
 
 
 def _pad_to(a: np.ndarray, extent) -> np.ndarray:
@@ -221,50 +227,51 @@ def _pad_to(a: np.ndarray, extent) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
-def _sqrt_sum(lo, hi) -> Interval:
-    """Enclosure of the square root of a sum of nonnegative terms [lo, hi].
-    The sum is nonnegative, so a lower end that an overflowing error bound
-    drove below zero is raised to zero."""
-    s = vsum(lo, hi)
-    return Interval(max(s.lo, 0.0), s.hi).sqrt()
+@np.errstate(over="ignore")
+def _weighted_sum(u: CosineSeries, power: int, wm, wr) -> Interval:
+    """Enclosure of sum_k w_k |alpha_k|^power, power 1 or 2, for the
+    coefficient balls alpha_k and nonnegative weight balls <wm, wr>: the
+    lower and the upper end, stacked, each rounded toward its side."""
+    sign = np.array([-1.0, 1.0]).reshape((2,) + (1,) * u.dim)
+    toward = sign * _INF
+    x = np.maximum(add_toward(np.abs(u.center), sign * u.rad, toward), 0.0)
+    x = mul_toward(x, x, toward) if power == 2 else x
+    w = np.maximum(add_toward(wm, sign * wr, toward), 0.0)
+    lo, hi = np.sum(mul_toward(x, w, toward).reshape(2, -1), axis=1).tolist()
+    n = u.center.size
+    # a product, not lo - slack: inf - inf would be NaN
+    lower = max(_down(lo * (1.0 - _sum_slack(1.0, n))), 0.0)
+    return Interval(lower, hi if hi == 0.0 else _up(hi + _sum_slack(hi, n)))
 
 
 def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
-    """Enclosure of a Sobolev-type norm of the series.
+    """Enclosure of a Sobolev-type norm of the series, |ell| <= 2.
 
     space is one of:
       "L2"    -- (sum alpha_k^2)^(1/2)
       "Hbar"  -- (sum_{|k|>0} kappa_k^ell alpha_k^2)^(1/2), zero-mean functions
       "H"     -- (sum (1 + kappa_k^ell) alpha_k^2)^(1/2), ell >= 0
     """
-    if space == "L2":
-        return _sqrt_sum(*vsquare(u.lo, u.hi))
-    if space == "Hbar":
-        if not u.zero_mean:
-            raise IntervalDomainError("Hbar norm requires a zero-mean series")
-        sq = vsquare(u.lo, u.hi)
-        wlo, whi = _kappa_pow_grid(u.extent, ell)
-        return _sqrt_sum(*vmul(sq[0], sq[1], wlo, whi))
-    if space == "H":
-        if ell < 0:
-            raise IntervalDomainError("H norm needs ell >= 0")
-        if ell == 0:
-            return norm(u, "L2")
-        sq = vsquare(u.lo, u.hi)
-        klo, khi = _kappa_pow_grid(u.extent, ell)
-        wlo, whi = vadd(np.ones(u.extent), np.ones(u.extent), klo, khi)
-        return _sqrt_sum(*vmul(sq[0], sq[1], wlo, whi))
-    raise ValueError(f"unknown norm space {space!r}")
+    if space not in ("L2", "Hbar", "H") or (space == "H" and ell < 0):
+        raise ValueError(f"no norm {space!r} with ell = {ell}")
+    if space == "Hbar" and not u.zero_mean:
+        raise IntervalDomainError("Hbar norm requires a zero-mean series")
+    if space == "L2" or ell == 0:
+        w = (1.0, 0.0)
+    else:
+        w = _kappa_power(u.extent, ell)
+        w = w if space == "Hbar" else ball_add(1.0, 0.0, *w)
+    return _weighted_sum(u, 2, *w).sqrt()
 
 
 def sup_bound(u: CosineSeries) -> Interval:
-    """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
-    alo = np.where(u.lo > 0.0, u.lo, np.where(u.hi < 0.0, -u.hi, 0.0))
-    ahi = np.maximum(np.abs(u.lo), np.abs(u.hi))
+    """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm.
+
+    Where nz is odd the float c_k is within 0.62 u of c_k, relatively, so
+    within the radius u fl(c_k)."""
     nz = nz_grid(u.extent)
     c = C_FLOAT[nz]
-    odd = nz % 2 == 1
-    return vsum(*vmul(alo, ahi, np.where(odd, _ndown(c), c), np.where(odd, _nup(c), c)))
+    return _weighted_sum(u, 1, c, c * (nz % 2 * 2.0**-53))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,8 @@ def sup_bound(u: CosineSeries) -> Interval:
 # ---------------------------------------------------------------------------
 
 def laplacian(u: CosineSeries, power: int = 1) -> CosineSeries:
-    """Coefficientwise (-Delta)^power ... applied as alpha_k -> (-kappa_k)^power alpha_k.
+    """Coefficientwise (-Delta)^power, applied as alpha_k -> (-kappa_k)^power
+    alpha_k for |power| <= 2.
 
     Positive powers annihilate the mean mode; negative powers require a
     zero-mean series.
@@ -281,20 +289,18 @@ def laplacian(u: CosineSeries, power: int = 1) -> CosineSeries:
         return u
     if power < 0 and not u.zero_mean:
         raise IntervalDomainError("inverse Laplacian requires a zero-mean series")
-    wlo, whi = _kappa_pow_grid(u.extent, power)
-    if power % 2:  # odd power of (-kappa)
-        wlo, whi = -whi, -wlo
-    return CosineSeries(*vmul(u.lo, u.hi, wlo, whi))
+    wm, wr = _kappa_power(u.extent, power)
+    wm = -wm if power % 2 else wm  # an odd power of -kappa
+    return CosineSeries(*ball_mul(u.center, u.rad, wm, wr))
 
 
 def tail(u: CosineSeries, n: int) -> CosineSeries:
     """u less its modes with |k|_inf < n."""
-    lo = u.lo.copy()
-    hi = u.hi.copy()
+    v = CosineSeries(u.center.copy(), u.rad.copy())
     sl = tuple(slice(0, min(n, s)) for s in u.extent)
-    lo[sl] = 0.0
-    hi[sl] = 0.0
-    return CosineSeries(lo, hi)
+    v.center[sl] = 0.0
+    v.rad[sl] = 0.0
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +359,16 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
 def _raw_mid_rad(u: CosineSeries):
     """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k.
 
-    The midpoint M = fl(mid(alpha_k) c_k) is exact where nz is even, so a
+    The midpoint M = fl(center_k c_k) is exact where nz is even, so a
     point coefficient keeps a zero radius there.  Where nz is odd and M is
-    normal, M is within (0.62 u (1 + u) + u) |M| < 2^-52 |M| of mid(alpha_k)
+    normal, M is within (0.62 u (1 + u) + u) |M| < 2^-52 |M| of center_k
     c_k; the radius, rounded up, gains 2^-52 |M| and one more upward step.
     Below _FOLD_MIN the fold's scaling by 2^-d would round, so smaller
     midpoints move into the radius (the upward step also covers their
     underflow) and smaller radii round up to _FOLD_MIN.
     """
     nz = nz_grid(u.extent)
-    m, r = mid_rad(u.lo, u.hi)
+    m, r = u.center.copy(), u.rad.copy()
     odd = (nz % 2 == 1) & ((m != 0.0) | (r != 0.0))
     m *= C_FLOAT[nz]
     r[~odd] *= C_FLOAT[nz[~odd]]
@@ -371,10 +377,10 @@ def _raw_mid_rad(u: CosineSeries):
     r = np.where(tiny & (m != 0.0), _nup(r + _FOLD_MIN), r)
     r[(r > 0.0) & (r < _FOLD_MIN)] = _FOLD_MIN
     m[tiny] = 0.0
-    return m, r, ((u.lo != 0.0) | (u.hi != 0.0)).astype(np.float64)
+    return m, r, u.support().astype(np.float64)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become [-inf, inf]
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     """Exact product of two series (no truncation), in midpoint-radius form.
 
@@ -382,20 +388,20 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     members lies within |Am|*Br + Ar*(|Bm| + Br) of Am*Bm, * being the fold.
     The float fold of Am*Bm is off by at most u times its running error
     bound plus 2^-1075 per underflowing product (Higham, sec. 3.3).  A fold
-    adds at most p = 3^d nnz(A) terms into one entry, so _outward's a-priori
+    adds at most p = 3^d nnz(A) terms into one entry, so _ball_up's a-priori
     gamma_p factor covers the rounding of the radius folds and of the error
     sum, and its constant the underflow of all three folds (Higham, ch. 3).
     The raw C +- rho becomes fl(C w) +- fl(rho w), w the float 1/c_m, exact
     where nz is even.  Where it is odd, w's error is one factor more for
     rho, hence gamma_{p+1}, and fl(C w) is within (0.62 u (1 + u) + u)
     |fl(C w)| < 2^-52 |fl(C w)| of C / c_m, which the radius gains.  Entries
-    that no pair of nonzero coefficients reaches stay exact zeros.
+    that no pair of nonzero coefficients reaches are the exact zero (0, 0).
     """
     if u.dim != v.dim:
         raise ValueError("product of series with different dimensions")
     # iterate over the factor with fewer populated modes
-    nu = int(np.count_nonzero((u.lo != 0.0) | (u.hi != 0.0)))
-    nv = int(np.count_nonzero((v.lo != 0.0) | (v.hi != 0.0)))
+    nu = int(np.count_nonzero(u.support()))
+    nv = int(np.count_nonzero(v.support()))
     if nv < nu:
         u, v = v, u
         nu = nv
@@ -413,11 +419,11 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     rad *= _C_INV_FLOAT[nz]
     rad += np.abs(c) * (nz % 2 * 2.0**-52)
     p = 3**u.dim * nu
-    lo, hi = _outward(c, rad, p, _gamma(p + 1))
+    c, rad = _ball_up(c, rad, p, _gamma(p + 1))
     unreached = reach == 0.0
-    lo[unreached] = 0.0
-    hi[unreached] = 0.0
-    return CosineSeries(lo, hi)
+    c[unreached] = 0.0
+    rad[unreached] = 0.0
+    return CosineSeries(c, rad)
 
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:

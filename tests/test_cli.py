@@ -157,6 +157,45 @@ def test_solver_failure_exit_code(workdir):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "1e308"],
+    ["--lambda", "1", "--f", "0,1e300,0,-1e300"],
+])
+def test_solve_overflow_fails_without_warnings(workdir, capsys, flags):
+    capsys.readouterr()
+    code = main(["solve", "--dim", "1", "--N", "16", "--seed", "mode:1", *flags,
+                 "--out", str(workdir / "overflow.json")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "solver failed: residual became non-finite at iteration 0"
+    ]
+    assert not (workdir / "overflow.json").exists()
+
+
+@pytest.mark.parametrize("argv,n,m", [
+    (["solve", "--dim", "2", "--N", "400", "--lambda", "75", "--seed", "mode:1,1", "--out"], 400, 159999),
+    (["walk", "--in", "IN", "--param", "lambda", "--step", "1", "--N", "6000", "--out-prefix"], 6000, 5999),
+])
+def test_newton_memory_check_before_allocating(workdir, solution_file, capsys, monkeypatch, argv, n, m):
+    from okvalid import newton, operator
+
+    def no_jacobian(*args, **kwargs):
+        raise AssertionError("Jacobian assembled beyond the memory check")
+
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e9)
+    monkeypatch.setattr(newton, "galerkin_matrix_point", no_jacobian)
+    argv = [str(solution_file) if a == "IN" else a for a in argv] + [str(workdir / "too_big")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    need = 8.0 * newton.NEWTON_WORK_ARRAYS * m * m
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"solver failed: truncation n={n} ({m} modes) needs about {need / 1e6:.0f} MB "
+        "for the Newton Jacobian, 1000 MB available"
+    ]
+    assert not list(workdir.glob("too_big*"))
+
+
 def test_validate_and_check_roundtrip(workdir, solution_file):
     cert_path = workdir / "sol.lambda.cert.json"
     code = main(["validate", "--in", str(solution_file), "--param", "lambda",

@@ -16,11 +16,12 @@ from okvalid.intervals import (
     mat_mul,
     mat_norm2_upper,
     mat_sub_identity,
+    add_toward,
+    ball_add,
+    ball_inv,
+    ball_mul,
     mid_rad,
-    vadd,
-    vmul,
-    vsquare,
-    vsum,
+    mul_toward,
 )
 
 ULP = 2.0 ** -52
@@ -209,38 +210,107 @@ def test_monotonicity_fuzz():
 
 
 # ---------------------------------------------------------------------------
-# vector kernels agree with the scalar ops
+# entrywise balls against exact rationals
 # ---------------------------------------------------------------------------
 
-def test_vector_kernels_match_scalar(rng):
-    n = 500
-    alo = rng.standard_normal(n)
-    ahi = alo + abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-12, 1.0], n)
-    blo = rng.standard_normal(n)
-    bhi = blo + abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-9], n)
-    slo, shi = vadd(alo, ahi, blo, bhi)
-    plo, phi = vmul(alo, ahi, blo, bhi)
-    qlo, qhi = vsquare(alo, ahi)
-    for i in range(n):
-        a = Interval(alo[i], ahi[i])
-        b = Interval(blo[i], bhi[i])
-        s = a + b
-        assert slo[i] <= s.lo and s.hi <= shi[i]
-        p = a * b
-        assert plo[i] <= p.lo and p.hi <= phi[i]
-        q = a.square()
-        assert qlo[i] <= q.lo and q.hi <= qhi[i]
+def _ball_values(rng, n):
+    """Midpoints over many magnitudes, with zeros, subnormals and radii that
+    are zero, tiny or wide."""
+    m = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+    m[::7] = 0.0
+    m[1::11] = rng.integers(-5, 6, m[1::11].shape) * 5e-324
+    m[2::13] = rng.integers(-9, 10, m[2::13].shape)
+    r = np.abs(m) * rng.choice([0.0, 1e-16, 1e-3, 2.0], n)
+    r[3::17] = 5e-324
+    return m, r
 
 
-def test_vsum_rigor(rng):
-    lo = rng.standard_normal(1000)
-    hi = lo + abs(rng.standard_normal(1000)) * 1e-13
-    s = vsum(lo, hi)
-    exact_lo = sum(Fraction(v) for v in lo)
-    exact_hi = sum(Fraction(v) for v in hi)
-    assert Fraction(s.lo) <= exact_lo and exact_hi <= Fraction(s.hi)
-    z = vsum(np.zeros(5), np.zeros(5))
-    assert (z.lo, z.hi) == (0.0, 0.0)
+def _ball_holds(m, r, x: Fraction) -> bool:
+    return math.isinf(r) or abs(Fraction(m) - x) <= Fraction(r)
+
+
+def _vertices(m, r):
+    return (Fraction(m) - Fraction(r), Fraction(m), Fraction(m) + Fraction(r))
+
+
+def test_toward_rounding_brackets_exact(rng):
+    a, _ = _ball_values(rng, 2000)
+    b, _ = _ball_values(rng, 2000)
+    with np.errstate(over="ignore"):
+        for toward in (-math.inf, math.inf):
+            s = add_toward(a, b, toward)
+            p = mul_toward(np.abs(a), np.abs(b), toward)
+            for i in range(a.size):
+                exact_s = Fraction(a[i]) + Fraction(b[i])
+                exact_p = Fraction(abs(a[i])) * Fraction(abs(b[i]))
+                for got, exact in ((s[i], exact_s), (p[i], exact_p)):
+                    if math.isinf(got):  # overflow only ever moves away from the exact value
+                        assert got == toward, i
+                    else:
+                        assert (Fraction(got) - exact) * (1 if toward > 0 else -1) >= 0, i
+                assert p[i] >= 0.0
+                if Fraction(a[i] + b[i]) == exact_s:
+                    assert s[i] == a[i] + b[i]
+    assert mul_toward(np.array([0.0, 3.0]), np.array([math.inf, 0.0]), math.inf).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_ball_kernels_contain_exact(rng, op):
+    am, ar = _ball_values(rng, 1500)
+    bm, br = _ball_values(rng, 1500)
+    kernel = ball_add if op == "add" else ball_mul
+    m, r = kernel(am, ar, bm, br)
+    assert np.isfinite(m).all() and not np.isnan(r).any()
+    for i in range(am.size):
+        for x in _vertices(am[i], ar[i]):
+            for y in _vertices(bm[i], br[i]):
+                z = x + y if op == "add" else x * y
+                assert _ball_holds(m[i], r[i], z), (i, am[i], ar[i], bm[i], br[i])
+
+
+def test_ball_inv_contains_exact(rng):
+    m = 10.0 ** rng.uniform(-8, 8, 500)
+    r = m * rng.choice([0.0, 1e-16, 1e-3, 0.5], 500)
+    im, ir = ball_inv(m, r)
+    for i in range(m.size):
+        for x in (Fraction(m[i]) - Fraction(r[i]), Fraction(m[i]) + Fraction(r[i])):
+            assert _ball_holds(im[i], ir[i], 1 / x)
+    assert [v.tolist() for v in ball_inv(np.zeros(2), np.zeros(2))] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_ball_kernels_keep_exact_points_and_zeros():
+    # a zero operand gives the exact zero, an exact sum of points a point
+    m, r = ball_mul(np.array([0.0, 2.5]), np.array([0.0, 1.0]), np.array([7.0, 0.0]), np.zeros(2))
+    assert m.tolist() == [0.0, 0.0] and r.tolist() == [0.0, 0.0]
+    m, r = ball_add(np.array([0.0, 1.5, 1.0]), np.zeros(3), np.array([0.0, 2.0, 2.0**-60]), np.zeros(3))
+    assert m.tolist() == [0.0, 3.5, 1.0] and r.tolist() == [0.0, 0.0, 2.0**-60]
+    # an infinite radius times the point zero is the exact zero
+    m, r = ball_mul(np.array([0.0]), np.array([math.inf]), np.array([0.0]), np.array([0.0]))
+    assert (m[0], r[0]) == (0.0, 0.0)
+
+
+def test_ball_kernels_overflow_to_unbounded():
+    big = np.array([1.7e308, -1.7e308])
+    for m, r in (
+        ball_add(big, np.zeros(2), big, np.zeros(2)),
+        ball_mul(big, np.zeros(2), np.array([4.0, 1.0]), np.array([0.0, math.inf])),
+    ):
+        assert m.tolist() == [0.0, 0.0] and r.tolist() == [math.inf] * 2
+
+
+_BALL_MID = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_BALL_RAD = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BALL_MID, _BALL_RAD, _BALL_MID, _BALL_RAD)
+def test_ball_kernels_contain_exact_property(am, ar, bm, br):
+    for kernel, op in ((ball_add, lambda x, y: x + y), (ball_mul, lambda x, y: x * y)):
+        m, r = kernel(np.array([am]), np.array([ar]), np.array([bm]), np.array([br]))
+        assert math.isfinite(m[0]) and not math.isnan(r[0])
+        for x in _vertices(am, ar):
+            for y in _vertices(bm, br):
+                assert _ball_holds(m[0], r[0], op(x, y))
 
 
 # ---------------------------------------------------------------------------

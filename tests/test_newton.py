@@ -142,3 +142,37 @@ def test_walk_rejects_non_finite_step(step):
 def test_solve_options_reject_small_truncation(n):
     with pytest.raises(ValueError, match="truncation"):
         SolveOptions(n=n)
+
+
+def test_newton_memory_check_boundary(monkeypatch):
+    from okvalid import newton, operator
+
+    p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
+    n = 32
+    need = 8.0 * newton.NEWTON_WORK_ARRAYS * (n - 1) ** 2
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
+    with pytest.raises(NewtonError, match="for the Newton Jacobian"):
+        newton_solve(p, parse_seed("mode:1", 1, n), SolveOptions(n=n))
+    with pytest.raises(NewtonError, match="for the Newton Jacobian"):
+        parameter_walk(p, parse_seed("mode:1", 1, n), "lambda", 1.0, 2, SolveOptions(n=n))
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
+    assert newton_solve(p, parse_seed("mode:1", 1, n), SolveOptions(n=n)).iterations > 0
+
+
+def test_newton_memory_peak_within_live_arrays():
+    # the traced peak of two Newton steps on the canonical 2-d case stays
+    # inside the budget that the memory check charges
+    import tracemalloc
+
+    from okvalid.newton import NEWTON_WORK_ARRAYS
+
+    p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
+    n = 28
+    tracemalloc.start()
+    try:
+        with pytest.raises(NewtonError):
+            newton_solve(p, parse_seed("mode:1,1,0.5", 2, n), SolveOptions(n=n, max_iter=2, tol_residual=1e-300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * NEWTON_WORK_ARRAYS * (n * n - 1) ** 2

@@ -10,7 +10,7 @@ import sympy
 
 from conftest import gauss_rule, lin_of, make_random_series
 from okvalid import operator
-from okvalid.intervals import IntervalDomainError
+from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
@@ -252,7 +252,7 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
     mid[rng.uniform(size=extent) < 0.3] = 0.0
     width[(mid == 0.0) | point] = 0.0
-    q = CosineSeries(mid - width, mid + width)
+    q = CosineSeries.hull(mid - width, mid + width)
     assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
@@ -268,10 +268,12 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     assert ((g.mat.mid == 0.0) & (g.mat.rad == 0.0)).any() and (g.mat.rad > 0.0).any()
 
 
-def test_pi_powers_rounded_to_nearest():
+def test_pi_power_balls_hold_pi_powers():
+    # the midpoints are pi^2 and pi^4 rounded to nearest, the radii half their ulp
     with mpmath.workdps(50):
-        for got, want in ((operator._PI2_NEAREST, mpmath.pi**2), (operator._PI4_NEAREST, mpmath.pi**4)):
-            assert abs(got - want) <= 2.0**-53 * want
+        for (mid, rad), want in ((PI2_BALL, mpmath.pi**2), (PI4_BALL, mpmath.pi**4)):
+            assert abs(mid - want) <= rad == np.spacing(mid) / 2
+            assert float(want) == mid
 
 
 def test_galerkin_point_scaling_mpmath(rng):
@@ -367,7 +369,7 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             odd = (slice(None),) * j + (slice(1, None, 2),)
             mid[odd] = 0.0
             width[odd] = 0.0
-        q = CosineSeries(mid - width, mid + width)
+        q = CosineSeries.hull(mid - width, mid + width)
         assert operator.split_axes(q) == even
         g = galerkin_matrix(p, q, n)
         assert g.split == even and len(g.blocks) == 2 ** sum(even)
@@ -400,7 +402,7 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             lo[k] = hi[k] = 0.3
         else:
             lo[k], hi[k] = -1e-3, 1e-3
-        q = CosineSeries(lo, hi)
+        q = CosineSeries.hull(lo, hi)
         qm, qr, _ = _raw_mid_rad(q)
         if kind == "radius-only":
             assert qm[k] == 0.0 and qr[k] > 0.0
@@ -432,7 +434,7 @@ def test_kn_failure_names_parity_class():
     # a constant q whose interval puts zero inside the diagonal entries of
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
     q0 = math.pi**2 * (1.0 + 1e-6)
-    q = CosineSeries(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
+    q = CosineSeries.hull(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
     g = galerkin_matrix(ModelParams(lam=7.0), q, 6)
     with pytest.raises(CertificationError) as err:
         galerkin_inverse_bound(g)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import eval_series_naive, gauss_rule, make_random_series
 from okvalid import series
-from okvalid.intervals import IntervalDomainError, _gamma, _outward
+from okvalid.intervals import Interval, IntervalDomainError, _ball_up, _gamma, add_toward
 from okvalid.series import (
     CosineSeries,
     evaluate_grid,
@@ -35,7 +36,7 @@ def test_zero_mean_is_the_k0_coefficient(rng):
         u = make_random_series(rng, extent, zero_mean=False)
         assert not u.zero_mean
         assert tail(u, 2).zero_mean
-    assert not CosineSeries(np.array([-1e-300, 0.0]), np.array([0.0, 1.0])).zero_mean
+    assert not CosineSeries.hull(np.array([-1e-300, 0.0]), np.array([0.0, 1.0])).zero_mean
     with pytest.raises(IntervalDomainError):
         CosineSeries.from_point([1.0, 0.5], zero_mean=True)
     assert CosineSeries.from_point([0.0, 0.5], zero_mean=True).zero_mean
@@ -55,13 +56,20 @@ def test_single_mode_norms():
     assert s.lo <= math.sqrt(2) <= s.hi
 
 
-@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
-def test_series_rejects_nan_coefficient(lo, hi):
+@pytest.mark.parametrize("x,y", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_series_rejects_nan_coefficient(x, y):
     a = np.zeros(4)
     b = np.ones(4)
-    a[2], b[2] = lo, hi
+    a[2], b[2] = x, y
+    for make in (CosineSeries, CosineSeries.hull):
+        with pytest.raises(IntervalDomainError):
+            make(a, b)
+
+
+@pytest.mark.parametrize("center,rad", [(math.inf, 0.0), (-math.inf, 1.0), (0.0, -1.0)])
+def test_series_rejects_infinite_center_and_negative_radius(center, rad):
     with pytest.raises(IntervalDomainError):
-        CosineSeries(a, b)
+        CosineSeries(np.array([0.0, center]), np.array([0.0, rad]))
 
 
 def test_hbar_requires_zero_mean():
@@ -98,6 +106,208 @@ def test_h_norm_formula(rng):
 
 
 # ---------------------------------------------------------------------------
+# ball kernels against exact oracles
+# ---------------------------------------------------------------------------
+
+def _ball_series(rng, extent, zero_mean=False):
+    """Coefficients over six orders of magnitude, with point zeros and radii
+    that are zero, tiny or wide."""
+    c = rng.standard_normal(extent) * 10.0 ** rng.uniform(-3, 3, extent)
+    c[rng.random(extent) < 0.3] = 0.0
+    r = np.abs(c) * rng.choice([0.0, 1e-16, 1e-6, 2.0], extent)
+    if zero_mean:
+        c[(0,) * len(extent)] = r[(0,) * len(extent)] = 0.0
+    return CosineSeries(c, r)
+
+
+def _ball_ends(u: CosineSeries, k):
+    """The exact ends center -+ rad of coefficient k, as Fractions."""
+    c, r = Fraction(u.center[k]), Fraction(u.rad[k])
+    return c - r, c + r
+
+
+def _in_ball(u: CosineSeries, k, x) -> bool:
+    """x (a Fraction or an mpf) lies in the ball of coefficient k."""
+    c, r = u.center[k], u.rad[k]
+    if isinstance(x, Fraction):
+        return abs(Fraction(c) - x) <= Fraction(r)
+    with mpmath.workdps(60):
+        return abs(mpmath.mpf(c) - x) <= mpmath.mpf(r)
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+_BALL_EXTENTS = [(9,), (4, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("extent", _BALL_EXTENTS)
+def test_ball_sum_scale_and_constant_contain_exact(rng, extent):
+    u, v = _ball_series(rng, extent), _ball_series(rng, extent)
+    s_point = 3.7
+    s_iv = Interval(-1.25, 0.5)
+    total, point, wide = u + v, u.scale(s_point), u.scale(s_iv)
+    shifted, shifted_iv = u.add_constant(0.1), u.add_constant(s_iv)
+    origin = (0,) * len(extent)
+    for k in np.ndindex(*extent):
+        for x in _ball_ends(u, k):
+            for y in _ball_ends(v, k):
+                assert _in_ball(total, k, x + y), k
+            assert _in_ball(point, k, x * Fraction(s_point)), k
+            for y in (Fraction(s_iv.lo), Fraction(s_iv.hi)):
+                assert _in_ball(wide, k, x * y), k
+            if k == origin:
+                assert _in_ball(shifted, k, x + Fraction(0.1))
+                assert _in_ball(shifted_iv, k, x + Fraction(s_iv.lo))
+                assert _in_ball(shifted_iv, k, x + Fraction(s_iv.hi))
+    # the constant moves only the mean mode, exactly
+    rest = np.ones(extent, bool)
+    rest[origin] = False
+    assert np.array_equal(shifted.center[rest], u.center[rest])
+    assert np.array_equal(shifted.rad[rest], u.rad[rest])
+
+
+@pytest.mark.parametrize("extent", _BALL_EXTENTS)
+@pytest.mark.parametrize("power", [-2, -1, 1, 2])
+def test_ball_laplacian_contains_exact(rng, extent, power):
+    u = _ball_series(rng, extent, zero_mean=True)
+    lap = laplacian(u, power)
+    assert lap.zero_mean
+    with mpmath.workdps(60):
+        for k in np.ndindex(*extent):
+            if not any(k):
+                continue
+            w = (-(mpmath.pi**2) * sum(ki * ki for ki in k)) ** power
+            for x in _ball_ends(u, k):
+                assert _in_ball(lap, k, w * _mpf(x)), (k, power)
+    # a point series keeps its point zeros and gains radii of a few ulps
+    a = _ball_series(rng, extent, zero_mean=True).mid()
+    lap = laplacian(CosineSeries.from_point(a), power)
+    assert np.array_equal(lap.support(), a != 0.0)
+    assert np.all(lap.rad <= 8 * 2.0**-53 * np.abs(lap.center))
+
+
+def _norm_oracle(u: CosineSeries, weight):
+    """(sqrt(sum w |alpha|^2) at the members of u nearest to and furthest
+    from zero, per coefficient), at 60 digits."""
+    low = high = mpmath.mpf(0)
+    for k in np.ndindex(*u.extent):
+        lo, hi = _ball_ends(u, k)
+        mig = max(lo, -hi, Fraction(0))
+        mag = max(-lo, hi)
+        w = weight(k)
+        low += w * _mpf(mig) ** 2
+        high += w * _mpf(mag) ** 2
+    return mpmath.sqrt(low), mpmath.sqrt(high)
+
+
+@pytest.mark.parametrize("extent", _BALL_EXTENTS)
+@pytest.mark.parametrize("space,ell", [("L2", 0), ("H", 2), ("H", 1), ("Hbar", 2),
+                                       ("Hbar", 1), ("Hbar", -1), ("Hbar", -2)])
+def test_ball_norm_ends_contain_exact(rng, extent, space, ell):
+    for point in (False, True):
+        u = _ball_series(rng, extent, zero_mean=space == "Hbar")
+        if point:
+            u = CosineSeries.from_point(u.mid())
+        got = norm(u, space, ell)
+        with mpmath.workdps(60):
+            def weight(k):
+                kappa = mpmath.pi**2 * sum(ki * ki for ki in k)
+                if space == "L2":
+                    return 1
+                if space == "H":
+                    return 1 + kappa**ell
+                return kappa**ell if any(k) else 0
+            low, high = _norm_oracle(u, weight)
+            assert mpmath.mpf(got.lo) <= low and high <= mpmath.mpf(got.hi), (space, ell)
+        if point:
+            assert got.hi - got.lo <= 1e-13 * got.hi
+
+
+@pytest.mark.parametrize("extent", _BALL_EXTENTS)
+def test_ball_sup_bound_ends_contain_exact(rng, extent):
+    for u in (_ball_series(rng, extent), CosineSeries.from_point(_ball_series(rng, extent).mid())):
+        got = sup_bound(u)
+        low = high = mpmath.mpf(0)
+        with mpmath.workdps(60):
+            for k in np.ndindex(*extent):
+                lo, hi = _ball_ends(u, k)
+                c = mpmath.sqrt(2) ** np.count_nonzero(k)
+                low += c * _mpf(max(lo, -hi, Fraction(0)))
+                high += c * _mpf(max(-lo, hi))
+            assert mpmath.mpf(got.lo) <= low and high <= mpmath.mpf(got.hi)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 5000])
+def test_norm_sum_slack_covers_absorbed_terms(n):
+    # squares below half an ulp of 1, lost to float partial sums that hold
+    # the 1: only the a-priori slack of the sum covers them
+    a = np.full(n, 0.7 * 2.0**-26)
+    a[0] = 1.0
+    got = norm(CosineSeries.from_point(a), "L2")
+    with mpmath.workdps(60):
+        exact = mpmath.sqrt(1 + (n - 1) * mpmath.mpf(a[1]) ** 2)
+        assert mpmath.mpf(got.lo) <= exact <= mpmath.mpf(got.hi)
+
+
+def test_ball_kernels_keep_exact_zeros_and_points():
+    u = CosineSeries.from_point(np.array([0.0, 3.0, 0.0, -0.5]))
+    v = CosineSeries.from_point(np.array([0.0, 0.25, 0.0, 2.0]))
+    for w in (u + v, u - v, u.scale(3.1), u.scale(Interval(-1.0, 2.0)), laplacian(u, 2),
+              laplacian(u, -1), u.add_constant(0.0)):
+        assert w.zero_mean and w.center[2] == 0.0 == w.rad[2]
+    # exact sums of points stay points
+    w = u + v
+    assert w.center.tolist() == [0.0, 3.25, 0.0, 1.5] and not w.rad.any()
+    assert u.add_constant(2.0).coefficient((0,)) == Interval(2.0)
+    # norms and sup bounds of the zero series are the point zero
+    z = CosineSeries.zeros((3, 2))
+    assert [norm(z, s, ell) for s, ell in (("L2", 0), ("H", 2), ("Hbar", -2))] == [Interval(0.0)] * 3
+    assert sup_bound(z) == Interval(0.0)
+
+
+def test_ball_kernels_overflow_to_unbounded():
+    big = np.array([0.0, 1e300, -1e300, 1.0])
+    u = CosineSeries.from_point(big)
+    for w in (u.scale(1e10), u.scale(1e8) + u.scale(1.7e8), laplacian(u.scale(1e8), 2)):
+        assert (w.center[0], w.rad[0]) == (0.0, 0.0)
+        assert w.center[1:3].tolist() == [0.0, 0.0] and w.rad[1:3].tolist() == [math.inf] * 2
+        assert np.isfinite(w.center).all() and not np.isnan(w.rad).any()
+        assert norm(w, "L2").hi == math.inf and sup_bound(w).hi == math.inf
+    assert CosineSeries.hull(big, np.array([0.0, math.inf, 1.0, 1.0])).rad[1] == math.inf
+
+
+@st.composite
+def _ball_operands(draw):
+    d = draw(st.integers(1, 3))
+    extent = tuple(draw(st.integers(1, 3)) for _ in range(d))
+    size = math.prod(extent)
+    mids = st.lists(_COEFF, min_size=size, max_size=size)
+    rads = st.lists(st.sampled_from([0.0, 1e-300, 1e-12, 1.0]), min_size=size, max_size=size)
+    u, v = (CosineSeries(np.reshape(draw(mids), extent), np.reshape(draw(rads), extent) * 1e3)
+            for _ in range(2))
+    return u, v, draw(_COEFF), draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ball_operands())
+def test_ball_kernels_contain_exact_property(operands):
+    u, v, s, power = operands
+    u0 = tail(u, 1)  # zero-mean, as the negative Laplacian needs
+    total, scaled, lap = u + v, u.scale(s), laplacian(u0, power)
+    with mpmath.workdps(60):
+        for k in np.ndindex(*u.extent):
+            w = (-(mpmath.pi**2) * sum(ki * ki for ki in k)) ** power if any(k) else 0
+            for x in _ball_ends(u, k):
+                assert _in_ball(scaled, k, x * Fraction(s))
+                for y in _ball_ends(v, k):
+                    assert _in_ball(total, k, x + y)
+            for x in _ball_ends(u0, k):
+                assert _in_ball(lap, k, w * _mpf(x))
+
+
+# ---------------------------------------------------------------------------
 # Laplacian
 # ---------------------------------------------------------------------------
 
@@ -111,7 +321,7 @@ def test_laplacian_single_mode():
 def test_laplacian_roundtrip(rng):
     u = make_random_series(rng, (4, 4))
     back = laplacian(laplacian(u, 1), -1)
-    assert back.contains_coeffs(u.mid()) or np.max(np.abs(back.mid() - u.mid())) < 1e-12
+    assert np.max(np.abs(back.mid() - u.mid())) < 1e-12
 
 
 def test_laplacian_isometry(rng):
@@ -166,8 +376,8 @@ def test_scale_lemma(rng):
 
 def test_tail_plus_project_is_identity(rng):
     u = make_random_series(rng, (6, 5))
-    head = CosineSeries(u.lo[:3, :3], u.hi[:3, :3])
-    s = head.pad_to(u.extent) + tail(u, 3)
+    head = CosineSeries(u.center[:3, :3], u.rad[:3, :3])
+    s = head + tail(u, 3)
     assert np.max(np.abs(s.mid() - u.mid())) < 1e-15
 
 
@@ -179,8 +389,8 @@ def test_multiply_by_one(rng):
     one = CosineSeries.from_point(np.ones((1,)))
     u = make_random_series(rng, (6,))
     w = multiply(u, one)
-    assert w.contains_coeffs(u.mid())
-    assert w.width() < 1e-13
+    assert np.all(w.lo <= u.mid()) and np.all(u.mid() <= w.hi)
+    assert np.max(w.rad) < 5e-14
 
 
 def test_phi1_squared():
@@ -259,13 +469,16 @@ def _product_oracle(a, b):
 
 
 def _members(rng, u: CosineSeries, count: int = 3):
-    """Random vertices and random interior points of u, plus its endpoints."""
-    yield u.lo
-    yield u.hi
+    """Random vertices and random interior points of u, plus its ends: the
+    floats nearest to center -+ rad inside each ball."""
+    lo = add_toward(u.center, -u.rad, math.inf)
+    hi = add_toward(u.center, u.rad, -math.inf)
+    yield lo
+    yield hi
     for _ in range(count):
-        yield np.where(rng.random(u.extent) < 0.5, u.lo, u.hi)
+        yield np.where(rng.random(u.extent) < 0.5, lo, hi)
         t = rng.random(u.extent)
-        yield np.clip(u.lo + t * (u.hi - u.lo), u.lo, u.hi)
+        yield np.clip(lo + t * (hi - lo), lo, hi)
 
 
 def assert_product_contains(prod: CosineSeries, a, b):
@@ -278,7 +491,7 @@ def assert_product_contains(prod: CosineSeries, a, b):
 
 def _interval_series(rng, a):
     r = 1e-6 * np.abs(a) * rng.random(a.shape)
-    return CosineSeries(a - r, a + r)
+    return CosineSeries.hull(a - r, a + r)
 
 
 def _cancelling_pair(rng, extent):
@@ -391,7 +604,7 @@ def test_multiply_subnormal_terms_mpmath(rng, d):
     assert_product_contains(
         multiply(CosineSeries.from_point(tiny), CosineSeries.from_point(huge)), tiny, huge
     )
-    prod = multiply(CosineSeries(-tiny / 3, tiny / 3), CosineSeries.from_point(huge))
+    prod = multiply(CosineSeries.hull(-tiny / 3, tiny / 3), CosineSeries.from_point(huge))
     assert_product_contains(prod, tiny / 3, huge)
     assert_product_contains(prod, -tiny / 3, huge)
 
@@ -448,7 +661,7 @@ def _fold_reference(a, b, err=None):
 @np.errstate(over="ignore", invalid="ignore")
 def _multiply_reference(u, v):
     """multiply with its four folds run one after the other."""
-    populated = [int(np.count_nonzero((s.lo != 0.0) | (s.hi != 0.0))) for s in (u, v)]
+    populated = [int(np.count_nonzero(s.support())) for s in (u, v)]
     if populated[1] < populated[0]:
         u, v = v, u
     am, ar, asup = series._raw_mid_rad(u)
@@ -464,11 +677,11 @@ def _multiply_reference(u, v):
     c = c * inv
     rad = rad * inv + np.abs(c) * np.where(nz % 2 == 1, 2.0**-52, 0.0)
     p = 3**u.dim * min(populated)
-    lo, hi = _outward(c, rad, p, _gamma(p + 1))
+    c, rad = _ball_up(c, rad, p, _gamma(p + 1))
     unreached = _fold_reference(asup, bsup) == 0.0
-    lo[unreached] = 0.0
-    hi[unreached] = 0.0
-    return CosineSeries(lo, hi)
+    c[unreached] = 0.0
+    rad[unreached] = 0.0
+    return CosineSeries(c, rad)
 
 
 @pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
@@ -491,14 +704,15 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
         # with a zero midpoint, so that 0 * inf = NaN arises in the fused folds
         lo[last], hi[last] = 1.0, math.inf
         lo.flat[1], hi.flat[1] = -0.25, 0.25
-    u = CosineSeries(lo, hi)
+    u = CosineSeries.hull(lo, hi)
     b = rng.standard_normal(extent) + 0.1
     v = _interval_series(rng, b)
     if special == "inf":
-        v.hi.flat[2] = math.inf
+        v.rad.flat[2] = math.inf
+        v.center.flat[2] = 0.0
     for x, y in ((u, v), (v, u), (u, u)):
         got, want = multiply(x, y), _multiply_reference(x, y)
-        assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+        assert np.array_equal(got.center, want.center) and np.array_equal(got.rad, want.rad)
     if special == "inf":
         assert np.isinf(multiply(u, v).hi).any()
     # Newton's product is fold 0 alone, over the sparser factor
@@ -517,7 +731,7 @@ def _series(draw, extent):
     if draw(st.booleans()):
         return CosineSeries.from_point(lo)
     other = np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(extent)
-    return CosineSeries(np.minimum(lo, other), np.maximum(lo, other))
+    return CosineSeries.hull(np.minimum(lo, other), np.maximum(lo, other))
 
 
 @st.composite
