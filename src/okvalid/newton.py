@@ -20,8 +20,13 @@ from .operator import (
     ModelParams,
     galerkin_matrix_point,
     memory_shortfall,
+    parity_classes,
+    parity_label,
+    point_linearization,
     poly_eval_series_point,
     truncation_modes,
+    _class_positions,
+    _class_size,
     _with_mean,
 )
 from .series import CosineSeries, k2_grid
@@ -103,11 +108,20 @@ def residual_point(p: ModelParams, coeffs: np.ndarray):
     return f_coeffs, proj, full
 
 
-# Peak number of live m x m double arrays in a Newton step on m = n^d - 1
-# unknowns: the Jacobian, its assembly's temporaries and np.linalg.solve's
-# copy.  Measured (tracemalloc peak, rise of the peak RSS) in 2-d at m = 783
-# to 4095 and in 3-d at m = 1727: 3.0 to 3.3, rounded up.
+# Peak number of live m x m double arrays in a Newton step that solves a
+# parity block of m unknowns: the block, its assembly's temporaries and
+# np.linalg.solve's copy.  Measured (tracemalloc peak, rise of the peak RSS)
+# on the full matrix in 2-d at m = 783 to 4095 and in 3-d at m = 1727: 3.0
+# to 3.3, rounded up.
 NEWTON_WORK_ARRAYS = 4
+
+
+def _check_block_memory(rows: int, dim: int, n: int) -> None:
+    """Raise NewtonError unless a Jacobian block of rows modes fits in memory."""
+    short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, dim, n,
+                             f"Newton Jacobian block of {rows} modes")
+    if short:
+        raise NewtonError(short)
 
 
 @dataclass
@@ -122,13 +136,25 @@ class NewtonResult:
 @np.errstate(over="ignore", invalid="ignore")
 def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions) -> NewtonResult:
     """Newton iteration on the projected system; the mean mode stays exactly
-    zero.  A step too large for the available memory raises NewtonError first."""
+    zero.
+
+    The Jacobian at the iterate is block-diagonal by the parity classes of
+    the axes along which its linearization coefficient q has only
+    even-index coefficients (operator.split_axes).  Each step assembles and
+    solves only the blocks on which the residual has a nonzero entry; every
+    other block has a zero right-hand side, so its step is the exact zero.
+    An iterate that lives on one parity class (the canonical equilibria
+    fill only the all-odd modes) therefore never leaves it.  A block too
+    large for the available memory raises NewtonError before it is
+    assembled, and so does a singular block, naming its class.  Before the
+    first residual, the smallest block that any step can assemble (one
+    class of a split along every axis) is charged, so a truncation that no
+    step fits is refused before anything of its size is allocated.
+    """
     coeffs = u0.mid() if isinstance(u0, CosineSeries) else np.asarray(u0, dtype=np.float64)
     dim = coeffs.ndim
     n = opts.n
-    short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * (n**dim - 1) ** 2, dim, n, "Newton Jacobian")
-    if short:
-        raise NewtonError(short)
+    _check_block_memory(min(_class_size(axes) for axes in parity_classes((True,) * dim, n)), dim, n)
     a = np.zeros((n,) * dim)
     src = tuple(slice(0, min(n, s)) for s in coeffs.shape)
     a[src] = coeffs[src]
@@ -154,12 +180,21 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
             raise NewtonError(f"Newton iteration diverged (residual {proj:.3g})")
         if it == opts.max_iter:
             break
-        jac = galerkin_matrix_point(p, a, n)
         rhs = -f_all[tuple(slice(0, n) for _ in range(dim))].ravel()[flat_idx]
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian at iteration {it}: {exc}") from exc
+        q_raw, split = point_linearization(p, a)
+        classes = [(axes, _class_positions(axes, n)) for axes in parity_classes(split, n)]
+        blocks = [(axes, idx) for axes, idx in classes if rhs[idx].any()]
+        _check_block_memory(max(idx.size for _, idx in blocks), dim, n)
+        step = np.zeros(flat_idx.size)
+        for axes, idx in blocks:
+            # the block is dropped once solved, so blocks are live one at a time
+            try:
+                step[idx] = np.linalg.solve(galerkin_matrix_point(p, q_raw, modes[idx], axes), rhs[idx])
+            except np.linalg.LinAlgError as exc:
+                raise NewtonError(
+                    f"singular Jacobian at iteration {it} on parity class "
+                    f"{parity_label(modes[idx[0]], split)} ({idx.size} modes): {exc}"
+                ) from exc
         flat = a.ravel()
         flat[flat_idx] += opts.damping * step
         a = flat.reshape(a.shape)

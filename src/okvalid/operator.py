@@ -41,6 +41,7 @@ from .series import (
     nz_grid,
     sup_bound,
     _raw_mid_rad,
+    _single_parity,
 )
 
 
@@ -201,10 +202,11 @@ def split_axes(q: CosineSeries) -> tuple:
     (q phi_ell, phi_k) with k_j - ell_j odd meets |k_j +- ell_j| odd, a point
     zero, so the Galerkin matrix splits by the parity of k_j.
     """
-    support = q.support()
-    return tuple(
-        not np.moveaxis(support, j, 0)[1::2].any() for j in range(support.ndim)
-    )
+    return _even_axes(q.support())
+
+
+def _even_axes(support: np.ndarray) -> tuple:
+    return tuple(par == 0 for par in _single_parity(support))
 
 
 def parity_classes(split, n: int) -> list:
@@ -225,6 +227,11 @@ def parity_classes(split, n: int) -> list:
 
 def _class_size(axes) -> int:
     return math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
+
+
+def parity_label(k, split) -> str:
+    """The parity class of mode k: k_j mod 2 per split axis, * on the others."""
+    return "(" + ", ".join(str(v % 2) if s else "*" for v, s in zip(k, split)) + ")"
 
 
 def _class_positions(axes, n: int) -> np.ndarray:
@@ -261,11 +268,6 @@ class GalerkinMatrix:
             mid[np.ix_(idx, idx)] = b.mid
             rad[np.ix_(idx, idx)] = b.rad
         return BallMatrix(mid, rad)
-
-    def parity_label(self, idx) -> str:
-        """The block's class: k_j mod 2 per split axis, * on the others."""
-        k = self.modes[idx[0]]
-        return "(" + ", ".join(str(v % 2) if s else "*" for v, s in zip(k, self.split)) + ")"
 
 
 def _galerkin_sums(axes, arrays) -> list:
@@ -364,17 +366,25 @@ def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatr
     return BallMatrix(mid, rad)
 
 
-def galerkin_matrix_point(p: ModelParams, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Float matrix of the unscaled projected linearization (Newton Jacobian).
+def point_linearization(p: ModelParams, coeffs: np.ndarray) -> tuple:
+    """Newton's float linearization at the point coeffs: the raw coefficients
+    q c_k of q = lam f'(u + mu), and the axes along which its Jacobian
+    splits by parity (split_axes, read off the float q)."""
+    q = poly_eval_series_point(p.fp_coeffs, _with_mean(coeffs, p.mu)) * p.lam
+    q_raw = q * c_grid(q.shape)
+    return q_raw, _even_axes(q_raw != 0.0)
+
+
+def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, modes: np.ndarray, axes) -> np.ndarray:
+    """Float block of the unscaled projected linearization (Newton Jacobian)
+    on one parity class: axes are its per-axis indices (parity_classes),
+    modes its rows of truncation_modes in that order, q_raw from
+    point_linearization.
 
     Entries -(kappa_k^2 + lam sigma) delta_{k,ell} + kappa_k (q phi_ell, phi_k).
     """
-    d = coeffs.ndim
-    q = poly_eval_series_point(poly_deriv(p.f_coeffs), _with_mean(coeffs, p.mu)) * p.lam
-    q_raw = q * c_grid(q.shape)
-    modes = truncation_modes(d, n)
-    m = modes.shape[0]
-    (acc,) = _galerkin_sums([np.arange(n)] * d, [q_raw])
+    m, d = modes.shape
+    (acc,) = _galerkin_sums(axes, [q_raw])
     cf = C_FLOAT[np.count_nonzero(modes, axis=1)]
     acc *= cf[:, None] * cf[None, :] * 0.5**d
     kap = math.pi**2 * np.sum(modes.astype(np.float64) ** 2, axis=1)
@@ -416,7 +426,7 @@ def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
             raise CertificationError(
                 "kn_bound",
                 f"finite inverse not certified at n={g.n} on parity class "
-                f"{g.parity_label(idx)} ({idx.size} modes): {exc}",
+                f"{parity_label(g.modes[idx[0]], g.split)} ({idx.size} modes): {exc}",
                 suggested_n=2 * g.n,
             ) from exc
     bounds, defects, _ = zip(*per_block)

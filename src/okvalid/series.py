@@ -17,7 +17,10 @@ Products share one float convolution fold: Newton calls it on point
 coefficients, and the ball product runs it on midpoints with Wilkinson's
 running error bound and adds the radii's spread.  It folds raw coefficients
 alpha_k c_k, formed with the float c_k (exact where c_k is 1 or 2), and
-scales back by the float 1/c_k inside its rounding budget.
+scales back by the float 1/c_k inside its rounding budget.  Along an axis
+where the denser factor's support has a single parity, the fold strides
+past the other parity, whose terms are exact zeros: the midpoints keep
+their bits, and the running error bound can only shrink.
 """
 
 from __future__ import annotations
@@ -265,13 +268,16 @@ def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
 
 
 def sup_bound(u: CosineSeries) -> Interval:
-    """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm.
+    """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
+    return _weighted_sum(u, 1, *_c_ball(nz_grid(u.extent)))
 
-    Where nz is odd the float c_k is within 0.62 u of c_k, relatively, so
-    within the radius u fl(c_k)."""
-    nz = nz_grid(u.extent)
+
+def _c_ball(nz: np.ndarray):
+    """c_k = sqrt(2)^nz as balls around the float C_FLOAT[nz]: exact where nz
+    is even; where it is odd the float is within 0.62 u of c_k, relatively,
+    so within one ulp, and both ends C_FLOAT[nz] -+ ulp are doubles."""
     c = C_FLOAT[nz]
-    return _weighted_sum(u, 1, c, c * (nz % 2 * 2.0**-53))
+    return c, np.spacing(c) * (nz % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +313,37 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # products
 # ---------------------------------------------------------------------------
 
-def _axis_segments(ai: int, nb: int) -> list:
+def _axis_segments(ai: int, nb: int, parity: int | None) -> list:
     """(target, source) slice pairs of one axis for the shift by index ai.
 
     cos(a t) cos(b t) = (cos((a+b)t) + cos(|a-b|t)) / 2, applied per axis;
-    the |a-b| branch splits into a reversed and a forward slice.
+    the |a-b| branch splits into a reversed and a forward slice.  Given a
+    parity, the pairs keep only the sources of that parity, every other one.
     """
-    segs = [(slice(ai, ai + nb), slice(0, nb, 1))]
     m = min(ai, nb - 1)
-    segs.append((slice(ai - m, ai + 1), slice(m, None, -1)))
-    if nb - 1 > ai:
-        segs.append((slice(1, nb - ai), slice(ai + 1, nb, 1)))
+    step = 1 if parity is None else 2
+    segs = []
+    # (first target, first source, length, source direction)
+    for t0, s0, length, sgn in ((ai, 0, nb, 1), (ai - m, m, m + 1, -1), (1, ai + 1, nb - 1 - ai, 1)):
+        i0 = 0 if parity is None else (s0 - parity) % 2
+        if i0 >= length:
+            continue
+        src = s0 + sgn * i0
+        # a reversed segment always ends at source 0
+        stop = s0 + length if sgn > 0 else None
+        segs.append((slice(t0 + i0, t0 + length, step), slice(src, stop, sgn * step)))
     return segs
+
+
+def _single_parity(support: np.ndarray) -> list:
+    """Per axis, the parity of every index where support holds, or None
+    where both parities occur."""
+    out = []
+    for j in range(support.ndim):
+        along = np.moveaxis(support, j, 0)
+        even, odd = along[0::2].any(), along[1::2].any()
+        out.append(None if even and odd else int(odd))
+    return out
 
 
 def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np.ndarray:
@@ -328,19 +353,26 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
     out[f] is the fold of a[f] with b[f].  One loop runs over the union of
     the supports of a, and one pass per segment (the product of the per-axis
     slice pairs) serves every fold; where a[f] is zero, fold f adds exact
-    zeros (or NaN against an infinite b[f]).
+    zeros (or NaN against an infinite b[f]).  On an axis where the support
+    of b (every fold) has a single parity, the slice pairs stride by 2 past
+    the other parity.  A skipped term multiplies a point zero of b, so it is
+    an exact zero (or NaN against an infinite a[f], where the product of
+    the point zero is the exact zero too), and s + 0 = s.
 
     Given err (zeros of one output's shape), fold 0 also accumulates
     Wilkinson's running error bound: each term t = fl(w b) added to a partial
     sum s adds |t| + |s|, and the rounding error of every output entry is at
     most u err plus 2^-1075 per underflowing product (Higham, Accuracy and
-    Stability, sec. 3.3), provided every w = a 2^-d is exact.
+    Stability, sec. 3.3), provided every w = a 2^-d is exact.  A skipped
+    term adds nothing, since its sum is exact.
     """
     d = a.ndim - 1
     every = (slice(None),)
     out = np.zeros(a.shape[:1] + tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
+    parity = _single_parity((b != 0.0).any(axis=0))
     segments = [
-        [_axis_segments(ai, nb) for ai in range(na)] for na, nb in zip(a.shape[1:], b.shape[1:])
+        [_axis_segments(ai, nb, par) for ai in range(na)]
+        for na, nb, par in zip(a.shape[1:], b.shape[1:], parity)
     ]
     half = 0.5 ** d
     for idx in np.argwhere((a != 0.0).any(axis=0)).tolist():

@@ -39,16 +39,16 @@ from test_intervals import run_containment_fuzz
 _CERTS = []  # valid certificates emitted by the end-to-end criteria
 
 # Certificate ratchet: the canonical certificates may only get sharper than
-# the values recorded when series coefficients became midpoint-radius balls.
-# The relative slack absorbs the BLAS summation order, which varies with the
+# the values recorded when Newton began to solve per parity block.  The
+# relative slack absorbs the BLAS summation order, which varies with the
 # thread count.
 _RATCHET_SLACK = 1e-13
-_RATCHET_1D = {"kn": 11.334125006543953, "k": 16.29533632979211, "rho": 1.0312306943701797e-12}
-_RATCHET_1D_DA = {"lambda": 6.057043224802156e-4, "sigma": 6.407175033434795e-5,
-                  "mu": 1.5466674786989097e-6}
-_RATCHET_2D = {"kn": 13.333457424565115, "k": 42.38408960886463, "rho": 4.159224296279783e-9}
-_RATCHET_2D_DA = 2.2679268599448907e-5
-_RATCHET_3D = {"kn": 7.268621795882916, "k": 24.128677421468062, "rho": 6.910683745215398e-7}
+_RATCHET_1D = {"kn": 11.334125006543953, "k": 16.29533632979211, "rho": 1.031226936001649e-12}
+_RATCHET_1D_DA = {"lambda": 6.057043224802392e-4, "sigma": 6.40717503343503e-5,
+                  "mu": 1.5466674786989683e-6}
+_RATCHET_2D = {"kn": 13.333457424565122, "k": 42.384089608864606, "rho": 4.159224298340511e-9}
+_RATCHET_2D_DA = 2.2679268599444137e-5
+_RATCHET_3D = {"kn": 7.268621795882912, "k": 24.12867742146806, "rho": 6.910683745215399e-7}
 _RATCHET_3D_DA = 4.531949947338639e-4
 
 

@@ -183,15 +183,19 @@ def test_newton_memory_check_before_allocating(workdir, solution_file, capsys, m
     def no_jacobian(*args, **kwargs):
         raise AssertionError("Jacobian assembled beyond the memory check")
 
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e9)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e8)
     monkeypatch.setattr(newton, "galerkin_matrix_point", no_jacobian)
     argv = [str(solution_file) if a == "IN" else a for a in argv] + [str(workdir / "too_big")]
     capsys.readouterr()
     assert main(argv) == 2
-    need = 8.0 * newton.NEWTON_WORK_ARRAYS * m * m
+    # the smallest block any step can assemble: the all-even class less the
+    # origin (the solve is 2-d, the walk's solution file 1-d)
+    d = 2 if argv[0] == "solve" else 1
+    b = (n // 2) ** d - 1
+    need = 8.0 * newton.NEWTON_WORK_ARRAYS * b * b
     assert capsys.readouterr().err.strip().splitlines() == [
         f"solver failed: truncation n={n} ({m} modes) needs about {need / 1e6:.0f} MB "
-        "for the Newton Jacobian, 1000 MB available"
+        f"for the Newton Jacobian block of {b} modes, 100 MB available"
     ]
     assert not list(workdir.glob("too_big*"))
 

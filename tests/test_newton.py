@@ -145,23 +145,48 @@ def test_solve_options_reject_small_truncation(n):
 
 
 def test_newton_memory_check_boundary(monkeypatch):
+    # the 1-d seed mode:1 puts the residual on the odd modes only, so each
+    # step assembles the odd block of 16 rows; the check charges that block
+    # before assembling it
     from okvalid import newton, operator
+
+    def no_jacobian(*args, **kwargs):
+        raise AssertionError("Jacobian assembled beyond the memory check")
 
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
     n = 32
-    need = 8.0 * newton.NEWTON_WORK_ARRAYS * (n - 1) ** 2
-    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
-    with pytest.raises(NewtonError, match="for the Newton Jacobian"):
-        newton_solve(p, parse_seed("mode:1", 1, n), SolveOptions(n=n))
-    with pytest.raises(NewtonError, match="for the Newton Jacobian"):
-        parameter_walk(p, parse_seed("mode:1", 1, n), "lambda", 1.0, 2, SolveOptions(n=n))
+    need = 8.0 * newton.NEWTON_WORK_ARRAYS * 16**2
+    with monkeypatch.context() as mp:
+        mp.setattr(operator, "available_memory_bytes", lambda: need - 1)
+        mp.setattr(newton, "galerkin_matrix_point", no_jacobian)
+        with pytest.raises(NewtonError, match="for the Newton Jacobian block of 16 modes"):
+            newton_solve(p, parse_seed("mode:1", 1, n), SolveOptions(n=n))
+        with pytest.raises(NewtonError, match="for the Newton Jacobian block of 16 modes"):
+            parameter_walk(p, parse_seed("mode:1", 1, n), "lambda", 1.0, 2, SolveOptions(n=n))
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
     assert newton_solve(p, parse_seed("mode:1", 1, n), SolveOptions(n=n)).iterations > 0
 
 
+def test_newton_memory_check_before_the_residual(monkeypatch):
+    # before the first residual, the smallest block any step can assemble
+    # is charged: at 3-d n=100 the all-even class less the origin, 50^3 - 1
+    # modes, so nothing of the truncation's size is allocated
+    from okvalid import newton, operator
+
+    def no_residual(*args, **kwargs):
+        raise AssertionError("residual computed beyond the memory check")
+
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e9)
+    monkeypatch.setattr(newton, "residual_point", no_residual)
+    with pytest.raises(NewtonError, match="for the Newton Jacobian block of 124999 modes"):
+        newton_solve(ModelParams(lam=40.0, sigma=3.0), parse_seed("mode:1,1,1", 3, 100),
+                     SolveOptions(n=100))
+
+
 def test_newton_memory_peak_within_live_arrays():
-    # the traced peak of two Newton steps on the canonical 2-d case stays
-    # inside the budget that the memory check charges
+    # the traced peak of two Newton steps on the canonical 2-d case, which
+    # solve the all-odd block of 196 modes, stays inside the budget that the
+    # memory check charges for that block
     import tracemalloc
 
     from okvalid.newton import NEWTON_WORK_ARRAYS
@@ -175,4 +200,63 @@ def test_newton_memory_peak_within_live_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.0 * NEWTON_WORK_ARRAYS * (n * n - 1) ** 2
+    assert peak <= 8.0 * NEWTON_WORK_ARRAYS * 196**2
+
+
+def _record_blocks(monkeypatch):
+    """Wrap Newton's block assembly; returns the list of assembled mode sets."""
+    from okvalid import newton
+
+    calls = []
+    assemble = newton.galerkin_matrix_point
+
+    def recording(p, q_raw, modes, axes):
+        calls.append(modes.copy())
+        return assemble(p, q_raw, modes, axes)
+
+    monkeypatch.setattr(newton, "galerkin_matrix_point", recording)
+    return calls
+
+
+def test_canonical_2d_steps_solve_only_the_odd_block(monkeypatch):
+    # the canonical 2-d seed lives on the (1, 1) class, and so does every
+    # residual: each step assembles that block of 14^2 = 196 rows alone,
+    # and the solution stays bitwise zero off it
+    calls = _record_blocks(monkeypatch)
+    p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
+    res = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9))
+    assert res.iterations == len(calls) == 5
+    for modes in calls:
+        assert modes.shape == (196, 2) and np.all(modes % 2 == 1)
+    odd = np.indices((28, 28)).prod(axis=0) % 2 == 1
+    c = res.solution.mid()
+    assert np.all(c[~odd] == 0.0) and np.all(c[odd] != 0.0)
+
+
+def test_guess_on_every_class_solves_every_block(monkeypatch):
+    # a linear f has a constant q, so the Jacobian splits into the four
+    # classes of 2-d; a guess on all of them needs all four blocks, and the
+    # one Newton step solves the linear problem, whose solution is zero
+    calls = _record_blocks(monkeypatch)
+    p = ModelParams(lam=30.0, sigma=2.0, mu=0.0, f_coeffs=(0.0, 1.0))
+    guess = np.zeros((8, 8))
+    guess[0, 2], guess[0, 1], guess[3, 0], guess[1, 1] = 0.3, -0.2, 0.1, 0.25
+    res = newton_solve(p, guess, SolveOptions(n=8))
+    assert res.iterations == 1
+    assert sorted(len(m) for m in calls) == [15, 16, 16, 16]
+    parities = {tuple(m[0] % 2) for m in calls}
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert np.max(np.abs(res.solution.mid())) <= 1e-14
+
+
+def test_singular_block_names_its_parity_class():
+    # f linear, sigma = 0 and lam one ulp below kappa_(0,1) = fl(pi^2): the
+    # diagonal entry lam c_1^2/2 kappa - kappa^2 of mode (0, 1) rounds to an
+    # exact zero, so the block of the class (0, 1), which the guess on mode
+    # (0, 3) reaches, is singular
+    lam = float(np.nextafter(math.pi**2, 0.0))
+    p = ModelParams(lam=lam, sigma=0.0, mu=0.0, f_coeffs=(0.0, 1.0))
+    guess = np.zeros((6, 6))
+    guess[0, 3] = 0.1
+    with pytest.raises(NewtonError, match=r"singular Jacobian at iteration 0 on parity class \(0, 1\) \(9 modes\): "):
+        newton_solve(p, guess, SolveOptions(n=6))

@@ -444,20 +444,27 @@ def test_kn_failure_names_parity_class():
 
 
 def test_point_jacobian_memory_peak(rng):
-    # the Jacobian's assembly keeps the sums and one pattern's gather live,
-    # and no m x m index, mask or weight array
-    n = 24
+    # the assembly of one block keeps the sums and one pattern's gather
+    # live, and no index, mask or weight array of the block's size, let
+    # alone of the full matrix: here the (1, 1) block of 24^2 = 576 of 2303
+    # modes
+    n = 48
     a = make_random_series(rng, (n, n), scale=0.3).mid()
+    a *= np.indices((n, n)).prod(axis=0) % 2
     p = ModelParams(lam=30.0, sigma=2.0)
-    galerkin_matrix_point(p, a, n)
-    m = n * n - 1
+    q_raw, split = operator.point_linearization(p, a)
+    assert split == (True, True)
+    axes = operator.parity_classes(split, n)[-1]
+    modes = truncation_modes(2, n)[operator._class_positions(axes, n)]
+    assert modes.shape == (576, 2) and np.all(modes % 2 == 1)
+    galerkin_matrix_point(p, q_raw, modes, axes)
     tracemalloc.start()
     try:
-        galerkin_matrix_point(p, a, n)
+        galerkin_matrix_point(p, q_raw, modes, axes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * m * m
+    assert peak <= 2.5 * 8 * 576**2
 
 
 def test_kn_diagonal_oracle():
@@ -574,17 +581,30 @@ def test_linearization_zero_mean_output(rng):
     assert f.zero_mean and f.coefficient((0,)).mag == 0.0
 
 
-def test_point_jacobian_matches_interval_matrix(rng):
-    p = ModelParams(lam=20.0, sigma=2.0, mu=0.1)
-    a = np.zeros((5, 5))
-    a[0, 1], a[1, 0], a[2, 2] = 0.2, -0.15, 0.05
-    u = CosineSeries.from_point(a, zero_mean=True)
-    b = galerkin_matrix_point(p, a, 5)
-    g = galerkin_matrix(p, lin_of(p, u).q, 5)
-    modes = truncation_modes(2, 5)
-    kap = math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
-    scaled = b / kap[:, None] / kap[None, :]
-    assert np.max(np.abs(scaled - g.mat.mid)) < 1e-13
+def test_point_jacobian_matches_interval_matrix():
+    # block by block, Newton's Jacobian scaled by 1/kappa_k kappa_l is the
+    # midpoint of galerkin_matrix's block on the same rows
+    n = 5
+    for mu, modes, blocks in [
+        (0.1, [(0, 1), (1, 0), (2, 2)], 1),  # mixed parities: one block
+        (0.0, [(1, 1), (1, 3), (3, 1)], 4),  # all odd: four blocks
+        (0.0, [(0, 1), (2, 1), (2, 2)], 2),  # even along axis 0 only: two blocks
+    ]:
+        p = ModelParams(lam=20.0, sigma=2.0, mu=mu)
+        a = np.zeros((n, n))
+        for k, v in zip(modes, (0.2, -0.15, 0.05)):
+            a[k] = v
+        q_raw, split = operator.point_linearization(p, a)
+        g = galerkin_matrix(p, lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q, n)
+        assert g.split == split and len(g.blocks) == blocks
+        classes = operator.parity_classes(split, n)
+        assert len(classes) == blocks
+        for axes, (idx, ball) in zip(classes, g.blocks):
+            assert np.array_equal(operator._class_positions(axes, n), idx)
+            b = galerkin_matrix_point(p, q_raw, g.modes[idx], axes)
+            kap = math.pi**2 * np.sum(g.modes[idx].astype(float) ** 2, axis=1)
+            scaled = b / kap[:, None] / kap[None, :]
+            assert np.max(np.abs(scaled - ball.mid)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

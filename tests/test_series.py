@@ -239,6 +239,20 @@ def test_ball_sup_bound_ends_contain_exact(rng, extent):
             assert mpmath.mpf(got.lo) <= low and high <= mpmath.mpf(got.hi)
 
 
+def test_sup_weight_one_ulp_around_c_mpmath():
+    # sup_bound weights mode k by the ball of c_k = sqrt(2)^nz around the
+    # float C_FLOAT[nz]: its ends, rounded outward as _weighted_sum does,
+    # enclose c_k, and the upper one is at most one ulp above the float
+    for nz in range(4):
+        wm, wr = series._c_ball(np.array(nz))
+        lo = float(add_toward(wm, -wr, -math.inf))
+        hi = float(add_toward(wm, wr, math.inf))
+        with mpmath.workdps(50):
+            assert mpmath.mpf(lo) <= mpmath.sqrt(mpmath.mpf(2) ** nz) <= mpmath.mpf(hi), nz
+        assert hi <= np.nextafter(series.C_FLOAT[nz], math.inf), nz
+        assert (wr == 0.0) == (nz % 2 == 0), nz
+
+
 @pytest.mark.parametrize("n", [200, 1000, 5000])
 def test_norm_sum_slack_covers_absorbed_terms(n):
     # squares below half an ulp of 1, lost to float partial sums that hold
@@ -719,6 +733,66 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
     c = series.C_FLOAT[nz_grid(extent)]
     raw = _fold_reference(a * c, b * c)
     assert np.array_equal(multiply_point(b, a), raw / series.C_FLOAT[nz_grid(raw.shape)])
+
+
+def _on_coset(rng, extent, parity, point):
+    """A random series whose support lies on the coset k = parity mod 2."""
+    a = rng.standard_normal(extent) * 10.0 ** rng.uniform(-2, 2, extent)
+    for j, par in enumerate(parity):
+        a[(slice(None),) * j + (slice(1 - par, None, 2),)] = 0.0
+    return CosineSeries.from_point(a) if point else _interval_series(rng, a)
+
+
+@pytest.mark.parametrize("extent", [(9,), (8,), (5, 6), (6, 4), (4, 5, 3), (3, 4, 4)])
+@pytest.mark.parametrize("point", [True, False])
+def test_strided_fold_matches_unstrided(rng, extent, point):
+    # factors on one parity coset each: the stride skips only exact zeros,
+    # so multiply and multiply_point keep the bits of the unstrided per-fold
+    # loops, center and radius alike; a sparse factor of mixed parities
+    # keeps the center and can only shrink the running error bound
+    d = len(extent)
+    cases = []
+    for _ in range(4):
+        pu, pv = (tuple(rng.integers(0, 2, d)) for _ in range(2))
+        cases.append((_on_coset(rng, extent, pu, point), _on_coset(rng, extent, pv, point), True))
+    mixed = np.zeros(extent)
+    mixed[(0,) * d], mixed[(1,) * d] = 0.4, -0.3
+    cases.append((CosineSeries.from_point(mixed), _on_coset(rng, extent, (1,) * d, point), False))
+    c = series.C_FLOAT[nz_grid(extent)]
+    for u, v, single in cases:
+        got, want = multiply(u, v), _multiply_reference(u, v)
+        assert got.center.tobytes() == want.center.tobytes()
+        if single:
+            assert got.rad.tobytes() == want.rad.tobytes()
+        else:
+            assert np.all(got.rad <= want.rad)
+        a, b = u.mid(), v.mid()
+        if np.count_nonzero(b) < np.count_nonzero(a):
+            a, b = b, a
+        raw = _fold_reference(a * c, b * c)
+        assert multiply_point(u.mid(), v.mid()).tobytes() == (raw / series.C_FLOAT[nz_grid(raw.shape)]).tobytes()
+    # the stride is taken: the dense factor's support has one parity per axis
+    assert series._single_parity(cases[-1][1].support()) == [1] * d
+
+
+@pytest.mark.parametrize("point", [True, False])
+def test_mixed_parity_product_contains_exact(rng, point):
+    # u + mu with u all-odd mixes the parities of both axes; v is even along
+    # axis 0 and mixed along axis 1, so the fold strides along axis 0 only
+    extent = (5, 5)
+    odd = np.indices(extent).prod(axis=0) % 2 == 1
+    a = rng.standard_normal(extent) * odd
+    a[0, 0] = 0.3
+    b = rng.standard_normal(extent)
+    b[1::2, :] = 0.0
+    u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
+    v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
+    assert series._single_parity(v.support()) == [0, None]
+    assert series._single_parity(u.support()) == [None, None]
+    for x, y in ((u, v), (v, u), (u, u)):
+        prod = multiply(x, y)
+        for xm, ym in zip(_members(rng, x, 2), _members(rng, y, 2)):
+            assert_product_contains(prod, xm, ym)
 
 
 _COEFF = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
