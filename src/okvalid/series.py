@@ -17,16 +17,18 @@ Products share one float convolution fold: Newton calls it on point
 coefficients, and the ball product runs it on midpoints with Wilkinson's
 running error bound and adds the radii's spread.  It folds raw coefficients
 alpha_k c_k, formed with the float c_k (exact where c_k is 1 or 2), and
-scales back by the float 1/c_k inside its rounding budget.  Along an axis
-where the denser factor's support has a single parity, the fold strides
-past the other parity, whose terms are exact zeros: the midpoints keep
-their bits, and the running error bound can only shrink.
+scales back by the float 1/c_k inside its rounding budget.  The cosine
+product factorizes per axis, so the fold contracts one axis at a time: a
+first pass forms every product term along the last axis, and each later
+pass adds the partial folds along one more axis; the running error bound
+follows that summation tree, and in 1-d the first pass is the whole fold.
+Along an axis where the denser factor's support has a single parity, the
+fold strides past the other parity, whose terms are exact zeros.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -313,12 +315,19 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # products
 # ---------------------------------------------------------------------------
 
-def _axis_segments(ai: int, nb: int, parity: int | None) -> list:
+# the partial folds of one chunk of rows, with their error bound, hold at
+# most this many times the output stack's entries (at least one row)
+_PARTIAL_BUDGET = 1.0
+
+
+def _axis_segments(ai: int, nb: int, parity: int | None, compact: bool = False) -> list:
     """(target, source) slice pairs of one axis for the shift by index ai.
 
     cos(a t) cos(b t) = (cos((a+b)t) + cos(|a-b|t)) / 2, applied per axis;
     the |a-b| branch splits into a reversed and a forward slice.  Given a
-    parity, the pairs keep only the sources of that parity, every other one.
+    parity, the pairs keep only the sources of that parity, every other one,
+    as slices of the compacted axis [parity::2], and the targets stride by
+    2; compact, the targets are slices of the output's compacted axis too.
     """
     m = min(ai, nb - 1)
     step = 1 if parity is None else 2
@@ -326,12 +335,17 @@ def _axis_segments(ai: int, nb: int, parity: int | None) -> list:
     # (first target, first source, length, source direction)
     for t0, s0, length, sgn in ((ai, 0, nb, 1), (ai - m, m, m + 1, -1), (1, ai + 1, nb - 1 - ai, 1)):
         i0 = 0 if parity is None else (s0 - parity) % 2
-        if i0 >= length:
+        count = -(-(length - i0) // step)
+        if count <= 0:
             continue
-        src = s0 + sgn * i0
+        src = (s0 + sgn * i0) // step
+        stop = src + sgn * count
+        tgt = (t0 + i0) // 2
         # a reversed segment always ends at source 0
-        stop = s0 + length if sgn > 0 else None
-        segs.append((slice(t0 + i0, t0 + length, step), slice(src, stop, sgn * step)))
+        segs.append((
+            slice(tgt, tgt + count) if compact else slice(t0 + i0, t0 + length, step),
+            slice(src, stop if stop >= 0 else None, sgn),
+        ))
     return segs
 
 
@@ -346,46 +360,135 @@ def _single_parity(support: np.ndarray) -> list:
     return out
 
 
+def _fold_last_axis(a, b, segments, out, err) -> None:
+    """Pass 1 of the separable fold: every product term, along the last axis.
+
+    a holds the folds' rows (compacted) on the leading axes and the last
+    axis' populated indices; out[f, i, j, k] += a[f, i, p] 2^-d b[f, j, l]
+    for each segment pair (k, l) of index p, i and j running over every row
+    of a and b at once.  fold 0 accumulates the running error bound in err:
+    each product t adds |t| + |s|, s the partial sum, unless the row of a is
+    zero there, where the sum is exact.
+    """
+    lead = a.ndim - 2
+    w_shape = a.shape[:-1] + (1,) * (lead + 1)
+    bv = b.reshape(b.shape[:1] + (1,) * lead + b.shape[1:])
+    half = 0.5 ** (lead + 1)
+    for p, segs in enumerate(segments):
+        w = a[..., p].reshape(w_shape) * half
+        keep = None if err is None else w[0] != 0.0
+        for out_sl, b_sl in segs:
+            t = w * bv[..., b_sl]
+            s = out[..., out_sl]
+            s += t
+            if err is not None:
+                err[..., out_sl] += np.abs(t[0]) + np.abs(s[0]) * keep
+
+
+def _fold_axis(part, perr, t: int, segments, out, err) -> None:
+    """A later pass: add the partial folds along axis t.
+
+    part holds the rows of a on axes 0..t, the rows of b on axes 0..t and
+    the outputs on the later axes; out[f, i, j, k, ...] += part[f, i, p, j,
+    l, ...] for each segment pair (k, l) of row p.  Each partial fold's
+    error bound travels with it, and each addition adds |s|.
+    """
+    at = (slice(None),) * (2 * t)
+    every = (slice(None),)
+    for p, segs in enumerate(segments):
+        slab = part[every + at[:t] + (p,)]
+        eslab = None if err is None else perr[at[:t] + (p,)]
+        for out_sl, b_sl in segs:
+            s = out[every + at + (out_sl,)]
+            s += slab[every + at + (b_sl,)]
+            if err is not None:
+                err[at + (out_sl,)] += eslab[at + (b_sl,)] + np.abs(s[0])
+
+
 def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np.ndarray:
     """Cosine-product convolutions of raw coefficient arrays in float.
 
     a and b stack the operands of several folds on their leading axis, and
-    out[f] is the fold of a[f] with b[f].  One loop runs over the union of
-    the supports of a, and one pass per segment (the product of the per-axis
-    slice pairs) serves every fold; where a[f] is zero, fold f adds exact
-    zeros (or NaN against an infinite b[f]).  On an axis where the support
-    of b (every fold) has a single parity, the slice pairs stride by 2 past
-    the other parity.  A skipped term multiplies a point zero of b, so it is
-    an exact zero (or NaN against an infinite a[f], where the product of
-    the point zero is the exact zero too), and s + 0 = s.
+    out[f] is the fold of a[f] with b[f].  The product factorizes per axis,
+    out[k] = sum_{i,j} a_i 2^-d b_j prod_t S(k_t; i_t, j_t) with
+    S(k; i, j) = [k = i + j] + [k = |i - j|], so the fold contracts one
+    axis at a time: pass 1 forms every product term along the last axis,
+    for all rows of a and b on the other axes at once, and each later pass
+    adds the partial folds along one more axis.  One slice pass per segment
+    of each row index serves every fold and every row.
+
+    a is compacted, per axis, to the indices where some fold is nonzero;
+    where a[f] is zero inside that grid, fold f adds exact zeros (or NaN
+    against an infinite b[f]).  On every axis where the support of b (every
+    fold) has a single parity, b is compacted to it: a dropped term
+    multiplies a point zero, so it is an exact zero (or NaN against an
+    infinite a[f], where the product of the point zero is the exact zero
+    too), and s + 0 = s.  Where a's indices have a single parity too, so do
+    the targets, and the partial folds hold only those.  The first axis of a
+    is taken in chunks of rows whose partial folds hold at most
+    _PARTIAL_BUDGET times the output stack's entries (at least one row);
+    every row reaches the last pass in order, so chunks change no bit.  In
+    1-d pass 1 is the whole fold, the loop over a's populated modes.
 
     Given err (zeros of one output's shape), fold 0 also accumulates
-    Wilkinson's running error bound: each term t = fl(w b) added to a partial
-    sum s adds |t| + |s|, and the rounding error of every output entry is at
-    most u err plus 2^-1075 per underflowing product (Higham, Accuracy and
-    Stability, sec. 3.3), provided every w = a 2^-d is exact.  A skipped
-    term adds nothing, since its sum is exact.
+    Wilkinson's running error bound through the summation tree: each
+    product t adds |t| + |s|, s the sum it enters, and each later addition
+    adds the partial's own bound + |s|; a product of a zero a[0] adds
+    nothing, since its sum is exact.  The rounding error of every output
+    entry is at most u err plus 2^-1075 per underflowing product (Higham,
+    Accuracy and Stability, sec. 3.3), for this tree as for any other,
+    provided every w = a 2^-d is exact.
     """
     d = a.ndim - 1
-    every = (slice(None),)
-    out = np.zeros(a.shape[:1] + tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
+    fold = a.shape[0]
+    full = np.zeros(a.shape[:1] + tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
+    populated = (a != 0.0).any(axis=0)
+    rows = [np.flatnonzero(populated.any(axis=tuple(s for s in range(d) if s != t))) for t in range(d)]
+    if rows[0].size == 0:
+        return full
     parity = _single_parity((b != 0.0).any(axis=0))
+    # where a's rows and b both have a single parity, so do the targets
+    target = [None if pb is None or pa is None else (pa + pb) % 2
+              for pa, pb in zip(_single_parity(populated), parity)]
     segments = [
-        [_axis_segments(ai, nb, par) for ai in range(na)]
-        for na, nb, par in zip(a.shape[1:], b.shape[1:], parity)
+        [_axis_segments(int(i), nb, pb, pt is not None) for i in idx]
+        for idx, nb, pb, pt in zip(rows, b.shape[1:], parity, target)
     ]
-    half = 0.5 ** d
-    for idx in np.argwhere((a != 0.0).any(axis=0)).tolist():
-        w = a[every + tuple(idx)].reshape((-1,) + (1,) * d) * half
-        track = err is not None and a[(0, *idx)] != 0.0
-        for combo in itertools.product(*(axis[i] for axis, i in zip(segments, idx))):
-            out_sl, b_sl = zip(*combo)
-            t = w * b[every + b_sl]
-            s = out[every + out_sl]
-            s += t
-            if track:
-                err[out_sl] += np.abs(t[0]) + np.abs(s[0])
-    return out
+    a = a[np.ix_(range(fold), *rows)]
+    b = b[_classes(parity)]
+    out = full[_classes(target)]
+    if err is not None:
+        err = err[_classes(target)[1:]]
+    if d == 1:
+        _fold_last_axis(a, b, segments[0], out, err)
+        return full
+    r, m, n = a.shape[1:], b.shape[1:], out.shape[1:]
+
+    def partial(t, c):
+        """Shape of one partial fold of c rows after the passes t..d-1."""
+        return (c,) + r[1:t] + m[:t] + n[t:]
+
+    # entries of the partial folds, and of their error bound, per row
+    per_row = (fold + (err is not None)) * sum(math.prod(partial(t, 1)) for t in range(1, d))
+    chunk = max(1, int(_PARTIAL_BUDGET * full.size // per_row))
+    for lo in range(0, r[0], chunk):
+        c = min(chunk, r[0] - lo)
+        part = np.zeros((fold,) + partial(d - 1, c))
+        perr = None if err is None else np.zeros(part.shape[1:])
+        _fold_last_axis(a[:, lo:lo + c], b, segments[-1], part, perr)
+        for t in range(d - 2, 0, -1):
+            nxt = np.zeros((fold,) + partial(t, c))
+            nerr = None if err is None else np.zeros(nxt.shape[1:])
+            _fold_axis(part, perr, t, segments[t], nxt, nerr)
+            part, perr = nxt, nerr
+        _fold_axis(part, perr, 0, segments[0][lo:lo + c], out, err)
+    return full
+
+
+def _classes(parity) -> tuple:
+    """Index of a fold stack's parity class: [p::2] on every axis with a
+    single parity p."""
+    return (slice(None),) + tuple(slice(None) if par is None else slice(par, None, 2) for par in parity)
 
 
 def _raw_mid_rad(u: CosineSeries):
@@ -419,10 +522,17 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     With raw coefficients A in <Am, Ar> and B in <Bm, Br>, every product of
     members lies within |Am|*Br + Ar*(|Bm| + Br) of Am*Bm, * being the fold.
     The float fold of Am*Bm is off by at most u times its running error
-    bound plus 2^-1075 per underflowing product (Higham, sec. 3.3).  A fold
-    adds at most p = 3^d nnz(A) terms into one entry, so _ball_up's a-priori
-    gamma_p factor covers the rounding of the radius folds and of the error
-    sum, and its constant the underflow of all three folds (Higham, ch. 3).
+    bound plus 2^-1075 per underflowing product (Higham, sec. 3.3), for its
+    summation tree as for any other.  A fold adds at most p = 3^d nnz(A)
+    product terms into one entry; in any tree each of them passes through
+    at most p - 1 additions, so _ball_up's a-priori gamma_p factor covers
+    the rounding of the radius folds (Higham, ch. 3 and 4).  The error sum
+    follows the same tree: the pass along axis t adds into an entry at most
+    n_t <= 3 nnz(A) increments, each a product's |t| + |s| or a partial's
+    bound + |s|, so every |t| and |s| passes through at most
+    n_1 + ... + n_d <= 3 d nnz(A) <= p roundings, and gamma_p covers it too.
+    The products are the same terms in every tree, at most p per entry, so
+    _ball_up's constant covers the underflow of all three folds.
     The raw C +- rho becomes fl(C w) +- fl(rho w), w the float 1/c_m, exact
     where nz is even.  Where it is odd, w's error is one factor more for
     rho, hence gamma_{p+1}, and fl(C w) is within (0.62 u (1 + u) + u)

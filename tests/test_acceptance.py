@@ -39,17 +39,18 @@ from test_intervals import run_containment_fuzz
 _CERTS = []  # valid certificates emitted by the end-to-end criteria
 
 # Certificate ratchet: the canonical certificates may only get sharper than
-# the values recorded when Newton began to solve per parity block.  The
-# relative slack absorbs the BLAS summation order, which varies with the
-# thread count.
+# the values recorded when the product fold began to contract one axis at a
+# time (1-d: when Newton began to solve per parity block; its fold is the
+# same loop).  The relative slack absorbs the BLAS summation order, which
+# varies with the thread count.
 _RATCHET_SLACK = 1e-13
 _RATCHET_1D = {"kn": 11.334125006543953, "k": 16.29533632979211, "rho": 1.031226936001649e-12}
 _RATCHET_1D_DA = {"lambda": 6.057043224802392e-4, "sigma": 6.40717503343503e-5,
                   "mu": 1.5466674786989683e-6}
-_RATCHET_2D = {"kn": 13.333457424565122, "k": 42.384089608864606, "rho": 4.159224298340511e-9}
-_RATCHET_2D_DA = 2.2679268599444137e-5
-_RATCHET_3D = {"kn": 7.268621795882912, "k": 24.12867742146806, "rho": 6.910683745215399e-7}
-_RATCHET_3D_DA = 4.531949947338639e-4
+_RATCHET_2D = {"kn": 13.333457424541841, "k": 42.38408960875149, "rho": 4.15922325970312e-9}
+_RATCHET_2D_DA = 2.267926860194512e-5
+_RATCHET_3D = {"kn": 7.268621795880986, "k": 24.128677421453343, "rho": 6.910683745185221e-7}
+_RATCHET_3D_DA = 4.5319499473439715e-4
 
 
 def assert_not_looser(cert, upper: dict, delta_alpha: float):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -672,6 +674,64 @@ def _fold_reference(a, b, err=None):
     return out
 
 
+def _shift_pairs(i, nb):
+    """(target, source) index pairs of one axis for a's index i, in the
+    fold's order: the forward shift, then the reversed and the forward
+    halves of |i - j|."""
+    pairs = [(i + j, j) for j in range(nb)]
+    pairs += [(i - j, j) for j in range(min(i, nb - 1), -1, -1)]
+    return pairs + [(j - i, j) for j in range(i + 1, nb)]
+
+
+def _per_axis_reference(a, b, err=None, a_support=None):
+    """One fold contracted one axis at a time, the last first, term by term
+    and in one piece.  a's rows are, per axis, the indices where a_support
+    (default a != 0) holds somewhere.  Pass 1 adds each a[i] 2^-d b[j] along
+    the last axis for every row of a and every index of b on the other axes;
+    each later pass adds the partial sums along one more axis.  err gets the
+    running error bound: |t| + |s| per product, unless a[i] is zero, and the
+    partial's bound + |s| per later addition."""
+    d = a.ndim
+    a_support = a != 0.0 if a_support is None else a_support
+    rows = [sorted(set(np.argwhere(a_support)[:, t].tolist())) for t in range(d)]
+    n = tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape))
+    part = np.zeros(a.shape[:-1] + b.shape[:-1] + n[-1:])
+    perr = np.zeros(part.shape)
+    for ia in itertools.product(*rows[:-1]):
+        for jb in np.ndindex(*b.shape[:-1]):
+            for i in rows[-1]:
+                w = a[ia + (i,)] * 0.5**d
+                for k, j in _shift_pairs(i, b.shape[-1]):
+                    t = w * b[jb + (j,)]
+                    at = ia + jb + (k,)
+                    part[at] += t
+                    perr[at] += abs(t) + (abs(part[at]) if w != 0.0 else 0.0)
+    for ax in range(d - 2, -1, -1):
+        nxt = np.zeros(a.shape[:ax] + b.shape[:ax] + n[ax:])
+        nerr = np.zeros(nxt.shape)
+        for ia in itertools.product(*rows[:ax]):
+            for jb in np.ndindex(*b.shape[:ax]):
+                for rest in np.ndindex(*n[ax + 1:]):
+                    for i in rows[ax]:
+                        for k, j in _shift_pairs(i, b.shape[ax]):
+                            src = ia + (i,) + jb + (j,) + rest
+                            at = ia + jb + (k,) + rest
+                            nxt[at] += part[src]
+                            nerr[at] += perr[src] + abs(nxt[at])
+        part, perr = nxt, nerr
+    if err is not None:
+        err += perr
+    return part
+
+
+def _reference_fold(a, b, err=None, a_support=None):
+    """The fold's summation order, unstrided: the flat per-term fold in 1-d
+    (the same loop), contracted per axis in 2-d and 3-d."""
+    if a.ndim == 1:
+        return _fold_reference(a, b, err)
+    return _per_axis_reference(a, b, err, a_support)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _multiply_reference(u, v):
     """multiply with its four folds run one after the other."""
@@ -681,9 +741,10 @@ def _multiply_reference(u, v):
     am, ar, asup = series._raw_mid_rad(u)
     bm, br, bsup = series._raw_mid_rad(v)
     err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
-    c = _fold_reference(am, bm, err)
-    rad = err * 2.0**-53 + _fold_reference(np.abs(am), br)
-    rad = rad + _fold_reference(ar, np.abs(bm) + br)
+    fold = functools.partial(_reference_fold, a_support=asup != 0.0)
+    c = fold(am, bm, err)
+    rad = err * 2.0**-53 + fold(np.abs(am), br)
+    rad = rad + fold(ar, np.abs(bm) + br)
     # back to normalized coefficients by the float 1/c_k, whose rounding
     # where nz is odd the radius and gamma_{p+1} cover
     nz = nz_grid(c.shape)
@@ -692,17 +753,27 @@ def _multiply_reference(u, v):
     rad = rad * inv + np.abs(c) * np.where(nz % 2 == 1, 2.0**-52, 0.0)
     p = 3**u.dim * min(populated)
     c, rad = _ball_up(c, rad, p, _gamma(p + 1))
-    unreached = _fold_reference(asup, bsup) == 0.0
+    unreached = fold(asup, bsup) == 0.0
     c[unreached] = 0.0
     rad[unreached] = 0.0
     return CosineSeries(c, rad)
+
+
+def _point_reference(a, b):
+    """Newton's product: fold 0 alone, over the sparser factor."""
+    if np.count_nonzero(b) < np.count_nonzero(a):
+        a, b = b, a
+    raw = _reference_fold(a * series.c_grid(a.shape), b * series.c_grid(b.shape))
+    return raw / series.c_grid(raw.shape)
 
 
 @pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
 @pytest.mark.parametrize("special", ["none", "zero_mid", "tiny_mid", "inf"])
 def test_multiply_matches_per_fold_reference(rng, extent, special):
     # the sparser factor u holds an interval coefficient whose midpoint is
-    # zero (or moved into the radius), or an infinite one; v is dense
+    # zero (or moved into the radius), or an infinite one; v is dense.  The
+    # fused folds keep the bits of the folds run one at a time, in the
+    # summation order of the reference: flat in 1-d, per axis in 2-d and 3-d
     a = rng.standard_normal(extent)
     a[rng.uniform(size=extent) < 0.4] = 0.0
     a.flat[0] = 0.0
@@ -729,10 +800,7 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
         assert np.array_equal(got.center, want.center) and np.array_equal(got.rad, want.rad)
     if special == "inf":
         assert np.isinf(multiply(u, v).hi).any()
-    # Newton's product is fold 0 alone, over the sparser factor
-    c = series.C_FLOAT[nz_grid(extent)]
-    raw = _fold_reference(a * c, b * c)
-    assert np.array_equal(multiply_point(b, a), raw / series.C_FLOAT[nz_grid(raw.shape)])
+    assert np.array_equal(multiply_point(b, a), _point_reference(a, b))
 
 
 def _on_coset(rng, extent, parity, point):
@@ -747,9 +815,9 @@ def _on_coset(rng, extent, parity, point):
 @pytest.mark.parametrize("point", [True, False])
 def test_strided_fold_matches_unstrided(rng, extent, point):
     # factors on one parity coset each: the stride skips only exact zeros,
-    # so multiply and multiply_point keep the bits of the unstrided per-fold
-    # loops, center and radius alike; a sparse factor of mixed parities
-    # keeps the center and can only shrink the running error bound
+    # so multiply and multiply_point keep the bits of the unstrided
+    # reference folds, center and radius alike; a sparse factor of mixed
+    # parities keeps the center and can only shrink the running error bound
     d = len(extent)
     cases = []
     for _ in range(4):
@@ -758,7 +826,6 @@ def test_strided_fold_matches_unstrided(rng, extent, point):
     mixed = np.zeros(extent)
     mixed[(0,) * d], mixed[(1,) * d] = 0.4, -0.3
     cases.append((CosineSeries.from_point(mixed), _on_coset(rng, extent, (1,) * d, point), False))
-    c = series.C_FLOAT[nz_grid(extent)]
     for u, v, single in cases:
         got, want = multiply(u, v), _multiply_reference(u, v)
         assert got.center.tobytes() == want.center.tobytes()
@@ -766,13 +833,125 @@ def test_strided_fold_matches_unstrided(rng, extent, point):
             assert got.rad.tobytes() == want.rad.tobytes()
         else:
             assert np.all(got.rad <= want.rad)
-        a, b = u.mid(), v.mid()
-        if np.count_nonzero(b) < np.count_nonzero(a):
-            a, b = b, a
-        raw = _fold_reference(a * c, b * c)
-        assert multiply_point(u.mid(), v.mid()).tobytes() == (raw / series.C_FLOAT[nz_grid(raw.shape)]).tobytes()
+        assert multiply_point(u.mid(), v.mid()).tobytes() == _point_reference(u.mid(), v.mid()).tobytes()
     # the stride is taken: the dense factor's support has one parity per axis
     assert series._single_parity(cases[-1][1].support()) == [1] * d
+
+
+def _exact_fold(a, b):
+    """The fold of raw arrays a and b in exact rationals, and per entry the
+    number of its product terms below the normal range."""
+    d = a.ndim
+    out, tiny = {}, {}
+    normal = Fraction(2.0**-1022)
+    for i in map(tuple, np.argwhere(a != 0.0)):
+        for j in map(tuple, np.argwhere(b != 0.0)):
+            t = Fraction(a[i]) * Fraction(b[j]) / 2**d
+            # the entries |i + j| and |i - j| per axis; both where they agree
+            for k in itertools.product(*((x + y, abs(x - y)) for x, y in zip(i, j))):
+                out[k] = out.get(k, 0) + t
+                tiny[k] = tiny.get(k, 0) + (abs(t) < normal)
+    return out, tiny
+
+
+def _fold_factors(rng, d):
+    """Raw fold operands in d dimensions: each on one parity coset, both of
+    mixed parities, a factor with zero rows (whole ones, and zeros inside
+    the grid of its populated indices), and factors below _FOLD_MIN (a's
+    entries multiples of 2^-1071, so that a 2^-d stays exact)."""
+    ea, eb = {1: ((9,), (7,)), 2: ((5, 4), (6, 5)), 3: ((3, 4, 3), (4, 3, 4))}[d]
+
+    def spread(extent):
+        return rng.standard_normal(extent) * 10.0 ** rng.uniform(-3, 3, extent)
+
+    def coset(x, parity):
+        for j, par in enumerate(parity):
+            x[(slice(None),) * j + (slice(1 - par, None, 2),)] = 0.0
+        return x
+
+    cases = []
+    for _ in range(2):
+        pa, pb = (tuple(rng.integers(0, 2, d)) for _ in range(2))
+        cases.append((coset(spread(ea), pa), coset(spread(eb), pb)))
+        cases.append((spread(ea) * (rng.random(ea) < 0.6), spread(eb)))
+    rows = spread(ea)
+    rows[0] = 0.0
+    rows[(slice(None),) * (d - 1) + (1,)] = 0.0
+    rows[(2,) + (0,) * (d - 1)] = 0.0
+    cases.append((rows, spread(eb) * (rng.random(eb) < 0.7)))
+    tiny_a = rng.integers(-64, 65, ea) * 2.0**-1060
+    tiny_b = spread(eb) * 2.0**-1000
+    tiny_b.flat[::3] = rng.integers(-5, 6, tiny_b.flat[::3].shape) * 2.0**-1074
+    cases.append((tiny_a, spread(eb)))
+    cases.append((spread(ea) * 2.0**-40, tiny_b))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fold_error_bound_contains_exact(rng, d):
+    # |fl(fold) - exact| <= u err, grown by gamma_p for the rounding of err's
+    # own float sum, plus 2^-1075 per product term below the normal range:
+    # the running error bound holds through the per-axis summation tree
+    for a, b in _fold_factors(rng, d):
+        err = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
+        (got,) = series._raw_conv(a[None], b[None], err)
+        exact, tiny = _exact_fold(a, b)
+        p = 3**d * np.count_nonzero(a)
+        grow = (1 + _gamma(p)) / 2**53
+        for k in np.ndindex(*got.shape):
+            off = abs(Fraction(got[k]) - exact.get(k, 0))
+            assert off <= Fraction(err[k]) * grow + Fraction(tiny.get(k, 0), 2**1075), (a, b, k)
+
+
+def _fold_stack(rng, extent):
+    """Four fold operands with the sparsity pattern of multiply's: a on one
+    coset with some zeros, b dense."""
+    a = _on_coset(rng, extent, (1,) * len(extent), True).center
+    a[(rng.random(extent) < 0.2)] = 0.0
+    b = rng.standard_normal(tuple(2 * n - 1 for n in extent))
+    a_st = np.stack([a, np.abs(a), np.abs(a) * 1e-9, (a != 0.0) * 1.0])
+    b_st = np.stack([b, np.abs(b) * 1e-9, np.abs(b), np.ones(b.shape)])
+    return a_st, b_st
+
+
+@pytest.mark.parametrize("extent", [(6, 5), (5, 4, 6)])
+def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
+    # one row per chunk and a single chunk give the same bits, the folds
+    # and the running error bound alike
+    a, b = _fold_stack(rng, extent)
+    passes = []
+    first_pass = series._fold_last_axis
+
+    def counted(*args):
+        passes.append(args)
+        first_pass(*args)
+
+    monkeypatch.setattr(series, "_fold_last_axis", counted)
+    runs = []
+    for budget in (1e9, 0.0):
+        monkeypatch.setattr(series, "_PARTIAL_BUDGET", budget)
+        passes.clear()
+        err = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
+        runs.append((series._raw_conv(a, b, err), err, len(passes)))
+    (one, one_err, one_chunks), (rows, rows_err, row_chunks) = runs
+    assert one.tobytes() == rows.tobytes() and one_err.tobytes() == rows_err.tobytes()
+    populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(2, a.ndim))).any(axis=0))
+    assert one_chunks == 1 and row_chunks == populated_rows > 1
+
+
+def test_fold_peak_memory_bounded_by_output(rng):
+    # the partial folds of a 3-d product are chunked: the traced peak of
+    # multiply stays within a small multiple of its output stack's bytes
+    u = _on_coset(rng, (12, 12, 12), (1, 1, 1), True)
+    v = _on_coset(rng, (23, 23, 23), (0, 0, 0), False)
+    output_stack = 4 * 34**3 * 8
+    tracemalloc.start()
+    try:
+        multiply(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * output_stack, peak / output_stack
 
 
 @pytest.mark.parametrize("point", [True, False])
