@@ -31,17 +31,13 @@ from .lipschitz import (
 from .newton import NewtonError, NewtonResult, SolveOptions, newton_solve, parameter_walk, parse_seed
 from .operator import (
     CertificationError,
-    GalerkinMatrix,
     InverseBound,
-    KnResult,
     Linearization,
     ModelParams,
     PARAMETERS,
     apply_linearization,
     auto_inverse_bound,
     derivative_inverse_bound,
-    galerkin_inverse_bound,
-    galerkin_matrix,
     linearization_coefficient,
     residual_norm,
     residual_series,

@@ -171,8 +171,10 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     cert, sha = read_certificate(args.cert)
     if args.solution:
-        actual = file_sha256(args.solution)
-        if sha is not None and actual != sha:
+        if sha is None:
+            print("certificate records no solution hash: cannot bind it to the solution")
+            return EXIT_CERT
+        if file_sha256(args.solution) != sha:
             print("solution file hash mismatch: certificate is stale")
             return EXIT_CERT
     ok, failures = verify_certificate(cert)

@@ -20,13 +20,10 @@ from .operator import (
     ModelParams,
     galerkin_matrix_point,
     memory_shortfall,
-    parity_classes,
-    parity_label,
+    parity_blocks,
     point_linearization,
     poly_eval_series_point,
     truncation_modes,
-    _class_positions,
-    _class_size,
     _with_mean,
 )
 from .series import CosineSeries, k2_grid
@@ -154,7 +151,7 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     coeffs = u0.mid() if isinstance(u0, CosineSeries) else np.asarray(u0, dtype=np.float64)
     dim = coeffs.ndim
     n = opts.n
-    _check_block_memory(min(_class_size(axes) for axes in parity_classes((True,) * dim, n)), dim, n)
+    _check_block_memory(min(block.size for block in parity_blocks((True,) * dim, n)), dim, n)
     a = np.zeros((n,) * dim)
     src = tuple(slice(0, min(n, s)) for s in coeffs.shape)
     a[src] = coeffs[src]
@@ -182,18 +179,18 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
             break
         rhs = -f_all[tuple(slice(0, n) for _ in range(dim))].ravel()[flat_idx]
         q_raw, split = point_linearization(p, a)
-        classes = [(axes, _class_positions(axes, n)) for axes in parity_classes(split, n)]
-        blocks = [(axes, idx) for axes, idx in classes if rhs[idx].any()]
-        _check_block_memory(max(idx.size for _, idx in blocks), dim, n)
+        classes = [(block, block.rows()) for block in parity_blocks(split, n)]
+        blocks = [(block, idx) for block, idx in classes if rhs[idx].any()]
+        _check_block_memory(max(block.size for block, _ in blocks), dim, n)
         step = np.zeros(flat_idx.size)
-        for axes, idx in blocks:
+        for block, idx in blocks:
             # the block is dropped once solved, so blocks are live one at a time
             try:
-                step[idx] = np.linalg.solve(galerkin_matrix_point(p, q_raw, modes[idx], axes), rhs[idx])
+                step[idx] = np.linalg.solve(galerkin_matrix_point(p, q_raw, modes[idx], block.axes), rhs[idx])
             except np.linalg.LinAlgError as exc:
                 raise NewtonError(
                     f"singular Jacobian at iteration {it} on parity class "
-                    f"{parity_label(modes[idx[0]], split)} ({idx.size} modes): {exc}"
+                    f"{block.label} ({block.size} modes): {exc}"
                 ) from exc
         flat = a.ravel()
         flat[flat_idx] += opts.damping * step

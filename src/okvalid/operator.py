@@ -209,65 +209,42 @@ def _even_axes(support: np.ndarray) -> tuple:
     return tuple(par == 0 for par in _single_parity(support))
 
 
-def parity_classes(split, n: int) -> list:
-    """Per-axis index sets of the mode classes k_j mod 2 on the split axes.
+class ParityBlock(NamedTuple):
+    """One parity class of the modes 0 < |k|_inf < n of truncation_modes.
 
-    Each class is a lexicographic tensor sub-grid of truncation_modes; the
-    classes run in lexicographic order of their parities, and a class that
-    is only the origin is left out.  No split axis gives one class, the
-    full grid.
+    The class is the lexicographic tensor grid of the per-axis indices axes,
+    less the origin where the grid holds it; label reads k_j mod 2 on each
+    split axis and * on the others, and size counts its modes.
+    """
+
+    n: int
+    axes: tuple
+    label: str
+    size: int
+
+    def rows(self) -> np.ndarray:
+        """Row indices in truncation_modes of the class's modes, in its order."""
+        flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.axes)).ravel()
+        return flat[flat > 0] - 1
+
+
+def parity_blocks(split, n: int) -> list:
+    """The parity classes k_j mod 2 on the split axes, in lexicographic order
+    of their parities, as ParityBlocks; a class that is only the origin is
+    left out, and no split axis gives one class, the full grid.
+
+    This is the one walk over the blocks of a matrix that splits by parity:
+    the K_N stage, its memory charge and Newton's steps all follow it.  No
+    array of a class's size is built until its rows are asked for.
     """
     out = []
     for cls in itertools.product(*[(0, 1) if s else (None,) for s in split]):
         axes = tuple(np.arange(n) if c is None else np.arange(c, n, 2) for c in cls)
-        if _class_size(axes) > 0:
-            out.append(axes)
+        size = math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
+        if size > 0:
+            label = "(" + ", ".join("*" if c is None else str(c) for c in cls) + ")"
+            out.append(ParityBlock(n, axes, label, size))
     return out
-
-
-def _class_size(axes) -> int:
-    return math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
-
-
-def parity_label(k, split) -> str:
-    """The parity class of mode k: k_j mod 2 per split axis, * on the others."""
-    return "(" + ", ".join(str(v % 2) if s else "*" for v, s in zip(k, split)) + ")"
-
-
-def _class_positions(axes, n: int) -> np.ndarray:
-    """Row indices in truncation_modes of the class's modes, in its order."""
-    flat = np.ravel_multi_index(np.ix_(*axes), (n,) * len(axes)).ravel()
-    return flat[flat > 0] - 1
-
-
-@dataclass
-class GalerkinMatrix:
-    """Scaled matrix of the projected linearization on modes 0 < |k|_inf < n.
-
-    The matrix is block-diagonal by the parity classes of split: blocks
-    holds, per class, the row indices of its modes in modes and the ball
-    matrix on them.  Every entry outside the blocks is an exact zero.
-    """
-
-    n: int
-    dim: int
-    modes: np.ndarray
-    split: tuple
-    blocks: list
-
-    @property
-    def size(self) -> int:
-        return self.modes.shape[0]
-
-    @property
-    def mat(self) -> BallMatrix:
-        """The full block-diagonal ball matrix, scattered from the blocks."""
-        mid = np.zeros((self.size, self.size))
-        rad = np.zeros((self.size, self.size))
-        for idx, b in self.blocks:
-            mid[np.ix_(idx, idx)] = b.mid
-            rad[np.ix_(idx, idx)] = b.rad
-        return BallMatrix(mid, rad)
 
 
 def _galerkin_sums(axes, arrays) -> list:
@@ -291,8 +268,8 @@ def _galerkin_sums(axes, arrays) -> list:
         aw[crop] = a[crop] * half
     tables = [{1: a[:, None] + a[None, :], -1: np.abs(a[:, None] - a[None, :])} for a in axes]
     size = math.prod(a.size for a in axes)
-    m = _class_size(axes)
-    drop = size - m  # the origin, first where the grid holds it
+    drop = int(all(a[0] == 0 for a in axes))  # the origin, first where the grid holds it
+    m = size - drop
     sums = [np.zeros((m, m)) for _ in arrays]
     for signs in itertools.product((1, -1), repeat=d):
         # axis j's table spans result axes j (k_j) and d + j (ell_j)
@@ -307,10 +284,13 @@ def _galerkin_sums(axes, arrays) -> list:
     return sums
 
 
-def galerkin_matrix(p: ModelParams, q: CosineSeries, n: int) -> GalerkinMatrix:
-    """Ball matrix with entries -(1 + lam sigma / kappa_k^2) delta_{k,ell}
-    + (q phi_ell, phi_k) / kappa_ell, one block per parity class of
-    split_axes(q).
+def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
+    """The ball matrix with entries -(1 + lam sigma / kappa_k^2)
+    delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes of
+    truncation_modes, one block at a time: it is block-diagonal by the
+    parity classes of split_axes(q), every entry off the blocks an exact
+    zero, and each (ParityBlock, BallMatrix) pair is assembled only when the
+    previous one has been taken.
 
     The float sums of galerkin_matrix_point at the raw midpoint of q, at its
     absolute value and at the raw radius are scaled in place by the weights
@@ -328,20 +308,15 @@ def galerkin_matrix(p: ModelParams, q: CosineSeries, n: int) -> GalerkinMatrix:
     computed elementwise, so a block holds the same bits as the one-block
     assembly does on its rows and columns.
     """
-    d = q.dim
-    modes = truncation_modes(d, n)
-    split = split_axes(q)
+    modes = truncation_modes(q.dim, n)
     qm, qr, _ = _raw_mid_rad(q)
     arrays = [qm, np.abs(qm)] + ([qr] if qr.any() else [])
-    blocks = []
-    for axes in parity_classes(split, n):
-        idx = _class_positions(axes, n)
-        blocks.append((idx, _galerkin_block(p, modes[idx], axes, arrays)))
-    return GalerkinMatrix(n=n, dim=d, modes=modes, split=split, blocks=blocks)
+    for block in parity_blocks(split_axes(q), n):
+        yield block, _galerkin_block(p, modes[block.rows()], block.axes, arrays)
 
 
 def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatrix:
-    """galerkin_matrix's ball matrix on one parity class: axes are its
+    """galerkin_blocks's ball matrix on one parity class: axes are its
     per-axis indices, modes its rows of truncation_modes in that order."""
     d = modes.shape[1]
     m = modes.shape[0]
@@ -377,7 +352,7 @@ def point_linearization(p: ModelParams, coeffs: np.ndarray) -> tuple:
 
 def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, modes: np.ndarray, axes) -> np.ndarray:
     """Float block of the unscaled projected linearization (Newton Jacobian)
-    on one parity class: axes are its per-axis indices (parity_classes),
+    on one parity class: axes are its per-axis indices (parity_blocks),
     modes its rows of truncation_modes in that order, q_raw from
     point_linearization.
 
@@ -403,36 +378,6 @@ def _with_mean(coeffs: np.ndarray, mu: float) -> np.ndarray:
 # certified inverse bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KnResult:
-    """Certified bound for the 2-norm of the inverse of the scaled matrix."""
-
-    value: float
-    defect: float  # certified bound e on ||C B - I||
-
-
-def galerkin_inverse_bound(g: GalerkinMatrix) -> KnResult:
-    """K_N as the largest of mat_inverse_norm2_upper's bounds over the blocks.
-
-    Every member of the ball matrix is block-diagonal, its blocks members of
-    the block balls, so the 2-norm of its inverse is the largest of theirs;
-    defect is the largest e over the blocks.
-    """
-    per_block = []
-    for idx, b in g.blocks:
-        try:
-            per_block.append(mat_inverse_norm2_upper(b))
-        except IntervalDomainError as exc:
-            raise CertificationError(
-                "kn_bound",
-                f"finite inverse not certified at n={g.n} on parity class "
-                f"{parity_label(g.modes[idx[0]], g.split)} ({idx.size} modes): {exc}",
-                suggested_n=2 * g.n,
-            ) from exc
-    bounds, defects, _ = zip(*per_block)
-    return KnResult(value=max(bounds), defect=max(defects))
-
-
 def tau_formula(kn: float, q_sup: float, q_h2: float, cb: float, n: int) -> Interval:
     """Tail contraction constant for the approximate-inverse argument."""
     a = Interval(kn) * Interval(q_sup)
@@ -451,15 +396,17 @@ class InverseBound:
     n: int
 
 
-# Peak number of live m_b x m_b double arrays in the K_N stage besides the
-# blocks themselves (midpoint and radius, two per block), m_b being the
-# largest block: the Galerkin assembly of a block and its certified inverse
-# norm.  Measured in 2-d at m = 783 and 2303, split into 4 and into 2 blocks
-# (OpenBLAS, 1 thread): the tracemalloc peak of galerkin_matrix and
-# galerkin_inverse_bound less the blocks is 5.14 to 5.24, and at m = 4095
-# the rise of the peak RSS less the blocks at most 4.8; this is the larger,
-# rounded up.  With one block the charge is 8 m x m.
-KN_WORK_ARRAYS = 6
+# Peak number of live m_b x m_b double arrays in the K_N stage, m_b being
+# the largest block; one block is live at a time.  The peak falls in the
+# certified inverse norm: the block's midpoint and radius, the approximate
+# inverse and the enclosure of its product with the block, with their
+# temporaries.  Measured on the canonical 2-d and 3-d equilibria (OpenBLAS,
+# 1 thread): the tracemalloc peak of derivative_inverse_bound is 7.51 and
+# 7.18 m_b^2 at 2-d N=28 and 48 (m_b = 196, 576), 8.33 and 7.37 at 3-d
+# N=12 and 16 (m_b = 216, 512), and the rise of the peak RSS 7.24 to 7.27
+# at 2-d N=64 and 96 and 3-d N=20.  3-d N=12 is the largest: there the
+# stage's raw coefficient arrays of q, of extent 23^3, add about one m_b^2.
+KN_WORK_ARRAYS = 9
 
 
 def available_memory_bytes() -> float:
@@ -478,10 +425,11 @@ def available_memory_bytes() -> float:
 
 
 def kn_stage_bytes(q: CosineSeries, n: int) -> float:
-    """Bytes the K_N stage needs at truncation n: every block of the Galerkin
-    matrix of q, and the working set of the largest."""
-    sizes = [_class_size(axes) for axes in parity_classes(split_axes(q), n)]
-    return 8.0 * (2 * sum(s * s for s in sizes) + KN_WORK_ARRAYS * max(sizes) ** 2)
+    """Bytes the K_N stage needs at truncation n: the working set of the
+    largest block of the Galerkin matrix of q, since one block is live at a
+    time."""
+    m_b = max(block.size for block in parity_blocks(split_axes(q), n))
+    return 8.0 * KN_WORK_ARRAYS * m_b**2
 
 
 def memory_shortfall(need: float, dim: int, n: int, stage: str) -> str | None:
@@ -497,16 +445,33 @@ def memory_shortfall(need: float, dim: int, n: int, stage: str) -> str | None:
 def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> InverseBound:
     """The finite inverse bound K_N at cut n and the full bound K.
 
-    Raises CertificationError at stage kn_bound, without a suggested
-    truncation, when the K_N stage would not fit in the available memory.
+    Every member of the ball matrix of galerkin_blocks is block-diagonal, its
+    blocks members of the block balls, so the 2-norm of its inverse is the
+    largest of theirs: K_N is the largest of mat_inverse_norm2_upper's
+    bounds, each block certified and dropped before the next is assembled.
+    A block that fails stops the stage there.  Raises CertificationError at
+    stage kn_bound, without a suggested truncation, when the K_N stage would
+    not fit in the available memory.
     """
     q, q_sup, q_h2 = lin
     short = memory_shortfall(kn_stage_bytes(q, n), q.dim, n, "K_N stage")
     if short:
         raise CertificationError("kn_bound", short)
-    kn = galerkin_inverse_bound(galerkin_matrix(p, q, n))
+    kn = 0.0
+    for block, ball in galerkin_blocks(p, q, n):
+        try:
+            bound, _, _ = mat_inverse_norm2_upper(ball)
+        except IntervalDomainError as exc:
+            raise CertificationError(
+                "kn_bound",
+                f"finite inverse not certified at n={n} on parity class "
+                f"{block.label} ({block.size} modes): {exc}",
+                suggested_n=2 * n,
+            ) from exc
+        del ball  # before the next block is assembled
+        kn = max(kn, bound)
     cb = table_constants(q.dim).cb
-    tau = tau_formula(kn.value, q_sup, q_h2, cb, n).hi
+    tau = tau_formula(kn, q_sup, q_h2, cb, n).hi
     if not tau < 1.0:
         raise CertificationError(
             "inverse_bound",
@@ -514,8 +479,8 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> Inve
             f"(rule of thumb: n ~ {rule_of_thumb_n(q_h2)})",
             suggested_n=max(2 * n, rule_of_thumb_n(q_h2)),
         )
-    k = (Interval(max(kn.value, 1.0)) / (Interval(1.0) - Interval(tau))).hi
-    return InverseBound(kn=kn.value, tau=tau, k=k, n=n)
+    k = (Interval(max(kn, 1.0)) / (Interval(1.0) - Interval(tau))).hi
+    return InverseBound(kn=kn, tau=tau, k=k, n=n)
 
 
 TRUNCATION_CEILING = {1: 256, 2: 96, 3: 32}

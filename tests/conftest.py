@@ -12,6 +12,8 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from okvalid import operator
+from okvalid.intervals import BallMatrix
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import ModelParams, fprime_series, linearization_coefficient
 from okvalid.series import CosineSeries, k2_grid
@@ -33,6 +35,24 @@ def make_random_series(rng, extent, zero_mean=True, scale=1.0, decay=2.0):
 def lin_of(p, u):
     """The linearization of the operator at u: q = lam f'(u + mu) and its bounds."""
     return linearization_coefficient(p, fprime_series(p, u))
+
+
+def galerkin_blocks(p, q, n):
+    """The blocks of the Galerkin matrix of q at truncation n that the K_N
+    stage streams, as a list of (ParityBlock, BallMatrix) in its order."""
+    return list(operator.galerkin_blocks(p, q, n))
+
+
+def galerkin_full(p, q, n, blocks=None) -> BallMatrix:
+    """The full Galerkin ball matrix on truncation_modes, scattered from the
+    streamed blocks (or from blocks, a list that galerkin_blocks returned);
+    every entry off the blocks is a point zero."""
+    m = n**q.dim - 1
+    mid, rad = np.zeros((m, m)), np.zeros((m, m))
+    for block, ball in operator.galerkin_blocks(p, q, n) if blocks is None else blocks:
+        idx = np.ix_(block.rows(), block.rows())
+        mid[idx], rad[idx] = ball.mid, ball.rad
+    return BallMatrix(mid, rad)
 
 
 def gauss_rule(n):

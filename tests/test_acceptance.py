@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import gauss_rule, lin_of, make_random_series
+from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid.cift import validate, verify_certificate
 from okvalid.cli import main
 from okvalid.embeddings import recompute_cmbar
@@ -22,8 +22,7 @@ from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     ModelParams,
     apply_linearization,
-    galerkin_inverse_bound,
-    galerkin_matrix,
+    derivative_inverse_bound,
     truncation_modes,
 )
 from okvalid.series import (
@@ -120,7 +119,7 @@ def test_criterion_04_galerkin_quadrature_oracle():
     p = ModelParams(lam=2.0, sigma=1.5, mu=0.1)
     u = make_random_series(rng, (6,), scale=0.4)
     n = 8
-    g = galerkin_matrix(p, lin_of(p, u).q, n)
+    g = galerkin_full(p, lin_of(p, u).q, n)
     x, w = gauss_rule(2000)
     uvals = evaluate_grid(u, [x])
     qvals = p.lam * (1.0 - 3.0 * (uvals + p.mu) ** 2)
@@ -128,13 +127,13 @@ def test_criterion_04_galerkin_quadrature_oracle():
     inner = phi @ np.diag(w * qvals) @ phi.T
     ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
     oracle = -np.diag(1.0 + p.lam * p.sigma / ks**2) + inner / ks[None, :]
-    assert np.all(np.abs(oracle - g.mat.mid) <= g.mat.rad + 1e-9)
+    assert np.all(np.abs(oracle - g.mid) <= g.rad + 1e-9)
 
     # d = 2, N = 4, tensor Gauss rule
     p2 = ModelParams(lam=5.0, sigma=2.0, mu=0.05)
     u2 = make_random_series(rng, (3, 3), scale=0.4)
     n2 = 4
-    g2 = galerkin_matrix(p2, lin_of(p2, u2).q, n2)
+    g2 = galerkin_full(p2, lin_of(p2, u2).q, n2)
     x2, w2 = gauss_rule(160)
     u2vals = evaluate_grid(u2, [x2, x2])
     q2 = p2.lam * (1.0 - 3.0 * (u2vals + p2.mu) ** 2)
@@ -149,7 +148,7 @@ def test_criterion_04_galerkin_quadrature_oracle():
     inner2 = np.einsum("kij,lij->kl", phis, phis * weights[None, :, :])
     ks2 = math.pi**2 * np.sum(modes.astype(float) ** 2, axis=1)
     oracle2 = -np.diag(1.0 + p2.lam * p2.sigma / ks2**2) + inner2 / ks2[None, :]
-    assert np.all(np.abs(oracle2 - g2.mat.mid) <= g2.mat.rad + 1e-9)
+    assert np.all(np.abs(oracle2 - g2.mid) <= g2.rad + 1e-9)
     _stamp(4, "Galerkin oracle equivalence", t0, 60)
 
 
@@ -159,10 +158,10 @@ def test_criterion_05_diagonal_analytic_case():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 128):
-            kn = galerkin_inverse_bound(galerkin_matrix(p, lin_of(p, u).q, n))
+            kn = derivative_inverse_bound(p, lin_of(p, u), n).kn
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1.0 + lam * sig / ks**2) + lam / ks))
-            assert oracle * 0.99 <= kn.value <= oracle * 1.01, (lam, sig, n)
+            assert oracle * 0.99 <= kn <= oracle * 1.01, (lam, sig, n)
     _stamp(5, "diagonal analytic inverse bound", t0, 10)
 
 

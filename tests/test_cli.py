@@ -335,6 +335,21 @@ def test_check_detects_stale_hash(workdir, solution_file):
     assert main(["check", "--cert", str(cert_path), "--solution", str(other)]) == 3
 
 
+def test_check_rejects_certificate_without_solution_hash(workdir, solution_file, capsys):
+    # a certificate that records no solution hash cannot be bound to a
+    # solution file: one line and exit 3, not "verified"
+    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    payload["solution_sha256"] = None
+    unbound = workdir / "unbound.cert.json"
+    unbound.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(unbound)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--cert", str(unbound), "--solution", str(solution_file)]) == 3
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "certificate records no solution hash: cannot bind it to the solution"
+    ]
+
+
 def test_check_truncated_json(workdir):
     broken = workdir / "broken.cert.json"
     broken.write_text('{"format_version": 1, "delta')

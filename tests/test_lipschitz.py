@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import lin_of, make_random_series
+from conftest import galerkin_full, lin_of, make_random_series
 from okvalid.lipschitz import (
     ContinuationChoice,
     bounds_lambda,
@@ -14,7 +14,7 @@ from okvalid.lipschitz import (
     poly_range_max,
     poly_shift,
 )
-from okvalid.operator import ModelParams, fprime_series, galerkin_matrix
+from okvalid.operator import ModelParams, fprime_series
 from okvalid.series import CosineSeries, norm
 
 
@@ -183,7 +183,7 @@ def test_finite_projection_necessary_condition(rng):
     n = 6
     p_star = ModelParams(lam=18.0, sigma=2.0, mu=0.1)
     u_star = make_random_series(rng, (n,), scale=0.3)
-    base = galerkin_matrix(p_star, lin_of(p_star, u_star).q, n).mat.mid
+    base = galerkin_full(p_star, lin_of(p_star, u_star).q, n).mid
     for which in ("lambda", "sigma", "mu"):
         du, dp = 0.2, 0.4
         lb = lipschitz_bounds(p_star, u_star, ContinuationChoice(which, dp, du),
@@ -198,7 +198,7 @@ def test_finite_projection_necessary_condition(rng):
             du_actual = norm(u_new - u_star, "Hbar", 2).hi
             dp_actual = float(rng.uniform(-dp, dp))
             p_new = p_star.step(which, dp_actual)
-            diff = galerkin_matrix(p_new, lin_of(p_new, u_new).q, n).mat.mid - base
+            diff = galerkin_full(p_new, lin_of(p_new, u_new).q, n).mid - base
             lhs = float(np.linalg.norm(diff, 2))
             rhs = lb.l1 * du_actual + lb.l2 * abs(dp_actual)
             assert lhs <= rhs + 1e-8

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import gauss_rule, lin_of, make_random_series
+from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
-from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError
+from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError, mat_inverse_norm2_upper
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
+    Linearization,
     ModelParams,
     apply_linearization,
     auto_inverse_bound,
     derivative_inverse_bound,
-    galerkin_inverse_bound,
-    galerkin_matrix,
     galerkin_matrix_point,
     poly_deriv,
     residual_norm,
@@ -27,7 +26,7 @@ from okvalid.operator import (
     tau_formula,
     truncation_modes,
 )
-from okvalid.series import CosineSeries, evaluate_grid
+from okvalid.series import CosineSeries, evaluate_grid, norm, sup_bound
 
 
 def test_model_params_validation():
@@ -165,23 +164,23 @@ def test_truncation_modes_lex():
 
 def test_galerkin_zero_q_is_minus_identity():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
-    g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, 6)
-    assert np.allclose(g.mat.mid, -np.eye(5), atol=1e-14)
-    kn = galerkin_inverse_bound(g)
-    assert 1.0 <= kn.value <= 1.0 + 1e-10
+    lin = lin_of(p, CosineSeries.zeros((2,)))
+    assert np.allclose(galerkin_full(p, lin.q, 6).mid, -np.eye(5), atol=1e-14)
+    kn = derivative_inverse_bound(p, lin, 6).kn
+    assert 1.0 <= kn <= 1.0 + 1e-10
 
 
 def test_galerkin_diagonal_hand_formula():
     lam, sig = 10.0, 1.0
     p = ModelParams(lam=lam, sigma=sig, mu=0.0)
     n = 8
-    g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, n)
+    g = galerkin_full(p, lin_of(p, CosineSeries.zeros((2,))).q, n)
     for i, k in enumerate(range(1, n)):
         kap = math.pi**2 * k * k
         expect = -(1 + lam * sig / kap**2) + lam / kap
-        mid, rad = g.mat.mid[i, i], g.mat.rad[i, i]
+        mid, rad = g.mid[i, i], g.rad[i, i]
         assert abs(expect - mid) <= rad + 1e-12
-    off = np.max(np.abs(g.mat.mid - np.diag(np.diag(g.mat.mid))))
+    off = np.max(np.abs(g.mid - np.diag(np.diag(g.mid))))
     assert off < 1e-14
 
 
@@ -189,7 +188,7 @@ def test_galerkin_vs_quadrature_d1(rng):
     p = ModelParams(lam=2.0, sigma=1.5, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.4)
     n = 6
-    g = galerkin_matrix(p, lin_of(p, u).q, n)
+    g = galerkin_full(p, lin_of(p, u).q, n)
     x, w = gauss_rule(500)
     uvals = evaluate_grid(u, [x])
     qvals = p.lam * (1.0 - 3.0 * (uvals + p.mu) ** 2)
@@ -201,7 +200,7 @@ def test_galerkin_vs_quadrature_d1(rng):
             phil = (math.sqrt(2.0)) * np.cos(ell * math.pi * x)
             val = -(1 + p.lam * p.sigma / kapk**2) * (k == ell)
             val += float(np.sum(w * qvals * phil * phik)) / kapl
-            mid, rad = g.mat.mid[i, j], g.mat.rad[i, j]
+            mid, rad = g.mid[i, j], g.rad[i, j]
             assert abs(val - mid) <= rad + 1e-9
 
 
@@ -256,16 +255,16 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
-    g = galerkin_matrix(p, q, n)
+    g = galerkin_full(p, q, n)
     modes = truncation_modes(dim, n)
     with mpmath.workdps(50):
         lo, hi = _exact_galerkin_hull(p, q, modes)
         for a in range(len(modes)):
             for b in range(len(modes)):
-                mid, rad = mpmath.mpf(g.mat.mid[a, b]), mpmath.mpf(g.mat.rad[a, b])
+                mid, rad = mpmath.mpf(g.mid[a, b]), mpmath.mpf(g.rad[a, b])
                 assert mid - rad <= lo[a][b], (a, b)
                 assert hi[a][b] <= mid + rad, (a, b)
-    assert ((g.mat.mid == 0.0) & (g.mat.rad == 0.0)).any() and (g.mat.rad > 0.0).any()
+    assert ((g.mid == 0.0) & (g.rad == 0.0)).any() and (g.rad > 0.0).any()
 
 
 def test_pi_power_balls_hold_pi_powers():
@@ -287,12 +286,12 @@ def test_galerkin_point_scaling_mpmath(rng):
     with mpmath.workdps(50):
         for q0 in rng.standard_normal(6) * 1e6:
             q = CosineSeries.from_point(np.array([q0]))
-            g = galerkin_matrix(p, q, n)
-            assert np.all(g.mat.mid[off] == 0.0) and np.all(g.mat.rad[off] == 0.0)
+            g = galerkin_full(p, q, n)
+            assert np.all(g.mid[off] == 0.0) and np.all(g.rad[off] == 0.0)
             for i in range(n - 1):
                 kappa = mpmath.pi**2 * (i + 1) ** 2
                 exact = q0 / kappa - (1 + mpmath.mpf(p.lam) * p.sigma / kappa**2)
-                mid, rad = mpmath.mpf(g.mat.mid[i, i]), mpmath.mpf(g.mat.rad[i, i])
+                mid, rad = mpmath.mpf(g.mid[i, i]), mpmath.mpf(g.rad[i, i])
                 assert mid - rad <= exact <= mid + rad, (q0, i)
 
 
@@ -330,7 +329,7 @@ def test_galerkin_sums_match_definition(rng, n, extent):
     d = len(extent)
     grids = []
     for split in ((False,) * d, (True,) * d, tuple(rng.uniform(size=d) < 0.5)):
-        grids += operator.parity_classes(split, n)
+        grids += [block.axes for block in operator.parity_blocks(split, n)]
     for axes in grids:
         sums = operator._galerkin_sums(axes, arrays)
         assert len(sums) == 2
@@ -346,13 +345,20 @@ def _same_parity(modes, split):
     return same
 
 
+def _labels(split):
+    """The parity labels of the classes of split, in lexicographic order."""
+    return ["(" + ", ".join(map(str, c)) + ")"
+            for c in itertools.product(*[(0, 1) if s else ("*",) for s in split])]
+
+
 def _one_block(p, n, q, monkeypatch):
-    """galerkin_matrix assembled as a single block: no axis splits."""
+    """The Galerkin matrix streamed as a single block: no axis splits."""
     with monkeypatch.context() as mp:
         mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
-        g = galerkin_matrix(p, q, n)
-    assert len(g.blocks) == 1 and np.array_equal(g.blocks[0][0], np.arange(g.size))
-    return g.blocks[0][1]
+        blocks = galerkin_blocks(p, q, n)
+    ((block, ball),) = blocks
+    assert block.size == n**q.dim - 1 and np.array_equal(block.rows(), np.arange(block.size))
+    return ball
 
 
 @pytest.mark.parametrize("extent,n", [((9,), 8), ((6, 7), 5), ((5, 4, 5), 4)])
@@ -371,14 +377,15 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             width[odd] = 0.0
         q = CosineSeries.hull(mid - width, mid + width)
         assert operator.split_axes(q) == even
-        g = galerkin_matrix(p, q, n)
-        assert g.split == even and len(g.blocks) == 2 ** sum(even)
-        assert np.array_equal(np.sort(np.concatenate([i for i, _ in g.blocks])), np.arange(g.size))
+        blocks = galerkin_blocks(p, q, n)
+        assert [block.label for block, _ in blocks] == _labels(even)
+        rows = np.concatenate([block.rows() for block, _ in blocks])
+        assert np.array_equal(np.sort(rows), np.arange(n**d - 1))
         one = _one_block(p, n, q, monkeypatch)
-        full = g.mat
+        full = galerkin_full(p, q, n, blocks)
         assert full.mid.tobytes() == one.mid.tobytes()
         assert full.rad.tobytes() == one.rad.tobytes()
-        off = ~_same_parity(g.modes, even)
+        off = ~_same_parity(truncation_modes(d, n), even)
         assert np.all(one.mid[off] == 0.0) and np.all(one.rad[off] == 0.0)
 
 
@@ -410,37 +417,59 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             assert qm[k] != 0.0
         want = tuple(i != j for i in range(3))
         assert operator.split_axes(q) == want
-        g = galerkin_matrix(p, q, n)
-        assert g.split == want and len(g.blocks) == 4
+        blocks = galerkin_blocks(p, q, n)
+        assert [block.label for block, _ in blocks] == _labels(want)
         # the coupling is real: entries across the parity of k_j are not point zeros
-        cross = _same_parity(g.modes, (True,) * 3) != _same_parity(g.modes, want)
-        full = g.mat
+        modes = truncation_modes(3, n)
+        cross = _same_parity(modes, (True,) * 3) != _same_parity(modes, want)
+        full = galerkin_full(p, q, n, blocks)
         assert ((full.mid[cross] != 0.0) | (full.rad[cross] != 0.0)).any()
 
 
 @pytest.mark.parametrize("case,n", [("solved_1d", 112), ("solved_2d", 28), ("solved_3d", 12)])
 def test_block_kn_not_looser_than_full_matrix(request, case, n):
-    from okvalid.intervals import mat_inverse_norm2_upper
-
+    # the stage's K_N is the largest of the blocks' bounds, bit for bit, and
+    # neither it nor the largest defect is looser than the full matrix's
     p, result = request.getfixturevalue(case)
-    g = galerkin_matrix(p, lin_of(p, result.solution).q, n)
-    assert all(g.split) and len(g.blocks) == 2 ** g.dim
-    kn = galerkin_inverse_bound(g)
-    full, e_full, _ = mat_inverse_norm2_upper(g.mat)
-    assert kn.value <= full and kn.defect <= e_full
+    lin = lin_of(p, result.solution)
+    blocks = galerkin_blocks(p, lin.q, n)
+    assert [block.label for block, _ in blocks] == _labels((True,) * lin.q.dim)
+    bounds, defects, _ = zip(*(mat_inverse_norm2_upper(ball) for _, ball in blocks))
+    assert derivative_inverse_bound(p, lin, n).kn == max(bounds)
+    full, e_full, _ = mat_inverse_norm2_upper(galerkin_full(p, lin.q, n, blocks))
+    assert max(bounds) <= full and max(defects) <= e_full
 
 
 def test_kn_failure_names_parity_class():
     # a constant q whose interval puts zero inside the diagonal entries of
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
-    q0 = math.pi**2 * (1.0 + 1e-6)
-    q = CosineSeries.hull(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
-    g = galerkin_matrix(ModelParams(lam=7.0), q, 6)
     with pytest.raises(CertificationError) as err:
-        galerkin_inverse_bound(g)
+        derivative_inverse_bound(ModelParams(lam=7.0), _unit_kappa_linearization(), 6)
     assert err.value.stage == "kn_bound" and err.value.suggested_n == 12
     assert "on parity class (0, 1) (9 modes): " in str(err.value)
     assert ">= 1" in str(err.value)
+
+
+def _unit_kappa_linearization() -> Linearization:
+    q0 = math.pi**2 * (1.0 + 1e-6)
+    q = CosineSeries.hull(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
+    return Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+
+
+def test_kn_stream_stops_at_the_failing_block(monkeypatch):
+    # the classes (0, 1) and (1, 0) both fail; the stage assembles (0, 0)
+    # and (0, 1), and no block after the first failing class
+    assembled = []
+    assemble = operator._galerkin_block
+
+    def recording(p, modes, axes, arrays):
+        assembled.append(tuple(modes[-1] % 2))
+        return assemble(p, modes, axes, arrays)
+
+    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    with pytest.raises(CertificationError, match=r"on parity class \(0, 1\) "):
+        derivative_inverse_bound(ModelParams(lam=7.0), _unit_kappa_linearization(), 6)
+    assert assembled == [(0, 0), (0, 1)]
 
 
 def test_point_jacobian_memory_peak(rng):
@@ -454,8 +483,9 @@ def test_point_jacobian_memory_peak(rng):
     p = ModelParams(lam=30.0, sigma=2.0)
     q_raw, split = operator.point_linearization(p, a)
     assert split == (True, True)
-    axes = operator.parity_classes(split, n)[-1]
-    modes = truncation_modes(2, n)[operator._class_positions(axes, n)]
+    block = operator.parity_blocks(split, n)[-1]
+    axes = block.axes
+    modes = truncation_modes(2, n)[block.rows()]
     assert modes.shape == (576, 2) and np.all(modes % 2 == 1)
     galerkin_matrix_point(p, q_raw, modes, axes)
     tracemalloc.start()
@@ -471,11 +501,10 @@ def test_kn_diagonal_oracle():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 64):
-            g = galerkin_matrix(p, lin_of(p, CosineSeries.zeros((2,))).q, n)
-            kn = galerkin_inverse_bound(g)
+            kn = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), n).kn
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1 + lam * sig / ks**2) + lam / ks))
-            assert oracle <= kn.value <= oracle * 1.01
+            assert oracle <= kn <= oracle * 1.01
 
 
 def test_kn_self_consistency(rng):
@@ -484,12 +513,13 @@ def test_kn_self_consistency(rng):
 
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
-    g = galerkin_matrix(p, lin_of(p, u).q, 12)
-    kn = galerkin_inverse_bound(g)
-    c = np.linalg.inv(g.mat.mid)
-    e = mat_sub_identity(mat_mul(BallMatrix.point(c), g.mat))
+    q = lin_of(p, u).q
+    blocks = galerkin_blocks(p, q, 12)
+    g = galerkin_full(p, q, 12, blocks)
+    c = np.linalg.inv(g.mid)
+    e = mat_sub_identity(mat_mul(BallMatrix.point(c), g))
     assert mat_norm2_upper(e) < 1.0
-    assert kn.defect < 1.0
+    assert max(mat_inverse_norm2_upper(ball)[1] for _, ball in blocks) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +613,7 @@ def test_linearization_zero_mean_output(rng):
 
 def test_point_jacobian_matches_interval_matrix():
     # block by block, Newton's Jacobian scaled by 1/kappa_k kappa_l is the
-    # midpoint of galerkin_matrix's block on the same rows
+    # midpoint of the streamed Galerkin block on the same rows
     n = 5
     for mu, modes, blocks in [
         (0.1, [(0, 1), (1, 0), (2, 2)], 1),  # mixed parities: one block
@@ -595,14 +625,15 @@ def test_point_jacobian_matches_interval_matrix():
         for k, v in zip(modes, (0.2, -0.15, 0.05)):
             a[k] = v
         q_raw, split = operator.point_linearization(p, a)
-        g = galerkin_matrix(p, lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q, n)
-        assert g.split == split and len(g.blocks) == blocks
-        classes = operator.parity_classes(split, n)
-        assert len(classes) == blocks
-        for axes, (idx, ball) in zip(classes, g.blocks):
-            assert np.array_equal(operator._class_positions(axes, n), idx)
-            b = galerkin_matrix_point(p, q_raw, g.modes[idx], axes)
-            kap = math.pi**2 * np.sum(g.modes[idx].astype(float) ** 2, axis=1)
+        streamed = galerkin_blocks(p, lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q, n)
+        walk = operator.parity_blocks(split, n)
+        assert len(walk) == len(streamed) == blocks
+        modes = truncation_modes(2, n)
+        for block, (s_block, ball) in zip(walk, streamed):
+            idx = block.rows()
+            assert block.label == s_block.label and np.array_equal(s_block.rows(), idx)
+            b = galerkin_matrix_point(p, q_raw, modes[idx], block.axes)
+            kap = math.pi**2 * np.sum(modes[idx].astype(float) ** 2, axis=1)
             scaled = b / kap[:, None] / kap[None, :]
             assert np.max(np.abs(scaled - ball.mid)) < 1e-13
 
@@ -611,31 +642,33 @@ def test_point_jacobian_matches_interval_matrix():
 # memory ceiling of the K_N stage
 # ---------------------------------------------------------------------------
 
-def test_kn_stage_memory_peak_within_live_arrays(solved_2d):
-    # the traced peak of the Galerkin assembly and the certified inverse
-    # norm on the canonical 2-d case, four blocks of at most 196 modes, stays
-    # inside the budget that the memory check charges
-    n = 28
-    p, result = solved_2d
-    u = result.solution
-    q = lin_of(p, u).q
-    tracemalloc.start()
-    try:
-        galerkin_inverse_bound(galerkin_matrix(p, q, n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= operator.kn_stage_bytes(q, n)
+def test_kn_stage_memory_peak_within_live_arrays(solved_2d, solved_3d):
+    # the traced peak of the K_N stage on the canonical 2-d and 3-d cases,
+    # which stream 4 and 8 blocks, stays inside the one-block budget that
+    # the memory check charges, and below what the blocks hold together
+    for (p, result), n in ((solved_2d, 28), (solved_2d, 48), (solved_3d, 12), (solved_3d, 16)):
+        lin = lin_of(p, result.solution)
+        derivative_inverse_bound(p, lin, n)
+        tracemalloc.start()
+        try:
+            derivative_inverse_bound(p, lin, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= operator.kn_stage_bytes(lin.q, n), n
+        sizes = [block.size for block in operator.parity_blocks((True,) * lin.q.dim, n)]
+        assert len(sizes) == 2**lin.q.dim and peak < 8.0 * 2 * sum(s * s for s in sizes), n
 
 
 def test_kn_stage_charge_counts_blocks(solved_1d):
-    # the blocks' storage plus one block's working set; one block is the
-    # whole matrix's 2 + KN_WORK_ARRAYS arrays
+    # the working set of the largest block, since one block is live at a
+    # time: of the two 1-d classes, 31 and 32 modes, the odd one; one block
+    # is the whole matrix
     p, result = solved_1d
     q = lin_of(p, result.solution).q
-    assert operator.kn_stage_bytes(q, 64) == 8.0 * (2 * (31**2 + 32**2) + operator.KN_WORK_ARRAYS * 32**2)
+    assert operator.kn_stage_bytes(q, 64) == 8.0 * operator.KN_WORK_ARRAYS * 32**2
     q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
-    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * (2 + operator.KN_WORK_ARRAYS) * 63**2
+    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * operator.KN_WORK_ARRAYS * 63**2
 
 
 def _charge_1d(solved_1d, n: int) -> float:
@@ -651,12 +684,29 @@ def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
     p, result = solved_1d
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
-    monkeypatch.setattr(operator, "galerkin_matrix", _fail_if_called)
+    monkeypatch.setattr(operator, "_galerkin_block", _fail_if_called)
     with pytest.raises(CertificationError) as err:
         derivative_inverse_bound(p, lin_of(p, result.solution), 64)
     assert err.value.stage == "kn_bound"
     assert err.value.suggested_n is None
     assert "MB" in str(err.value)
+
+
+def test_kn_memory_ceiling_builds_nothing_of_the_truncation_size():
+    # the charge reads the walk's class sizes, not their rows: a 2-d
+    # truncation with four classes of 2.5e9 modes is refused after a traced
+    # peak of a few MB, where one class's rows alone would take 20 GB
+    q = CosineSeries.from_point(np.array([[1.0, 0.0, 0.5]]))
+    lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificationError, match="MB") as err:
+            derivative_inverse_bound(ModelParams(lam=7.0), lin, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.stage == "kn_bound" and err.value.suggested_n is None
+    assert peak < 1e7
 
 
 def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
