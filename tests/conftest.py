@@ -37,16 +37,11 @@ def lin_of(p, u):
     return linearization_coefficient(p, fprime_series(p, u))
 
 
-def galerkin_blocks(p, q, n):
-    """The blocks of the Galerkin matrix of q at truncation n that the K_N
-    stage streams, as a list of (ParityBlock, BallMatrix) in its order."""
-    return list(operator.galerkin_blocks(p, q, n))
-
-
 def galerkin_full(p, q, n, blocks=None) -> BallMatrix:
     """The full Galerkin ball matrix on truncation_modes, scattered from the
-    streamed blocks (or from blocks, a list that galerkin_blocks returned);
-    every entry off the blocks is a point zero."""
+    blocks that the K_N stage streams (operator.galerkin_blocks), or from
+    blocks, a list taken from that stream; every entry off the blocks is a
+    point zero."""
     m = n**q.dim - 1
     mid, rad = np.zeros((m, m)), np.zeros((m, m))
     for block, ball in operator.galerkin_blocks(p, q, n) if blocks is None else blocks:

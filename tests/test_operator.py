@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
+from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
 from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError, mat_inverse_norm2_upper
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
@@ -355,7 +355,7 @@ def _one_block(p, n, q, monkeypatch):
     """The Galerkin matrix streamed as a single block: no axis splits."""
     with monkeypatch.context() as mp:
         mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
-        blocks = galerkin_blocks(p, q, n)
+        blocks = list(operator.galerkin_blocks(p, q, n))
     ((block, ball),) = blocks
     assert block.size == n**q.dim - 1 and np.array_equal(block.rows(), np.arange(block.size))
     return ball
@@ -377,7 +377,7 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             width[odd] = 0.0
         q = CosineSeries.hull(mid - width, mid + width)
         assert operator.split_axes(q) == even
-        blocks = galerkin_blocks(p, q, n)
+        blocks = list(operator.galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(even)
         rows = np.concatenate([block.rows() for block, _ in blocks])
         assert np.array_equal(np.sort(rows), np.arange(n**d - 1))
@@ -417,7 +417,7 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             assert qm[k] != 0.0
         want = tuple(i != j for i in range(3))
         assert operator.split_axes(q) == want
-        blocks = galerkin_blocks(p, q, n)
+        blocks = list(operator.galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(want)
         # the coupling is real: entries across the parity of k_j are not point zeros
         modes = truncation_modes(3, n)
@@ -432,7 +432,7 @@ def test_block_kn_not_looser_than_full_matrix(request, case, n):
     # neither it nor the largest defect is looser than the full matrix's
     p, result = request.getfixturevalue(case)
     lin = lin_of(p, result.solution)
-    blocks = galerkin_blocks(p, lin.q, n)
+    blocks = list(operator.galerkin_blocks(p, lin.q, n))
     assert [block.label for block, _ in blocks] == _labels((True,) * lin.q.dim)
     bounds, defects, _ = zip(*(mat_inverse_norm2_upper(ball) for _, ball in blocks))
     assert derivative_inverse_bound(p, lin, n).kn == max(bounds)
@@ -514,7 +514,7 @@ def test_kn_self_consistency(rng):
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
     q = lin_of(p, u).q
-    blocks = galerkin_blocks(p, q, 12)
+    blocks = list(operator.galerkin_blocks(p, q, 12))
     g = galerkin_full(p, q, 12, blocks)
     c = np.linalg.inv(g.mid)
     e = mat_sub_identity(mat_mul(BallMatrix.point(c), g))
@@ -625,7 +625,8 @@ def test_point_jacobian_matches_interval_matrix():
         for k, v in zip(modes, (0.2, -0.15, 0.05)):
             a[k] = v
         q_raw, split = operator.point_linearization(p, a)
-        streamed = galerkin_blocks(p, lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q, n)
+        q = lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q
+        streamed = list(operator.galerkin_blocks(p, q, n))
         walk = operator.parity_blocks(split, n)
         assert len(walk) == len(streamed) == blocks
         modes = truncation_modes(2, n)
