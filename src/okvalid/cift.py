@@ -22,7 +22,13 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .intervals import Interval
-from .lipschitz import ContinuationChoice, LipschitzBounds, lipschitz_bounds
+from .lipschitz import (
+    ContinuationChoice,
+    LipschitzBounds,
+    SolutionSups,
+    lipschitz_bounds,
+    solution_sups,
+)
 from .operator import (
     PARAMETERS,
     CertificationError,
@@ -48,20 +54,41 @@ def _two_k(k: float) -> Interval:
     return Interval(2.0) * Interval(k)
 
 
-def radius_requirement(k: float, rho: float, l3: float, l4: float, da: float) -> Interval:
-    """Lower requirement on dx: 2 K rho + 2 K l3 da + 2 K l4 da^2."""
-    tk = _two_k(k)
-    return (
-        tk * Interval(rho)
-        + tk * Interval(l3) * Interval(da)
-        + tk * Interval(l4) * Interval(da).square()
-    )
+@dataclass(frozen=True)
+class RadiiInequalities:
+    """The two feasibility inequalities at fixed K, rho and l1..l4, with
+    their da-independent products 2 K rho and 2 K l1 .. 2 K l4 formed once.
+    Interval products associate left to right, so (2 K l3) da is the
+    product 2 K l3 da written out, bit for bit."""
 
+    tk_rho: Interval
+    tk_l1: Interval
+    tk_l2: Interval
+    tk_l3: Interval
+    tk_l4: Interval
+    l1_positive: bool
 
-def derivative_budget(k: float, l1: float, l2: float, da: float, dx: float) -> Interval:
-    """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
-    tk = _two_k(k)
-    return tk * Interval(l1) * Interval(dx) + tk * Interval(l2) * Interval(da)
+    @classmethod
+    def of(cls, k: float, rho: float, l1: float, l2: float, l3: float, l4: float):
+        tk = _two_k(k)
+        return cls(*(tk * Interval(x) for x in (rho, l1, l2, l3, l4)), l1 > 0.0)
+
+    def requirement(self, da: float) -> Interval:
+        """Lower requirement on dx: 2 K rho + 2 K l3 da + 2 K l4 da^2."""
+        d = Interval(da)
+        return self.tk_rho + self.tk_l3 * d + self.tk_l4 * d.square()
+
+    def budget(self, da: float, dx: float) -> Interval:
+        """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
+        return self.tk_l1 * Interval(dx) + self.tk_l2 * Interval(da)
+
+    def dx_ceiling(self, ell_x: float, da: float) -> float:
+        """min(ell_x, (1 - 2 K l2 da) / (2 K l1)) rounded down: the largest dx
+        in the box that the contraction budget certainly admits at da."""
+        if not self.l1_positive:
+            return ell_x
+        budget = (Interval(1.0) - self.tk_l2 * Interval(da)) / self.tk_l1
+        return min(ell_x, budget.lo)
 
 
 def radii_preconditions(k: float, rho: float, l1: float, ell_x: float) -> list:
@@ -76,17 +103,6 @@ def radii_preconditions(k: float, rho: float, l1: float, ell_x: float) -> list:
     return failures
 
 
-def _dx_ceiling(k: float, l1: float, l2: float, ell_x: float, da: float) -> float:
-    """min(ell_x, (1 - 2 K l2 da) / (2 K l1)) rounded down: the largest dx in
-    the box that the contraction budget certainly admits at da."""
-    if not l1 > 0.0:
-        return ell_x
-    budget = (Interval(1.0) - _two_k(k) * Interval(l2) * Interval(da)) / (
-        _two_k(k) * Interval(l1)
-    )
-    return min(ell_x, budget.lo)
-
-
 @dataclass(frozen=True)
 class RadiiResult:
     delta_alpha: float
@@ -99,7 +115,7 @@ class RadiiResult:
 BISECTION_STEPS = 50
 # A trial point further than this (relative) from the float root is decided
 # by that root.  The interval evaluation errs by a few ulps and the root by a
-# few more, so only the points near the boundary need evaluating: 6 to 10 of
+# few more, so only the points near the boundary need evaluating: 0 to 9 of
 # the 50 on the canonical certificates.
 ROOT_MARGIN = 2.0 ** -42
 
@@ -182,9 +198,11 @@ def solve_radii(
     if failures:
         raise CertificationError("solve_radii", failures[0])
 
+    ineq = RadiiInequalities.of(k, rho, l1, l2, l3, l4)
+
     def feasible(da: float):
-        dx = radius_requirement(k, rho, l3, l4, da).hi
-        ok = dx <= ell_x and derivative_budget(k, l1, l2, da, dx).hi <= 1.0
+        dx = ineq.requirement(da).hi
+        ok = dx <= ell_x and ineq.budget(da, dx).hi <= 1.0
         return ok, dx
 
     ok0, _ = feasible(0.0)
@@ -207,7 +225,7 @@ def solve_radii(
         delta_alpha=da,
         delta_x=dx,
         # dx <= ell_x, so this is min(ell_x, max(dx, the budget's bound))
-        delta_x_sup=max(dx, _dx_ceiling(k, l1, l2, ell_x, da)),
+        delta_x_sup=max(dx, ineq.dx_ceiling(ell_x, da)),
         infeasible_witness=witness,
         point_only=(da == 0.0),
     )
@@ -218,9 +236,10 @@ def feasible_dx_range(
     ell_x: float, da: float,
 ):
     """The certified [lower, upper] range of dx available at a given da, or None."""
-    lo = radius_requirement(k, rho, l3, l4, da).hi
-    hi = _dx_ceiling(k, l1, l2, ell_x, da)
-    if lo > hi or derivative_budget(k, l1, l2, da, lo).hi > 1.0:
+    ineq = RadiiInequalities.of(k, rho, l1, l2, l3, l4)
+    lo = ineq.requirement(da).hi
+    hi = ineq.dx_ceiling(ell_x, da)
+    if lo > hi or ineq.budget(da, lo).hi > 1.0:
         return None
     return lo, hi
 
@@ -298,9 +317,10 @@ def verify_certificate(cert: Certificate):
     if cert.k < k_replay:
         failures.append("K inconsistent with kn and tau")
     failures += radii_preconditions(cert.k, cert.rho, cert.l1, cert.ell_x)
-    if derivative_budget(cert.k, cert.l1, cert.l2, da, dx).hi > 1.0:
+    ineq = RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4)
+    if ineq.budget(da, dx).hi > 1.0:
         failures.append("contraction budget above 1")
-    if radius_requirement(cert.k, cert.rho, cert.l3, cert.l4, da).hi > dx:
+    if ineq.requirement(da).hi > dx:
         failures.append("radius requirement above delta_x")
     return not failures, failures
 
@@ -308,11 +328,6 @@ def verify_certificate(cert: Certificate):
 # ---------------------------------------------------------------------------
 # the full validation pipeline
 # ---------------------------------------------------------------------------
-
-def _default_box(p: ModelParams, u: CosineSeries, which: str):
-    u_norm = norm(u, "Hbar", 2).hi
-    return 0.1 * max(1.0, u_norm), 0.05 * max(1.0, abs(p.get(which)))
-
 
 def _invalid(p, which, stage, reason, **fields) -> Certificate:
     return Certificate(
@@ -327,16 +342,21 @@ class SolutionBounds:
     (p, u) alone, not on the truncation or the Lipschitz box."""
 
     rho: float  # upper bound on the residual norm
-    fprime: CosineSeries  # f'(u + mu), read by the lambda Lipschitz bounds
     lin: Linearization  # q = lam f'(u + mu) and its norm bounds
+    sups: SolutionSups  # of u, u + mu and f'(u + mu), read by the Lipschitz rounds
+    du0: float  # the default solution box radius, 0.1 max(1, ||u||)
+    # the first Lipschitz round's constants at the default box, per parameter
+    first_round: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
-    """rho, f'(u + mu) and the linearization of F at u.
+    """rho, the linearization of F at u and the sup bounds that the
+    Lipschitz rounds read.
 
     One SolutionBounds serves every validate of the same solution and
-    parameters, whatever the truncation.  Raises CertificationError at
-    stage residual, naming each of rho, q_sup and q_h2 that overflowed.
+    parameters, whatever the truncation; it memoises the first Lipschitz
+    round of each parameter.  Raises CertificationError at stage residual,
+    naming each of rho, q_sup and q_h2 that overflowed.
     """
     rho = residual_norm(p, u).hi
     fprime = fprime_series(p, u)
@@ -345,7 +365,21 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
            if not math.isfinite(v)]
     if bad:
         raise CertificationError("residual", f"{', '.join(bad)} not finite (overflow)")
-    return SolutionBounds(rho, fprime, lin)
+    du0 = 0.1 * max(1.0, norm(u, "Hbar", 2).hi)
+    return SolutionBounds(rho, lin, solution_sups(p, u, fprime), du0)
+
+
+def _default_dp(p: ModelParams, which: str) -> float:
+    return 0.05 * max(1.0, abs(p.get(which)))
+
+
+def _first_round(p: ModelParams, bounds: SolutionBounds, which: str) -> LipschitzBounds:
+    """The Lipschitz constants at the default box, computed once per bounds."""
+    lb = bounds.first_round.get(which)
+    if lb is None:
+        choice = ContinuationChoice(which=which, dp=_default_dp(p, which), du=bounds.du0)
+        lb = bounds.first_round[which] = lipschitz_bounds(p, choice, bounds.sups)
+    return lb
 
 
 # Lipschitz tightening rounds at most in one validate
@@ -381,16 +415,14 @@ def validate(
     if not u.zero_mean:
         return _invalid(p, which, "input", "solution series is not zero-mean")
 
-    du0, dp0 = _default_box(p, u, which)
-    pinned = du is not None or dp is not None
-    du_cur = du if du is not None else du0
-    dp_cur = dp if dp is not None else dp0
-
     if bounds is None:
         try:
             bounds = solution_bounds(p, u)
         except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
             return _invalid(p, which, "residual", str(exc))
+    pinned = du is not None or dp is not None
+    du_cur = du if du is not None else bounds.du0
+    dp_cur = dp if dp is not None else _default_dp(p, which)
     rho, lin = bounds.rho, bounds.lin
     try:
         if n is not None:
@@ -407,8 +439,11 @@ def validate(
     best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
     failure: CertificationError | None = None
     for rounds in range(1, LIPSCHITZ_ROUNDS + 1):
-        choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
-        lb = lipschitz_bounds(p, u, choice, bounds.fprime)
+        if rounds == 1 and not pinned:
+            lb = _first_round(p, bounds, which)
+        else:
+            choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
+            lb = lipschitz_bounds(p, choice, bounds.sups)
         try:
             radii = solve_radii(
                 ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,

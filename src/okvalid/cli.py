@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -282,7 +283,9 @@ def cmd_walk(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    # parse_args keeps no state in the parser, so one serves every call of main
     parser = _Parser(prog="okvalid", description=__doc__)
     parser.add_argument("--version", action="version", version=f"okvalid {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)

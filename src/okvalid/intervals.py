@@ -22,6 +22,7 @@ all pointwise results of its operands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,16 +59,15 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
 
 
 def _small_int(x: float) -> bool:
-    # cheap filter before the exact rational tests; a miss only widens
-    return -67108864.0 <= x <= 67108864.0 and x == int(x)
+    # an integer of magnitude at most 2^26; the exactness tests below only
+    # look at these, and a miss only widens
+    return -67108864.0 <= x <= 67108864.0 and x.is_integer()
 
 
-def _prod_is_exact(a: float, b: float, p: float) -> bool:
-    if a == 0.0 or b == 0.0:
-        return True
-    if not (_small_int(a) and _small_int(b)):
-        return False
-    return math.isfinite(p) and Fraction(a) * Fraction(b) == Fraction(p)
+def _prod_is_exact(a: float, b: float) -> bool:
+    # fl(a b) = a b when a factor is 0, or when both are small integers:
+    # their product is an integer of magnitude at most 2^52, a double
+    return a == 0.0 or b == 0.0 or (_small_int(a) and _small_int(b))
 
 
 def _quot_is_exact(a: float, b: float, q: float) -> bool:
@@ -98,7 +98,7 @@ class Interval:
     def __init__(self, lo: float, hi: float | None = None):
         lo = float(lo)
         hi = lo if hi is None else float(hi)
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+        if not lo <= hi:  # also true where an end is NaN
             raise IntervalDomainError(f"invalid interval endpoints [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -164,21 +164,25 @@ class Interval:
     @staticmethod
     def _extremum(cands, prods, pick_min: bool) -> float:
         m = min(prods) if pick_min else max(prods)
-        exact = all(
-            _prod_is_exact(x, y, p)
-            for (x, y), p in zip(cands, prods)
-            if p == m
-        )
+        exact = all(_prod_is_exact(x, y) for (x, y), p in zip(cands, prods) if p == m)
         if exact:
             return m
         return _down(m) if pick_min else _up(m)
 
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)
-        cands = (
-            (self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi),
-        )
-        prods = tuple(x * y for x, y in cands)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a and b and c and d and not (
+            (_small_int(a) or _small_int(b)) and (_small_int(c) or _small_int(d))
+        ):
+            # no candidate can be exact: no zero endpoint, and no pair of
+            # small integers; nor can one be NaN
+            ac, ad, bc, bd = a * c, a * d, b * c, b * d
+            return _unchecked(_down(min(ac, ad, bc, bd)), _up(max(ac, ad, bc, bd)))
+        cands = ((a, c), (a, d), (b, c), (b, d))
+        # 0 times an infinite endpoint is NaN in float; the members are
+        # finite, so their products with 0 are 0
+        prods = tuple(0.0 if math.isnan(p) else p for p in (x * y for x, y in cands))
         return Interval(
             self._extremum(cands, prods, True),
             self._extremum(cands, prods, False),
@@ -208,11 +212,12 @@ class Interval:
         return self._coerce(other) / self
 
     def square(self) -> "Interval":
-        a, b = abs(self).lo, abs(self).hi
+        mag = abs(self)
+        a, b = mag.lo, mag.hi
         plo = a * a
         phi = b * b
-        lo = plo if _prod_is_exact(a, a, plo) else max(_down(plo), 0.0)
-        hi = phi if _prod_is_exact(b, b, phi) else _up(phi)
+        lo = plo if _prod_is_exact(a, a) else max(_down(plo), 0.0)
+        hi = phi if _prod_is_exact(b, b) else _up(phi)
         return Interval(lo, hi)
 
     def __pow__(self, n: int) -> "Interval":
@@ -236,6 +241,14 @@ class Interval:
         lo = slo if _small_int(slo) and slo * slo == self.lo else max(_down(slo), 0.0)
         hi = shi if _small_int(shi) and shi * shi == self.hi else _up(shi)
         return Interval(lo, hi)
+
+
+def _unchecked(lo: float, hi: float) -> Interval:
+    """The Interval [lo, hi] of ends known to be ordered floats, not NaN."""
+    out = object.__new__(Interval)
+    out.lo = lo
+    out.hi = hi
+    return out
 
 
 # enclosures of the constants every rigorous formula needs; the float seeds are
@@ -376,8 +389,15 @@ def _ball_up(c, rad, p: int, g: Fraction):
     products and of a few more products.
     """
     rad += (4 * p + 16) * _ETA
-    rad *= _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
+    rad *= _budget_factor(g)
     return _unbounded_where_overflow(c, rad)
+
+
+@functools.lru_cache(maxsize=64)
+def _budget_factor(g: Fraction) -> float:
+    """1 / ((1 - g)(1 - u)(1 - gamma_6)) rounded up, _ball_up's factor: a
+    few exact rational operations, formed once per g."""
+    return _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
 
 
 def _max_sum_upper(x: np.ndarray, axis: int) -> float:

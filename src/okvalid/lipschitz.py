@@ -9,6 +9,7 @@ bounded rigorously by interval evaluation on subdivisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,49 +104,63 @@ def poly_shift(coeffs, shift: float):
     return out
 
 
-def _f_range_radius(u: CosineSeries, du: float, include_mean: float | None = None, extra: float = 0.0) -> float:
-    """Upper bound for the sup of admissible arguments of the nonlinearity."""
-    cm_bar = table_constants(u.dim).cm_bar
-    base = u if include_mean is None else u.add_constant(include_mean)
-    r = sup_bound(base) + Interval(cm_bar) * Interval(du) + Interval(extra)
+class SolutionSups(NamedTuple):
+    """The sup bounds of one solution that the constants read, formed once
+    per (p, u): sup_bound(u) and sup_bound(u + mu) as Intervals, and the
+    upper end of sup_bound(f'(u + mu))."""
+
+    dim: int
+    u: Interval
+    u_mu: Interval
+    fprime: float
+
+
+def solution_sups(p: ModelParams, u: CosineSeries, fprime: CosineSeries) -> SolutionSups:
+    """The SolutionSups of u; fprime is fprime_series(p, u)."""
+    return SolutionSups(
+        u.dim, sup_bound(u), sup_bound(u.add_constant(p.mu)), sup_bound(fprime).hi
+    )
+
+
+def _f_range_radius(dim: int, sup: Interval, du: float, extra: float = 0.0) -> float:
+    """Upper bound for the sup of admissible arguments of the nonlinearity,
+    sup being the sup bound of the box's center."""
+    cm_bar = table_constants(dim).cm_bar
+    r = sup + Interval(cm_bar) * Interval(du) + Interval(extra)
     return r.hi
 
 
-def bounds_lambda(
-    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries
-) -> LipschitzBounds:
-    """The bounds for lambda; fprime is fprime_series(p, u)."""
+def bounds_lambda(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
     if c.which != "lambda":
         raise ValueError("continuation choice must vary lambda")
-    consts = table_constants(u.dim)
-    radius = _f_range_radius(u, c.du)
+    consts = table_constants(sups.dim)
+    radius = _f_range_radius(sups.dim, sups.u, c.du)
     fmax1 = poly_range_max(poly_shift(p.fp_coeffs, p.mu), radius)
     fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
-    fprime_sup = sup_bound(fprime).hi
     lam_reach = abs(Interval(p.lam)) + Interval(c.dp)
     l1 = (Interval(consts.cm_bar) * Interval(fmax2) * lam_reach / PI2).hi
-    l2 = (Interval(fprime_sup) / PI2 + Interval(p.sigma) / PI4).hi
+    l2 = (Interval(sups.fprime) / PI2 + Interval(p.sigma) / PI4).hi
     l3 = (Interval(fmax1) / PI2 + Interval(p.sigma) / PI4).hi
     return LipschitzBounds(l1=l1, l2=l2, l3=l3, l4=0.0, fmax1=fmax1, fmax2=fmax2)
 
 
-def bounds_sigma(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> LipschitzBounds:
+def bounds_sigma(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
     if c.which != "sigma":
         raise ValueError("continuation choice must vary sigma")
-    consts = table_constants(u.dim)
-    radius = _f_range_radius(u, c.du)
+    consts = table_constants(sups.dim)
+    radius = _f_range_radius(sups.dim, sups.u, c.du)
     fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
     l1 = (Interval(p.lam) * Interval(fmax2) * Interval(consts.cm_bar) / PI2).hi
     l23 = (Interval(p.lam) / PI4).hi
     return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=0.0, fmax2=fmax2)
 
 
-def bounds_mu(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> LipschitzBounds:
+def bounds_mu(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
     if c.which != "mu":
         raise ValueError("continuation choice must vary mu")
-    consts = table_constants(u.dim)
+    consts = table_constants(sups.dim)
     # the range must cover u* + mu* itself, the u-box, and the mu-box
-    radius = _f_range_radius(u, c.du, include_mean=p.mu, extra=c.dp)
+    radius = _f_range_radius(sups.dim, sups.u_mu, c.du, extra=c.dp)
     fmax2 = poly_range_max(p.fpp_coeffs, radius)
     lam_f = Interval(p.lam) * Interval(fmax2)
     l1 = (lam_f * Interval(consts.cm_bar) / PI2).hi
@@ -153,11 +168,8 @@ def bounds_mu(p: ModelParams, u: CosineSeries, c: ContinuationChoice) -> Lipschi
     return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=lam_f.hi, fmax2=fmax2)
 
 
-def lipschitz_bounds(
-    p: ModelParams, u: CosineSeries, c: ContinuationChoice, fprime: CosineSeries
-) -> LipschitzBounds:
-    """The bounds for c.which; fprime is fprime_series(p, u), which only the
-    lambda bounds read."""
+def lipschitz_bounds(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
+    """The bounds for c.which, from the solution's sup bounds."""
     if c.which == "lambda":
-        return bounds_lambda(p, u, c, fprime)
-    return (bounds_sigma if c.which == "sigma" else bounds_mu)(p, u, c)
+        return bounds_lambda(p, c, sups)
+    return (bounds_sigma if c.which == "sigma" else bounds_mu)(p, c, sups)

@@ -404,9 +404,16 @@ class InverseBound:
 # 1 thread): the tracemalloc peak of derivative_inverse_bound is 7.51 and
 # 7.18 m_b^2 at 2-d N=28 and 48 (m_b = 196, 576), 8.33 and 7.37 at 3-d
 # N=12 and 16 (m_b = 216, 512), and the rise of the peak RSS 7.24 to 7.27
-# at 2-d N=64 and 96 and 3-d N=20.  3-d N=12 is the largest: there the
-# stage's raw coefficient arrays of q, of extent 23^3, add about one m_b^2.
+# at 2-d N=64 and 96 and 3-d N=20.
 KN_WORK_ARRAYS = 9
+# Peak number of live double arrays of q's extent on top of them: the raw
+# midpoint, its absolute value and radius that every block reads, and the
+# temporaries of _raw_mid_rad that form them.  They set the peak where q is
+# large against the truncation: for the 3-d N=16 equilibrium (q of extent
+# 31^3) the traced peak less the block charge is 5.7, 4.7, 3.2 and 1.3 times
+# q's size at N=6, 8, 10 and 12, and 7.6 times at 1-d N=16 (q of extent 255),
+# where fixed costs count too.
+KN_Q_ARRAYS = 10
 
 
 def available_memory_bytes() -> float:
@@ -427,9 +434,9 @@ def available_memory_bytes() -> float:
 def kn_stage_bytes(q: CosineSeries, n: int) -> float:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
-    time."""
+    time, and the raw coefficient arrays of q that every block reads."""
     m_b = max(block.size for block in parity_blocks(split_axes(q), n))
-    return 8.0 * KN_WORK_ARRAYS * m_b**2
+    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
 def memory_shortfall(need: float, dim: int, n: int, stage: str) -> str | None:

@@ -550,12 +550,20 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     am, ar, asup = _raw_mid_rad(u)
     bm, br, bsup = _raw_mid_rad(v)
     err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
-    c, r1, r2, reach = _raw_conv(
-        np.stack([am, np.abs(am), ar, asup]),
-        np.stack([bm, br, np.abs(bm) + br, bsup]),
-        err,
+    # the radius terms |Am|*Br and Ar*(|Bm| + Br) are exactly zero where Br,
+    # or Ar, is zero everywhere (centers are finite): their folds are left
+    # out, so they add nothing, not even 0 * inf = NaN against an infinite
+    # radius of the other factor
+    pairs = [(am, bm)]
+    pairs += [(np.abs(am), br)] if br.any() else []
+    pairs += [(ar, np.abs(bm) + br)] if ar.any() else []
+    pairs.append((asup, bsup))
+    c, *radii, reach = _raw_conv(
+        np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), err
     )
-    rad = err * 2.0**-53 + r1 + r2
+    rad = err * 2.0**-53
+    for r in radii:
+        rad += r
     nz = nz_grid(c.shape)
     c *= _C_INV_FLOAT[nz]
     rad *= _C_INV_FLOAT[nz]

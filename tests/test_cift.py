@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from okvalid import cift
 from okvalid.cift import (
     Certificate,
+    RadiiInequalities,
     RadiiResult,
-    derivative_budget,
     feasible_dx_range,
     radii_preconditions,
-    radius_requirement,
     solution_bounds,
     solve_radii,
     validate,
@@ -76,13 +75,12 @@ def test_radii_maximality_witness():
     r = solve_radii(k=2.0, rho=0.01, l1=1.0, l2=1.0, l3=0.5, l4=0.1,
                     ell_x=10.0, ell_alpha=10.0)
     # plugging the radii back in satisfies both inequalities
-    from okvalid.cift import derivative_budget, radius_requirement
-
-    assert radius_requirement(2.0, 0.01, 0.5, 0.1, r.delta_alpha).hi <= r.delta_x
-    assert derivative_budget(2.0, 1.0, 1.0, r.delta_alpha, r.delta_x).hi <= 1.0
+    ineq = RadiiInequalities.of(2.0, 0.01, 1.0, 1.0, 0.5, 0.1)
+    assert ineq.requirement(r.delta_alpha).hi <= r.delta_x
+    assert ineq.budget(r.delta_alpha, r.delta_x).hi <= 1.0
     # and the witness is infeasible
-    dx_w = radius_requirement(2.0, 0.01, 0.5, 0.1, r.infeasible_witness).hi
-    assert (dx_w > 10.0) or derivative_budget(2.0, 1.0, 1.0, r.infeasible_witness, dx_w).hi > 1.0
+    dx_w = ineq.requirement(r.infeasible_witness).hi
+    assert (dx_w > 10.0) or ineq.budget(r.infeasible_witness, dx_w).hi > 1.0
 
 
 def test_radii_point_only():
@@ -92,16 +90,22 @@ def test_radii_point_only():
 
 
 def reference_solve_radii(k, rho, l1, l2, l3, l4, ell_x, ell_alpha):
-    """The plain bisection: every trial point decided by interval evaluation."""
+    """The plain bisection: every trial point decided by interval evaluation,
+    each product of the inequalities formed afresh."""
     two_k = Interval(2.0) * Interval(k)
     if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
         raise CertificationError("solve_radii", "4 K^2 rho l1 >= 1: residual too large")
     if (two_k * Interval(rho)).hi >= ell_x:
         raise CertificationError("solve_radii", "2 K rho >= ell_x: box too small")
 
+    def requirement(da):
+        d = Interval(da)
+        return two_k * Interval(rho) + two_k * Interval(l3) * d + two_k * Interval(l4) * d.square()
+
     def feasible(da):
-        dx = radius_requirement(k, rho, l3, l4, da).hi
-        return dx <= ell_x and derivative_budget(k, l1, l2, da, dx).hi <= 1.0
+        dx = requirement(da).hi
+        budget = two_k * Interval(l1) * Interval(dx) + two_k * Interval(l2) * Interval(da)
+        return dx <= ell_x and budget.hi <= 1.0
 
     if not feasible(0.0):
         raise CertificationError("solve_radii", "radii infeasible even at da = 0")
@@ -118,7 +122,7 @@ def reference_solve_radii(k, rho, l1, l2, l3, l4, ell_x, ell_alpha):
         da = lo
     else:
         da = hi
-    dx = radius_requirement(k, rho, l3, l4, da).hi
+    dx = requirement(da).hi
     if l1 > 0.0:
         budget = (Interval(1.0) - two_k * Interval(l2) * Interval(da)) / (two_k * Interval(l1))
         dx_sup = min(ell_x, max(dx, budget.lo))
@@ -219,19 +223,20 @@ def test_radii_without_finite_estimate_evaluate_every_point(monkeypatch):
 
 
 def _radii_evaluations(monkeypatch, run):
-    """Interval evaluations of each solve_radii call that run() makes."""
+    """Interval evaluations of each solve_radii call that run() makes: the
+    radius requirements that it and the later replays evaluate."""
     counts = []
-    requirement, solve = cift.radius_requirement, cift.solve_radii
+    requirement, solve = RadiiInequalities.requirement, cift.solve_radii
 
-    def counted_requirement(*args):
+    def counted_requirement(self, da):
         counts[-1] += 1
-        return requirement(*args)
+        return requirement(self, da)
 
     def counted_solve(*args, **kwargs):
         counts.append(0)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(cift, "radius_requirement", counted_requirement)
+    monkeypatch.setattr(RadiiInequalities, "requirement", counted_requirement)
     monkeypatch.setattr(cift, "solve_radii", counted_solve)
     run()
     return counts
@@ -247,7 +252,8 @@ def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, sol
         assert validate(p2, r2.solution, "lambda", n=28).valid
 
     counts = _radii_evaluations(monkeypatch, run)
-    assert counts and max(counts) <= 16, counts  # the plain bisection made 53
+    assert counts and min(counts) >= 2, counts  # the final point and its witness
+    assert max(counts) <= 16, counts  # the plain bisection made 53
 
 
 def test_feasible_dx_range():
@@ -305,6 +311,38 @@ def test_validate_given_solution_bounds_matches_built(solved_1d, which):
     for f in dataclasses.fields(Certificate):
         if f.name != "provenance":
             assert getattr(given, f.name) == getattr(built, f.name), f.name
+
+
+def test_first_lipschitz_round_memoised_per_parameter(solved_1d, monkeypatch):
+    # the first round at the default box is computed once per parameter and
+    # SolutionBounds; a pinned box is neither read from nor added to the memo
+    p, result = solved_1d
+    u = result.solution
+    bounds = solution_bounds(p, u)
+    boxes = []
+    lipschitz = cift.lipschitz_bounds
+
+    def counted(p, choice, sups):
+        boxes.append(choice)
+        return lipschitz(p, choice, sups)
+
+    monkeypatch.setattr(cift, "lipschitz_bounds", counted)
+    pinned = validate(p, u, "sigma", n=64, du=0.01, dp=0.001, bounds=bounds)
+    assert pinned.valid and bounds.first_round == {}
+    assert (boxes[0].du, boxes[0].dp) == (0.01, 0.001)
+    seen = set()
+    for which in ("lambda", "sigma", "lambda", "mu", "sigma"):
+        boxes.clear()
+        cert = validate(p, u, which, n=64, bounds=bounds)
+        assert cert.valid and cert.rounds >= 2
+        assert len(boxes) == cert.rounds - (which in seen), which
+        assert all(c.which == which for c in boxes)
+        seen.add(which)
+        fresh = validate(p, u, which, n=64)
+        for f in dataclasses.fields(Certificate):
+            if f.name != "provenance":
+                assert getattr(cert, f.name) == getattr(fresh, f.name), (which, f.name)
+    assert sorted(bounds.first_round) == ["lambda", "mu", "sigma"]
 
 
 @pytest.mark.parametrize("n", [64, None])

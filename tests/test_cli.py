@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from okvalid import cift
+from okvalid import cift, cli
 from okvalid.cli import main
 from okvalid.files import read_certificate, read_solution, write_solution
 from okvalid.intervals import IntervalDomainError
@@ -438,6 +439,21 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def test_main_reuses_one_parser():
+    # one parser serves every call of main; a command parsed after another
+    # carries none of the earlier command's arguments
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["sweep", "--in", "s.json", "--param", "mu", "--Nlist", "8"])
+    second = parser.parse_args(["constants", "--dim", "2"])
+    assert (first.command, first.nlist, first.func) == ("sweep", "8", cli.cmd_sweep)
+    assert (second.command, second.dim, second.func) == ("constants", 2, cli.cmd_constants)
+    assert not hasattr(second, "nlist") and not hasattr(second, "infile")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "--in", "s.json"])
+    assert parser.parse_args(["constants"]).dim is None
+
+
 def test_sweep_computes_residual_stage_once(workdir, solution_file, monkeypatch):
     calls = {}
     for name in ("residual_norm", "fprime_series", "linearization_coefficient"):
@@ -450,6 +466,49 @@ def test_sweep_computes_residual_stage_once(workdir, solution_file, monkeypatch)
     assert all(r["status"] == "ok" for r in rows)
     assert calls == {"residual_norm": 1, "fprime_series": 1,
                      "linearization_coefficient": 1}
+
+
+SWEEP_NLIST = "24,32,48,64,96,128,256"
+
+
+@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
+def test_sweep_first_lipschitz_round_once(workdir, solution_file, monkeypatch, which):
+    # the first round's box depends on neither N nor K: one call serves
+    # every truncation, and each of the 7 makes only its second round
+    calls = {}
+    _count_calls(monkeypatch, cift, "lipschitz_bounds", calls)
+    out = workdir / f"sweep_rounds_{which}.csv"
+    assert main(["sweep", "--in", str(solution_file), "--param", which,
+                 "--Nlist", SWEEP_NLIST, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 7 and all(r["status"] == "ok" for r in rows)
+    assert calls == {"lipschitz_bounds": 8}
+
+
+@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
+def test_sweep_rows_equal_fresh_validates(workdir, solution_file, monkeypatch, which):
+    # the certificates behind a sweep's rows, which share one SolutionBounds
+    # and its first Lipschitz rounds, equal fresh validates field by field
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(cift.validate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "validate", recorded)
+    out = workdir / f"sweep_fresh_{which}.csv"
+    assert main(["sweep", "--in", str(solution_file), "--param", which,
+                 "--Nlist", SWEEP_NLIST, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    p, u, _meta = read_solution(solution_file)
+    assert [c.n for c in made] == [int(r["N"]) for r in rows] == [24, 32, 48, 64, 96, 128, 256]
+    for cert, row in zip(made, rows):
+        fresh = cift.validate(p, u, which, cert.n)
+        assert fresh.valid
+        for f in dataclasses.fields(cift.Certificate):
+            if f.name != "provenance":
+                assert getattr(cert, f.name) == getattr(fresh, f.name), (cert.n, f.name)
+        assert float(row["delta_alpha"]) == fresh.delta_alpha and float(row["K"]) == fresh.k
 
 
 def test_sweep_residual_failure_on_every_row(workdir, solution_file, monkeypatch):

@@ -45,6 +45,74 @@ def test_symmetric_mul_exact():
     assert (r.lo, r.hi) == (-1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, hull", [
+    ((0.0, 1.0), (-math.inf, 1.0), (-math.inf, 1.0)),
+    ((0.0, 2.0), (-math.inf, -1.0), (-math.inf, 0.0)),
+    ((-1.0, 0.0), (1.0, math.inf), (-math.inf, 0.0)),
+    ((0.0, 0.0), (-math.inf, math.inf), (0.0, 0.0)),
+])
+def test_mul_zero_times_infinite_endpoint(a, b, hull):
+    # 0 * inf is NaN in float; the members are finite, so the candidate is 0,
+    # in either operand order
+    for x, y in ((a, b), (b, a)):
+        r = Interval(*x) * Interval(*y)
+        assert (r.lo, r.hi) == hull, (x, y)
+
+
+def _mul_reference(x: Interval, y: Interval):
+    """The product's ends from the exact rational test of every candidate:
+    a candidate is exact when a factor is 0, or when both are integers of
+    magnitude at most 2^26 and their float product is the rational one;
+    an end is kept when every candidate at it is exact, else rounded out."""
+    cands = [(a, c) for a in (x.lo, x.hi) for c in (y.lo, y.hi)]
+    prods = [0.0 if math.isnan(a * c) else a * c for a, c in cands]
+
+    def exact(a, c, prod):
+        if a == 0.0 or c == 0.0:
+            return True
+        small = all(abs(t) <= 2.0**26 and t == int(t) for t in (a, c))
+        return small and math.isfinite(prod) and Fraction(a) * Fraction(c) == Fraction(prod)
+
+    lo, hi = min(prods), max(prods)
+    lo_exact = all(exact(a, c, q) for (a, c), q in zip(cands, prods) if q == lo)
+    hi_exact = all(exact(a, c, q) for (a, c), q in zip(cands, prods) if q == hi)
+    return (lo if lo_exact else math.nextafter(lo, -math.inf),
+            hi if hi_exact else math.nextafter(hi, math.inf))
+
+
+@pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)])
+@pytest.mark.parametrize("other", [(-2.0, 3.5), (-math.inf, -1.0), (0.5, math.inf),
+                                   (-0.0, 0.0), (-math.inf, math.inf), (3.0, 3.0)])
+def test_mul_point_zero_keeps_the_signed_zero(zero, other):
+    for x, y in ((zero, other), (other, zero)):
+        r = Interval(*x) * Interval(*y)
+        want = _mul_reference(Interval(*x), Interval(*y))
+        assert (r.lo.hex(), r.hi.hex()) == (want[0].hex(), want[1].hex()), (x, y)
+
+
+_MUL_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1030,
+                     -(2.0**-1030), 2.0**-1022, 0.5, -0.5, 1.5, -1.5, 2.0**26, -(2.0**26),
+                     2.0**26 + 1.0, -(2.0**26 + 2.0), 1e308, -1e308]),
+    st.integers(-9, 9).map(float),
+    st.integers(-400, 400).map(lambda k: k / 2.0),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_MUL_ENDS, min_size=4, max_size=4))
+def test_mul_matches_exact_rational_path(ends):
+    # the fast path for products that no candidate can make exact keeps the
+    # bits (signs of zero included) of the exact rational test
+    x, y = Interval(*sorted(ends[:2])), Interval(*sorted(ends[2:]))
+    r = x * y
+    want = _mul_reference(x, y)
+    assert (r.lo.hex(), r.hi.hex()) == (want[0].hex(), want[1].hex()), (x, y)
+
+
 def test_div_third():
     r = Interval(1) / Interval(3)
     assert contains_exact(r, Fraction(1, 3))

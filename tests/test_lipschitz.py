@@ -13,6 +13,7 @@ from okvalid.lipschitz import (
     lipschitz_bounds,
     poly_range_max,
     poly_shift,
+    solution_sups,
 )
 from okvalid.operator import ModelParams, fprime_series
 from okvalid.series import CosineSeries, norm
@@ -61,6 +62,10 @@ def test_poly_shift():
 # the three parameter variations
 # ---------------------------------------------------------------------------
 
+def _sups(p, u):
+    return solution_sups(p, u, fprime_series(p, u))
+
+
 def test_choice_validation():
     with pytest.raises(ValueError):
         ContinuationChoice("nu", 0.1, 0.1)
@@ -68,14 +73,14 @@ def test_choice_validation():
         ContinuationChoice("lambda", -0.1, 0.1)
     with pytest.raises(ValueError):
         u = CosineSeries.zeros((2,))
-        bounds_lambda(ModelParams(lam=1.0), u, ContinuationChoice("sigma", 0.1, 0.1),
-                      fprime_series(ModelParams(lam=1.0), u))
+        p = ModelParams(lam=1.0)
+        bounds_lambda(p, ContinuationChoice("sigma", 0.1, 0.1), _sups(p, u))
 
 
 def test_lambda_trivial_state():
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p, u))
+    lb = bounds_lambda(p, ContinuationChoice("lambda", 0.1, 0.1), _sups(p, u))
     # f'(0) = 1, so l2 = 1/pi^2 up to the range slack
     assert lb.l2 == pytest.approx(1 / math.pi**2, rel=1e-9)
     assert lb.l4 == 0.0
@@ -85,16 +90,16 @@ def test_lambda_trivial_state():
 def test_lambda_sigma_term():
     p = ModelParams(lam=1.0, sigma=6.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p, u))
+    lb = bounds_lambda(p, ContinuationChoice("lambda", 0.1, 0.1), _sups(p, u))
     p0 = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
-    base = bounds_lambda(p0, u, ContinuationChoice("lambda", 0.1, 0.1), fprime_series(p0, u))
+    base = bounds_lambda(p0, ContinuationChoice("lambda", 0.1, 0.1), _sups(p0, u))
     assert lb.l3 - base.l3 == pytest.approx(6 / math.pi**4, rel=1e-9)
 
 
 def test_sigma_constants():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_sigma(p, u, ContinuationChoice("sigma", 0.1, 0.1))
+    lb = bounds_sigma(p, ContinuationChoice("sigma", 0.1, 0.1), _sups(p, u))
     assert lb.l2 == pytest.approx(150 / math.pi**4, rel=1e-9)
     assert lb.l3 == lb.l2
     assert lb.l4 == 0.0
@@ -103,14 +108,14 @@ def test_sigma_constants():
 def test_sigma_linear_f():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0, f_coeffs=(0.0, 1.0))
     u = CosineSeries.zeros((2,))
-    lb = bounds_sigma(p, u, ContinuationChoice("sigma", 0.1, 0.1))
+    lb = bounds_sigma(p, ContinuationChoice("sigma", 0.1, 0.1), _sups(p, u))
     assert lb.l1 == 0.0
 
 
 def test_mu_example():
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
     u = CosineSeries.zeros((2,))
-    lb = bounds_mu(p, u, ContinuationChoice("mu", 0.01, 0.1))
+    lb = bounds_mu(p, ContinuationChoice("mu", 0.01, 0.1), _sups(p, u))
     radius = 0.149072 * 0.1 + 0.01
     assert lb.fmax2 == pytest.approx(6 * radius, rel=2e-3)
     assert lb.l4 == pytest.approx(1.0 * lb.fmax2, rel=1e-12)
@@ -120,17 +125,17 @@ def test_mu_example():
 def test_mu_linear_f():
     p = ModelParams(lam=5.0, sigma=1.0, mu=0.2, f_coeffs=(0.0, 1.0))
     u = CosineSeries.zeros((2,))
-    lb = bounds_mu(p, u, ContinuationChoice("mu", 0.1, 0.1))
+    lb = bounds_mu(p, ContinuationChoice("mu", 0.1, 0.1), _sups(p, u))
     assert (lb.l1, lb.l2, lb.l3, lb.l4) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_only_mu_has_l4(rng):
     p = ModelParams(lam=12.0, sigma=2.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.3)
-    fprime = fprime_series(p, u)
+    sups = _sups(p, u)
     for which in ("lambda", "sigma"):
-        assert lipschitz_bounds(p, u, ContinuationChoice(which, 0.1, 0.1), fprime).l4 == 0.0
-    assert bounds_mu(p, u, ContinuationChoice("mu", 0.1, 0.1)).l4 > 0.0
+        assert lipschitz_bounds(p, ContinuationChoice(which, 0.1, 0.1), sups).l4 == 0.0
+    assert bounds_mu(p, ContinuationChoice("mu", 0.1, 0.1), _sups(p, u)).l4 > 0.0
 
 
 def test_formulas_against_mpmath_transcription(rng):
@@ -145,19 +150,19 @@ def test_formulas_against_mpmath_transcription(rng):
     f1 = max(abs(1 - 3 * (r + p.mu) ** 2) for r in (-radius, radius, mpmath.mpf(0)))
     f2 = 6 * (radius + abs(mpmath.mpf(p.mu)))
 
-    lb = bounds_lambda(p, u, ContinuationChoice("lambda", dp, du), fprime_series(p, u))
+    lb = bounds_lambda(p, ContinuationChoice("lambda", dp, du), _sups(p, u))
     ref_l1 = cmb * f2 * (p.lam + dp) / pi**2
     assert lb.l1 >= float(ref_l1) * (1 - 1e-12)
     assert lb.l1 <= float(ref_l1) * (1 + 5e-3)
     ref_l3 = f1 / pi**2 + p.sigma / pi**4
     assert lb.l3 >= float(ref_l3) * (1 - 1e-12)
 
-    ls = bounds_sigma(p, u, ContinuationChoice("sigma", dp, du))
+    ls = bounds_sigma(p, ContinuationChoice("sigma", dp, du), _sups(p, u))
     assert ls.l2 == pytest.approx(float(p.lam / pi**4), rel=1e-10)
     ref_s_l1 = p.lam * f2 * cmb / pi**2
     assert ls.l1 >= float(ref_s_l1) * (1 - 5e-3) * (1 - 1e-12)
 
-    lm = bounds_mu(p, u, ContinuationChoice("mu", dp, du))
+    lm = bounds_mu(p, ContinuationChoice("mu", dp, du), _sups(p, u))
     sup_total = mpmath.mpf(repr(
         __import__("okvalid.series", fromlist=["sup_bound"]).sup_bound(u.add_constant(p.mu)).hi
     ))
@@ -171,9 +176,9 @@ def test_monotonicity_in_box(rng):
     p = ModelParams(lam=25.0, sigma=3.0, mu=0.1)
     u = make_random_series(rng, (5,), scale=0.4)
     for which in ("lambda", "sigma", "mu"):
-        fprime = fprime_series(p, u)
-        small = lipschitz_bounds(p, u, ContinuationChoice(which, 0.05, 0.05), fprime)
-        large = lipschitz_bounds(p, u, ContinuationChoice(which, 0.5, 0.5), fprime)
+        sups = _sups(p, u)
+        small = lipschitz_bounds(p, ContinuationChoice(which, 0.05, 0.05), sups)
+        large = lipschitz_bounds(p, ContinuationChoice(which, 0.5, 0.5), sups)
         for attr in ("l1", "l2", "l3", "l4"):
             assert getattr(large, attr) >= getattr(small, attr) - 1e-15
 
@@ -186,8 +191,7 @@ def test_finite_projection_necessary_condition(rng):
     base = galerkin_full(p_star, lin_of(p_star, u_star).q, n).mid
     for which in ("lambda", "sigma", "mu"):
         du, dp = 0.2, 0.4
-        lb = lipschitz_bounds(p_star, u_star, ContinuationChoice(which, dp, du),
-                              fprime_series(p_star, u_star))
+        lb = lipschitz_bounds(p_star, ContinuationChoice(which, dp, du), _sups(p_star, u_star))
         for _ in range(34):
             pert = make_random_series(rng, (n,), scale=1.0)
             pert_norm = norm(pert, "Hbar", 2).hi

@@ -643,22 +643,39 @@ def test_point_jacobian_matches_interval_matrix():
 # memory ceiling of the K_N stage
 # ---------------------------------------------------------------------------
 
-def test_kn_stage_memory_peak_within_live_arrays(solved_2d, solved_3d):
+def _kn_stage_peak(p, lin, n: int) -> int:
+    """The traced peak of derivative_inverse_bound(p, lin, n), which may fail."""
+    tracemalloc.start()
+    try:
+        try:
+            derivative_inverse_bound(p, lin, n)
+        except CertificationError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d):
     # the traced peak of the K_N stage on the canonical 2-d and 3-d cases,
     # which stream 4 and 8 blocks, stays inside the one-block budget that
     # the memory check charges, and below what the blocks hold together
     for (p, result), n in ((solved_2d, 28), (solved_2d, 48), (solved_3d, 12), (solved_3d, 16)):
         lin = lin_of(p, result.solution)
         derivative_inverse_bound(p, lin, n)
-        tracemalloc.start()
-        try:
-            derivative_inverse_bound(p, lin, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _kn_stage_peak(p, lin, n)
         assert peak <= operator.kn_stage_bytes(lin.q, n), n
         sizes = [block.size for block in operator.parity_blocks((True,) * lin.q.dim, n)]
         assert len(sizes) == 2**lin.q.dim and peak < 8.0 * 2 * sum(s * s for s in sizes), n
+    # where q is large against the truncation, its raw arrays set the peak
+    p3 = solved_3d[0]
+    res16 = newton_solve(p3, parse_seed("mode:1,1,1,0.5", 3, 16), SolveOptions(n=16))
+    cases = [(solved_1d, 16), (solved_2d, 6), (solved_3d, 6)]
+    cases += [((p3, res16), n) for n in (6, 8, 10, 12)]
+    for (p, result), n in cases:
+        lin = lin_of(p, result.solution)
+        _kn_stage_peak(p, lin, n)
+        assert _kn_stage_peak(p, lin, n) <= operator.kn_stage_bytes(lin.q, n), (lin.q.extent, n)
 
 
 def test_kn_stage_charge_counts_blocks(solved_1d):
@@ -667,9 +684,11 @@ def test_kn_stage_charge_counts_blocks(solved_1d):
     # is the whole matrix
     p, result = solved_1d
     q = lin_of(p, result.solution).q
-    assert operator.kn_stage_bytes(q, 64) == 8.0 * operator.KN_WORK_ARRAYS * 32**2
+    q_arrays = operator.KN_Q_ARRAYS * q.center.size
+    assert operator.kn_stage_bytes(q, 64) == 8.0 * (operator.KN_WORK_ARRAYS * 32**2 + q_arrays)
     q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
-    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * operator.KN_WORK_ARRAYS * 63**2
+    q_arrays = operator.KN_Q_ARRAYS * 2
+    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * (operator.KN_WORK_ARRAYS * 63**2 + q_arrays)
 
 
 def _charge_1d(solved_1d, n: int) -> float:

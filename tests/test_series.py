@@ -803,6 +803,36 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
     assert np.array_equal(multiply_point(b, a), _point_reference(a, b))
 
 
+@pytest.mark.parametrize("extent", [(7,), (5, 6), (3, 4, 4)])
+def test_multiply_skips_dead_radius_folds(rng, extent, monkeypatch):
+    # a radius fold against a factor whose raw radius is zero adds only
+    # exact zeros: it is left out, and the product keeps the bits of the
+    # reference that runs every fold
+    folds = []
+    conv = series._raw_conv
+
+    def counted(a, b, err=None):
+        folds.append(a.shape[0])
+        return conv(a, b, err)
+
+    monkeypatch.setattr(series, "_raw_conv", counted)
+    d = len(extent)
+    constant = CosineSeries.from_point(np.full((1,) * d, 0.7))
+    point = _on_coset(rng, extent, (1,) * d, True)  # raw radius zero where d is even
+    ball = _on_coset(rng, extent, (1,) * d, False)
+    dense = _interval_series(rng, rng.standard_normal(extent))
+    for u, v in ((constant, dense), (dense, constant), (point, dense), (point, point),
+                 (ball, dense), (constant, point)):
+        folds.clear()
+        got, want = multiply(u, v), _multiply_reference(u, v)
+        assert got.center.tobytes() == want.center.tobytes()
+        assert got.rad.tobytes() == want.rad.tobytes()
+        live = [series._raw_mid_rad(s)[1].any() for s in (u, v)]
+        assert folds == [2 + sum(live)], (u.extent, v.extent)
+        if d % 2 == 0 and u is point and v is point:
+            assert folds == [2]  # only the midpoint and reach folds
+
+
 def _on_coset(rng, extent, parity, point):
     """A random series whose support lies on the coset k = parity mod 2."""
     a = rng.standard_normal(extent) * 10.0 ** rng.uniform(-2, 2, extent)
