@@ -8,16 +8,16 @@ entrywise, rad rounded up, the midpoint any float, and an entry that
 overflowed (0, inf); mid_rad is the one place where endpoints become balls.
 Entrywise ball sums and products round each radius operation up one step
 unless it is exact (add_toward, mul_toward), so a point zero stays exact.
-Matrix products run through BLAS: the midpoint is one floating gemm, and
-the radius adds the a-priori rounding bound gamma_p |mid A| |mid B|
-(gamma_k = k u / (1 - k u), u = 2^-53) plus an underflow term, valid for
-any summation order, blocking and FMA (Rump, BIT 39, 1999; Ozaki, Ogita,
+A matrix product's midpoint is one BLAS gemm, within gamma_p |mid A||mid B|
+(gamma_k = k u / (1 - k u), u = 2^-53) plus underflow of the exact product
+for any summation order, blocking and FMA (Rump, BIT 39, 1999; Ozaki, Ogita,
 Oishi and Rump, JCAM 236, 2012).  Float sums scaled by float weights raise
 that count by the scaling's roundings and the weights' errors, and one
 rounding budget (_ball_up) ends each radius.  Spectral-norm bounds take the
 smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky certificate
-(Rump, BIT 46, 2006).  The contract is containment: every result encloses
-all pointwise results of its operands.
+(Rump, BIT 46, 2006), and read radii only through row and column sums.  The
+contract is containment: every result encloses all pointwise results of
+its operands.
 """
 
 from __future__ import annotations
@@ -106,18 +106,9 @@ class Interval:
     # -- queries -----------------------------------------------------------
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mag(self) -> float:
         """max |x| over the interval"""
         return max(abs(self.lo), abs(self.hi))
-
-    def contains(self, x) -> bool:
-        if isinstance(x, Interval):
-            return self.lo <= x.lo and x.hi <= self.hi
-        return self.lo <= x <= self.hi
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -400,11 +391,16 @@ def _budget_factor(g: Fraction) -> float:
     return _up(float(1 / ((1 - g) * (1 - _U) * (1 - _gamma(6)))))
 
 
-def _max_sum_upper(x: np.ndarray, axis: int) -> float:
-    """Upper bound on the largest exact sum along axis of nonnegative
-    quantities, each at most one rounding above its float entry of x."""
-    worst = float(np.max(np.sum(x, axis=axis)))
-    return _up(_up(worst) + _sum_slack(worst, x.shape[axis] + 1))
+def _max_sum_upper(sums: np.ndarray, depth: int, entries: int = 0, p: int = 0) -> float:
+    """Upper bound on the largest exact sum of nonnegative terms, from float
+    sums that reach each term by at most depth roundings and combine such
+    sums by at most four more: _ball_up's budget, its underflow constant
+    once per entry of p-term products that a sum covers.  inf (also for
+    NaN) where a sum is not finite."""
+    worst = float(np.max(sums))
+    if not worst < _INF:
+        return _INF
+    return (worst + entries * (4 * p + 16) * _ETA) * _budget_factor(_gamma(depth))
 
 
 @dataclass
@@ -429,11 +425,6 @@ class BallMatrix:
             raise IntervalDomainError("matrix with NaN or negative radius")
 
     @classmethod
-    def hull(cls, lo, hi) -> "BallMatrix":
-        """Balls enclosing the interval matrix [lo, hi]."""
-        return cls(*mid_rad(lo, hi))
-
-    @classmethod
     def point(cls, a) -> "BallMatrix":
         """The point matrix a itself, not a copy, with a zero radius."""
         a = np.asarray(a, dtype=np.float64)
@@ -451,66 +442,11 @@ class BallMatrix:
     def cols(self) -> int:
         return self.mid.shape[1]
 
-    @property
-    def T(self) -> "BallMatrix":
-        return BallMatrix(self.mid.T, self.rad.T)
-
     def mag(self) -> np.ndarray:
         """fl(|mid| + rad): each entry within one rounding of its largest |X|."""
         m = np.abs(self.mid)
         m += self.rad
         return m
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
-def mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
-    """Ball matrix product with entrywise containment.
-
-    With A in <Am, Ar> and B in <Bm, Br> and inner dimension p, every product
-    of members lies within |Am| Br + Ar (|Bm| + Br) of Am Bm.  The midpoint
-    C = fl(Am Bm) is one gemm, whose error is at most gamma_p |Am||Bm| plus
-    p 2^-1074 for underflow, for any summation order, blocking and FMA
-    (Higham, ch. 3; Rump, BIT 39, 1999; Ozaki, Ogita, Oishi and Rump, JCAM 236,
-    2012).  The radius gemms are nonnegative, so the same a-priori bounds
-    turn their rounded values, and the rounded elementwise sums that combine
-    them, into an upper bound by one scalar factor.  A point operand has a
-    zero radius, and its radius gemm is skipped.  A zero row of A or column
-    of B gives exact zeros.  Entries where anything overflows become
-    (0, inf).
-    """
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    p = a.cols
-    ar = a.rad if a.rad.any() else None
-    br = b.rad if b.rad.any() else None
-    c = a.mid @ b.mid
-    am = np.abs(a.mid)
-    bm = np.abs(b.mid)
-    # rad = g |Am||Bm| + |Am| Br + Ar (|Bm| + Br), rounded to nearest, with
-    # g >= gamma_p.  Every term is nonnegative.  Exact gemms are at most
-    # (rounded gemm + p eta) / (1 - gamma_p), and |Bm| + Br at most its
-    # rounded sum / (1 - u); _ball_up covers both.
-    g = _gamma(p)
-    rad = am @ bm
-    rad *= _up(float(g))
-    if ar is None:
-        bm = None  # |Bm| + Br is needed only against Ar
-    elif br is not None:
-        bm += br
-    if br is not None:
-        rad += am @ br
-    del am
-    if ar is not None:
-        rad += ar @ bm
-    del bm
-    c, rad = _ball_up(c, rad, p, g)
-    # every term of an entry in a zero row of A or column of B is an exact zero
-    zero_rows = ~(a.mid.any(axis=1) | a.rad.any(axis=1))
-    zero_cols = ~(b.mid.any(axis=0) | b.rad.any(axis=0))
-    for sel in (zero_rows, (slice(None), zero_cols)):
-        c[sel] = 0.0
-        rad[sel] = 0.0
-    return BallMatrix(c, rad)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
@@ -534,16 +470,6 @@ def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
     return _ball_up(mid_sum, rad, terms, g)
 
 
-def mat_sub_identity(a: BallMatrix) -> BallMatrix:
-    """a - I, its diagonal by ball_add; inside [0.5, 2] the subtraction is
-    exact (Sterbenz)."""
-    mid = a.mid.copy()
-    rad = a.rad.copy()
-    d = np.arange(min(a.shape))
-    mid[d, d], rad[d, d] = ball_add(mid[d, d], rad[d, d], -1.0, 0.0)
-    return BallMatrix(mid, rad)
-
-
 def _cholesky_shift(n: int, norm_bound: float) -> float:
     # covers the backward error of (blocked) floating Cholesky on n x n input
     # whose diagonal is at most norm_bound
@@ -551,10 +477,17 @@ def _cholesky_shift(n: int, norm_bound: float) -> float:
     return (2.0 * n * g + 8.0 * _EPS) * norm_bound
 
 
+def _norm2_from_sums(rows, cols, depth: int, entries: int = 0, p: int = 0) -> float:
+    """sqrt(||A||_1 ||A||_inf) rounded up, an upper bound on ||A||_2, from
+    float row and column sums of |A| as _max_sum_upper takes them."""
+    inf_norm, one_norm = (_max_sum_upper(x, depth, entries, p) for x in (rows, cols))
+    return _up(math.sqrt(_up(one_norm * inf_norm)))
+
+
 def _cheap_norm2_upper(a: BallMatrix) -> float:
     """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2 for every member."""
-    mag = a.mag()
-    return _up(math.sqrt(_up(_max_sum_upper(mag, 0) * _max_sum_upper(mag, 1))))
+    mag = a.mag()  # each entry one rounding above its largest |X_ij|
+    return _norm2_from_sums(mag.sum(axis=1), mag.sum(axis=0), max(a.shape))
 
 
 def _mirror_lower(x: np.ndarray) -> np.ndarray:
@@ -564,28 +497,36 @@ def _mirror_lower(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mat_norm2_upper(a: BallMatrix) -> float:
-    """Rigorous upper bound on the spectral norm of every member of a.
-
-    The smaller of the cheap bound sqrt(||A||_1 ||A||_inf) and one
-    shifted-Cholesky certificate for lambda_max(A^T A) (Rump, "Verification
-    of positive definiteness", BIT 46, 2006).  With the lower triangles of
-    the ball enclosure of A^T A mirrored, its midpoint Gm is within
-    ||Gr||_inf of every (symmetric) member in the 2-norm, Gr being the
-    radius.  If floating Cholesky succeeds on X = c I - Gm, with c the
-    eigvalsh estimate of lambda_max(Gm) plus the backward-error term, then
-    X + beta I is positive semidefinite for the backward-error term beta of
-    X, and lambda_max(A^T A) <= max_i (X_ii + Gm_ii) + beta + ||Gr||_inf.
-    If it fails, the cheap bound stands.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
+def _gram_spread(a: BallMatrix, am: np.ndarray, am_rows: np.ndarray) -> float:
+    """Upper bound on ||Gr||_2, where every member of A^T A lies within Gr =
+    g |Am|^T |Am| + |Am|^T Ar + Ar^T (|Am| + Ar) of fl(Am^T Am), g = gamma_r
+    for r rows, up to underflow (Rump, BIT 39, 1999); am = |Am| and am_rows
+    its float row sums.  Gr is symmetric and nonnegative, so ||Gr||_2 is at
+    most its largest row sum, a sum of matrix-vector products.
     """
-    cheap = _cheap_norm2_upper(a)
-    if cheap == _INF:
+    r, n = a.shape
+    s = am.T @ am_rows
+    s *= _up(float(_gamma(r)))
+    if a.rad.any():
+        s += am.T @ a.rad.sum(axis=1)
+        s += a.rad.T @ a.mag().sum(axis=1)
+    return _max_sum_upper(s, r + n, n, r)
+
+
+def _gram_norm2_upper(gram: np.ndarray, spread: float, cheap: float) -> float:
+    """The smaller of cheap and a bound on ||X||_2 over the X with
+    ||X^T X - Gm||_2 <= spread, Gm being gram with its lower triangle
+    mirrored in place (Rump, "Verification of positive definiteness", BIT
+    46, 2006).  If floating Cholesky succeeds on Y = c I - Gm, c the eigvalsh
+    estimate of lambda_max(Gm) plus the backward-error term, then Y + beta I
+    is positive semidefinite for Y's backward-error term beta, and
+    lambda_max(X^T X) <= max_i (Y_ii + Gm_ii) + beta + spread.
+    """
+    gm = _mirror_lower(gram)
+    if not (spread < _INF and np.isfinite(gm).all()):
         return cheap
-    n = a.cols
-    g = mat_mul(a.T, a)  # a fresh product, mirrored in place
-    gm = _mirror_lower(g.mid)
-    spread = _max_sum_upper(_mirror_lower(g.rad), 1)
-    del g
+    n = gm.shape[0]
     d = np.arange(n)
     gd = gm[d, d]
     try:
@@ -602,23 +543,76 @@ def mat_norm2_upper(a: BallMatrix) -> float:
     return bound if bound < cheap else cheap
 
 
-def mat_inverse_norm2_upper(a: BallMatrix):
+def mat_norm2_upper(a: BallMatrix) -> float:
+    """Rigorous upper bound on the spectral norm of every member of a: the
+    smaller of sqrt(||A||_1 ||A||_inf) and a certificate for
+    lambda_max(A^T A) (_gram_norm2_upper, _gram_spread)."""
+    am = np.abs(a.mid)
+    spread = _gram_spread(a, am, am.sum(axis=1))
+    return _gram_norm2_upper(a.mid.T @ a.mid, spread, _cheap_norm2_upper(a))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives e = inf
+def _defect_norm_upper(c: np.ndarray, abs_c: np.ndarray, c_cols: np.ndarray,
+                       a: BallMatrix) -> float:
+    """An upper bound e on ||C X - I||_2 over the members X of the m x m
+    ball a, given |C| and its float column sums; inf on overflow.
+
+    C X - I lies within R = g |C||Am| + |C| Ar of M = fl(C Am) - I, g =
+    gamma_m (Rump, BIT 39, 1999), up to underflow, and the TwoSum error of
+    each diagonal -1.  e = sqrt(||E||_1 ||E||_inf), E = |M| + R, reads R
+    only through matrix-vector products: row sums |C| (g |Am| 1 + Ar 1) and
+    column sums (1^T |C|)(g |Am| + Ar).  Each sum reaches a term by at most
+    2m roundings and covers m entries of m-term gemms.
+    """
+    m = a.rows
+    am = np.abs(a.mid)
+    rows = abs_c @ am.sum(axis=1)
+    cols = c_cols @ am
+    del am
+    rows *= _up(float(_gamma(m)))
+    cols *= _up(float(_gamma(m)))
+    if a.rad.any():
+        rows += abs_c @ a.rad.sum(axis=1)
+        cols += c_cols @ a.rad
+    d = np.arange(m)
+    mag = c @ a.mid
+    mag[d, d], slip = ball_add(mag[d, d], 0.0, -1.0, 0.0)
+    mag = np.abs(mag, out=mag)
+    mag[d, d] += slip
+    rows += mag.sum(axis=1)
+    cols += mag.sum(axis=0)
+    return _norm2_from_sums(rows, cols, 2 * m, m, m)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
+def mat_inverse_norm2_upper(a: BallMatrix, floor: float = 0.0):
     """Certified upper bound for ||A^{-1}||_2 via an approximate inverse.
 
-    Computes a floating inverse C of mid(A), encloses E = C*A - I, and if
-    ||E|| = e < 1 returns (||C|| / (1 - e), e, ||C||).  Raises
-    IntervalDomainError when the defect cannot be certified below one.
+    Computes a floating inverse C of mid(A), bounds ||C*A - I|| by e, and
+    if e < 1 returns (||C|| / (1 - e), e, ||C||), rounded up.  ||C|| is
+    sqrt(||C||_1 ||C||_inf), sharpened by _gram_norm2_upper only where the
+    bound exceeds floor; that never raises it, so a caller keeping the
+    largest bound over several matrices, passing the largest so far as
+    floor, gets the same maximum.  Raises IntervalDomainError when the
+    defect cannot be certified below one.
     """
     try:
         c = np.linalg.inv(a.mid)
     except np.linalg.LinAlgError as exc:
         raise IntervalDomainError(f"approximate inverse failed: {exc}") from exc
-    cm = BallMatrix.point(c)
-    e = _cheap_norm2_upper(mat_sub_identity(mat_mul(cm, a)))
-    if e >= 1.0:
-        raise IntervalDomainError(
-            f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1"
-        )
-    c_norm = mat_norm2_upper(cm)
-    bound = _up(_up(c_norm) / _down(1.0 - e))
+    abs_c = np.abs(c)
+    c_rows, c_cols = abs_c.sum(axis=1), abs_c.sum(axis=0)
+    e = _defect_norm_upper(c, abs_c, c_cols, a)
+    if not e < 1.0:
+        raise IntervalDomainError(f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1")
+    den = _down(1.0 - e)
+    c_norm = _norm2_from_sums(c_rows, c_cols, a.rows)
+    bound = _up(_up(c_norm) / den)
+    if bound > floor:
+        spread = _gram_spread(BallMatrix.point(c), abs_c, c_rows)
+        gram = c.T @ c
+        del c, abs_c  # only the Gram matrix is live in the certificate
+        c_norm = _gram_norm2_upper(gram, spread, c_norm)
+        bound = _up(_up(c_norm) / den)
     return bound, e, c_norm

@@ -399,13 +399,13 @@ class InverseBound:
 # Peak number of live m_b x m_b double arrays in the K_N stage, m_b being
 # the largest block; one block is live at a time.  The peak falls in the
 # certified inverse norm: the block's midpoint and radius, the approximate
-# inverse and the enclosure of its product with the block, with their
-# temporaries.  Measured on the canonical 2-d and 3-d equilibria (OpenBLAS,
-# 1 thread): the tracemalloc peak of derivative_inverse_bound is 7.51 and
-# 7.18 m_b^2 at 2-d N=28 and 48 (m_b = 196, 576), 8.33 and 7.37 at 3-d
-# N=12 and 16 (m_b = 216, 512), and the rise of the peak RSS 7.24 to 7.27
-# at 2-d N=64 and 96 and 3-d N=20.
-KN_WORK_ARRAYS = 9
+# inverse or its Gram matrix, and |C|, C A or the LAPACK copies.  Measured
+# on the canonical 2-d and 3-d equilibria (OpenBLAS, 1 thread): the
+# tracemalloc peak of derivative_inverse_bound is 5.45 and 5.08 m_b^2 at
+# 2-d N=28 and 48 (m_b = 196, 576), 6.77 and 5.27 at 3-d N=12 and 16 (m_b =
+# 216, 512), and the rise of the peak RSS 6.48 and 6.35 at 2-d N=64 and 3-d
+# N=20.
+KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's extent on top of them: the raw
 # midpoint, its absolute value and radius that every block reads, and the
 # temporaries of _raw_mid_rad that form them.  They set the peak where q is
@@ -455,10 +455,11 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> Inve
     Every member of the ball matrix of galerkin_blocks is block-diagonal, its
     blocks members of the block balls, so the 2-norm of its inverse is the
     largest of theirs: K_N is the largest of mat_inverse_norm2_upper's
-    bounds, each block certified and dropped before the next is assembled.
-    A block that fails stops the stage there.  Raises CertificationError at
-    stage kn_bound, without a suggested truncation, when the K_N stage would
-    not fit in the available memory.
+    bounds, each block certified with K_N so far as its floor (which changes
+    no bit of K_N) and dropped before the next is assembled.  A block that
+    fails stops the stage there.  Raises CertificationError at stage
+    kn_bound, without a suggested truncation, when the K_N stage would not
+    fit in the available memory.
     """
     q, q_sup, q_h2 = lin
     short = memory_shortfall(kn_stage_bytes(q, n), q.dim, n, "K_N stage")
@@ -467,7 +468,7 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> Inve
     kn = 0.0
     for block, ball in galerkin_blocks(p, q, n):
         try:
-            bound, _, _ = mat_inverse_norm2_upper(ball)
+            bound, _, _ = mat_inverse_norm2_upper(ball, kn)
         except IntervalDomainError as exc:
             raise CertificationError(
                 "kn_bound",

@@ -316,8 +316,10 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # ---------------------------------------------------------------------------
 
 # the partial folds of one chunk of rows, with their error bound, hold at
-# most this many times the output stack's entries (at least one row)
+# most this many times the output stack's entries or, where more, the
+# floor's (1 MiB of doubles; at least one row)
 _PARTIAL_BUDGET = 1.0
+_PARTIAL_FLOOR = 2**17
 
 
 def _axis_segments(ai: int, nb: int, parity: int | None, compact: bool = False) -> list:
@@ -426,7 +428,7 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
     too), and s + 0 = s.  Where a's indices have a single parity too, so do
     the targets, and the partial folds hold only those.  The first axis of a
     is taken in chunks of rows whose partial folds hold at most
-    _PARTIAL_BUDGET times the output stack's entries (at least one row);
+    _PARTIAL_BUDGET times the output stack's entries, or _PARTIAL_FLOOR;
     every row reaches the last pass in order, so chunks change no bit.  In
     1-d pass 1 is the whole fold, the loop over a's populated modes.
 
@@ -470,7 +472,7 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
 
     # entries of the partial folds, and of their error bound, per row
     per_row = (fold + (err is not None)) * sum(math.prod(partial(t, 1)) for t in range(1, d))
-    chunk = max(1, int(_PARTIAL_BUDGET * full.size // per_row))
+    chunk = max(1, int(max(_PARTIAL_BUDGET * full.size, _PARTIAL_FLOOR) // per_row))
     for lo in range(0, r[0], chunk):
         c = min(chunk, r[0] - lo)
         part = np.zeros((fold,) + partial(d - 1, c))

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from balls import width
 from conftest import make_random_series
 from okvalid.embeddings import equiv_factor, recompute_cmbar, table_constants
 from okvalid.series import evaluate_grid, multiply, norm
@@ -50,7 +51,7 @@ def test_equiv_factor_oracle():
     iv = equiv_factor()
     assert iv.lo <= ref <= iv.hi
     assert iv.lo > 1.0
-    assert iv.width < 1e-13
+    assert width(iv) < 1e-13
 
 
 def test_equiv_factor_inequality(rng):

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balls import ball_hull, contains, mat_mul, mat_sub_identity, transpose
 from okvalid.intervals import (
     BallMatrix,
     _cheap_norm2_upper,
+    _defect_norm_upper,
+    _gram_spread,
+    _max_sum_upper,
+    _mirror_lower,
     Interval,
     IntervalDomainError,
     mat_inverse_norm2_upper,
-    mat_mul,
     mat_norm2_upper,
-    mat_sub_identity,
     add_toward,
     ball_add,
     ball_inv,
@@ -272,9 +275,9 @@ def test_monotonicity_fuzz():
         for op in ("add", "sub", "mul"):
             inner = getattr(a, f"__{op}__")(b)
             outer = getattr(a2, f"__{op}__")(b2)
-            assert outer.contains(inner), (op, a, b)
+            assert contains(outer, inner), (op, a, b)
         if not (b2.lo <= 0.0 <= b2.hi):
-            assert (a2 / b2).contains(a / b)
+            assert contains(a2 / b2, a / b)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +405,8 @@ def test_matmul_identity_widening(rng):
 
 
 def test_matmul_1x1_is_scalar_mul():
-    a = BallMatrix.hull(np.array([[1.5]]), np.array([[2.0]]))
-    b = BallMatrix.hull(np.array([[-3.0]]), np.array([[0.5]]))
+    a = ball_hull(np.array([[1.5]]), np.array([[2.0]]))
+    b = ball_hull(np.array([[-3.0]]), np.array([[0.5]]))
     prod = mat_mul(a, b)
     scalar = Interval(1.5, 2.0) * Interval(-3.0, 0.5)
     lo, hi = _ends(prod, 0, 0)
@@ -448,7 +451,7 @@ def test_norm2_upper_bounds_svd(rng):
 def test_norm2_upper_interval_members(rng):
     lo = rng.standard_normal((7, 7))
     hi = lo + abs(rng.standard_normal((7, 7)))
-    m = BallMatrix.hull(lo, hi)
+    m = ball_hull(lo, hi)
     bound = mat_norm2_upper(m)
     for _ in range(50):
         member = lo + rng.uniform(size=(7, 7)) * (hi - lo)
@@ -468,7 +471,7 @@ def _sampled_members(rng, lo, hi, count: int):
 def test_norm2_upper_bounds_sampled_members(rng, shape, width):
     lo = rng.standard_normal(shape)
     hi = lo + width * np.abs(rng.standard_normal(shape))
-    m = BallMatrix.hull(lo, hi)
+    m = ball_hull(lo, hi)
     bound = mat_norm2_upper(m)
     assert bound <= _cheap_norm2_upper(m)
     for member in _sampled_members(rng, lo, hi, 20):
@@ -517,7 +520,7 @@ def test_inverse_norm_bound_mpmath_oracle(rng, n):
 def test_inverse_norm_bound_interval_members_mpmath(rng):
     lo = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
     hi = lo + 1e-3 * np.abs(rng.standard_normal((6, 6)))
-    bound, _, _ = mat_inverse_norm2_upper(BallMatrix.hull(lo, hi))
+    bound, _, _ = mat_inverse_norm2_upper(ball_hull(lo, hi))
     for member in _sampled_members(rng, lo, hi, 5):
         assert bound >= _mp_inverse_norm(member)
 
@@ -583,7 +586,7 @@ def _random_interval_matrix(rng, shape, point=False, scale=1.0):
     if point:
         return BallMatrix.point(lo)
     width = np.abs(rng.standard_normal(shape)) * scale * rng.choice([0.0, 1e-12, 0.5], shape)
-    return BallMatrix.hull(lo, lo + width)
+    return ball_hull(lo, lo + width)
 
 
 def _exact_entry_hull(a: BallMatrix, b: BallMatrix, i: int, j: int):
@@ -676,7 +679,7 @@ def _interval_matrix(draw, rows, cols, point):
         return BallMatrix.point(lo)
     other = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
     other = other.reshape(rows, cols)
-    return BallMatrix.hull(np.minimum(lo, other), np.maximum(lo, other))
+    return ball_hull(np.minimum(lo, other), np.maximum(lo, other))
 
 
 @st.composite
@@ -690,6 +693,117 @@ def _matmul_operands(draw):
 @given(_matmul_operands())
 def test_matmul_contains_exact_property(operands):
     assert_matmul_contains_exact(*operands)
+
+
+# ---------------------------------------------------------------------------
+# the norm bounds' row and column sums against exact rational hulls
+# ---------------------------------------------------------------------------
+
+def _hull_norms(mags):
+    """The largest exact row and column sums of a nested list of Fractions."""
+    return max(sum(row) for row in mags), max(sum(col) for col in zip(*mags))
+
+
+def _assert_defect_between(c: np.ndarray, a: BallMatrix) -> float:
+    """e of C A - I from the sums is at least sqrt(||.||_1 ||.||_inf) of the
+    exact hull's magnitudes and at most the entrywise ball product's."""
+    abs_c = np.abs(c)
+    e = _defect_norm_upper(c, abs_c, abs_c.sum(axis=0), a)
+    entrywise = _cheap_norm2_upper(mat_sub_identity(mat_mul(BallMatrix.point(c), a)))
+    assert e <= entrywise * (1 + 1e-12), (e, entrywise)
+    if e == math.inf:
+        return e
+    mags = []
+    for i in range(a.rows):
+        mags.append([])
+        for j in range(a.cols):
+            lo, hi = _exact_entry_hull(BallMatrix.point(c), a, i, j)
+            shift = int(i == j)
+            mags[-1].append(max(abs(lo - shift), abs(hi - shift)))
+    inf_norm, one_norm = _hull_norms(mags)
+    assert Fraction(e) ** 2 >= one_norm * inf_norm
+    return e
+
+
+@pytest.mark.parametrize("point", [True, False])
+@pytest.mark.parametrize("scale,c_scale", [(1.0, 1.0), (1e-160, 1e-160), (1e300, 1e10)])
+def test_defect_norm_exact_hull_oracle(rng, point, scale, c_scale):
+    m = 6
+    a = _random_interval_matrix(rng, (m, m), point=point, scale=scale)
+    # C A's diagonal near these, mostly outside [0.5, 2], so subtracting 1
+    # rounds; the zero gives a zero row of C
+    f = np.array([0.1, 1e-20, -0.3, 3.7e16, 0.0, 1.0])
+    assert _assert_defect_between(f[:, None] * np.linalg.inv(a.mid), a) < math.inf
+    # C the inverse: for a point A, C A - I cancels down to the gemm's
+    # rounding errors
+    e = _assert_defect_between(np.linalg.inv(a.mid), a)
+    assert e < 1e-12 or not point
+    # a zero row of A; c_scale puts C A in the subnormal range at 1e-160
+    # and past the largest double at 1e300
+    b = BallMatrix(a.mid.copy(), a.rad.copy())
+    b.mid[2], b.rad[2] = 0.0, 0.0
+    e = _assert_defect_between(rng.standard_normal((m, m)) * c_scale, b)
+    assert (e == math.inf) == (scale == 1e300)
+
+
+def test_defect_norm_covers_the_gemm_rounding():
+    # fl(C A) rounds 1 + 2^-53 to 1, so only the gemm's a-priori bound
+    # covers the exact C A - I = [[2^-53, 2^-53], [0, 0]]
+    c = np.array([[1.0, 2.0**-53], [-1.0, 1.0]])
+    a = BallMatrix.point(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert (c @ a.mid).tolist() == [[1.0, 2.0**-53], [0.0, 1.0]]
+    assert _assert_defect_between(c, a) < 1e-15
+
+
+@pytest.mark.parametrize("point", [True, False])
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e300])
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (6, 4)])
+def test_gram_spread_exact_hull_oracle(rng, point, scale, shape):
+    # every member of A^T A lies within the spread of the mirrored fl(Am^T
+    # Am) in the 2-norm: the spread is at least the largest exact row sum
+    # of the hull's distances from it, and at most the entrywise product's,
+    # up to a few subnormal steps per entry where everything underflows
+    a = _random_interval_matrix(rng, shape, point=point, scale=scale)
+    a = BallMatrix(a.mid.copy(), a.rad.copy())
+    a.mid[1], a.rad[1] = 0.0, 0.0  # a zero row
+    am = np.abs(a.mid)
+    spread = _gram_spread(a, am, am.sum(axis=1))
+    entrywise = _mirror_lower(mat_mul(transpose(a), a).rad.copy())
+    tiny = 4 * a.cols * 2.0**-1074
+    assert spread <= _max_sum_upper(entrywise.sum(axis=1), a.cols) * (1 + 1e-12) + tiny
+    assert (spread == math.inf) == (scale == 1e300)
+    if spread == math.inf:
+        return
+    gm = _mirror_lower(a.mid.T @ a.mid)
+    dist = []
+    for i in range(a.cols):
+        dist.append([])
+        for j in range(a.cols):
+            lo, hi = _exact_entry_hull(transpose(a), a, i, j)
+            dist[-1].append(max(abs(lo - Fraction(gm[i, j])), abs(hi - Fraction(gm[i, j]))))
+    assert Fraction(spread) >= _hull_norms(dist)[0]
+
+
+def test_inverse_norm_overflow_gives_infinite_defect():
+    # an entry (0, inf), or a radius sum past the largest double, makes e
+    # inf, never NaN, and the bound is refused
+    unbounded = BallMatrix(np.eye(3), np.zeros((3, 3)))
+    unbounded.rad[0, 2] = math.inf
+    huge = BallMatrix.point(np.array([[1.0, 1e308], [0.0, 1.0]]))
+    for a in (unbounded, huge):
+        with pytest.raises(IntervalDomainError, match=r"bound inf >= 1"):
+            mat_inverse_norm2_upper(a)
+
+
+def test_inverse_norm_floor_skips_only_the_certificate(rng):
+    # above the floor the bound is the certified one; at or below it, the
+    # cheap one, which is never smaller
+    a = BallMatrix.point(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
+    sharp, e, c_norm = mat_inverse_norm2_upper(a)
+    cheap, e_cheap, c_cheap = mat_inverse_norm2_upper(a, math.inf)
+    assert e == e_cheap and c_norm <= c_cheap and sharp <= cheap
+    assert mat_inverse_norm2_upper(a, cheap) == (cheap, e, c_cheap)
+    assert mat_inverse_norm2_upper(a, math.nextafter(cheap, 0.0)) == (sharp, e, c_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +860,7 @@ def test_matrix_rejects_nan_entries():
             BallMatrix(np.array(mid), np.array(rad))
     for lo, hi in (([[np.nan]], [[1.0]]), ([[0.0]], [[np.nan]]), ([[1.0]], [[0.0]])):
         with pytest.raises(IntervalDomainError):
-            BallMatrix.hull(np.array(lo), np.array(hi))
+            ball_hull(np.array(lo), np.array(hi))
 
 
 def test_matrix_rejects_negative_radii():

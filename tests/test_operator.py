@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from balls import mat_mul, mat_sub_identity, width
 from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
 from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError, mat_inverse_norm2_upper
@@ -440,6 +441,65 @@ def test_block_kn_not_looser_than_full_matrix(request, case, n):
     assert max(bounds) <= full and max(defects) <= e_full
 
 
+@pytest.fixture(scope="module")
+def solved_sweep_1d():
+    """The 1-d equilibrium at (lam, sigma, mu) = (50, 2, 0), N = 64, seed
+    mode:1,0.6, which criterion 09 sweeps."""
+    p = ModelParams(lam=50.0, sigma=2.0, mu=0.0)
+    return p, newton_solve(p, parse_seed("mode:1,0.6", 1, 64), SolveOptions(n=64))
+
+
+def _count_cholesky(monkeypatch) -> list:
+    calls = []
+    factor = np.linalg.cholesky
+
+    def counted(x):
+        calls.append(x.shape[0])
+        return factor(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case,n,certified,blocks", [
+    ("solved_1d", 112, 1, 2), ("solved_2d", 28, 1, 4), ("solved_3d", 12, 4, 8),
+    ("solved_sweep_1d", 24, 2, 2), ("solved_sweep_1d", 256, 2, 2),
+])
+def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified, blocks):
+    # a block whose cheap bound is at most K_N so far skips the Cholesky
+    # certificate, and K_N is the same bits as when every block is certified
+    p, result = request.getfixturevalue(case)
+    lin = lin_of(p, result.solution)
+    every = [mat_inverse_norm2_upper(ball)[0] for _, ball in operator.galerkin_blocks(p, lin.q, n)]
+    calls = _count_cholesky(monkeypatch)
+    assert derivative_inverse_bound(p, lin, n).kn == max(every)
+    assert len(calls) == certified and len(every) == blocks
+
+
+def test_kn_certifies_a_later_largest_block(monkeypatch):
+    # q constant: two diagonal blocks, and at (lam, sigma) = (10, 1) the
+    # largest inverse norm, at k = 1, lies in the second; its cheap bound
+    # exceeds the first block's K_N, so it is certified in full
+    p = ModelParams(lam=10.0, sigma=1.0, mu=0.0)
+    lin = lin_of(p, CosineSeries.zeros((2,)))
+    blocks = list(operator.galerkin_blocks(p, lin.q, 32))
+    assert [block.label for block, _ in blocks] == ["(0)", "(1)"]
+    first, largest = (mat_inverse_norm2_upper(ball)[0] for _, ball in blocks)
+    assert first < largest <= mat_inverse_norm2_upper(blocks[1][1], math.inf)[0]
+    calls = _count_cholesky(monkeypatch)
+    assert derivative_inverse_bound(p, lin, 32).kn == largest
+    assert len(calls) == 2
+
+
+def test_kn_overflowing_entry_fails_at_kn_bound():
+    # a coefficient of q whose radius overflowed, (0, inf), makes block
+    # entries (0, inf): the defect bound is inf, and the stage fails
+    q = CosineSeries(np.array([[5.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, math.inf]]))
+    with pytest.raises(CertificationError, match=r"bound inf >= 1") as err:
+        derivative_inverse_bound(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), 6)
+    assert err.value.stage == "kn_bound"
+
+
 def test_kn_failure_names_parity_class():
     # a constant q whose interval puts zero inside the diagonal entries of
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
@@ -509,7 +569,7 @@ def test_kn_diagonal_oracle():
 
 def test_kn_self_consistency(rng):
     # recertify: the approximate inverse of the stored matrix keeps e < 1
-    from okvalid.intervals import BallMatrix, mat_mul, mat_norm2_upper, mat_sub_identity
+    from okvalid.intervals import BallMatrix, mat_norm2_upper
 
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
@@ -565,7 +625,7 @@ def test_tau_formula_against_mpmath(rng):
             / (pi**2 * n**2)
         )
         assert mine.lo <= float(ref) <= mine.hi
-        assert mine.width <= 1e-10 * mine.hi
+        assert width(mine) <= 1e-10 * mine.hi
 
 
 def test_inverse_bound_raises_when_tau_large(solved_1d):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balls import contains, width
 from conftest import eval_series_naive, gauss_rule, make_random_series
 from okvalid import series
 from okvalid.intervals import Interval, IntervalDomainError, _ball_up, _gamma, add_toward
@@ -51,9 +52,9 @@ def test_zero_mean_is_the_k0_coefficient(rng):
 def test_single_mode_norms():
     u = CosineSeries.single_mode((3,), (1,), 1.0)
     l2 = norm(u, "L2")
-    assert l2.lo <= 1.0 <= l2.hi and l2.width < 1e-14
+    assert l2.lo <= 1.0 <= l2.hi and width(l2) < 1e-14
     h2 = norm(u, "Hbar", 2)
-    assert h2.contains(math.pi**2)
+    assert contains(h2, math.pi**2)
     s = sup_bound(u)
     assert s.lo <= math.sqrt(2) <= s.hi
 
@@ -413,7 +414,7 @@ def test_phi1_squared():
     u = CosineSeries.single_mode((2,), (1,), 1.0)
     w = multiply(u, u)
     # cos^2(pi x) = 1/2 + cos(2 pi x)/2, in the normalized basis: phi_0 + phi_2/sqrt(2)
-    assert w.coefficient((0,)).contains(1.0) or abs(0.5 * (w.coefficient((0,)).lo + w.coefficient((0,)).hi) - 1.0) < 1e-14
+    assert contains(w.coefficient((0,)), 1.0) or abs(0.5 * (w.coefficient((0,)).lo + w.coefficient((0,)).hi) - 1.0) < 1e-14
     c2 = w.coefficient((2,))
     assert c2.lo <= 1 / math.sqrt(2) <= c2.hi
     c1 = w.coefficient((1,))
@@ -947,7 +948,8 @@ def _fold_stack(rng, extent):
 @pytest.mark.parametrize("extent", [(6, 5), (5, 4, 6)])
 def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
     # one row per chunk and a single chunk give the same bits, the folds
-    # and the running error bound alike
+    # and the running error bound alike; the floor alone, without any
+    # budget, runs a product this small in one chunk
     a, b = _fold_stack(rng, extent)
     passes = []
     first_pass = series._fold_last_axis
@@ -958,15 +960,17 @@ def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
 
     monkeypatch.setattr(series, "_fold_last_axis", counted)
     runs = []
-    for budget in (1e9, 0.0):
+    for budget, floor in ((1e9, 0), (0.0, 0), (0.0, series._PARTIAL_FLOOR)):
         monkeypatch.setattr(series, "_PARTIAL_BUDGET", budget)
+        monkeypatch.setattr(series, "_PARTIAL_FLOOR", floor)
         passes.clear()
         err = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
         runs.append((series._raw_conv(a, b, err), err, len(passes)))
-    (one, one_err, one_chunks), (rows, rows_err, row_chunks) = runs
-    assert one.tobytes() == rows.tobytes() and one_err.tobytes() == rows_err.tobytes()
+    (one, one_err, one_chunks), (rows, rows_err, row_chunks), (floor, floor_err, floor_chunks) = runs
+    for conv, err in ((rows, rows_err), (floor, floor_err)):
+        assert one.tobytes() == conv.tobytes() and one_err.tobytes() == err.tobytes()
     populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(2, a.ndim))).any(axis=0))
-    assert one_chunks == 1 and row_chunks == populated_rows > 1
+    assert one_chunks == floor_chunks == 1 and row_chunks == populated_rows > 1
 
 
 def test_fold_peak_memory_bounded_by_output(rng):
