@@ -340,8 +340,10 @@ def _sum_slack(abssum: float, n: int) -> float:
 # dense ball matrices
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _gamma(k: int) -> Fraction:
-    """gamma_k = k u / (1 - k u), exactly (Higham, ch. 3)."""
+    """gamma_k = k u / (1 - k u), exactly (Higham, ch. 3); a Fraction is
+    immutable, so each k's is formed once."""
     return k * _U / (1 - k * _U)
 
 

@@ -1,11 +1,13 @@
 """Floating-point Galerkin Newton iteration producing approximate equilibria.
 
-Non-rigorous machinery: it calls the float convolution fold and Galerkin
-kernel that the rigorous path encloses, without their error bounds, and
-solves the projected system
-P_N F(u) = 0.  Convergence is judged on the projected residual; the full
-residual over every populated mode is reported alongside (it is floored by
-the truncation and is what the rigorous certificate will see).
+Non-rigorous machinery: it solves the projected system P_N F(u) = 0 with
+float products (series.multiply_point, on matrix products) and the float
+Galerkin kernel that the rigorous path encloses, without their error
+bounds.  Each iterate forms the powers of u + mu once, and the residual and
+the Jacobian read f and f' off them.  Convergence is judged on the projected
+residual; the full residual over every populated mode is reported alongside
+(it is floored by the truncation and is what the rigorous certificate will
+see).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operator
 from .operator import (
     PARAMETERS,
     ModelParams,
@@ -22,9 +25,9 @@ from .operator import (
     memory_shortfall,
     parity_blocks,
     point_linearization,
-    poly_eval_series_point,
+    point_powers,
+    poly_point,
     truncation_modes,
-    _with_mean,
 )
 from .series import CosineSeries, k2_grid
 
@@ -81,15 +84,16 @@ def parse_seed(description: str, dim: int, n: int) -> np.ndarray:
     raise ValueError(f"unknown seed description {description!r}")
 
 
-def residual_point(p: ModelParams, coeffs: np.ndarray):
-    """Float residual coefficients and norms.
+def residual_point(p: ModelParams, coeffs: np.ndarray, powers: list):
+    """Float residual coefficients and norms at coeffs, whose point_powers
+    are powers.
 
     Returns (F, proj_norm, full_norm): F over the full populated extent, and
     the (-2)-weighted norms of its projection below the coefficient extent
     and of everything.
     """
     n = coeffs.shape[0]
-    w0 = poly_eval_series_point(p.f_coeffs, _with_mean(coeffs, p.mu))
+    w0 = poly_point(p.f_coeffs, powers)
     ext = tuple(max(a, b) for a, b in zip(w0.shape, coeffs.shape))
     w = np.zeros(ext)
     w[tuple(slice(0, s) for s in w0.shape)] = w0
@@ -108,15 +112,15 @@ def residual_point(p: ModelParams, coeffs: np.ndarray):
 # Peak number of live m x m double arrays in a Newton step that solves a
 # parity block of m unknowns: the block, its assembly's temporaries and
 # np.linalg.solve's copy.  Measured (tracemalloc peak, rise of the peak RSS)
-# on the full matrix in 2-d at m = 783 to 4095 and in 3-d at m = 1727: 3.0
-# to 3.3, rounded up.
+# on the full matrix in 2-d at m = 783, 2303 and 4095 and in 3-d at m =
+# 1727: 2.0 to 2.1 traced, 2.1 to 3.0 in RSS (OpenBLAS), rounded up.
 NEWTON_WORK_ARRAYS = 4
 
 
-def _check_block_memory(rows: int, dim: int, n: int) -> None:
-    """Raise NewtonError unless a Jacobian block of rows modes fits in memory."""
+def _check_block_memory(rows: int, dim: int, n: int, avail: float) -> None:
+    """Raise NewtonError unless a Jacobian block of rows modes fits in avail bytes."""
     short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, dim, n,
-                             f"Newton Jacobian block of {rows} modes")
+                             f"Newton Jacobian block of {rows} modes", avail)
     if short:
         raise NewtonError(short)
 
@@ -146,12 +150,14 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     assembled, and so does a singular block, naming its class.  Before the
     first residual, the smallest block that any step can assemble (one
     class of a split along every axis) is charged, so a truncation that no
-    step fits is refused before anything of its size is allocated.
+    step fits is refused before anything of its size is allocated.  Every
+    charge is checked against one reading of the available memory per solve.
     """
     coeffs = u0.mid() if isinstance(u0, CosineSeries) else np.asarray(u0, dtype=np.float64)
     dim = coeffs.ndim
     n = opts.n
-    _check_block_memory(min(block.size for block in parity_blocks((True,) * dim, n)), dim, n)
+    avail = operator.available_memory_bytes()
+    _check_block_memory(min(block.size for block in parity_blocks((True,) * dim, n)), dim, n, avail)
     a = np.zeros((n,) * dim)
     src = tuple(slice(0, min(n, s)) for s in coeffs.shape)
     a[src] = coeffs[src]
@@ -161,7 +167,8 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     flat_idx = np.ravel_multi_index(tuple(modes[:, i] for i in range(dim)), (n,) * dim)
     start_norm = None
     for it in range(opts.max_iter + 1):
-        f_all, proj, full = residual_point(p, a)
+        powers = point_powers(p, a)
+        f_all, proj, full = residual_point(p, a, powers)
         if not math.isfinite(proj):
             raise NewtonError(f"residual became non-finite at iteration {it}")
         if start_norm is None:
@@ -178,10 +185,10 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
         if it == opts.max_iter:
             break
         rhs = -f_all[tuple(slice(0, n) for _ in range(dim))].ravel()[flat_idx]
-        q_raw, split = point_linearization(p, a)
+        q_raw, split = point_linearization(p, powers)
         classes = [(block, block.rows()) for block in parity_blocks(split, n)]
         blocks = [(block, idx) for block, idx in classes if rhs[idx].any()]
-        _check_block_memory(max(block.size for block, _ in blocks), dim, n)
+        _check_block_memory(max(block.size for block, _ in blocks), dim, n, avail)
         step = np.zeros(flat_idx.size)
         for block, idx in blocks:
             # the block is dropped once solved, so blocks are live one at a time

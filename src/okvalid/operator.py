@@ -125,16 +125,6 @@ def poly_eval_series(coeffs, v: CosineSeries) -> CosineSeries:
     return acc
 
 
-def poly_eval_series_point(coeffs, v: np.ndarray) -> np.ndarray:
-    coeffs = _trim(coeffs)
-    acc = np.zeros(tuple(1 for _ in range(v.ndim)))
-    acc[(0,) * v.ndim] = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = multiply_point(acc, v)
-        acc[(0,) * v.ndim] += c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # residual and linearization (rigorous path)
 # ---------------------------------------------------------------------------
@@ -341,12 +331,38 @@ def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatr
     return BallMatrix(mid, rad)
 
 
-def point_linearization(p: ModelParams, coeffs: np.ndarray) -> tuple:
-    """Newton's float linearization at the point coeffs: the raw coefficients
-    q c_k of q = lam f'(u + mu), and the axes along which its Jacobian
-    splits by parity (split_axes, read off the float q)."""
-    q = poly_eval_series_point(p.fp_coeffs, _with_mean(coeffs, p.mu)) * p.lam
-    q_raw = q * c_grid(q.shape)
+def point_powers(p: ModelParams, coeffs: np.ndarray) -> list:
+    """Newton's float powers [v, v^2, ..., v^deg] of v = u + mu at the point
+    coeffs, deg >= 1 the degree of f: deg - 1 products, from which
+    poly_point reads both f(v) and f'(v)."""
+    v = _with_mean(coeffs, p.mu)
+    powers = [v]
+    for _ in range(len(_trim(p.f_coeffs)) - 2):
+        powers.append(multiply_point(v, powers[-1]))
+    return powers
+
+
+def poly_point(coeffs, powers: list) -> np.ndarray:
+    """sum_j coeffs[j] v^j in float from point_powers' [v, v^2, ...], in
+    the extent of the highest power with a nonzero coefficient; a term with
+    a zero coefficient is left out."""
+    coeffs = _trim(coeffs)
+    top = len(coeffs) - 1
+    out = np.zeros(powers[top - 1].shape if top else (1,) * powers[0].ndim)
+    for c, vj in zip(coeffs[1:], powers):
+        if c != 0.0:
+            out[tuple(slice(0, s) for s in vj.shape)] += c * vj
+    out[(0,) * out.ndim] += coeffs[0]
+    return out
+
+
+def point_linearization(p: ModelParams, powers: list) -> tuple:
+    """Newton's float linearization at the point of point_powers: the raw
+    coefficients q c_k of q = lam f'(u + mu), and the axes along which its
+    Jacobian splits by parity (split_axes, read off the float q)."""
+    q_raw = poly_point(p.fp_coeffs, powers)
+    q_raw *= p.lam
+    q_raw *= c_grid(q_raw.shape)
     return q_raw, _even_axes(q_raw != 0.0)
 
 
@@ -439,10 +455,10 @@ def kn_stage_bytes(q: CosineSeries, n: int) -> float:
     return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
-def memory_shortfall(need: float, dim: int, n: int, stage: str) -> str | None:
-    """Why need bytes for stage at truncation n do not fit in the available
-    memory, or None when they do."""
-    avail = available_memory_bytes()
+def memory_shortfall(need: float, dim: int, n: int, stage: str, avail: float | None = None) -> str | None:
+    """Why need bytes for stage at truncation n do not fit in avail bytes
+    (default: a reading of the available memory), or None when they do."""
+    avail = available_memory_bytes() if avail is None else avail
     if need <= avail:
         return None
     return (f"truncation n={n} ({n**dim - 1} modes) needs about {need / 1e6:.0f} MB "

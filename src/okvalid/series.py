@@ -13,17 +13,18 @@ the gamma budget of intervals._ball_up (see multiply).  Every other radius
 operation rounds up one step unless it is exact, so a point zero stays
 exact, and so does the k=0 coefficient of a zero-mean series.
 
-Products share one float convolution fold: Newton calls it on point
-coefficients, and the ball product runs it on midpoints with Wilkinson's
-running error bound and adds the radii's spread.  It folds raw coefficients
-alpha_k c_k, formed with the float c_k (exact where c_k is 1 or 2), and
-scales back by the float 1/c_k inside its rounding budget.  The cosine
-product factorizes per axis, so the fold contracts one axis at a time: a
-first pass forms every product term along the last axis, and each later
-pass adds the partial folds along one more axis; the running error bound
-follows that summation tree, and in 1-d the first pass is the whole fold.
-Along an axis where the denser factor's support has a single parity, the
-fold strides past the other parity, whose terms are exact zeros.
+Products fold raw coefficients alpha_k c_k, formed with the float c_k
+(exact where c_k is 1 or 2).  The cosine product factorizes per axis, so
+both products contract one axis at a time, and along an axis where the
+denser factor's support has a single parity they skip the other parity,
+whose terms are exact zeros.  The ball product runs its float fold on
+midpoints with Wilkinson's running error bound, adds the radii's spread and
+scales back by the float 1/c_k inside its rounding budget: a first pass
+forms every product term along the last axis, each later pass adds the
+partial folds along one more axis, and the running error bound follows that
+summation tree; in 1-d the first pass is the whole fold.  Newton's float
+product has no error bound to carry, so it runs on matrix products: one
+gather of Toeplitz-plus-Hankel matrices and a few gemms per product.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .intervals import (
     mid_rad,
     mul_toward,
 )
+from .pointconv import _single_parity, point_conv
 
 # c_k and 1/c_k rounded to nearest by number of nonzero index components nz
 # (sqrt is correctly rounded): exact where nz is even, within 0.62 u of
@@ -67,15 +69,19 @@ _FOLD_MIN = 2.0**-1019
 # multi-index helpers
 # ---------------------------------------------------------------------------
 
+def _axis_sum(extent, per_index) -> np.ndarray:
+    """sum_t per_index(k_t) over the coefficient grid, by broadcasting."""
+    d = len(extent)
+    return sum(per_index(np.arange(n)).reshape((1,) * t + (n,) + (1,) * (d - 1 - t))
+               for t, n in enumerate(extent))
+
 def k2_grid(extent) -> np.ndarray:
     """|k|^2 over the coefficient grid (exact integers as floats)."""
-    grids = np.indices(extent, dtype=np.int64)
-    return np.sum(grids.astype(np.float64) ** 2, axis=0)
+    return _axis_sum(extent, lambda k: k.astype(np.float64) ** 2)
 
 def nz_grid(extent) -> np.ndarray:
     """Number of nonzero index components over the coefficient grid."""
-    grids = np.indices(extent, dtype=np.int64)
-    return np.sum(grids != 0, axis=0)
+    return _axis_sum(extent, lambda k: (k != 0).astype(np.int64))
 
 def c_grid(extent) -> np.ndarray:
     """The float c_k over the coefficient grid."""
@@ -315,9 +321,10 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # products
 # ---------------------------------------------------------------------------
 
-# the partial folds of one chunk of rows, with their error bound, hold at
-# most this many times the output stack's entries or, where more, the
-# floor's (1 MiB of doubles; at least one row)
+# the partial arrays of one chunk of rows (the ball product's partial folds
+# with their error bound, or those of pointconv.point_conv) hold at most
+# this many times the output stack's entries or, where more, the floor's
+# (1 MiB of doubles; at least one row)
 _PARTIAL_BUDGET = 1.0
 _PARTIAL_FLOOR = 2**17
 
@@ -351,17 +358,6 @@ def _axis_segments(ai: int, nb: int, parity: int | None, compact: bool = False) 
     return segs
 
 
-def _single_parity(support: np.ndarray) -> list:
-    """Per axis, the parity of every index where support holds, or None
-    where both parities occur."""
-    out = []
-    for j in range(support.ndim):
-        along = np.moveaxis(support, j, 0)
-        even, odd = along[0::2].any(), along[1::2].any()
-        out.append(None if even and odd else int(odd))
-    return out
-
-
 def _fold_last_axis(a, b, segments, out, err) -> None:
     """Pass 1 of the separable fold: every product term, along the last axis.
 
@@ -378,13 +374,12 @@ def _fold_last_axis(a, b, segments, out, err) -> None:
     half = 0.5 ** (lead + 1)
     for p, segs in enumerate(segments):
         w = a[..., p].reshape(w_shape) * half
-        keep = None if err is None else w[0] != 0.0
+        keep = w[0] != 0.0
         for out_sl, b_sl in segs:
             t = w * bv[..., b_sl]
             s = out[..., out_sl]
             s += t
-            if err is not None:
-                err[..., out_sl] += np.abs(t[0]) + np.abs(s[0]) * keep
+            err[..., out_sl] += np.abs(t[0]) + np.abs(s[0]) * keep
 
 
 def _fold_axis(part, perr, t: int, segments, out, err) -> None:
@@ -399,16 +394,16 @@ def _fold_axis(part, perr, t: int, segments, out, err) -> None:
     every = (slice(None),)
     for p, segs in enumerate(segments):
         slab = part[every + at[:t] + (p,)]
-        eslab = None if err is None else perr[at[:t] + (p,)]
+        eslab = perr[at[:t] + (p,)]
         for out_sl, b_sl in segs:
             s = out[every + at + (out_sl,)]
             s += slab[every + at + (b_sl,)]
-            if err is not None:
-                err[at + (out_sl,)] += eslab[at + (b_sl,)] + np.abs(s[0])
+            err[at + (out_sl,)] += eslab[at + (b_sl,)] + np.abs(s[0])
 
 
-def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np.ndarray:
-    """Cosine-product convolutions of raw coefficient arrays in float.
+def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """The ball product's cosine-product convolutions of raw coefficient
+    arrays in float, the first with its running error bound.
 
     a and b stack the operands of several folds on their leading axis, and
     out[f] is the fold of a[f] with b[f].  The product factorizes per axis,
@@ -432,8 +427,8 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
     every row reaches the last pass in order, so chunks change no bit.  In
     1-d pass 1 is the whole fold, the loop over a's populated modes.
 
-    Given err (zeros of one output's shape), fold 0 also accumulates
-    Wilkinson's running error bound through the summation tree: each
+    Fold 0 accumulates Wilkinson's running error bound in err (zeros of
+    one output's shape) through the summation tree: each
     product t adds |t| + |s|, s the sum it enters, and each later addition
     adds the partial's own bound + |s|; a product of a zero a[0] adds
     nothing, since its sum is exact.  The rounding error of every output
@@ -459,8 +454,7 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
     a = a[np.ix_(range(fold), *rows)]
     b = b[_classes(parity)]
     out = full[_classes(target)]
-    if err is not None:
-        err = err[_classes(target)[1:]]
+    err = err[_classes(target)[1:]]
     if d == 1:
         _fold_last_axis(a, b, segments[0], out, err)
         return full
@@ -471,16 +465,16 @@ def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray | None = None) -> np
         return (c,) + r[1:t] + m[:t] + n[t:]
 
     # entries of the partial folds, and of their error bound, per row
-    per_row = (fold + (err is not None)) * sum(math.prod(partial(t, 1)) for t in range(1, d))
+    per_row = (fold + 1) * sum(math.prod(partial(t, 1)) for t in range(1, d))
     chunk = max(1, int(max(_PARTIAL_BUDGET * full.size, _PARTIAL_FLOOR) // per_row))
     for lo in range(0, r[0], chunk):
         c = min(chunk, r[0] - lo)
         part = np.zeros((fold,) + partial(d - 1, c))
-        perr = None if err is None else np.zeros(part.shape[1:])
+        perr = np.zeros(part.shape[1:])
         _fold_last_axis(a[:, lo:lo + c], b, segments[-1], part, perr)
         for t in range(d - 2, 0, -1):
             nxt = np.zeros((fold,) + partial(t, c))
-            nerr = None if err is None else np.zeros(nxt.shape[1:])
+            nerr = np.zeros(nxt.shape[1:])
             _fold_axis(part, perr, t, segments[t], nxt, nerr)
             part, perr = nxt, nerr
         _fold_axis(part, perr, 0, segments[0][lo:lo + c], out, err)
@@ -493,6 +487,7 @@ def _classes(parity) -> tuple:
     return (slice(None),) + tuple(slice(None) if par is None else slice(par, None, 2) for par in parity)
 
 
+@np.errstate(over="ignore")  # an overflowed entry is inf, which the callers' enclosures make unbounded
 def _raw_mid_rad(u: CosineSeries):
     """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k.
 
@@ -579,11 +574,15 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
 
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float product in normalized coefficients (Newton path)."""
+    """Float product in normalized coefficients (Newton path), without an
+    error bound: pointconv.point_conv of the raw coefficients, scaled back
+    by the float c_k.  Entries that no pair of nonzero coefficients reaches
+    are exact zeros."""
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
-    (raw,) = _raw_conv((a * c_grid(a.shape))[None], (b * c_grid(b.shape))[None])
-    return raw / c_grid(raw.shape)
+    raw = point_conv(a * c_grid(a.shape), b * c_grid(b.shape), _PARTIAL_BUDGET, _PARTIAL_FLOOR)
+    raw /= c_grid(raw.shape)
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from okvalid.intervals import (
     BallMatrix,
     _cheap_norm2_upper,
     _defect_norm_upper,
+    _gamma,
     _gram_spread,
     _max_sum_upper,
     _mirror_lower,
@@ -28,6 +29,15 @@ from okvalid.intervals import (
 )
 
 ULP = 2.0 ** -52
+
+
+@pytest.mark.parametrize("k", [1, 6, 7, 82, 3**3 * 1727])
+def test_gamma_is_exact_and_formed_once(k):
+    # gamma_k = k u / (1 - k u) exactly, and a repeated k returns the same
+    # (immutable) Fraction without forming it again
+    u = Fraction(1, 2**53)
+    assert _gamma(k) == k * u / (1 - k * u)
+    assert _gamma(k) is _gamma(k)
 
 
 def contains_exact(iv: Interval, value: Fraction) -> bool:

@@ -260,3 +260,70 @@ def test_singular_block_names_its_parity_class():
     guess[0, 3] = 0.1
     with pytest.raises(NewtonError, match=r"singular Jacobian at iteration 0 on parity class \(0, 1\) \(9 modes\): "):
         newton_solve(p, guess, SolveOptions(n=6))
+
+
+def _count_products(monkeypatch) -> dict:
+    """Count multiply_point calls and residual evaluations of Newton."""
+    from okvalid import newton, operator
+
+    counts = {"products": 0, "residuals": 0}
+    product, residual = operator.multiply_point, newton.residual_point
+
+    def counted_product(a, b):
+        counts["products"] += 1
+        return product(a, b)
+
+    def counted_residual(*args):
+        counts["residuals"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(operator, "multiply_point", counted_product)
+    monkeypatch.setattr(newton, "residual_point", counted_residual)
+    return counts
+
+
+@pytest.mark.parametrize("f_coeffs, products", [
+    ((0.0, 1.0, 0.0, -1.0), 2),
+    ((0.0, 1.0, 0.0, -1.0, 0.0, -0.2), 4),
+])
+def test_newton_forms_the_powers_once_per_iterate(monkeypatch, f_coeffs, products):
+    # v^2, ..., v^deg: deg - 1 products per iterate, which the residual and
+    # the Jacobian share; mu = 0.1 mixes the parities of v
+    counts = _count_products(monkeypatch)
+    p = ModelParams(lam=150.0, sigma=6.0, mu=0.1, f_coeffs=f_coeffs)
+    res = newton_solve(p, parse_seed("mode:1,0.5", 1, 48), SolveOptions(n=48))
+    assert counts["residuals"] == res.iterations + 1 > 1
+    assert counts["products"] == products * counts["residuals"]
+
+
+def test_quintic_f_and_fprime_from_powers():
+    # a quintic f converges, and f(v), f'(v) read off the powers of v agree
+    # with the ball Horner evaluation: within its radius plus 2^-40 M, M =
+    # sum_j |c_j| s^j, s >= sup |v|, which bounds every coefficient of
+    # every term and the float sums' rounding with room to spare
+    from okvalid.operator import point_powers, poly_eval_series, poly_point
+
+    p = ModelParams(lam=150.0, sigma=6.0, mu=0.1, f_coeffs=(0.0, 1.0, 0.0, -1.0, 0.0, -0.2))
+    res = newton_solve(p, parse_seed("mode:1,0.5", 1, 48), SolveOptions(n=48))
+    assert res.residual_proj <= 1e-10 and sup_bound(res.solution).hi > 0.3
+    powers = point_powers(p, res.solution.mid())
+    assert [v.shape for v in powers] == [(48,), (95,), (142,), (189,), (236,)]
+    v = res.solution.add_constant(p.mu)
+    s = sup_bound(v).hi
+    for coeffs in (p.f_coeffs, p.fp_coeffs):
+        got, ball = poly_point(coeffs, powers), poly_eval_series(coeffs, v)
+        assert got.shape == ball.extent
+        m = sum(abs(c) * s**j for j, c in enumerate(coeffs))
+        assert np.all(np.abs(got - ball.center) <= ball.rad + 2.0**-40 * m)
+
+
+def test_newton_reads_the_memory_once_per_solve(monkeypatch):
+    # the first residual's charge and every step's block charge are checked
+    # against one reading of the available memory
+    from okvalid import operator
+
+    reads = []
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: reads.append(1) or 1e12)
+    p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
+    res = newton_solve(p, parse_seed("mode:1", 1, 32), SolveOptions(n=32))
+    assert res.iterations > 1 and len(reads) == 1

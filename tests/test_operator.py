@@ -500,6 +500,17 @@ def test_kn_overflowing_entry_fails_at_kn_bound():
     assert err.value.stage == "kn_bound"
 
 
+def test_kn_overflowing_raw_coefficient_fails_at_kn_bound():
+    # 1e308 c_(1,1) = 2e308 overflows the raw coefficient: no overflow
+    # warning (an error under pytest) escapes, and the stage fails cleanly
+    c = np.zeros((4, 4))
+    c[1, 1] = 1e308
+    q = CosineSeries.from_point(c)
+    with pytest.raises(CertificationError) as err:
+        derivative_inverse_bound(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), 6)
+    assert err.value.stage == "kn_bound"
+
+
 def test_kn_failure_names_parity_class():
     # a constant q whose interval puts zero inside the diagonal entries of
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
@@ -541,7 +552,7 @@ def test_point_jacobian_memory_peak(rng):
     a = make_random_series(rng, (n, n), scale=0.3).mid()
     a *= np.indices((n, n)).prod(axis=0) % 2
     p = ModelParams(lam=30.0, sigma=2.0)
-    q_raw, split = operator.point_linearization(p, a)
+    q_raw, split = operator.point_linearization(p, operator.point_powers(p, a))
     assert split == (True, True)
     block = operator.parity_blocks(split, n)[-1]
     axes = block.axes
@@ -684,7 +695,7 @@ def test_point_jacobian_matches_interval_matrix():
         a = np.zeros((n, n))
         for k, v in zip(modes, (0.2, -0.15, 0.05)):
             a[k] = v
-        q_raw, split = operator.point_linearization(p, a)
+        q_raw, split = operator.point_linearization(p, operator.point_powers(p, a))
         q = lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q
         streamed = list(operator.galerkin_blocks(p, q, n))
         walk = operator.parity_blocks(split, n)

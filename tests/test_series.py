@@ -760,14 +760,6 @@ def _multiply_reference(u, v):
     return CosineSeries(c, rad)
 
 
-def _point_reference(a, b):
-    """Newton's product: fold 0 alone, over the sparser factor."""
-    if np.count_nonzero(b) < np.count_nonzero(a):
-        a, b = b, a
-    raw = _reference_fold(a * series.c_grid(a.shape), b * series.c_grid(b.shape))
-    return raw / series.c_grid(raw.shape)
-
-
 @pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
 @pytest.mark.parametrize("special", ["none", "zero_mid", "tiny_mid", "inf"])
 def test_multiply_matches_per_fold_reference(rng, extent, special):
@@ -801,7 +793,7 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
         assert np.array_equal(got.center, want.center) and np.array_equal(got.rad, want.rad)
     if special == "inf":
         assert np.isinf(multiply(u, v).hi).any()
-    assert np.array_equal(multiply_point(b, a), _point_reference(a, b))
+    assert_point_product_near_exact(b, a)
 
 
 @pytest.mark.parametrize("extent", [(7,), (5, 6), (3, 4, 4)])
@@ -846,9 +838,10 @@ def _on_coset(rng, extent, parity, point):
 @pytest.mark.parametrize("point", [True, False])
 def test_strided_fold_matches_unstrided(rng, extent, point):
     # factors on one parity coset each: the stride skips only exact zeros,
-    # so multiply and multiply_point keep the bits of the unstrided
-    # reference folds, center and radius alike; a sparse factor of mixed
-    # parities keeps the center and can only shrink the running error bound
+    # so multiply keeps the bits of the unstrided reference folds, center
+    # and radius alike; a sparse factor of mixed parities keeps the center
+    # and can only shrink the running error bound.  multiply_point, which
+    # skips the same zeros, stays near the exact fold
     d = len(extent)
     cases = []
     for _ in range(4):
@@ -864,7 +857,7 @@ def test_strided_fold_matches_unstrided(rng, extent, point):
             assert got.rad.tobytes() == want.rad.tobytes()
         else:
             assert np.all(got.rad <= want.rad)
-        assert multiply_point(u.mid(), v.mid()).tobytes() == _point_reference(u.mid(), v.mid()).tobytes()
+        assert_point_product_near_exact(u.mid(), v.mid())
     # the stride is taken: the dense factor's support has one parity per axis
     assert series._single_parity(cases[-1][1].support()) == [1] * d
 
@@ -916,6 +909,70 @@ def _fold_factors(rng, d):
     cases.append((tiny_a, spread(eb)))
     cases.append((spread(ea) * 2.0**-40, tiny_b))
     return cases
+
+
+def assert_point_product_near_exact(a, b):
+    """multiply_point(a, b) against the exact fold of its raw factors
+    fl(a c_k) and fl(b c_k), scaled back by the float c_k: within gamma_n
+    times the exact fold of their magnitudes, and exactly zero where no
+    pair of nonzero coefficients reaches.  Any summation order of a term's
+    path rounds it at most n = 3 + sum_t na_t nb_t times: the gathers' two
+    additions, one product and at most nb_t - 1 additions along the last
+    axis, at most na_t nb_t - 1 along each earlier one (the 0.5 and 1
+    weights are exact), and the division by c_k."""
+    got = multiply_point(a, b)
+    ra, rb = (x * series.c_grid(x.shape) for x in (a, b))
+    exact, _ = _exact_fold(ra, rb)
+    mag, _ = _exact_fold(np.abs(ra), np.abs(rb))
+    c = series.c_grid(got.shape)
+    g = _gamma(3 + sum(na * nb for na, nb in zip(a.shape, b.shape)))
+    for k in np.ndindex(*got.shape):
+        if k not in exact:
+            assert got[k] == 0.0, (a, b, k)
+        else:
+            off = abs(Fraction(got[k]) - exact[k] / Fraction(c[k]))
+            assert off <= g * mag[k] / Fraction(c[k]), (a, b, k)
+
+
+def _point_factors(rng, d):
+    """multiply_point operands in d dimensions: one parity coset each, both
+    of mixed parities, a coset against a mixed factor, sparse rows, unequal
+    extents, and a 1 x ... x 1 constant on either side."""
+    ea, eb = {1: ((9,), (6,)), 2: ((5, 7), (6, 3)), 3: ((3, 2, 4), (2, 4, 3))}[d]
+
+    def coset(x, parity):
+        for j, par in enumerate(parity):
+            x[(slice(None),) * j + (slice(1 - par, None, 2),)] = 0.0
+        return x
+
+    cases = []
+    for _ in range(2):
+        pa, pb = (tuple(rng.integers(0, 2, d)) for _ in range(2))
+        cases.append((coset(rng.standard_normal(ea), pa), coset(rng.standard_normal(eb), pb)))
+        cases.append((rng.standard_normal(ea), rng.standard_normal(eb)))
+        cases.append((coset(rng.standard_normal(eb), pa), rng.standard_normal(ea)))
+    sparse = rng.standard_normal(ea) * (rng.random(ea) < 0.3)
+    sparse[0] = 0.0
+    cases.append((sparse, rng.standard_normal(eb)))
+    constant = np.full((1,) * d, -0.7)
+    cases.append((constant, rng.standard_normal(eb)))
+    cases.append((coset(rng.standard_normal(ea), (1,) * d), constant))
+    cases.append((constant, constant))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_point_product_matches_exact_fold(rng, d, scale):
+    # the gemm kernel against the exact fold, in either order of the
+    # factors, at scales whose products (about scale^2) stay normal
+    for a, b in _point_factors(rng, d):
+        assert_point_product_near_exact(a * scale, b * scale)
+        assert_point_product_near_exact(b * scale, a * scale)
+    # nothing populated: the exact zero of the output's extent
+    zero = np.zeros((3,) * d)
+    got = multiply_point(zero, np.ones((2,) * d))
+    assert got.shape == (4,) * d and not got.any()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -986,6 +1043,21 @@ def test_fold_peak_memory_bounded_by_output(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * output_stack, peak / output_stack
+
+
+def test_point_product_peak_bounded_by_output(rng):
+    # multiply_point takes the first axis in chunks: its traced peak stays
+    # within a small multiple of the output's bytes, where one chunk would
+    # hold 3.9 outputs after the last-axis product alone (6.4 in all)
+    u = _on_coset(rng, (16, 16, 16), (1, 1, 1), True).center
+    v = _on_coset(rng, (31, 31, 31), (0, 0, 0), True).center
+    tracemalloc.start()
+    try:
+        out = multiply_point(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes, peak / out.nbytes
 
 
 @pytest.mark.parametrize("point", [True, False])
