@@ -111,9 +111,10 @@ def residual_point(p: ModelParams, coeffs: np.ndarray, powers: list):
 
 # Peak number of live m x m double arrays in a Newton step that solves a
 # parity block of m unknowns: the block, its assembly's temporaries and
-# np.linalg.solve's copy.  Measured (tracemalloc peak, rise of the peak RSS)
-# on the full matrix in 2-d at m = 783, 2303 and 4095 and in 3-d at m =
-# 1727: 2.0 to 2.1 traced, 2.1 to 3.0 in RSS (OpenBLAS), rounded up.
+# np.linalg.solve's copy.  Measured (tracemalloc peak of two steps, rise of
+# the peak RSS) on the full matrix in 2-d at m = 783, 2303 and 4095 and in
+# 3-d at m = 1727: 2.07 to 2.26 traced, 2.18 to 4.09 in RSS (OpenBLAS, 1
+# thread; the most at m = 783, where fixed costs count), rounded up.
 NEWTON_WORK_ARRAYS = 4
 
 

@@ -244,34 +244,64 @@ def _galerkin_sums(axes, arrays) -> list:
     the origin where the grid holds it: the sum over sign patterns s of
     2^-nz(k + s ell) a[|k + s ell|], zero outside a's extent.
 
-    Each pattern is one gather per array from a 2^-nz, zero-padded to
-    2 max(axes[j]) + 1 along axis j, through the grid's per-axis tables
-    |k_j +- ell_j|; no m x m index, mask or weight array is built, and one
-    gather is live at a time.  Full ranges give the truncation_modes grid.
+    One array at a time, a 2^-nz, zero-padded to 2 max(axes[j]) + 1 along
+    axis j (and cut to its even indices where axes[j] has one parity, the
+    only ones |k_j +- ell_j| reaches there), is taken along axes 0, ...,
+    d-2 through the grid's per-axis n_j x n_j tables |k_j + ell_j| and
+    |k_j - ell_j| (_sign_partials), and each partial's two takes along axis
+    d-1 are added, in the order of the patterns (itertools.product((1, -1),
+    repeat=d)), into a zeroed accumulator: every entry is the same sum in
+    the same order as term by term, and a -0.0 term gives +0.0.  Every take
+    copies whole rows, and one transposed copy makes the C-contiguous (k;
+    ell) matrix.  In 1-d the origin is cut from the tables; elsewhere its
+    row and column are cut by one more copy.  Full ranges give the
+    truncation_modes grid.
     """
     d = arrays[0].ndim
     ext = tuple(2 * int(a[-1]) + 1 for a in axes)
     crop = tuple(slice(0, min(e, x)) for e, x in zip(arrays[0].shape, ext))
     half = 0.5 ** nz_grid(tuple(c.stop for c in crop))
-    padded = [np.zeros(ext) for _ in arrays]
-    for aw, a in zip(padded, arrays):
-        aw[crop] = a[crop] * half
-    tables = [{1: a[:, None] + a[None, :], -1: np.abs(a[:, None] - a[None, :])} for a in axes]
+    drop = all(a[0] == 0 for a in axes)  # the origin, first where the grid holds it
+    if d == 1:
+        axes, drop = [axes[0][int(drop):]], False
+    # along an axis whose indices share a parity every k_j +- ell_j is even:
+    # only a's even entries there are read, and the tables count in twos
+    steps = [2 if np.all(a % 2 == a[0] % 2) else 1 for a in axes]
+    halves = [(a // s, a[0] % s) for a, s in zip(axes, steps)]
+    tables = [(h[:, None] + (h + p)[None, :], np.abs(h[:, None] - h[None, :])) for h, p in halves]
+    read = tuple(slice(None, None, s) for s in steps)
     size = math.prod(a.size for a in axes)
-    drop = int(all(a[0] == 0 for a in axes))  # the origin, first where the grid holds it
-    m = size - drop
-    sums = [np.zeros((m, m)) for _ in arrays]
-    for signs in itertools.product((1, -1), repeat=d):
-        # axis j's table spans result axes j (k_j) and d + j (ell_j)
-        idx = tuple(
-            tables[j][s].reshape(
-                (1,) * j + (axes[j].size,) + (1,) * (d - 1) + (axes[j].size,) + (1,) * (d - 1 - j)
-            )
-            for j, s in enumerate(signs)
-        )
-        for acc, aw in zip(sums, padded):
-            acc += aw[idx].reshape(size, size)[drop:, drop:]
+    # the accumulator's axes: (k_{d-1}, ell_{d-1}, k_0, ell_0, ..., k_{d-2}, ell_{d-2})
+    pairs = tuple(x for a in axes[-1:] + axes[:-1] for x in (a.size, a.size))
+    to_rows = (*range(2, 2 * d, 2), 0, *range(3, 2 * d, 2), 1)
+    last_first = (d - 1, *range(d - 1))
+    sums = []
+    for a in arrays:  # each array's work arrays are dropped before the next's are made
+        aw = np.zeros(ext)
+        aw[crop] = a[crop] * half
+        acc = np.zeros(pairs)
+        term = np.empty(pairs)
+        for part in _sign_partials(aw[read].transpose(last_first).copy(), tables[:-1]):
+            for tab in tables[-1]:
+                acc += part.take(tab, axis=0, out=term, mode="clip")
+            del part  # before the next partial is taken
+        del term
+        full = acc.transpose(to_rows).reshape(size, size)
+        del acc
+        sums.append(np.ascontiguousarray(full[1:, 1:]) if drop else full)
+        del full
     return sums
+
+
+def _sign_partials(part: np.ndarray, tables, t: int = 0):
+    """The takes of part along the axes of tables, one sign of each in
+    pattern order; part's axis 2t + 1 is the next axis to take, and one
+    partial per axis is live."""
+    if t == len(tables):
+        yield part
+        return
+    for tab in tables[t]:
+        yield from _sign_partials(part.take(tab, axis=2 * t + 1), tables, t + 1)
 
 
 def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
@@ -415,12 +445,13 @@ class InverseBound:
 # Peak number of live m_b x m_b double arrays in the K_N stage, m_b being
 # the largest block; one block is live at a time.  The peak falls in the
 # certified inverse norm: the block's midpoint and radius, the approximate
-# inverse or its Gram matrix, and |C|, C A or the LAPACK copies.  Measured
-# on the canonical 2-d and 3-d equilibria (OpenBLAS, 1 thread): the
-# tracemalloc peak of derivative_inverse_bound is 5.45 and 5.08 m_b^2 at
-# 2-d N=28 and 48 (m_b = 196, 576), 6.77 and 5.27 at 3-d N=12 and 16 (m_b =
-# 216, 512), and the rise of the peak RSS 6.48 and 6.35 at 2-d N=64 and 3-d
-# N=20.
+# inverse or its Gram matrix, and |C|, C A or the LAPACK copies; the
+# assembly's sums peak lower, at about 4.4-4.5 m_b^2 (three sums, an
+# accumulator, one take and the partials).  Measured on the canonical 2-d
+# and 3-d equilibria (OpenBLAS, 1 thread): the tracemalloc peak of
+# derivative_inverse_bound is 5.45 and 5.08 m_b^2 at 2-d N=28 and 48 (m_b =
+# 196, 576), 6.25 and 5.26 at 3-d N=12 and 16 (m_b = 216, 512), and the
+# rise of the peak RSS 6.50 and 6.55 at 2-d N=64 and 3-d N=20.
 KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's extent on top of them: the raw
 # midpoint, its absolute value and radius that every block reads, and the

@@ -9,12 +9,16 @@ The product of cosine series factorizes per axis: with raw coefficients
 so it contracts one axis at a time.  Along the last axis each row of a is
 a Toeplitz-plus-Hankel matrix in (k, j), and every earlier axis is a small
 dense 0/1/2 matrix S in (i j, k): a product is a few gathers and gemms.
-There is no error bound here; the ball product (series.multiply) keeps its
-own fold and running error bound.
+The S matrices and the last axis's gather tables depend only on indices:
+each is built once per index set, memoised read-only, and shared by every
+later product (Newton's iterates repeat a few).  There is no error bound
+here; the ball product (series.multiply) keeps its own fold and running
+error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,17 +40,37 @@ def _parity_range(n: int, parity) -> np.ndarray:
     return np.arange(n) if parity is None else np.arange(parity, n, 2)
 
 
-def _axis_product(rows, cols, targets, parity) -> np.ndarray:
-    """S(k; i, j) / 2 for the indices i in rows, j in cols and k in
-    targets (every other index where parity is given), as the matrix (i j;
-    k), built by two scatters through 2-d index arrays."""
-    s = np.zeros((rows.size, cols.size, targets.size))
-    i, j = rows[:, None], cols[None, :]
-    at = np.broadcast_arrays(np.arange(rows.size)[:, None], np.arange(cols.size)[None, :])
+@functools.lru_cache(maxsize=64)
+def _axis_product(rows: tuple, cols: tuple, targets: tuple) -> np.ndarray:
+    """S(k; i, j) / 2 for the indices i in rows, j in _parity_range(*cols)
+    and k in _parity_range(*targets), as the read-only matrix (i j; k),
+    built by two scatters through 2-d index arrays and shared by every
+    product with the same indices."""
+    i, j = np.array(rows, dtype=np.int64)[:, None], _parity_range(*cols)[None, :]
+    size, parity = targets
     step = 1 if parity is None else 2
+    s = np.zeros((i.size, j.size, _parity_range(size, parity).size))
+    at = np.broadcast_arrays(np.arange(i.size)[:, None], np.arange(j.size)[None, :])
     s[(*at, (i + j) // step)] += 0.5
     s[(*at, np.abs(i - j) // step)] += 0.5
-    return s.reshape(-1, targets.size)
+    s = s.reshape(-1, s.shape[2])
+    s.flags.writeable = False
+    return s
+
+
+@functools.lru_cache(maxsize=64)
+def _last_axis_gathers(n: int, cols: tuple, targets: tuple) -> tuple:
+    """The indices of a[k - j], a[k + j] and, for k > 0, a[j - k] in a
+    row of n entries padded by one zero at index n, which every index
+    outside the row reads, for j in _parity_range(*cols) and k in
+    _parity_range(*targets): three read-only (j, k) tables shared by every
+    product with the same indices."""
+    j, k = _parity_range(*cols)[:, None], _parity_range(*targets)[None, :]
+    out = tuple(np.where(ok & (i >= 0) & (i < n), i, n)
+                for i, ok in ((k - j, True), (k + j, True), (j - k, k > 0)))
+    for g in out:
+        g.flags.writeable = False
+    return out
 
 
 def point_conv(a: np.ndarray, b: np.ndarray, budget: float, floor: int) -> np.ndarray:
@@ -72,21 +96,21 @@ def point_conv(a: np.ndarray, b: np.ndarray, budget: float, floor: int) -> np.nd
     parity = _single_parity(b != 0.0)
     target = [None if pb is None or pa is None else (pa + pb) % 2
               for pa, pb in zip(_single_parity(populated), parity)]
-    cols = [_parity_range(nb, par) for nb, par in zip(b.shape, parity)]
-    tgts = [_parity_range(nk, par) for nk, par in zip(full.shape, target)]
+    col_keys, tgt_keys = tuple(zip(b.shape, parity)), tuple(zip(full.shape, target))
+    cols = [_parity_range(*key) for key in col_keys]
+    tgts = [_parity_range(*key) for key in tgt_keys]
     rev = tuple(range(d - 1, -1, -1))
     # a's rows along the last axis, which leads, and a zero at index n
     n = a.shape[-1]
     pad = np.zeros((n + 1,) + tuple(r.size for r in rows[:-1]))
     pad[:n] = np.moveaxis(a[np.ix_(*rows[:-1], range(n))], -1, 0)
-    j, k = cols[-1][:, None], tgts[-1][None, :]
-    gathers = [np.where(ok & (i >= 0) & (i < n), i, n) for i, ok in ((k - j, True), (k + j, True), (j - k, k > 0))]
+    gathers = _last_axis_gathers(n, col_keys[-1], tgt_keys[-1])
     # b / 2 as the matrix (j_{d-1}; j_{d-2}, ..., j_0)
     bt = (0.5 * b[np.ix_(*cols)]).transpose(rev).reshape(cols[-1].size, -1)
     if d == 1:
         full[tgts[0]] = bt[:, 0] @ (pad[gathers[0]] + pad[gathers[1]] + pad[gathers[2]])
         return full
-    S = [_axis_product(*axis) for axis in zip(rows, cols, tgts, target[:-1])]
+    S = [_axis_product(tuple(r.tolist()), *keys) for r, *keys in zip(rows, col_keys, tgt_keys[:-1])]
     I, J, K = ([x.size for x in xs] for xs in (rows, cols, tgts))
     # entries per row of a's first axis: the gathered matrices with one
     # gather's temporary, and each product's result but the last

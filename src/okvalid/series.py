@@ -83,9 +83,13 @@ def nz_grid(extent) -> np.ndarray:
     """Number of nonzero index components over the coefficient grid."""
     return _axis_sum(extent, lambda k: (k != 0).astype(np.int64))
 
-def c_grid(extent) -> np.ndarray:
-    """The float c_k over the coefficient grid."""
-    return C_FLOAT[nz_grid(extent)]
+@functools.lru_cache(maxsize=32)
+def c_grid(extent: tuple) -> np.ndarray:
+    """The float c_k over the coefficient grid, read-only and shared per
+    extent; its nz grid is built in int8, an eighth of c's bytes."""
+    c = C_FLOAT[_axis_sum(extent, lambda k: (k != 0).astype(np.int8))]
+    c.flags.writeable = False
+    return c
 
 
 @functools.lru_cache(maxsize=64)

@@ -327,3 +327,30 @@ def test_newton_reads_the_memory_once_per_solve(monkeypatch):
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
     res = newton_solve(p, parse_seed("mode:1", 1, 32), SolveOptions(n=32))
     assert res.iterations > 1 and len(reads) == 1
+
+
+def test_newton_builds_the_product_plans_once_per_index_set(monkeypatch):
+    # on the canonical 2-d solve the index-only arrays of the float product
+    # (pointconv's S_t / 2 matrices and last-axis gather tables) are built
+    # once per distinct index set and looked up for every other product, as
+    # is the float c grid per extent; all of them are read-only
+    from okvalid import pointconv, series
+
+    caches = (pointconv._axis_product, pointconv._last_axis_gathers, series.c_grid)
+    for cache in caches:
+        cache.cache_clear()
+    counts = _count_products(monkeypatch)
+    p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
+    res = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9))
+    assert res.iterations == 5 and counts["products"] == 2 * (res.iterations + 1)
+    products, gathers, grids = (cache.cache_info() for cache in caches)
+    # one lookup per product and earlier axis; no index set is built twice
+    assert products.hits + products.misses == counts["products"] == gathers.hits + gathers.misses
+    for info in (products, gathers, grids):
+        assert info.misses == info.currsize < info.maxsize and info.hits > info.misses
+    s = pointconv._axis_product((1, 3), (5, None), (9, 1))
+    g = pointconv._last_axis_gathers(4, (5, None), (9, 1))
+    assert s.shape == (10, 4) and [x.shape for x in g] == [(5, 4)] * 3
+    for x in (s, *g, series.c_grid((3, 4))):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1

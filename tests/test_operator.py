@@ -320,22 +320,30 @@ def _galerkin_sums_reference(axes, a):
     (3, (2, 4, 3)), (3, (5, 5, 5)), (3, (6, 7, 5)), (3, (1, 8, 2)),
 ])
 def test_galerkin_sums_match_definition(rng, n, extent):
-    # extents below, equal to and above 2n - 1 per axis, with exact zeros;
-    # the full grid, and the parity classes' sub-grids with and without the
-    # origin when every axis or a random subset of the axes splits
+    # extents below, equal to and above 2n - 1 per axis, with exact zeros of
+    # both signs; the full grid, and the parity classes' sub-grids with and
+    # without the origin when every axis or a random subset of the axes
+    # splits.  Three arrays, as the K_N stage passes them (a midpoint, its
+    # absolute value and a radius); every sum is C-contiguous and equal to
+    # the definition's, sign bits included
     arrays = [rng.standard_normal(extent) * 10.0 ** rng.integers(-3, 4, extent)
-              for _ in range(2)]
+              for _ in range(3)]
     arrays[0][rng.uniform(size=extent) < 0.3] = 0.0
-    arrays[1] = np.abs(arrays[1])
+    arrays[0][rng.uniform(size=extent) < 0.1] = -0.0
+    arrays[1] = np.abs(arrays[0])
+    arrays[2] = np.abs(arrays[2]) * (rng.uniform(size=extent) < 0.5)
     d = len(extent)
     grids = []
     for split in ((False,) * d, (True,) * d, tuple(rng.uniform(size=d) < 0.5)):
         grids += [block.axes for block in operator.parity_blocks(split, n)]
     for axes in grids:
         sums = operator._galerkin_sums(axes, arrays)
-        assert len(sums) == 2
+        assert len(sums) == 3
         for got, a in zip(sums, arrays):
-            assert np.array_equal(got, _galerkin_sums_reference(axes, a)), axes
+            want = _galerkin_sums_reference(axes, a)
+            assert got.flags.c_contiguous, axes
+            assert np.array_equal(got, want), axes
+            assert np.array_equal(np.signbit(got), np.signbit(want)), axes
 
 
 def _same_parity(modes, split):

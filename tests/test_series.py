@@ -1048,16 +1048,23 @@ def test_fold_peak_memory_bounded_by_output(rng):
 def test_point_product_peak_bounded_by_output(rng):
     # multiply_point takes the first axis in chunks: its traced peak stays
     # within a small multiple of the output's bytes, where one chunk would
-    # hold 3.9 outputs after the last-axis product alone (6.4 in all)
+    # hold 3.9 outputs after the last-axis product alone (6.4 in all).  A
+    # cold call also builds the c grids of its extents (3.14 outputs); a
+    # warm call reads them and the product plans from their caches (2.74)
+    from okvalid import pointconv
+
     u = _on_coset(rng, (16, 16, 16), (1, 1, 1), True).center
     v = _on_coset(rng, (31, 31, 31), (0, 0, 0), True).center
-    tracemalloc.start()
-    try:
-        out = multiply_point(u, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * out.nbytes, peak / out.nbytes
+    for cache in (series.c_grid, pointconv._axis_product, pointconv._last_axis_gathers):
+        cache.cache_clear()
+    for bound in (4.0, 2.8):
+        tracemalloc.start()
+        try:
+            out = multiply_point(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * out.nbytes, (bound, peak / out.nbytes)
 
 
 @pytest.mark.parametrize("point", [True, False])
