@@ -35,6 +35,7 @@ from .operator import (
     Linearization,
     ModelParams,
     auto_inverse_bound,
+    ball_powers,
     derivative_inverse_bound,
     fprime_series,
     linearization_coefficient,
@@ -351,15 +352,17 @@ class SolutionBounds:
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     """rho, the linearization of F at u and the sup bounds that the
-    Lipschitz rounds read.
+    Lipschitz rounds read: the residual and f'(u + mu) are both read off
+    one set of ball powers of u + mu (operator.ball_powers).
 
     One SolutionBounds serves every validate of the same solution and
     parameters, whatever the truncation; it memoises the first Lipschitz
     round of each parameter.  Raises CertificationError at stage residual,
     naming each of rho, q_sup and q_h2 that overflowed.
     """
-    rho = residual_norm(p, u).hi
-    fprime = fprime_series(p, u)
+    powers = ball_powers(p, u)
+    rho = residual_norm(p, u, powers).hi
+    fprime = fprime_series(p, u, powers)
     lin = linearization_coefficient(p, fprime)
     bad = [name for name, v in (("rho", rho), ("q_sup", lin.q_sup), ("q_h2", lin.q_h2))
            if not math.isfinite(v)]

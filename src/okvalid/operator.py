@@ -30,6 +30,7 @@ from .intervals import (
     mat_inverse_norm2_upper,
     sum_enclosure,
 )
+from .pointconv import _parity, _projections
 from .series import (
     C_FLOAT,
     CosineSeries,
@@ -41,7 +42,6 @@ from .series import (
     nz_grid,
     sup_bound,
     _raw_mid_rad,
-    _single_parity,
 )
 
 
@@ -117,7 +117,9 @@ def _trim(coeffs) -> tuple:
 
 
 def poly_eval_series(coeffs, v: CosineSeries) -> CosineSeries:
-    """Horner evaluation of a polynomial on a series (exact convolutions)."""
+    """Horner evaluation of a polynomial on a series (exact convolutions):
+    deg products, the first by a constant.  The rigorous path reads f and
+    f' off ball_powers instead; this is an evaluation independent of it."""
     coeffs = _trim(coeffs)
     acc = CosineSeries.zeros((1,) * v.dim).add_constant(coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -125,28 +127,52 @@ def poly_eval_series(coeffs, v: CosineSeries) -> CosineSeries:
     return acc
 
 
+def ball_powers(p: ModelParams, u: CosineSeries) -> list:
+    """The ball powers [v, v^2, ..., v^deg] of v = u + mu, deg >= 1 the
+    degree of f: deg - 1 products, from which poly_series reads both f(v)
+    and f'(v), as point_powers does for Newton."""
+    v = u.add_constant(p.mu)
+    powers = [v]
+    for _ in range(len(_trim(p.f_coeffs)) - 2):
+        powers.append(multiply(v, powers[-1]))
+    return powers
+
+
+def poly_series(coeffs, powers: list) -> CosineSeries:
+    """sum_j coeffs[j] v^j from ball_powers' [v, v^2, ...], by scale and +;
+    a term with a zero coefficient is left out."""
+    coeffs = _trim(coeffs)
+    acc = CosineSeries.zeros((1,) * powers[0].dim).add_constant(coeffs[0])
+    for c, vj in zip(coeffs[1:], powers):
+        if c != 0.0:
+            acc = acc + vj.scale(c)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # residual and linearization (rigorous path)
 # ---------------------------------------------------------------------------
 
-def residual_series(p: ModelParams, u: CosineSeries) -> CosineSeries:
-    """Exact interval series of F(p, u); the k=0 mode vanishes identically."""
+def residual_series(p: ModelParams, u: CosineSeries, powers: list | None = None) -> CosineSeries:
+    """Exact interval series of F(p, u); the k=0 mode vanishes identically.
+    powers is ball_powers(p, u), formed here when None."""
     if not u.zero_mean:
         raise IntervalDomainError("residual requires a zero-mean series")
-    w = poly_eval_series(p.f_coeffs, u.add_constant(p.mu))
+    w = poly_series(p.f_coeffs, ball_powers(p, u) if powers is None else powers)
     inner = laplacian(u, 1) + w.scale(p.lam)
     lam_sigma = Interval(p.lam) * Interval(p.sigma)
     return (-laplacian(inner, 1)) + u.scale(-lam_sigma)
 
 
-def residual_norm(p: ModelParams, u: CosineSeries) -> Interval:
+def residual_norm(p: ModelParams, u: CosineSeries, powers: list | None = None) -> Interval:
     """Enclosure of ||F(p,u)|| in the (-2)-weighted zero-mean norm; .hi is rho."""
-    return norm(residual_series(p, u), "Hbar", -2)
+    return norm(residual_series(p, u, powers), "Hbar", -2)
 
 
-def fprime_series(p: ModelParams, u: CosineSeries) -> CosineSeries:
-    """Exact interval series of f'(u + mu)."""
-    return poly_eval_series(p.fp_coeffs, u.add_constant(p.mu))
+def fprime_series(p: ModelParams, u: CosineSeries, powers: list | None = None) -> CosineSeries:
+    """Exact interval series of f'(u + mu); powers is ball_powers(p, u),
+    formed here when None."""
+    return poly_series(p.fp_coeffs, ball_powers(p, u) if powers is None else powers)
 
 
 class Linearization(NamedTuple):
@@ -196,7 +222,7 @@ def split_axes(q: CosineSeries) -> tuple:
 
 
 def _even_axes(support: np.ndarray) -> tuple:
-    return tuple(par == 0 for par in _single_parity(support))
+    return tuple(_parity(idx) == 0 for idx in _projections(support))
 
 
 class ParityBlock(NamedTuple):

@@ -1,4 +1,5 @@
-"""Newton's float cosine-product convolution, on matrix products.
+"""The cosine-product convolution on matrix products, with an a-priori
+rounding bound.
 
 The product of cosine series factorizes per axis: with raw coefficients
 (alpha_k c_k, see okvalid.series), the fold of a and b is
@@ -11,9 +12,16 @@ a Toeplitz-plus-Hankel matrix in (k, j), and every earlier axis is a small
 dense 0/1/2 matrix S in (i j, k): a product is a few gathers and gemms.
 The S matrices and the last axis's gather tables depend only on indices:
 each is built once per index set, memoised read-only, and shared by every
-later product (Newton's iterates repeat a few).  There is no error bound
-here; the ball product (series.multiply) keeps its own fold and running
-error bound.
+later product (Newton's iterates repeat a few).
+
+point_conv returns, with the fold, a bound n on the roundings along any
+product term's path, derived from the index sets of the call.  Any
+summation order then keeps the float fold within gamma_n sum |terms| of
+the exact one, plus 2^-1075 per product below the normal range (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3).  The ball product
+(series.multiply) builds its midpoint-radius enclosure on that bound, and
+Newton's float product (series.multiply_point) runs on the same kernel
+without it: there is one convolution in the program.
 """
 
 from __future__ import annotations
@@ -23,21 +31,38 @@ import math
 
 import numpy as np
 
+# the arrays of one chunk of a's first axis hold at most this many times the
+# output's entries or, where more, the floor's (1 MiB of doubles; at least
+# one row)
+_PARTIAL_BUDGET = 1.0
+_PARTIAL_FLOOR = 2**17
 
-def _single_parity(support: np.ndarray) -> list:
-    """Per axis, the parity of every index where support holds, or None
-    where both parities occur."""
-    out = []
-    for j in range(support.ndim):
-        along = np.moveaxis(support, j, 0)
-        even, odd = along[0::2].any(), along[1::2].any()
-        out.append(None if even and odd else int(odd))
-    return out
+
+def _projections(support: np.ndarray) -> list:
+    """Per axis, the indices at which support holds somewhere."""
+    d = support.ndim
+    return [np.flatnonzero(support.any(axis=tuple(s for s in range(d) if s != t)))
+            for t in range(d)]
+
+
+def _parity(indices: np.ndarray):
+    """The parity of every index in indices, or None where both occur (0
+    where there are none)."""
+    odd = int(np.count_nonzero(indices & 1))
+    return None if 0 < odd < indices.size else int(odd > 0)
 
 
 def _parity_range(n: int, parity) -> np.ndarray:
     """The indices below n, those of one parity where parity is given."""
     return np.arange(n) if parity is None else np.arange(parity, n, 2)
+
+
+def _parity_slice(parity) -> slice:
+    return slice(None) if parity is None else slice(parity, None, 2)
+
+
+def _parity_count(n: int, parity) -> int:
+    return n if parity is None else (n - parity + 1) // 2
 
 
 @functools.lru_cache(maxsize=64)
@@ -73,50 +98,67 @@ def _last_axis_gathers(n: int, cols: tuple, targets: tuple) -> tuple:
     return out
 
 
-def point_conv(a: np.ndarray, b: np.ndarray, budget: float, floor: int) -> np.ndarray:
-    """The fold of raw float arrays a (the sparser factor) and b.
+def point_conv(a: np.ndarray, b: np.ndarray):
+    """The fold of raw float arrays a (the sparser factor) and b, and n,
+    a bound on the roundings along any product term's path.
 
     Along the last axis each row of a becomes its Toeplitz-plus-Hankel
     matrix sum_i a_i S(k; i, j): three gathers of a[k - j], a[k + j] and,
     for k > 0, a[j - k] from the row padded by one zero, which every index
-    outside the row reads.  One matrix product contracts that axis with b;
-    each earlier axis t is one (batched) product with the dense S_t / 2 on
-    a's populated indices, b's and the targets.  Each axis of b, and of the
-    targets, is compacted to its parity where it has one, so the other
-    parity holds exact zeros; so does every entry that only products with a
-    zero factor reach.  The first axis of a is taken in chunks whose arrays
-    hold at most budget times the output's entries, or floor.
+    outside the row reads.  One matrix product contracts that axis with
+    b / 2; each earlier axis t is one (batched) product with the dense
+    S_t / 2 on a's I_t populated indices, b's and the targets.  Each axis
+    of b, and of the targets, is compacted to its parity where it has one,
+    so the other parity holds exact zeros; so does every entry that only
+    products with a zero factor reach.  The first axis of a is taken in
+    chunks whose arrays hold at most _PARTIAL_BUDGET times the output's
+    entries, or _PARTIAL_FLOOR.
+
+    The roundings on one term's path: the gather's two additions; the
+    scaling by b / 2; J along the last axis (one product and at most J - 1
+    additions), J its compacted extent of b; at most 2 I_t per earlier
+    axis, since for a target k_t and a row i_t at most two j_t have S
+    nonzero, so at most 2 I_t - 1 additions are not of exact zeros, and
+    the weights 0.5 and 1 are exact; and one per chunk after the first,
+    where the chunks' results add up.  So
+
+        n = 3 + J + 2 sum_{t < d-1} I_t + (chunks - 1).
+
+    An operation counted here is exact unless it rounds (relatively) or
+    underflows; where the operands are zero or at least 2^-1021 in
+    magnitude, as the ball product's are, b / 2 and the gathers' sums are
+    exact below the normal range, so only products underflow.
     """
     d = a.ndim
     full = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
-    populated = a != 0.0
-    rows = [np.flatnonzero(populated.any(axis=tuple(s for s in range(d) if s != t))) for t in range(d)]
+    rows = _projections(a != 0.0)
     if rows[0].size == 0:
-        return full
-    parity = _single_parity(b != 0.0)
+        return full, 0
+    parity = [_parity(c) for c in _projections(b != 0.0)]
     target = [None if pb is None or pa is None else (pa + pb) % 2
-              for pa, pb in zip(_single_parity(populated), parity)]
+              for pa, pb in zip(map(_parity, rows), parity)]
     col_keys, tgt_keys = tuple(zip(b.shape, parity)), tuple(zip(full.shape, target))
-    cols = [_parity_range(*key) for key in col_keys]
-    tgts = [_parity_range(*key) for key in tgt_keys]
+    I = [r.size for r in rows]
+    J = [_parity_count(*key) for key in col_keys]
+    K = [_parity_count(*key) for key in tgt_keys]
     rev = tuple(range(d - 1, -1, -1))
     # a's rows along the last axis, which leads, and a zero at index n
     n = a.shape[-1]
-    pad = np.zeros((n + 1,) + tuple(r.size for r in rows[:-1]))
-    pad[:n] = np.moveaxis(a[np.ix_(*rows[:-1], range(n))], -1, 0)
+    pad = np.zeros((n + 1,) + tuple(I[:-1]))
+    pad[:n] = np.moveaxis(a[np.ix_(*rows[:-1])] if d > 1 else a, -1, 0)
     gathers = _last_axis_gathers(n, col_keys[-1], tgt_keys[-1])
     # b / 2 as the matrix (j_{d-1}; j_{d-2}, ..., j_0)
-    bt = (0.5 * b[np.ix_(*cols)]).transpose(rev).reshape(cols[-1].size, -1)
+    bt = (0.5 * b[tuple(map(_parity_slice, parity))]).transpose(rev).reshape(J[-1], -1)
+    targets = tuple(map(_parity_slice, target))
     if d == 1:
-        full[tgts[0]] = bt[:, 0] @ (pad[gathers[0]] + pad[gathers[1]] + pad[gathers[2]])
-        return full
+        full[targets] = bt[:, 0] @ (pad[gathers[0]] + pad[gathers[1]] + pad[gathers[2]])
+        return full, 3 + J[0]
     S = [_axis_product(tuple(r.tolist()), *keys) for r, *keys in zip(rows, col_keys, tgt_keys[:-1])]
-    I, J, K = ([x.size for x in xs] for xs in (rows, cols, tgts))
     # entries per row of a's first axis: the gathered matrices with one
     # gather's temporary, and each product's result but the last
     per_row = 2 * J[-1] * K[-1] * math.prod(I[1:-1]) + sum(
         K[-1] * math.prod(I[1:t]) * math.prod(J[:t]) * math.prod(K[t:-1]) for t in range(1, d))
-    chunk = max(1, int(max(budget * full.size, floor) // per_row))
+    chunk = max(1, int(max(_PARTIAL_BUDGET * full.size, _PARTIAL_FLOOR) // per_row))
     acc = np.zeros(K[::-1])
     for lo in range(0, I[0], chunk):
         c = min(chunk, I[0] - lo)
@@ -135,5 +177,6 @@ def point_conv(a: np.ndarray, b: np.ndarray, budget: float, floor: int) -> np.nd
             x = x.reshape(pre, s.shape[0], -1)
             x = x[:, :, 0] @ s if x.shape[2] == 1 else np.matmul(x.transpose(0, 2, 1), s)
         acc += x.reshape(acc.shape)
-    full[np.ix_(*tgts)] = acc.transpose(rev)
-    return full
+    full[targets] = acc.transpose(rev)
+    chunks = -(-I[0] // chunk)
+    return full, 3 + J[-1] + 2 * sum(I[:-1]) + chunks - 1

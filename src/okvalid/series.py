@@ -14,17 +14,15 @@ operation rounds up one step unless it is exact, so a point zero stays
 exact, and so does the k=0 coefficient of a zero-mean series.
 
 Products fold raw coefficients alpha_k c_k, formed with the float c_k
-(exact where c_k is 1 or 2).  The cosine product factorizes per axis, so
-both products contract one axis at a time, and along an axis where the
-denser factor's support has a single parity they skip the other parity,
-whose terms are exact zeros.  The ball product runs its float fold on
-midpoints with Wilkinson's running error bound, adds the radii's spread and
-scales back by the float 1/c_k inside its rounding budget: a first pass
-forms every product term along the last axis, each later pass adds the
-partial folds along one more axis, and the running error bound follows that
-summation tree; in 1-d the first pass is the whole fold.  Newton's float
-product has no error bound to carry, so it runs on matrix products: one
-gather of Toeplitz-plus-Hankel matrices and a few gemms per product.
+(exact where c_k is 1 or 2), on the one convolution kernel of
+okvalid.pointconv: a gather of Toeplitz-plus-Hankel matrices and a few gemms,
+skipping along each axis the parity whose terms are exact zeros.  The
+kernel bounds the roundings on a product term's path a priori (gamma_n), so
+the ball product is Rump's midpoint-radius product: the float fold of the
+midpoints, two folds of magnitudes for the radius, which carry gamma_n
+|Am| * |Bm| beside the radii's spread, and the scaling back by the float
+1/c_k inside the rounding budget.  Newton's float product is the midpoint
+fold alone.
 """
 
 from __future__ import annotations
@@ -54,14 +52,16 @@ from .intervals import (
     mid_rad,
     mul_toward,
 )
-from .pointconv import _single_parity, point_conv
+from .pointconv import point_conv
 
 # c_k and 1/c_k rounded to nearest by number of nonzero index components nz
 # (sqrt is correctly rounded): exact where nz is even, within 0.62 u of
 # exact, relatively, where it is odd
 C_FLOAT = np.array([1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0)])
 _C_INV_FLOAT = np.array([1.0, math.sqrt(0.5), 0.5, 0.5 * math.sqrt(0.5)])
-# the least magnitude whose product by 2^-d, d <= 3, is a normal double
+# the fold operands are zero or at least this in magnitude, so point_conv's
+# halving of b and its gathers' sums are exact (2^-d times it, d <= 3, is a
+# normal double)
 _FOLD_MIN = 2.0**-1019
 
 
@@ -152,17 +152,6 @@ class CosineSeries:
         u = cls(a, np.zeros(a.shape))
         if zero_mean and not u.zero_mean:
             raise IntervalDomainError("zero-mean series with nonzero k=0 mode")
-        return u
-
-    @classmethod
-    def hull(cls, lo, hi) -> "CosineSeries":
-        """Balls enclosing the interval coefficients [lo, hi]."""
-        return cls(*mid_rad(lo, hi))
-
-    @classmethod
-    def single_mode(cls, extent, k, amplitude: float = 1.0) -> "CosineSeries":
-        u = cls.zeros(extent)
-        u.center[tuple(int(ki) for ki in k)] = amplitude
         return u
 
     # -- basics --------------------------------------------------------------
@@ -325,172 +314,6 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 # products
 # ---------------------------------------------------------------------------
 
-# the partial arrays of one chunk of rows (the ball product's partial folds
-# with their error bound, or those of pointconv.point_conv) hold at most
-# this many times the output stack's entries or, where more, the floor's
-# (1 MiB of doubles; at least one row)
-_PARTIAL_BUDGET = 1.0
-_PARTIAL_FLOOR = 2**17
-
-
-def _axis_segments(ai: int, nb: int, parity: int | None, compact: bool = False) -> list:
-    """(target, source) slice pairs of one axis for the shift by index ai.
-
-    cos(a t) cos(b t) = (cos((a+b)t) + cos(|a-b|t)) / 2, applied per axis;
-    the |a-b| branch splits into a reversed and a forward slice.  Given a
-    parity, the pairs keep only the sources of that parity, every other one,
-    as slices of the compacted axis [parity::2], and the targets stride by
-    2; compact, the targets are slices of the output's compacted axis too.
-    """
-    m = min(ai, nb - 1)
-    step = 1 if parity is None else 2
-    segs = []
-    # (first target, first source, length, source direction)
-    for t0, s0, length, sgn in ((ai, 0, nb, 1), (ai - m, m, m + 1, -1), (1, ai + 1, nb - 1 - ai, 1)):
-        i0 = 0 if parity is None else (s0 - parity) % 2
-        count = -(-(length - i0) // step)
-        if count <= 0:
-            continue
-        src = (s0 + sgn * i0) // step
-        stop = src + sgn * count
-        tgt = (t0 + i0) // 2
-        # a reversed segment always ends at source 0
-        segs.append((
-            slice(tgt, tgt + count) if compact else slice(t0 + i0, t0 + length, step),
-            slice(src, stop if stop >= 0 else None, sgn),
-        ))
-    return segs
-
-
-def _fold_last_axis(a, b, segments, out, err) -> None:
-    """Pass 1 of the separable fold: every product term, along the last axis.
-
-    a holds the folds' rows (compacted) on the leading axes and the last
-    axis' populated indices; out[f, i, j, k] += a[f, i, p] 2^-d b[f, j, l]
-    for each segment pair (k, l) of index p, i and j running over every row
-    of a and b at once.  fold 0 accumulates the running error bound in err:
-    each product t adds |t| + |s|, s the partial sum, unless the row of a is
-    zero there, where the sum is exact.
-    """
-    lead = a.ndim - 2
-    w_shape = a.shape[:-1] + (1,) * (lead + 1)
-    bv = b.reshape(b.shape[:1] + (1,) * lead + b.shape[1:])
-    half = 0.5 ** (lead + 1)
-    for p, segs in enumerate(segments):
-        w = a[..., p].reshape(w_shape) * half
-        keep = w[0] != 0.0
-        for out_sl, b_sl in segs:
-            t = w * bv[..., b_sl]
-            s = out[..., out_sl]
-            s += t
-            err[..., out_sl] += np.abs(t[0]) + np.abs(s[0]) * keep
-
-
-def _fold_axis(part, perr, t: int, segments, out, err) -> None:
-    """A later pass: add the partial folds along axis t.
-
-    part holds the rows of a on axes 0..t, the rows of b on axes 0..t and
-    the outputs on the later axes; out[f, i, j, k, ...] += part[f, i, p, j,
-    l, ...] for each segment pair (k, l) of row p.  Each partial fold's
-    error bound travels with it, and each addition adds |s|.
-    """
-    at = (slice(None),) * (2 * t)
-    every = (slice(None),)
-    for p, segs in enumerate(segments):
-        slab = part[every + at[:t] + (p,)]
-        eslab = perr[at[:t] + (p,)]
-        for out_sl, b_sl in segs:
-            s = out[every + at + (out_sl,)]
-            s += slab[every + at + (b_sl,)]
-            err[at + (out_sl,)] += eslab[at + (b_sl,)] + np.abs(s[0])
-
-
-def _raw_conv(a: np.ndarray, b: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """The ball product's cosine-product convolutions of raw coefficient
-    arrays in float, the first with its running error bound.
-
-    a and b stack the operands of several folds on their leading axis, and
-    out[f] is the fold of a[f] with b[f].  The product factorizes per axis,
-    out[k] = sum_{i,j} a_i 2^-d b_j prod_t S(k_t; i_t, j_t) with
-    S(k; i, j) = [k = i + j] + [k = |i - j|], so the fold contracts one
-    axis at a time: pass 1 forms every product term along the last axis,
-    for all rows of a and b on the other axes at once, and each later pass
-    adds the partial folds along one more axis.  One slice pass per segment
-    of each row index serves every fold and every row.
-
-    a is compacted, per axis, to the indices where some fold is nonzero;
-    where a[f] is zero inside that grid, fold f adds exact zeros (or NaN
-    against an infinite b[f]).  On every axis where the support of b (every
-    fold) has a single parity, b is compacted to it: a dropped term
-    multiplies a point zero, so it is an exact zero (or NaN against an
-    infinite a[f], where the product of the point zero is the exact zero
-    too), and s + 0 = s.  Where a's indices have a single parity too, so do
-    the targets, and the partial folds hold only those.  The first axis of a
-    is taken in chunks of rows whose partial folds hold at most
-    _PARTIAL_BUDGET times the output stack's entries, or _PARTIAL_FLOOR;
-    every row reaches the last pass in order, so chunks change no bit.  In
-    1-d pass 1 is the whole fold, the loop over a's populated modes.
-
-    Fold 0 accumulates Wilkinson's running error bound in err (zeros of
-    one output's shape) through the summation tree: each
-    product t adds |t| + |s|, s the sum it enters, and each later addition
-    adds the partial's own bound + |s|; a product of a zero a[0] adds
-    nothing, since its sum is exact.  The rounding error of every output
-    entry is at most u err plus 2^-1075 per underflowing product (Higham,
-    Accuracy and Stability, sec. 3.3), for this tree as for any other,
-    provided every w = a 2^-d is exact.
-    """
-    d = a.ndim - 1
-    fold = a.shape[0]
-    full = np.zeros(a.shape[:1] + tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
-    populated = (a != 0.0).any(axis=0)
-    rows = [np.flatnonzero(populated.any(axis=tuple(s for s in range(d) if s != t))) for t in range(d)]
-    if rows[0].size == 0:
-        return full
-    parity = _single_parity((b != 0.0).any(axis=0))
-    # where a's rows and b both have a single parity, so do the targets
-    target = [None if pb is None or pa is None else (pa + pb) % 2
-              for pa, pb in zip(_single_parity(populated), parity)]
-    segments = [
-        [_axis_segments(int(i), nb, pb, pt is not None) for i in idx]
-        for idx, nb, pb, pt in zip(rows, b.shape[1:], parity, target)
-    ]
-    a = a[np.ix_(range(fold), *rows)]
-    b = b[_classes(parity)]
-    out = full[_classes(target)]
-    err = err[_classes(target)[1:]]
-    if d == 1:
-        _fold_last_axis(a, b, segments[0], out, err)
-        return full
-    r, m, n = a.shape[1:], b.shape[1:], out.shape[1:]
-
-    def partial(t, c):
-        """Shape of one partial fold of c rows after the passes t..d-1."""
-        return (c,) + r[1:t] + m[:t] + n[t:]
-
-    # entries of the partial folds, and of their error bound, per row
-    per_row = (fold + 1) * sum(math.prod(partial(t, 1)) for t in range(1, d))
-    chunk = max(1, int(max(_PARTIAL_BUDGET * full.size, _PARTIAL_FLOOR) // per_row))
-    for lo in range(0, r[0], chunk):
-        c = min(chunk, r[0] - lo)
-        part = np.zeros((fold,) + partial(d - 1, c))
-        perr = np.zeros(part.shape[1:])
-        _fold_last_axis(a[:, lo:lo + c], b, segments[-1], part, perr)
-        for t in range(d - 2, 0, -1):
-            nxt = np.zeros((fold,) + partial(t, c))
-            nerr = np.zeros(nxt.shape[1:])
-            _fold_axis(part, perr, t, segments[t], nxt, nerr)
-            part, perr = nxt, nerr
-        _fold_axis(part, perr, 0, segments[0][lo:lo + c], out, err)
-    return full
-
-
-def _classes(parity) -> tuple:
-    """Index of a fold stack's parity class: [p::2] on every axis with a
-    single parity p."""
-    return (slice(None),) + tuple(slice(None) if par is None else slice(par, None, 2) for par in parity)
-
-
 @np.errstate(over="ignore")  # an overflowed entry is inf, which the callers' enclosures make unbounded
 def _raw_mid_rad(u: CosineSeries):
     """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k.
@@ -499,7 +322,7 @@ def _raw_mid_rad(u: CosineSeries):
     point coefficient keeps a zero radius there.  Where nz is odd and M is
     normal, M is within (0.62 u (1 + u) + u) |M| < 2^-52 |M| of center_k
     c_k; the radius, rounded up, gains 2^-52 |M| and one more upward step.
-    Below _FOLD_MIN the fold's scaling by 2^-d would round, so smaller
+    Below _FOLD_MIN the fold's halving could round, so smaller
     midpoints move into the radius (the upward step also covers their
     underflow) and smaller radii round up to _FOLD_MIN.
     """
@@ -518,31 +341,40 @@ def _raw_mid_rad(u: CosineSeries):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
-    """Exact product of two series (no truncation), in midpoint-radius form.
+    """Exact product of two series (no truncation), in midpoint-radius form
+    (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).
 
-    With raw coefficients A in <Am, Ar> and B in <Bm, Br>, every product of
-    members lies within |Am|*Br + Ar*(|Bm| + Br) of Am*Bm, * being the fold.
-    The float fold of Am*Bm is off by at most u times its running error
-    bound plus 2^-1075 per underflowing product (Higham, sec. 3.3), for its
-    summation tree as for any other.  A fold adds at most p = 3^d nnz(A)
-    product terms into one entry; in any tree each of them passes through
-    at most p - 1 additions, so _ball_up's a-priori gamma_p factor covers
-    the rounding of the radius folds (Higham, ch. 3 and 4).  The error sum
-    follows the same tree: the pass along axis t adds into an entry at most
-    n_t <= 3 nnz(A) increments, each a product's |t| + |s| or a partial's
-    bound + |s|, so every |t| and |s| passes through at most
-    n_1 + ... + n_d <= 3 d nnz(A) <= p roundings, and gamma_p covers it too.
-    The products are the same terms in every tree, at most p per entry, so
-    _ball_up's constant covers the underflow of all three folds.
+    With raw coefficients A in <Am, Ar> (the factor with fewer populated
+    modes) and B in <Bm, Br>, every product of members lies within
+    |Am|*Br + Ar*(|Bm| + Br) of Am*Bm, * being the fold.  Every fold runs on
+    pointconv.point_conv, which also returns n, its bound on the roundings
+    along a product term's path: c = fl(Am*Bm) is within gamma_n |Am|*|Bm|
+    of Am*Bm, plus the underflow below.  So the raw radius is
+    fl(|Am|*B1) + fl(Ar*(|Bm| + Br)), with B1 = gamma_n |Bm| + Br rounded
+    up: gamma_n |Am|*|Bm| rides on the |Am|*Br fold.  A radius fold whose
+    factor B1, or Ar, is zero everywhere adds only exact zeros, so it is
+    left out: it cannot meet an infinite radius of the other factor.  Each
+    radius fold sums nonnegative terms, so it is at least (1 - gamma_m)
+    times its exact value, m its own bound, less underflow; _ball_up's
+    gamma_{m+1} factor covers the larger m, and 1 - u covers |Bm| + Br.
+
+    Every operand is zero or at least _FOLD_MIN in magnitude (B1 is raised
+    to it), so only products underflow.  A term's path holds one product on
+    the last axis and one per earlier axis, and at most 2^d nnz(A) of each
+    reach an entry (along an axis, a row i and a target k pair with at most
+    two j), so an entry of each fold gathers at most d 2^d nnz(A) <= p =
+    3^d nnz(A) products below the normal range, the count that _ball_up's
+    constant covers.
+
     The raw C +- rho becomes fl(C w) +- fl(rho w), w the float 1/c_m, exact
     where nz is even.  Where it is odd, w's error is one factor more for
-    rho, hence gamma_{p+1}, and fl(C w) is within (0.62 u (1 + u) + u)
+    rho, hence gamma_{m+1}, and fl(C w) is within (0.62 u (1 + u) + u)
     |fl(C w)| < 2^-52 |fl(C w)| of C / c_m, which the radius gains.  Entries
-    that no pair of nonzero coefficients reaches are the exact zero (0, 0).
+    that no pair of nonzero coefficients reaches, where the fold of the
+    supports is zero, are the exact zero (0, 0).
     """
     if u.dim != v.dim:
         raise ValueError("product of series with different dimensions")
-    # iterate over the factor with fewer populated modes
     nu = int(np.count_nonzero(u.support()))
     nv = int(np.count_nonzero(v.support()))
     if nv < nu:
@@ -550,28 +382,20 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
         nu = nv
     am, ar, asup = _raw_mid_rad(u)
     bm, br, bsup = _raw_mid_rad(v)
-    err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
-    # the radius terms |Am|*Br and Ar*(|Bm| + Br) are exactly zero where Br,
-    # or Ar, is zero everywhere (centers are finite): their folds are left
-    # out, so they add nothing, not even 0 * inf = NaN against an infinite
-    # radius of the other factor
-    pairs = [(am, bm)]
-    pairs += [(np.abs(am), br)] if br.any() else []
-    pairs += [(ar, np.abs(bm) + br)] if ar.any() else []
-    pairs.append((asup, bsup))
-    c, *radii, reach = _raw_conv(
-        np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), err
-    )
-    rad = err * 2.0**-53
-    for r in radii:
-        rad += r
+    c, n = point_conv(am, bm)
+    b1 = add_toward(mul_toward(_up(float(_gamma(n))), np.abs(bm), _INF), br, _INF)
+    b1[(b1 > 0.0) & (b1 < _FOLD_MIN)] = _FOLD_MIN
+    rad, m = point_conv(np.abs(am), b1) if b1.any() else (np.zeros(c.shape), 0)
+    if ar.any():
+        r2, m2 = point_conv(ar, np.abs(bm) + br)
+        rad += r2
+        m = max(m, m2)
     nz = nz_grid(c.shape)
     c *= _C_INV_FLOAT[nz]
     rad *= _C_INV_FLOAT[nz]
     rad += np.abs(c) * (nz % 2 * 2.0**-52)
-    p = 3**u.dim * nu
-    c, rad = _ball_up(c, rad, p, _gamma(p + 1))
-    unreached = reach == 0.0
+    c, rad = _ball_up(c, rad, 3**u.dim * nu, _gamma(m + 1))
+    unreached = point_conv(asup, bsup)[0] == 0.0
     c[unreached] = 0.0
     rad[unreached] = 0.0
     return CosineSeries(c, rad)
@@ -579,12 +403,12 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float product in normalized coefficients (Newton path), without an
-    error bound: pointconv.point_conv of the raw coefficients, scaled back
-    by the float c_k.  Entries that no pair of nonzero coefficients reaches
+    error bound: the fold of the raw coefficients on pointconv.point_conv,
+    as in multiply, scaled back by the float c_k.  Entries that no pair of nonzero coefficients reaches
     are exact zeros."""
     if np.count_nonzero(b) < np.count_nonzero(a):
         a, b = b, a
-    raw = point_conv(a * c_grid(a.shape), b * c_grid(b.shape), _PARTIAL_BUDGET, _PARTIAL_FLOOR)
+    raw, _ = point_conv(a * c_grid(a.shape), b * c_grid(b.shape))
     raw /= c_grid(raw.shape)
     return raw
 

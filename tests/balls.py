@@ -1,4 +1,5 @@
-"""Test-side ball and interval helpers that the program itself does not need.
+"""Test-side ball, interval and series helpers that the program itself does
+not need.
 
 The entrywise ball matrix product mat_mul and mat_sub_identity form the
 defect C A - I as an m x m ball matrix, the form that the certified norm
@@ -19,6 +20,7 @@ from okvalid.intervals import (
     ball_add,
     mid_rad,
 )
+from okvalid.series import CosineSeries
 
 
 def width(iv: Interval) -> float:
@@ -35,6 +37,18 @@ def contains(iv: Interval, x) -> bool:
 def ball_hull(lo, hi) -> BallMatrix:
     """Balls enclosing the interval matrix [lo, hi]."""
     return BallMatrix(*mid_rad(lo, hi))
+
+
+def hull(lo, hi) -> CosineSeries:
+    """The series of balls enclosing the interval coefficients [lo, hi]."""
+    return CosineSeries(*mid_rad(lo, hi))
+
+
+def single_mode(extent, k, amplitude: float = 1.0) -> CosineSeries:
+    """The point series amplitude phi_k in the given extent."""
+    u = CosineSeries.zeros(extent)
+    u.center[tuple(int(ki) for ki in k)] = amplitude
+    return u
 
 
 def transpose(a: BallMatrix) -> BallMatrix:

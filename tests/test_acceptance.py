@@ -38,17 +38,18 @@ from test_intervals import run_containment_fuzz
 _CERTS = []  # valid certificates emitted by the end-to-end criteria
 
 # Certificate ratchet: the canonical certificates may only get sharper than
-# the values recorded when Newton's float products moved to matrix products
-# (OpenBLAS, 2 threads).  The relative slack absorbs the BLAS summation
-# order, which varies with the thread count.
+# the values recorded when the ball product moved onto the matrix-product
+# kernel of Newton's products, with an a-priori rounding bound (OpenBLAS, 2
+# threads).  The relative slack absorbs the BLAS summation order, which
+# varies with the thread count.
 _RATCHET_SLACK = 1e-13
-_RATCHET_1D = {"kn": 11.334125006543953, "k": 16.29533632979211, "rho": 1.0312339122181068e-12}
-_RATCHET_1D_DA = {"lambda": 6.057043224801961e-4, "sigma": 6.407175033434586e-5,
-                  "mu": 1.5466674786988582e-6}
-_RATCHET_2D = {"kn": 13.333457424541841, "k": 42.38408960875141, "rho": 4.159223258887295e-9}
-_RATCHET_2D_DA = 2.2679268601947085e-5
-_RATCHET_3D = {"kn": 7.268621795880997, "k": 24.128677421453308, "rho": 6.910683745185146e-7}
-_RATCHET_3D_DA = 4.531949947343988e-4
+_RATCHET_1D = {"kn": 11.334125006543196, "k": 16.295336329790974, "rho": 6.574915259970989e-13}
+_RATCHET_1D_DA = {"lambda": 6.057043247668445e-4, "sigma": 6.407175057628381e-5,
+                  "mu": 1.5466674845381223e-6}
+_RATCHET_2D = {"kn": 13.333457424543393, "k": 42.384089608758856, "rho": 4.1592232601219555e-9}
+_RATCHET_2D_DA = 2.267926860193623e-5
+_RATCHET_3D = {"kn": 7.268621795880997, "k": 24.128677421453272, "rho": 6.910683745185135e-7}
+_RATCHET_3D_DA = 4.531949947344005e-4
 
 
 def assert_not_looser(cert, upper: dict, delta_alpha: float):

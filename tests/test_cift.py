@@ -368,6 +368,33 @@ def test_validate_builds_solution_stage_once(solved_1d, monkeypatch, n):
     assert calls == {"residual_norm": 1, "fprime_series": 1, "linearization_coefficient": 1}
 
 
+@pytest.mark.parametrize("f_coeffs, products", [
+    ((0.0, 1.0, 0.0, -1.0), 2),
+    ((0.0, 1.0, 0.0, -1.0, 0.0, -0.2), 4),
+])
+def test_solution_bounds_forms_the_powers_once(monkeypatch, f_coeffs, products):
+    # v^2, ..., v^deg: deg - 1 ball products, which the residual and f'
+    # share; the terms of f and f' are scalings and sums of those powers.
+    # mu = 0.1 mixes the parities of v
+    from okvalid import operator
+
+    calls = []
+    product = operator.multiply
+
+    def counted(u, v):
+        calls.append((u.extent, v.extent))
+        return product(u, v)
+
+    monkeypatch.setattr(operator, "multiply", counted)
+    p = ModelParams(lam=30.0, sigma=2.0, mu=0.1, f_coeffs=f_coeffs)
+    u = CosineSeries.from_point(np.array([[0.0, 0.3, 0.0], [0.3, -0.1, 0.02]]), zero_mean=True)
+    bounds = solution_bounds(p, u)
+    assert len(calls) == products
+    assert calls == [((2, 3), (j + 1, 2 * j + 1)) for j in range(1, products + 1)]
+    # f' has degree deg - 1 = products
+    assert math.isfinite(bounds.rho) and bounds.lin.q.extent == (products + 1, 2 * products + 1)
+
+
 @pytest.mark.parametrize("stage", ["solve_radii", "self_check"])
 def test_failed_certificate_carries_the_stage_records(solved_1d, monkeypatch, stage):
     p, result = solved_1d

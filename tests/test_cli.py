@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from balls import single_mode
 from okvalid import cift, cli
 from okvalid.cli import main
 from okvalid.files import read_certificate, read_solution, write_solution
 from okvalid.intervals import IntervalDomainError
 from okvalid.operator import ModelParams, residual_norm
-from okvalid.series import CosineSeries
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +394,7 @@ def test_render_trivial(workdir):
 
 def test_render_single_mode(workdir):
     p = ModelParams(lam=1.0)
-    u = CosineSeries.single_mode((2,), (1,), 1.0)
+    u = single_mode((2,), (1,), 1.0)
     path = workdir / "phi1.json"
     write_solution(path, p, u, 0.0)
     out = workdir / "phi1.render.csv"
@@ -408,7 +408,7 @@ def test_render_single_mode(workdir):
 
 def test_render_2d_row_count(workdir):
     p = ModelParams(lam=1.0)
-    u = CosineSeries.single_mode((3, 3), (1, 1), 0.5)
+    u = single_mode((3, 3), (1, 1), 0.5)
     path = workdir / "d2.json"
     write_solution(path, p, u, 0.0)
     out = workdir / "d2.render.csv"
@@ -419,7 +419,7 @@ def test_render_2d_row_count(workdir):
 
 def test_render_3d_slices(workdir):
     p = ModelParams(lam=1.0)
-    u = CosineSeries.single_mode((2, 2, 2), (1, 0, 1), 0.3)
+    u = single_mode((2, 2, 2), (1, 0, 1), 0.3)
     path = workdir / "d3.json"
     write_solution(path, p, u, 0.0)
     out = workdir / "d3.render.csv"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from balls import mat_mul, mat_sub_identity, width
+from balls import hull, mat_mul, mat_sub_identity, single_mode, width
 from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
 from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError, mat_inverse_norm2_upper
@@ -75,7 +75,7 @@ def test_residual_linear_f_hand_formula():
     # f(v) = v: F(eps phi_1) = eps (lam k1 - k1^2 - lam sigma) phi_1
     eps = 1e-3
     p = ModelParams(lam=1.0, sigma=1.0, mu=0.0, f_coeffs=(0.0, 1.0))
-    u = CosineSeries.single_mode((4,), (1,), eps)
+    u = single_mode((4,), (1,), eps)
     f = residual_series(p, u)
     k1 = mpmath.pi**2
     expect = float(eps * (1 * k1 - k1**2 - 1 * 1))
@@ -92,7 +92,7 @@ def test_residual_cubic_symbolic_oracle():
     eps = 1e-3
     lam, sig, mu = 1.0, 1.0, 0.0
     p = ModelParams(lam=lam, sigma=sig, mu=mu)
-    u = CosineSeries.single_mode((2,), (1,), eps)
+    u = single_mode((2,), (1,), eps)
     f = residual_series(p, u)
 
     x = sympy.symbols("x")
@@ -136,7 +136,7 @@ def test_q_constant_case():
 
 def test_q_series_vs_quadrature(rng):
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
-    u = CosineSeries.single_mode((2,), (1,), 1.0)
+    u = single_mode((2,), (1,), 1.0)
     q, q_sup, _ = lin_of(p, u)
     x, w = gauss_rule(200)
     uvals = evaluate_grid(u, [x])
@@ -155,6 +155,23 @@ def test_q_series_vs_quadrature(rng):
 # ---------------------------------------------------------------------------
 # Galerkin matrix
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f_coeffs", [(0.0, 1.0, 0.0, -1.0), (0.2, 1.0, 0.5, -1.0, 0.0, -0.2)])
+def test_poly_series_from_powers_meets_horner(rng, f_coeffs):
+    # f(v) and f'(v) read off ball_powers enclose the same series as the
+    # Horner evaluation, in the same extent: every pair of coefficient balls
+    # intersects (rounding to nearest keeps |c - c'| <= r + r' when it holds
+    # exactly)
+    p = ModelParams(lam=10.0, mu=0.1, f_coeffs=f_coeffs)
+    u = make_random_series(rng, (4, 3))
+    powers = operator.ball_powers(p, u)
+    assert [w.extent for w in powers] == [(4 * j - j + 1, 3 * j - j + 1) for j in range(1, len(powers) + 1)]
+    for coeffs in (p.f_coeffs, p.fp_coeffs):
+        got = operator.poly_series(coeffs, powers)
+        horner = operator.poly_eval_series(coeffs, u.add_constant(p.mu))
+        assert got.extent == horner.extent
+        assert np.all(np.abs(got.center - horner.center) <= got.rad + horner.rad)
+
 
 def test_truncation_modes_lex():
     m = truncation_modes(2, 3)
@@ -252,7 +269,7 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
     mid[rng.uniform(size=extent) < 0.3] = 0.0
     width[(mid == 0.0) | point] = 0.0
-    q = CosineSeries.hull(mid - width, mid + width)
+    q = hull(mid - width, mid + width)
     assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
@@ -384,7 +401,7 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             odd = (slice(None),) * j + (slice(1, None, 2),)
             mid[odd] = 0.0
             width[odd] = 0.0
-        q = CosineSeries.hull(mid - width, mid + width)
+        q = hull(mid - width, mid + width)
         assert operator.split_axes(q) == even
         blocks = list(operator.galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(even)
@@ -418,7 +435,7 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             lo[k] = hi[k] = 0.3
         else:
             lo[k], hi[k] = -1e-3, 1e-3
-        q = CosineSeries.hull(lo, hi)
+        q = hull(lo, hi)
         qm, qr, _ = _raw_mid_rad(q)
         if kind == "radius-only":
             assert qm[k] == 0.0 and qr[k] > 0.0
@@ -531,7 +548,7 @@ def test_kn_failure_names_parity_class():
 
 def _unit_kappa_linearization() -> Linearization:
     q0 = math.pi**2 * (1.0 + 1e-6)
-    q = CosineSeries.hull(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
+    q = hull(np.array([[q0 - 1e-3]]), np.array([[q0 + 1e-3]]))
     return Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
 
 

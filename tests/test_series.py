@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -10,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balls import contains, width
+from balls import contains, hull, single_mode, width
 from conftest import eval_series_naive, gauss_rule, make_random_series
-from okvalid import series
-from okvalid.intervals import Interval, IntervalDomainError, _ball_up, _gamma, add_toward
+from okvalid import pointconv, series
+from okvalid.intervals import Interval, IntervalDomainError, _gamma, add_toward
 from okvalid.series import (
     CosineSeries,
     evaluate_grid,
@@ -39,7 +38,7 @@ def test_zero_mean_is_the_k0_coefficient(rng):
         u = make_random_series(rng, extent, zero_mean=False)
         assert not u.zero_mean
         assert tail(u, 2).zero_mean
-    assert not CosineSeries.hull(np.array([-1e-300, 0.0]), np.array([0.0, 1.0])).zero_mean
+    assert not hull(np.array([-1e-300, 0.0]), np.array([0.0, 1.0])).zero_mean
     with pytest.raises(IntervalDomainError):
         CosineSeries.from_point([1.0, 0.5], zero_mean=True)
     assert CosineSeries.from_point([0.0, 0.5], zero_mean=True).zero_mean
@@ -50,7 +49,7 @@ def test_zero_mean_is_the_k0_coefficient(rng):
 # ---------------------------------------------------------------------------
 
 def test_single_mode_norms():
-    u = CosineSeries.single_mode((3,), (1,), 1.0)
+    u = single_mode((3,), (1,), 1.0)
     l2 = norm(u, "L2")
     assert l2.lo <= 1.0 <= l2.hi and width(l2) < 1e-14
     h2 = norm(u, "Hbar", 2)
@@ -64,7 +63,7 @@ def test_series_rejects_nan_coefficient(x, y):
     a = np.zeros(4)
     b = np.ones(4)
     a[2], b[2] = x, y
-    for make in (CosineSeries, CosineSeries.hull):
+    for make in (CosineSeries, hull):
         with pytest.raises(IntervalDomainError):
             make(a, b)
 
@@ -292,7 +291,7 @@ def test_ball_kernels_overflow_to_unbounded():
         assert w.center[1:3].tolist() == [0.0, 0.0] and w.rad[1:3].tolist() == [math.inf] * 2
         assert np.isfinite(w.center).all() and not np.isnan(w.rad).any()
         assert norm(w, "L2").hi == math.inf and sup_bound(w).hi == math.inf
-    assert CosineSeries.hull(big, np.array([0.0, math.inf, 1.0, 1.0])).rad[1] == math.inf
+    assert hull(big, np.array([0.0, math.inf, 1.0, 1.0])).rad[1] == math.inf
 
 
 @st.composite
@@ -329,7 +328,7 @@ def test_ball_kernels_contain_exact_property(operands):
 # ---------------------------------------------------------------------------
 
 def test_laplacian_single_mode():
-    u = CosineSeries.single_mode((3,), (1,), 1.0)
+    u = single_mode((3,), (1,), 1.0)
     du = laplacian(u, 1)
     c = du.coefficient((1,))
     assert c.lo <= -math.pi**2 <= c.hi
@@ -411,7 +410,7 @@ def test_multiply_by_one(rng):
 
 
 def test_phi1_squared():
-    u = CosineSeries.single_mode((2,), (1,), 1.0)
+    u = single_mode((2,), (1,), 1.0)
     w = multiply(u, u)
     # cos^2(pi x) = 1/2 + cos(2 pi x)/2, in the normalized basis: phi_0 + phi_2/sqrt(2)
     assert contains(w.coefficient((0,)), 1.0) or abs(0.5 * (w.coefficient((0,)).lo + w.coefficient((0,)).hi) - 1.0) < 1e-14
@@ -508,7 +507,7 @@ def assert_product_contains(prod: CosineSeries, a, b):
 
 def _interval_series(rng, a):
     r = 1e-6 * np.abs(a) * rng.random(a.shape)
-    return CosineSeries.hull(a - r, a + r)
+    return hull(a - r, a + r)
 
 
 def _cancelling_pair(rng, extent):
@@ -621,7 +620,7 @@ def test_multiply_subnormal_terms_mpmath(rng, d):
     assert_product_contains(
         multiply(CosineSeries.from_point(tiny), CosineSeries.from_point(huge)), tiny, huge
     )
-    prod = multiply(CosineSeries.hull(-tiny / 3, tiny / 3), CosineSeries.from_point(huge))
+    prod = multiply(hull(-tiny / 3, tiny / 3), CosineSeries.from_point(huge))
     assert_product_contains(prod, tiny / 3, huge)
     assert_product_contains(prod, -tiny / 3, huge)
 
@@ -650,123 +649,112 @@ def test_multiply_keeps_parity_zeros(rng, extent, point):
     assert not populated[np.indices(prod.extent).sum(axis=0) % 2 == 1].any()
 
 
-def _fold_reference(a, b, err=None):
-    """One cosine-product fold on its own: each nonzero a[k], in order, adds
-    a[k] 2^-d b to the output on |k + l| and |k - l| per axis (the forward
-    shift, then the reversed and the forward halves of |k - l|)."""
+def _exact_folds(asup, bsup, pairs):
+    """Exact folds of raw arrays over the index pairs where asup and bsup
+    hold: for each (a, b) in pairs, {k: sum of a_i b_j 2^-d over the pairs
+    that reach k} in rationals, and per entry the number of its product
+    terms (nonzero in some fold)."""
+    d = asup.ndim
+    ia = [tuple(i) for i in np.argwhere(asup)]
+    jb = [tuple(j) for j in np.argwhere(bsup)]
+    fa = [[Fraction(a[i]) for i in ia] for a, _ in pairs]
+    fb = [[Fraction(b[j]) for j in jb] for _, b in pairs]
+    outs, count = [{} for _ in pairs], {}
+    for x, i in enumerate(ia):
+        for y, j in enumerate(jb):
+            terms = [ra[x] * rb[y] for ra, rb in zip(fa, fb)]
+            live = any(terms)
+            # the entries |i + j| and |i - j| per axis; both where they agree
+            for k in itertools.product(*((p + q, abs(p - q)) for p, q in zip(i, j))):
+                for out, t in zip(outs, terms):
+                    out[k] = out.get(k, 0) + t
+                count[k] = count.get(k, 0) + live
+    for out in outs:
+        for k in out:
+            out[k] /= 2**d
+    return outs, count
+
+
+def _exact_fold(a, b):
+    """The fold of raw arrays a and b in exact rationals, and per entry the
+    number of its product terms."""
+    (out,), count = _exact_folds(a != 0.0, b != 0.0, [(a, b)])
+    return out, count
+
+
+def _depth(a, b, chunks=1):
+    """The roundings on a product term's path through point_conv, counted
+    from the index sets: the gathers' two additions, the halving of b, J
+    along the last axis (b's extent there, or its indices of one parity
+    where its support has one), 2 I_t along each earlier axis (a's populated
+    indices there) and one per chunk after the first."""
     d = a.ndim
-    out = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
-    for k in map(tuple, np.argwhere(a != 0.0)):
-        w = a[k] * 0.5**d
-        per_axis = []
-        for ki, nb in zip(k, b.shape):
-            segs = [(slice(ki, ki + nb), slice(0, nb))]
-            top = min(ki, nb - 1)
-            segs.append((slice(ki - top, ki + 1), slice(top, None, -1)))
-            if nb - 1 > ki:
-                segs.append((slice(1, nb - ki), slice(ki + 1, nb)))
-            per_axis.append(segs)
-        for combo in itertools.product(*per_axis):
-            out_sl = tuple(c[0] for c in combo)
-            t = w * b[tuple(c[1] for c in combo)]
-            out[out_sl] += t
-            if err is not None:
-                err[out_sl] += np.abs(t) + np.abs(out[out_sl])
-    return out
+
+    def projection(x, t):
+        return np.flatnonzero((x != 0.0).any(axis=tuple(s for s in range(d) if s != t)))
+
+    odd = projection(b, d - 1) % 2
+    n = b.shape[-1]
+    cols = n if 0 < odd.sum() < odd.size else len(range(int(odd.any()), n, 2))
+    return 3 + cols + 2 * sum(projection(a, t).size for t in range(d - 1)) + chunks - 1
 
 
-def _shift_pairs(i, nb):
-    """(target, source) index pairs of one axis for a's index i, in the
-    fold's order: the forward shift, then the reversed and the forward
-    halves of |i - j|."""
-    pairs = [(i + j, j) for j in range(nb)]
-    pairs += [(i - j, j) for j in range(min(i, nb - 1), -1, -1)]
-    return pairs + [(j - i, j) for j in range(i + 1, nb)]
+def _parities(support):
+    return [pointconv._parity(idx) for idx in pointconv._projections(support)]
 
 
-def _per_axis_reference(a, b, err=None, a_support=None):
-    """One fold contracted one axis at a time, the last first, term by term
-    and in one piece.  a's rows are, per axis, the indices where a_support
-    (default a != 0) holds somewhere.  Pass 1 adds each a[i] 2^-d b[j] along
-    the last axis for every row of a and every index of b on the other axes;
-    each later pass adds the partial sums along one more axis.  err gets the
-    running error bound: |t| + |s| per product, unless a[i] is zero, and the
-    partial's bound + |s| per later addition."""
-    d = a.ndim
-    a_support = a != 0.0 if a_support is None else a_support
-    rows = [sorted(set(np.argwhere(a_support)[:, t].tolist())) for t in range(d)]
-    n = tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape))
-    part = np.zeros(a.shape[:-1] + b.shape[:-1] + n[-1:])
-    perr = np.zeros(part.shape)
-    for ia in itertools.product(*rows[:-1]):
-        for jb in np.ndindex(*b.shape[:-1]):
-            for i in rows[-1]:
-                w = a[ia + (i,)] * 0.5**d
-                for k, j in _shift_pairs(i, b.shape[-1]):
-                    t = w * b[jb + (j,)]
-                    at = ia + jb + (k,)
-                    part[at] += t
-                    perr[at] += abs(t) + (abs(part[at]) if w != 0.0 else 0.0)
-    for ax in range(d - 2, -1, -1):
-        nxt = np.zeros(a.shape[:ax] + b.shape[:ax] + n[ax:])
-        nerr = np.zeros(nxt.shape)
-        for ia in itertools.product(*rows[:ax]):
-            for jb in np.ndindex(*b.shape[:ax]):
-                for rest in np.ndindex(*n[ax + 1:]):
-                    for i in rows[ax]:
-                        for k, j in _shift_pairs(i, b.shape[ax]):
-                            src = ia + (i,) + jb + (j,) + rest
-                            at = ia + jb + (k,) + rest
-                            nxt[at] += part[src]
-                            nerr[at] += perr[src] + abs(nxt[at])
-        part, perr = nxt, nerr
-    if err is not None:
-        err += perr
-    return part
+def assert_ball_product_sharp(u, v, chunks=1):
+    """multiply(u, v) against its exact per-fold reference, with the raw
+    balls <Am, Ar> of the factor with fewer populated modes and <Bm, Br> of
+    the other, w the float 1/c_k and n = _depth(Am, Bm, chunks):
 
+    - an entry that no pair of nonzero coefficients reaches is (0, 0), and
+      one that an infinite radius reaches has an infinite radius;
+    - a finite radius is at least (gamma_n |Am|*|Bm| + |Am|*Br + Ar*(|Bm| +
+      Br)) w, exactly: the a-priori bound on the midpoint fold's rounding
+      and the spread of the members;
+    - the ball holds Am*Bm +- the spread times every w' within u w of w,
+      which holds 1/c_k: so it holds every product of members.
 
-def _reference_fold(a, b, err=None, a_support=None):
-    """The fold's summation order, unstrided: the flat per-term fold in 1-d
-    (the same loop), contracted per axis in 2-d and 3-d."""
-    if a.ndim == 1:
-        return _fold_reference(a, b, err)
-    return _per_axis_reference(a, b, err, a_support)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _multiply_reference(u, v):
-    """multiply with its four folds run one after the other."""
-    populated = [int(np.count_nonzero(s.support())) for s in (u, v)]
-    if populated[1] < populated[0]:
+    Returns the product."""
+    prod = multiply(u, v)
+    if np.count_nonzero(v.support()) < np.count_nonzero(u.support()):
         u, v = v, u
-    am, ar, asup = series._raw_mid_rad(u)
-    bm, br, bsup = series._raw_mid_rad(v)
-    err = np.zeros(tuple(na + nb - 1 for na, nb in zip(am.shape, bm.shape)))
-    fold = functools.partial(_reference_fold, a_support=asup != 0.0)
-    c = fold(am, bm, err)
-    rad = err * 2.0**-53 + fold(np.abs(am), br)
-    rad = rad + fold(ar, np.abs(bm) + br)
-    # back to normalized coefficients by the float 1/c_k, whose rounding
-    # where nz is odd the radius and gamma_{p+1} cover
-    nz = nz_grid(c.shape)
-    inv = np.where(nz % 2 == 0, 0.5 ** (nz // 2), math.sqrt(0.5) * 0.5 ** (nz // 2))
-    c = c * inv
-    rad = rad * inv + np.abs(c) * np.where(nz % 2 == 1, 2.0**-52, 0.0)
-    p = 3**u.dim * min(populated)
-    c, rad = _ball_up(c, rad, p, _gamma(p + 1))
-    unreached = fold(asup, bsup) == 0.0
-    c[unreached] = 0.0
-    rad[unreached] = 0.0
-    return CosineSeries(c, rad)
+    (am, ar, asup), (bm, br, bsup) = series._raw_mid_rad(u), series._raw_mid_rad(v)
+    wild_a, wild_b = np.isinf(ar), np.isinf(br)
+    ar, br = np.where(wild_a, 0.0, ar), np.where(wild_b, 0.0, br)
+    (mid, mag, s1, s2, s3, reach, wild), _ = _exact_folds(asup != 0.0, bsup != 0.0, [
+        (am, bm), (np.abs(am), np.abs(bm)), (np.abs(am), br), (ar, np.abs(bm)), (ar, br),
+        (asup, bsup), (asup * wild_b.any() + wild_a, bsup * wild_a.any() + wild_b)])
+    gamma = _gamma(_depth(am, bm, chunks))
+    nz = nz_grid(prod.extent)
+    for k in np.ndindex(*prod.extent):
+        c, r = Fraction(prod.center[k]), prod.rad[k]
+        if not reach.get(k):
+            assert c == 0 and r == 0.0, k
+            continue
+        if wild.get(k) or r == math.inf:
+            # 0 inf = NaN in a gemm may reach more entries: looser, still sound
+            assert r == math.inf, k
+            continue
+        r = Fraction(r)
+        w = Fraction(series._C_INV_FLOAT[nz[k]])
+        spread = s1.get(k, 0) + s2.get(k, 0) + s3.get(k, 0)
+        assert r >= (gamma * mag.get(k, 0) + spread) * w, k
+        eps = Fraction(int(nz[k] % 2), 2**53)
+        ends = [(mid.get(k, 0) + sx * spread) * w * (1 + sw * eps) for sx in (-1, 1) for sw in (-1, 1)]
+        assert c - r <= min(ends) and max(ends) <= c + r, k
+    return prod
 
 
 @pytest.mark.parametrize("extent", [(7,), (5,), (4, 3), (3, 5), (3, 2, 3), (2, 3, 2)])
 @pytest.mark.parametrize("special", ["none", "zero_mid", "tiny_mid", "inf"])
 def test_multiply_matches_per_fold_reference(rng, extent, special):
     # the sparser factor u holds an interval coefficient whose midpoint is
-    # zero (or moved into the radius), or an infinite one; v is dense.  The
-    # fused folds keep the bits of the folds run one at a time, in the
-    # summation order of the reference: flat in 1-d, per axis in 2-d and 3-d
+    # zero (or moved into the radius), or an infinite one; v is dense.  Each
+    # fold against its exact value: the product holds every product of
+    # members, its radius is at least the a-priori bound plus the spread,
+    # and entries out of reach stay exact zeros
     a = rng.standard_normal(extent)
     a[rng.uniform(size=extent) < 0.4] = 0.0
     a.flat[0] = 0.0
@@ -779,36 +767,120 @@ def test_multiply_matches_per_fold_reference(rng, extent, special):
     elif special == "tiny_mid":
         lo[last], hi[last] = 2.0**-1030, 2.0**-1029
     elif special == "inf":
-        # with a zero midpoint, so that 0 * inf = NaN arises in the fused folds
+        # with a zero midpoint, so that 0 * inf = NaN arises in the folds
         lo[last], hi[last] = 1.0, math.inf
         lo.flat[1], hi.flat[1] = -0.25, 0.25
-    u = CosineSeries.hull(lo, hi)
+    u = hull(lo, hi)
     b = rng.standard_normal(extent) + 0.1
     v = _interval_series(rng, b)
     if special == "inf":
         v.rad.flat[2] = math.inf
         v.center.flat[2] = 0.0
     for x, y in ((u, v), (v, u), (u, u)):
-        got, want = multiply(x, y), _multiply_reference(x, y)
-        assert np.array_equal(got.center, want.center) and np.array_equal(got.rad, want.rad)
+        assert_ball_product_sharp(x, y)
     if special == "inf":
         assert np.isinf(multiply(u, v).hi).any()
     assert_point_product_near_exact(b, a)
 
 
+def _ball_factors(rng, d, scale):
+    """Ball-product operands in d dimensions at a scale: one parity coset
+    each, unequal extents, point zeros inside the grid of the populated
+    indices, zero-mean factors, a ball around zero and an infinite radius."""
+    ea, eb = {1: ((9,), (6,)), 2: ((5, 4), (3, 6)), 3: ((3, 2, 3), (2, 3, 3))}[d]
+    origin = (0,) * d
+
+    def spread(extent):
+        return rng.standard_normal(extent) * 10.0 ** rng.uniform(-2, 2, extent) * scale
+
+    def coset(x, parity):
+        for j, par in enumerate(parity):
+            x[(slice(None),) * j + (slice(1 - par, None, 2),)] = 0.0
+        return x
+
+    cases = []
+    for _ in range(2):
+        pa, pb = (tuple(rng.integers(0, 2, d)) for _ in range(2))
+        cases.append((CosineSeries.from_point(coset(spread(ea), pa)),
+                      CosineSeries.from_point(coset(spread(eb), pb))))
+        cases.append((_interval_series(rng, coset(spread(ea), pa)), _interval_series(rng, spread(eb))))
+    holes = spread(ea) * (rng.random(ea) < 0.6)
+    holes[origin] = 0.0
+    zero_mean = spread(eb)
+    zero_mean[origin] = 0.0
+    cases.append((_interval_series(rng, holes), CosineSeries.from_point(zero_mean)))
+    cases.append((CosineSeries.from_point(holes), _interval_series(rng, zero_mean)))
+    around_zero = _interval_series(rng, spread(ea))
+    around_zero.center.flat[-1], around_zero.rad.flat[-1] = 0.0, scale
+    cases.append((around_zero, CosineSeries.from_point(spread(eb))))
+    unbounded = _interval_series(rng, spread(eb))
+    unbounded.center.flat[1], unbounded.rad.flat[1] = 0.0, math.inf
+    cases.append((_interval_series(rng, coset(spread(ea), (1,) * d)), unbounded))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_ball_product_contains_exact_fold(rng, d, scale):
+    # the ball product against the exact folds, in either order of the
+    # factors, at scales whose products (about scale^2) stay normal
+    for u, v in _ball_factors(rng, d, scale):
+        assert_ball_product_sharp(u, v)
+        assert_ball_product_sharp(v, u)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_product_midpoints_near_fold_min(rng, d, monkeypatch):
+    # raw midpoints a few _FOLD_MIN in size, and below it (moved into the
+    # radius), times coefficients near 1e-10, 1 and _FOLD_MIN: products near
+    # 1e-317 keep few bits and smaller ones vanish, which only _ball_up's
+    # underflow constant covers.  Every fold operand is zero or at least
+    # _FOLD_MIN, so point_conv's halving of b stays exact
+    operands = []
+    conv = series.point_conv
+
+    def recorded(a, b):
+        operands.extend((a, b))
+        return conv(a, b)
+
+    monkeypatch.setattr(series, "point_conv", recorded)
+    ea, eb = {1: ((8,), (7,)), 2: ((4, 4), (3, 5)), 3: ((3, 2, 3), (2, 3, 2))}[d]
+    tiny = rng.integers(-8, 9, ea) * series._FOLD_MIN
+    tiny.flat[::4] = rng.integers(-3, 4, tiny.flat[::4].shape) * 2.0**-1030
+    small = rng.standard_normal(eb) * 1e-10
+    u = CosineSeries.from_point(tiny)
+    for v in (CosineSeries.from_point(small), _interval_series(rng, small), u,
+              CosineSeries.from_point(np.ones(eb))):
+        assert_ball_product_sharp(u, v)
+    # a sparse huge factor against a dense one a few _FOLD_MIN in size:
+    # gamma_n |Bm| is subnormal, so B1 is raised to _FOLD_MIN
+    huge = np.zeros(ea)
+    huge[(0,) * d], huge[(1,) * d] = 1e300, -3e299
+    dense = rng.integers(1, 16, eb) * series._FOLD_MIN
+    assert_ball_product_sharp(CosineSeries.from_point(huge), CosineSeries.from_point(dense))
+    # 120 products of about 0.3 2^-1074 each vanish on the mean mode: the
+    # underflow constant grows with the number of products
+    a = _along_first_axis(np.full(120, 2.0**-537), d)
+    b = _along_first_axis(np.full(120, 0.3 * 2.0**-537), d)
+    assert_ball_product_sharp(CosineSeries.from_point(a), CosineSeries.from_point(b))
+    for x in operands:
+        assert np.all((x == 0.0) | (np.abs(x) >= series._FOLD_MIN))
+
+
 @pytest.mark.parametrize("extent", [(7,), (5, 6), (3, 4, 4)])
 def test_multiply_skips_dead_radius_folds(rng, extent, monkeypatch):
-    # a radius fold against a factor whose raw radius is zero adds only
-    # exact zeros: it is left out, and the product keeps the bits of the
-    # reference that runs every fold
-    folds = []
-    conv = series._raw_conv
+    # a radius fold whose factor, Ar or gamma_n |Bm| + Br, is zero everywhere
+    # adds only exact zeros, so it is left out: a product makes the midpoint,
+    # |Am| and reach folds, and the Ar fold only where the sparser factor's
+    # raw radius is live
+    calls = []
+    conv = series.point_conv
 
-    def counted(a, b, err=None):
-        folds.append(a.shape[0])
-        return conv(a, b, err)
+    def counted(a, b):
+        calls.append(a.shape)
+        return conv(a, b)
 
-    monkeypatch.setattr(series, "_raw_conv", counted)
+    monkeypatch.setattr(series, "point_conv", counted)
     d = len(extent)
     constant = CosineSeries.from_point(np.full((1,) * d, 0.7))
     point = _on_coset(rng, extent, (1,) * d, True)  # raw radius zero where d is even
@@ -816,14 +888,39 @@ def test_multiply_skips_dead_radius_folds(rng, extent, monkeypatch):
     dense = _interval_series(rng, rng.standard_normal(extent))
     for u, v in ((constant, dense), (dense, constant), (point, dense), (point, point),
                  (ball, dense), (constant, point)):
-        folds.clear()
-        got, want = multiply(u, v), _multiply_reference(u, v)
-        assert got.center.tobytes() == want.center.tobytes()
-        assert got.rad.tobytes() == want.rad.tobytes()
-        live = [series._raw_mid_rad(s)[1].any() for s in (u, v)]
-        assert folds == [2 + sum(live)], (u.extent, v.extent)
+        calls.clear()
+        assert_ball_product_sharp(u, v)
+        populated = [np.count_nonzero(s.support()) for s in (u, v)]
+        sparser = v if populated[1] < populated[0] else u
+        assert len(calls) == 3 + series._raw_mid_rad(sparser)[1].any(), (u.extent, v.extent)
         if d % 2 == 0 and u is point and v is point:
-            assert folds == [2]  # only the midpoint and reach folds
+            assert len(calls) == 3
+    # B zero everywhere: only the midpoint and reach folds
+    calls.clear()
+    zero = multiply(CosineSeries.zeros(extent), CosineSeries.zeros(extent))
+    assert len(calls) == 2 and not zero.support().any()
+
+
+def test_both_products_run_on_point_conv(monkeypatch):
+    # multiply and multiply_point fold only through pointconv.point_conv:
+    # with it replaced by a sentinel neither has a fold of its own left, and
+    # series defines no other convolution
+    class Folded(Exception):
+        pass
+
+    def sentinel(a, b):
+        raise Folded
+
+    monkeypatch.setattr(series, "point_conv", sentinel)
+    for d in (1, 2, 3):
+        a = np.full((2,) * d, 0.5)
+        with pytest.raises(Folded):
+            multiply_point(a, a)
+        with pytest.raises(Folded):
+            multiply(CosineSeries.from_point(a), _interval_series(np.random.default_rng(d), a))
+    own = [name for name, obj in vars(series).items()
+           if callable(obj) and any(w in name.lower() for w in ("conv", "fold"))]
+    assert own == ["point_conv"]
 
 
 def _on_coset(rng, extent, parity, point):
@@ -837,52 +934,28 @@ def _on_coset(rng, extent, parity, point):
 @pytest.mark.parametrize("extent", [(9,), (8,), (5, 6), (6, 4), (4, 5, 3), (3, 4, 4)])
 @pytest.mark.parametrize("point", [True, False])
 def test_strided_fold_matches_unstrided(rng, extent, point):
-    # factors on one parity coset each: the stride skips only exact zeros,
-    # so multiply keeps the bits of the unstrided reference folds, center
-    # and radius alike; a sparse factor of mixed parities keeps the center
-    # and can only shrink the running error bound.  multiply_point, which
-    # skips the same zeros, stays near the exact fold
+    # factors on one parity coset each, and a sparse factor of mixed
+    # parities against a coset: the kernel skips only exact zeros, so
+    # multiply_point stays near the exact, unstrided fold
     d = len(extent)
     cases = []
     for _ in range(4):
         pu, pv = (tuple(rng.integers(0, 2, d)) for _ in range(2))
-        cases.append((_on_coset(rng, extent, pu, point), _on_coset(rng, extent, pv, point), True))
+        cases.append((_on_coset(rng, extent, pu, point), _on_coset(rng, extent, pv, point)))
     mixed = np.zeros(extent)
     mixed[(0,) * d], mixed[(1,) * d] = 0.4, -0.3
-    cases.append((CosineSeries.from_point(mixed), _on_coset(rng, extent, (1,) * d, point), False))
-    for u, v, single in cases:
-        got, want = multiply(u, v), _multiply_reference(u, v)
-        assert got.center.tobytes() == want.center.tobytes()
-        if single:
-            assert got.rad.tobytes() == want.rad.tobytes()
-        else:
-            assert np.all(got.rad <= want.rad)
+    cases.append((CosineSeries.from_point(mixed), _on_coset(rng, extent, (1,) * d, point)))
+    for u, v in cases:
         assert_point_product_near_exact(u.mid(), v.mid())
     # the stride is taken: the dense factor's support has one parity per axis
-    assert series._single_parity(cases[-1][1].support()) == [1] * d
-
-
-def _exact_fold(a, b):
-    """The fold of raw arrays a and b in exact rationals, and per entry the
-    number of its product terms below the normal range."""
-    d = a.ndim
-    out, tiny = {}, {}
-    normal = Fraction(2.0**-1022)
-    for i in map(tuple, np.argwhere(a != 0.0)):
-        for j in map(tuple, np.argwhere(b != 0.0)):
-            t = Fraction(a[i]) * Fraction(b[j]) / 2**d
-            # the entries |i + j| and |i - j| per axis; both where they agree
-            for k in itertools.product(*((x + y, abs(x - y)) for x, y in zip(i, j))):
-                out[k] = out.get(k, 0) + t
-                tiny[k] = tiny.get(k, 0) + (abs(t) < normal)
-    return out, tiny
+    assert _parities(cases[-1][1].support()) == [1] * d
 
 
 def _fold_factors(rng, d):
     """Raw fold operands in d dimensions: each on one parity coset, both of
     mixed parities, a factor with zero rows (whole ones, and zeros inside
-    the grid of its populated indices), and factors below _FOLD_MIN (a's
-    entries multiples of 2^-1071, so that a 2^-d stays exact)."""
+    the grid of its populated indices), and factors below the normal range
+    (b's multiples of 2^-1073, so that b / 2 stays exact)."""
     ea, eb = {1: ((9,), (7,)), 2: ((5, 4), (6, 5)), 3: ((3, 4, 3), (4, 3, 4))}[d]
 
     def spread(extent):
@@ -905,10 +978,60 @@ def _fold_factors(rng, d):
     cases.append((rows, spread(eb) * (rng.random(eb) < 0.7)))
     tiny_a = rng.integers(-64, 65, ea) * 2.0**-1060
     tiny_b = spread(eb) * 2.0**-1000
-    tiny_b.flat[::3] = rng.integers(-5, 6, tiny_b.flat[::3].shape) * 2.0**-1074
+    tiny_b.flat[::3] = rng.integers(-5, 6, tiny_b.flat[::3].shape) * 2.0**-1073
     cases.append((tiny_a, spread(eb)))
     cases.append((spread(ea) * 2.0**-40, tiny_b))
     return cases
+
+
+def assert_fold_within_gamma(got, n, a, b):
+    """A float fold of raw a and b with rounding bound n against the exact
+    fold: within gamma_n times the exact fold of the magnitudes, plus
+    2^-1075 (grown by 1 + gamma_n) for each product that can underflow, at
+    most d per product term: one along the last axis, one per earlier
+    axis."""
+    (exact, mag), count = _exact_folds(a != 0.0, b != 0.0, [(a, b), (np.abs(a), np.abs(b))])
+    g = _gamma(n)
+    for k in np.ndindex(*got.shape):
+        off = abs(Fraction(got[k]) - exact.get(k, 0))
+        lost = Fraction(a.ndim * count.get(k, 0), 2**1075) * (1 + g)
+        assert off <= g * mag.get(k, 0) + lost, (a, b, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fold_error_bound_contains_exact(rng, d):
+    # point_conv's a-priori bound holds against the exact fold, with n as
+    # counted from the index sets
+    for a, b in _fold_factors(rng, d):
+        got, n = pointconv.point_conv(a, b)
+        assert n == _depth(a, b), (a, b)
+        assert_fold_within_gamma(got, n, a, b)
+
+
+@pytest.mark.parametrize("extent", [(6, 5), (5, 4, 6)])
+def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
+    # one row of a per chunk and a single chunk each stay within their own
+    # bound, where every chunk after the first adds a rounding to n; the
+    # floor alone, without any budget, runs a product this small in one
+    # chunk, with the same bits.  The ball product on single rows keeps its
+    # radius above the bound with the chunks counted
+    a = _on_coset(rng, extent, (1,) * len(extent), True).center
+    a[(rng.random(extent) < 0.2)] = 0.0
+    b = rng.standard_normal(tuple(2 * n - 1 for n in extent))
+    populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(1, a.ndim))))
+    runs = []
+    for budget, floor in ((1e9, 0), (0.0, 0), (0.0, pointconv._PARTIAL_FLOOR)):
+        monkeypatch.setattr(pointconv, "_PARTIAL_BUDGET", budget)
+        monkeypatch.setattr(pointconv, "_PARTIAL_FLOOR", floor)
+        runs.append(pointconv.point_conv(a, b))
+    (one, n_one), (rows, n_rows), (floor, n_floor) = runs
+    assert n_one == n_floor == _depth(a, b) and one.tobytes() == floor.tobytes()
+    assert n_rows == _depth(a, b, populated_rows) == n_one + populated_rows - 1
+    for got, n in ((one, n_one), (rows, n_rows)):
+        assert_fold_within_gamma(got, n, a, b)
+    monkeypatch.setattr(pointconv, "_PARTIAL_FLOOR", 0)
+    u = CosineSeries.from_point(a / series.c_grid(a.shape))
+    assert_ball_product_sharp(u, CosineSeries.from_point(b), chunks=populated_rows)
 
 
 def assert_point_product_near_exact(a, b):
@@ -975,74 +1098,20 @@ def test_point_product_matches_exact_fold(rng, d, scale):
     assert got.shape == (4,) * d and not got.any()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_fold_error_bound_contains_exact(rng, d):
-    # |fl(fold) - exact| <= u err, grown by gamma_p for the rounding of err's
-    # own float sum, plus 2^-1075 per product term below the normal range:
-    # the running error bound holds through the per-axis summation tree
-    for a, b in _fold_factors(rng, d):
-        err = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape, b.shape)))
-        (got,) = series._raw_conv(a[None], b[None], err)
-        exact, tiny = _exact_fold(a, b)
-        p = 3**d * np.count_nonzero(a)
-        grow = (1 + _gamma(p)) / 2**53
-        for k in np.ndindex(*got.shape):
-            off = abs(Fraction(got[k]) - exact.get(k, 0))
-            assert off <= Fraction(err[k]) * grow + Fraction(tiny.get(k, 0), 2**1075), (a, b, k)
-
-
-def _fold_stack(rng, extent):
-    """Four fold operands with the sparsity pattern of multiply's: a on one
-    coset with some zeros, b dense."""
-    a = _on_coset(rng, extent, (1,) * len(extent), True).center
-    a[(rng.random(extent) < 0.2)] = 0.0
-    b = rng.standard_normal(tuple(2 * n - 1 for n in extent))
-    a_st = np.stack([a, np.abs(a), np.abs(a) * 1e-9, (a != 0.0) * 1.0])
-    b_st = np.stack([b, np.abs(b) * 1e-9, np.abs(b), np.ones(b.shape)])
-    return a_st, b_st
-
-
-@pytest.mark.parametrize("extent", [(6, 5), (5, 4, 6)])
-def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
-    # one row per chunk and a single chunk give the same bits, the folds
-    # and the running error bound alike; the floor alone, without any
-    # budget, runs a product this small in one chunk
-    a, b = _fold_stack(rng, extent)
-    passes = []
-    first_pass = series._fold_last_axis
-
-    def counted(*args):
-        passes.append(args)
-        first_pass(*args)
-
-    monkeypatch.setattr(series, "_fold_last_axis", counted)
-    runs = []
-    for budget, floor in ((1e9, 0), (0.0, 0), (0.0, series._PARTIAL_FLOOR)):
-        monkeypatch.setattr(series, "_PARTIAL_BUDGET", budget)
-        monkeypatch.setattr(series, "_PARTIAL_FLOOR", floor)
-        passes.clear()
-        err = np.zeros(tuple(na + nb - 1 for na, nb in zip(a.shape[1:], b.shape[1:])))
-        runs.append((series._raw_conv(a, b, err), err, len(passes)))
-    (one, one_err, one_chunks), (rows, rows_err, row_chunks), (floor, floor_err, floor_chunks) = runs
-    for conv, err in ((rows, rows_err), (floor, floor_err)):
-        assert one.tobytes() == conv.tobytes() and one_err.tobytes() == err.tobytes()
-    populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(2, a.ndim))).any(axis=0))
-    assert one_chunks == floor_chunks == 1 and row_chunks == populated_rows > 1
-
-
 def test_fold_peak_memory_bounded_by_output(rng):
-    # the partial folds of a 3-d product are chunked: the traced peak of
-    # multiply stays within a small multiple of its output stack's bytes
+    # each fold of a 3-d product is chunked: the traced peak of multiply
+    # stays within a small multiple of its output's bytes (9.6 measured;
+    # 12.4 with the stacked running-error fold)
     u = _on_coset(rng, (12, 12, 12), (1, 1, 1), True)
     v = _on_coset(rng, (23, 23, 23), (0, 0, 0), False)
-    output_stack = 4 * 34**3 * 8
+    output = 34**3 * 8
     tracemalloc.start()
     try:
         multiply(u, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * output_stack, peak / output_stack
+    assert peak <= 11 * output, peak / output
 
 
 def test_point_product_peak_bounded_by_output(rng):
@@ -1079,8 +1148,8 @@ def test_mixed_parity_product_contains_exact(rng, point):
     b[1::2, :] = 0.0
     u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
     v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
-    assert series._single_parity(v.support()) == [0, None]
-    assert series._single_parity(u.support()) == [None, None]
+    assert _parities(v.support()) == [0, None]
+    assert _parities(u.support()) == [None, None]
     for x, y in ((u, v), (v, u), (u, u)):
         prod = multiply(x, y)
         for xm, ym in zip(_members(rng, x, 2), _members(rng, y, 2)):
@@ -1097,7 +1166,7 @@ def _series(draw, extent):
     if draw(st.booleans()):
         return CosineSeries.from_point(lo)
     other = np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(extent)
-    return CosineSeries.hull(np.minimum(lo, other), np.maximum(lo, other))
+    return hull(np.minimum(lo, other), np.maximum(lo, other))
 
 
 @st.composite
