@@ -24,7 +24,7 @@ from .cift import (
     validate,
     verify_certificate,
 )
-from .embeddings import equiv_factor, recompute_cmbar, table_constants
+from .embeddings import cmbar_bytes, equiv_factor, recompute_cmbar, table_constants
 from .files import (
     FileFormatError,
     file_sha256,
@@ -41,8 +41,8 @@ from .newton import (
     parameter_walk,
     parse_seed,
 )
-from .operator import PARAMETERS, ModelParams
-from .series import evaluate_grid
+from .operator import PARAMETERS, ModelParams, memory_shortfall
+from .series import evaluate_grid, grid_bytes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,6 +77,11 @@ def cmd_constants(args) -> int:
     if args.ncut < 2:
         return _usage_error("--ncut must be >= 2")
     dims = [args.dim] if args.dim else [1, 2, 3]
+    # one dimension's sum is live at a time
+    need = max(cmbar_bytes(d, args.ncut) for d in dims)
+    short = memory_shortfall(need, f"--ncut {args.ncut}", "lattice sum of cm_bar")
+    if short:
+        return _usage_error(short)
     out = {"ncut": args.ncut, "dims": {}}
     for d in dims:
         consts = table_constants(d)
@@ -232,6 +237,10 @@ def cmd_render(args) -> int:
     if args.grid < 1:
         return _usage_error("--grid must be >= 1")
     _p, u, _meta = read_solution(args.infile)
+    short = memory_shortfall(grid_bytes(u.extent, args.grid), f"--grid {args.grid}",
+                             f"{u.dim}-d grid of values")
+    if short:
+        return _usage_error(short)
     pts = np.linspace(0.0, 1.0, args.grid)
     vals = evaluate_grid(u, [pts] * u.dim)
     out = args.out or str(Path(args.infile).with_suffix(".render.csv"))

@@ -26,14 +26,12 @@ class EmbeddingConstants:
     cm      : ||u||_inf     <= cm * ||u||_H2
     cm_bar  : ||u||_inf     <= cm_bar * ||u||_Hbar2   (zero-mean u)
     cb      : ||u v||_H2    <= cb * ||u||_H2 * ||v||_H2
-    equiv   : ||u||_H2      <= equiv * ||u||_Hbar2    (zero-mean u)
     """
 
     dim: int
     cm: float
     cm_bar: float
     cb: float
-    equiv: float
 
 
 _CM = {1: 1.010947, 2: 1.030255, 3: 1.081202}
@@ -50,14 +48,21 @@ def table_constants(dim: int) -> EmbeddingConstants:
         cm=_CM[dim],
         cm_bar=_CM_BAR[dim],
         cb=_CB[dim],
-        equiv=equiv_factor().hi,
     )
 
 
 @lru_cache(maxsize=None)
 def equiv_factor() -> Interval:
-    """Enclosure of sqrt(1 + pi^4) / pi^2."""
+    """Enclosure of sqrt(1 + pi^4) / pi^2: ||u||_H2 <= equiv_factor() *
+    ||u||_Hbar2 for zero-mean u."""
     return ((Interval(1.0) + PI4).sqrt()) / PI2
+
+
+def cmbar_bytes(dim: int, ncut: int) -> float:
+    """Bytes that recompute_cmbar(dim, ncut) needs: four arrays of ncut
+    doubles in 1-d, ten in 2-d, and in 3-d four and five of the 2 (ncut -
+    1)^2 + 1 sums of two squares."""
+    return 8.0 * {1: 4 * ncut, 2: 10 * ncut, 3: 4 * ncut + 5 * (2 * (ncut - 1) ** 2 + 1)}[dim]
 
 
 def _weighted_quartic_sum(dim: int, ncut: int) -> Interval:

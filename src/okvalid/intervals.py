@@ -13,11 +13,12 @@ A matrix product's midpoint is one BLAS gemm, within gamma_p |mid A||mid B|
 for any summation order, blocking and FMA (Rump, BIT 39, 1999; Ozaki, Ogita,
 Oishi and Rump, JCAM 236, 2012).  Float sums scaled by float weights raise
 that count by the scaling's roundings and the weights' errors, and one
-rounding budget (_ball_up) ends each radius.  Spectral-norm bounds take the
-smaller of sqrt(||A||_1 ||A||_inf) and one shifted-Cholesky certificate
-(Rump, BIT 46, 2006), and read radii only through row and column sums.  The
-contract is containment: every result encloses all pointwise results of
-its operands.
+rounding budget (_ball_up) ends each radius.  The one certified inverse
+norm bounds ||C A - I|| through row and column sums, which read radii only
+through matrix-vector products, and ||C||, C the point inverse, by the
+smaller of sqrt(||C||_1 ||C||_inf) and a shifted-Cholesky certificate
+(Rump, BIT 46, 2006).  The contract is containment: every result encloses
+all pointwise results of its operands.
 """
 
 from __future__ import annotations
@@ -426,30 +427,6 @@ class BallMatrix:
         if not (self.rad >= 0.0).all():  # also false on NaN
             raise IntervalDomainError("matrix with NaN or negative radius")
 
-    @classmethod
-    def point(cls, a) -> "BallMatrix":
-        """The point matrix a itself, not a copy, with a zero radius."""
-        a = np.asarray(a, dtype=np.float64)
-        return cls(a, np.broadcast_to(0.0, a.shape))
-
-    @property
-    def shape(self):
-        return self.mid.shape
-
-    @property
-    def rows(self) -> int:
-        return self.mid.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.mid.shape[1]
-
-    def mag(self) -> np.ndarray:
-        """fl(|mid| + rad): each entry within one rounding of its largest |X|."""
-        m = np.abs(self.mid)
-        m += self.rad
-        return m
-
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
@@ -486,12 +463,6 @@ def _norm2_from_sums(rows, cols, depth: int, entries: int = 0, p: int = 0) -> fl
     return _up(math.sqrt(_up(one_norm * inf_norm)))
 
 
-def _cheap_norm2_upper(a: BallMatrix) -> float:
-    """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2 for every member."""
-    mag = a.mag()  # each entry one rounding above its largest |X_ij|
-    return _norm2_from_sums(mag.sum(axis=1), mag.sum(axis=0), max(a.shape))
-
-
 def _mirror_lower(x: np.ndarray) -> np.ndarray:
     """x, its upper triangle overwritten by its lower one (exact)."""
     for k in range(1, x.shape[0]):
@@ -500,19 +471,15 @@ def _mirror_lower(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
-def _gram_spread(a: BallMatrix, am: np.ndarray, am_rows: np.ndarray) -> float:
-    """Upper bound on ||Gr||_2, where every member of A^T A lies within Gr =
-    g |Am|^T |Am| + |Am|^T Ar + Ar^T (|Am| + Ar) of fl(Am^T Am), g = gamma_r
-    for r rows, up to underflow (Rump, BIT 39, 1999); am = |Am| and am_rows
-    its float row sums.  Gr is symmetric and nonnegative, so ||Gr||_2 is at
-    most its largest row sum, a sum of matrix-vector products.
+def _gram_spread(abs_c: np.ndarray, c_rows: np.ndarray) -> float:
+    """Upper bound on ||Gr||_2, where C^T C lies within Gr = g |C|^T |C| of
+    fl(C^T C), g = gamma_r for r rows, up to underflow (Rump, BIT 39, 1999);
+    abs_c = |C| and c_rows its float row sums.  Gr is symmetric and
+    nonnegative, so ||Gr||_2 is at most its largest row sum, g |C|^T (|C| 1).
     """
-    r, n = a.shape
-    s = am.T @ am_rows
+    r, n = abs_c.shape
+    s = abs_c.T @ c_rows
     s *= _up(float(_gamma(r)))
-    if a.rad.any():
-        s += am.T @ a.rad.sum(axis=1)
-        s += a.rad.T @ a.mag().sum(axis=1)
     return _max_sum_upper(s, r + n, n, r)
 
 
@@ -545,15 +512,6 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float, cheap: float) -> float:
     return bound if bound < cheap else cheap
 
 
-def mat_norm2_upper(a: BallMatrix) -> float:
-    """Rigorous upper bound on the spectral norm of every member of a: the
-    smaller of sqrt(||A||_1 ||A||_inf) and a certificate for
-    lambda_max(A^T A) (_gram_norm2_upper, _gram_spread)."""
-    am = np.abs(a.mid)
-    spread = _gram_spread(a, am, am.sum(axis=1))
-    return _gram_norm2_upper(a.mid.T @ a.mid, spread, _cheap_norm2_upper(a))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives e = inf
 def _defect_norm_upper(c: np.ndarray, abs_c: np.ndarray, c_cols: np.ndarray,
                        a: BallMatrix) -> float:
@@ -567,7 +525,7 @@ def _defect_norm_upper(c: np.ndarray, abs_c: np.ndarray, c_cols: np.ndarray,
     column sums (1^T |C|)(g |Am| + Ar).  Each sum reaches a term by at most
     2m roundings and covers m entries of m-term gemms.
     """
-    m = a.rows
+    m = len(c)
     am = np.abs(a.mid)
     rows = abs_c @ am.sum(axis=1)
     cols = c_cols @ am
@@ -609,10 +567,10 @@ def mat_inverse_norm2_upper(a: BallMatrix, floor: float = 0.0):
     if not e < 1.0:
         raise IntervalDomainError(f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1")
     den = _down(1.0 - e)
-    c_norm = _norm2_from_sums(c_rows, c_cols, a.rows)
+    c_norm = _norm2_from_sums(c_rows, c_cols, len(c))
     bound = _up(_up(c_norm) / den)
     if bound > floor:
-        spread = _gram_spread(BallMatrix.point(c), abs_c, c_rows)
+        spread = _gram_spread(abs_c, c_rows)
         gram = c.T @ c
         del c, abs_c  # only the Gram matrix is live in the certificate
         c_norm = _gram_norm2_upper(gram, spread, c_norm)

@@ -27,7 +27,6 @@ from .operator import (
     point_linearization,
     point_powers,
     poly_point,
-    truncation_modes,
 )
 from .series import CosineSeries, k2_grid
 
@@ -120,7 +119,7 @@ NEWTON_WORK_ARRAYS = 4
 
 def _check_block_memory(rows: int, dim: int, n: int, avail: float) -> None:
     """Raise NewtonError unless a Jacobian block of rows modes fits in avail bytes."""
-    short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, dim, n,
+    short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, f"truncation n={n} ({n**dim - 1} modes)",
                              f"Newton Jacobian block of {rows} modes", avail)
     if short:
         raise NewtonError(short)
@@ -164,8 +163,6 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     a[src] = coeffs[src]
     a[(0,) * dim] = 0.0
 
-    modes = truncation_modes(dim, n)
-    flat_idx = np.ravel_multi_index(tuple(modes[:, i] for i in range(dim)), (n,) * dim)
     start_norm = None
     for it in range(opts.max_iter + 1):
         powers = point_powers(p, a)
@@ -185,25 +182,22 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
             raise NewtonError(f"Newton iteration diverged (residual {proj:.3g})")
         if it == opts.max_iter:
             break
-        rhs = -f_all[tuple(slice(0, n) for _ in range(dim))].ravel()[flat_idx]
+        f = f_all[(slice(0, n),) * dim].ravel()
         q_raw, split = point_linearization(p, powers)
-        classes = [(block, block.rows()) for block in parity_blocks(split, n)]
-        blocks = [(block, idx) for block, idx in classes if rhs[idx].any()]
+        blocks = [(block, block.cells()) for block in parity_blocks(split, n)]
+        blocks = [(block, cells) for block, cells in blocks if f[cells].any()]
         _check_block_memory(max(block.size for block, _ in blocks), dim, n, avail)
-        step = np.zeros(flat_idx.size)
-        for block, idx in blocks:
+        flat = a.ravel()
+        for block, cells in blocks:
             # the block is dropped once solved, so blocks are live one at a time
             try:
-                step[idx] = np.linalg.solve(galerkin_matrix_point(p, q_raw, modes[idx], block.axes), rhs[idx])
+                step = np.linalg.solve(galerkin_matrix_point(p, q_raw, block), -f[cells])
             except np.linalg.LinAlgError as exc:
                 raise NewtonError(
                     f"singular Jacobian at iteration {it} on parity class "
                     f"{block.label} ({block.size} modes): {exc}"
                 ) from exc
-        flat = a.ravel()
-        flat[flat_idx] += opts.damping * step
-        a = flat.reshape(a.shape)
-        a[(0,) * dim] = 0.0
+            flat[cells] += opts.damping * step
     raise NewtonError(
         f"no convergence in {opts.max_iter} iterations (residual {proj:.3g}, tol {opts.tol_residual:.3g})"
     )

@@ -63,7 +63,9 @@ class CertificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def poly_deriv(coeffs) -> tuple:
-    return tuple(float(j * c) for j, c in enumerate(coeffs) if j >= 1)
+    """The derivative's coefficients j c_j, c_j a float or an Interval, as
+    Intervals: points where j and c_j are small integers or c_j is zero."""
+    return tuple(Interval(j) * c for j, c in enumerate(coeffs) if j >= 1)
 
 
 # the continuation parameters, by name, and the ModelParams field of each
@@ -109,9 +111,14 @@ class ModelParams:
         return poly_deriv(self.fp_coeffs)
 
 
+def _is_zero(c) -> bool:
+    """Whether a coefficient, a float or an Interval, is the point zero."""
+    return Interval._coerce(c).mag == 0.0
+
+
 def _trim(coeffs) -> tuple:
-    coeffs = tuple(float(c) for c in coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+    coeffs = tuple(coeffs)
+    while len(coeffs) > 1 and _is_zero(coeffs[-1]):
         coeffs = coeffs[:-1]
     return coeffs
 
@@ -139,12 +146,12 @@ def ball_powers(p: ModelParams, u: CosineSeries) -> list:
 
 
 def poly_series(coeffs, powers: list) -> CosineSeries:
-    """sum_j coeffs[j] v^j from ball_powers' [v, v^2, ...], by scale and +;
-    a term with a zero coefficient is left out."""
+    """sum_j coeffs[j] v^j, coeffs[j] a float or an Interval, from
+    ball_powers' [v, v^2, ...] by scale and +; a zero term is left out."""
     coeffs = _trim(coeffs)
     acc = CosineSeries.zeros((1,) * powers[0].dim).add_constant(coeffs[0])
     for c, vj in zip(coeffs[1:], powers):
-        if c != 0.0:
+        if not _is_zero(c):
             acc = acc + vj.scale(c)
     return acc
 
@@ -202,14 +209,6 @@ def apply_linearization(p: ModelParams, q: CosineSeries, v: CosineSeries) -> Cos
 # Galerkin matrix of the scaled linearization
 # ---------------------------------------------------------------------------
 
-def truncation_modes(dim: int, n: int) -> np.ndarray:
-    """Multi-indices with 0 < |k|_inf < n in lexicographic order, shape (n^d-1, d)."""
-    if n < 2:
-        raise ValueError("truncation must be >= 2")
-    grids = np.indices((n,) * dim).reshape(dim, -1).T
-    return np.ascontiguousarray(grids[1:])
-
-
 def split_axes(q: CosineSeries) -> tuple:
     """Per axis, whether every nonzero coefficient of q has an even index along it.
 
@@ -226,7 +225,7 @@ def _even_axes(support: np.ndarray) -> tuple:
 
 
 class ParityBlock(NamedTuple):
-    """One parity class of the modes 0 < |k|_inf < n of truncation_modes.
+    """One parity class of the modes 0 < |k|_inf < n.
 
     The class is the lexicographic tensor grid of the per-axis indices axes,
     less the origin where the grid holds it; label reads k_j mod 2 on each
@@ -238,10 +237,17 @@ class ParityBlock(NamedTuple):
     label: str
     size: int
 
-    def rows(self) -> np.ndarray:
-        """Row indices in truncation_modes of the class's modes, in its order."""
+    def cells(self) -> np.ndarray:
+        """The flat indices of the class's modes in the n^d grid, in its order."""
         flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.axes)).ravel()
-        return flat[flat > 0] - 1
+        return flat[flat > 0]
+
+    def weights(self) -> tuple:
+        """|k|^2, exact, and the float c_k of the class's modes, in its order."""
+        grid = np.ix_(*self.axes)
+        k2 = sum(a.astype(np.float64) ** 2 for a in grid).ravel()
+        nz = sum((a != 0).astype(np.intp) for a in grid).ravel()
+        return k2[k2 > 0], C_FLOAT[nz[k2 > 0]]
 
 
 def parity_blocks(split, n: int) -> list:
@@ -251,7 +257,8 @@ def parity_blocks(split, n: int) -> list:
 
     This is the one walk over the blocks of a matrix that splits by parity:
     the K_N stage, its memory charge and Newton's steps all follow it.  No
-    array of a class's size is built until its rows are asked for.
+    array of a class's size is built until its cells or weights are asked
+    for.
     """
     out = []
     for cls in itertools.product(*[(0, 1) if s else (None,) for s in split]):
@@ -280,8 +287,7 @@ def _galerkin_sums(axes, arrays) -> list:
     the same order as term by term, and a -0.0 term gives +0.0.  Every take
     copies whole rows, and one transposed copy makes the C-contiguous (k;
     ell) matrix.  In 1-d the origin is cut from the tables; elsewhere its
-    row and column are cut by one more copy.  Full ranges give the
-    truncation_modes grid.
+    row and column are cut by one more copy.
     """
     d = arrays[0].ndim
     ext = tuple(2 * int(a[-1]) + 1 for a in axes)
@@ -332,11 +338,11 @@ def _sign_partials(part: np.ndarray, tables, t: int = 0):
 
 def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
     """The ball matrix with entries -(1 + lam sigma / kappa_k^2)
-    delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes of
-    truncation_modes, one block at a time: it is block-diagonal by the
-    parity classes of split_axes(q), every entry off the blocks an exact
-    zero, and each (ParityBlock, BallMatrix) pair is assembled only when the
-    previous one has been taken.
+    delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes 0 < |k|_inf
+    < n, one block at a time: it is block-diagonal by the parity classes of
+    split_axes(q), every entry off the blocks an exact zero, and each
+    (ParityBlock, BallMatrix) pair is assembled only when the previous one
+    has been taken.
 
     The float sums of galerkin_matrix_point at the raw midpoint of q, at its
     absolute value and at the raw radius are scaled in place by the weights
@@ -354,26 +360,22 @@ def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
     computed elementwise, so a block holds the same bits as the one-block
     assembly does on its rows and columns.
     """
-    modes = truncation_modes(q.dim, n)
     qm, qr, _ = _raw_mid_rad(q)
     arrays = [qm, np.abs(qm)] + ([qr] if qr.any() else [])
     for block in parity_blocks(split_axes(q), n):
-        yield block, _galerkin_block(p, modes[block.rows()], block.axes, arrays)
+        yield block, _galerkin_block(p, block, arrays)
 
 
-def _galerkin_block(p: ModelParams, modes: np.ndarray, axes, arrays) -> BallMatrix:
-    """galerkin_blocks's ball matrix on one parity class: axes are its
-    per-axis indices, modes its rows of truncation_modes in that order."""
-    d = modes.shape[1]
-    m = modes.shape[0]
-    s_mid, s_abs, *s_rad = _galerkin_sums(axes, arrays)
-    diag = np.arange(m)
+def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
+    """galerkin_blocks's ball matrix on one parity class."""
+    d = len(block.axes)
+    s_mid, s_abs, *s_rad = _galerkin_sums(block.axes, arrays)
+    diag = np.arange(block.size)
     free = s_abs == 0.0
     for s in s_rad:
         free &= s == 0.0
     free[diag, diag] = False
-    k2 = np.sum(modes.astype(np.float64) ** 2, axis=1)
-    row = C_FLOAT[np.count_nonzero(modes, axis=1)]
+    k2, row = block.weights()
     col = row * 0.5**d / (PI2_BALL[0] * k2)
     for s in (s_mid, s_abs, *s_rad):
         s *= row[:, None]
@@ -391,7 +393,8 @@ def point_powers(p: ModelParams, coeffs: np.ndarray) -> list:
     """Newton's float powers [v, v^2, ..., v^deg] of v = u + mu at the point
     coeffs, deg >= 1 the degree of f: deg - 1 products, from which
     poly_point reads both f(v) and f'(v)."""
-    v = _with_mean(coeffs, p.mu)
+    v = coeffs.copy()
+    v[(0,) * v.ndim] += p.mu
     powers = [v]
     for _ in range(len(_trim(p.f_coeffs)) - 2):
         powers.append(multiply_point(v, powers[-1]))
@@ -415,35 +418,28 @@ def poly_point(coeffs, powers: list) -> np.ndarray:
 def point_linearization(p: ModelParams, powers: list) -> tuple:
     """Newton's float linearization at the point of point_powers: the raw
     coefficients q c_k of q = lam f'(u + mu), and the axes along which its
-    Jacobian splits by parity (split_axes, read off the float q)."""
-    q_raw = poly_point(p.fp_coeffs, powers)
+    Jacobian splits by parity (split_axes, read off the float q), f' with
+    the coefficients fl(j c_j)."""
+    q_raw = poly_point([j * c for j, c in enumerate(p.f_coeffs)][1:], powers)
     q_raw *= p.lam
     q_raw *= c_grid(q_raw.shape)
     return q_raw, _even_axes(q_raw != 0.0)
 
 
-def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, modes: np.ndarray, axes) -> np.ndarray:
+def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, block: ParityBlock) -> np.ndarray:
     """Float block of the unscaled projected linearization (Newton Jacobian)
-    on one parity class: axes are its per-axis indices (parity_blocks),
-    modes its rows of truncation_modes in that order, q_raw from
-    point_linearization.
+    on one parity class, q_raw from point_linearization.
 
     Entries -(kappa_k^2 + lam sigma) delta_{k,ell} + kappa_k (q phi_ell, phi_k).
     """
-    m, d = modes.shape
-    (acc,) = _galerkin_sums(axes, [q_raw])
-    cf = C_FLOAT[np.count_nonzero(modes, axis=1)]
-    acc *= cf[:, None] * cf[None, :] * 0.5**d
-    kap = math.pi**2 * np.sum(modes.astype(np.float64) ** 2, axis=1)
+    (acc,) = _galerkin_sums(block.axes, [q_raw])
+    k2, cf = block.weights()
+    acc *= cf[:, None] * cf[None, :] * 0.5 ** len(block.axes)
+    kap = math.pi**2 * k2
     b = kap[:, None] * acc
-    b[np.arange(m), np.arange(m)] -= kap**2 + p.lam * p.sigma
+    diag = np.arange(block.size)
+    b[diag, diag] -= kap**2 + p.lam * p.sigma
     return b
-
-
-def _with_mean(coeffs: np.ndarray, mu: float) -> np.ndarray:
-    out = coeffs.copy()
-    out[(0,) * coeffs.ndim] += mu
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +508,14 @@ def kn_stage_bytes(q: CosineSeries, n: int) -> float:
     return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
-def memory_shortfall(need: float, dim: int, n: int, stage: str, avail: float | None = None) -> str | None:
-    """Why need bytes for stage at truncation n do not fit in avail bytes
-    (default: a reading of the available memory), or None when they do."""
+def memory_shortfall(need: float, what: str, stage: str, avail: float | None = None) -> str | None:
+    """Why need bytes for stage at what (a truncation or a size) do not fit
+    in avail bytes (default: a reading of the available memory), or None
+    when they do."""
     avail = available_memory_bytes() if avail is None else avail
     if need <= avail:
         return None
-    return (f"truncation n={n} ({n**dim - 1} modes) needs about {need / 1e6:.0f} MB "
-            f"for the {stage}, {avail / 1e6:.0f} MB available")
+    return f"{what} needs about {need / 1e6:.0f} MB for the {stage}, {avail / 1e6:.0f} MB available"
 
 
 def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> InverseBound:
@@ -535,7 +531,7 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> Inve
     fit in the available memory.
     """
     q, q_sup, q_h2 = lin
-    short = memory_shortfall(kn_stage_bytes(q, n), q.dim, n, "K_N stage")
+    short = memory_shortfall(kn_stage_bytes(q, n), f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage")
     if short:
         raise CertificationError("kn_bound", short)
     kn = 0.0

@@ -417,6 +417,16 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # evaluation (non-rigorous; plotting and diagnostics)
 # ---------------------------------------------------------------------------
 
+def grid_bytes(extent, points: int) -> float:
+    """Bytes that evaluate_grid needs on points^d points, coefficients of
+    the given extent: twice the coefficients, every partial contraction
+    (each copies its input) and every cosine table (and its outer product)."""
+    sizes = [math.prod(extent)]
+    for e in extent:
+        sizes.append(sizes[-1] // e * points)
+    return 16.0 * (sizes[0] + sum(sizes) + points * sum(extent))
+
+
 def evaluate_grid(u: CosineSeries, axes) -> np.ndarray:
     """Values of the midpoint series on a tensor grid (one 1-d array per axis)."""
     raw = u.mid() * c_grid(u.extent)

@@ -4,7 +4,10 @@ not need.
 The entrywise ball matrix product mat_mul and mat_sub_identity form the
 defect C A - I as an m x m ball matrix, the form that the certified norm
 bounds in okvalid.intervals avoid: they are the oracle that the row and
-column sums there are checked against.
+column sums there are checked against.  norm2_upper bounds the spectral
+norm of every member of a ball matrix, the program's Gram certificate on a
+ball spread, and truncation_modes lists the modes of the full Galerkin
+matrix, in the order of the blocks' cells.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from okvalid.intervals import (
     Interval,
     _ball_up,
     _gamma,
+    _gram_norm2_upper,
+    _max_sum_upper,
+    _norm2_from_sums,
     _up,
     ball_add,
     mid_rad,
@@ -32,6 +38,12 @@ def contains(iv: Interval, x) -> bool:
     if isinstance(x, Interval):
         return iv.lo <= x.lo and x.hi <= iv.hi
     return iv.lo <= x <= iv.hi
+
+
+def point_matrix(a) -> BallMatrix:
+    """The point matrix a itself, not a copy, with a zero radius."""
+    a = np.asarray(a, dtype=np.float64)
+    return BallMatrix(a, np.broadcast_to(0.0, a.shape))
 
 
 def ball_hull(lo, hi) -> BallMatrix:
@@ -71,9 +83,9 @@ def mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     of B gives exact zeros.  Entries where anything overflows become
     (0, inf).
     """
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    p = a.cols
+    if a.mid.shape[1] != b.mid.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.mid.shape} @ {b.mid.shape}")
+    p = a.mid.shape[1]
     ar = a.rad if a.rad.any() else None
     br = b.rad if b.rad.any() else None
     c = a.mid @ b.mid
@@ -111,6 +123,50 @@ def mat_sub_identity(a: BallMatrix) -> BallMatrix:
     exact (Sterbenz)."""
     mid = a.mid.copy()
     rad = a.rad.copy()
-    d = np.arange(min(a.shape))
+    d = np.arange(min(a.mid.shape))
     mid[d, d], rad[d, d] = ball_add(mid[d, d], rad[d, d], -1.0, 0.0)
     return BallMatrix(mid, rad)
+
+
+def magnitude(a: BallMatrix) -> np.ndarray:
+    """fl(|mid| + rad): each entry within one rounding of its largest |X|."""
+    return np.abs(a.mid) + a.rad
+
+
+def cheap_norm2_upper(a: BallMatrix) -> float:
+    """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2 for every member."""
+    mag = magnitude(a)
+    return _norm2_from_sums(mag.sum(axis=1), mag.sum(axis=0), max(a.mid.shape))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
+def gram_spread(a: BallMatrix) -> float:
+    """Upper bound on ||Gr||_2, where every member of A^T A lies within Gr =
+    g |Am|^T |Am| + |Am|^T Ar + Ar^T (|Am| + Ar) of fl(Am^T Am), g = gamma_r
+    for r rows, up to underflow (Rump, BIT 39, 1999): the largest row sum
+    of the symmetric nonnegative Gr, as matrix-vector products."""
+    r, n = a.mid.shape
+    am = np.abs(a.mid)
+    s = am.T @ am.sum(axis=1)
+    s *= _up(float(_gamma(r)))
+    s += am.T @ a.rad.sum(axis=1)
+    s += a.rad.T @ magnitude(a).sum(axis=1)
+    return _max_sum_upper(s, r + n, n, r)
+
+
+def norm2_upper(a: BallMatrix) -> float:
+    """Upper bound on the spectral norm of every member of a: the smaller of
+    sqrt(||A||_1 ||A||_inf) and the Gram certificate on gram_spread."""
+    return _gram_norm2_upper(a.mid.T @ a.mid, gram_spread(a), cheap_norm2_upper(a))
+
+
+def truncation_modes(dim: int, n: int) -> np.ndarray:
+    """Multi-indices with 0 < |k|_inf < n in lexicographic order, shape (n^d-1, d):
+    row i is the mode of cell i + 1 of the n^d grid."""
+    return np.ascontiguousarray(np.indices((n,) * dim).reshape(dim, -1).T[1:])
+
+
+def block_modes(block) -> np.ndarray:
+    """The multi-indices of a ParityBlock's modes, in its order."""
+    shape = (block.n,) * len(block.axes)
+    return np.stack(np.unravel_index(block.cells(), shape), axis=1)

@@ -38,14 +38,16 @@ def lin_of(p, u):
 
 
 def galerkin_full(p, q, n, blocks=None) -> BallMatrix:
-    """The full Galerkin ball matrix on truncation_modes, scattered from the
-    blocks that the K_N stage streams (operator.galerkin_blocks), or from
-    blocks, a list taken from that stream; every entry off the blocks is a
-    point zero."""
+    """The full Galerkin ball matrix on the modes 0 < |k|_inf < n in
+    lexicographic order (balls.truncation_modes), scattered from the blocks
+    that the K_N stage streams (operator.galerkin_blocks), or from blocks, a
+    list taken from that stream; every entry off the blocks is a point
+    zero.  Row i is cell i + 1 of the n^d grid."""
     m = n**q.dim - 1
     mid, rad = np.zeros((m, m)), np.zeros((m, m))
     for block, ball in operator.galerkin_blocks(p, q, n) if blocks is None else blocks:
-        idx = np.ix_(block.rows(), block.rows())
+        rows = block.cells() - 1
+        idx = np.ix_(rows, rows)
         mid[idx], rad[idx] = ball.mid, ball.rad
     return BallMatrix(mid, rad)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
+from balls import truncation_modes
 from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid.cift import validate, verify_certificate
 from okvalid.cli import main
@@ -23,7 +24,6 @@ from okvalid.operator import (
     ModelParams,
     apply_linearization,
     derivative_inverse_bound,
-    truncation_modes,
 )
 from okvalid.series import (
     CosineSeries,

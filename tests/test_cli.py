@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,63 @@ def test_render_3d_slices(workdir):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["x", "y", "z", "u"]
     assert len(rows) == 1 + 64
+
+
+def _traced_main(argv):
+    """main(argv) and the traced memory peak of the call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv,what,stage", [
+    (["render", "--in", "D3", "--grid", "100000", "--out", "OUT"], "--grid 100000", "3-d grid of values"),
+    (["constants", "--dim", "3", "--ncut", "10000000"], "--ncut 10000000", "lattice sum of cm_bar"),
+    (["constants", "--ncut", "100000"], "--ncut 100000", "lattice sum of cm_bar"),
+])
+def test_render_and_constants_check_memory_before_allocating(workdir, capsys, monkeypatch, argv, what, stage):
+    # what a command would allocate is charged first: with 100 MB
+    # available, a 3-d grid of 10^15 points and the 3-d lattice sum at
+    # ncut = 10^5 or 10^7 are refused with one error line after a traced
+    # peak well under 1 MB, and no output is written
+    from okvalid import operator
+
+    path = workdir / "mem3d.json"
+    write_solution(path, ModelParams(lam=1.0), single_mode((4, 4, 4), (1, 1, 1), 0.3), 0.0)
+    out = workdir / "mem3d.render.csv"
+    argv = [str(path) if a == "D3" else str(out) if a == "OUT" else a for a in argv]
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e8)
+    capsys.readouterr()
+    code, peak = _traced_main(argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith(f"error: {what} needs about ")
+    assert line.endswith(f" MB for the {stage}, 100 MB available")
+    assert not captured.out and not out.exists() and peak < 1e6
+
+
+def test_render_and_constants_fit_their_charge(workdir, monkeypatch):
+    # one byte less than the charge is refused, the charge itself suffices,
+    # and it covers the traced peak of the whole command
+    from okvalid import operator
+    from okvalid.embeddings import cmbar_bytes, recompute_cmbar
+    from okvalid.series import grid_bytes
+
+    path = workdir / "mem2d.json"
+    write_solution(path, ModelParams(lam=1.0), single_mode((12, 12), (1, 1), 0.5), 0.0)
+    render = ["render", "--in", str(path), "--grid", "200", "--out", str(workdir / "mem2d.csv")]
+    for argv, need in ((render, grid_bytes((12, 12), 200)),
+                       (["constants", "--dim", "3", "--ncut", "300"], cmbar_bytes(3, 300))):
+        monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
+        assert main(argv) == 1
+        monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
+        recompute_cmbar.cache_clear()
+        code, peak = _traced_main(argv)
+        assert code == 0 and peak <= need, (argv[0], peak, need)
 
 
 def _count_calls(monkeypatch, module, name, calls):

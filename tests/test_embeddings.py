@@ -67,7 +67,7 @@ def test_equiv_factor_inequality(rng):
 def test_cmbar_below_equiv_times_cm():
     for d in (1, 2, 3):
         c = table_constants(d)
-        assert c.cm_bar <= c.equiv * c.cm
+        assert c.cm_bar <= equiv_factor().hi * c.cm
 
 
 @pytest.mark.parametrize("dim,extent", [(1, (8,)), (2, (5, 5)), (3, (3, 3, 3))])

@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balls import ball_hull, contains, mat_mul, mat_sub_identity, transpose
+from balls import (
+    ball_hull,
+    cheap_norm2_upper,
+    contains,
+    gram_spread,
+    mat_mul,
+    mat_sub_identity,
+    norm2_upper,
+    point_matrix,
+    transpose,
+)
 from okvalid.intervals import (
     BallMatrix,
-    _cheap_norm2_upper,
+    _cholesky_shift,
     _defect_norm_upper,
     _gamma,
     _gram_spread,
@@ -19,7 +29,6 @@ from okvalid.intervals import (
     Interval,
     IntervalDomainError,
     mat_inverse_norm2_upper,
-    mat_norm2_upper,
     add_toward,
     ball_add,
     ball_inv,
@@ -406,7 +415,7 @@ def _ends(b: BallMatrix, i: int, j: int):
 
 def test_matmul_identity_widening(rng):
     a = rng.standard_normal((6, 6))
-    prod = mat_mul(BallMatrix.point(np.eye(6)), BallMatrix.point(a))
+    prod = mat_mul(point_matrix(np.eye(6)), point_matrix(a))
     for i in range(6):
         for j in range(6):
             lo, hi = _ends(prod, i, j)
@@ -426,7 +435,7 @@ def test_matmul_1x1_is_scalar_mul():
 def test_matmul_exact_rational_oracle(rng):
     a = rng.standard_normal((5, 5))
     b = rng.standard_normal((5, 5))
-    prod = mat_mul(BallMatrix.point(a), BallMatrix.point(b))
+    prod = mat_mul(point_matrix(a), point_matrix(b))
     for i in range(5):
         for j in range(5):
             exact = sum(Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(5))
@@ -436,33 +445,50 @@ def test_matmul_exact_rational_oracle(rng):
 
 def test_matmul_dim_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(BallMatrix.point(np.eye(3)), BallMatrix.point(np.eye(4)))
+        mat_mul(point_matrix(np.eye(3)), point_matrix(np.eye(4)))
+
+
+# ||C||, C the point inverse, that mat_inverse_norm2_upper certifies by the
+# Gram certificate, against the singular values of the same float inverse
+
+def _inverse_norm(a: np.ndarray):
+    """The ||C|| that mat_inverse_norm2_upper returns for the point matrix a,
+    and the float inverse C itself."""
+    return mat_inverse_norm2_upper(point_matrix(a))[2], np.linalg.inv(a)
+
+
+def _mp_norm(m: np.ndarray):
+    """sigma_max(m) to 50 digits."""
+    with mpmath.workdps(50):
+        return max(mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False))
 
 
 def test_norm2_identity():
     for n in (1, 8, 50):
-        bound = mat_norm2_upper(BallMatrix.point(np.eye(n)))
+        bound, _ = _inverse_norm(np.eye(n))
         assert 1.0 <= bound <= 1.0 + 1e-12
 
 
 def test_norm2_diagonal():
-    d = BallMatrix.point(np.diag([1.0, 2.0, 3.0]))
-    bound = mat_norm2_upper(d)
-    assert 3.0 <= bound <= 3.0 * (1.0 + 1e-12)
+    bound, c = _inverse_norm(np.diag([1.0, 0.5, 0.25]))
+    assert np.array_equal(c, np.diag([1.0, 2.0, 4.0]))
+    assert 4.0 <= bound <= 4.0 * (1.0 + 1e-12)
 
 
 def test_norm2_upper_bounds_svd(rng):
     for _ in range(20):
-        m = rng.standard_normal((8, 8))
-        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        assert mat_norm2_upper(BallMatrix.point(m)) >= sigma_max
+        bound, c = _inverse_norm(rng.standard_normal((8, 8)))
+        assert bound >= _mp_norm(c)
 
+
+# norm2_upper, the test-side bound on every member of a ball matrix, is the
+# oracle of the defect checks in test_operator: its own check
 
 def test_norm2_upper_interval_members(rng):
     lo = rng.standard_normal((7, 7))
     hi = lo + abs(rng.standard_normal((7, 7)))
     m = ball_hull(lo, hi)
-    bound = mat_norm2_upper(m)
+    bound = norm2_upper(m)
     for _ in range(50):
         member = lo + rng.uniform(size=(7, 7)) * (hi - lo)
         assert np.linalg.svd(member, compute_uv=False)[0] <= bound
@@ -482,30 +508,88 @@ def test_norm2_upper_bounds_sampled_members(rng, shape, width):
     lo = rng.standard_normal(shape)
     hi = lo + width * np.abs(rng.standard_normal(shape))
     m = ball_hull(lo, hi)
-    bound = mat_norm2_upper(m)
-    assert bound <= _cheap_norm2_upper(m)
+    bound = norm2_upper(m)
+    assert bound <= cheap_norm2_upper(m)
     for member in _sampled_members(rng, lo, hi, 20):
         assert np.linalg.svd(member, compute_uv=False)[0] <= bound
 
 
 @pytest.mark.parametrize("n", [1, 5, 40, 200])
 def test_norm2_upper_sharp_on_point_matrices(rng, n):
+    # C near a random, a widely scaled diagonal and an all-ones triangular matrix
     for m in (rng.standard_normal((n, n)), np.diag(np.logspace(-8, 3, n)),
               np.triu(np.ones((n, n)))):
-        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        bound = mat_norm2_upper(BallMatrix.point(m))
+        bound, c = _inverse_norm(np.linalg.inv(m))
+        sigma_max = np.linalg.svd(c, compute_uv=False)[0]
         assert sigma_max <= bound <= sigma_max * (1.0 + 1e-9)
 
 
 def test_norm2_upper_returns_cheap_bound_when_cholesky_fails(rng, monkeypatch):
-    a = BallMatrix.point(rng.standard_normal((12, 12)))
-    sharp = mat_norm2_upper(a)
+    # the fallback is sqrt(||C||_1 ||C||_inf), which a floor above the bound
+    # leaves uncertified
+    a = point_matrix(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
+    sharp = mat_inverse_norm2_upper(a)[2]
+    cheap = mat_inverse_norm2_upper(a, math.inf)[2]
 
     def fail(x):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", fail)
-    assert mat_norm2_upper(a) == _cheap_norm2_upper(a) > sharp
+    assert mat_inverse_norm2_upper(a)[2] == cheap > sharp
+
+
+def test_norm2_upper_returns_cheap_bound_when_gram_overflows(monkeypatch):
+    # C about 1e160: C^T C and its spread overflow, so no LAPACK call sees
+    # them, and ||C|| is sqrt(||C||_1 ||C||_inf), which overflows too: an
+    # infinite bound, not an error
+    a = point_matrix(1e-160 * (np.eye(4) + 0.25 * np.triu(np.ones((4, 4)), 1)))
+    c = np.linalg.inv(a.mid)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(c.T @ c).all()
+
+    def fail(x):
+        raise AssertionError("certificate tried on a non-finite Gram matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    bound, e, c_norm = mat_inverse_norm2_upper(a)
+    assert e < 1e-12 and bound == c_norm == math.inf
+    assert mat_inverse_norm2_upper(a, math.inf) == (bound, e, c_norm)
+
+
+def _positive_definite(m) -> bool:
+    """Whether the symmetric matrix m of Fractions is positive definite:
+    every pivot of Gaussian elimination without pivoting is positive."""
+    m = [row[:] for row in m]
+    for k in range(len(m)):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def test_cholesky_shift_covers_the_backward_error(rng):
+    # where floating Cholesky succeeds on Y, Y + beta I is positive definite
+    # in exact arithmetic (Rump, BIT 46, 2006), also where Y itself is not:
+    # Y = fl(B B^T) for B of rank n - 1 is singular up to its roundings
+    n = 6
+    indefinite = 0
+    for _ in range(100):
+        b = rng.standard_normal((n, n - 1))
+        y = b @ b.T
+        try:
+            np.linalg.cholesky(y)
+        except np.linalg.LinAlgError:
+            continue
+        exact = [[Fraction(v) for v in row] for row in y]
+        indefinite += not _positive_definite(exact)
+        beta = Fraction(_cholesky_shift(n, float(np.max(np.diag(y)))))
+        for i in range(n):
+            exact[i][i] += beta
+        assert _positive_definite(exact)
+    assert indefinite > 0
 
 
 def _mp_inverse_norm(m: np.ndarray):
@@ -519,7 +603,7 @@ def _mp_inverse_norm(m: np.ndarray):
 def test_inverse_norm_bound_mpmath_oracle(rng, n):
     for shift in (5.0, 1.0, 0.0):
         m = rng.standard_normal((n, n)) + shift * np.eye(n)
-        bound, defect, _ = mat_inverse_norm2_upper(BallMatrix.point(m))
+        bound, defect, _ = mat_inverse_norm2_upper(point_matrix(m))
         oracle = _mp_inverse_norm(m)
         assert bound >= oracle
         if shift == 5.0:  # well conditioned
@@ -538,7 +622,7 @@ def test_inverse_norm_bound_interval_members_mpmath(rng):
 def test_inverse_norm_bound(rng):
     for _ in range(10):
         m = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
-        bound, defect, _ = mat_inverse_norm2_upper(BallMatrix.point(m))
+        bound, defect, _ = mat_inverse_norm2_upper(point_matrix(m))
         oracle = 1.0 / np.linalg.svd(m, compute_uv=False)[-1]
         assert bound >= oracle  # inequality direction
         assert bound <= 1.5 * oracle
@@ -548,11 +632,11 @@ def test_inverse_norm_bound(rng):
 def test_inverse_norm_bound_rejects_singular():
     m = np.zeros((4, 4))
     with pytest.raises(IntervalDomainError):
-        mat_inverse_norm2_upper(BallMatrix.point(m))
+        mat_inverse_norm2_upper(point_matrix(m))
 
 
 def test_sub_identity_exact():
-    a = BallMatrix.point(np.full((3, 3), 2.0))
+    a = point_matrix(np.full((3, 3), 2.0))
     e = mat_sub_identity(a)
     assert e.mid[0, 0] == 1.0 and e.rad[0, 0] == 0.0
     assert e.mid[0, 1] == 2.0 and e.rad[0, 1] == 0.0
@@ -594,7 +678,7 @@ def test_sub_identity_fraction_oracle(rng, point):
 def _random_interval_matrix(rng, shape, point=False, scale=1.0):
     lo = rng.standard_normal(shape) * scale
     if point:
-        return BallMatrix.point(lo)
+        return point_matrix(lo)
     width = np.abs(rng.standard_normal(shape)) * scale * rng.choice([0.0, 1e-12, 0.5], shape)
     return ball_hull(lo, lo + width)
 
@@ -603,7 +687,7 @@ def _exact_entry_hull(a: BallMatrix, b: BallMatrix, i: int, j: int):
     """Exact range of entry (i, j) over all member products: a sum of
     independent scalar product ranges, each with rational endpoints."""
     lo = hi = Fraction(0)
-    for k in range(a.cols):
+    for k in range(a.mid.shape[1]):
         ends = [x * y for x in _ends(a, i, k) for y in _ends(b, k, j)]
         lo += min(ends)
         hi += max(ends)
@@ -612,9 +696,9 @@ def _exact_entry_hull(a: BallMatrix, b: BallMatrix, i: int, j: int):
 
 def assert_matmul_contains_exact(a: BallMatrix, b: BallMatrix):
     prod = mat_mul(a, b)
-    assert prod.shape == (a.rows, b.cols)
-    for i in range(a.rows):
-        for j in range(b.cols):
+    assert prod.mid.shape == (a.mid.shape[0], b.mid.shape[1])
+    for i in range(a.mid.shape[0]):
+        for j in range(b.mid.shape[1]):
             if prod.rad[i, j] == math.inf:
                 assert prod.mid[i, j] == 0.0
                 continue
@@ -660,8 +744,8 @@ def test_matmul_near_1e300(rng, a_point):
 
 
 def test_matmul_overflow_gives_unbounded_entry():
-    a = BallMatrix.point(np.array([[1e300, 1.0]]))
-    b = BallMatrix.point(np.array([[1e300], [1.0]]))
+    a = point_matrix(np.array([[1e300, 1.0]]))
+    b = point_matrix(np.array([[1e300], [1.0]]))
     prod = mat_mul(a, b)
     assert prod.mid[0, 0] == 0.0 and prod.rad[0, 0] == math.inf
 
@@ -672,7 +756,7 @@ def test_matmul_subnormal_range(rng, a_point, b_point):
     a = _random_interval_matrix(rng, (3, 5), point=a_point, scale=1e-160)
     b = _random_interval_matrix(rng, (5, 4), point=b_point, scale=1e-160)
     assert_matmul_contains_exact(a, b)
-    tiny = BallMatrix.point(rng.integers(-3, 4, (3, 5)) * 5e-324)
+    tiny = point_matrix(rng.integers(-3, 4, (3, 5)) * 5e-324)
     assert_matmul_contains_exact(tiny, _random_interval_matrix(rng, (5, 4), point=b_point))
 
 
@@ -686,7 +770,7 @@ def _interval_matrix(draw, rows, cols, point):
     lo = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
     lo = lo.reshape(rows, cols)
     if point:
-        return BallMatrix.point(lo)
+        return point_matrix(lo)
     other = np.array(draw(st.lists(_ENDPOINT, min_size=rows * cols, max_size=rows * cols)))
     other = other.reshape(rows, cols)
     return ball_hull(np.minimum(lo, other), np.maximum(lo, other))
@@ -719,15 +803,16 @@ def _assert_defect_between(c: np.ndarray, a: BallMatrix) -> float:
     exact hull's magnitudes and at most the entrywise ball product's."""
     abs_c = np.abs(c)
     e = _defect_norm_upper(c, abs_c, abs_c.sum(axis=0), a)
-    entrywise = _cheap_norm2_upper(mat_sub_identity(mat_mul(BallMatrix.point(c), a)))
+    entrywise = cheap_norm2_upper(mat_sub_identity(mat_mul(point_matrix(c), a)))
     assert e <= entrywise * (1 + 1e-12), (e, entrywise)
     if e == math.inf:
         return e
     mags = []
-    for i in range(a.rows):
+    m = len(a.mid)
+    for i in range(m):
         mags.append([])
-        for j in range(a.cols):
-            lo, hi = _exact_entry_hull(BallMatrix.point(c), a, i, j)
+        for j in range(m):
+            lo, hi = _exact_entry_hull(point_matrix(c), a, i, j)
             shift = int(i == j)
             mags[-1].append(max(abs(lo - shift), abs(hi - shift)))
     inf_norm, one_norm = _hull_norms(mags)
@@ -760,7 +845,7 @@ def test_defect_norm_covers_the_gemm_rounding():
     # fl(C A) rounds 1 + 2^-53 to 1, so only the gemm's a-priori bound
     # covers the exact C A - I = [[2^-53, 2^-53], [0, 0]]
     c = np.array([[1.0, 2.0**-53], [-1.0, 1.0]])
-    a = BallMatrix.point(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    a = point_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
     assert (c @ a.mid).tolist() == [[1.0, 2.0**-53], [0.0, 1.0]]
     assert _assert_defect_between(c, a) < 1e-15
 
@@ -776,19 +861,21 @@ def test_gram_spread_exact_hull_oracle(rng, point, scale, shape):
     a = _random_interval_matrix(rng, shape, point=point, scale=scale)
     a = BallMatrix(a.mid.copy(), a.rad.copy())
     a.mid[1], a.rad[1] = 0.0, 0.0  # a zero row
+    # a point A is the program's C; balls take the test-side ball spread
     am = np.abs(a.mid)
-    spread = _gram_spread(a, am, am.sum(axis=1))
+    spread = _gram_spread(am, am.sum(axis=1)) if point else gram_spread(a)
+    n = a.mid.shape[1]
     entrywise = _mirror_lower(mat_mul(transpose(a), a).rad.copy())
-    tiny = 4 * a.cols * 2.0**-1074
-    assert spread <= _max_sum_upper(entrywise.sum(axis=1), a.cols) * (1 + 1e-12) + tiny
+    tiny = 4 * n * 2.0**-1074
+    assert spread <= _max_sum_upper(entrywise.sum(axis=1), n) * (1 + 1e-12) + tiny
     assert (spread == math.inf) == (scale == 1e300)
     if spread == math.inf:
         return
     gm = _mirror_lower(a.mid.T @ a.mid)
     dist = []
-    for i in range(a.cols):
+    for i in range(n):
         dist.append([])
-        for j in range(a.cols):
+        for j in range(n):
             lo, hi = _exact_entry_hull(transpose(a), a, i, j)
             dist[-1].append(max(abs(lo - Fraction(gm[i, j])), abs(hi - Fraction(gm[i, j]))))
     assert Fraction(spread) >= _hull_norms(dist)[0]
@@ -799,7 +886,7 @@ def test_inverse_norm_overflow_gives_infinite_defect():
     # inf, never NaN, and the bound is refused
     unbounded = BallMatrix(np.eye(3), np.zeros((3, 3)))
     unbounded.rad[0, 2] = math.inf
-    huge = BallMatrix.point(np.array([[1.0, 1e308], [0.0, 1.0]]))
+    huge = point_matrix(np.array([[1.0, 1e308], [0.0, 1.0]]))
     for a in (unbounded, huge):
         with pytest.raises(IntervalDomainError, match=r"bound inf >= 1"):
             mat_inverse_norm2_upper(a)
@@ -808,7 +895,7 @@ def test_inverse_norm_overflow_gives_infinite_defect():
 def test_inverse_norm_floor_skips_only_the_certificate(rng):
     # above the floor the bound is the certified one; at or below it, the
     # cheap one, which is never smaller
-    a = BallMatrix.point(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
+    a = point_matrix(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
     sharp, e, c_norm = mat_inverse_norm2_upper(a)
     cheap, e_cheap, c_cheap = mat_inverse_norm2_upper(a, math.inf)
     assert e == e_cheap and c_norm <= c_cheap and sharp <= cheap

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from balls import block_modes
 from okvalid.newton import (
     NewtonError,
     SolveOptions,
@@ -210,9 +211,9 @@ def _record_blocks(monkeypatch):
     calls = []
     assemble = newton.galerkin_matrix_point
 
-    def recording(p, q_raw, modes, axes):
-        calls.append(modes.copy())
-        return assemble(p, q_raw, modes, axes)
+    def recording(p, q_raw, block):
+        calls.append(block_modes(block))
+        return assemble(p, q_raw, block)
 
     monkeypatch.setattr(newton, "galerkin_matrix_point", recording)
     return calls
@@ -310,8 +311,10 @@ def test_quintic_f_and_fprime_from_powers():
     assert [v.shape for v in powers] == [(48,), (95,), (142,), (189,), (236,)]
     v = res.solution.add_constant(p.mu)
     s = sup_bound(v).hi
-    for coeffs in (p.f_coeffs, p.fp_coeffs):
-        got, ball = poly_point(coeffs, powers), poly_eval_series(coeffs, v)
+    # Newton's f' has the coefficients fl(j c_j), the ball f' their exact Intervals
+    fp_point = [j * c for j, c in enumerate(p.f_coeffs)][1:]
+    for coeffs, exact in ((p.f_coeffs, p.f_coeffs), (fp_point, p.fp_coeffs)):
+        got, ball = poly_point(coeffs, powers), poly_eval_series(exact, v)
         assert got.shape == ball.extent
         m = sum(abs(c) * s**j for j, c in enumerate(coeffs))
         assert np.all(np.abs(got - ball.center) <= ball.rad + 2.0**-40 * m)

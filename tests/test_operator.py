@@ -8,10 +8,20 @@ import numpy as np
 import pytest
 import sympy
 
-from balls import hull, mat_mul, mat_sub_identity, single_mode, width
+from balls import (
+    block_modes,
+    hull,
+    mat_mul,
+    mat_sub_identity,
+    norm2_upper,
+    point_matrix,
+    single_mode,
+    truncation_modes,
+    width,
+)
 from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
-from okvalid.intervals import PI2_BALL, PI4_BALL, IntervalDomainError, mat_inverse_norm2_upper
+from okvalid.intervals import PI2_BALL, PI4_BALL, Interval, IntervalDomainError, mat_inverse_norm2_upper
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
@@ -25,9 +35,8 @@ from okvalid.operator import (
     residual_norm,
     residual_series,
     tau_formula,
-    truncation_modes,
 )
-from okvalid.series import CosineSeries, evaluate_grid, norm, sup_bound
+from okvalid.series import C_FLOAT, CosineSeries, evaluate_grid, norm, sup_bound
 
 
 def test_model_params_validation():
@@ -38,9 +47,34 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, f_coeffs=(1.0,))
     p = ModelParams(lam=2.0)
-    assert p.fp_coeffs == (1.0, 0.0, -3.0)
-    assert p.fpp_coeffs == (0.0, -6.0)
+    assert p.fp_coeffs == tuple(map(Interval, (1.0, 0.0, -3.0)))
+    assert p.fpp_coeffs == tuple(map(Interval, (0.0, -6.0)))
     assert poly_deriv((5.0,)) == ()
+
+
+@pytest.mark.parametrize("f_coeffs", [(0.0, 1.0, 0.0, 0.1), (0.2, 1.0, 0.5, -1.0, 0.0, -0.2)])
+def test_derivatives_hold_the_exact_rational_coefficients(f_coeffs):
+    # fl(3 * 0.1) and fl(5 * -0.2) round: f' and f'' are Intervals a few
+    # ulps wide that hold the exact derivatives of the float coefficients,
+    # points where the coefficient is an integer; the ball f'(v) at a
+    # constant v holds the exact value too
+    p = ModelParams(lam=10.0, mu=0.25, f_coeffs=f_coeffs)
+    fp = [j * Fraction(c) for j, c in enumerate(f_coeffs)][1:]
+    fpp = [j * c for j, c in enumerate(fp)][1:]
+    inexact = 0
+    factors = [Interval(c) for c in f_coeffs[1:]], p.fp_coeffs[1:]
+    for coeffs, exact, cs in zip((p.fp_coeffs, p.fpp_coeffs), (fp, fpp), factors):
+        assert len(coeffs) == len(exact)
+        for iv, x, c in zip(coeffs, exact, cs):
+            assert Fraction(iv.lo) <= x <= Fraction(iv.hi)
+            assert iv.hi - iv.lo <= 2.0**-48 * abs(x)
+            assert iv.lo == iv.hi or not (c.lo == c.hi and c.lo.is_integer())
+            inexact += Fraction(float(x)) != x
+    assert inexact >= 2
+    ball = operator.fprime_series(p, CosineSeries.zeros((1,)))
+    value = sum(c * Fraction(p.mu) ** j for j, c in enumerate(fp))
+    mid, rad = Fraction(ball.center[0]), Fraction(ball.rad[0])
+    assert mid - rad <= value <= mid + rad
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -174,10 +208,32 @@ def test_poly_series_from_powers_meets_horner(rng, f_coeffs):
 
 
 def test_truncation_modes_lex():
-    m = truncation_modes(2, 3)
+    # the one block of an unsplit grid holds every mode 0 < |k|_inf < n in
+    # lexicographic order: its cells are 1, ..., n^d - 1
+    (block,) = operator.parity_blocks((False, False), 3)
+    assert np.array_equal(block.cells(), np.arange(1, 9))
+    m = block_modes(block)
     assert m.shape == (8, 2)
     assert m[0].tolist() == [0, 1]
     assert m[-1].tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("split", [(False,), (True,), (True, False), (True, True, True)])
+def test_parity_block_cells_and_weights(split):
+    # a class's cells are the flat indices in the n^d grid of its modes, in
+    # their lexicographic order, the origin left out; its weights are |k|^2
+    # and the float c_k of the same modes
+    n, d = 5, len(split)
+    cells = []
+    for block in operator.parity_blocks(split, n):
+        modes = [k for k in itertools.product(*map(list, block.axes)) if any(k)]
+        want = [int(np.ravel_multi_index(k, (n,) * d)) for k in modes]
+        assert block.cells().tolist() == want and block.size == len(modes)
+        k2, c = block.weights()
+        assert k2.tolist() == [sum(x * x for x in k) for k in modes]
+        assert c.tolist() == [C_FLOAT[sum(x != 0 for x in k)] for k in modes]
+        cells += want
+    assert sorted(cells) == list(range(1, n**d))
 
 
 def test_galerkin_zero_q_is_minus_identity():
@@ -383,7 +439,7 @@ def _one_block(p, n, q, monkeypatch):
         mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
         blocks = list(operator.galerkin_blocks(p, q, n))
     ((block, ball),) = blocks
-    assert block.size == n**q.dim - 1 and np.array_equal(block.rows(), np.arange(block.size))
+    assert block.size == n**q.dim - 1 and np.array_equal(block.cells(), np.arange(1, n**q.dim))
     return ball
 
 
@@ -405,8 +461,8 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
         assert operator.split_axes(q) == even
         blocks = list(operator.galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(even)
-        rows = np.concatenate([block.rows() for block, _ in blocks])
-        assert np.array_equal(np.sort(rows), np.arange(n**d - 1))
+        cells = np.concatenate([block.cells() for block, _ in blocks])
+        assert np.array_equal(np.sort(cells), np.arange(1, n**d))
         one = _one_block(p, n, q, monkeypatch)
         full = galerkin_full(p, q, n, blocks)
         assert full.mid.tobytes() == one.mid.tobytes()
@@ -558,9 +614,9 @@ def test_kn_stream_stops_at_the_failing_block(monkeypatch):
     assembled = []
     assemble = operator._galerkin_block
 
-    def recording(p, modes, axes, arrays):
-        assembled.append(tuple(modes[-1] % 2))
-        return assemble(p, modes, axes, arrays)
+    def recording(p, block, arrays):
+        assembled.append(tuple(block_modes(block)[-1] % 2))
+        return assemble(p, block, arrays)
 
     monkeypatch.setattr(operator, "_galerkin_block", recording)
     with pytest.raises(CertificationError, match=r"on parity class \(0, 1\) "):
@@ -580,13 +636,12 @@ def test_point_jacobian_memory_peak(rng):
     q_raw, split = operator.point_linearization(p, operator.point_powers(p, a))
     assert split == (True, True)
     block = operator.parity_blocks(split, n)[-1]
-    axes = block.axes
-    modes = truncation_modes(2, n)[block.rows()]
+    modes = block_modes(block)
     assert modes.shape == (576, 2) and np.all(modes % 2 == 1)
-    galerkin_matrix_point(p, q_raw, modes, axes)
+    galerkin_matrix_point(p, q_raw, block)
     tracemalloc.start()
     try:
-        galerkin_matrix_point(p, q_raw, modes, axes)
+        galerkin_matrix_point(p, q_raw, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -604,17 +659,16 @@ def test_kn_diagonal_oracle():
 
 
 def test_kn_self_consistency(rng):
-    # recertify: the approximate inverse of the stored matrix keeps e < 1
-    from okvalid.intervals import BallMatrix, mat_norm2_upper
-
+    # recertify: the approximate inverse of the stored matrix keeps e < 1,
+    # by the entrywise ball product and the test-side ball norm
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
     q = lin_of(p, u).q
     blocks = list(operator.galerkin_blocks(p, q, 12))
     g = galerkin_full(p, q, 12, blocks)
     c = np.linalg.inv(g.mid)
-    e = mat_sub_identity(mat_mul(BallMatrix.point(c), g))
-    assert mat_norm2_upper(e) < 1.0
+    e = mat_sub_identity(mat_mul(point_matrix(c), g))
+    assert norm2_upper(e) < 1.0
     assert max(mat_inverse_norm2_upper(ball)[1] for _, ball in blocks) < 1.0
 
 
@@ -725,12 +779,10 @@ def test_point_jacobian_matches_interval_matrix():
         streamed = list(operator.galerkin_blocks(p, q, n))
         walk = operator.parity_blocks(split, n)
         assert len(walk) == len(streamed) == blocks
-        modes = truncation_modes(2, n)
         for block, (s_block, ball) in zip(walk, streamed):
-            idx = block.rows()
-            assert block.label == s_block.label and np.array_equal(s_block.rows(), idx)
-            b = galerkin_matrix_point(p, q_raw, modes[idx], block.axes)
-            kap = math.pi**2 * np.sum(modes[idx].astype(float) ** 2, axis=1)
+            assert block.label == s_block.label and np.array_equal(s_block.cells(), block.cells())
+            b = galerkin_matrix_point(p, q_raw, block)
+            kap = math.pi**2 * np.sum(block_modes(block).astype(float) ** 2, axis=1)
             scaled = b / kap[:, None] / kap[None, :]
             assert np.max(np.abs(scaled - ball.mid)) < 1e-13
 

@@ -1,5 +1,6 @@
 """Checks on the package's source files themselves."""
 
+import ast
 import pathlib
 import tracemalloc
 
@@ -27,3 +28,44 @@ def test_no_module_compiles_above_intervals():
     ceiling = peaks["intervals.py"]
     over = {name: peak for name, peak in peaks.items() if peak > ceiling}
     assert not over, (ceiling, over)
+
+
+# Module-level functions that only code outside src/ calls, each with why.
+_OUTSIDE_CALLERS = {
+    # bench/test_tracer.py traces it until that test traces a program path
+    "operator.poly_eval_series",
+}
+
+
+def _references(tree: ast.Module):
+    """(enclosing top-level name, referenced name) for every ast.Name,
+    ast.Attribute and import alias in tree; strings are not references."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.alias):
+                yield owner, node.asname or node.name
+
+
+def test_every_function_is_used_by_the_program():
+    # test-only code belongs in tests/: every module-level function in
+    # src/okvalid is referenced from src/ outside its own body, or exported
+    import okvalid
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    refs = {(module, owner, name) for module, tree in trees.items() for owner, name in _references(tree)}
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(name == node.name and (other, owner) != (module, node.name)
+                    for other, owner, name in refs)
+        and node.name not in okvalid.__all__
+        and f"{module}.{node.name}" not in _OUTSIDE_CALLERS
+    ]
+    assert not unused
