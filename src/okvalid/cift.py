@@ -21,6 +21,7 @@ import datetime
 import math
 from dataclasses import asdict, dataclass, field
 
+from .embeddings import table_constants
 from .intervals import Interval
 from .lipschitz import (
     ContinuationChoice,
@@ -40,6 +41,7 @@ from .operator import (
     fprime_series,
     linearization_coefficient,
     residual_norm,
+    tau_formula,
 )
 from .series import CosineSeries, norm
 
@@ -294,13 +296,13 @@ def verify_certificate(cert: Certificate):
     """Replay every certificate inequality in interval arithmetic.
 
     Operates purely on stored fields (no recomputation of K); returns
-    (ok, failures).
+    (ok, failures).  tau is replayed with the smallest table cb, 1-d's:
+    the certificate does not record its dimension, so that is exact in 1-d
+    and a floor in 2-d and 3-d.
     """
     if not cert.valid or cert.stage != "complete":
         return False, [f"certificate not valid (stage={cert.stage})"]
-    required = (
-        "n rho kn tau k l1 l2 l3 l4 ell_x ell_alpha delta_alpha delta_x".split()
-    )
+    required = "n rho kn tau k q_sup q_h2 l1 l2 l3 l4 ell_x ell_alpha delta_alpha delta_x".split()
     missing = [name for name in required if getattr(cert, name) is None]
     if missing:
         return False, [f"missing fields: {', '.join(missing)}"]
@@ -314,9 +316,12 @@ def verify_certificate(cert: Certificate):
         failures.append("negative residual bound")
     if not (0.0 <= cert.tau < 1.0):
         failures.append("tau not in [0, 1)")
-    k_replay = (Interval(max(cert.kn, 1.0)) / (Interval(1.0) - Interval(cert.tau))).lo
-    if cert.k < k_replay:
+    elif cert.k < (Interval(max(cert.kn, 1.0)) / (Interval(1.0) - Interval(cert.tau))).lo:
         failures.append("K inconsistent with kn and tau")
+    if not cert.n >= 2:
+        failures.append("truncation below 2")
+    elif cert.tau < tau_formula(cert.kn, cert.q_sup, cert.q_h2, table_constants(1).cb, cert.n).hi:
+        failures.append("tau below its formula at the stored kn, q_sup, q_h2 and n")
     failures += radii_preconditions(cert.k, cert.rho, cert.l1, cert.ell_x)
     ineq = RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4)
     if ineq.budget(da, dx).hi > 1.0:

@@ -82,6 +82,9 @@ def cmd_constants(args) -> int:
     short = memory_shortfall(need, f"--ncut {args.ncut}", "lattice sum of cm_bar")
     if short:
         return _usage_error(short)
+    # the sums take a few ns per point of the ncut^d box: 10^10 take a minute or two
+    if args.ncut ** max(dims) > 10**10:
+        return _usage_error(f"--ncut {args.ncut} sums {args.ncut}^{max(dims)} lattice points, more than 10^10")
     out = {"ncut": args.ncut, "dims": {}}
     for d in dims:
         consts = table_constants(d)

@@ -11,14 +11,15 @@ unless it is exact (add_toward, mul_toward), so a point zero stays exact.
 A matrix product's midpoint is one BLAS gemm, within gamma_p |mid A||mid B|
 (gamma_k = k u / (1 - k u), u = 2^-53) plus underflow of the exact product
 for any summation order, blocking and FMA (Rump, BIT 39, 1999; Ozaki, Ogita,
-Oishi and Rump, JCAM 236, 2012).  Float sums scaled by float weights raise
-that count by the scaling's roundings and the weights' errors, and one
-rounding budget (_ball_up) ends each radius.  The one certified inverse
-norm bounds ||C A - I|| through row and column sums, which read radii only
-through matrix-vector products, and ||C||, C the point inverse, by the
-smaller of sqrt(||C||_1 ||C||_inf) and a shifted-Cholesky certificate
-(Rump, BIT 46, 2006).  The contract is containment: every result encloses
-all pointwise results of its operands.
+Oishi and Rump, JCAM 236, 2012).  A Galerkin block is two float sums, of
+the midpoints and of a radius carrying gamma_t times their magnitudes
+(Rump's midpoint-radius form), t raised by the roundings of its float
+weights.  One rounding budget (_ball_up) ends each radius.  The one
+certified inverse norm bounds ||C A - I|| through row and column sums,
+which read radii only through matrix-vector products, and ||C||, C the
+point inverse, by the smaller of sqrt(||C||_1 ||C||_inf) and a
+shifted-Cholesky certificate (Rump, BIT 46, 2006).  The contract is
+containment: every result encloses all pointwise results of its operands.
 """
 
 from __future__ import annotations
@@ -379,8 +380,9 @@ def _ball_up(c, rad, p: int, g: Fraction):
     of at most p terms, plus, where the caller scales by float weights
     (1/c_k, or c_k and c_ell 2^-d / kappa_ell), their errors and products.
     1 - u covers |Bm| + Br, and 1 - gamma_6 the four roundings and the two
-    here.  The constant covers the underflow of three sums of at most p
-    products and of a few more products.
+    here.  The constant covers the underflow of at most three sums of at
+    most p products (a ball product's three folds, a Galerkin block's two
+    sums) and of a few more products.
     """
     rad += (4 * p + 16) * _ETA
     rad *= _budget_factor(g)
@@ -426,27 +428,6 @@ class BallMatrix:
             raise IntervalDomainError("matrix with NaN or infinite midpoint")
         if not (self.rad >= 0.0).all():  # also false on NaN
             raise IntervalDomainError("matrix with NaN or negative radius")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
-def sum_enclosure(mid_sum, abs_sum, rad_sum=None, *, terms: int):
-    """Balls (mid, rad) enclosing each exact sum of interval terms t_i +- r_i,
-    from float evaluations S of sum t_i, A of sum |t_i| and R of sum r_i
-    (None when every r_i is zero).  The arguments are overwritten, and mid
-    is S.
-
-    terms bounds the factors (1 + delta)^(+-1), |delta| <= u, that a term
-    meets on its way into S, A or R: n - 1 for a sum of n terms in any
-    order, plus one per rounded product and one per float weight within
-    one rounding of exact.  By Higham's lemma 3.1 the radius gamma_terms A
-    + R, which _ball_up rounds up, then holds up to underflow.
-    """
-    g = _gamma(terms)
-    rad = abs_sum
-    rad *= _up(float(g))
-    if rad_sum is not None:
-        rad += rad_sum
-    return _ball_up(mid_sum, rad, terms, g)
 
 
 def _cholesky_shift(n: int, norm_bound: float) -> float:

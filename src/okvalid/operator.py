@@ -10,6 +10,7 @@ inverse of the full derivative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -27,8 +28,9 @@ from .intervals import (
     BallMatrix,
     Interval,
     IntervalDomainError,
+    _ball_up,
+    _gamma,
     mat_inverse_norm2_upper,
-    sum_enclosure,
 )
 from .pointconv import _parity, _projections
 from .series import (
@@ -41,6 +43,7 @@ from .series import (
     norm,
     nz_grid,
     sup_bound,
+    _rump_radius,
     _raw_mid_rad,
 )
 
@@ -102,11 +105,11 @@ class ModelParams:
         """These parameters with which moved by delta, validated again."""
         return replace(self, **{_FIELDS[which]: self.get(which) + delta})
 
-    @property
+    @functools.cached_property
     def fp_coeffs(self) -> tuple:
         return poly_deriv(self.f_coeffs)
 
-    @property
+    @functools.cached_property
     def fpp_coeffs(self) -> tuple:
         return poly_deriv(self.fp_coeffs)
 
@@ -344,47 +347,47 @@ def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
     (ParityBlock, BallMatrix) pair is assembled only when the previous one
     has been taken.
 
-    The float sums of galerkin_matrix_point at the raw midpoint of q, at its
-    absolute value and at the raw radius are scaled in place by the weights
-    fl(c_k) and fl(c_ell 2^-d / fl(pi^2 |ell|^2)); the diagonal fl(1 +
-    fl(lam sigma) / fl(pi^4 |k|^4)) joins the midpoint and the absolute sum.
-    With c_k, pi^2 and pi^4 each within one rounding, sum_enclosure counts
-    for a coefficient of q 2^d - 1 factors in its sum, 2 for the row weight,
-    5 for the column weight (c_ell, pi^2 and its product by |ell|^2, the
-    quotient, the product) and 1 for the diagonal; for lam sigma / kappa_k^2
-    4 in the quotient, 1 for adding 1 and 1 for the diagonal: terms = 2^d + 7.
-    Every nonzero raw coefficient has a midpoint or radius of at least
-    _FOLD_MIN, so each gathered term is a normal double, and an off-diagonal
-    entry with zero sums gathers only point zeros: it becomes an exact zero,
-    which keeps later products free of subnormal radii.  Every entry is
-    computed elementwise, so a block holds the same bits as the one-block
-    assembly does on its rows and columns.
+    The block is Rump's midpoint-radius form, as in series.multiply: the
+    float sums of galerkin_matrix_point at the raw midpoint qm of q and at
+    the raw radius _rump_radius(qm, qr, t), which carries the midpoint sum's
+    rounding (Higham, lemma 3.1), are scaled in place by the weights fl(c_k)
+    and fl(c_ell 2^-d / fl(pi^2 |ell|^2)); the diagonal dm = fl(1 + fl(lam
+    sigma) / fl(pi^4 |k|^4)) joins the midpoint, and gamma_t dm the radius.
+    With c_k, pi^2 and pi^4 each within one rounding, t counts for a
+    coefficient of q 2^d - 1 factors in its sum, 2 for the row weight, 5
+    for the column weight (c_ell, pi^2 and its product by |ell|^2, the
+    quotient, the product) and 1 for the diagonal; for lam sigma /
+    kappa_k^2 4 in the quotient, 1 for adding 1 and 1 for the diagonal: t =
+    2^d + 7.  Gathered terms are zero or normal doubles, and an
+    off-diagonal entry whose radius sum is zero gathers only point zeros:
+    its midpoint is +0.0 and its radius is set to zero, so later products
+    meet no subnormal radii.  Entries are computed elementwise, so a block
+    holds the one-block assembly's bits on its rows and columns.
     """
-    qm, qr, _ = _raw_mid_rad(q)
-    arrays = [qm, np.abs(qm)] + ([qr] if qr.any() else [])
+    arrays = list(_raw_mid_rad(q)[:2])
+    arrays[1] = _rump_radius(*arrays, 2**q.dim + 7)  # qr is not held while blocks stream
     for block in parity_blocks(split_axes(q), n):
         yield block, _galerkin_block(p, block, arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     """galerkin_blocks's ball matrix on one parity class."""
     d = len(block.axes)
-    s_mid, s_abs, *s_rad = _galerkin_sums(block.axes, arrays)
+    t = 2**d + 7
+    mid, rad = _galerkin_sums(block.axes, arrays)
     diag = np.arange(block.size)
-    free = s_abs == 0.0
-    for s in s_rad:
-        free &= s == 0.0
+    free = rad == 0.0
     free[diag, diag] = False
     k2, row = block.weights()
     col = row * 0.5**d / (PI2_BALL[0] * k2)
-    for s in (s_mid, s_abs, *s_rad):
+    for s in (mid, rad):
         s *= row[:, None]
         s *= col
     dm = 1.0 + (p.lam * p.sigma) / (PI4_BALL[0] * (k2 * k2))
-    s_mid[diag, diag] -= dm
-    s_abs[diag, diag] += dm
-    mid, rad = sum_enclosure(s_mid, s_abs, *s_rad, terms=2**d + 7)
-    mid[free] = 0.0
+    mid[diag, diag] -= dm
+    rad[diag, diag] = _rump_radius(dm, rad[diag, diag], t)
+    mid, rad = _ball_up(mid, rad, t, _gamma(t))
     rad[free] = 0.0
     return BallMatrix(mid, rad)
 
@@ -468,21 +471,20 @@ class InverseBound:
 # the largest block; one block is live at a time.  The peak falls in the
 # certified inverse norm: the block's midpoint and radius, the approximate
 # inverse or its Gram matrix, and |C|, C A or the LAPACK copies; the
-# assembly's sums peak lower, at about 4.4-4.5 m_b^2 (three sums, an
-# accumulator, one take and the partials).  Measured on the canonical 2-d
-# and 3-d equilibria (OpenBLAS, 1 thread): the tracemalloc peak of
-# derivative_inverse_bound is 5.45 and 5.08 m_b^2 at 2-d N=28 and 48 (m_b =
-# 196, 576), 6.25 and 5.26 at 3-d N=12 and 16 (m_b = 216, 512), and the
-# rise of the peak RSS 6.50 and 6.55 at 2-d N=64 and 3-d N=20.
+# assembly peaks lower, at 3.2-3.6 m_b^2 (two sums, an accumulator, one
+# take and the partials).  Measured on the canonical 2-d and 3-d equilibria
+# (OpenBLAS, 1 thread): the tracemalloc peak of derivative_inverse_bound is
+# 5.25 and 5.04 m_b^2 at 2-d N=28 and 48 (m_b = 196, 576), 5.62 and 5.12 at
+# 3-d N=12 and 16 (m_b = 216, 512), and the rise of the peak RSS 6.18 and
+# 6.14 at 2-d N=64 and 3-d N=20.
 KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's extent on top of them: the raw
-# midpoint, its absolute value and radius that every block reads, and the
-# temporaries of _raw_mid_rad that form them.  They set the peak where q is
-# large against the truncation: for the 3-d N=16 equilibrium (q of extent
-# 31^3) the traced peak less the block charge is 5.7, 4.7, 3.2 and 1.3 times
-# q's size at N=6, 8, 10 and 12, and 7.6 times at 1-d N=16 (q of extent 255),
-# where fixed costs count too.
-KN_Q_ARRAYS = 10
+# midpoint and radius that every block reads, and the temporaries that form
+# them.  They set the peak where q is large against the truncation: the
+# traced peak less the block charge is 6.0, 5.2 and 2.5 times q's size for
+# the 3-d N=16 equilibrium (q of extent 31^3) at N=6, 8 and 10, 6.1 at 2-d
+# N=6 and 5.7 at 1-d N=16 (q of extent 255), where fixed costs count too.
+KN_Q_ARRAYS = 7
 
 
 def available_memory_bytes() -> float:

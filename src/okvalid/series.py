@@ -339,6 +339,15 @@ def _raw_mid_rad(u: CosineSeries):
     return m, r, u.support().astype(np.float64)
 
 
+def _rump_radius(m, r, n: int) -> np.ndarray:
+    """gamma_n |m| + r rounded up, each nonzero entry raised to _FOLD_MIN:
+    the radius of Rump's midpoint-radius form, which carries the rounding
+    of a float sum of n-term paths over m, as a fold operand."""
+    out = add_toward(mul_toward(_up(float(_gamma(n))), np.abs(m), _INF), r, _INF)
+    out[(out > 0.0) & (out < _FOLD_MIN)] = _FOLD_MIN
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     """Exact product of two series (no truncation), in midpoint-radius form
@@ -350,8 +359,8 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     pointconv.point_conv, which also returns n, its bound on the roundings
     along a product term's path: c = fl(Am*Bm) is within gamma_n |Am|*|Bm|
     of Am*Bm, plus the underflow below.  So the raw radius is
-    fl(|Am|*B1) + fl(Ar*(|Bm| + Br)), with B1 = gamma_n |Bm| + Br rounded
-    up: gamma_n |Am|*|Bm| rides on the |Am|*Br fold.  A radius fold whose
+    fl(|Am|*B1) + fl(Ar*(|Bm| + Br)), with B1 = _rump_radius(Bm, Br, n):
+    gamma_n |Am|*|Bm| rides on the |Am|*Br fold.  A radius fold whose
     factor B1, or Ar, is zero everywhere adds only exact zeros, so it is
     left out: it cannot meet an infinite radius of the other factor.  Each
     radius fold sums nonnegative terms, so it is at least (1 - gamma_m)
@@ -383,8 +392,7 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     am, ar, asup = _raw_mid_rad(u)
     bm, br, bsup = _raw_mid_rad(v)
     c, n = point_conv(am, bm)
-    b1 = add_toward(mul_toward(_up(float(_gamma(n))), np.abs(bm), _INF), br, _INF)
-    b1[(b1 > 0.0) & (b1 < _FOLD_MIN)] = _FOLD_MIN
+    b1 = _rump_radius(bm, br, n)
     rad, m = point_conv(np.abs(am), b1) if b1.any() else (np.zeros(c.shape), 0)
     if ar.any():
         r2, m2 = point_conv(ar, np.abs(bm) + br)

@@ -435,6 +435,45 @@ def test_verify_rejects_invalid_or_incomplete():
     assert not ok and "missing fields" in failures[0]
 
 
+_TAU_FAILURE = "tau below its formula at the stored kn, q_sup, q_h2 and n"
+
+
+def test_verify_replays_tau(certificates_1d):
+    # the 1-d lambda certificate with tau = 0 and K = max(kn, 1) to match
+    # passes every other replay, and so does tau one ulp below its formula:
+    # only the tau replay rejects them
+    cert = certificates_1d["lambda"]
+    assert verify_certificate(cert)[0]
+    zero = dataclasses.replace(cert, tau=0.0, k=max(cert.kn, 1.0))
+    assert verify_certificate(zero) == (False, [_TAU_FAILURE])
+    ulp = dataclasses.replace(cert, tau=math.nextafter(cert.tau, 0.0))
+    assert verify_certificate(ulp) == (False, [_TAU_FAILURE])
+    short = dataclasses.replace(cert, n=1)
+    assert verify_certificate(short) == (False, ["truncation below 2"])
+    # tau = 1 leaves no K to replay: a failure, not a division through zero
+    ok, failures = verify_certificate(dataclasses.replace(cert, tau=1.0))
+    assert not ok and "tau not in [0, 1)" in failures
+
+
+def test_tau_replay_is_exact_in_1d_and_a_floor_above(certificates_1d, solved_2d, solved_3d):
+    # the canonical certificates verify; the replay's table cb is 1-d's, the
+    # smallest, so it meets the stored tau in 1-d and stays below it in 2-d
+    # and 3-d
+    from okvalid.embeddings import table_constants
+    from okvalid.operator import tau_formula
+
+    (p2, res2), (p3, res3) = solved_2d, solved_3d
+    certs = [(1, certificates_1d["lambda"]),
+             (2, validate(p2, res2.solution, "lambda", n=28)),
+             (3, validate(p3, res3.solution, "lambda", n=12))]
+    for dim, cert in certs:
+        assert verify_certificate(cert) == (True, []), dim
+        args = (cert.kn, cert.q_sup, cert.q_h2)
+        floor = tau_formula(*args, table_constants(1).cb, cert.n).hi
+        assert cert.tau == tau_formula(*args, table_constants(dim).cb, cert.n).hi
+        assert (cert.tau == floor) == (dim == 1), dim
+
+
 def test_validate_nontrivial_certificates(certificates_1d):
     for which, cert in certificates_1d.items():
         assert cert.valid, (which, cert.stage, cert.reason)

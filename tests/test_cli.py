@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -598,6 +599,37 @@ def test_constants_json(capsys):
     assert one["cm_bar"] == 0.149072
     assert one["cm_bar_recomputed"]["lo"] <= one["cm_bar_recomputed"]["hi"]
     assert abs(one["cm_bar_recomputed"]["hi"] - 0.149072) < 1e-3
+
+
+@pytest.mark.parametrize("argv,box", [
+    (["--dim", "2", "--ncut", "1000000"], "1000000^2"),
+    (["--ncut", "2155"], "2155^3"),
+])
+def test_constants_refuses_a_lattice_box_above_ten_billion(capsys, monkeypatch, argv, box):
+    # the box passes the memory check (a 2-d sum holds arrays of ncut) and
+    # would sum for hours: it is refused with one error line before any sum
+    from okvalid import operator
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("lattice sum started")
+
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e12)
+    monkeypatch.setattr(cli, "recompute_cmbar", no_sum)
+    t0 = time.perf_counter()
+    assert main(["constants", *argv]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    (line,) = captured.err.strip().splitlines()
+    assert line == f"error: --ncut {argv[-1]} sums {box} lattice points, more than 10^10"
+    assert not captured.out
+
+
+def test_constants_runs_below_the_lattice_ceiling(capsys):
+    # the default ncut in 2-d, 10^6 points, is summed
+    assert main(["constants", "--dim", "2", "--ncut", "1000"]) == 0
+    two = json.loads(capsys.readouterr().out)["dims"]["2"]
+    lo, hi = two["cm_bar_recomputed"]["lo"], two["cm_bar_recomputed"]["hi"]
+    assert lo <= 0.248740 <= hi + 1e-3
 
 
 def test_solution_roundtrip_lossless(workdir, solution_file):

@@ -52,6 +52,20 @@ def test_model_params_validation():
     assert poly_deriv((5.0,)) == ()
 
 
+def test_derivatives_formed_once_per_params(monkeypatch):
+    # f' and f'' are formed on first use and then read back; a step gets its own
+    calls = []
+    deriv = operator.poly_deriv
+    monkeypatch.setattr(operator, "poly_deriv", lambda c: calls.append(c) or deriv(c))
+    p = ModelParams(lam=2.0, f_coeffs=(0.0, 1.0, 0.0, 0.1))
+    first = p.fp_coeffs, p.fpp_coeffs
+    for _ in range(3):
+        assert (p.fp_coeffs, p.fpp_coeffs) == first and p.fp_coeffs is first[0]
+    assert len(calls) == 2
+    assert p.step("lambda", 1.0).fpp_coeffs == first[1] and len(calls) == 4
+    assert first == (deriv(p.f_coeffs), deriv(deriv(p.f_coeffs)))
+
+
 @pytest.mark.parametrize("f_coeffs", [(0.0, 1.0, 0.0, 0.1), (0.2, 1.0, 0.5, -1.0, 0.0, -0.2)])
 def test_derivatives_hold_the_exact_rational_coefficients(f_coeffs):
     # fl(3 * 0.1) and fl(5 * -0.2) round: f' and f'' are Intervals a few
@@ -313,19 +327,39 @@ def _exact_galerkin_hull(p, q: CosineSeries, modes):
     return lo, hi
 
 
-@pytest.mark.parametrize("extent,n,point", [
-    ((5, 3), 4, False), ((3, 4, 2), 3, False), ((5,), 9, True), ((6, 5), 5, True),
-], ids=["extent0-4", "extent1-3", "point-1d", "point-2d"])
-def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
+_ORACLE_CASES = [((5, 3), 4, False), ((3, 4, 2), 3, False), ((5,), 9, True), ((6, 5), 5, True)]
+_ORACLE_IDS = ["extent0-4", "extent1-3", "point-1d", "point-2d"]
+
+
+@pytest.mark.parametrize("extent,n,point,scale,unbounded", [
+    *((*case, 1.0, False) for case in _ORACLE_CASES),
+    *((*case, scale, False) for scale in (1e-300, 1e150) for case in _ORACLE_CASES),
+    ((5, 3), 4, False, 1.0, True), ((3, 4, 2), 3, False, 1e150, True),
+], ids=[*_ORACLE_IDS, *(f"{i}-{s:g}" for s in (1e-300, 1e150) for i in _ORACLE_IDS),
+        "unbounded-2d", "unbounded-3d-1e+150"])
+def test_galerkin_contains_exact_inner_products(rng, monkeypatch, extent, n, point, scale, unbounded):
     # non-point coefficients exercise the radius term, point zeros the exact
     # zero entries, and the extents differ per axis and from the modes'; an
     # all-point q leaves only the rounding of the sums and their float
-    # scaling, over modes with odd and even numbers of nonzero indices
-    mid = rng.standard_normal(extent)
-    width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent)
+    # scaling, over modes with odd and even numbers of nonzero indices.  At
+    # 1e-300 gamma_t |qm| is subnormal and is raised to _FOLD_MIN, at 1e150
+    # the diagonal is far below the sums' rounding, and a coefficient whose
+    # radius overflowed, (0, inf), makes the entries it reaches (0, inf).
+    # Every gathered term is a normal double: both arrays that the block
+    # sums read are zero or at least _FOLD_MIN
+    from okvalid.series import _FOLD_MIN
+
+    read = []
+    sums = operator._galerkin_sums
+    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays: read.extend(arrays) or sums(axes, arrays))
+    mid = rng.standard_normal(extent) * scale
+    width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent) * scale
     mid[rng.uniform(size=extent) < 0.3] = 0.0
     width[(mid == 0.0) | point] = 0.0
-    q = hull(mid - width, mid + width)
+    lo, hi = mid - width, mid + width
+    if unbounded:
+        lo[(-1,) * len(extent)], hi[(-1,) * len(extent)] = -math.inf, math.inf
+    q = hull(lo, hi)
     assert (q.hi > q.lo).any() != point and ((q.lo == 0.0) & (q.hi == 0.0)).any()
     p = ModelParams(lam=7.0, sigma=1.5)
     dim = len(extent)
@@ -339,6 +373,25 @@ def test_galerkin_contains_exact_inner_products(rng, extent, n, point):
                 assert mid - rad <= lo[a][b], (a, b)
                 assert hi[a][b] <= mid + rad, (a, b)
     assert ((g.mid == 0.0) & (g.rad == 0.0)).any() and (g.rad > 0.0).any()
+    assert np.isinf(g.rad).any() == unbounded and np.isfinite(g.rad).any()
+    assert read and all(np.all((x == 0.0) | (np.abs(x) >= _FOLD_MIN)) for x in read)
+
+
+def test_galerkin_block_reads_two_sums_of_a_ball_q(rng, monkeypatch):
+    # the midpoint sum and one radius sum per block, for a q with interval
+    # coefficients on every axis's two parities as on one
+    calls = []
+    sums = operator._galerkin_sums
+    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays: calls.append(len(arrays)) or sums(axes, arrays))
+    p = ModelParams(lam=7.0, sigma=1.5)
+    for extent, stride in (((6, 5), 1), ((7, 7), 2)):
+        mid = np.zeros(extent)
+        mid[::stride, ::stride] = rng.standard_normal(mid[::stride, ::stride].shape)
+        q = hull(mid - 1e-3 * np.abs(mid), mid + 1e-3 * np.abs(mid))
+        assert q.rad.any()
+        calls.clear()
+        blocks = list(operator.galerkin_blocks(p, q, 5))
+        assert len(blocks) == {1: 1, 2: 4}[stride] and calls == [2] * len(blocks)
 
 
 def test_pi_power_balls_hold_pi_powers():
@@ -396,9 +449,10 @@ def test_galerkin_sums_match_definition(rng, n, extent):
     # extents below, equal to and above 2n - 1 per axis, with exact zeros of
     # both signs; the full grid, and the parity classes' sub-grids with and
     # without the origin when every axis or a random subset of the axes
-    # splits.  Three arrays, as the K_N stage passes them (a midpoint, its
-    # absolute value and a radius); every sum is C-contiguous and equal to
-    # the definition's, sign bits included
+    # splits.  Three arrays in one call (the K_N stage passes two, a
+    # midpoint and a radius): a midpoint, its absolute value and a sparse
+    # radius; every sum is C-contiguous and equal to the definition's, sign
+    # bits included
     arrays = [rng.standard_normal(extent) * 10.0 ** rng.integers(-3, 4, extent)
               for _ in range(3)]
     arrays[0][rng.uniform(size=extent) < 0.3] = 0.0
