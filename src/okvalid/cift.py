@@ -30,6 +30,7 @@ from .lipschitz import (
     lipschitz_bounds,
     solution_sups,
 )
+from . import operator
 from .operator import (
     PARAMETERS,
     CertificationError,
@@ -403,15 +404,17 @@ def validate(
     dp: float | None = None,
     tau_target: float = 0.5,
     bounds: SolutionBounds | None = None,
+    avail: float | None = None,
 ) -> Certificate:
     """Run solution_bounds -> inverse bound -> Lipschitz rounds -> radii and
     emit a certificate.
 
     bounds is the per-solution stage, solution_bounds(p, u); it is built
     here when the caller passes None.  The inverse bound is taken at
-    truncation n, or escalated towards tau_target when n is None.  The
-    Lipschitz box radii default to 0.1 max(1, ||u||) and 0.05 max(1, |p*|)
-    and are tightened towards the concluded radii (which strictly improves
+    truncation n, or escalated towards tau_target when n is None, its
+    memory charges checked against avail bytes (default: one reading of
+    the available memory).  The Lipschitz box radii default to 0.1 max(1,
+    ||u||) and 0.05 max(1, |p*|) and are tightened towards the concluded radii (which strictly improves
     the constants) unless the caller pinned them; solve_radii concludes
     delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover
     the concluded region.  Invalid certificates carry the failing stage,
@@ -432,11 +435,12 @@ def validate(
     du_cur = du if du is not None else bounds.du0
     dp_cur = dp if dp is not None else _default_dp(p, which)
     rho, lin = bounds.rho, bounds.lin
+    avail = operator.available_memory_bytes() if avail is None else avail
     try:
         if n is not None:
-            ib = derivative_inverse_bound(p, lin, n)
+            ib = derivative_inverse_bound(p, lin, n, avail)
         else:
-            ib = auto_inverse_bound(p, lin, tau_target=tau_target)
+            ib = auto_inverse_bound(p, lin, tau_target, avail)
     except CertificationError as exc:
         reason = str(exc)
         if exc.suggested_n is not None:

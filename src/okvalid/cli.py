@@ -41,6 +41,7 @@ from .newton import (
     parameter_walk,
     parse_seed,
 )
+from . import operator
 from .operator import PARAMETERS, ModelParams, memory_shortfall
 from .series import evaluate_grid, grid_bytes
 
@@ -213,10 +214,12 @@ def cmd_sweep(args) -> int:
     except Exception:  # noqa: BLE001
         bounds = None
 
+    # every truncation's K_N charge is checked against one memory reading
+    avail = operator.available_memory_bytes()
     rows = [["N", "K_N", "tau", "K", "delta_alpha", "delta_x", "wall_ms", "status"]]
     for n in n_list:
         t0 = time.perf_counter()
-        cert = validate(p, u, args.param, n=n, bounds=bounds)
+        cert = validate(p, u, args.param, n=n, bounds=bounds, avail=avail)
         ms = 1000.0 * (time.perf_counter() - t0)
         if cert.valid:
             rows.append([

@@ -18,7 +18,10 @@ weights.  One rounding budget (_ball_up) ends each radius.  The one
 certified inverse norm bounds ||C A - I|| through row and column sums,
 which read radii only through matrix-vector products, and ||C||, C the
 point inverse, by the smaller of sqrt(||C||_1 ||C||_inf) and a
-shifted-Cholesky certificate (Rump, BIT 46, 2006).  The contract is
+shifted-Cholesky certificate (Rump, BIT 46, 2006).  Where only a threshold
+is wanted, ||X^-1|| <= floor over a ball, one shifted Cholesky of
+fl(mid^T mid) decides it with no inverse formed.  Both Cholesky uses read
+only a lower triangle, through one guarded helper.  The contract is
 containment: every result encloses all pointwise results of its operands.
 """
 
@@ -444,13 +447,6 @@ def _norm2_from_sums(rows, cols, depth: int, entries: int = 0, p: int = 0) -> fl
     return _up(math.sqrt(_up(one_norm * inf_norm)))
 
 
-def _mirror_lower(x: np.ndarray) -> np.ndarray:
-    """x, its upper triangle overwritten by its lower one (exact)."""
-    for k in range(1, x.shape[0]):
-        x[k - 1, k:] = x[k:, k - 1]
-    return x
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
 def _gram_spread(abs_c: np.ndarray, c_rows: np.ndarray) -> float:
     """Upper bound on ||Gr||_2, where C^T C lies within Gr = g |C|^T |C| of
@@ -464,33 +460,86 @@ def _gram_spread(abs_c: np.ndarray, c_rows: np.ndarray) -> float:
     return _max_sum_upper(s, r + n, n, r)
 
 
-def _gram_norm2_upper(gram: np.ndarray, spread: float, cheap: float) -> float:
-    """The smaller of cheap and a bound on ||X||_2 over the X with
-    ||X^T X - Gm||_2 <= spread, Gm being gram with its lower triangle
-    mirrored in place (Rump, "Verification of positive definiteness", BIT
-    46, 2006).  If floating Cholesky succeeds on Y = c I - Gm, c the eigvalsh
-    estimate of lambda_max(Gm) plus the backward-error term, then Y + beta I
-    is positive semidefinite for Y's backward-error term beta, and
-    lambda_max(X^T X) <= max_i (Y_ii + Gm_ii) + beta + spread.
-    """
-    gm = _mirror_lower(gram)
-    if not (spread < _INF and np.isfinite(gm).all()):
-        return cheap
-    n = gm.shape[0]
-    d = np.arange(n)
-    gd = gm[d, d]
+def _cholesky_succeeds(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite and floating Cholesky succeeds on
+    the symmetric matrix of x's lower triangle, the only one the
+    factorization reads; potrf does not reliably flag NaN, so a non-finite
+    x is refused first."""
+    if not np.isfinite(x).all():
+        return False
     try:
-        lam = float(np.linalg.eigvalsh(gm)[-1])
-        x = np.negative(gm, out=gm)
-        x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gd))))
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _gram_norm2_upper(gram: np.ndarray, spread: float, cheap: float) -> float:
+    """The smaller of cheap and a bound on ||X||_2 over the X with
+    ||X^T X - Gm||_2 <= spread, Gm the symmetric matrix of gram's lower
+    triangle (Rump, "Verification of positive definiteness", BIT 46, 2006);
+    eigvalsh and the Cholesky read only that triangle, and gram is
+    overwritten.  If
+    floating Cholesky succeeds on Y = c I - Gm, c the eigvalsh estimate of
+    lambda_max(Gm) plus the backward-error term, then Y + beta I is
+    positive semidefinite for Y's backward-error term beta, and
+    lambda_max(X^T X) <= max_i (Y_ii + Gm_ii) + beta + spread.
+    """
+    if not (spread < _INF and np.isfinite(gram).all()):
+        return cheap
+    n = gram.shape[0]
+    d = np.arange(n)
+    gd = gram[d, d]
+    try:
+        lam = float(np.linalg.eigvalsh(gram, UPLO="L")[-1])
+    except np.linalg.LinAlgError:
+        return cheap
+    x = np.negative(gram, out=gram)
+    x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gd))))
+    if not _cholesky_succeeds(x):
         return cheap
     beta = _cholesky_shift(n, float(np.max(x[d, d])))
     top = float(np.max(_nup(x[d, d] + gd)))
     bound = _up(math.sqrt(_up(_up(top + beta) + spread)))
     # also the fallback when anything was not finite (a NaN compares false)
     return bound if bound < cheap else cheap
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives False
+def inverse_norm2_at_most(a: BallMatrix, floor: float) -> bool:
+    """Whether ||X^-1||_2 <= floor is proved for every member X of the
+    square ball a by one floating Cholesky, with no inverse formed (Rump,
+    BIT 46, 2006); False, never an error, where it is not.
+
+    Every X lies within r of Am in the 2-norm, r = sqrt(||Ar||_1
+    ||Ar||_inf) rounded up (0 for a point ball), and Am^T Am within spread
+    of G = fl(Am^T Am) (_gram_spread).  With t >= 1/floor + r and c >= t^2 +
+    spread + beta, each step rounded up, beta the backward-error term of
+    Cholesky on G's diagonal: if floating Cholesky succeeds on Y, G with
+    each diagonal entry G_ii - c rounded down, then Y + beta I is positive
+    semidefinite, so lambda_min(Am^T Am) >= c - beta - spread >= t^2, and by
+    Weyl sigma_min(X) >= t - r >= 1/floor.  The a-priori shift costs about
+    1e-9 relative on the K_N blocks, too much for a sharp bound but nothing
+    against a floor with a margin.  False also where floor is not positive
+    and finite, or anything else is not finite.
+    """
+    if not 0.0 < floor < _INF:
+        return False
+    m = len(a.mid)
+    r = _norm2_from_sums(a.rad.sum(axis=1), a.rad.sum(axis=0), m) if a.rad.any() else 0.0
+    abs_m = np.abs(a.mid)
+    spread = _gram_spread(abs_m, abs_m.sum(axis=1))
+    del abs_m
+    t = _add_up(_up(1.0 / floor), r)
+    s = _add_up(_up(t * t), spread)
+    if not s < _INF:  # also where r or spread is not finite
+        return False
+    g = a.mid.T @ a.mid
+    d = np.arange(m)
+    gd = g[d, d]
+    c = _add_up(s, _cholesky_shift(m, float(np.max(gd))))
+    g[d, d] = add_toward(gd, -c, -_INF)
+    return _cholesky_succeeds(g)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives e = inf

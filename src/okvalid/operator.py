@@ -30,6 +30,7 @@ from .intervals import (
     IntervalDomainError,
     _ball_up,
     _gamma,
+    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
 from .pointconv import _parity, _projections
@@ -471,12 +472,13 @@ class InverseBound:
 # the largest block; one block is live at a time.  The peak falls in the
 # certified inverse norm: the block's midpoint and radius, the approximate
 # inverse or its Gram matrix, and |C|, C A or the LAPACK copies; the
-# assembly peaks lower, at 3.2-3.6 m_b^2 (two sums, an accumulator, one
-# take and the partials).  Measured on the canonical 2-d and 3-d equilibria
-# (OpenBLAS, 1 thread): the tracemalloc peak of derivative_inverse_bound is
-# 5.25 and 5.04 m_b^2 at 2-d N=28 and 48 (m_b = 196, 576), 5.62 and 5.12 at
-# 3-d N=12 and 16 (m_b = 216, 512), and the rise of the peak RSS 6.18 and
-# 6.14 at 2-d N=64 and 3-d N=20.
+# Cholesky test holds the block, its Gram matrix and the two LAPACK
+# copies, and the assembly peaks lower, at 3.2-3.6 m_b^2 (two sums, an
+# accumulator, one take and the partials).  Measured on the canonical 2-d
+# and 3-d equilibria (OpenBLAS, 1 thread): the tracemalloc peak of
+# derivative_inverse_bound is 5.20 and 5.03 m_b^2 at 2-d N=28 and 48 (m_b =
+# 196, 576), 5.56 and 5.10 at 3-d N=12 and 16 (m_b = 216, 512), and the
+# rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.
 KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's extent on top of them: the raw
 # midpoint and radius that every block reads, and the temporaries that form
@@ -520,35 +522,43 @@ def memory_shortfall(need: float, what: str, stage: str, avail: float | None = N
     return f"{what} needs about {need / 1e6:.0f} MB for the {stage}, {avail / 1e6:.0f} MB available"
 
 
-def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int) -> InverseBound:
+def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
+                             avail: float | None = None) -> InverseBound:
     """The finite inverse bound K_N at cut n and the full bound K.
 
     Every member of the ball matrix of galerkin_blocks is block-diagonal, its
     blocks members of the block balls, so the 2-norm of its inverse is the
-    largest of theirs: K_N is the largest of mat_inverse_norm2_upper's
-    bounds, each block certified with K_N so far as its floor (which changes
-    no bit of K_N) and dropped before the next is assembled.  A block that
-    fails stops the stage there.  Raises CertificationError at stage
-    kn_bound, without a suggested truncation, when the K_N stage would not
-    fit in the available memory.
+    largest of theirs.  Each block is assembled, bounded and dropped before
+    the next, with K_N so far as its floor: one Cholesky
+    (inverse_norm2_at_most) proves most blocks' inverses no larger than the
+    floor, and only a block it cannot is certified by
+    mat_inverse_norm2_upper, which sharpens only a bound above the floor.
+    K_N is the largest certified bound, so it is never above the largest
+    of every block certified in full with floor 0; the first block, with
+    the floor 0, is always certified.  A block that fails stops the stage
+    there.  Raises CertificationError at stage kn_bound, without a
+    suggested truncation, when the K_N stage would not fit in avail bytes
+    (default: a reading of the available memory).
     """
     q, q_sup, q_h2 = lin
-    short = memory_shortfall(kn_stage_bytes(q, n), f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage")
+    short = memory_shortfall(kn_stage_bytes(q, n), f"truncation n={n} ({n**q.dim - 1} modes)",
+                             "K_N stage", avail)
     if short:
         raise CertificationError("kn_bound", short)
     kn = 0.0
     for block, ball in galerkin_blocks(p, q, n):
-        try:
-            bound, _, _ = mat_inverse_norm2_upper(ball, kn)
-        except IntervalDomainError as exc:
-            raise CertificationError(
-                "kn_bound",
-                f"finite inverse not certified at n={n} on parity class "
-                f"{block.label} ({block.size} modes): {exc}",
-                suggested_n=2 * n,
-            ) from exc
+        if not inverse_norm2_at_most(ball, kn):
+            try:
+                bound, _, _ = mat_inverse_norm2_upper(ball, kn)
+            except IntervalDomainError as exc:
+                raise CertificationError(
+                    "kn_bound",
+                    f"finite inverse not certified at n={n} on parity class "
+                    f"{block.label} ({block.size} modes): {exc}",
+                    suggested_n=2 * n,
+                ) from exc
+            kn = max(kn, bound)
         del ball  # before the next block is assembled
-        kn = max(kn, bound)
     cb = table_constants(q.dim).cb
     tau = tau_formula(kn, q_sup, q_h2, cb, n).hi
     if not tau < 1.0:
@@ -571,20 +581,23 @@ def rule_of_thumb_n(q_h2: float) -> int:
 
 
 def auto_inverse_bound(
-    p: ModelParams, lin: Linearization, tau_target: float = 0.5
+    p: ModelParams, lin: Linearization, tau_target: float = 0.5, avail: float | None = None
 ) -> InverseBound:
     """Double the truncation from a rule-of-thumb start until tau is comfortable.
 
     Escalation stops at TRUNCATION_CEILING, or at a failure for which no
-    larger truncation can help (one without a suggested truncation).
+    larger truncation can help (one without a suggested truncation).  Every
+    truncation's memory charge is checked against avail bytes, by default
+    one reading of the available memory.
     """
+    avail = available_memory_bytes() if avail is None else avail
     ceiling = TRUNCATION_CEILING[lin.q.dim]
     n = min(rule_of_thumb_n(lin.q_h2), ceiling)
     best: InverseBound | None = None
     last_error: CertificationError | None = None
     while True:
         try:
-            cand = derivative_inverse_bound(p, lin, n)
+            cand = derivative_inverse_bound(p, lin, n, avail)
             best = cand if best is None or cand.tau < best.tau else best
             if cand.tau <= tau_target:
                 return cand

@@ -256,6 +256,24 @@ def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, sol
     assert max(counts) <= 16, counts  # the plain bisection made 53
 
 
+def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2d):
+    # of the four parity blocks at N=28 only the leading one forms an
+    # approximate inverse and a Gram certificate; the other three each take
+    # one Cholesky test
+    p, result = solved_2d
+    calls = {}
+    for name in ("inv", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert validate(p, result.solution, "lambda", n=28).valid
+    assert calls == {"inv": 1, "eigvalsh": 1}
+
+
 def test_feasible_dx_range():
     rng_pair = feasible_dx_range(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, ell_x=1.0, da=0.0)
     assert rng_pair is not None

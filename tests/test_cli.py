@@ -530,6 +530,21 @@ def test_sweep_computes_residual_stage_once(workdir, solution_file, monkeypatch)
 SWEEP_NLIST = "24,32,48,64,96,128,256"
 
 
+def test_sweep_reads_the_memory_once(workdir, solution_file, monkeypatch):
+    # every truncation's K_N charge is checked against one reading of the
+    # available memory, taken by the sweep
+    from okvalid import operator
+
+    reads = []
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: reads.append(1) or 1e12)
+    out = workdir / "sweep_reads.csv"
+    assert main(["sweep", "--in", str(solution_file), "--param", "lambda",
+                 "--Nlist", SWEEP_NLIST, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 7 and all(r["status"] == "ok" for r in rows)
+    assert len(reads) == 1
+
+
 @pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
 def test_sweep_first_lipschitz_round_once(workdir, solution_file, monkeypatch, which):
     # the first round's box depends on neither N nor K: one call serves

@@ -18,16 +18,18 @@ from balls import (
     point_matrix,
     transpose,
 )
+from okvalid import intervals
 from okvalid.intervals import (
     BallMatrix,
     _cholesky_shift,
     _defect_norm_upper,
     _gamma,
+    _gram_norm2_upper,
     _gram_spread,
     _max_sum_upper,
-    _mirror_lower,
     Interval,
     IntervalDomainError,
+    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
     add_toward,
     ball_add,
@@ -592,6 +594,23 @@ def test_cholesky_shift_covers_the_backward_error(rng):
     assert indefinite > 0
 
 
+def test_gram_certificate_reads_only_the_lower_triangle(rng):
+    # eigvalsh and the Cholesky read only the lower triangle: finite garbage
+    # in the upper one gives the same certified bound, bit for bit
+    for n in (1, 7, 60):
+        c = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        abs_c = np.abs(c)
+        spread = _gram_spread(abs_c, abs_c.sum(axis=1))
+        gram = c.T @ c
+        clean = _gram_norm2_upper(gram.copy(), spread, math.inf)
+        assert clean < math.inf
+        upper = np.triu_indices(n, 1)
+        for garbage in (1e3 * rng.standard_normal(upper[0].size), -gram[upper], 0.0):
+            dirty = gram.copy()
+            dirty[upper] = garbage
+            assert _gram_norm2_upper(dirty, spread, math.inf) == clean
+
+
 def _mp_inverse_norm(m: np.ndarray):
     """1 / sigma_min(m) to 50 digits."""
     with mpmath.workdps(50):
@@ -617,6 +636,113 @@ def test_inverse_norm_bound_interval_members_mpmath(rng):
     bound, _, _ = mat_inverse_norm2_upper(ball_hull(lo, hi))
     for member in _sampled_members(rng, lo, hi, 5):
         assert bound >= _mp_inverse_norm(member)
+
+
+# inverse_norm2_at_most: ||X^-1||_2 <= floor for every member X of a ball,
+# by one shifted Cholesky of fl(Am^T Am), against mpmath's sigma_min
+
+def _integer_matrix(rng, m: int) -> np.ndarray:
+    """A well-conditioned m x m matrix of small integers: every product and
+    sum of fl(A^T A) is exact, whatever the BLAS's order."""
+    return 20.0 * np.eye(m) + rng.integers(-3, 4, (m, m)).astype(np.float64)
+
+
+def _threshold_cases(rng):
+    """(label, point matrix) pairs: integer, random and widely scaled."""
+    yield "integer", _integer_matrix(rng, 6)
+    yield "random", rng.standard_normal((8, 8)) + 5.0 * np.eye(8)
+    yield "scaled", np.diag(np.logspace(-1, 1, 7)) + 1e-3 * rng.standard_normal((7, 7))
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-12])
+def test_inverse_norm_at_most_mpmath_boundaries(rng, width):
+    # True a percent above the exact 1 / sigma_min, False a percent below,
+    # on point matrices and on balls whose members all lie within 1e-12
+    # relative of the midpoint
+    for label, am in _threshold_cases(rng):
+        a = ball_hull(am, am + width * np.abs(am)) if width else point_matrix(am)
+        kappa = _mp_inverse_norm(am)
+        assert inverse_norm2_at_most(a, float(kappa * mpmath.mpf("1.01"))), label
+        assert not inverse_norm2_at_most(a, float(kappa * mpmath.mpf("0.99"))), label
+
+
+def test_inverse_norm_at_most_refuses_a_radius_reaching_below_the_floor(rng):
+    # the midpoint clears 1 / floor by a percent, but the radius reaches
+    # sampled members whose sigma_min is below it
+    am = _integer_matrix(rng, 6)
+    floor = float(_mp_inverse_norm(am) * mpmath.mpf("1.01"))
+    assert inverse_norm2_at_most(point_matrix(am), floor)
+    lo, hi = am - 0.25, am + 0.25
+    below = [x for x in _sampled_members(rng, lo, hi, 20) if _mp_inverse_norm(x) > floor]
+    assert below
+    assert not inverse_norm2_at_most(ball_hull(lo, hi), floor)
+
+
+def test_inverse_norm_at_most_is_false_where_nothing_is_finite():
+    # no finite floor, an unbounded entry, or a Gram matrix past the
+    # largest double: False, and no error or warning
+    eye = np.eye(4)
+    for floor in (0.0, -1.0, math.nan, math.inf):
+        assert not inverse_norm2_at_most(point_matrix(eye), floor)
+    unbounded = BallMatrix(eye, np.zeros((4, 4)))
+    unbounded.rad[0, 3] = math.inf
+    assert not inverse_norm2_at_most(unbounded, 2.0)
+    assert not inverse_norm2_at_most(point_matrix(1e200 * eye), 1.0)
+    assert not inverse_norm2_at_most(point_matrix(1e-200 * eye), 1.0)
+
+
+def _factored(monkeypatch) -> list:
+    """Copies of the matrices _cholesky_succeeds is asked about from here on."""
+    seen = []
+    decide = intervals._cholesky_succeeds
+
+    def spy(x):
+        seen.append(x.copy())
+        return decide(x)
+
+    monkeypatch.setattr(intervals, "_cholesky_succeeds", spy)
+    return seen
+
+
+@pytest.mark.parametrize("width", [0.0, 2.0**-20])
+def test_inverse_norm_at_most_shift_covers_every_term(rng, monkeypatch, width):
+    # the factored matrix is fl(Am^T Am), exact here, with each diagonal
+    # entry at most G_ii - (1/floor + r)^2 - spread - beta in exact
+    # arithmetic: r bounding ||Ar||_2, spread the Gram product's rounding and
+    # beta the Cholesky's backward error, at floors where the test holds and
+    # where it fails
+    am = _integer_matrix(rng, 6)
+    a = BallMatrix(am, np.full(am.shape, width))
+    g = am.T @ am
+    abs_m = np.abs(am)
+    r = Fraction(intervals._norm2_from_sums(a.rad.sum(axis=1), a.rad.sum(axis=0), 6)) if width else 0
+    spread = Fraction(_gram_spread(abs_m, abs_m.sum(axis=1)))
+    beta = Fraction(_cholesky_shift(6, float(np.max(np.diag(g)))))
+    kappa = float(_mp_inverse_norm(am))
+    seen = _factored(monkeypatch)
+    floors = [kappa * x for x in (1.01, 0.99)] + list(rng.uniform(0.1, 2.0, 30))
+    held = [inverse_norm2_at_most(a, floor) for floor in floors]
+    assert held[:2] == [True, False] and len(seen) == len(floors)
+    lower = np.tril_indices(6, -1)
+    for floor, y in zip(floors, seen):
+        assert np.array_equal(y[lower], g[lower])
+        need = (1 / Fraction(floor) + r) ** 2 + spread + beta
+        for i in range(6):
+            assert Fraction(y[i, i]) <= Fraction(g[i, i]) - need
+
+
+def test_inverse_norm_at_most_rounds_the_reciprocal_up(rng, monkeypatch):
+    # with spread and beta taken as zero and a point identity, the shift is
+    # the square of 1/floor rounded up, and it is recovered exactly: 1 - c
+    # is exact for c in [1/2, 2]
+    monkeypatch.setattr(intervals, "_gram_spread", lambda abs_c, c_rows: 0.0)
+    monkeypatch.setattr(intervals, "_cholesky_shift", lambda n, norm_bound: 0.0)
+    seen = _factored(monkeypatch)
+    floors = 1.0 / rng.uniform(1.2, 1.41, 200)
+    for floor in floors:
+        assert not inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
+    for floor, y in zip(floors, seen, strict=True):
+        assert 1 - Fraction(y[0, 0]) >= (1 / Fraction(floor)) ** 2
 
 
 def test_inverse_norm_bound(rng):
@@ -850,6 +976,11 @@ def test_defect_norm_covers_the_gemm_rounding():
     assert _assert_defect_between(c, a) < 1e-15
 
 
+def _lower_symmetric(x: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of x's lower triangle, exactly."""
+    return np.tril(x) + np.tril(x, -1).T
+
+
 @pytest.mark.parametrize("point", [True, False])
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e300])
 @pytest.mark.parametrize("shape", [(5, 5), (4, 6), (6, 4)])
@@ -865,13 +996,13 @@ def test_gram_spread_exact_hull_oracle(rng, point, scale, shape):
     am = np.abs(a.mid)
     spread = _gram_spread(am, am.sum(axis=1)) if point else gram_spread(a)
     n = a.mid.shape[1]
-    entrywise = _mirror_lower(mat_mul(transpose(a), a).rad.copy())
+    entrywise = _lower_symmetric(mat_mul(transpose(a), a).rad)
     tiny = 4 * n * 2.0**-1074
     assert spread <= _max_sum_upper(entrywise.sum(axis=1), n) * (1 + 1e-12) + tiny
     assert (spread == math.inf) == (scale == 1e300)
     if spread == math.inf:
         return
-    gm = _mirror_lower(a.mid.T @ a.mid)
+    gm = _lower_symmetric(a.mid.T @ a.mid)
     dist = []
     for i in range(n):
         dist.append([])

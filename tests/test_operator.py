@@ -21,7 +21,14 @@ from balls import (
 )
 from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
-from okvalid.intervals import PI2_BALL, PI4_BALL, Interval, IntervalDomainError, mat_inverse_norm2_upper
+from okvalid.intervals import (
+    PI2_BALL,
+    PI4_BALL,
+    Interval,
+    IntervalDomainError,
+    inverse_norm2_at_most,
+    mat_inverse_norm2_upper,
+)
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
@@ -584,44 +591,53 @@ def solved_sweep_1d():
     return p, newton_solve(p, parse_seed("mode:1,0.6", 1, 64), SolveOptions(n=64))
 
 
-def _count_cholesky(monkeypatch) -> list:
+def _count_inverses(monkeypatch) -> list:
+    """The sizes of the matrices np.linalg.inv inverts from here on: one per
+    full certificate (mat_inverse_norm2_upper)."""
     calls = []
-    factor = np.linalg.cholesky
+    invert = np.linalg.inv
 
     def counted(x):
         calls.append(x.shape[0])
-        return factor(x)
+        return invert(x)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "inv", counted)
     return calls
 
 
 @pytest.mark.parametrize("case,n,certified,blocks", [
-    ("solved_1d", 112, 1, 2), ("solved_2d", 28, 1, 4), ("solved_3d", 12, 4, 8),
-    ("solved_sweep_1d", 24, 2, 2), ("solved_sweep_1d", 256, 2, 2),
+    ("solved_1d", 112, 1, 2), ("solved_2d", 28, 1, 4), ("solved_3d", 12, 1, 8),
+    ("solved_sweep_1d", 24, 1, 2), ("solved_sweep_1d", 256, 1, 2),
 ])
 def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified, blocks):
-    # a block whose cheap bound is at most K_N so far skips the Cholesky
-    # certificate, and K_N is the same bits as when every block is certified
+    # the leading block, the class of the origin, sets K_N; one Cholesky
+    # proves every later block's inverse no larger, so only the leading
+    # block is certified in full, and K_N is the same bits as when every
+    # block is
     p, result = request.getfixturevalue(case)
     lin = lin_of(p, result.solution)
-    every = [mat_inverse_norm2_upper(ball)[0] for _, ball in operator.galerkin_blocks(p, lin.q, n)]
-    calls = _count_cholesky(monkeypatch)
+    balls = [ball for _, ball in operator.galerkin_blocks(p, lin.q, n)]
+    every = [mat_inverse_norm2_upper(ball)[0] for ball in balls]
+    assert len(every) == blocks and every[0] == max(every)
+    assert all(inverse_norm2_at_most(ball, every[0]) for ball in balls[1:])
+    del balls
+    calls = _count_inverses(monkeypatch)
     assert derivative_inverse_bound(p, lin, n).kn == max(every)
-    assert len(calls) == certified and len(every) == blocks
+    assert len(calls) == certified
 
 
 def test_kn_certifies_a_later_largest_block(monkeypatch):
     # q constant: two diagonal blocks, and at (lam, sigma) = (10, 1) the
-    # largest inverse norm, at k = 1, lies in the second; its cheap bound
-    # exceeds the first block's K_N, so it is certified in full
+    # largest inverse norm, at k = 1, lies in the second; the Cholesky test
+    # cannot keep it below the first block's K_N, so it is certified in full
     p = ModelParams(lam=10.0, sigma=1.0, mu=0.0)
     lin = lin_of(p, CosineSeries.zeros((2,)))
     blocks = list(operator.galerkin_blocks(p, lin.q, 32))
     assert [block.label for block, _ in blocks] == ["(0)", "(1)"]
     first, largest = (mat_inverse_norm2_upper(ball)[0] for _, ball in blocks)
     assert first < largest <= mat_inverse_norm2_upper(blocks[1][1], math.inf)[0]
-    calls = _count_cholesky(monkeypatch)
+    assert not inverse_norm2_at_most(blocks[1][1], first)
+    calls = _count_inverses(monkeypatch)
     assert derivative_inverse_bound(p, lin, 32).kn == largest
     assert len(calls) == 2
 
@@ -880,6 +896,17 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
         assert _kn_stage_peak(p, lin, n) <= operator.kn_stage_bytes(lin.q, n), (lin.q.extent, n)
 
 
+def test_kn_stage_peak_not_above_the_full_certificates(solved_2d, solved_3d):
+    # a block the Cholesky test clears is dropped before the next one is
+    # assembled: the traced peak stays at or below that of certifying every
+    # block in full, 5.04 m_b^2 at 2-d N=48 and 5.12 m_b^2 at 3-d N=16
+    for (p, result), n, ceiling in ((solved_2d, 48, 5.04), (solved_3d, 16, 5.12)):
+        lin = lin_of(p, result.solution)
+        m_b = max(block.size for block in operator.parity_blocks(operator.split_axes(lin.q), n))
+        derivative_inverse_bound(p, lin, n)
+        assert _kn_stage_peak(p, lin, n) <= ceiling * 8.0 * m_b**2, n
+
+
 def test_kn_stage_charge_counts_blocks(solved_1d):
     # the working set of the largest block, since one block is live at a
     # time: of the two 1-d classes, 31 and 32 modes, the odd one; one block
@@ -936,9 +963,9 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
     tried = []
     bound = operator.derivative_inverse_bound
 
-    def recording(p, lin, n):
+    def recording(p, lin, n, avail):
         tried.append(n)
-        return bound(p, lin, n)
+        return bound(p, lin, n, avail)
 
     monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
     monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
@@ -949,6 +976,29 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
     # would anything larger, so the escalation stops there
     assert tried == [32, 64, 128]
     assert ib.n == 64 and 0.5 < ib.tau < 1.0
+
+
+def test_auto_inverse_bound_reads_the_memory_once(solved_1d, monkeypatch):
+    # an escalation through several truncations checks every charge
+    # against one reading, and so does the validate that runs it
+    from okvalid.cift import validate
+
+    p, result = solved_1d
+    tried, reads = [], []
+    bound = operator.derivative_inverse_bound
+
+    def recording(p, lin, n, avail):
+        tried.append(n)
+        return bound(p, lin, n, avail)
+
+    monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
+    monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: reads.append(1) or 1e12)
+    auto_inverse_bound(p, lin_of(p, result.solution))
+    assert len(tried) > 1 and len(reads) == 1
+    reads.clear()
+    assert validate(p, result.solution, "lambda").valid
+    assert len(reads) == 1
 
 
 def test_validate_reports_memory_ceiling(solved_1d, monkeypatch):
