@@ -40,6 +40,7 @@ from .operator import (
     ball_powers,
     derivative_inverse_bound,
     fprime_series,
+    k_formula,
     linearization_coefficient,
     residual_norm,
     tau_formula,
@@ -85,6 +86,20 @@ class RadiiInequalities:
     def budget(self, da: float, dx: float) -> Interval:
         """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
         return self.tk_l1 * Interval(dx) + self.tk_l2 * Interval(da)
+
+    def root(self, ell_x: float) -> float:
+        """Float estimate of the largest da at which both inequalities hold
+        with dx at the radius requirement, from the upper ends of the
+        products: the smaller of the positive roots where the requirement
+        reaches ell_x and where the budget reaches 1; nan where the float
+        evaluation fails."""
+        rho, l1, l2, l3, l4 = (x.hi for x in (
+            self.tk_rho, self.tk_l1, self.tk_l2, self.tk_l3, self.tk_l4))
+        box = _positive_root(l4, l3, rho - ell_x)
+        budget = _positive_root(l1 * l4, l1 * l3 + l2, l1 * rho - 1.0)
+        if math.isnan(box) or math.isnan(budget):
+            return math.nan
+        return min(box, budget)
 
     def dx_ceiling(self, ell_x: float, da: float) -> float:
         """min(ell_x, (1 - 2 K l2 da) / (2 K l1)) rounded down: the largest dx
@@ -133,23 +148,6 @@ def _positive_root(a: float, b: float, c: float) -> float:
         return math.nan
     den = b + math.sqrt(disc)
     return -2.0 * c / den if den != 0.0 else math.inf
-
-
-def _root_estimate(
-    k: float, rho: float, l1: float, l2: float, l3: float, l4: float, ell_x: float,
-) -> float:
-    """Float estimate of the largest da at which both inequalities hold, with
-    dx at the radius requirement: the smaller of their two roots."""
-    tk = 2.0 * k
-    # the radius requirement reaches ell_x
-    box = _positive_root(tk * l4, tk * l3, tk * rho - ell_x)
-    # the contraction budget reaches 1
-    budget = _positive_root(
-        tk * tk * l1 * l4, tk * tk * l1 * l3 + tk * l2, tk * tk * l1 * rho - 1.0
-    )
-    if math.isnan(box) or math.isnan(budget):
-        return math.nan
-    return min(box, budget)
 
 
 def _bisect(feasible, hi: float, root: float) -> tuple[float, float]:
@@ -218,7 +216,7 @@ def solve_radii(
     if ok:
         da = ell_alpha
     else:
-        root = _root_estimate(k, rho, l1, l2, l3, l4, ell_x)
+        root = ineq.root(ell_x)
         da, witness = _bisect(feasible, ell_alpha, root)
         ok, dx = feasible(da)
         if not ok or feasible(witness)[0]:
@@ -317,7 +315,7 @@ def verify_certificate(cert: Certificate):
         failures.append("negative residual bound")
     if not (0.0 <= cert.tau < 1.0):
         failures.append("tau not in [0, 1)")
-    elif cert.k < (Interval(max(cert.kn, 1.0)) / (Interval(1.0) - Interval(cert.tau))).lo:
+    elif cert.k < k_formula(cert.kn, cert.tau).lo:
         failures.append("K inconsistent with kn and tau")
     if not cert.n >= 2:
         failures.append("truncation below 2")

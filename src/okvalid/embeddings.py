@@ -60,9 +60,32 @@ def equiv_factor() -> Interval:
 
 def cmbar_bytes(dim: int, ncut: int) -> float:
     """Bytes that recompute_cmbar(dim, ncut) needs: four arrays of ncut
-    doubles in 1-d, ten in 2-d, and in 3-d four and five of the 2 (ncut -
-    1)^2 + 1 sums of two squares."""
-    return 8.0 * {1: 4 * ncut, 2: 10 * ncut, 3: 4 * ncut + 5 * (2 * (ncut - 1) ** 2 + 1)}[dim]
+    doubles in 1-d, ten in 2-d, and in 3-d four of the ncut^2 counts of
+    sums of squares (the traced peak is 3.6 of them at ncut 100 to 600)."""
+    return 8.0 * {1: 4 * ncut, 2: 10 * ncut, 3: 4 * ncut**2}[dim]
+
+
+def _three_square_counts(n: int) -> np.ndarray:
+    """r[t] for 0 <= t < n^2: the number of k in Z^3, k != 0, with |k|^2 =
+    t, as exact integers.  A k >= 0 counts 2^{#nonzero k_j}, its sign
+    changes: one bincount of the pairs (k1, k2) by k1^2 + k2^2 < n^2, and
+    one shifted add per k3."""
+    limit = n * n
+    sq = np.arange(n, dtype=np.int64) ** 2
+    w = np.where(sq > 0, 2.0, 1.0)
+    s = np.add.outer(sq, sq)
+    keep = s < limit
+    s = s[keep]
+    ww = np.multiply.outer(w, w)[keep]
+    del keep
+    r2 = np.bincount(s, ww, limit).astype(np.int64)
+    del s, ww
+    r3 = r2.copy()  # k3 = 0
+    r2 *= 2
+    for k3 in range(1, n):
+        r3[k3 * k3:] += r2[: limit - k3 * k3]
+    r3[0] = 0  # the origin
+    return r3
 
 
 def _weighted_quartic_sum(dim: int, ncut: int) -> Interval:
@@ -88,27 +111,15 @@ def _weighted_quartic_sum(dim: int, ncut: int) -> Interval:
             total += float(np.sum(w[mask] / s[mask] ** 2))
         depth = n * n
     elif dim == 3:
-        # r2[s] = weighted count of (k1,k2) with k1^2+k2^2 = s
-        smax = 2 * (n - 1) ** 2
-        r2 = np.zeros(smax + 1)
-        sq = np.arange(0, n, dtype=np.int64) ** 2
-        w2 = np.where(np.arange(n) > 0, 2.0, 1.0)
-        for k1 in range(n):
-            np.add.at(r2, k1 * k1 + sq, (2.0 if k1 else 1.0) * w2)
-        total = 0.0
-        limit = n * n
-        svals = np.arange(0, smax + 1, dtype=np.float64)
-        for k3 in range(n):
-            top = limit - k3 * k3  # need s + k3^2 < n^2
-            if top <= 0:
-                break
-            lo_s = 1 if k3 == 0 else 0
-            hi_s = min(top, smax + 1)
-            if hi_s <= lo_s:
-                continue
-            t = svals[lo_s:hi_s] + float(k3 * k3)
-            total += (2.0 if k3 else 1.0) * float(np.dot(r2[lo_s:hi_s], 1.0 / t**2))
-        depth = smax + n + 1
+        r3 = _three_square_counts(n)
+        inv = np.arange(r3.size, dtype=np.float64)
+        inv[0] = 1.0
+        inv *= inv
+        np.divide(1.0, inv, out=inv)
+        total = float(np.dot(r3, inv))
+        # a dot of n^2 terms, each within three roundings (t^2, exact up to
+        # t = 2^26, 1/t^2 and the product with a count)
+        depth = r3.size + 3
     else:
         raise ValueError(f"unsupported dimension {dim}")
     rel = (depth + 64) * _EPS

@@ -37,15 +37,42 @@ def file_sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _read_params(prm: dict, path) -> ModelParams:
-    """ModelParams from a file's params block; the type rejects non-finite values."""
+def _write_json(path, payload: dict) -> dict:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    return payload
+
+
+def _read_json(path, kind: str, parse):
+    """parse(payload, path) of the JSON file at path, a kind file of this
+    format_version; a file that cannot be read or parsed, another version
+    and malformed content all raise FileFormatError."""
     try:
-        return ModelParams(
-            lam=float(prm["lambda"]),
-            sigma=float(prm["sigma"]),
-            mu=float(prm["mu"]),
-            f_coeffs=tuple(float(c) for c in prm["f_coeffs"]),
-        )
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        if payload["format_version"] != FORMAT_VERSION:
+            raise FileFormatError(f"unsupported format_version {payload['format_version']}")
+        return parse(payload, path)
+    except FileFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _params_block(p: ModelParams) -> dict:
+    return {**{name: p.get(name) for name in PARAMETERS}, "f_coeffs": list(p.f_coeffs)}
+
+
+def _read_params(prm: dict, path) -> ModelParams:
+    """ModelParams, which takes the PARAMETERS in their order, from a file's
+    params block; the type rejects non-finite values."""
+    try:
+        return ModelParams(*(float(prm[name]) for name in PARAMETERS),
+                           f_coeffs=tuple(float(c) for c in prm["f_coeffs"]))
     except ValueError as exc:
         raise FileFormatError(f"{exc} in {path}") from exc
 
@@ -58,16 +85,11 @@ def solution_payload(p: ModelParams, u: CosineSeries, residual_float: float, met
     coeffs = u.mid()
     if coeffs[(0,) * u.dim] != 0.0:
         raise FileFormatError("solution coefficient of k = 0 must be zero")
-    payload = {
+    return {
         "format_version": FORMAT_VERSION,
         "dim": u.dim,
         "extent": list(u.extent),
-        "params": {
-            "lambda": p.lam,
-            "sigma": p.sigma,
-            "mu": p.mu,
-            "f_coeffs": list(p.f_coeffs),
-        },
+        "params": _params_block(p),
         "coeffs": [float(c) for c in coeffs.ravel()],
         "meta": {
             "created": _utcnow(),
@@ -76,47 +98,33 @@ def solution_payload(p: ModelParams, u: CosineSeries, residual_float: float, met
             **(meta or {}),
         },
     }
-    return payload
 
 
 def write_solution(path, p: ModelParams, u: CosineSeries, residual_float: float, meta: dict | None = None) -> dict:
-    payload = solution_payload(p, u, residual_float, meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    return payload
+    return _write_json(path, solution_payload(p, u, residual_float, meta))
+
+
+def _solution_of(payload: dict, path):
+    extent = tuple(int(n) for n in payload["extent"])
+    if not (1 <= len(extent) <= 3 and min(extent) >= 1):
+        raise FileFormatError(f"extent {list(extent)} is not 1 to 3 positive sizes in {path}")
+    if payload["dim"] != len(extent):
+        raise FileFormatError(f"dim {payload['dim']!r} does not match extent {list(extent)} in {path}")
+    coeffs = np.asarray(payload["coeffs"], dtype=np.float64)
+    if coeffs.size != int(np.prod(extent)):
+        raise FileFormatError("coefficient count does not match extent")
+    coeffs = coeffs.reshape(extent)
+    if not np.all(np.isfinite(coeffs)):
+        raise FileFormatError(f"non-finite coefficient in solution file {path}")
+    if coeffs[(0,) * len(extent)] != 0.0:
+        raise FileFormatError("solution coefficient of k = 0 must be zero")
+    p = _read_params(payload["params"], path)
+    return p, CosineSeries.from_point(coeffs), payload.get("meta", {})
 
 
 def read_solution(path):
     """Returns (ModelParams, CosineSeries point series, meta dict)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read solution file {path}: {exc}") from exc
-    try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise FileFormatError(f"unsupported format_version {payload['format_version']}")
-        extent = tuple(int(n) for n in payload["extent"])
-        if not (1 <= len(extent) <= 3 and min(extent) >= 1):
-            raise FileFormatError(f"extent {list(extent)} is not 1 to 3 positive sizes in {path}")
-        if payload["dim"] != len(extent):
-            raise FileFormatError(f"dim {payload['dim']!r} does not match extent {list(extent)} in {path}")
-        coeffs = np.asarray(payload["coeffs"], dtype=np.float64)
-        if coeffs.size != int(np.prod(extent)):
-            raise FileFormatError("coefficient count does not match extent")
-        coeffs = coeffs.reshape(extent)
-        if not np.all(np.isfinite(coeffs)):
-            raise FileFormatError(f"non-finite coefficient in solution file {path}")
-        if coeffs[(0,) * len(extent)] != 0.0:
-            raise FileFormatError("solution coefficient of k = 0 must be zero")
-        p = _read_params(payload["params"], path)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(f"malformed solution file {path}: {exc}") from exc
-    u = CosineSeries.from_point(coeffs)
-    return p, u, payload.get("meta", {})
+    return _read_json(path, "solution", _solution_of)
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +133,15 @@ def read_solution(path):
 
 def certificate_payload(cert: Certificate, solution_sha256: str | None) -> dict:
     payload = dataclasses.asdict(cert)
-    prm = payload.pop("params")
-    payload["params"] = {
-        "lambda": prm["lam"],
-        "sigma": prm["sigma"],
-        "mu": prm["mu"],
-        "f_coeffs": list(prm["f_coeffs"]),
-    }
+    del payload["params"]  # written after the other fields
+    payload["params"] = _params_block(cert.params)
     payload["format_version"] = FORMAT_VERSION
     payload["solution_sha256"] = solution_sha256
     return payload
 
 
 def write_certificate(path, cert: Certificate, solution_sha256: str | None) -> dict:
-    payload = certificate_payload(cert, solution_sha256)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-    return payload
+    return _write_json(path, certificate_payload(cert, solution_sha256))
 
 
 _FIELD_TYPES = typing.get_type_hints(Certificate)
@@ -169,27 +168,18 @@ def _certificate_field(f: dataclasses.Field, value, path):
     return value
 
 
+def _certificate_of(payload: dict, path):
+    p = _read_params(payload["params"], path)
+    fields = {
+        f.name: _certificate_field(f, payload.get(f.name), path)
+        for f in dataclasses.fields(Certificate)
+        if f.name != "params"
+    }
+    if fields["which"] not in PARAMETERS:
+        raise FileFormatError(f"unknown parameter {fields['which']!r} in certificate file {path}")
+    return Certificate(params=p, **fields), payload.get("solution_sha256")
+
+
 def read_certificate(path):
     """Returns (Certificate, solution_sha256)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read certificate file {path}: {exc}") from exc
-    try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise FileFormatError(f"unsupported format_version {payload['format_version']}")
-        p = _read_params(payload["params"], path)
-        fields = {
-            f.name: _certificate_field(f, payload.get(f.name), path)
-            for f in dataclasses.fields(Certificate)
-            if f.name != "params"
-        }
-        if fields["which"] not in PARAMETERS:
-            raise FileFormatError(f"unknown parameter {fields['which']!r} in certificate file {path}")
-        cert = Certificate(params=p, **fields)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(f"malformed certificate file {path}: {exc}") from exc
-    return cert, payload.get("solution_sha256")
+    return _read_json(path, "certificate", _certificate_of)

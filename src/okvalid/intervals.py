@@ -18,11 +18,12 @@ weights.  One rounding budget (_ball_up) ends each radius.  The one
 certified inverse norm bounds ||C A - I|| through row and column sums,
 which read radii only through matrix-vector products, and ||C||, C the
 point inverse, by the smaller of sqrt(||C||_1 ||C||_inf) and a
-shifted-Cholesky certificate (Rump, BIT 46, 2006).  Where only a threshold
-is wanted, ||X^-1|| <= floor over a ball, one shifted Cholesky of
-fl(mid^T mid) decides it with no inverse formed.  Both Cholesky uses read
-only a lower triangle, through one guarded helper.  The contract is
-containment: every result encloses all pointwise results of its operands.
+shifted-Cholesky certificate (Rump, BIT 46, 2006); it takes no threshold.
+A threshold, ||X^-1|| <= floor over a ball, is decided apart from it, by
+one shifted Cholesky of fl(mid^T mid) with no inverse formed.  Both
+Cholesky uses read only a lower triangle, through one guarded helper.  The
+contract is containment: every result encloses all pointwise results of
+its operands.
 """
 
 from __future__ import annotations
@@ -474,35 +475,32 @@ def _cholesky_succeeds(x: np.ndarray) -> bool:
     return True
 
 
-def _gram_norm2_upper(gram: np.ndarray, spread: float, cheap: float) -> float:
-    """The smaller of cheap and a bound on ||X||_2 over the X with
-    ||X^T X - Gm||_2 <= spread, Gm the symmetric matrix of gram's lower
-    triangle (Rump, "Verification of positive definiteness", BIT 46, 2006);
-    eigvalsh and the Cholesky read only that triangle, and gram is
-    overwritten.  If
+def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
+    """A bound on ||X||_2 over the X with ||X^T X - Gm||_2 <= spread, Gm
+    the symmetric matrix of gram's lower triangle (Rump, "Verification of
+    positive definiteness", BIT 46, 2006), or inf where it fails; eigvalsh
+    and the Cholesky read only that triangle, and gram is overwritten.  If
     floating Cholesky succeeds on Y = c I - Gm, c the eigvalsh estimate of
     lambda_max(Gm) plus the backward-error term, then Y + beta I is
     positive semidefinite for Y's backward-error term beta, and
     lambda_max(X^T X) <= max_i (Y_ii + Gm_ii) + beta + spread.
     """
     if not (spread < _INF and np.isfinite(gram).all()):
-        return cheap
+        return _INF
     n = gram.shape[0]
     d = np.arange(n)
     gd = gram[d, d]
     try:
         lam = float(np.linalg.eigvalsh(gram, UPLO="L")[-1])
     except np.linalg.LinAlgError:
-        return cheap
+        return _INF
     x = np.negative(gram, out=gram)
     x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gd))))
     if not _cholesky_succeeds(x):
-        return cheap
+        return _INF
     beta = _cholesky_shift(n, float(np.max(x[d, d])))
     top = float(np.max(_nup(x[d, d] + gd)))
-    bound = _up(math.sqrt(_up(_up(top + beta) + spread)))
-    # also the fallback when anything was not finite (a NaN compares false)
-    return bound if bound < cheap else cheap
+    return _up(math.sqrt(_up(_up(top + beta) + spread)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives False
@@ -576,16 +574,14 @@ def _defect_norm_upper(c: np.ndarray, abs_c: np.ndarray, c_cols: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives an infinite bound
-def mat_inverse_norm2_upper(a: BallMatrix, floor: float = 0.0):
+def mat_inverse_norm2_upper(a: BallMatrix):
     """Certified upper bound for ||A^{-1}||_2 via an approximate inverse.
 
     Computes a floating inverse C of mid(A), bounds ||C*A - I|| by e, and
     if e < 1 returns (||C|| / (1 - e), e, ||C||), rounded up.  ||C|| is
-    sqrt(||C||_1 ||C||_inf), sharpened by _gram_norm2_upper only where the
-    bound exceeds floor; that never raises it, so a caller keeping the
-    largest bound over several matrices, passing the largest so far as
-    floor, gets the same maximum.  Raises IntervalDomainError when the
-    defect cannot be certified below one.
+    the smaller of sqrt(||C||_1 ||C||_inf) and the Gram certificate
+    (_gram_norm2_upper).  Raises IntervalDomainError when the defect cannot
+    be certified below one.
     """
     try:
         c = np.linalg.inv(a.mid)
@@ -596,13 +592,8 @@ def mat_inverse_norm2_upper(a: BallMatrix, floor: float = 0.0):
     e = _defect_norm_upper(c, abs_c, c_cols, a)
     if not e < 1.0:
         raise IntervalDomainError(f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1")
-    den = _down(1.0 - e)
-    c_norm = _norm2_from_sums(c_rows, c_cols, len(c))
-    bound = _up(_up(c_norm) / den)
-    if bound > floor:
-        spread = _gram_spread(abs_c, c_rows)
-        gram = c.T @ c
-        del c, abs_c  # only the Gram matrix is live in the certificate
-        c_norm = _gram_norm2_upper(gram, spread, c_norm)
-        bound = _up(_up(c_norm) / den)
-    return bound, e, c_norm
+    spread = _gram_spread(abs_c, c_rows)
+    gram = c.T @ c
+    del c, abs_c  # only the Gram matrix is live in the certificate
+    c_norm = min(_norm2_from_sums(c_rows, c_cols, len(gram)), _gram_norm2_upper(gram, spread))
+    return _up(_up(c_norm) / _down(1.0 - e)), e, c_norm

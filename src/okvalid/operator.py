@@ -458,6 +458,12 @@ def tau_formula(kn: float, q_sup: float, q_h2: float, cb: float, n: int) -> Inte
     return num / (PI2 * Interval(float(n)).square())
 
 
+def k_formula(kn: float, tau: float) -> Interval:
+    """The inverse bound K = max(K_N, 1) / (1 - tau) of the full
+    linearization, tau < 1 the tail contraction constant."""
+    return Interval(max(kn, 1.0)) / (Interval(1.0) - Interval(tau))
+
+
 @dataclass
 class InverseBound:
     """Certified bound K for the inverse of the full linearization."""
@@ -531,14 +537,14 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     largest of theirs.  Each block is assembled, bounded and dropped before
     the next, with K_N so far as its floor: one Cholesky
     (inverse_norm2_at_most) proves most blocks' inverses no larger than the
-    floor, and only a block it cannot is certified by
-    mat_inverse_norm2_upper, which sharpens only a bound above the floor.
-    K_N is the largest certified bound, so it is never above the largest
-    of every block certified in full with floor 0; the first block, with
-    the floor 0, is always certified.  A block that fails stops the stage
-    there.  Raises CertificationError at stage kn_bound, without a
-    suggested truncation, when the K_N stage would not fit in avail bytes
-    (default: a reading of the available memory).
+    floor, and only a block it cannot is certified in full by
+    mat_inverse_norm2_upper.  A block kept at or below the floor cannot
+    raise K_N, so K_N is the largest of every block's full certificate;
+    the first block, with the floor 0, is always certified.  A block that
+    fails stops the stage there.  K is k_formula(K_N, tau) rounded up.
+    Raises CertificationError at stage kn_bound, without a suggested
+    truncation, when the K_N stage would not fit in avail bytes (default: a
+    reading of the available memory).
     """
     q, q_sup, q_h2 = lin
     short = memory_shortfall(kn_stage_bytes(q, n), f"truncation n={n} ({n**q.dim - 1} modes)",
@@ -549,7 +555,7 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     for block, ball in galerkin_blocks(p, q, n):
         if not inverse_norm2_at_most(ball, kn):
             try:
-                bound, _, _ = mat_inverse_norm2_upper(ball, kn)
+                bound, _, _ = mat_inverse_norm2_upper(ball)
             except IntervalDomainError as exc:
                 raise CertificationError(
                     "kn_bound",
@@ -568,8 +574,7 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
             f"(rule of thumb: n ~ {rule_of_thumb_n(q_h2)})",
             suggested_n=max(2 * n, rule_of_thumb_n(q_h2)),
         )
-    k = (Interval(max(kn, 1.0)) / (Interval(1.0) - Interval(tau))).hi
-    return InverseBound(kn=kn, tau=tau, k=k, n=n)
+    return InverseBound(kn=kn, tau=tau, k=k_formula(kn, tau).hi, n=n)
 
 
 TRUNCATION_CEILING = {1: 256, 2: 96, 3: 32}
@@ -588,7 +593,8 @@ def auto_inverse_bound(
     Escalation stops at TRUNCATION_CEILING, or at a failure for which no
     larger truncation can help (one without a suggested truncation).  Every
     truncation's memory charge is checked against avail bytes, by default
-    one reading of the available memory.
+    one reading of the available memory.  With no truncation certified,
+    the last failure is raised: each pass either certifies or fails.
     """
     avail = available_memory_bytes() if avail is None else avail
     ceiling = TRUNCATION_CEILING[lin.q.dim]
@@ -608,8 +614,6 @@ def auto_inverse_bound(
         if n >= ceiling:
             break
         n = min(2 * n, ceiling)
-    if best is not None:
-        return best
-    raise last_error if last_error is not None else CertificationError(
-        "inverse_bound", "no certifiable truncation found"
-    )
+    if best is None:
+        raise last_error
+    return best

@@ -157,7 +157,7 @@ def gram_spread(a: BallMatrix) -> float:
 def norm2_upper(a: BallMatrix) -> float:
     """Upper bound on the spectral norm of every member of a: the smaller of
     sqrt(||A||_1 ||A||_inf) and the Gram certificate on gram_spread."""
-    return _gram_norm2_upper(a.mid.T @ a.mid, gram_spread(a), cheap_norm2_upper(a))
+    return min(cheap_norm2_upper(a), _gram_norm2_upper(a.mid.T @ a.mid, gram_spread(a)))
 
 
 def truncation_modes(dim: int, n: int) -> np.ndarray:

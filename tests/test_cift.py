@@ -19,6 +19,7 @@ from okvalid.cift import (
     verify_certificate,
 )
 from okvalid.intervals import Interval
+from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import CertificationError, ModelParams
 from okvalid.series import CosineSeries
 
@@ -200,9 +201,9 @@ def test_radii_infeasible_at_zero_raises_like_plain_bisection():
 @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 2.0])
 def test_radii_wrong_root_falls_back(monkeypatch, scale):
     args = (2.0, 0.01, 1.0, 1.0, 0.5, 0.1, 10.0, 10.0)
-    estimate = cift._root_estimate
+    root = RadiiInequalities.root
     monkeypatch.setattr(
-        cift, "_root_estimate", lambda *a: scale * estimate(*a)
+        RadiiInequalities, "root", lambda self, ell_x: scale * root(self, ell_x)
     )
     calls = []
     bisect = cift._bisect
@@ -214,46 +215,64 @@ def test_radii_wrong_root_falls_back(monkeypatch, scale):
 
 
 def test_radii_without_finite_estimate_evaluate_every_point(monkeypatch):
-    # 2 K overflows when squared, so the estimate is nan
-    args = (1e200, 0.0, 1e-199, 1e-195, 1e-190, 0.0, 1.0, 1.0)
-    assert math.isnan(cift._root_estimate(*args[:7]))
+    # 2 K l4 overflows to inf, and its product with 2 K l1 = 0 is nan, so
+    # the budget's root, and with it the estimate, is nan
+    args = (1.0, 0.0, 0.0, 1.0, 1.0, 1e308, 1.0, 1.0)
+    assert math.isnan(RadiiInequalities.of(*args[:6]).root(args[6]))
     assert _assert_matches_reference(*args)[3] is not None  # bisected
     counts = _radii_evaluations(monkeypatch, lambda: cift.solve_radii(*args))
-    assert counts == [2 + cift.BISECTION_STEPS + 2]
+    assert counts == [(2 + cift.BISECTION_STEPS + 2, 1)]
 
 
 def _radii_evaluations(monkeypatch, run):
-    """Interval evaluations of each solve_radii call that run() makes: the
-    radius requirements that it and the later replays evaluate."""
+    """(interval evaluations, bisections) of each solve_radii call that
+    run() makes: the radius requirements that it and the later replays
+    evaluate, and its _bisect calls."""
     counts = []
-    requirement, solve = RadiiInequalities.requirement, cift.solve_radii
+    requirement, solve, bisect = RadiiInequalities.requirement, cift.solve_radii, cift._bisect
 
     def counted_requirement(self, da):
-        counts[-1] += 1
+        counts[-1][0] += 1
         return requirement(self, da)
 
     def counted_solve(*args, **kwargs):
-        counts.append(0)
+        counts.append([0, 0])
         return solve(*args, **kwargs)
+
+    def counted_bisect(*args):
+        counts[-1][1] += 1
+        return bisect(*args)
 
     monkeypatch.setattr(RadiiInequalities, "requirement", counted_requirement)
     monkeypatch.setattr(cift, "solve_radii", counted_solve)
+    monkeypatch.setattr(cift, "_bisect", counted_bisect)
     run()
-    return counts
+    return [tuple(c) for c in counts]
 
 
-def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, solved_2d):
+def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, solved_2d,
+                                                     solved_3d):
+    # the evaluations of each Lipschitz round's solve_radii (the final
+    # point, its witness, the trial points near the root and the replay),
+    # as recorded on criteria 07, 08 and 11 and the sweep of criterion 09:
+    # each round bisects once, with no rerun; the plain bisection makes 53
     p1, r1 = solved_1d
     p2, r2 = solved_2d
+    p3, r3 = solved_3d
+    ps = ModelParams(lam=50.0, sigma=2.0, mu=0.0)
+    rs = newton_solve(ps, parse_seed("mode:1,0.6", 1, 64), SolveOptions(n=64))
+    bounds = solution_bounds(ps, rs.solution)
+    runs = [(p1, r1, which, None, None) for which in ("lambda", "sigma", "mu")]
+    runs += [(p2, r2, "lambda", 28, None), (p3, r3, "lambda", 12, None)]
+    runs += [(ps, rs, "lambda", n, bounds) for n in (24, 32, 48, 64, 96, 128, 256)]
+    want = [4, 14, 4, 13, 4, 13, 4, 12, 4, 13,
+            7, 12, 8, 12, 8, 12, 8, 12, 9, 12, 8, 11, 8, 12]
 
     def run():
-        for which in ("lambda", "sigma", "mu"):
-            assert validate(p1, r1.solution, which).valid
-        assert validate(p2, r2.solution, "lambda", n=28).valid
+        for p, r, which, n, b in runs:
+            assert validate(p, r.solution, which, n=n, bounds=b).rounds == 2
 
-    counts = _radii_evaluations(monkeypatch, run)
-    assert counts and min(counts) >= 2, counts  # the final point and its witness
-    assert max(counts) <= 16, counts  # the plain bisection made 53
+    assert _radii_evaluations(monkeypatch, run) == [(count, 1) for count in want]
 
 
 def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2d):

@@ -670,5 +670,61 @@ def test_certificate_roundtrip_lossless(workdir, solution_file):
         assert getattr(cert, name) == getattr(cert2, name)
 
 
+def _malformed(payload: dict, case: str):
+    """The text of a file that is malformed as case says, from a good
+    payload."""
+    if case == "not json":
+        return "{"
+    if case == "a list":
+        return "[]"
+    payload = dict(payload, params=dict(payload["params"]))
+    if case == "no format_version":
+        del payload["format_version"]
+    elif case == "format_version 2":
+        payload["format_version"] = 2
+    elif case == "no params":
+        del payload["params"]
+    elif case == "no sigma":
+        del payload["params"]["sigma"]
+    elif case == "lambda a string":
+        payload["params"]["lambda"] = "abc"
+    elif case == "lambda negative":
+        payload["params"]["lambda"] = -1.0
+    elif case == "f_coeffs a number":
+        payload["params"]["f_coeffs"] = 3.0
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("kind", ["solution", "certificate"])
+@pytest.mark.parametrize("case,message", [
+    ("missing", "cannot read {kind} file {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("not json", "cannot read {kind} file {path}: Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1)"),
+    ("a list", "malformed {kind} file {path}: list indices must be integers or slices, not str"),
+    ("no format_version", "malformed {kind} file {path}: 'format_version'"),
+    ("format_version 2", "unsupported format_version 2"),
+    ("no params", "malformed {kind} file {path}: 'params'"),
+    ("no sigma", "malformed {kind} file {path}: 'sigma'"),
+    ("lambda a string", "could not convert string to float: 'abc' in {path}"),
+    ("lambda negative", "lam must be positive in {path}"),
+    ("f_coeffs a number", "malformed {kind} file {path}: 'float' object is not iterable"),
+])
+def test_malformed_file_messages(workdir, solution_file, kind, case, message):
+    # both file kinds go through one reader: each fault is a FileFormatError
+    # with the same message, the kind of file named where it is
+    from okvalid.files import FileFormatError
+
+    good = solution_file if kind == "solution" else workdir / "sol.lambda.cert.json"
+    if not good.exists():
+        assert main(["validate", "--in", str(solution_file), "--param", "lambda"]) == 0
+    path = workdir / f"malformed_{kind}_{case.replace(' ', '_')}.json"
+    if case != "missing":
+        path.write_text(_malformed(json.loads(good.read_text()), case))
+    read = read_solution if kind == "solution" else read_certificate
+    with pytest.raises(FileFormatError) as err:
+        read(path)
+    assert str(err.value) == message.format(kind=kind, path=path)
+
+
 def test_usage_error_unknown_command():
     assert main(["frobnicate"]) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from balls import width
 from conftest import make_random_series
+from okvalid import embeddings
 from okvalid.embeddings import equiv_factor, recompute_cmbar, table_constants
 from okvalid.series import evaluate_grid, multiply, norm
 
@@ -44,6 +45,43 @@ def test_cmbar_rejects_bad_args():
         recompute_cmbar(1, 1)
     with pytest.raises(ValueError):
         recompute_cmbar(5, 100)
+
+
+def _quartic_sum_3d_loops(n: int):
+    """The 3-d weighted quartic sum by per-k1 and per-k3 loops: the pair
+    counts r2 up to 2 (n - 1)^2 by np.add.at, then one dot of r2 with 1 / (s
+    + k3^2)^2 per k3."""
+    smax = 2 * (n - 1) ** 2
+    r2 = np.zeros(smax + 1)
+    sq = np.arange(n, dtype=np.int64) ** 2
+    w2 = np.where(np.arange(n) > 0, 2.0, 1.0)
+    for k1 in range(n):
+        np.add.at(r2, k1 * k1 + sq, (2.0 if k1 else 1.0) * w2)
+    total = 0.0
+    svals = np.arange(smax + 1, dtype=np.float64)
+    for k3 in range(n):
+        lo_s, hi_s = (1 if k3 == 0 else 0), min(n * n - k3 * k3, smax + 1)
+        if hi_s > lo_s:
+            t = svals[lo_s:hi_s] + float(k3 * k3)
+            total += (2.0 if k3 else 1.0) * float(np.dot(r2[lo_s:hi_s], 1.0 / t**2))
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
+def test_three_square_counts_and_sum_match_the_loops(n):
+    # the counts are exact: every k in (-n, n)^3 with 0 < |k|^2 < n^2, by
+    # brute force, and the classical r_3(t) at its first t
+    k = np.indices((2 * n - 1,) * 3).reshape(3, -1) - (n - 1)
+    t = (k**2).sum(axis=0)
+    want = np.bincount(t[(t > 0) & (t < n * n)], minlength=n * n)
+    got = embeddings._three_square_counts(n)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert list(got[:min(n * n, 6)]) == [0, 6, 12, 8, 6, 24][:min(n * n, 6)]
+    # the sum agrees with the loops' within the slack, inside the enclosure
+    loops = _quartic_sum_3d_loops(n)
+    iv = embeddings._weighted_quartic_sum(3, n)
+    assert iv.lo <= loops <= iv.hi
+    assert abs(0.5 * (iv.lo + iv.hi) - loops) <= (n * n + 67) * 2.0**-52 * loops
 
 
 def test_equiv_factor_oracle():

@@ -451,12 +451,19 @@ def test_matmul_dim_mismatch():
 
 
 # ||C||, C the point inverse, that mat_inverse_norm2_upper certifies by the
-# Gram certificate, against the singular values of the same float inverse
+# smaller of sqrt(||C||_1 ||C||_inf) and the Gram certificate, against the
+# singular values of the same float inverse
 
 def _inverse_norm(a: np.ndarray):
     """The ||C|| that mat_inverse_norm2_upper returns for the point matrix a,
     and the float inverse C itself."""
     return mat_inverse_norm2_upper(point_matrix(a))[2], np.linalg.inv(a)
+
+
+def _cheap_norm(c: np.ndarray) -> float:
+    """sqrt(||C||_1 ||C||_inf) of the point matrix c, rounded as
+    mat_inverse_norm2_upper rounds it."""
+    return cheap_norm2_upper(point_matrix(c))
 
 
 def _mp_norm(m: np.ndarray):
@@ -472,15 +479,19 @@ def test_norm2_identity():
 
 
 def test_norm2_diagonal():
+    # on a diagonal C sqrt(||C||_1 ||C||_inf) is sharp up to its rounding
+    # budget, which the Gram certificate's shifts exceed: the cheap bound wins
     bound, c = _inverse_norm(np.diag([1.0, 0.5, 0.25]))
     assert np.array_equal(c, np.diag([1.0, 2.0, 4.0]))
     assert 4.0 <= bound <= 4.0 * (1.0 + 1e-12)
+    assert bound == _cheap_norm(c)
 
 
 def test_norm2_upper_bounds_svd(rng):
+    # on a random C the Gram certificate wins
     for _ in range(20):
         bound, c = _inverse_norm(rng.standard_normal((8, 8)))
-        assert bound >= _mp_norm(c)
+        assert _mp_norm(c) <= bound < _cheap_norm(c)
 
 
 # norm2_upper, the test-side bound on every member of a ball matrix, is the
@@ -527,17 +538,18 @@ def test_norm2_upper_sharp_on_point_matrices(rng, n):
 
 
 def test_norm2_upper_returns_cheap_bound_when_cholesky_fails(rng, monkeypatch):
-    # the fallback is sqrt(||C||_1 ||C||_inf), which a floor above the bound
-    # leaves uncertified
-    a = point_matrix(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
-    sharp = mat_inverse_norm2_upper(a)[2]
-    cheap = mat_inverse_norm2_upper(a, math.inf)[2]
+    # the Gram certificate is inf where the Cholesky fails, so ||C|| falls
+    # back to sqrt(||C||_1 ||C||_inf)
+    a = rng.standard_normal((12, 12)) + 4.0 * np.eye(12)
+    sharp, c = _inverse_norm(a)
+    cheap = _cheap_norm(c)
 
     def fail(x):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", fail)
-    assert mat_inverse_norm2_upper(a)[2] == cheap > sharp
+    assert _gram_norm2_upper(c.T @ c, 0.0) == math.inf
+    assert _inverse_norm(a)[0] == cheap > sharp
 
 
 def test_norm2_upper_returns_cheap_bound_when_gram_overflows(monkeypatch):
@@ -554,8 +566,9 @@ def test_norm2_upper_returns_cheap_bound_when_gram_overflows(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     bound, e, c_norm = mat_inverse_norm2_upper(a)
-    assert e < 1e-12 and bound == c_norm == math.inf
-    assert mat_inverse_norm2_upper(a, math.inf) == (bound, e, c_norm)
+    assert e < 1e-12 and bound == c_norm == _cheap_norm(c) == math.inf
+    with np.errstate(over="ignore"):
+        assert _gram_norm2_upper(c.T @ c, 0.0) == math.inf
 
 
 def _positive_definite(m) -> bool:
@@ -602,13 +615,13 @@ def test_gram_certificate_reads_only_the_lower_triangle(rng):
         abs_c = np.abs(c)
         spread = _gram_spread(abs_c, abs_c.sum(axis=1))
         gram = c.T @ c
-        clean = _gram_norm2_upper(gram.copy(), spread, math.inf)
+        clean = _gram_norm2_upper(gram.copy(), spread)
         assert clean < math.inf
         upper = np.triu_indices(n, 1)
         for garbage in (1e3 * rng.standard_normal(upper[0].size), -gram[upper], 0.0):
             dirty = gram.copy()
             dirty[upper] = garbage
-            assert _gram_norm2_upper(dirty, spread, math.inf) == clean
+            assert _gram_norm2_upper(dirty, spread) == clean
 
 
 def _mp_inverse_norm(m: np.ndarray):
@@ -1021,17 +1034,6 @@ def test_inverse_norm_overflow_gives_infinite_defect():
     for a in (unbounded, huge):
         with pytest.raises(IntervalDomainError, match=r"bound inf >= 1"):
             mat_inverse_norm2_upper(a)
-
-
-def test_inverse_norm_floor_skips_only_the_certificate(rng):
-    # above the floor the bound is the certified one; at or below it, the
-    # cheap one, which is never smaller
-    a = point_matrix(rng.standard_normal((12, 12)) + 4.0 * np.eye(12))
-    sharp, e, c_norm = mat_inverse_norm2_upper(a)
-    cheap, e_cheap, c_cheap = mat_inverse_norm2_upper(a, math.inf)
-    assert e == e_cheap and c_norm <= c_cheap and sharp <= cheap
-    assert mat_inverse_norm2_upper(a, cheap) == (cheap, e, c_cheap)
-    assert mat_inverse_norm2_upper(a, math.nextafter(cheap, 0.0)) == (sharp, e, c_norm)
 
 
 # ---------------------------------------------------------------------------
