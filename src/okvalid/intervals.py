@@ -504,20 +504,22 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives False
-def inverse_norm2_at_most(a: BallMatrix, floor: float) -> bool:
-    """Whether ||X^-1||_2 <= floor is proved for every member X of the
-    square ball a by one floating Cholesky, with no inverse formed (Rump,
-    BIT 46, 2006); False, never an error, where it is not.
+def inverse_norm2_at_most(a: BallMatrix, floor: float, eps: float = 0.0) -> bool:
+    """Whether ||(X + E)^-1||_2 <= floor is proved for every member X of
+    the square ball a and every E with ||E||_2 <= eps by one floating
+    Cholesky, with no inverse formed (Rump, BIT 46, 2006); False, never an
+    error, where it is not.
 
     Every X lies within r of Am in the 2-norm, r = sqrt(||Ar||_1
     ||Ar||_inf) rounded up (0 for a point ball), and Am^T Am within spread
-    of G = fl(Am^T Am) (_gram_spread).  With t >= 1/floor + r and c >= t^2 +
-    spread + beta, each step rounded up, beta the backward-error term of
-    Cholesky on G's diagonal: if floating Cholesky succeeds on Y, G with
+    of G = fl(Am^T Am) (_gram_spread).  With t >= 1/floor + r + eps and c >=
+    t^2 + spread + beta, each step rounded up, beta the backward-error term
+    of Cholesky on G's diagonal: if floating Cholesky succeeds on Y, G with
     each diagonal entry G_ii - c rounded down, then Y + beta I is positive
     semidefinite, so lambda_min(Am^T Am) >= c - beta - spread >= t^2, and by
-    Weyl sigma_min(X) >= t - r >= 1/floor.  The a-priori shift costs about
-    1e-9 relative on the K_N blocks, too much for a sharp bound but nothing
+    Weyl sigma_min(X + E) >= t - r - eps >= 1/floor: the test at the
+    tightened floor 1/(1/floor + eps).  The a-priori shift costs about 1e-9
+    relative on the K_N blocks, too much for a sharp bound but nothing
     against a floor with a margin.  False also where floor is not positive
     and finite, or anything else is not finite.
     """
@@ -528,9 +530,9 @@ def inverse_norm2_at_most(a: BallMatrix, floor: float) -> bool:
     abs_m = np.abs(a.mid)
     spread = _gram_spread(abs_m, abs_m.sum(axis=1))
     del abs_m
-    t = _add_up(_up(1.0 / floor), r)
+    t = _add_up(_add_up(_up(1.0 / floor), r), eps)
     s = _add_up(_up(t * t), spread)
-    if not s < _INF:  # also where r or spread is not finite
+    if not s < _INF:  # also where r, eps or spread is not finite
         return False
     g = a.mid.T @ a.mid
     d = np.arange(m)

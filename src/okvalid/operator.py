@@ -30,6 +30,7 @@ from .intervals import (
     IntervalDomainError,
     _ball_up,
     _gamma,
+    _up,
     inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
@@ -37,6 +38,7 @@ from .pointconv import _parity, _projections
 from .series import (
     C_FLOAT,
     CosineSeries,
+    axis_symmetries,
     c_grid,
     laplacian,
     multiply,
@@ -232,14 +234,19 @@ class ParityBlock(NamedTuple):
     """One parity class of the modes 0 < |k|_inf < n.
 
     The class is the lexicographic tensor grid of the per-axis indices axes,
-    less the origin where the grid holds it; label reads k_j mod 2 on each
-    split axis and * on the others, and size counts its modes.
+    less the origin where the grid holds it; parity holds k_j mod 2 on each
+    split axis and None on the others, and size counts its modes.
     """
 
     n: int
     axes: tuple
-    label: str
+    parity: tuple
     size: int
+
+    @property
+    def label(self) -> str:
+        """The class's parities, * on an axis that does not split."""
+        return "(" + ", ".join("*" if c is None else str(c) for c in self.parity) + ")"
 
     def cells(self) -> np.ndarray:
         """The flat indices of the class's modes in the n^d grid, in its order."""
@@ -269,8 +276,7 @@ def parity_blocks(split, n: int) -> list:
         axes = tuple(np.arange(n) if c is None else np.arange(c, n, 2) for c in cls)
         size = math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
         if size > 0:
-            label = "(" + ", ".join("*" if c is None else str(c) for c in cls) + ")"
-            out.append(ParityBlock(n, axes, label, size))
+            out.append(ParityBlock(n, axes, cls, size))
     return out
 
 
@@ -340,13 +346,19 @@ def _sign_partials(part: np.ndarray, tables, t: int = 0):
         yield from _sign_partials(part.take(tab, axis=2 * t + 1), tables, t + 1)
 
 
-def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
+def _block_arrays(qm: np.ndarray, qr: np.ndarray) -> list:
+    """The two raw arrays that _galerkin_block sums, from q's raw midpoint
+    qm and radius qr: qm, and the radius that carries the midpoint sum's
+    rounding; qr is not needed while blocks stream."""
+    return [qm, _rump_radius(qm, qr, 2**qm.ndim + 7)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
+def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     """The ball matrix with entries -(1 + lam sigma / kappa_k^2)
-    delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes 0 < |k|_inf
-    < n, one block at a time: it is block-diagonal by the parity classes of
-    split_axes(q), every entry off the blocks an exact zero, and each
-    (ParityBlock, BallMatrix) pair is assembled only when the previous one
-    has been taken.
+    delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes of one
+    parity class of split_axes(q), from arrays = _block_arrays(qm, qr) of
+    q's raw arrays; every entry between two classes is an exact zero.
 
     The block is Rump's midpoint-radius form, as in series.multiply: the
     float sums of galerkin_matrix_point at the raw midpoint qm of q and at
@@ -365,15 +377,6 @@ def galerkin_blocks(p: ModelParams, q: CosineSeries, n: int):
     meet no subnormal radii.  Entries are computed elementwise, so a block
     holds the one-block assembly's bits on its rows and columns.
     """
-    arrays = list(_raw_mid_rad(q)[:2])
-    arrays[1] = _rump_radius(*arrays, 2**q.dim + 7)  # qr is not held while blocks stream
-    for block in parity_blocks(split_axes(q), n):
-        yield block, _galerkin_block(p, block, arrays)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
-def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
-    """galerkin_blocks's ball matrix on one parity class."""
     d = len(block.axes)
     t = 2**d + 7
     mid, rad = _galerkin_sums(block.axes, arrays)
@@ -510,11 +513,13 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def kn_stage_bytes(q: CosineSeries, n: int) -> float:
+def kn_stage_bytes(q: CosineSeries, n: int, split: tuple | None = None) -> float:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
-    time, and the raw coefficient arrays of q that every block reads."""
-    m_b = max(block.size for block in parity_blocks(split_axes(q), n))
+    time, and the raw coefficient arrays of q that every block reads.
+    split is split_axes(q), formed here when None."""
+    split = split_axes(q) if split is None else split
+    m_b = max(block.size for block in parity_blocks(split, n))
     return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
@@ -528,32 +533,89 @@ def memory_shortfall(need: float, what: str, stage: str, avail: float | None = N
     return f"{what} needs about {need / 1e6:.0f} MB for the {stage}, {avail / 1e6:.0f} MB available"
 
 
+def parity_orbits(blocks: list, perms: list) -> dict:
+    """The orbits of the parity classes blocks under the axis permutations
+    perms, as {first: members}, by index into blocks.
+
+    Walking the classes in order, each class that no earlier orbit holds
+    starts one: its members are the other classes, not yet held, onto which
+    a permutation maps it (class j of pi c reads c's parity on axis
+    perm[j]; a permutation that breaks the split pattern maps no class onto
+    a class).  An orbit without members is left out.
+    """
+    where = {block.parity: i for i, block in enumerate(blocks)}
+    held = set()
+    orbits = {}
+    for i, block in enumerate(blocks):
+        if i in held:
+            continue
+        held.add(i)
+        members = {where.get(tuple(block.parity[t] for t in perm)) for perm in perms}
+        members -= held | {None}
+        if members:
+            orbits[i] = members
+            held |= members
+    return orbits
+
+
 def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
                              avail: float | None = None) -> InverseBound:
     """The finite inverse bound K_N at cut n and the full bound K.
 
-    Every member of the ball matrix of galerkin_blocks is block-diagonal, its
-    blocks members of the block balls, so the 2-norm of its inverse is the
-    largest of theirs.  Each block is assembled, bounded and dropped before
-    the next, with K_N so far as its floor: one Cholesky
-    (inverse_norm2_at_most) proves most blocks' inverses no larger than the
-    floor, and only a block it cannot is certified in full by
+    Every member of the Galerkin ball matrix is block-diagonal by the
+    parity classes, its blocks members of the block balls (_galerkin_block),
+    so the 2-norm of its inverse is the largest of theirs.  The blocks are walked in order, each assembled,
+    bounded and dropped before the next, with K_N so far as its floor: one
+    Cholesky (inverse_norm2_at_most) proves most blocks' inverses no larger
+    than the floor, and only a block it cannot is certified in full by
     mat_inverse_norm2_upper.  A block kept at or below the floor cannot
     raise K_N, so K_N is the largest of every block's full certificate;
     the first block, with the floor 0, is always certified.  A block that
     fails stops the stage there.  K is k_formula(K_N, tau) rounded up.
-    Raises CertificationError at stage kn_bound, without a suggested
-    truncation, when the K_N stage would not fit in avail bytes (default: a
-    reading of the available memory).
+
+    Blocks that an axis permutation maps onto one another are certified
+    once (parity_orbits of series.axis_symmetries).  For q' in q's ball the
+    block of class pi c is P Y' P^T, P a permutation matrix and Y' the block
+    of class c of q' o pi (or of q' o pi^-1), and Y' = Y + E with Y the
+    block of class c of q', so a member of the first class's ball, and E
+    the block of (q' o pi - q') phi_l / kappa_l: ||E||_2 <= ||q' o pi -
+    q'||_inf / pi^2 <= eps, since kappa_l >= pi^2; eps is the symmetries'
+    defect over the lower end of pi^2, rounded up.  So where the first
+    class passes the Cholesky test at the tightened floor 1/(1/K_N + eps)
+    (inverse_norm2_at_most with eps), every member's inverse is at most K_N
+    and no member is assembled.  Where it does not, the first class takes
+    the plain test, and its members are assembled and bounded one by one,
+    as any other block.  K_N is then the same bits as with every block
+    walked, wherever the skipped members would have passed the plain test.
+
+    q's split axes and raw arrays are read once, for the memory charge,
+    the orbits and the blocks.  Raises CertificationError at stage
+    kn_bound, without a suggested truncation, when the K_N stage would not
+    fit in avail bytes (default: a reading of the available memory).
     """
     q, q_sup, q_h2 = lin
-    short = memory_shortfall(kn_stage_bytes(q, n), f"truncation n={n} ({n**q.dim - 1} modes)",
-                             "K_N stage", avail)
+    split = split_axes(q)
+    short = memory_shortfall(kn_stage_bytes(q, n, split),
+                             f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
     if short:
         raise CertificationError("kn_bound", short)
+    qm, qr = _raw_mid_rad(q)[:2]
+    perms, defect = axis_symmetries(qm, qr)
+    eps = _up(defect / PI2.lo)
+    blocks = parity_blocks(split, n)
+    orbits = parity_orbits(blocks, perms)
+    arrays = _block_arrays(qm, qr)
+    del qm, qr  # only the block arrays are held while blocks stream
+    cleared = set()
     kn = 0.0
-    for block, ball in galerkin_blocks(p, q, n):
-        if not inverse_norm2_at_most(ball, kn):
+    for i, block in enumerate(blocks):
+        if i in cleared:
+            continue
+        ball = _galerkin_block(p, block, arrays)
+        members = orbits.get(i)
+        if members and inverse_norm2_at_most(ball, kn, eps):
+            cleared.update(members)
+        elif not inverse_norm2_at_most(ball, kn):
             try:
                 bound, _, _ = mat_inverse_norm2_upper(ball)
             except IntervalDomainError as exc:

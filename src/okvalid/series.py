@@ -28,6 +28,7 @@ fold alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ from .intervals import (
     _ball_up,
     _down,
     _gamma,
+    _max_sum_upper,
     _nup,
     _sum_slack,
     _up,
@@ -271,6 +273,38 @@ def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
 def sup_bound(u: CosineSeries) -> Interval:
     """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
     return _weighted_sum(u, 1, *_c_ball(nz_grid(u.extent)))
+
+
+def axis_symmetries(m: np.ndarray, r: np.ndarray) -> tuple:
+    """The axis permutations under which a series' ball is consistent with
+    symmetry, from its raw midpoint m and radius r (_raw_mid_rad), and one
+    bound on their defects: (perms, defect), defect 0 where perms is empty.
+
+    perm runs over the permutations of the axes, the identity left out,
+    that keep the extent; m.transpose(perm) is the raw midpoint of u o pi,
+    pi the permutation of the coordinates, since c_k counts only the
+    nonzero k_j.  perm is kept where |m - pi m| <= r + pi r entrywise, so
+    no tolerance is set.  defect >= ||u' o pi - u'||_inf, and so >= ||u' o
+    pi^-1 - u'||_inf, for every kept perm and every u' in the ball: the sup
+    norm is at most the sum of the magnitudes of the raw coefficients, each
+    at most |m - pi m| + r + pi r.  That sum is one float sum of M = m.size
+    terms, each reached by two roundings, under one a-priori budget
+    (_max_sum_upper at depth M + 1; a difference or sum of doubles
+    underflows exactly).
+    """
+    perms, defect = [], 0.0
+    for perm in itertools.permutations(range(m.ndim)):
+        if perm == tuple(sorted(perm)) or m.shape != m.transpose(perm).shape:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives an infinite defect
+            dev = np.abs(m - m.transpose(perm))
+            spread = r + r.transpose(perm)
+            if not (dev <= spread).all():
+                continue
+            dev += spread
+        perms.append(perm)
+        defect = max(defect, _max_sum_upper(dev.sum(), m.size + 1))
+    return perms, defect
 
 
 def _c_ball(nz: np.ndarray):

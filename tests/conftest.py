@@ -37,15 +37,24 @@ def lin_of(p, u):
     return linearization_coefficient(p, fprime_series(p, u))
 
 
+def galerkin_blocks(p, q, n):
+    """Every (ParityBlock, BallMatrix) pair of the Galerkin matrix of q on
+    the modes 0 < |k|_inf < n, one class after another, as the K_N stage
+    assembles them when it skips no class: each block is assembled only
+    when the previous one has been taken."""
+    arrays = operator._block_arrays(*operator._raw_mid_rad(q)[:2])
+    for block in operator.parity_blocks(operator.split_axes(q), n):
+        yield block, operator._galerkin_block(p, block, arrays)
+
+
 def galerkin_full(p, q, n, blocks=None) -> BallMatrix:
     """The full Galerkin ball matrix on the modes 0 < |k|_inf < n in
-    lexicographic order (balls.truncation_modes), scattered from the blocks
-    that the K_N stage streams (operator.galerkin_blocks), or from blocks, a
-    list taken from that stream; every entry off the blocks is a point
-    zero.  Row i is cell i + 1 of the n^d grid."""
+    lexicographic order (balls.truncation_modes), scattered from
+    galerkin_blocks, or from blocks, a list taken from it; every entry off
+    the blocks is a point zero.  Row i is cell i + 1 of the n^d grid."""
     m = n**q.dim - 1
     mid, rad = np.zeros((m, m)), np.zeros((m, m))
-    for block, ball in operator.galerkin_blocks(p, q, n) if blocks is None else blocks:
+    for block, ball in galerkin_blocks(p, q, n) if blocks is None else blocks:
         rows = block.cells() - 1
         idx = np.ix_(rows, rows)
         mid[idx], rad[idx] = ball.mid, ball.rad

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okvalid import cift
+from okvalid import cift, operator
 from okvalid.cift import (
     Certificate,
     RadiiInequalities,
@@ -277,10 +277,15 @@ def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, sol
 
 def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2d):
     # of the four parity blocks at N=28 only the leading one forms an
-    # approximate inverse and a Gram certificate; the other three each take
-    # one Cholesky test
+    # approximate inverse and a Gram certificate; (0, 1) and (1, 1) each
+    # take one Cholesky test, and (1, 0), the swap of (0, 1), is not
+    # assembled
     p, result = solved_2d
     calls = {}
+    labels = []
+    assemble = operator._galerkin_block
+    monkeypatch.setattr(operator, "_galerkin_block",
+                        lambda p, block, arrays: labels.append(block.label) or assemble(p, block, arrays))
     for name in ("inv", "eigvalsh"):
         fn = getattr(np.linalg, name)
 
@@ -291,6 +296,7 @@ def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2
         monkeypatch.setattr(np.linalg, name, counted)
     assert validate(p, result.solution, "lambda", n=28).valid
     assert calls == {"inv": 1, "eigvalsh": 1}
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
 
 
 def test_feasible_dx_range():

@@ -744,6 +744,30 @@ def test_inverse_norm_at_most_shift_covers_every_term(rng, monkeypatch, width):
             assert Fraction(y[i, i]) <= Fraction(g[i, i]) - need
 
 
+def test_inverse_norm_at_most_covers_a_perturbation(rng, monkeypatch):
+    # with eps, the test is the one at the tightened floor 1/(1/floor +
+    # eps): it holds a percent inside sigma_min - eps and not a percent
+    # outside, where the plain test still holds, and the factored diagonal
+    # leaves room for (1/floor + eps)^2; a non-finite eps proves nothing
+    am = _integer_matrix(rng, 6)
+    a = point_matrix(am)
+    sigma = 1 / _mp_inverse_norm(am)
+    eps = float(sigma / 4)
+    inside, outside = (float(1 / ((sigma - eps) * x)) for x in (mpmath.mpf("0.99"), mpmath.mpf("1.01")))
+    g = am.T @ am
+    abs_m = np.abs(am)
+    spread = Fraction(_gram_spread(abs_m, abs_m.sum(axis=1)))
+    beta = Fraction(_cholesky_shift(6, float(np.max(np.diag(g)))))
+    seen = _factored(monkeypatch)
+    assert inverse_norm2_at_most(a, inside, eps)
+    need = (1 / Fraction(inside) + Fraction(eps)) ** 2 + spread + beta
+    assert all(Fraction(seen[0][i, i]) <= Fraction(g[i, i]) - need for i in range(6))
+    assert not inverse_norm2_at_most(a, outside, eps)
+    assert inverse_norm2_at_most(a, outside) and inverse_norm2_at_most(a, outside, 0.0)
+    for bad in (math.inf, math.nan):
+        assert not inverse_norm2_at_most(a, inside, bad)
+
+
 def test_inverse_norm_at_most_rounds_the_reciprocal_up(rng, monkeypatch):
     # with spread and beta taken as zero and a point identity, the shift is
     # the square of 1/floor rounded up, and it is recovered exactly: 1 - c

@@ -19,7 +19,7 @@ from balls import (
     truncation_modes,
     width,
 )
-from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
+from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import operator
 from okvalid.intervals import (
     PI2_BALL,
@@ -43,7 +43,7 @@ from okvalid.operator import (
     residual_series,
     tau_formula,
 )
-from okvalid.series import C_FLOAT, CosineSeries, evaluate_grid, norm, sup_bound
+from okvalid.series import C_FLOAT, CosineSeries, axis_symmetries, evaluate_grid, norm, sup_bound
 
 
 def test_model_params_validation():
@@ -397,7 +397,7 @@ def test_galerkin_block_reads_two_sums_of_a_ball_q(rng, monkeypatch):
         q = hull(mid - 1e-3 * np.abs(mid), mid + 1e-3 * np.abs(mid))
         assert q.rad.any()
         calls.clear()
-        blocks = list(operator.galerkin_blocks(p, q, 5))
+        blocks = list(galerkin_blocks(p, q, 5))
         assert len(blocks) == {1: 1, 2: 4}[stride] and calls == [2] * len(blocks)
 
 
@@ -498,7 +498,7 @@ def _one_block(p, n, q, monkeypatch):
     """The Galerkin matrix streamed as a single block: no axis splits."""
     with monkeypatch.context() as mp:
         mp.setattr(operator, "split_axes", lambda q: (False,) * q.dim)
-        blocks = list(operator.galerkin_blocks(p, q, n))
+        blocks = list(galerkin_blocks(p, q, n))
     ((block, ball),) = blocks
     assert block.size == n**q.dim - 1 and np.array_equal(block.cells(), np.arange(1, n**q.dim))
     return ball
@@ -520,7 +520,7 @@ def test_galerkin_blocks_match_one_block_assembly(rng, monkeypatch, extent, n):
             width[odd] = 0.0
         q = hull(mid - width, mid + width)
         assert operator.split_axes(q) == even
-        blocks = list(operator.galerkin_blocks(p, q, n))
+        blocks = list(galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(even)
         cells = np.concatenate([block.cells() for block, _ in blocks])
         assert np.array_equal(np.sort(cells), np.arange(1, n**d))
@@ -560,7 +560,7 @@ def test_odd_coefficient_stops_axis_from_splitting(kind):
             assert qm[k] != 0.0
         want = tuple(i != j for i in range(3))
         assert operator.split_axes(q) == want
-        blocks = list(operator.galerkin_blocks(p, q, n))
+        blocks = list(galerkin_blocks(p, q, n))
         assert [block.label for block, _ in blocks] == _labels(want)
         # the coupling is real: entries across the parity of k_j are not point zeros
         modes = truncation_modes(3, n)
@@ -575,7 +575,7 @@ def test_block_kn_not_looser_than_full_matrix(request, case, n):
     # neither it nor the largest defect is looser than the full matrix's
     p, result = request.getfixturevalue(case)
     lin = lin_of(p, result.solution)
-    blocks = list(operator.galerkin_blocks(p, lin.q, n))
+    blocks = list(galerkin_blocks(p, lin.q, n))
     assert [block.label for block, _ in blocks] == _labels((True,) * lin.q.dim)
     bounds, defects, _ = zip(*(mat_inverse_norm2_upper(ball) for _, ball in blocks))
     assert derivative_inverse_bound(p, lin, n).kn == max(bounds)
@@ -605,25 +605,166 @@ def _count_inverses(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("case,n,certified,blocks", [
-    ("solved_1d", 112, 1, 2), ("solved_2d", 28, 1, 4), ("solved_3d", 12, 1, 8),
-    ("solved_sweep_1d", 24, 1, 2), ("solved_sweep_1d", 256, 1, 2),
+def _record_assembly(monkeypatch) -> list:
+    """The labels of the blocks that _galerkin_block assembles from here on."""
+    labels = []
+    assemble = operator._galerkin_block
+
+    def recording(p, block, arrays):
+        labels.append(block.label)
+        return assemble(p, block, arrays)
+
+    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    return labels
+
+
+def _kn_every_block(p, q, n) -> float:
+    """K_N by the walk over every block, no class skipped: the floor test,
+    and the full certificate where it fails."""
+    kn = 0.0
+    for _, ball in galerkin_blocks(p, q, n):
+        if not inverse_norm2_at_most(ball, kn):
+            kn = max(kn, mat_inverse_norm2_upper(ball)[0])
+    return kn
+
+
+@pytest.mark.parametrize("case,n,certified,blocks,assembled", [
+    ("solved_1d", 112, 1, 2, 2), ("solved_2d", 28, 1, 4, 3), ("solved_3d", 12, 1, 8, 4),
+    ("solved_sweep_1d", 24, 1, 2, 2), ("solved_sweep_1d", 256, 1, 2, 2),
 ])
-def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified, blocks):
+def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified,
+                                                    blocks, assembled):
     # the leading block, the class of the origin, sets K_N; one Cholesky
     # proves every later block's inverse no larger, so only the leading
     # block is certified in full, and K_N is the same bits as when every
-    # block is
+    # block is; one class per axis-permutation orbit is assembled
     p, result = request.getfixturevalue(case)
     lin = lin_of(p, result.solution)
-    balls = [ball for _, ball in operator.galerkin_blocks(p, lin.q, n)]
+    balls = [ball for _, ball in galerkin_blocks(p, lin.q, n)]
     every = [mat_inverse_norm2_upper(ball)[0] for ball in balls]
     assert len(every) == blocks and every[0] == max(every)
     assert all(inverse_norm2_at_most(ball, every[0]) for ball in balls[1:])
     del balls
     calls = _count_inverses(monkeypatch)
+    labels = _record_assembly(monkeypatch)
     assert derivative_inverse_bound(p, lin, n).kn == max(every)
-    assert len(calls) == certified
+    assert len(calls) == certified and len(labels) == assembled
+
+
+def test_kn_canonical_2d_skips_a_class_that_kn_bounds(monkeypatch, solved_2d):
+    # (1, 0) is the swap of (0, 1) and is not assembled; on its own it
+    # passes the floor test at the stage's K_N, and its full certificate is
+    # no larger
+    p, result = solved_2d
+    lin = lin_of(p, result.solution)
+    labels = _record_assembly(monkeypatch)
+    kn = derivative_inverse_bound(p, lin, 28).kn
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
+    monkeypatch.undo()
+    skipped = {block.label: ball for block, ball in galerkin_blocks(p, lin.q, 28)}["(1, 0)"]
+    assert inverse_norm2_at_most(skipped, kn)
+    assert mat_inverse_norm2_upper(skipped)[0] <= kn
+
+
+def test_kn_3d_certifies_one_class_per_orbit(monkeypatch, solved_3d):
+    # the classes with one odd index form one orbit of the axis
+    # permutations, and those with two another: 4 of 8 blocks are
+    # assembled, and K_N is the largest of all 8 full certificates
+    p, result = solved_3d
+    lin = lin_of(p, result.solution)
+    every = [mat_inverse_norm2_upper(ball)[0] for _, ball in galerkin_blocks(p, lin.q, 12)]
+    assert len(every) == 8
+    labels = _record_assembly(monkeypatch)
+    assert derivative_inverse_bound(p, lin, 12).kn == max(every)
+    assert labels == ["(0, 0, 0)", "(0, 0, 1)", "(0, 1, 1)", "(1, 1, 1)"]
+
+
+@pytest.mark.parametrize("extent,n", [((7, 7), 8), ((5, 5, 5), 6)])
+def test_kn_asymmetric_q_assembles_every_class(rng, monkeypatch, extent, n):
+    # a random q with even indices only: it splits on every axis, and no
+    # axis permutation is consistent with its ball, so every class is
+    # assembled and K_N is that of the walk over every block, bit for bit
+    a = make_random_series(rng, extent, zero_mean=False, scale=0.3).mid()
+    a *= (np.indices(extent) % 2 == 0).all(axis=0)
+    q = CosineSeries.from_point(a)
+    p = ModelParams(lam=10.0, sigma=1.0)
+    qm, qr = operator._raw_mid_rad(q)[:2]
+    assert operator.split_axes(q) == (True,) * len(extent)
+    assert axis_symmetries(qm, qr) == ([], 0.0)
+    want = _kn_every_block(p, q, n)
+    labels = _record_assembly(monkeypatch)
+    lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+    assert derivative_inverse_bound(p, lin, n).kn == want
+    assert len(labels) == 2 ** len(extent)
+
+
+def test_kn_orbit_failing_the_tightened_floor_walks_its_members(monkeypatch, solved_2d):
+    # with eps too large for the tightened floor, (0, 1) takes the plain
+    # test and (1, 0) is assembled and tested on its own: K_N keeps its bits
+    # and no further inverse is formed
+    p, result = solved_2d
+    lin = lin_of(p, result.solution)
+    want = _kn_every_block(p, lin.q, 28)
+    monkeypatch.setattr(operator, "axis_symmetries", lambda m, r: (axis_symmetries(m, r)[0], 1e4))
+    labels = _record_assembly(monkeypatch)
+    calls = _count_inverses(monkeypatch)
+    assert derivative_inverse_bound(p, lin, 28).kn == want
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"]
+    assert len(calls) == 1
+
+
+def _swap_consistent_q(rng) -> CosineSeries:
+    """A 2-d q of even indices whose ball holds a symmetric q but whose
+    midpoint is not symmetric, near resonance at |k|^2 = 4 so that the
+    class of the origin sets K_N."""
+    a = 0.5 * rng.standard_normal((5, 5)) / (1 + np.add.outer(np.arange(5)**2, np.arange(5)**2))
+    a = a + a.T
+    a[1::2, :] = 0.0
+    a[:, 1::2] = 0.0
+    a[0, 0] = 4.4 * math.pi**2
+    rad = 1e-3 * np.abs(a)
+    return CosineSeries(a + 0.5 * rad * rng.uniform(-1.0, 1.0, a.shape), rad)
+
+
+def test_axis_symmetry_defect_bounds_the_exact_sum(rng):
+    # the defect is at least sum |qm - pi qm| + qr + pi qr, in exact
+    # rationals, and within a few roundings of it; an extent that the swap
+    # does not keep, or a midpoint asymmetric beyond the radii, gives no
+    # symmetry; a permutation that breaks the split pattern maps no class
+    q = _swap_consistent_q(rng)
+    qm, qr = operator._raw_mid_rad(q)[:2]
+    assert np.any(qm != qm.T)
+    perms, defect = axis_symmetries(qm, qr)
+    assert perms == [(1, 0)]
+    exact = sum(abs(Fraction(x) - Fraction(y)) + Fraction(r) + Fraction(s)
+                for x, y, r, s in zip(qm.ravel(), qm.T.ravel(), qr.ravel(), qr.T.ravel()))
+    assert exact <= Fraction(defect) <= exact * (1 + Fraction(1, 10**12))
+    assert axis_symmetries(qm[:, :4], qr[:, :4]) == ([], 0.0)
+    assert operator.parity_orbits(operator.parity_blocks((True, False), 6), perms) == {}
+    assert operator.parity_orbits(operator.parity_blocks((True, True), 6), perms) == {1: {2}}
+    qm[2, 4] += 1e-3  # the ball no longer holds a symmetric q
+    assert axis_symmetries(qm, qr) == ([], 0.0)
+
+
+def test_kn_skipped_members_within_kn_mpmath(rng, monkeypatch):
+    # over q' sampled in a ball that holds a symmetric q but is not one,
+    # every member of the skipped class (1, 0) has ||X^-1|| <= K_N
+    q = _swap_consistent_q(rng)
+    p = ModelParams(lam=1.0)
+    lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+    labels = _record_assembly(monkeypatch)
+    kn = derivative_inverse_bound(p, lin, 8).kn
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
+    monkeypatch.undo()
+    shape = q.extent
+    steps = [np.zeros(shape), -np.ones(shape), np.ones(shape), rng.choice([-1.0, 1.0], shape)]
+    steps += [rng.uniform(-1.0, 1.0, shape) for _ in range(3)]
+    for step in steps:
+        member = CosineSeries.from_point(q.center + step * q.rad)
+        x = dict((b.label, ball.mid) for b, ball in galerkin_blocks(p, member, 8))["(1, 0)"]
+        with mpmath.workdps(30):
+            sigma_min = min(mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False))
+        assert 1 / sigma_min <= kn
 
 
 def test_kn_certifies_a_later_largest_block(monkeypatch):
@@ -633,7 +774,7 @@ def test_kn_certifies_a_later_largest_block(monkeypatch):
     # full, and K_N is its full certificate, bit for bit
     p = ModelParams(lam=10.0, sigma=1.0, mu=0.0)
     lin = lin_of(p, CosineSeries.zeros((2,)))
-    blocks = list(operator.galerkin_blocks(p, lin.q, 32))
+    blocks = list(galerkin_blocks(p, lin.q, 32))
     assert [block.label for block, _ in blocks] == ["(0)", "(1)"]
     first, largest = (mat_inverse_norm2_upper(ball)[0] for _, ball in blocks)
     assert first < largest
@@ -735,7 +876,7 @@ def test_kn_self_consistency(rng):
     p = ModelParams(lam=30.0, sigma=2.0, mu=0.0)
     u = make_random_series(rng, (6,), scale=0.3)
     q = lin_of(p, u).q
-    blocks = list(operator.galerkin_blocks(p, q, 12))
+    blocks = list(galerkin_blocks(p, q, 12))
     g = galerkin_full(p, q, 12, blocks)
     c = np.linalg.inv(g.mid)
     e = mat_sub_identity(mat_mul(point_matrix(c), g))
@@ -847,7 +988,7 @@ def test_point_jacobian_matches_interval_matrix():
             a[k] = v
         q_raw, split = operator.point_linearization(p, operator.point_powers(p, a))
         q = lin_of(p, CosineSeries.from_point(a, zero_mean=True)).q
-        streamed = list(operator.galerkin_blocks(p, q, n))
+        streamed = list(galerkin_blocks(p, q, n))
         walk = operator.parity_blocks(split, n)
         assert len(walk) == len(streamed) == blocks
         for block, (s_block, ball) in zip(walk, streamed):
