@@ -19,8 +19,11 @@ certified inverse norm bounds ||C A - I|| through row and column sums,
 which read radii only through matrix-vector products, and ||C||, C the
 point inverse, by the smaller of sqrt(||C||_1 ||C||_inf) and a
 shifted-Cholesky certificate (Rump, BIT 46, 2006); it takes no threshold.
-A threshold, ||X^-1|| <= floor over a ball, is decided apart from it, by
-one shifted Cholesky of fl(mid^T mid) with no inverse formed.  Both
+The certificate's shift needs only an estimate of lambda_max(C^T C): a
+Lanczos one of at most KRYLOV_STEPS steps, and eigvalsh's only where the
+matrix is no wider or that Cholesky fails.  A threshold, ||X^-1|| <= floor
+over a ball, also under a perturbation of norm eps, is decided apart from
+it, by one shifted Cholesky of fl(mid^T mid) with no inverse formed.  Both
 Cholesky uses read only a lower triangle, through one guarded helper.  The
 contract is containment: every result encloses all pointwise results of
 its operands.
@@ -475,25 +478,90 @@ def _cholesky_succeeds(x: np.ndarray) -> bool:
     return True
 
 
+# The Lanczos step cap: the Krylov basis holds at most this many vectors, and
+# a Gram matrix no wider goes to eigvalsh directly
+KRYLOV_STEPS = 32
+
+
+def _krylov_start(n: int) -> np.ndarray:
+    """The fixed Lanczos start vector: frac(i phi) - 1/2, phi the golden
+    ratio's conjugate, formed exactly; it shares no symmetry of the mode
+    order, such as an axis swap, under which a top eigenvector can be odd."""
+    return np.arange(1.0, n + 1.0) * 0.6180339887498949 % 1.0 - 0.5
+
+
+def _lambda_max_estimate(g: np.ndarray, v: np.ndarray) -> float:
+    """A Lanczos estimate of lambda_max of the symmetric matrix g (both
+    triangles read) from the start vector v: full reorthogonalization
+    (classical Gram-Schmidt, twice), the top Ritz value after each step,
+    and a stop where it stalls (rises by at most 8 u relatively), where the
+    Krylov space is invariant, or at KRYLOV_STEPS steps."""
+    steps = min(KRYLOV_STEPS, len(g))
+    basis = np.empty((steps, len(g)))
+    t = np.zeros((steps, steps))  # the Lanczos tridiagonal, lower triangle
+    basis[0] = v / np.linalg.norm(v)
+    top = -_INF
+    for k in range(steps):
+        w = g @ basis[k]
+        t[k, k] = basis[k] @ w
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        ritz = float(np.linalg.eigvalsh(t[: k + 1, : k + 1], UPLO="L")[-1])
+        b = float(np.linalg.norm(w))
+        if ritz - top <= 4 * _EPS * abs(ritz) or not b > 2 * _EPS * abs(ritz) or k + 1 == steps:
+            return max(top, ritz)
+        top = ritz
+        t[k + 1, k] = b
+        basis[k + 1] = w / b
+
+
+def _mirror_lower(x: np.ndarray) -> None:
+    """Overwrite x's strict upper triangle with its lower one's transpose,
+    32 rows at a time."""
+    for i in range(0, len(x), 32):
+        x[i : i + 32, i + 32 :] = x[i + 32 :, i : i + 32].T
+        band = x[i : i + 32, i : i + 32]
+        upper = np.triu_indices(len(band), 1)
+        band[upper] = band.T[upper]
+
+
 def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     """A bound on ||X||_2 over the X with ||X^T X - Gm||_2 <= spread, Gm
     the symmetric matrix of gram's lower triangle (Rump, "Verification of
-    positive definiteness", BIT 46, 2006), or inf where it fails; eigvalsh
-    and the Cholesky read only that triangle, and gram is overwritten.  If
-    floating Cholesky succeeds on Y = c I - Gm, c the eigvalsh estimate of
-    lambda_max(Gm) plus the backward-error term, then Y + beta I is
-    positive semidefinite for Y's backward-error term beta, and
-    lambda_max(X^T X) <= max_i (Y_ii + Gm_ii) + beta + spread.
+    positive definiteness", BIT 46, 2006), or inf where it fails; only that
+    triangle is read, and gram is overwritten.  If floating Cholesky
+    succeeds on Y = c I - Gm, c an estimate of lambda_max(Gm) plus the
+    backward-error term, then Y + beta I is positive semidefinite for Y's
+    backward-error term beta, and lambda_max(X^T X) <= max_i (Y_ii + Gm_ii)
+    + beta + spread, whatever the estimate.  It is the Lanczos one
+    (_lambda_max_estimate, on gram with its lower triangle mirrored) where
+    Gm is wider than KRYLOV_STEPS, and eigvalsh's where it is not or where
+    that Cholesky fails, for one more Cholesky.
     """
     if not (spread < _INF and np.isfinite(gram).all()):
         return _INF
     n = gram.shape[0]
     d = np.arange(n)
     gd = gram[d, d]
+    if n > KRYLOV_STEPS:
+        _mirror_lower(gram)
+        bound = _shifted_cholesky_bound(gram, gd, _lambda_max_estimate(gram, _krylov_start(n)), spread)
+        if bound < _INF:
+            return bound
+        np.negative(gram, out=gram)  # exact off the diagonal
+        gram[d, d] = gd
     try:
         lam = float(np.linalg.eigvalsh(gram, UPLO="L")[-1])
     except np.linalg.LinAlgError:
         return _INF
+    return _shifted_cholesky_bound(gram, gd, lam, spread)
+
+
+def _shifted_cholesky_bound(gram: np.ndarray, gd: np.ndarray, lam: float, spread: float) -> float:
+    """_gram_norm2_upper's certificate at the estimate lam, gd being
+    gram's diagonal; gram becomes Y, read only on its lower triangle."""
+    n = len(gram)
+    d = np.arange(n)
     x = np.negative(gram, out=gram)
     x[d, d] += lam + _cholesky_shift(n, abs(lam) + float(np.max(np.abs(gd))))
     if not _cholesky_succeeds(x):

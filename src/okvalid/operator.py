@@ -513,12 +513,11 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def kn_stage_bytes(q: CosineSeries, n: int, split: tuple | None = None) -> float:
+def kn_stage_bytes(q: CosineSeries, n: int, split: tuple) -> float:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
-    time, and the raw coefficient arrays of q that every block reads.
-    split is split_axes(q), formed here when None."""
-    split = split_axes(q) if split is None else split
+    time, and the raw coefficient arrays of q that every block reads;
+    split is split_axes(q)."""
     m_b = max(block.size for block in parity_blocks(split, n))
     return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
@@ -563,11 +562,12 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     """The finite inverse bound K_N at cut n and the full bound K.
 
     Every member of the Galerkin ball matrix is block-diagonal by the
-    parity classes, its blocks members of the block balls (_galerkin_block),
-    so the 2-norm of its inverse is the largest of theirs.  The blocks are walked in order, each assembled,
-    bounded and dropped before the next, with K_N so far as its floor: one
-    Cholesky (inverse_norm2_at_most) proves most blocks' inverses no larger
-    than the floor, and only a block it cannot is certified in full by
+    parity classes, its blocks members of the block balls
+    (_galerkin_block), so the 2-norm of its inverse is the largest of
+    theirs.  The blocks are walked in order, each assembled, bounded and
+    dropped before the next, with K_N so far as its floor: one Cholesky
+    (inverse_norm2_at_most) proves most blocks' inverses no larger than the
+    floor, and only a block it cannot is certified in full by
     mat_inverse_norm2_upper.  A block kept at or below the floor cannot
     raise K_N, so K_N is the largest of every block's full certificate;
     the first block, with the floor 0, is always certified.  A block that

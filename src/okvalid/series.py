@@ -294,7 +294,7 @@ def axis_symmetries(m: np.ndarray, r: np.ndarray) -> tuple:
     """
     perms, defect = [], 0.0
     for perm in itertools.permutations(range(m.ndim)):
-        if perm == tuple(sorted(perm)) or m.shape != m.transpose(perm).shape:
+        if perm == tuple(range(m.ndim)) or m.shape != m.transpose(perm).shape:
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives an infinite defect
             dev = np.abs(m - m.transpose(perm))

@@ -18,7 +18,7 @@ from okvalid.cift import (
     validate,
     verify_certificate,
 )
-from okvalid.intervals import Interval
+from okvalid.intervals import KRYLOV_STEPS, Interval
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import CertificationError, ModelParams
 from okvalid.series import CosineSeries
@@ -279,23 +279,29 @@ def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2
     # of the four parity blocks at N=28 only the leading one forms an
     # approximate inverse and a Gram certificate; (0, 1) and (1, 1) each
     # take one Cholesky test, and (1, 0), the swap of (0, 1), is not
-    # assembled
+    # assembled; lambda_max of the Gram matrix is a Lanczos estimate, so
+    # eigvalsh sees no matrix wider than the step cap
     p, result = solved_2d
-    calls = {}
+    widths = {"inv": [], "eigvalsh": []}
     labels = []
     assemble = operator._galerkin_block
-    monkeypatch.setattr(operator, "_galerkin_block",
-                        lambda p, block, arrays: labels.append(block.label) or assemble(p, block, arrays))
-    for name in ("inv", "eigvalsh"):
+
+    def recording(p, block, arrays):
+        labels.append(block.label)
+        return assemble(p, block, arrays)
+
+    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    for name in widths:
         fn = getattr(np.linalg, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            widths[_name].append(a.shape[0])
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert validate(p, result.solution, "lambda", n=28).valid
-    assert calls == {"inv": 1, "eigvalsh": 1}
+    assert widths["inv"] == [195]
+    assert widths["eigvalsh"] and max(widths["eigvalsh"]) <= KRYLOV_STEPS
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
 
 

@@ -624,6 +624,79 @@ def test_gram_certificate_reads_only_the_lower_triangle(rng):
             assert _gram_norm2_upper(dirty, spread) == clean
 
 
+def _eigvalsh_widths(monkeypatch) -> list:
+    """The widths of the matrices np.linalg.eigvalsh sees from here on; one
+    wider than KRYLOV_STEPS is a block-sized eigendecomposition."""
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        widths.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return widths
+
+
+def _ulps(x: float, ref: float) -> float:
+    return abs(x - ref) / math.ulp(ref)
+
+
+@pytest.mark.parametrize("m", [33, 60, 100, 200, 300])
+def test_lambda_max_estimate_near_eigvalsh_on_inverse_grams(rng, m):
+    # C^T C for C the inverse of a random matrix, shifted or not, as the
+    # certificate meets it: a well separated top, reached in a few steps and
+    # within 16 ulps of eigvalsh (measured: at most 7), which is itself up
+    # to about 5 ulps from a long-double Rayleigh quotient on such matrices
+    for shift in (0.0, 3.0):
+        c = np.linalg.inv(rng.standard_normal((m, m)) + shift * np.eye(m))
+        g = c.T @ c
+        est = intervals._lambda_max_estimate(g, intervals._krylov_start(m))
+        assert _ulps(est, np.linalg.eigvalsh(g)[-1]) <= 16
+
+
+def test_krylov_start_is_exact_and_unstructured():
+    # frac(i phi) - 1/2: the same bits on every platform, in [-1/2, 1/2),
+    # and no two entries equal, so no permutation of the modes fixes it
+    v = intervals._krylov_start(4096)
+    i = np.arange(1, 4097)
+    want = [float(Fraction(float(k) * 0.6180339887498949) % 1 - Fraction(1, 2)) for k in i]
+    assert v.tolist() == want
+    assert np.all((-0.5 <= v) & (v < 0.5)) and np.unique(v).size == v.size
+
+
+@pytest.mark.parametrize("n", [40, 80, 200])
+def test_clustered_gram_falls_back_to_eigvalsh(monkeypatch, n):
+    # C, the inverse of the all-ones upper triangle, has a clustered top
+    # (sigma_2^2 / sigma_1^2 is 0.995 to 0.9998): KRYLOV_STEPS steps leave
+    # the estimate too low for the shifted Cholesky, so eigvalsh supplies it
+    # for one more, and ||C|| stays sharp
+    a = np.triu(np.ones((n, n)))
+    widths = _eigvalsh_widths(monkeypatch)
+    c_norm = mat_inverse_norm2_upper(point_matrix(a))[2]
+    assert widths.count(n) == 1 and len(widths) == intervals.KRYLOV_STEPS + 1
+    sigma_max = np.linalg.svd(np.linalg.inv(a), compute_uv=False)[0]
+    assert sigma_max <= c_norm <= sigma_max * (1.0 + 1e-9)
+
+
+def test_failed_estimate_leaves_the_eigvalsh_certificate(rng, monkeypatch):
+    # where the Lanczos estimate's Cholesky fails, gram is restored before
+    # eigvalsh: the bound is that of the eigvalsh estimate, bit for bit
+    n = 60
+    c = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    abs_c = np.abs(c)
+    spread = _gram_spread(abs_c, abs_c.sum(axis=1))
+    gram = c.T @ c
+    d = np.arange(n)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    direct = intervals._shifted_cholesky_bound(gram.copy(), gram[d, d], top, spread)
+    assert direct < math.inf
+    monkeypatch.setattr(intervals, "_lambda_max_estimate", lambda g, v: 0.5 * top)
+    widths = _eigvalsh_widths(monkeypatch)
+    assert _gram_norm2_upper(gram.copy(), spread) == direct
+    assert widths == [n]
+
+
 def _mp_inverse_norm(m: np.ndarray):
     """1 / sigma_min(m) to 50 digits."""
     with mpmath.workdps(50):
@@ -753,7 +826,7 @@ def test_inverse_norm_at_most_covers_a_perturbation(rng, monkeypatch):
     a = point_matrix(am)
     sigma = 1 / _mp_inverse_norm(am)
     eps = float(sigma / 4)
-    inside, outside = (float(1 / ((sigma - eps) * x)) for x in (mpmath.mpf("0.99"), mpmath.mpf("1.01")))
+    inside, outside = (float(1 / ((sigma - eps) * mpmath.mpf(x))) for x in ("0.99", "1.01"))
     g = am.T @ am
     abs_m = np.abs(am)
     spread = Fraction(_gram_spread(abs_m, abs_m.sum(axis=1)))

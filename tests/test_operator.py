@@ -20,8 +20,9 @@ from balls import (
     width,
 )
 from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
-from okvalid import operator
+from okvalid import intervals, operator
 from okvalid.intervals import (
+    KRYLOV_STEPS,
     PI2_BALL,
     PI4_BALL,
     Interval,
@@ -605,6 +606,61 @@ def _count_inverses(monkeypatch) -> list:
     return calls
 
 
+def _eigvalsh_widths(monkeypatch) -> list:
+    """The widths of the matrices np.linalg.eigvalsh sees from here on: a
+    Gram matrix no wider than KRYLOV_STEPS, a Lanczos tridiagonal, or a
+    fallback where the Lanczos estimate fails its Cholesky."""
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        widths.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return widths
+
+
+def _leading_gram(p, q, n) -> np.ndarray:
+    """C^T C for C the float inverse of the leading block's midpoint."""
+    _, ball = next(galerkin_blocks(p, q, n))
+    c = np.linalg.inv(ball.mid)
+    return c.T @ c
+
+
+@pytest.fixture(scope="module")
+def solved_3d_16():
+    """The 3-d equilibrium at (lam, sigma, mu) = (40, 3, 0), N = 16."""
+    p = ModelParams(lam=40.0, sigma=3.0, mu=0.0)
+    return p, newton_solve(p, parse_seed("mode:1,1,1,0.5", 3, 16), SolveOptions(n=16))
+
+
+@pytest.mark.parametrize("case,n", [("solved_1d", 256), ("solved_2d", 28), ("solved_3d_16", 16)])
+def test_lambda_max_estimate_near_eigvalsh_on_leading_blocks(request, case, n):
+    # the Lanczos estimate of lambda_max(C^T C) on the block that sets K_N
+    # is within 16 ulps of eigvalsh's (measured: at most 8), in a handful
+    # of steps; each is a few ulps from a long-double Rayleigh quotient
+    p, result = request.getfixturevalue(case)
+    g = _leading_gram(p, lin_of(p, result.solution).q, n)
+    est = intervals._lambda_max_estimate(g, intervals._krylov_start(len(g)))
+    ref = np.linalg.eigvalsh(g)[-1]
+    assert abs(est - ref) <= 16 * math.ulp(ref)
+
+
+def test_lambda_max_estimate_needs_an_unstructured_start(solved_2d):
+    # the top eigenvector of the 2-d (0, 0) Gram matrix is odd under the
+    # swap of the two axes, so a constant start, which is even, converges
+    # to 62.41, the top of the even part, instead of 177.78; the fixed
+    # start shares no such symmetry
+    p, result = solved_2d
+    g = _leading_gram(p, lin_of(p, result.solution).q, 28)
+    top = np.linalg.eigvalsh(g)[-1]
+    assert top == pytest.approx(177.78, abs=0.01)
+    assert intervals._lambda_max_estimate(g, np.ones(len(g))) == pytest.approx(62.41, abs=0.01)
+    est = intervals._lambda_max_estimate(g, intervals._krylov_start(len(g)))
+    assert abs(est - top) <= 16 * math.ulp(top)
+
+
 def _record_assembly(monkeypatch) -> list:
     """The labels of the blocks that _galerkin_block assembles from here on."""
     labels = []
@@ -628,16 +684,16 @@ def _kn_every_block(p, q, n) -> float:
     return kn
 
 
-@pytest.mark.parametrize("case,n,certified,blocks,assembled", [
-    ("solved_1d", 112, 1, 2, 2), ("solved_2d", 28, 1, 4, 3), ("solved_3d", 12, 1, 8, 4),
-    ("solved_sweep_1d", 24, 1, 2, 2), ("solved_sweep_1d", 256, 1, 2, 2),
+@pytest.mark.parametrize("case,n,certified,blocks", [
+    ("solved_1d", 112, 1, 2), ("solved_2d", 28, 1, 4), ("solved_3d", 12, 1, 8),
+    ("solved_sweep_1d", 24, 1, 2), ("solved_sweep_1d", 256, 1, 2),
 ])
-def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified,
-                                                    blocks, assembled):
+def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, n, certified, blocks):
     # the leading block, the class of the origin, sets K_N; one Cholesky
     # proves every later block's inverse no larger, so only the leading
     # block is certified in full, and K_N is the same bits as when every
-    # block is; one class per axis-permutation orbit is assembled
+    # block is; one class per axis-permutation orbit is assembled, and no
+    # Lanczos estimate falls back to eigvalsh
     p, result = request.getfixturevalue(case)
     lin = lin_of(p, result.solution)
     balls = [ball for _, ball in galerkin_blocks(p, lin.q, n)]
@@ -647,8 +703,10 @@ def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, 
     del balls
     calls = _count_inverses(monkeypatch)
     labels = _record_assembly(monkeypatch)
+    widths = _eigvalsh_widths(monkeypatch)
     assert derivative_inverse_bound(p, lin, n).kn == max(every)
-    assert len(calls) == certified and len(labels) == assembled
+    assert len(calls) == certified and len(labels) == {1: 2, 2: 3, 3: 4}[lin.q.dim]
+    assert widths and max(widths) <= min(KRYLOV_STEPS, max(calls))
 
 
 def test_kn_canonical_2d_skips_a_class_that_kn_bounds(monkeypatch, solved_2d):
@@ -1024,7 +1082,7 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
         lin = lin_of(p, result.solution)
         derivative_inverse_bound(p, lin, n)
         peak = _kn_stage_peak(p, lin, n)
-        assert peak <= operator.kn_stage_bytes(lin.q, n), n
+        assert peak <= operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q)), n
         sizes = [block.size for block in operator.parity_blocks((True,) * lin.q.dim, n)]
         assert len(sizes) == 2**lin.q.dim and peak < 8.0 * 2 * sum(s * s for s in sizes), n
     # where q is large against the truncation, its raw arrays set the peak
@@ -1035,7 +1093,8 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
     for (p, result), n in cases:
         lin = lin_of(p, result.solution)
         _kn_stage_peak(p, lin, n)
-        assert _kn_stage_peak(p, lin, n) <= operator.kn_stage_bytes(lin.q, n), (lin.q.extent, n)
+        charge = operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q))
+        assert _kn_stage_peak(p, lin, n) <= charge, (lin.q.extent, n)
 
 
 def test_kn_stage_peak_not_above_the_full_certificates(solved_2d, solved_3d):
@@ -1056,15 +1115,18 @@ def test_kn_stage_charge_counts_blocks(solved_1d):
     p, result = solved_1d
     q = lin_of(p, result.solution).q
     q_arrays = operator.KN_Q_ARRAYS * q.center.size
-    assert operator.kn_stage_bytes(q, 64) == 8.0 * (operator.KN_WORK_ARRAYS * 32**2 + q_arrays)
+    charge = operator.kn_stage_bytes(q, 64, operator.split_axes(q))
+    assert charge == 8.0 * (operator.KN_WORK_ARRAYS * 32**2 + q_arrays)
     q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
     q_arrays = operator.KN_Q_ARRAYS * 2
-    assert operator.kn_stage_bytes(q_odd, 64) == 8.0 * (operator.KN_WORK_ARRAYS * 63**2 + q_arrays)
+    charge = operator.kn_stage_bytes(q_odd, 64, operator.split_axes(q_odd))
+    assert charge == 8.0 * (operator.KN_WORK_ARRAYS * 63**2 + q_arrays)
 
 
 def _charge_1d(solved_1d, n: int) -> float:
     p, result = solved_1d
-    return operator.kn_stage_bytes(lin_of(p, result.solution).q, n)
+    q = lin_of(p, result.solution).q
+    return operator.kn_stage_bytes(q, n, operator.split_axes(q))
 
 
 def _fail_if_called(*args, **kwargs):

@@ -1,7 +1,10 @@
 """Checks on the package's source files themselves."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "okvalid"
@@ -69,3 +72,24 @@ def test_every_function_is_used_by_the_program():
         and f"{module}.{node.name}" not in _OUTSIDE_CALLERS
     ]
     assert not unused
+
+
+def test_program_imports_no_scipy():
+    # a fresh interpreter imports the package, its command line and its
+    # file formats and runs one 1-d validate whose Gram certificate takes
+    # the Lanczos estimate; no scipy module is loaded, whose import alone
+    # costs more than the program's whole set-up
+    script = (
+        "import sys\n"
+        "import okvalid, okvalid.cli, okvalid.files\n"
+        "from okvalid import CosineSeries, validate\n"
+        "from okvalid.operator import ModelParams\n"
+        "p = ModelParams(lam=5.0, sigma=1.0)\n"
+        "cert = validate(p, CosineSeries.zeros((2,)), 'lambda', n=128)\n"
+        "assert cert.valid, cert.reason\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
