@@ -21,9 +21,10 @@ point inverse, by the smaller of sqrt(||C||_1 ||C||_inf) and a
 shifted-Cholesky certificate (Rump, BIT 46, 2006); it takes no threshold.
 The certificate's shift needs only an estimate of lambda_max(C^T C): a
 Lanczos one of at most KRYLOV_STEPS steps, and eigvalsh's only where the
-matrix is no wider or that Cholesky fails.  A threshold, ||X^-1|| <= floor
-over a ball, also under a perturbation of norm eps, is decided apart from
-it, by one shifted Cholesky of fl(mid^T mid) with no inverse formed.  Both
+matrix is at most EIGVALSH_WIDTH wide or that Cholesky fails.  A
+threshold, ||X^-1|| <= floor over a ball, also under a perturbation of norm
+eps, is decided apart from it, by one shifted Cholesky of fl(mid^T mid)
+with no inverse formed.  Both
 Cholesky uses read only a lower triangle, through one guarded helper.  The
 contract is containment: every result encloses all pointwise results of
 its operands.
@@ -478,15 +479,19 @@ def _cholesky_succeeds(x: np.ndarray) -> bool:
     return True
 
 
-# The Lanczos step cap: the Krylov basis holds at most this many vectors, and
-# a Gram matrix no wider goes to eigvalsh directly
+# The Lanczos step cap: the Krylov basis holds at most this many vectors
 KRYLOV_STEPS = 32
+# A Gram matrix no wider goes to eigvalsh directly: at 1 and 2 OpenBLAS
+# threads eigvalsh took less time than the Lanczos estimate, with its mirror,
+# up to about 64 to 80 rows, and more from about 95 rows on
+EIGVALSH_WIDTH = 80
 
 
 def _krylov_start(n: int) -> np.ndarray:
-    """The fixed Lanczos start vector: frac(i phi) - 1/2, phi the golden
-    ratio's conjugate, formed exactly; it shares no symmetry of the mode
-    order, such as an axis swap, under which a top eigenvector can be odd."""
+    """The fixed Lanczos start vector: frac(i phi) - 1/2, phi the float
+    golden ratio's conjugate, the same bits everywhere: IEEE products, then
+    an exact frac and shift; it shares no symmetry of the mode order, such
+    as an axis swap, under which a top eigenvector can be odd."""
     return np.arange(1.0, n + 1.0) * 0.6180339887498949 % 1.0 - 0.5
 
 
@@ -518,11 +523,12 @@ def _lambda_max_estimate(g: np.ndarray, v: np.ndarray) -> float:
 def _mirror_lower(x: np.ndarray) -> None:
     """Overwrite x's strict upper triangle with its lower one's transpose,
     32 rows at a time."""
+    upper = ~np.tri(32, dtype=bool)
     for i in range(0, len(x), 32):
         x[i : i + 32, i + 32 :] = x[i + 32 :, i : i + 32].T
         band = x[i : i + 32, i : i + 32]
-        upper = np.triu_indices(len(band), 1)
-        band[upper] = band.T[upper]
+        k = len(band)
+        np.copyto(band, band.T.copy(), where=upper[:k, :k])
 
 
 def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
@@ -535,7 +541,7 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     backward-error term beta, and lambda_max(X^T X) <= max_i (Y_ii + Gm_ii)
     + beta + spread, whatever the estimate.  It is the Lanczos one
     (_lambda_max_estimate, on gram with its lower triangle mirrored) where
-    Gm is wider than KRYLOV_STEPS, and eigvalsh's where it is not or where
+    Gm is wider than EIGVALSH_WIDTH, and eigvalsh's where it is not or where
     that Cholesky fails, for one more Cholesky.
     """
     if not (spread < _INF and np.isfinite(gram).all()):
@@ -543,7 +549,7 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     n = gram.shape[0]
     d = np.arange(n)
     gd = gram[d, d]
-    if n > KRYLOV_STEPS:
+    if n > EIGVALSH_WIDTH:
         _mirror_lower(gram)
         bound = _shifted_cholesky_bound(gram, gd, _lambda_max_estimate(gram, _krylov_start(n)), spread)
         if bound < _INF:
