@@ -352,6 +352,9 @@ class SolutionBounds:
     du0: float  # the default solution box radius, 0.1 max(1, ||u||)
     # the first Lipschitz round's constants at the default box, per parameter
     first_round: dict = field(default_factory=dict, compare=False, repr=False)
+    # the inverse bound, or its CertificationError, at each truncation of a
+    # sweep's one K_N pass (operator.inverse_bounds), which validate reads
+    inverse: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
@@ -411,9 +414,10 @@ def validate(
     here when the caller passes None.  The inverse bound is taken at
     truncation n, or escalated towards tau_target when n is None, its
     memory charges checked against avail bytes (default: one reading of
-    the available memory).  The Lipschitz box radii default to 0.1 max(1,
-    ||u||) and 0.05 max(1, |p*|) and are tightened towards the concluded radii (which strictly improves
-    the constants) unless the caller pinned them; solve_radii concludes
+    the available memory), or read from bounds.inverse where it holds n.
+    The Lipschitz box radii default to 0.1 max(1, ||u||) and 0.05 max(1,
+    |p*|) and are tightened towards the concluded radii (which strictly
+    improves the constants) unless the caller pinned them; solve_radii concludes
     delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover
     the concluded region.  Invalid certificates carry the failing stage,
     and from the Lipschitz rounds on the bounds that rho, q and the inverse
@@ -435,15 +439,17 @@ def validate(
     rho, lin = bounds.rho, bounds.lin
     avail = operator.available_memory_bytes() if avail is None else avail
     try:
-        if n is not None:
-            ib = derivative_inverse_bound(p, lin, n, avail)
-        else:
+        if n is None:
             ib = auto_inverse_bound(p, lin, tau_target, avail)
+        else:
+            ib = bounds.inverse.get(n) or derivative_inverse_bound(p, lin, n, avail)
     except CertificationError as exc:
-        reason = str(exc)
-        if exc.suggested_n is not None:
-            reason += f" (suggested truncation: {exc.suggested_n})"
-        return _invalid(p, which, exc.stage, reason, rho=rho, n=n)
+        ib = exc
+    if isinstance(ib, CertificationError):
+        reason = str(ib)
+        if ib.suggested_n is not None:
+            reason += f" (suggested truncation: {ib.suggested_n})"
+        return _invalid(p, which, ib.stage, reason, rho=rho, n=n)
     record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **asdict(ib))
 
     best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None

@@ -3,6 +3,9 @@
 A scalar Interval has IEEE double endpoints, rounded outward by nextafter
 unless the result is provably exact (by error-free transforms or exact
 rational comparison), so integer arithmetic stays sharp and zero stays zero.
+Its +, *, / and square are written out, with no helper call on the way to
+an exact result, since the certificate replay makes thousands of them; -
+adds the negation.
 Everything else is a ball (mid, rad): the reals X with |X - mid| <= rad
 entrywise, rad rounded up, the midpoint any float, and an entry that
 overflowed (0, inf); mid_rad is the one place where endpoints become balls.
@@ -63,21 +66,13 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def _sum_is_exact(a: float, b: float, s: float) -> bool:
-    # Fast2Sum error recovery: both orderings agree iff fl(a+b) == a+b.
-    return (s - a) == b and (s - b) == a
+# integers of magnitude at most 2^26: the exactness tests below only look at
+# these, and a miss only widens
+_SMALL = 67108864.0
 
 
 def _small_int(x: float) -> bool:
-    # an integer of magnitude at most 2^26; the exactness tests below only
-    # look at these, and a miss only widens
-    return -67108864.0 <= x <= 67108864.0 and x.is_integer()
-
-
-def _prod_is_exact(a: float, b: float) -> bool:
-    # fl(a b) = a b when a factor is 0, or when both are small integers:
-    # their product is an integer of magnitude at most 2^52, a double
-    return a == 0.0 or b == 0.0 or (_small_int(a) and _small_int(b))
+    return -_SMALL <= x <= _SMALL and x.is_integer()
 
 
 def _quot_is_exact(a: float, b: float, q: float) -> bool:
@@ -90,14 +85,10 @@ def _quot_is_exact(a: float, b: float, q: float) -> bool:
     return math.isfinite(q) and Fraction(a) / Fraction(b) == Fraction(q)
 
 
-def _add_down(a: float, b: float) -> float:
-    s = a + b
-    return s if _sum_is_exact(a, b, s) else _down(s)
-
-
 def _add_up(a: float, b: float) -> float:
     s = a + b
-    return s if _sum_is_exact(a, b, s) else _up(s)
+    # Fast2Sum error recovery: both orderings agree iff fl(a+b) == a+b
+    return s if (s - a) == b and (s - b) == a else _up(s)
 
 
 class Interval:
@@ -133,12 +124,6 @@ class Interval:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "Interval":
-        if isinstance(x, Interval):
-            return x
-        return Interval(float(x), float(x))
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
@@ -149,77 +134,91 @@ class Interval:
             return -self
         return Interval(0.0, max(-self.lo, self.hi))
 
+    # A sum is exact where Fast2Sum's error recovery agrees in both
+    # orderings; a product where a factor is zero or both are small integers
+    # (their product is an integer of magnitude at most 2^52, a double).
+
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(_add_down(self.lo, o.lo), _add_up(self.hi, o.hi))
+        c, d = (other.lo, other.hi) if isinstance(other, Interval) else (Interval(other).lo,) * 2
+        a, b = self.lo, self.hi
+        lo, hi = a + c, b + d
+        if lo - a != c or lo - c != a:
+            lo = math.nextafter(lo, -_INF)
+        if hi - b != d or hi - d != b:
+            hi = math.nextafter(hi, _INF)
+        return Interval(lo, hi)  # inf - inf is refused here
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(_add_down(self.lo, -o.hi), _add_up(self.hi, -o.lo))
+        return self + -(other if isinstance(other, Interval) else Interval(other))
 
     def __rsub__(self, other) -> "Interval":
-        return self._coerce(other) - self
-
-    @staticmethod
-    def _extremum(cands, prods, pick_min: bool) -> float:
-        m = min(prods) if pick_min else max(prods)
-        exact = all(_prod_is_exact(x, y) for (x, y), p in zip(cands, prods) if p == m)
-        if exact:
-            return m
-        return _down(m) if pick_min else _up(m)
+        return Interval(other) - self
 
     def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if a and b and c and d and not (
-            (_small_int(a) or _small_int(b)) and (_small_int(c) or _small_int(d))
-        ):
-            # no candidate can be exact: no zero endpoint, and no pair of
-            # small integers; nor can one be NaN
-            ac, ad, bc, bd = a * c, a * d, b * c, b * d
-            return _unchecked(_down(min(ac, ad, bc, bd)), _up(max(ac, ad, bc, bd)))
-        cands = ((a, c), (a, d), (b, c), (b, d))
-        # 0 times an infinite endpoint is NaN in float; the members are
-        # finite, so their products with 0 are 0
-        prods = tuple(0.0 if math.isnan(p) else p for p in (x * y for x, y in cands))
-        return Interval(
-            self._extremum(cands, prods, True),
-            self._extremum(cands, prods, False),
-        )
+        c, d = (other.lo, other.hi) if isinstance(other, Interval) else (Interval(other).lo,) * 2
+        a, b = self.lo, self.hi
+        ac, ad, bc, bd = a * c, a * d, b * c, b * d
+        if not (a.is_integer() or b.is_integer() or c.is_integer() or d.is_integer()):
+            # no zero or integer end: no product is exact, nor NaN
+            return _unchecked(math.nextafter(min(ac, ad, bc, bd), -_INF),
+                              math.nextafter(max(ac, ad, bc, bd), _INF))
+        if ac != ac or ad != ad or bc != bc or bd != bd:
+            # 0 times an infinite endpoint is NaN in float; the members are
+            # finite, so their products with 0 are 0
+            ac, ad, bc, bd = [0.0 if x != x else x for x in (ac, ad, bc, bd)]
+        lo, hi = min(ac, ad, bc, bd), max(ac, ad, bc, bd)
+        sa = -_SMALL <= a <= _SMALL and a.is_integer()
+        sb = -_SMALL <= b <= _SMALL and b.is_integer()
+        sc = -_SMALL <= c <= _SMALL and c.is_integer()
+        sd = -_SMALL <= d <= _SMALL and d.is_integer()
+        # whether each product is inexact, so an extremum it attains is rounded
+        iac = not (a == 0.0 or c == 0.0 or sa and sc)
+        iad = not (a == 0.0 or d == 0.0 or sa and sd)
+        ibc = not (b == 0.0 or c == 0.0 or sb and sc)
+        ibd = not (b == 0.0 or d == 0.0 or sb and sd)
+        if iac and ac == lo or iad and ad == lo or ibc and bc == lo or ibd and bd == lo:
+            lo = math.nextafter(lo, -_INF)
+        if iac and ac == hi or iad and ad == hi or ibc and bc == hi or ibd and bd == hi:
+            hi = math.nextafter(hi, _INF)
+        return _unchecked(lo, hi)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise IntervalDomainError(f"division by interval containing zero: {o}")
-        cands = (
-            (self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi),
-        )
-        quots = tuple(x / y for x, y in cands)
-        lo = min(quots)
-        hi = max(quots)
-        lo_exact = all(
-            _quot_is_exact(x, y, q) for (x, y), q in zip(cands, quots) if q == lo
-        )
-        hi_exact = all(
-            _quot_is_exact(x, y, q) for (x, y), q in zip(cands, quots) if q == hi
-        )
-        return Interval(lo if lo_exact else _down(lo), hi if hi_exact else _up(hi))
+        c, d = (other.lo, other.hi) if isinstance(other, Interval) else (Interval(other).lo,) * 2
+        if c <= 0.0 <= d:
+            raise IntervalDomainError(f"division by interval containing zero: {Interval(c, d)}")
+        a, b = self.lo, self.hi
+        ac, ad, bc, bd = a / c, a / d, b / c, b / d
+        lo, hi = min(ac, ad, bc, bd), max(ac, ad, bc, bd)
+        # an end is rounded unless every quotient that attains it is exact
+        if (ac == lo and not _quot_is_exact(a, c, ac) or ad == lo and not _quot_is_exact(a, d, ad)
+                or bc == lo and not _quot_is_exact(b, c, bc)
+                or bd == lo and not _quot_is_exact(b, d, bd)):
+            lo = math.nextafter(lo, -_INF)
+        if (ac == hi and not _quot_is_exact(a, c, ac) or ad == hi and not _quot_is_exact(a, d, ad)
+                or bc == hi and not _quot_is_exact(b, c, bc)
+                or bd == hi and not _quot_is_exact(b, d, bd)):
+            hi = math.nextafter(hi, _INF)
+        return Interval(lo, hi)
 
     def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other) / self
+        return Interval(other) / self
 
     def square(self) -> "Interval":
-        mag = abs(self)
-        a, b = mag.lo, mag.hi
-        plo = a * a
-        phi = b * b
-        lo = plo if _prod_is_exact(a, a) else max(_down(plo), 0.0)
-        hi = phi if _prod_is_exact(b, b) else _up(phi)
-        return Interval(lo, hi)
+        a, b = self.lo, self.hi
+        if a < 0.0:  # [a, b] becomes abs(self)
+            a, b = (-b, -a) if b <= 0.0 else (0.0, b if b > -a else -a)
+        lo, hi = a * a, b * b
+        if not (-_SMALL <= a <= _SMALL and a.is_integer()):
+            lo = math.nextafter(lo, -_INF)
+            if lo < 0.0:
+                lo = 0.0
+        if not (-_SMALL <= b <= _SMALL and b.is_integer()):
+            hi = math.nextafter(hi, _INF)
+        return _unchecked(lo, hi)
 
     def __pow__(self, n: int) -> "Interval":
         if not isinstance(n, int):

@@ -5,7 +5,9 @@ evaluated exactly as a finite interval series (the nonlinearity is polynomial,
 so convolution powers are exact up to outward rounding).  The linearization is
 reduced to a scaled Galerkin matrix whose certified inverse norm, combined
 with a tail contraction constant, yields an upper bound for the norm of the
-inverse of the full derivative.
+inverse of the full derivative.  One pass bounds it at every truncation of
+a sweep: each parity block is assembled once, at the largest truncation,
+and cut down to the principal sub-block of each smaller one.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class ModelParams:
 
 def _is_zero(c) -> bool:
     """Whether a coefficient, a float or an Interval, is the point zero."""
-    return Interval._coerce(c).mag == 0.0
+    return (c if isinstance(c, Interval) else Interval(c)).mag == 0.0
 
 
 def _trim(coeffs) -> tuple:
@@ -188,13 +190,34 @@ def fprime_series(p: ModelParams, u: CosineSeries, powers: list | None = None) -
     return poly_series(p.fp_coeffs, ball_powers(p, u) if powers is None else powers)
 
 
-class Linearization(NamedTuple):
+@dataclass(frozen=True)
+class Linearization:
     """The coefficient q = lam f'(u + mu) of the derivative of F at u, with
-    rigorous upper bounds on its sup and H2 norms."""
+    rigorous upper bounds on its sup and H2 norms, and what the K_N stage
+    reads of q, read once for every truncation."""
 
     q: CosineSeries
     q_sup: float
     q_h2: float
+
+    def __iter__(self):
+        """Unpacks as (q, q_sup, q_h2)."""
+        return iter((self.q, self.q_sup, self.q_h2))
+
+    @functools.cached_property
+    def split(self) -> tuple:
+        """split_axes(q)."""
+        return split_axes(self.q)
+
+    @functools.cached_property
+    def kn_arrays(self) -> tuple:
+        """(perms, eps, arrays): the axis permutations of
+        series.axis_symmetries, their defect over the lower end of pi^2
+        rounded up, and _block_arrays of q's raw midpoint and radius; read
+        only once a truncation's memory charge has passed."""
+        qm, qr = _raw_mid_rad(self.q)[:2]
+        perms, defect = axis_symmetries(qm, qr)
+        return perms, _up(defect / PI2.lo), _block_arrays(qm, qr)
 
 
 def linearization_coefficient(p: ModelParams, fprime: CosineSeries) -> Linearization:
@@ -396,6 +419,19 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     return BallMatrix(mid, rad)
 
 
+def _sub_block(ball: BallMatrix, big: ParityBlock, block: ParityBlock) -> BallMatrix:
+    """The principal sub-ball of ball, the block of class big, on the modes
+    of block, the same class at a smaller truncation: block's per-axis
+    indices are a prefix of big's, and a grid that holds the origin drops
+    it, first in its order."""
+    rows = np.ravel_multi_index(np.ix_(*(np.arange(a.size) for a in block.axes)),
+                                tuple(a.size for a in big.axes)).ravel()
+    if block.size < rows.size:
+        rows = rows[1:] - 1
+    cut = np.ix_(rows, rows)
+    return BallMatrix(ball.mid[cut], ball.rad[cut])
+
+
 def point_powers(p: ModelParams, coeffs: np.ndarray) -> list:
     """Newton's float powers [v, v^2, ..., v^deg] of v = u + mu at the point
     coeffs, deg >= 1 the degree of f: deg - 1 products, from which
@@ -487,7 +523,10 @@ class InverseBound:
 # and 3-d equilibria (OpenBLAS, 1 thread): the tracemalloc peak of
 # derivative_inverse_bound is 5.20 and 5.03 m_b^2 at 2-d N=28 and 48 (m_b =
 # 196, 576), 5.56 and 5.10 at 3-d N=12 and 16 (m_b = 216, 512), and the
-# rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.
+# rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.  Where
+# several truncations share the stage, a smaller one's blocks are cut from
+# a larger one's, whose midpoint and radius, two more arrays of its size,
+# stay live beside them (kn_stage_bytes).
 KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's extent on top of them: the raw
 # midpoint and radius that every block reads, and the temporaries that form
@@ -513,13 +552,14 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def kn_stage_bytes(q: CosineSeries, n: int, split: tuple) -> float:
+def kn_stage_bytes(q: CosineSeries, n: int, split: tuple, held: int | None = None) -> float:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
-    time, and the raw coefficient arrays of q that every block reads;
-    split is split_axes(q)."""
-    m_b = max(block.size for block in parity_blocks(split, n))
-    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
+    time, the raw coefficient arrays of q that every block reads, and the
+    midpoint and radius of the largest block at a larger truncation held,
+    from which n's blocks are cut; split is split_axes(q)."""
+    m_b, m_h = (max(block.size for block in parity_blocks(split, t)) if t else 0 for t in (n, held))
+    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + 2 * m_h**2 + KN_Q_ARRAYS * q.center.size)
 
 
 def memory_shortfall(need: float, what: str, stage: str, avail: float | None = None) -> str | None:
@@ -557,9 +597,10 @@ def parity_orbits(blocks: list, perms: list) -> dict:
     return orbits
 
 
-def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
-                             avail: float | None = None) -> InverseBound:
-    """The finite inverse bound K_N at cut n and the full bound K.
+def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None = None) -> list:
+    """The finite inverse bound K_N and the full bound K at each truncation
+    of ns, in one pass: per entry an InverseBound, or the
+    CertificationError that stopped it there.
 
     Every member of the Galerkin ball matrix is block-diagonal by the
     parity classes, its blocks members of the block balls
@@ -571,7 +612,7 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     mat_inverse_norm2_upper.  A block kept at or below the floor cannot
     raise K_N, so K_N is the largest of every block's full certificate;
     the first block, with the floor 0, is always certified.  A block that
-    fails stops the stage there.  K is k_formula(K_N, tau) rounded up.
+    fails stops its truncation there.  K is k_formula(K_N, tau) rounded up.
 
     Blocks that an axis permutation maps onto one another are certified
     once (parity_orbits of series.axis_symmetries).  For q' in q's ball the
@@ -588,55 +629,91 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     as any other block.  K_N is then the same bits as with every block
     walked, wherever the skipped members would have passed the plain test.
 
-    q's split axes and raw arrays are read once, for the memory charge,
-    the orbits and the blocks.  Raises CertificationError at stage
-    kn_bound, without a suggested truncation, when the K_N stage would not
-    fit in avail bytes (default: a reading of the available memory).
+    The truncations share one walk, class by class.  A class is assembled
+    once, at the largest truncation that needs it, and a smaller one takes
+    its principal sub-block (_sub_block): the same bits, as every entry is
+    formed elementwise from weights and a rounding budget that do not
+    depend on the truncation.  Each truncation keeps its own floor, cleared
+    classes and failure, so it decides as it would alone.  The memory
+    charges are checked first, largest truncation first, against avail
+    bytes (default: a reading of the available memory): one that does not
+    fit fails at stage kn_bound, without a suggested truncation, and the
+    first that fits is held, its largest block counted in the charge of
+    each smaller one (kn_stage_bytes); one that fits only alone takes a
+    pass of its own after this one.
     """
-    q, q_sup, q_h2 = lin
-    split = split_axes(q)
-    short = memory_shortfall(kn_stage_bytes(q, n, split),
-                             f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
-    if short:
-        raise CertificationError("kn_bound", short)
-    qm, qr = _raw_mid_rad(q)[:2]
-    perms, defect = axis_symmetries(qm, qr)
-    eps = _up(defect / PI2.lo)
-    blocks = parity_blocks(split, n)
-    orbits = parity_orbits(blocks, perms)
-    arrays = _block_arrays(qm, qr)
-    del qm, qr  # only the block arrays are held while blocks stream
-    cleared = set()
-    kn = 0.0
-    for i, block in enumerate(blocks):
-        if i in cleared:
+    avail = available_memory_bytes() if avail is None else avail
+    q = lin.q
+    result, held, later = {}, None, []
+    for n in sorted(set(ns), reverse=True):
+        short = memory_shortfall(kn_stage_bytes(q, n, lin.split),
+                                 f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
+        if short:
+            result[n] = CertificationError("kn_bound", short)
+        elif held is None:
+            held = n
+        elif kn_stage_bytes(q, n, lin.split, held) > avail:
+            later.append(n)  # it fits alone, not beside the held blocks
+    live = sorted(set(ns) - set(result) - set(later))  # the truncations still running
+    classes, orbits, kn = {}, {}, dict.fromkeys(live, 0.0)
+    if live:
+        perms, eps, arrays = lin.kn_arrays
+    for n in live:
+        blocks = parity_blocks(lin.split, n)
+        classes[n] = {block.parity: block for block in blocks}
+        orbits[n] = {blocks[i].parity: {blocks[j].parity for j in members}
+                     for i, members in parity_orbits(blocks, perms).items()}
+    for cls in list(classes[held]) if live else ():  # a cleared class leaves classes[n]
+        need = [n for n in live if cls in classes[n]]
+        if not need:
             continue
-        ball = _galerkin_block(p, block, arrays)
-        members = orbits.get(i)
-        if members and inverse_norm2_at_most(ball, kn, eps):
-            cleared.update(members)
-        elif not inverse_norm2_at_most(ball, kn):
-            try:
-                bound, _, _ = mat_inverse_norm2_upper(ball)
-            except IntervalDomainError as exc:
-                raise CertificationError(
-                    "kn_bound",
-                    f"finite inverse not certified at n={n} on parity class "
-                    f"{block.label} ({block.size} modes): {exc}",
-                    suggested_n=2 * n,
-                ) from exc
-            kn = max(kn, bound)
-        del ball  # before the next block is assembled
+        top = classes[need[-1]][cls]
+        big = _galerkin_block(p, top, arrays)
+        for n in need:
+            block = classes[n][cls]
+            ball = big if block is top else _sub_block(big, top, block)
+            if orbits[n].get(cls) and inverse_norm2_at_most(ball, kn[n], eps):
+                for member in orbits[n][cls]:
+                    del classes[n][member]
+            elif not inverse_norm2_at_most(ball, kn[n]):
+                try:
+                    kn[n] = max(kn[n], mat_inverse_norm2_upper(ball)[0])
+                except IntervalDomainError as exc:
+                    result[n] = CertificationError(
+                        "kn_bound",
+                        f"finite inverse not certified at n={n} on parity class "
+                        f"{block.label} ({block.size} modes): {exc}",
+                        suggested_n=2 * n,
+                    )
+                    result[n].__cause__ = exc
+                    live.remove(n)
+            del ball  # before the next block is formed
+        del big
+    if later:  # a pass of their own, with nothing of this one held
+        result.update(zip(later, inverse_bounds(p, lin, later, avail)))
     cb = table_constants(q.dim).cb
-    tau = tau_formula(kn, q_sup, q_h2, cb, n).hi
-    if not tau < 1.0:
-        raise CertificationError(
-            "inverse_bound",
-            f"tail contraction {tau:.4g} >= 1 at n={n}; increase the truncation "
-            f"(rule of thumb: n ~ {rule_of_thumb_n(q_h2)})",
-            suggested_n=max(2 * n, rule_of_thumb_n(q_h2)),
-        )
-    return InverseBound(kn=kn, tau=tau, k=k_formula(kn, tau).hi, n=n)
+    for n in live:
+        tau = tau_formula(kn[n], lin.q_sup, lin.q_h2, cb, n).hi
+        if not tau < 1.0:
+            result[n] = CertificationError(
+                "inverse_bound",
+                f"tail contraction {tau:.4g} >= 1 at n={n}; increase the truncation "
+                f"(rule of thumb: n ~ {rule_of_thumb_n(lin.q_h2)})",
+                suggested_n=max(2 * n, rule_of_thumb_n(lin.q_h2)),
+            )
+        else:
+            result[n] = InverseBound(kn=kn[n], tau=tau, k=k_formula(kn[n], tau).hi, n=n)
+    return [result[n] for n in ns]
+
+
+def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
+                             avail: float | None = None) -> InverseBound:
+    """inverse_bounds at the one truncation n; raises its
+    CertificationError."""
+    (ib,) = inverse_bounds(p, lin, [n], avail)
+    if isinstance(ib, CertificationError):
+        raise ib
+    return ib
 
 
 TRUNCATION_CEILING = {1: 256, 2: 96, 3: 32}
@@ -656,7 +733,9 @@ def auto_inverse_bound(
     larger truncation can help (one without a suggested truncation).  Every
     truncation's memory charge is checked against avail bytes, by default
     one reading of the available memory.  With no truncation certified,
-    the last failure is raised: each pass either certifies or fails.
+    the last failure is raised: each pass either certifies or fails.  q's
+    split, raw arrays, symmetries and block arrays are read once across the
+    doublings, as in a sweep (Linearization.split and kn_arrays).
     """
     avail = available_memory_bytes() if avail is None else avail
     ceiling = TRUNCATION_CEILING[lin.q.dim]

@@ -585,6 +585,49 @@ def test_sweep_rows_equal_fresh_validates(workdir, solution_file, monkeypatch, w
         assert float(row["delta_alpha"]) == fresh.delta_alpha and float(row["K"]) == fresh.k
 
 
+def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
+    # an unsorted list with a duplicate on the canonical 2-d solution: 12
+    # and 20 fail at inverse_bound; each class is assembled once, at N=40,
+    # and every truncation clears the (0, 1)/(1, 0) orbit, so (1, 0) is
+    # never assembled; each row's certificate equals a fresh validate --N
+    from okvalid import operator
+
+    p, result = solved_2d
+    sol = workdir / "sol2d.json"
+    write_solution(sol, p, result.solution, result.residual_full)
+    made, assembled = [], []
+
+    def recorded(*args, **kwargs):
+        made.append(cift.validate(*args, **kwargs))
+        return made[-1]
+
+    assemble = operator._galerkin_block
+
+    def recording(p, block, arrays):
+        assembled.append((block.n, block.label))
+        return assemble(p, block, arrays)
+
+    monkeypatch.setattr(cli, "validate", recorded)
+    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    out = workdir / "sweep_2d.csv"
+    assert main(["sweep", "--in", str(sol), "--param", "lambda",
+                 "--Nlist", "40,12,28,20,28", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [int(r["N"]) for r in rows] == [c.n for c in made] == [40, 12, 28, 20, 28]
+    assert [r["status"] for r in rows] == ["ok", "failed:inverse_bound", "ok",
+                                           "failed:inverse_bound", "ok"]
+    assert assembled == [(40, "(0, 0)"), (40, "(0, 1)"), (40, "(1, 1)")]
+    p, u, _meta = read_solution(sol)
+    for cert, row in zip(made, rows):
+        fresh = cift.validate(p, u, "lambda", cert.n)
+        for f in dataclasses.fields(cift.Certificate):
+            if f.name != "provenance":
+                assert getattr(cert, f.name) == getattr(fresh, f.name), (cert.n, f.name)
+        if fresh.valid:
+            assert [float(row[c]) for c in ("K_N", "tau", "K", "delta_alpha", "delta_x")] == [
+                fresh.kn, fresh.tau, fresh.k, fresh.delta_alpha, fresh.delta_x]
+
+
 def test_sweep_residual_failure_on_every_row(workdir, solution_file, monkeypatch):
     def fail(p, u):
         raise IntervalDomainError("residual overflow")

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +19,7 @@ from balls import (
     point_matrix,
     transpose,
 )
+from scalar_intervals import RefInterval
 from okvalid import intervals
 from okvalid.intervals import (
     BallMatrix,
@@ -135,6 +137,43 @@ def test_mul_matches_exact_rational_path(ends):
     r = x * y
     want = _mul_reference(x, y)
     assert (r.lo.hex(), r.hi.hex()) == (want[0].hex(), want[1].hex()), (x, y)
+
+
+_SCALAR_ENDS = st.one_of(
+    _MUL_ENDS,
+    st.sampled_from([1e-308, -1e-308, 2.0**-1074 * 3, 2.0**26 - 1.0, -(2.0**26 - 0.5),
+                     2.0**27, 1.7976931348623157e308, 3.0, -7.0, 0.1]),
+)
+
+
+def _outcome(f):
+    """The float.hex of each end of the interval f() returns, or the type
+    of the exception it raises."""
+    try:
+        r = f()
+    except Exception as exc:  # noqa: BLE001 - the exception's type is the outcome
+        return type(exc)
+    return r.lo.hex(), r.hi.hex()
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_SCALAR_ENDS, min_size=4, max_size=4),
+       st.one_of(_SCALAR_ENDS, st.just(math.nan), st.integers(-5, 5)),
+       st.integers(-3, 5))
+def test_scalar_ops_keep_the_helper_reference_bits(ends, other, n):
+    # the inlined +, -, *, / and square return the bits of the helper-based
+    # reference, and raise where it raises, on interval and float operands
+    # in either order; sqrt, abs and ** are compared as well
+    x, y = sorted(ends[:2]), sorted(ends[2:])
+    new, ref = (Interval(*x), Interval(*y)), (RefInterval(*x), RefInterval(*y))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for i, j in ((0, 1), (1, 0), (0, 0)):
+            assert _outcome(lambda: op(new[i], new[j])) == _outcome(lambda: op(ref[i], ref[j])), (op, x, y)
+        assert _outcome(lambda: op(new[0], other)) == _outcome(lambda: op(ref[0], other)), (op, x, other)
+        assert _outcome(lambda: op(other, new[0])) == _outcome(lambda: op(other, ref[0])), (op, other, x)
+    for unary in (lambda v: v.square(), lambda v: v.sqrt(), abs, operator.neg, lambda v: v**n):
+        for i in (0, 1):
+            assert _outcome(lambda: unary(new[i])) == _outcome(lambda: unary(ref[i])), (n, new[i])
 
 
 def test_div_third():

@@ -1182,6 +1182,60 @@ def test_kn_memory_ceiling_builds_nothing_of_the_truncation_size():
     assert peak < 1e7
 
 
+def _shared_pass(p, lin, ns, avail, monkeypatch):
+    """inverse_bounds(p, lin, ns, avail) on a fresh copy of lin, with the
+    (truncation, class) of every block assembled, the traced peak, and
+    whether q's block arrays were read."""
+    lin = Linearization(lin.q, lin.q_sup, lin.q_h2)
+    assembled = []
+    assemble = operator._galerkin_block
+
+    def recording(p, block, arrays):
+        assembled.append((block.n, block.label))
+        return assemble(p, block, arrays)
+
+    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    tracemalloc.start()
+    try:
+        out = operator.inverse_bounds(p, lin, ns, avail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, assembled, peak, "kn_arrays" in vars(lin)
+
+
+def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
+    # the largest truncation alone does not fit: it fails at kn_bound, and
+    # the next one is held, each class assembled there once; every smaller
+    # truncation, charged beside the held blocks, is certified with the bits
+    # of its own pass, and the traced peak stays within the charges
+    p, result = solved_sweep_1d
+    lin = lin_of(p, result.solution)
+    ns = [24, 32, 48, 64, 96, 128, 256]
+    alone = [derivative_inverse_bound(p, lin, n) for n in ns[:-1]]
+    avail = operator.kn_stage_bytes(lin.q, 256, lin.split) - 1
+    out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
+    assert out[:-1] == alone
+    assert out[-1].stage == "kn_bound" and out[-1].suggested_n is None and "n=256" in str(out[-1])
+    assert assembled == [(128, "(0)"), (128, "(1)")]
+    charges = [operator.kn_stage_bytes(lin.q, n, lin.split, 128) for n in ns[:-2]]
+    assert peak <= max(charges + [operator.kn_stage_bytes(lin.q, 128, lin.split)]) <= avail
+    # a truncation that fits alone but not beside the held blocks takes a
+    # pass of its own after the held one's
+    avail = operator.kn_stage_bytes(lin.q, 100, lin.split)
+    assert operator.kn_stage_bytes(lin.q, 96, lin.split, 100) > avail
+    alone = [derivative_inverse_bound(p, lin, n) for n in (96, 100)]
+    out, assembled, peak, read = _shared_pass(p, lin, [96, 100], avail, monkeypatch)
+    assert out == alone
+    assert assembled == [(100, "(0)"), (100, "(1)"), (96, "(0)"), (96, "(1)")]
+    assert peak <= avail
+    # nothing is assembled, nor q's block arrays read, where nothing fits
+    avail = operator.kn_stage_bytes(lin.q, 24, lin.split) - 1
+    out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
+    assert [e.stage for e in out] == ["kn_bound"] * len(ns)
+    assert assembled == [] and not read and peak < 8.0 * lin.q.center.size * operator.KN_Q_ARRAYS
+
+
 def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
     p, result = solved_1d
     tried = []
