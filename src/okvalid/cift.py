@@ -18,6 +18,7 @@ its own inequalities in interval arithmetic before it is returned.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,7 +39,6 @@ from .operator import (
     ModelParams,
     auto_inverse_bound,
     ball_powers,
-    derivative_inverse_bound,
     fprime_series,
     k_formula,
     linearization_coefficient,
@@ -350,11 +350,6 @@ class SolutionBounds:
     lin: Linearization  # q = lam f'(u + mu) and its norm bounds
     sups: SolutionSups  # of u, u + mu and f'(u + mu), read by the Lipschitz rounds
     du0: float  # the default solution box radius, 0.1 max(1, ||u||)
-    # the first Lipschitz round's constants at the default box, per parameter
-    first_round: dict = field(default_factory=dict, compare=False, repr=False)
-    # the inverse bound, or its CertificationError, at each truncation of a
-    # sweep's one K_N pass (operator.inverse_bounds), which validate reads
-    inverse: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
@@ -362,10 +357,9 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     Lipschitz rounds read: the residual and f'(u + mu) are both read off
     one set of ball powers of u + mu (operator.ball_powers).
 
-    One SolutionBounds serves every validate of the same solution and
-    parameters, whatever the truncation; it memoises the first Lipschitz
-    round of each parameter.  Raises CertificationError at stage residual,
-    naming each of rho, q_sup and q_h2 that overflowed.
+    One SolutionBounds serves every truncation of a validations call.
+    Raises CertificationError at stage residual, naming each of rho, q_sup
+    and q_h2 that overflowed.
     """
     powers = ball_powers(p, u)
     rho = residual_norm(p, u, powers).hi
@@ -379,121 +373,111 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     return SolutionBounds(rho, lin, solution_sups(p, u, fprime), du0)
 
 
-def _default_dp(p: ModelParams, which: str) -> float:
-    return 0.05 * max(1.0, abs(p.get(which)))
-
-
-def _first_round(p: ModelParams, bounds: SolutionBounds, which: str) -> LipschitzBounds:
-    """The Lipschitz constants at the default box, computed once per bounds."""
-    lb = bounds.first_round.get(which)
-    if lb is None:
-        choice = ContinuationChoice(which=which, dp=_default_dp(p, which), du=bounds.du0)
-        lb = bounds.first_round[which] = lipschitz_bounds(p, choice, bounds.sups)
-    return lb
-
-
-# Lipschitz tightening rounds at most in one validate
+# Lipschitz tightening rounds at most per truncation
 LIPSCHITZ_ROUNDS = 5
 
 
-def validate(
-    p: ModelParams,
-    u: CosineSeries,
-    which: str,
-    n: int | None = None,
-    du: float | None = None,
-    dp: float | None = None,
-    tau_target: float = 0.5,
-    bounds: SolutionBounds | None = None,
-    avail: float | None = None,
-) -> Certificate:
-    """Run solution_bounds -> inverse bound -> Lipschitz rounds -> radii and
-    emit a certificate.
+def validations(p: ModelParams, u: CosineSeries, which: str, ns,
+                du: float | None = None, dp: float | None = None, tau_target: float = 0.5):
+    """Validate u at each truncation of ns: yields one certificate per
+    truncation, in order.
 
-    bounds is the per-solution stage, solution_bounds(p, u); it is built
-    here when the caller passes None.  The inverse bound is taken at
-    truncation n, or escalated towards tau_target when n is None, its
-    memory charges checked against avail bytes (default: one reading of
-    the available memory), or read from bounds.inverse where it holds n.
-    The Lipschitz box radii default to 0.1 max(1, ||u||) and 0.05 max(1,
-    |p*|) and are tightened towards the concluded radii (which strictly
-    improves the constants) unless the caller pinned them; solve_radii concludes
-    delta_x <= ell_x and delta_alpha <= ell_alpha, so the constants cover
-    the concluded region.  Invalid certificates carry the failing stage,
-    and from the Lipschitz rounds on the bounds that rho, q and the inverse
-    bound gave.
+    Once per call: solution_bounds(p, u), one reading of the available
+    memory, one K_N pass over the integer truncations
+    (operator.inverse_bounds; an n of None escalates towards tau_target
+    through auto_inverse_bound) and the first Lipschitz round, whose box
+    depends on neither the truncation nor K.  Then per truncation:
+    Lipschitz rounds -> radii -> replay.  The box radii default
+    to 0.1 max(1, ||u||) and 0.05 max(1, |p*|) and are tightened towards
+    the concluded radii (which strictly improves the constants) unless the
+    caller pinned them; solve_radii concludes delta_x <= ell_x and
+    delta_alpha <= ell_alpha, so the constants cover the concluded region.
+    Invalid certificates carry the failing stage, and from the Lipschitz
+    rounds on the bounds that rho, q and the inverse bound gave; a failed
+    per-solution stage (input or residual) fails every truncation.
     """
     if which not in PARAMETERS:
         raise ValueError(f"unknown continuation parameter {which!r}")
-    if not u.zero_mean:
-        return _invalid(p, which, "input", "solution series is not zero-mean")
-
-    if bounds is None:
-        try:
-            bounds = solution_bounds(p, u)
-        except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
-            return _invalid(p, which, "residual", str(exc))
-    pinned = du is not None or dp is not None
-    du_cur = du if du is not None else bounds.du0
-    dp_cur = dp if dp is not None else _default_dp(p, which)
-    rho, lin = bounds.rho, bounds.lin
-    avail = operator.available_memory_bytes() if avail is None else avail
+    ns = list(ns)
     try:
-        if n is None:
-            ib = auto_inverse_bound(p, lin, tau_target, avail)
-        else:
-            ib = bounds.inverse.get(n) or derivative_inverse_bound(p, lin, n, avail)
-    except CertificationError as exc:
-        ib = exc
-    if isinstance(ib, CertificationError):
-        reason = str(ib)
-        if ib.suggested_n is not None:
-            reason += f" (suggested truncation: {ib.suggested_n})"
-        return _invalid(p, which, ib.stage, reason, rho=rho, n=n)
-    record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **asdict(ib))
-
-    best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
-    failure: CertificationError | None = None
-    for rounds in range(1, LIPSCHITZ_ROUNDS + 1):
-        if rounds == 1 and not pinned:
-            lb = _first_round(p, bounds, which)
-        else:
-            choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
-            lb = lipschitz_bounds(p, choice, bounds.sups)
+        if not u.zero_mean:
+            raise CertificationError("input", "solution series is not zero-mean")
+        bounds = solution_bounds(p, u)
+    except Exception as exc:  # noqa: BLE001 - failure becomes a tagged certificate
+        stage = "residual" if u.zero_mean else "input"
+        yield from (_invalid(p, which, stage, str(exc)) for _ in ns)
+        return
+    rho, lin = bounds.rho, bounds.lin
+    avail = operator.available_memory_bytes()
+    fixed = [n for n in ns if n is not None]
+    inverse = dict(zip(fixed, operator.inverse_bounds(p, lin, fixed, avail)))
+    pinned = du is not None or dp is not None
+    du0 = du if du is not None else bounds.du0
+    dp0 = dp if dp is not None else 0.05 * max(1.0, abs(p.get(which)))
+    first_round = functools.cache(lambda: lipschitz_bounds(
+        p, ContinuationChoice(which=which, dp=dp0, du=du0), bounds.sups))
+    for n in ns:
         try:
-            radii = solve_radii(
-                ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,
-                ell_x=du_cur, ell_alpha=dp_cur,
-            )
+            ib = inverse[n] if n is not None else auto_inverse_bound(p, lin, tau_target, avail)
         except CertificationError as exc:
-            failure = exc
-            break
-        if best is None or radii.delta_alpha > best[0].delta_alpha:
-            best = (radii, lb, du_cur, dp_cur)
-        else:
-            break  # tightening stopped paying off
-        if pinned or radii.delta_alpha == 0.0 or radii.delta_x == 0.0:
-            break
-        want_du = max(10.0 * radii.delta_x, 1e-12)
-        want_dp = max(10.0 * radii.delta_alpha, 1e-12)
-        if want_du >= 0.99 * du_cur and want_dp >= 0.99 * dp_cur:
-            break
-        du_cur = min(want_du, du_cur)
-        dp_cur = min(want_dp, dp_cur)
+            ib = exc
+        if isinstance(ib, CertificationError):
+            reason = str(ib)
+            if ib.suggested_n is not None:
+                reason += f" (suggested truncation: {ib.suggested_n})"
+            yield _invalid(p, which, ib.stage, reason, rho=rho, n=n)
+            continue
+        record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **asdict(ib))
 
-    if best is None:  # the first round's radii failed
-        return _invalid(p, which, failure.stage, str(failure), **record)
+        du_cur, dp_cur = du0, dp0
+        best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
+        failure: CertificationError | None = None
+        for rounds in range(1, LIPSCHITZ_ROUNDS + 1):
+            if rounds == 1:
+                lb = first_round()
+            else:
+                choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
+                lb = lipschitz_bounds(p, choice, bounds.sups)
+            try:
+                radii = solve_radii(
+                    ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,
+                    ell_x=du_cur, ell_alpha=dp_cur,
+                )
+            except CertificationError as exc:
+                failure = exc
+                break
+            if best is None or radii.delta_alpha > best[0].delta_alpha:
+                best = (radii, lb, du_cur, dp_cur)
+            else:
+                break  # tightening stopped paying off
+            if pinned or radii.delta_alpha == 0.0 or radii.delta_x == 0.0:
+                break
+            want_du = max(10.0 * radii.delta_x, 1e-12)
+            want_dp = max(10.0 * radii.delta_alpha, 1e-12)
+            if want_du >= 0.99 * du_cur and want_dp >= 0.99 * dp_cur:
+                break
+            du_cur = min(want_du, du_cur)
+            dp_cur = min(want_dp, dp_cur)
 
-    radii, lb, ell_x, ell_alpha = best
-    cert = Certificate(
-        params=p, which=which, valid=True, stage="complete",
-        **record, **asdict(lb), **asdict(radii),
-        ell_x=ell_x, ell_alpha=ell_alpha, rounds=rounds, provenance=_provenance(),
-    )
-    ok, failures = verify_certificate(cert)
-    if not ok:
-        return _invalid(
+        if best is None:  # the first round's radii failed
+            yield _invalid(p, which, failure.stage, str(failure), **record)
+            continue
+        radii, lb, ell_x, ell_alpha = best
+        cert = Certificate(
+            params=p, which=which, valid=True, stage="complete",
+            **record, **asdict(lb), **asdict(radii),
+            ell_x=ell_x, ell_alpha=ell_alpha, rounds=rounds, provenance=_provenance(),
+        )
+        ok, failures = verify_certificate(cert)
+        yield cert if ok else _invalid(
             p, which, "self_check",
             "emitted certificate failed replay: " + "; ".join(failures), **record,
         )
+
+
+def validate(p: ModelParams, u: CosineSeries, which: str, n: int | None = None,
+             du: float | None = None, dp: float | None = None,
+             tau_target: float = 0.5) -> Certificate:
+    """validations at the one truncation n."""
+    (cert,) = validations(p, u, which, [n], du, dp, tau_target)
     return cert

@@ -20,8 +20,8 @@ import numpy as np
 from .cift import (
     TOOL_VERSION,
     feasible_dx_range,
-    solution_bounds,
     validate,
+    validations,
     verify_certificate,
 )
 from .embeddings import cmbar_bytes, equiv_factor, recompute_cmbar, table_constants
@@ -36,12 +36,12 @@ from .files import (
 from .newton import (
     NewtonError,
     SolveOptions,
+    check_truncation_memory,
     check_walk,
     newton_solve,
     parameter_walk,
     parse_seed,
 )
-from . import operator
 from .operator import PARAMETERS, ModelParams, memory_shortfall
 from .series import evaluate_grid, grid_bytes
 
@@ -105,13 +105,14 @@ def cmd_constants(args) -> int:
 def cmd_solve(args) -> int:
     n = args.n if args.n is not None else _DEFAULT_N[args.dim]
     try:
-        opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
-                            damping=args.damping)
-        p = _model_from_args(args)
-        seed = parse_seed(args.seed, args.dim, n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
+        try:
+            opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
+                                damping=args.damping)
+            p = _model_from_args(args)
+            check_truncation_memory(args.dim, n)  # before the n^d seed is built
+            seed = parse_seed(args.seed, args.dim, n)
+        except ValueError as exc:
+            return _usage_error(str(exc))
         result = newton_solve(p, seed, opts)
     except NewtonError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
@@ -207,22 +208,10 @@ def cmd_sweep(args) -> int:
     if min(n_list) < 2:
         return _usage_error("truncation must be >= 2")
 
-    # the per-solution stage does not depend on N; a failure there is left
-    # to validate, which reports it on every row
-    try:
-        bounds = solution_bounds(p, u)
-    except Exception:  # noqa: BLE001
-        bounds = None
-
-    # every truncation's K_N charge is checked against one memory reading
-    avail = operator.available_memory_bytes()
     rows = [["N", "K_N", "tau", "K", "delta_alpha", "delta_x", "wall_ms", "status"]]
     t0 = time.perf_counter()
-    if bounds is not None:
-        # one K_N pass over every truncation, paid for by the first row
-        bounds.inverse.update(zip(n_list, operator.inverse_bounds(p, bounds.lin, n_list, avail)))
-    for n in n_list:
-        cert = validate(p, u, args.param, n=n, bounds=bounds, avail=avail)
+    # the first row also pays for the work the truncations share
+    for n, cert in zip(n_list, validations(p, u, args.param, n_list)):
         t1 = time.perf_counter()
         ms, t0 = 1000.0 * (t1 - t0), t1
         if cert.valid:

@@ -51,7 +51,7 @@ def _read_json(path, kind: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer past int's string limit
         raise FileFormatError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         if payload["format_version"] != FORMAT_VERSION:
@@ -156,8 +156,12 @@ def _certificate_field(f: dataclasses.Field, value, path):
     if value is None and f.default_factory is not dataclasses.MISSING:
         return f.default_factory()
     kind = _FIELD_TYPES[f.name]
-    if type(value) is int and isinstance(0.0, kind):
-        value = float(value)
+    if type(value) is int:
+        try:  # every number of a certificate is read as a double somewhere
+            number = float(value)
+        except OverflowError:
+            raise FileFormatError(f"{f.name} beyond the double range in certificate file {path}") from None
+        value = number if isinstance(0.0, kind) else value
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         name = getattr(kind, "__name__", kind)
         raise FileFormatError(

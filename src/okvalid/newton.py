@@ -117,12 +117,20 @@ def residual_point(p: ModelParams, coeffs: np.ndarray, powers: list):
 NEWTON_WORK_ARRAYS = 4
 
 
-def _check_block_memory(rows: int, dim: int, n: int, avail: float) -> None:
+def _check_block_memory(rows: int, dim: int, n: int, avail: float | None) -> None:
     """Raise NewtonError unless a Jacobian block of rows modes fits in avail bytes."""
     short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, f"truncation n={n} ({n**dim - 1} modes)",
                              f"Newton Jacobian block of {rows} modes", avail)
     if short:
         raise NewtonError(short)
+
+
+def check_truncation_memory(dim: int, n: int, avail: float | None = None) -> None:
+    """Raise NewtonError unless the smallest block that any step at
+    truncation n can assemble, one class of a split along every axis, fits
+    in avail bytes (default: a reading of the available memory): a
+    truncation that fails it fits no step."""
+    _check_block_memory(min(block.size for block in parity_blocks((True,) * dim, n)), dim, n, avail)
 
 
 @dataclass
@@ -157,7 +165,7 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     dim = coeffs.ndim
     n = opts.n
     avail = operator.available_memory_bytes()
-    _check_block_memory(min(block.size for block in parity_blocks((True,) * dim, n)), dim, n, avail)
+    check_truncation_memory(dim, n, avail)
     a = np.zeros((n,) * dim)
     src = tuple(slice(0, min(n, s)) for s in coeffs.shape)
     a[src] = coeffs[src]

@@ -36,7 +36,7 @@ from .intervals import (
     inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
-from .pointconv import _parity, _projections
+from .pointconv import _parity, _parity_count, _parity_range, _projections
 from .series import (
     C_FLOAT,
     CosineSeries,
@@ -200,10 +200,6 @@ class Linearization:
     q_sup: float
     q_h2: float
 
-    def __iter__(self):
-        """Unpacks as (q, q_sup, q_h2)."""
-        return iter((self.q, self.q_sup, self.q_h2))
-
     @functools.cached_property
     def split(self) -> tuple:
         """split_axes(q)."""
@@ -262,9 +258,13 @@ class ParityBlock(NamedTuple):
     """
 
     n: int
-    axes: tuple
     parity: tuple
     size: int
+
+    @property
+    def axes(self) -> tuple:
+        """The per-axis indices of the class's grid."""
+        return tuple(_parity_range(self.n, c) for c in self.parity)
 
     @property
     def label(self) -> str:
@@ -273,7 +273,7 @@ class ParityBlock(NamedTuple):
 
     def cells(self) -> np.ndarray:
         """The flat indices of the class's modes in the n^d grid, in its order."""
-        flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.axes)).ravel()
+        flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.parity)).ravel()
         return flat[flat > 0]
 
     def weights(self) -> tuple:
@@ -290,16 +290,17 @@ def parity_blocks(split, n: int) -> list:
     left out, and no split axis gives one class, the full grid.
 
     This is the one walk over the blocks of a matrix that splits by parity:
-    the K_N stage, its memory charge and Newton's steps all follow it.  No
-    array of a class's size is built until its cells or weights are asked
-    for.
+    the K_N stage, its memory charge and Newton's steps all follow it.  The
+    sizes are counted, so no array is built until a class's axes, cells or
+    weights are asked for: a charge refuses a truncation too large for
+    memory before anything of its size exists.
     """
     out = []
     for cls in itertools.product(*[(0, 1) if s else (None,) for s in split]):
-        axes = tuple(np.arange(n) if c is None else np.arange(c, n, 2) for c in cls)
-        size = math.prod(a.size for a in axes) - all(a[0] == 0 for a in axes)
+        # the grid holds the origin where no axis is odd
+        size = math.prod(_parity_count(n, c) for c in cls) - (1 not in cls)
         if size > 0:
-            out.append(ParityBlock(n, axes, cls, size))
+            out.append(ParityBlock(n, cls, size))
     return out
 
 
@@ -400,7 +401,7 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     meet no subnormal radii.  Entries are computed elementwise, so a block
     holds the one-block assembly's bits on its rows and columns.
     """
-    d = len(block.axes)
+    d = len(block.parity)
     t = 2**d + 7
     mid, rad = _galerkin_sums(block.axes, arrays)
     diag = np.arange(block.size)
@@ -477,7 +478,7 @@ def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, block: ParityBlock)
     """
     (acc,) = _galerkin_sums(block.axes, [q_raw])
     k2, cf = block.weights()
-    acc *= cf[:, None] * cf[None, :] * 0.5 ** len(block.axes)
+    acc *= cf[:, None] * cf[None, :] * 0.5 ** len(block.parity)
     kap = math.pi**2 * k2
     b = kap[:, None] * acc
     diag = np.arange(block.size)

@@ -16,6 +16,7 @@ from okvalid.cift import (
     solution_bounds,
     solve_radii,
     validate,
+    validations,
     verify_certificate,
 )
 from okvalid.intervals import KRYLOV_STEPS, Interval
@@ -261,16 +262,16 @@ def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, sol
     p3, r3 = solved_3d
     ps = ModelParams(lam=50.0, sigma=2.0, mu=0.0)
     rs = newton_solve(ps, parse_seed("mode:1,0.6", 1, 64), SolveOptions(n=64))
-    bounds = solution_bounds(ps, rs.solution)
-    runs = [(p1, r1, which, None, None) for which in ("lambda", "sigma", "mu")]
-    runs += [(p2, r2, "lambda", 28, None), (p3, r3, "lambda", 12, None)]
-    runs += [(ps, rs, "lambda", n, bounds) for n in (24, 32, 48, 64, 96, 128, 256)]
+    runs = [(p1, r1, which, [None]) for which in ("lambda", "sigma", "mu")]
+    runs += [(p2, r2, "lambda", [28]), (p3, r3, "lambda", [12])]
+    runs += [(ps, rs, "lambda", [24, 32, 48, 64, 96, 128, 256])]
     want = [4, 14, 4, 13, 4, 13, 4, 12, 4, 13,
             7, 12, 8, 12, 8, 12, 8, 12, 9, 12, 8, 11, 8, 12]
 
     def run():
-        for p, r, which, n, b in runs:
-            assert validate(p, r.solution, which, n=n, bounds=b).rounds == 2
+        for p, r, which, ns in runs:
+            for cert in validations(p, r.solution, which, ns):
+                assert cert.rounds == 2
 
     assert _radii_evaluations(monkeypatch, run) == [(count, 1) for count in want]
 
@@ -350,24 +351,12 @@ def test_validate_pinned_box():
     assert cert.delta_x <= 0.25 and cert.delta_alpha <= 0.125
 
 
-@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
-def test_validate_given_solution_bounds_matches_built(solved_1d, which):
-    p, result = solved_1d
-    u = result.solution
-    given = validate(p, u, which, n=64, bounds=solution_bounds(p, u))
-    built = validate(p, u, which, n=64)
-    assert given.valid
-    for f in dataclasses.fields(Certificate):
-        if f.name != "provenance":
-            assert getattr(given, f.name) == getattr(built, f.name), f.name
+def _same_certificate(a, b) -> bool:
+    return all(getattr(a, f.name) == getattr(b, f.name)
+               for f in dataclasses.fields(Certificate) if f.name != "provenance")
 
 
-def test_first_lipschitz_round_memoised_per_parameter(solved_1d, monkeypatch):
-    # the first round at the default box is computed once per parameter and
-    # SolutionBounds; a pinned box is neither read from nor added to the memo
-    p, result = solved_1d
-    u = result.solution
-    bounds = solution_bounds(p, u)
+def _record_lipschitz_boxes(monkeypatch) -> list:
     boxes = []
     lipschitz = cift.lipschitz_bounds
 
@@ -376,22 +365,56 @@ def test_first_lipschitz_round_memoised_per_parameter(solved_1d, monkeypatch):
         return lipschitz(p, choice, sups)
 
     monkeypatch.setattr(cift, "lipschitz_bounds", counted)
-    pinned = validate(p, u, "sigma", n=64, du=0.01, dp=0.001, bounds=bounds)
-    assert pinned.valid and bounds.first_round == {}
-    assert (boxes[0].du, boxes[0].dp) == (0.01, 0.001)
-    seen = set()
-    for which in ("lambda", "sigma", "lambda", "mu", "sigma"):
-        boxes.clear()
-        cert = validate(p, u, which, n=64, bounds=bounds)
-        assert cert.valid and cert.rounds >= 2
-        assert len(boxes) == cert.rounds - (which in seen), which
-        assert all(c.which == which for c in boxes)
-        seen.add(which)
-        fresh = validate(p, u, which, n=64)
-        for f in dataclasses.fields(Certificate):
-            if f.name != "provenance":
-                assert getattr(cert, f.name) == getattr(fresh, f.name), (which, f.name)
-    assert sorted(bounds.first_round) == ["lambda", "mu", "sigma"]
+    return boxes
+
+
+@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
+def test_validations_compute_the_first_lipschitz_round_once(solved_1d, monkeypatch, which):
+    # the first round's box depends on neither N nor K: one call serves
+    # every truncation of a run, whose certificates equal fresh validates
+    p, result = solved_1d
+    u = result.solution
+    boxes = _record_lipschitz_boxes(monkeypatch)
+    certs = list(validations(p, u, which, [64, 96, 128, 64]))
+    assert [c.n for c in certs] == [64, 96, 128, 64]
+    assert all(c.valid and c.rounds >= 2 for c in certs)
+    assert len(boxes) == 1 + sum(c.rounds - 1 for c in certs)
+    assert all(c.which == which for c in boxes)
+    assert [(c.du, c.dp) for c in boxes].count((boxes[0].du, boxes[0].dp)) == 1
+    for cert in certs:
+        assert _same_certificate(cert, validate(p, u, which, cert.n)), cert.n
+
+
+def test_validations_pinned_box_on_every_round(solved_1d, monkeypatch):
+    # a pinned box is never tightened: every truncation's one Lipschitz
+    # round is taken there, by one shared call, and each certificate equals
+    # a fresh validate
+    p, result = solved_1d
+    u = result.solution
+    boxes = _record_lipschitz_boxes(monkeypatch)
+    certs = list(validations(p, u, "sigma", [64, 96, 128], du=0.01, dp=0.001))
+    assert all(c.valid and c.rounds == 1 for c in certs)
+    assert [(c.which, c.du, c.dp) for c in boxes] == [("sigma", 0.01, 0.001)]
+    for cert in certs:
+        fresh = validate(p, u, "sigma", cert.n, du=0.01, dp=0.001)
+        assert _same_certificate(cert, fresh), cert.n
+
+
+def test_validations_escalate_none_among_fixed_truncations(solved_1d):
+    p, result = solved_1d
+    u = result.solution
+    certs = list(validations(p, u, "mu", [None, 64, None]))
+    assert [c.valid for c in certs] == [True] * 3
+    for cert, n in zip(certs, [None, 64, None]):
+        assert _same_certificate(cert, validate(p, u, "mu", n)), n
+
+
+def test_validations_fail_every_truncation_on_a_failed_solution_stage():
+    p = ModelParams(lam=5.0)
+    u = CosineSeries.from_point(np.array([0.1, 0.2]))
+    certs = list(validations(p, u, "lambda", [8, None, 8]))
+    assert [(c.valid, c.stage, c.n) for c in certs] == [(False, "input", None)] * 3
+    assert len({id(c) for c in certs}) == 3
 
 
 @pytest.mark.parametrize("n", [64, None])

@@ -332,6 +332,61 @@ def test_validate_overflow_names_the_bound(workdir, solution_file, capsys, field
     assert cert.reason.startswith("rho") and "not finite" in cert.reason
 
 
+@pytest.mark.parametrize("field,digits,message", [
+    ("n", 401, "n beyond the double range in certificate file"),
+    ("rho", 401, "rho beyond the double range in certificate file"),
+    ("n", 5001, "cannot read certificate file"),  # past int's string limit
+])
+def test_check_refuses_an_integer_beyond_the_double_range(workdir, solution_file, capsys,
+                                                          field, digits, message):
+    # one error line and exit 1, not an OverflowError from the tau replay
+    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    payload[field] = "HUGE"
+    bad = workdir / f"huge_{field}_{digits}.cert.json"
+    bad.write_text(json.dumps(payload).replace('"HUGE"', "1" + "0" * (digits - 1)))
+    capsys.readouterr()
+    assert main(["check", "--cert", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+HUGE_N = "1000000000000"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["solve", "--dim", "1", "--lambda", "10", "--seed", "mode:1", "--out", "OUT"], 2),
+    (["walk", "--in", "IN", "--param", "lambda", "--step", "1", "--out-prefix", "OUT"], 2),
+    (["validate", "--in", "IN", "--param", "lambda", "--out", "OUT"], 3),
+])
+def test_huge_truncation_refused_before_allocating(workdir, solution_file, capsys, argv, code):
+    # N = 10^12: an array of N doubles is 8 TB, which numpy refuses at once,
+    # so only a charge counted from sizes gets to its diagnosis
+    out = workdir / f"huge_{argv[0]}"
+    argv = [{"IN": str(solution_file), "OUT": str(out)}.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--N", HUGE_N]) == code
+    stdout, err = capsys.readouterr()
+    if code == 2:
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith(f"solver failed: truncation n={HUGE_N} ({int(HUGE_N) - 1} modes) "
+                              "needs about ")
+        assert not list(workdir.glob(f"huge_{argv[0]}*"))
+    else:
+        assert err == "" and "INVALID at stage 'kn_bound'" in stdout
+        cert, _ = read_certificate(out)
+        assert (cert.stage, cert.n) == ("kn_bound", int(HUGE_N))
+        assert "needs about" in cert.reason
+
+
+def test_sweep_huge_truncation_fails_its_row_only(workdir, solution_file):
+    out = workdir / "sweep_huge.csv"
+    assert main(["sweep", "--in", str(solution_file), "--param", "lambda",
+                 "--Nlist", f"24,{HUGE_N},64", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["N"], r["status"]) for r in rows] == [
+        ("24", "ok"), (HUGE_N, "failed:kn_bound"), ("64", "ok")]
+
+
 def test_check_detects_stale_hash(workdir, solution_file):
     cert_path = workdir / "sol.lambda.cert.json"
     other = workdir / "trivial.json"
@@ -561,15 +616,17 @@ def test_sweep_first_lipschitz_round_once(workdir, solution_file, monkeypatch, w
 
 @pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
 def test_sweep_rows_equal_fresh_validates(workdir, solution_file, monkeypatch, which):
-    # the certificates behind a sweep's rows, which share one SolutionBounds
-    # and its first Lipschitz rounds, equal fresh validates field by field
+    # the certificates behind a sweep's rows, which share one
+    # solution_bounds, K_N pass and first Lipschitz round, equal fresh
+    # validates field by field
     made = []
 
     def recorded(*args, **kwargs):
-        made.append(cift.validate(*args, **kwargs))
-        return made[-1]
+        for cert in cift.validations(*args, **kwargs):
+            made.append(cert)
+            yield cert
 
-    monkeypatch.setattr(cli, "validate", recorded)
+    monkeypatch.setattr(cli, "validations", recorded)
     out = workdir / f"sweep_fresh_{which}.csv"
     assert main(["sweep", "--in", str(solution_file), "--param", which,
                  "--Nlist", SWEEP_NLIST, "--out", str(out)]) == 0
@@ -598,8 +655,9 @@ def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
     made, assembled = [], []
 
     def recorded(*args, **kwargs):
-        made.append(cift.validate(*args, **kwargs))
-        return made[-1]
+        for cert in cift.validations(*args, **kwargs):
+            made.append(cert)
+            yield cert
 
     assemble = operator._galerkin_block
 
@@ -607,7 +665,7 @@ def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
         assembled.append((block.n, block.label))
         return assemble(p, block, arrays)
 
-    monkeypatch.setattr(cli, "validate", recorded)
+    monkeypatch.setattr(cli, "validations", recorded)
     monkeypatch.setattr(operator, "_galerkin_block", recording)
     out = workdir / "sweep_2d.csv"
     assert main(["sweep", "--in", str(sol), "--param", "lambda",

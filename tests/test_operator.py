@@ -183,7 +183,8 @@ def test_residual_norm_matches_coefficients(rng):
 
 def test_q_constant_case():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.25)
-    q, q_sup, _ = lin_of(p, CosineSeries.zeros((4,)))
+    lin = lin_of(p, CosineSeries.zeros((4,)))
+    q, q_sup = lin.q, lin.q_sup
     expect = 5.0 * (1 - 3 * 0.25**2)
     c0 = q.coefficient((0,))
     assert c0.lo <= expect <= c0.hi
@@ -194,7 +195,8 @@ def test_q_constant_case():
 def test_q_series_vs_quadrature(rng):
     p = ModelParams(lam=1.0, sigma=0.0, mu=0.0)
     u = single_mode((2,), (1,), 1.0)
-    q, q_sup, _ = lin_of(p, u)
+    lin = lin_of(p, u)
+    q, q_sup = lin.q, lin.q_sup
     x, w = gauss_rule(200)
     uvals = evaluate_grid(u, [x])
     qvals = 1.0 - 3.0 * uvals**2
