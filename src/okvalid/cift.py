@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .embeddings import table_constants
 from .intervals import Interval
@@ -427,7 +427,8 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
                 reason += f" (suggested truncation: {ib.suggested_n})"
             yield _invalid(p, which, ib.stage, reason, rho=rho, n=n)
             continue
-        record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **asdict(ib))
+        # vars reads the records' fields without asdict's deep copy
+        record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **vars(ib))
 
         du_cur, dp_cur = du0, dp0
         best: tuple[RadiiResult, LipschitzBounds, float, float] | None = None
@@ -465,7 +466,7 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
         radii, lb, ell_x, ell_alpha = best
         cert = Certificate(
             params=p, which=which, valid=True, stage="complete",
-            **record, **asdict(lb), **asdict(radii),
+            **record, **vars(lb), **vars(radii),
             ell_x=ell_x, ell_alpha=ell_alpha, rounds=rounds, provenance=_provenance(),
         )
         ok, failures = verify_certificate(cert)

@@ -49,7 +49,9 @@ from .series import (
     nz_grid,
     sup_bound,
     _rump_radius,
+    _lattice,
     _raw_mid_rad,
+    _relattice,
 )
 
 
@@ -155,13 +157,15 @@ def ball_powers(p: ModelParams, u: CosineSeries) -> list:
 
 def poly_series(coeffs, powers: list) -> CosineSeries:
     """sum_j coeffs[j] v^j, coeffs[j] a float or an Interval, from
-    ball_powers' [v, v^2, ...] by scale and +; a zero term is left out."""
+    ball_powers' [v, v^2, ...] by scale and +, in the order of j; a zero
+    term is left out, so the sum keeps the lattice of its terms."""
     coeffs = _trim(coeffs)
-    acc = CosineSeries.zeros((1,) * powers[0].dim).add_constant(coeffs[0])
+    zero = CosineSeries.zeros((1,) * powers[0].dim)
+    acc = None if _is_zero(coeffs[0]) else zero.add_constant(coeffs[0])
     for c, vj in zip(coeffs[1:], powers):
         if not _is_zero(c):
-            acc = acc + vj.scale(c)
-    return acc
+            acc = vj.scale(c) if acc is None else acc + vj.scale(c)
+    return zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +216,8 @@ class Linearization:
         rounded up, and _block_arrays of q's raw midpoint and radius; read
         only once a truncation's memory charge has passed."""
         qm, qr = _raw_mid_rad(self.q)[:2]
-        perms, defect = axis_symmetries(qm, qr)
-        return perms, _up(defect / PI2.lo), _block_arrays(qm, qr)
+        perms, defect = axis_symmetries(qm, qr, self.q.parity)
+        return perms, _up(defect / PI2.lo), _block_arrays(qm, qr, self.q.axes)
 
 
 def linearization_coefficient(p: ModelParams, fprime: CosineSeries) -> Linearization:
@@ -242,11 +246,8 @@ def split_axes(q: CosineSeries) -> tuple:
     (q phi_ell, phi_k) with k_j - ell_j odd meets |k_j +- ell_j| odd, a point
     zero, so the Galerkin matrix splits by the parity of k_j.
     """
-    return _even_axes(q.support())
-
-
-def _even_axes(support: np.ndarray) -> tuple:
-    return tuple(_parity(idx) == 0 for idx in _projections(support))
+    return tuple(_parity(_parity_range(*key)[idx]) == 0
+                 for key, idx in zip(q.axes, _projections(q.support())))
 
 
 class ParityBlock(NamedTuple):
@@ -304,19 +305,21 @@ def parity_blocks(split, n: int) -> list:
     return out
 
 
-def _galerkin_sums(axes, arrays) -> list:
+def _galerkin_sums(axes, arrays, lattice: tuple | None = None) -> list:
     """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
-    coefficient array a (all of one extent) and every pair of modes of the
+    coefficient array a (all held on one lattice, default every index of
+    the arrays, as a series is) and every pair of modes of the
     lexicographic grid axes[0] x ... x axes[d-1] of per-axis indices, less
     the origin where the grid holds it: the sum over sign patterns s of
-    2^-nz(k + s ell) a[|k + s ell|], zero outside a's extent.
+    2^-nz(k + s ell) a[|k + s ell|], zero where a holds no mode.
 
-    One array at a time, a 2^-nz, zero-padded to 2 max(axes[j]) + 1 along
-    axis j (and cut to its even indices where axes[j] has one parity, the
-    only ones |k_j +- ell_j| reaches there), is taken along axes 0, ...,
-    d-2 through the grid's per-axis n_j x n_j tables |k_j + ell_j| and
-    |k_j - ell_j| (_sign_partials), and each partial's two takes along axis
-    d-1 are added, in the order of the patterns (itertools.product((1, -1),
+    One array at a time, a 2^-nz on the modes 0 .. 2 max(axes[j]) along
+    axis j (only the even ones where axes[j] has one parity, the only ones
+    that |k_j +- ell_j| reaches there), placed from a's lattice into zeros
+    (series._relattice), is taken along axes 0, ..., d-2 through the
+    grid's per-axis n_j x n_j tables |k_j + ell_j| and |k_j - ell_j|
+    (_sign_partials), and each partial's two takes along axis d-1 are
+    added, in the order of the patterns (itertools.product((1, -1),
     repeat=d)), into a zeroed accumulator: every entry is the same sum in
     the same order as term by term, and a -0.0 term gives +0.0.  Every take
     copies whole rows, and one transposed copy makes the C-contiguous (k;
@@ -325,8 +328,6 @@ def _galerkin_sums(axes, arrays) -> list:
     """
     d = arrays[0].ndim
     ext = tuple(2 * int(a[-1]) + 1 for a in axes)
-    crop = tuple(slice(0, min(e, x)) for e, x in zip(arrays[0].shape, ext))
-    half = 0.5 ** nz_grid(tuple(c.stop for c in crop))
     drop = all(a[0] == 0 for a in axes)  # the origin, first where the grid holds it
     if d == 1:
         axes, drop = [axes[0][int(drop):]], False
@@ -335,7 +336,10 @@ def _galerkin_sums(axes, arrays) -> list:
     steps = [2 if np.all(a % 2 == a[0] % 2) else 1 for a in axes]
     halves = [(a // s, a[0] % s) for a, s in zip(axes, steps)]
     tables = [(h[:, None] + (h + p)[None, :], np.abs(h[:, None] - h[None, :])) for h, p in halves]
-    read = tuple(slice(None, None, s) for s in steps)
+    # the work lattice: the modes below ext, only the even ones in twos
+    work = tuple((e, 0 if s == 2 else None) for e, s in zip(ext, steps))
+    half = 0.5 ** nz_grid(*zip(*work))
+    lattice = lattice or _lattice(arrays[0].shape)
     size = math.prod(a.size for a in axes)
     # the accumulator's axes: (k_{d-1}, ell_{d-1}, k_0, ell_0, ..., k_{d-2}, ell_{d-2})
     pairs = tuple(x for a in axes[-1:] + axes[:-1] for x in (a.size, a.size))
@@ -343,11 +347,11 @@ def _galerkin_sums(axes, arrays) -> list:
     last_first = (d - 1, *range(d - 1))
     sums = []
     for a in arrays:  # each array's work arrays are dropped before the next's are made
-        aw = np.zeros(ext)
-        aw[crop] = a[crop] * half
+        aw = _relattice(a, lattice, work, copy=True)
+        aw *= half
         acc = np.zeros(pairs)
         term = np.empty(pairs)
-        for part in _sign_partials(aw[read].transpose(last_first).copy(), tables[:-1]):
+        for part in _sign_partials(aw.transpose(last_first).copy(), tables[:-1]):
             for tab in tables[-1]:
                 acc += part.take(tab, axis=0, out=term, mode="clip")
             del part  # before the next partial is taken
@@ -370,19 +374,21 @@ def _sign_partials(part: np.ndarray, tables, t: int = 0):
         yield from _sign_partials(part.take(tab, axis=2 * t + 1), tables, t + 1)
 
 
-def _block_arrays(qm: np.ndarray, qr: np.ndarray) -> list:
-    """The two raw arrays that _galerkin_block sums, from q's raw midpoint
-    qm and radius qr: qm, and the radius that carries the midpoint sum's
-    rounding; qr is not needed while blocks stream."""
-    return [qm, _rump_radius(qm, qr, 2**qm.ndim + 7)]
+def _block_arrays(qm: np.ndarray, qr: np.ndarray, lattice: tuple | None = None) -> tuple:
+    """(arrays, lattice): the two raw arrays that _galerkin_block sums, from
+    q's raw midpoint qm and radius qr held on lattice (default every
+    index): qm, and the radius that carries the midpoint sum's rounding;
+    qr is not needed while blocks stream."""
+    return [qm, _rump_radius(qm, qr, 2**qm.ndim + 7)], lattice
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
 def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     """The ball matrix with entries -(1 + lam sigma / kappa_k^2)
     delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes of one
-    parity class of split_axes(q), from arrays = _block_arrays(qm, qr) of
-    q's raw arrays; every entry between two classes is an exact zero.
+    parity class of split_axes(q), from arrays = _block_arrays(qm, qr,
+    q.axes) of q's raw arrays; every entry between two classes is an exact
+    zero.
 
     The block is Rump's midpoint-radius form, as in series.multiply: the
     float sums of galerkin_matrix_point at the raw midpoint qm of q and at
@@ -403,7 +409,7 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     """
     d = len(block.parity)
     t = 2**d + 7
-    mid, rad = _galerkin_sums(block.axes, arrays)
+    mid, rad = _galerkin_sums(block.axes, *arrays)
     diag = np.arange(block.size)
     free = rad == 0.0
     free[diag, diag] = False
@@ -467,7 +473,7 @@ def point_linearization(p: ModelParams, powers: list) -> tuple:
     q_raw = poly_point([j * c for j, c in enumerate(p.f_coeffs)][1:], powers)
     q_raw *= p.lam
     q_raw *= c_grid(q_raw.shape)
-    return q_raw, _even_axes(q_raw != 0.0)
+    return q_raw, tuple(_parity(idx) == 0 for idx in _projections(q_raw != 0.0))
 
 
 def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, block: ParityBlock) -> np.ndarray:

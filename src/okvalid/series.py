@@ -1,8 +1,15 @@
 """Cosine-series algebra on the unit cube in dimensions 1-3.
 
-Functions are represented by dense multi-index coefficient arrays in the
+Functions are represented by multi-index coefficient arrays in the
 orthonormal basis phi_k(x) = c_k * prod_i cos(k_i pi x_i), c_0 = 1 and
-c_m = sqrt(2) for m >= 1.  Coefficients are the balls (center, rad) of
+c_m = sqrt(2) for m >= 1.  A series holds its modes on a lattice: along
+each axis every index below its extent, or only those of one parity, the
+other parity's coefficients being point zeros.  The canonical equilibria
+populate one parity per axis (the cube's reflections x_j -> 1 - x_j map
+them to +-themselves), and so do their powers, residuals and
+linearizations: every operation below works on the held modes alone, and
+a series with no parity on any axis is the dense one.  Coefficients are
+the balls (center, rad) of
 okvalid.intervals, so every norm and product below is a rigorous
 enclosure.  Negation and tails are exact; a sum carries its midpoint's
 rounding error exactly (TwoSum); a scaling, and the Laplacian's weights
@@ -54,7 +61,15 @@ from .intervals import (
     mid_rad,
     mul_toward,
 )
-from .pointconv import point_conv
+from .pointconv import (
+    _lattice_slices,
+    _parity,
+    _parity_count,
+    _parity_range,
+    _projections,
+    point_conv,
+    product_lattice,
+)
 
 # c_k and 1/c_k rounded to nearest by number of nonzero index components nz
 # (sqrt is correctly rounded): exact where nz is even, within 0.62 u of
@@ -71,37 +86,44 @@ _FOLD_MIN = 2.0**-1019
 # multi-index helpers
 # ---------------------------------------------------------------------------
 
-def _axis_sum(extent, per_index) -> np.ndarray:
-    """sum_t per_index(k_t) over the coefficient grid, by broadcasting."""
-    d = len(extent)
-    return sum(per_index(np.arange(n)).reshape((1,) * t + (n,) + (1,) * (d - 1 - t))
-               for t, n in enumerate(extent))
+def _lattice(extent, parity=None) -> tuple:
+    """The lattice key, (extent, parity) per axis, of the given extent and
+    parities (default None, every index, on each axis)."""
+    return tuple(zip(extent, (None,) * len(extent) if parity is None else parity))
+
+
+def _axis_sum(axes, per_index) -> np.ndarray:
+    """sum_t per_index(k_t) over the lattice axes, by broadcasting."""
+    d = len(axes)
+    return sum(per_index(_parity_range(*key)).reshape((1,) * t + (-1,) + (1,) * (d - 1 - t))
+               for t, key in enumerate(axes))
 
 def k2_grid(extent) -> np.ndarray:
     """|k|^2 over the coefficient grid (exact integers as floats)."""
-    return _axis_sum(extent, lambda k: k.astype(np.float64) ** 2)
+    return _axis_sum(_lattice(extent), lambda k: k.astype(np.float64) ** 2)
 
-def nz_grid(extent) -> np.ndarray:
-    """Number of nonzero index components over the coefficient grid."""
-    return _axis_sum(extent, lambda k: (k != 0).astype(np.int64))
+def nz_grid(extent, parity=None) -> np.ndarray:
+    """Number of nonzero index components over the coefficient grid, or
+    over its lattice of the given parities."""
+    return _axis_sum(_lattice(extent, parity), lambda k: (k != 0).astype(np.int64))
 
 @functools.lru_cache(maxsize=32)
 def c_grid(extent: tuple) -> np.ndarray:
     """The float c_k over the coefficient grid, read-only and shared per
     extent; its nz grid is built in int8, an eighth of c's bytes."""
-    c = C_FLOAT[_axis_sum(extent, lambda k: (k != 0).astype(np.int8))]
+    c = C_FLOAT[_axis_sum(_lattice(extent), lambda k: (k != 0).astype(np.int8))]
     c.flags.writeable = False
     return c
 
 
 @functools.lru_cache(maxsize=64)
-def _kappa_power(extent: tuple, power: int):
+def _kappa_power(axes: tuple, power: int):
     """Read-only balls of kappa_k^power = (pi^2 |k|^2)^power, 0 < |power| <= 2,
-    and (0, 0) at the origin, where kappa_0 = 0: exact for positive powers,
-    and the negative ones only weight zero-mean series."""
+    on the lattice axes, and (0, 0) at the origin, where kappa_0 = 0: exact
+    for positive powers, and the negative ones only weight zero-mean series."""
     if not 0 < abs(power) <= 2:
         raise ValueError(f"kappa powers of magnitude 1 or 2 only, not {power}")
-    k2 = k2_grid(extent)
+    k2 = _axis_sum(axes, lambda k: k.astype(np.float64) ** 2)
     k = (k2, 0.0) if abs(power) == 1 else ball_mul(k2, 0.0, k2, 0.0)
     w = ball_mul(*(PI2_BALL if abs(power) == 1 else PI4_BALL), *k)
     w = ball_inv(*w) if power < 0 else w
@@ -113,28 +135,62 @@ def _kappa_power(extent: tuple, power: int):
 # the series container
 # ---------------------------------------------------------------------------
 
-def _as_ball(c, dim: int):
-    """A number or Interval as a ball (mid, rad) of arrays of extent 1."""
-    ends = (c.lo, c.hi) if isinstance(c, Interval) else (c, c)
-    return mid_rad(*(np.full((1,) * dim, e, dtype=np.float64) for e in ends))
+def _scalar_ball(c):
+    """A number or Interval as one ball (mid, rad) of floats, with
+    mid_rad's bits."""
+    lo, hi = (c.lo, c.hi) if isinstance(c, Interval) else (c, c)
+    m, r = mid_rad(np.array([lo], dtype=np.float64), np.array([hi], dtype=np.float64))
+    return float(m[0]), float(r[0])
+
+
+def _relattice(x: np.ndarray, axes: tuple, to: tuple, copy: bool = False) -> np.ndarray:
+    """x, held on the lattice axes, on the lattice to: the modes that both
+    hold, and zeros on the others; x itself, or a copy, where the two
+    lattices agree."""
+    if axes == to:
+        return x.copy() if copy else x
+    out = np.zeros(tuple(_parity_count(*key) for key in to))
+    put, take = _lattice_slices(axes, to)
+    out[put] = x[take]
+    return out
 
 
 @dataclass
 class CosineSeries:
-    """Truncated cosine expansion with ball coefficients: the coefficient
-    of mode k lies within rad[k] of center[k].  center is finite and rad >= 0;
-    an entry that overflowed is (0, inf)."""
+    """Truncated cosine expansion with ball coefficients on a lattice.
+
+    Along axis t the series holds the modes _parity_range(extent[t],
+    parity[t]): every index below extent[t] where the parity is None, else
+    those of that parity, and every other mode is the point zero.  The
+    coefficient of the held mode at array index i lies within rad[i] of
+    center[i]; center is finite and rad >= 0, and an entry that overflowed
+    is (0, inf).  parity defaults to None on every axis, the dense series,
+    and extent to the smallest that holds the lattice; an axis of extent 1
+    holds the one index 0, so its parity is 0.
+    """
 
     center: np.ndarray
     rad: np.ndarray
+    parity: tuple | None = None
+    extent: tuple | None = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
         self.rad = np.asarray(self.rad, dtype=np.float64)
-        if self.center.shape != self.rad.shape:
+        shape = self.center.shape
+        if shape != self.rad.shape:
             raise ValueError("center and radius arrays must have equal shape")
-        if not 1 <= self.center.ndim <= 3:
+        if not 1 <= len(shape) <= 3:
             raise ValueError("only dimensions 1-3 are supported")
+        parity = (None,) * len(shape) if self.parity is None else tuple(self.parity)
+        if self.extent is None:
+            self.extent = tuple(m if c is None else 2 * m - 1 + c for m, c in zip(shape, parity))
+        self.extent = extent = tuple(map(int, self.extent))
+        self.parity = parity = tuple(0 if n == 1 else c for n, c in zip(extent, parity))
+        if not len(parity) == len(extent) == len(shape) or any(
+                c not in (None, 0, 1) or _parity_count(n, c) != m
+                for n, c, m in zip(extent, parity, shape)):
+            raise ValueError(f"arrays of shape {shape} do not hold the lattice {self.axes}")
         if not np.isfinite(self.center).all():
             raise IntervalDomainError("series with NaN or infinite coefficient")
         if not (self.rad >= 0.0).all():  # also false on NaN
@@ -149,9 +205,13 @@ class CosineSeries:
 
     @classmethod
     def from_point(cls, coeffs, zero_mean: bool = False) -> "CosineSeries":
-        """The point series coeffs; zero_mean=True checks that it is zero-mean."""
+        """The point series coeffs, held on the parity that its nonzero
+        coefficients populate along each axis, where they share one;
+        zero_mean=True checks that it is zero-mean."""
         a = np.array(coeffs, dtype=np.float64)
-        u = cls(a, np.zeros(a.shape))
+        parity = tuple(map(_parity, _projections(a != 0.0)))
+        held = _relattice(a, _lattice(a.shape), _lattice(a.shape, parity))
+        u = cls(held, np.zeros(held.shape), parity, a.shape)
         if zero_mean and not u.zero_mean:
             raise IntervalDomainError("zero-mean series with nonzero k=0 mode")
         return u
@@ -163,13 +223,16 @@ class CosineSeries:
         return self.center.ndim
 
     @property
-    def extent(self):
-        return self.center.shape
+    def axes(self) -> tuple:
+        """The lattice: (extent, parity) per axis."""
+        return tuple(zip(self.extent, self.parity))
 
     @property
     def zero_mean(self) -> bool:
         """Whether the series lies in the zero-mean space: its k=0
         coefficient is the point zero."""
+        if 1 in self.parity:  # the lattice leaves out the origin
+            return True
         origin = (0,) * self.dim
         return bool(self.center[origin] == 0.0 == self.rad[origin])
 
@@ -180,53 +243,75 @@ class CosineSeries:
 
     @property
     def lo(self) -> np.ndarray:
-        """Lower ends center - rad, rounded down (read-only)."""
+        """Lower ends center - rad of the held modes, rounded down (read-only)."""
         return self._end(-_INF)
 
     @property
     def hi(self) -> np.ndarray:
-        """Upper ends center + rad, rounded up (read-only)."""
+        """Upper ends center + rad of the held modes, rounded up (read-only)."""
         return self._end(_INF)
 
     def mid(self) -> np.ndarray:
-        return self.center.copy()
+        """The midpoints over the full extent (a new array)."""
+        return _relattice(self.center, self.axes, _lattice(self.extent), copy=True)
+
+    def dense(self) -> "CosineSeries":
+        """The same series held on every mode below its extent (on the
+        same arrays where it has no parity on any axis)."""
+        to = _lattice(self.extent)
+        return CosineSeries(*(_relattice(x, self.axes, to) for x in (self.center, self.rad)))
 
     def support(self) -> np.ndarray:
-        """Where the coefficient is not the point zero."""
+        """Where a held coefficient is not the point zero."""
         return (self.center != 0.0) | (self.rad != 0.0)
 
     def coefficient(self, k) -> Interval:
+        """The coefficient of mode k, from its one entry: the point zero
+        where the lattice leaves k out."""
         idx = tuple(int(ki) for ki in k)
-        return Interval(self.lo[idx], self.hi[idx])
+        if len(idx) != self.dim or not all(0 <= i < n for i, n in zip(idx, self.extent)):
+            raise IndexError(f"mode {idx} outside the extent {self.extent}")
+        if any(c is not None and (i - c) % 2 for i, c in zip(idx, self.parity)):
+            return Interval(0.0)
+        at = tuple(i if c is None else i // 2 for i, c in zip(idx, self.parity))
+        m, r = self.center[at], self.rad[at]
+        return Interval(float(add_toward(m, -r, -_INF)), float(add_toward(m, r, _INF)))
 
     def __neg__(self) -> "CosineSeries":
-        return CosineSeries(-self.center, self.rad)
+        return CosineSeries(-self.center, self.rad, self.parity, self.extent)
 
     def __add__(self, other: "CosineSeries") -> "CosineSeries":
-        ext = tuple(map(max, self.extent, other.extent))
-        balls = (self.center, self.rad, other.center, other.rad)
-        return CosineSeries(*ball_add(*(_pad_to(x, ext) for x in balls)))
+        axes = tuple((max(n, m), p if p == q else None)
+                     for (n, p), (m, q) in zip(self.axes, other.axes))
+        balls = [_relattice(x, u.axes, axes) for u in (self, other) for x in (u.center, u.rad)]
+        return _on(axes, *ball_add(*balls))
 
     def __sub__(self, other: "CosineSeries") -> "CosineSeries":
         return self + (-other)
 
     def scale(self, c) -> "CosineSeries":
         """The series times a number or Interval c."""
-        return CosineSeries(*ball_mul(self.center, self.rad, *_as_ball(c, self.dim)))
+        ball = ball_mul(self.center, self.rad, *_scalar_ball(c))
+        return CosineSeries(*ball, self.parity, self.extent)
 
     def add_constant(self, c) -> "CosineSeries":
-        """Add a number or Interval c (shifts only the mean mode)."""
-        return self + CosineSeries(*_as_ball(c, self.dim))
+        """Add a number or Interval c: a ball sum on the mean mode alone,
+        on the lattice that holds the origin; every other coefficient, and
+        the lattice where c is the point zero, stays as it is (a ball sum
+        with (0, 0) returns its input)."""
+        cm, cr = _scalar_ball(c)
+        if cm == 0.0 == cr:
+            return CosineSeries(self.center.copy(), self.rad.copy(), self.parity, self.extent)
+        axes = tuple((n, None if p == 1 else p) for n, p in self.axes)
+        center, rad = (_relattice(x, self.axes, axes, copy=True) for x in (self.center, self.rad))
+        origin = (slice(0, 1),) * self.dim
+        center[origin], rad[origin] = ball_add(center[origin], rad[origin], cm, cr)
+        return _on(axes, center, rad)
 
 
-def _pad_to(a: np.ndarray, extent) -> np.ndarray:
-    if a.shape == tuple(extent):
-        return a
-    if any(n < s for n, s in zip(extent, a.shape)):
-        raise ValueError(f"cannot pad {a.shape} down to {extent}")
-    out = np.zeros(extent, dtype=a.dtype)
-    out[tuple(slice(0, s) for s in a.shape)] = a
-    return out
+def _on(axes: tuple, center: np.ndarray, rad: np.ndarray) -> CosineSeries:
+    """The series of the balls (center, rad) held on the lattice axes."""
+    return CosineSeries(center, rad, tuple(p for _, p in axes), tuple(n for n, _ in axes))
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +350,28 @@ def norm(u: CosineSeries, space: str, ell: int = 0) -> Interval:
     if space == "L2" or ell == 0:
         w = (1.0, 0.0)
     else:
-        w = _kappa_power(u.extent, ell)
+        w = _kappa_power(u.axes, ell)
         w = w if space == "Hbar" else ball_add(1.0, 0.0, *w)
     return _weighted_sum(u, 2, *w).sqrt()
 
 
 def sup_bound(u: CosineSeries) -> Interval:
     """Enclosure of sum_k |alpha_k| c_k; its upper end bounds the sup norm."""
-    return _weighted_sum(u, 1, *_c_ball(nz_grid(u.extent)))
+    return _weighted_sum(u, 1, *_c_ball(nz_grid(u.extent, u.parity)))
 
 
-def axis_symmetries(m: np.ndarray, r: np.ndarray) -> tuple:
+def axis_symmetries(m: np.ndarray, r: np.ndarray, parity: tuple | None = None) -> tuple:
     """The axis permutations under which a series' ball is consistent with
-    symmetry, from its raw midpoint m and radius r (_raw_mid_rad), and one
-    bound on their defects: (perms, defect), defect 0 where perms is empty.
+    symmetry, from its raw midpoint m and radius r (_raw_mid_rad) on the
+    lattice of the given parities (default none), and one bound on their
+    defects: (perms, defect), defect 0 where perms is empty.
 
     perm runs over the permutations of the axes, the identity left out,
-    that keep the extent; m.transpose(perm) is the raw midpoint of u o pi,
-    pi the permutation of the coordinates, since c_k counts only the
-    nonzero k_j.  perm is kept where |m - pi m| <= r + pi r entrywise, so
-    no tolerance is set.  defect >= ||u' o pi - u'||_inf, and so >= ||u' o
+    that map the lattice onto itself: they keep the array's shape and the
+    parities.  m.transpose(perm) is then the raw midpoint of u o pi, pi the
+    permutation of the coordinates, since c_k counts only the nonzero k_j.
+    perm is kept where |m - pi m| <= r + pi r entrywise, so no tolerance
+    is set.  defect >= ||u' o pi - u'||_inf, and so >= ||u' o
     pi^-1 - u'||_inf, for every kept perm and every u' in the ball: the sup
     norm is at most the sum of the magnitudes of the raw coefficients, each
     at most |m - pi m| + r + pi r.  That sum is one float sum of M = m.size
@@ -293,8 +380,10 @@ def axis_symmetries(m: np.ndarray, r: np.ndarray) -> tuple:
     underflows exactly).
     """
     perms, defect = [], 0.0
+    parity = (None,) * m.ndim if parity is None else tuple(parity)
     for perm in itertools.permutations(range(m.ndim)):
-        if perm == tuple(range(m.ndim)) or m.shape != m.transpose(perm).shape:
+        if (perm == tuple(range(m.ndim)) or m.shape != m.transpose(perm).shape
+                or parity != tuple(parity[t] for t in perm)):
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives an infinite defect
             dev = np.abs(m - m.transpose(perm))
@@ -330,15 +419,15 @@ def laplacian(u: CosineSeries, power: int = 1) -> CosineSeries:
         return u
     if power < 0 and not u.zero_mean:
         raise IntervalDomainError("inverse Laplacian requires a zero-mean series")
-    wm, wr = _kappa_power(u.extent, power)
+    wm, wr = _kappa_power(u.axes, power)
     wm = -wm if power % 2 else wm  # an odd power of -kappa
-    return CosineSeries(*ball_mul(u.center, u.rad, wm, wr))
+    return CosineSeries(*ball_mul(u.center, u.rad, wm, wr), u.parity, u.extent)
 
 
 def tail(u: CosineSeries, n: int) -> CosineSeries:
     """u less its modes with |k|_inf < n."""
-    v = CosineSeries(u.center.copy(), u.rad.copy())
-    sl = tuple(slice(0, min(n, s)) for s in u.extent)
+    v = CosineSeries(u.center.copy(), u.rad.copy(), u.parity, u.extent)
+    sl = tuple(slice(0, _parity_count(min(n, s), c)) for s, c in u.axes)
     v.center[sl] = 0.0
     v.rad[sl] = 0.0
     return v
@@ -350,7 +439,8 @@ def tail(u: CosineSeries, n: int) -> CosineSeries:
 
 @np.errstate(over="ignore")  # an overflowed entry is inf, which the callers' enclosures make unbounded
 def _raw_mid_rad(u: CosineSeries):
-    """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k.
+    """Midpoint, radius and 0/1 support of u's raw coefficients alpha_k c_k
+    on its lattice.
 
     The midpoint M = fl(center_k c_k) is exact where nz is even, so a
     point coefficient keeps a zero radius there.  Where nz is odd and M is
@@ -360,7 +450,7 @@ def _raw_mid_rad(u: CosineSeries):
     midpoints move into the radius (the upward step also covers their
     underflow) and smaller radii round up to _FOLD_MIN.
     """
-    nz = nz_grid(u.extent)
+    nz = nz_grid(u.extent, u.parity)
     m, r = u.center.copy(), u.rad.copy()
     odd = (nz % 2 == 1) & ((m != 0.0) | (r != 0.0))
     m *= C_FLOAT[nz]
@@ -415,6 +505,11 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     |fl(C w)| < 2^-52 |fl(C w)| of C / c_m, which the radius gains.  Entries
     that no pair of nonzero coefficients reaches, where the fold of the
     supports is zero, are the exact zero (0, 0).
+
+    The product is held on product_lattice of the factors' lattices.  Where
+    both factors fill their lattices and reach every mode of the product's
+    (_product_reaches_all), no entry is out of reach, and the fold of the
+    supports is left out.
     """
     if u.dim != v.dim:
         raise ValueError("product of series with different dimensions")
@@ -422,25 +517,50 @@ def multiply(u: CosineSeries, v: CosineSeries) -> CosineSeries:
     nv = int(np.count_nonzero(v.support()))
     if nv < nu:
         u, v = v, u
-        nu = nv
+        nu, nv = nv, nu
+    lattices = u.axes, v.axes
     am, ar, asup = _raw_mid_rad(u)
     bm, br, bsup = _raw_mid_rad(v)
-    c, n = point_conv(am, bm)
+    c, n = point_conv(am, bm, *lattices)
     b1 = _rump_radius(bm, br, n)
-    rad, m = point_conv(np.abs(am), b1) if b1.any() else (np.zeros(c.shape), 0)
+    rad, m = point_conv(np.abs(am), b1, *lattices) if b1.any() else (np.zeros(c.shape), 0)
     if ar.any():
-        r2, m2 = point_conv(ar, np.abs(bm) + br)
+        r2, m2 = point_conv(ar, np.abs(bm) + br, *lattices)
         rad += r2
         m = max(m, m2)
-    nz = nz_grid(c.shape)
+    axes = product_lattice(*lattices)
+    nz = nz_grid(*zip(*axes))
     c *= _C_INV_FLOAT[nz]
     rad *= _C_INV_FLOAT[nz]
     rad += np.abs(c) * (nz % 2 * 2.0**-52)
     c, rad = _ball_up(c, rad, 3**u.dim * nu, _gamma(m + 1))
-    unreached = point_conv(asup, bsup)[0] == 0.0
-    c[unreached] = 0.0
-    rad[unreached] = 0.0
-    return CosineSeries(c, rad)
+    if not (nu == asup.size and nv == bsup.size and _product_reaches_all(*lattices)):
+        unreached = point_conv(asup, bsup, *lattices)[0] == 0.0
+        c[unreached] = 0.0
+        rad[unreached] = 0.0
+    return _on(axes, c, rad)
+
+
+def _top(n: int, parity) -> int:
+    """The largest index of the lattice axis (n, parity)."""
+    return n - 1 if parity is None or (n - 1 - parity) % 2 == 0 else n - 2
+
+
+def _product_reaches_all(a_axes: tuple, b_axes: tuple) -> bool:
+    """Whether the modes of the lattices a_axes and b_axes, all of them
+    held, reach every mode of their product's lattice.
+
+    Along an axis, a factor's indices run from its parity (0 where it has
+    none) to its top, in steps of 2, or of 1 where it has no parity (an
+    axis of extent 1 has parity 0).  The sums i + j run from the sum of the
+    first indices to the sum of the tops, in steps of 2 where both have a
+    parity and of 1 otherwise, and |i - j| reaches what lies below: 0,
+    where both axes hold a common index (both parities 1, or one axis
+    without parity, of extent 2 or more).  The modes reached are the
+    product of these per-axis sets, so all are reached iff, on each axis,
+    the product's top is at most the sum of the tops."""
+    return all(_top(*a) + _top(*b) >= _top(*k)
+               for a, b, k in zip(a_axes, b_axes, product_lattice(a_axes, b_axes)))
 
 
 def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:

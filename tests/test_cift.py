@@ -265,8 +265,8 @@ def test_radii_evaluations_on_canonical_certificates(monkeypatch, solved_1d, sol
     runs = [(p1, r1, which, [None]) for which in ("lambda", "sigma", "mu")]
     runs += [(p2, r2, "lambda", [28]), (p3, r3, "lambda", [12])]
     runs += [(ps, rs, "lambda", [24, 32, 48, 64, 96, 128, 256])]
-    want = [4, 14, 4, 13, 4, 13, 4, 12, 4, 13,
-            7, 12, 8, 12, 8, 12, 8, 12, 9, 12, 8, 11, 8, 12]
+    want = [4, 14, 4, 13, 4, 13, 4, 13, 4, 12,
+            7, 12, 8, 12, 9, 12, 8, 12, 9, 12, 8, 11, 8, 12]
 
     def run():
         for p, r, which, ns in runs:
@@ -465,6 +465,29 @@ def test_solution_bounds_forms_the_powers_once(monkeypatch, f_coeffs, products):
     assert calls == [((2, 3), (j + 1, 2 * j + 1)) for j in range(1, products + 1)]
     # f' has degree deg - 1 = products
     assert math.isfinite(bounds.rho) and bounds.lin.q.extent == (products + 1, 2 * products + 1)
+
+
+def test_canonical_2d_solution_bounds_stay_on_the_lattice(monkeypatch, solved_2d):
+    # the canonical 2-d solution fills the odd-odd modes below 28: the
+    # residual holds the 41 x 41 odd-odd modes of extent 82, q the 28 x 28
+    # even-even ones of extent 55, and neither product folds the supports
+    # (0/1 arrays), since both factors fill lattices whose product they
+    # reach in full
+    from okvalid import series
+
+    p, result = solved_2d
+    u = result.solution
+    folds = []
+    conv = series.point_conv
+    monkeypatch.setattr(series, "point_conv",
+                        lambda a, b, *lattices: folds.append((a, b)) or conv(a, b, *lattices))
+    r = operator.residual_series(p, u)
+    assert len(folds) == 4  # v^2 and v^3, each a midpoint and a radius fold of a point v
+    q = solution_bounds(p, u).lin.q
+    assert (u.parity, u.extent, u.center.shape) == ((1, 1), (28, 28), (14, 14))
+    assert (r.parity, r.extent, r.center.shape, r.rad.shape) == ((1, 1), (82, 82), (41, 41), (41, 41))
+    assert (q.parity, q.extent, q.center.shape, q.rad.shape) == ((0, 0), (55, 55), (28, 28), (28, 28))
+    assert not any(np.isin(a, (0.0, 1.0)).all() and np.isin(b, (0.0, 1.0)).all() for a, b in folds)
 
 
 @pytest.mark.parametrize("stage", ["solve_radii", "self_check"])

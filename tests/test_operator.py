@@ -362,7 +362,7 @@ def test_galerkin_contains_exact_inner_products(rng, monkeypatch, extent, n, poi
 
     read = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays: read.extend(arrays) or sums(axes, arrays))
+    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays, *lattice: read.extend(arrays) or sums(axes, arrays, *lattice))
     mid = rng.standard_normal(extent) * scale
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent) * scale
     mid[rng.uniform(size=extent) < 0.3] = 0.0
@@ -393,7 +393,7 @@ def test_galerkin_block_reads_two_sums_of_a_ball_q(rng, monkeypatch):
     # coefficients on every axis's two parities as on one
     calls = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays: calls.append(len(arrays)) or sums(axes, arrays))
+    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays, *lattice: calls.append(len(arrays)) or sums(axes, arrays, *lattice))
     p = ModelParams(lam=7.0, sigma=1.5)
     for extent, stride in (((6, 5), 1), ((7, 7), 2)):
         mid = np.zeros(extent)
@@ -785,7 +785,7 @@ def test_kn_orbit_failing_the_tightened_floor_walks_its_members(monkeypatch, sol
     p, result = solved_2d
     lin = lin_of(p, result.solution)
     want = _kn_every_block(p, lin.q, 28)
-    monkeypatch.setattr(operator, "axis_symmetries", lambda m, r: (axis_symmetries(m, r)[0], 1e4))
+    monkeypatch.setattr(operator, "axis_symmetries", lambda m, r, *parity: (axis_symmetries(m, r, *parity)[0], 1e4))
     labels = _record_assembly(monkeypatch)
     calls = _count_inverses(monkeypatch)
     assert derivative_inverse_bound(p, lin, 28).kn == want
@@ -824,6 +824,17 @@ def test_axis_symmetry_defect_bounds_the_exact_sum(rng):
     assert operator.parity_orbits(operator.parity_blocks((True, True), 6), perms) == {1: {2}}
     qm[2, 4] += 1e-3  # the ball no longer holds a symmetric q
     assert axis_symmetries(qm, qr) == ([], 0.0)
+
+
+def test_axis_symmetries_keep_the_lattice():
+    # raw arrays symmetric as arrays: held on the lattice (0, 1), the swap
+    # maps mode (2i, 2j + 1) to (2j + 1, 2i), off the lattice, so it is no
+    # symmetry; on (1, 1) or with no parity it is one
+    m = np.array([[1.0, 2.0], [2.0, 3.0]])
+    r = np.zeros(m.shape)
+    assert axis_symmetries(m, r, (0, 1)) == ([], 0.0)
+    for parity in ((1, 1), None):
+        assert axis_symmetries(m, r, parity) == ([(1, 0)], 0.0)
 
 
 def test_kn_skipped_members_within_kn_mpmath(rng, monkeypatch):

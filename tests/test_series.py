@@ -272,9 +272,10 @@ def test_ball_kernels_keep_exact_zeros_and_points():
     v = CosineSeries.from_point(np.array([0.0, 0.25, 0.0, 2.0]))
     for w in (u + v, u - v, u.scale(3.1), u.scale(Interval(-1.0, 2.0)), laplacian(u, 2),
               laplacian(u, -1), u.add_constant(0.0)):
+        w = w.dense()
         assert w.zero_mean and w.center[2] == 0.0 == w.rad[2]
     # exact sums of points stay points
-    w = u + v
+    w = (u + v).dense()
     assert w.center.tolist() == [0.0, 3.25, 0.0, 1.5] and not w.rad.any()
     assert u.add_constant(2.0).coefficient((0,)) == Interval(2.0)
     # norms and sup bounds of the zero series are the point zero
@@ -487,6 +488,7 @@ def _product_oracle(a, b):
 def _members(rng, u: CosineSeries, count: int = 3):
     """Random vertices and random interior points of u, plus its ends: the
     floats nearest to center -+ rad inside each ball."""
+    u = u.dense()
     lo = add_toward(u.center, -u.rad, math.inf)
     hi = add_toward(u.center, u.rad, -math.inf)
     yield lo
@@ -498,6 +500,7 @@ def _members(rng, u: CosineSeries, count: int = 3):
 
 
 def assert_product_contains(prod: CosineSeries, a, b):
+    prod = prod.dense()
     exact = _product_oracle(a, b)
     with mpmath.workdps(50):
         for m in np.ndindex(*prod.extent):
@@ -534,7 +537,7 @@ def test_point_raw_coefficients_exact_where_nz_even(rng, extent):
     # nonzero indices carry a radius, and only those are rounded
     a = rng.standard_normal(extent)
     a.flat[1::3] = 0.0
-    m, r, support = series._raw_mid_rad(CosineSeries.from_point(a))
+    m, r, support = series._raw_mid_rad(CosineSeries.from_point(a).dense())
     nz = nz_grid(extent)
     even = nz % 2 == 0
     assert np.array_equal(m[even], a[even] * 2.0 ** (nz[even] // 2))
@@ -643,7 +646,7 @@ def test_multiply_keeps_parity_zeros(rng, extent, point):
     b = rng.standard_normal(extent) * even
     u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
     v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
-    prod = multiply(u, v)
+    prod = multiply(u, v).dense()
     populated = (prod.lo != 0.0) | (prod.hi != 0.0)
     assert np.array_equal(populated, multiply_point(u.mid(), v.mid()) != 0.0)
     assert not populated[np.indices(prod.extent).sum(axis=0) % 2 == 1].any()
@@ -716,10 +719,11 @@ def assert_ball_product_sharp(u, v, chunks=1):
     - the ball holds Am*Bm +- the spread times every w' within u w of w,
       which holds 1/c_k: so it holds every product of members.
 
-    Returns the product."""
-    prod = multiply(u, v)
+    Returns the product, on every mode of its extent."""
+    prod = multiply(u, v).dense()
     if np.count_nonzero(v.support()) < np.count_nonzero(u.support()):
         u, v = v, u
+    u, v = u.dense(), v.dense()
     (am, ar, asup), (bm, br, bsup) = series._raw_mid_rad(u), series._raw_mid_rad(v)
     wild_a, wild_b = np.isinf(ar), np.isinf(br)
     ar, br = np.where(wild_a, 0.0, ar), np.where(wild_b, 0.0, br)
@@ -839,9 +843,9 @@ def test_ball_product_midpoints_near_fold_min(rng, d, monkeypatch):
     operands = []
     conv = series.point_conv
 
-    def recorded(a, b):
+    def recorded(a, b, *lattices):
         operands.extend((a, b))
-        return conv(a, b)
+        return conv(a, b, *lattices)
 
     monkeypatch.setattr(series, "point_conv", recorded)
     ea, eb = {1: ((8,), (7,)), 2: ((4, 4), (3, 5)), 3: ((3, 2, 3), (2, 3, 2))}[d]
@@ -870,15 +874,16 @@ def test_ball_product_midpoints_near_fold_min(rng, d, monkeypatch):
 @pytest.mark.parametrize("extent", [(7,), (5, 6), (3, 4, 4)])
 def test_multiply_skips_dead_radius_folds(rng, extent, monkeypatch):
     # a radius fold whose factor, Ar or gamma_n |Bm| + Br, is zero everywhere
-    # adds only exact zeros, so it is left out: a product makes the midpoint,
-    # |Am| and reach folds, and the Ar fold only where the sparser factor's
-    # raw radius is live
+    # adds only exact zeros, so it is left out: a product makes the midpoint
+    # and |Am| folds, the reach fold where it can find an entry out of
+    # reach, and the Ar fold only where the sparser factor's raw radius is
+    # live
     calls = []
     conv = series.point_conv
 
-    def counted(a, b):
+    def counted(a, b, *lattices):
         calls.append(a.shape)
-        return conv(a, b)
+        return conv(a, b, *lattices)
 
     monkeypatch.setattr(series, "point_conv", counted)
     d = len(extent)
@@ -892,7 +897,13 @@ def test_multiply_skips_dead_radius_folds(rng, extent, monkeypatch):
         assert_ball_product_sharp(u, v)
         populated = [np.count_nonzero(s.support()) for s in (u, v)]
         sparser = v if populated[1] < populated[0] else u
-        assert len(calls) == 3 + series._raw_mid_rad(sparser)[1].any(), (u.extent, v.extent)
+        # the reach fold runs unless both factors fill lattices whose
+        # product they reach in full, as the constant does with either
+        # the dense factor or the point on one coset
+        filled = populated == [u.center.size, v.center.size]
+        reach = not (filled and series._product_reaches_all(u.axes, v.axes))
+        assert reach != any(x is constant for x in (u, v))
+        assert len(calls) == 2 + reach + series._raw_mid_rad(sparser)[1].any(), (u.extent, v.extent)
         if d % 2 == 0 and u is point and v is point:
             assert len(calls) == 3
     # B zero everywhere: only the midpoint and reach folds
@@ -908,7 +919,7 @@ def test_both_products_run_on_point_conv(monkeypatch):
     class Folded(Exception):
         pass
 
-    def sentinel(a, b):
+    def sentinel(a, b, *lattices):
         raise Folded
 
     monkeypatch.setattr(series, "point_conv", sentinel)
@@ -948,7 +959,7 @@ def test_strided_fold_matches_unstrided(rng, extent, point):
     for u, v in cases:
         assert_point_product_near_exact(u.mid(), v.mid())
     # the stride is taken: the dense factor's support has one parity per axis
-    assert _parities(cases[-1][1].support()) == [1] * d
+    assert _parities(cases[-1][1].dense().support()) == [1] * d
 
 
 def _fold_factors(rng, d):
@@ -1015,7 +1026,7 @@ def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
     # floor alone, without any budget, runs a product this small in one
     # chunk, with the same bits.  The ball product on single rows keeps its
     # radius above the bound with the chunks counted
-    a = _on_coset(rng, extent, (1,) * len(extent), True).center
+    a = _on_coset(rng, extent, (1,) * len(extent), True).mid()
     a[(rng.random(extent) < 0.2)] = 0.0
     b = rng.standard_normal(tuple(2 * n - 1 for n in extent))
     populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(1, a.ndim))))
@@ -1122,8 +1133,8 @@ def test_point_product_peak_bounded_by_output(rng):
     # warm call reads them and the product plans from their caches (2.74)
     from okvalid import pointconv
 
-    u = _on_coset(rng, (16, 16, 16), (1, 1, 1), True).center
-    v = _on_coset(rng, (31, 31, 31), (0, 0, 0), True).center
+    u = _on_coset(rng, (16, 16, 16), (1, 1, 1), True).mid()
+    v = _on_coset(rng, (31, 31, 31), (0, 0, 0), True).mid()
     for cache in (series.c_grid, pointconv._axis_product, pointconv._last_axis_gathers):
         cache.cache_clear()
     for bound in (4.0, 2.8):
@@ -1148,8 +1159,8 @@ def test_mixed_parity_product_contains_exact(rng, point):
     b[1::2, :] = 0.0
     u = CosineSeries.from_point(a) if point else _interval_series(rng, a)
     v = CosineSeries.from_point(b) if point else _interval_series(rng, b)
-    assert _parities(v.support()) == [0, None]
-    assert _parities(u.support()) == [None, None]
+    assert _parities(v.dense().support()) == [0, None]
+    assert _parities(u.dense().support()) == [None, None]
     for x, y in ((u, v), (v, u), (u, u)):
         prod = multiply(x, y)
         for xm, ym in zip(_members(rng, x, 2), _members(rng, y, 2)):
@@ -1186,6 +1197,104 @@ def test_multiply_contains_exact_property(operands):
     rng = np.random.default_rng(seed)
     for x, y in zip(_members(rng, u, 1), _members(rng, v, 1)):
         assert_product_contains(prod, x, y)
+
+
+# ---------------------------------------------------------------------------
+# series on a parity lattice against the dense computation
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _lattice_series(draw, d):
+    """A ball series on a random lattice of d axes: per axis an extent and a
+    parity (None, 0, or 1 where the extent holds an odd index), with point
+    zeros inside the lattice."""
+    extent = tuple(draw(st.integers(1, 5)) for _ in range(d))
+    parity = tuple(draw(st.sampled_from([None, 0, 1] if n > 1 else [None, 0])) for n in extent)
+    shape = tuple(pointconv._parity_count(n, c) for n, c in zip(extent, parity))
+    size = math.prod(shape)
+    mids = draw(st.lists(st.one_of(st.just(0.0), _COEFF), min_size=size, max_size=size))
+    rads = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.5]), min_size=size, max_size=size))
+    return CosineSeries(np.reshape(mids, shape), np.reshape(rads, shape), parity, extent)
+
+
+@st.composite
+def _lattice_operands(draw):
+    d = draw(st.integers(1, 3))
+    c = draw(_COEFF)
+    return (draw(_lattice_series(d)), draw(_lattice_series(d)),
+            draw(st.sampled_from([c, Interval(c, c + 0.5)])),
+            draw(st.sampled_from([0.0, 0.05, Interval(-0.5, 0.25)])), draw(st.integers(0, 4)))
+
+
+def _lattice_mask(u: CosineSeries) -> np.ndarray:
+    """Where u's lattice holds a mode, over its full extent."""
+    return CosineSeries(np.ones(u.center.shape), np.zeros(u.center.shape), u.parity, u.extent).mid() != 0.0
+
+
+def assert_on_lattice(got: CosineSeries, want: CosineSeries):
+    """got holds want's bits on got's lattice, and want is the exact zero
+    off it."""
+    assert got.extent == want.extent
+    held, full, want = _lattice_mask(got), got.dense(), want.dense()
+    for x, y in ((full.center, want.center), (full.rad, want.rad)):
+        assert x[held].tobytes() == y[held].tobytes()
+        assert np.all(y[~held] == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_operands())
+def test_lattice_ops_match_the_dense_computation(operands):
+    # every operation on series held on lattices, one parity or none per
+    # axis, against the same operation on their dense copies: the same bits
+    # on the result's lattice and exact zeros off it; mu != 0 puts the
+    # origin on the lattice, and a factor with zeros inside its lattice
+    # leaves modes out of reach.  Norms and sup bounds sum the held terms
+    # alone: they enclose what the dense sums enclose, no higher
+    u, v, c, mu, n = operands
+    du, dv = u.dense(), v.dense()
+    w, dw = u.add_constant(mu), du.add_constant(mu)
+    u0, du0 = tail(u, 1), tail(du, 1)
+    pairs = [(u + v, du + dv), (u - v, du - dv), (u.scale(c), du.scale(c)), (w, dw),
+             (tail(u, n), tail(du, n)), (multiply(u, v), multiply(du, dv)),
+             (multiply(w, v), multiply(dw, dv)), (multiply(w, w), multiply(dw, dw))]
+    pairs += [(laplacian(u0, power), laplacian(du0, power)) for power in (-2, -1, 1, 2)]
+    for got, want in pairs:
+        assert_on_lattice(got, want)
+    for x, dx in ((u, du), (w, dw), (u0, du0)):
+        bounds = [(sup_bound(x), sup_bound(dx))]
+        bounds += [(norm(x, space, ell), norm(dx, space, ell))
+                   for space, ell in (("L2", 0), ("H", 1), ("H", 2), ("Hbar", -2), ("Hbar", 2))
+                   if space != "Hbar" or x.zero_mean]
+        for got, want in bounds:
+            assert want.lo <= got.hi <= want.hi and got.lo <= want.hi
+
+
+def test_lattice_product_folds_the_supports_where_a_factor_has_holes(monkeypatch):
+    # odd modes 1 and 7 of 1, 3, 5, 7: the products miss the even modes 4,
+    # 10 and 12 of the product's lattice, which the fold of the supports
+    # (0/1 arrays) finds and keeps the exact zero; filled, the product
+    # reaches every mode and the supports are not folded, while its dense
+    # copy, zero at the even modes, folds them
+    supports = []
+    conv = series.point_conv
+
+    def recorded(a, b, *lattices):
+        supports.append(np.isin(a, (0.0, 1.0)).all() and np.isin(b, (0.0, 1.0)).all())
+        return conv(a, b, *lattices)
+
+    monkeypatch.setattr(series, "point_conv", recorded)
+    holes = CosineSeries.from_point(np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -0.25]))
+    prod = multiply(holes, holes)
+    assert (holes.parity, prod.parity, sum(supports)) == ((1,), (0,), 1)
+    zeros = [k for k in range(prod.extent[0]) if prod.coefficient((k,)) == Interval(0.0)]
+    assert zeros == sorted([4, 10, 12, *range(1, 15, 2)])
+    assert_on_lattice(prod, multiply(holes.dense(), holes.dense()))
+    filled = CosineSeries.from_point(np.array([0.0, 0.5, 0.0, 0.1, 0.0, 0.2, 0.0, -0.25]))
+    supports.clear()
+    prod = multiply(filled, filled)
+    assert not any(supports)
+    assert_on_lattice(prod, multiply(filled.dense(), filled.dense()))
+    assert sum(supports) == 1
 
 
 # ---------------------------------------------------------------------------
