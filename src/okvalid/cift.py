@@ -315,7 +315,7 @@ def verify_certificate(cert: Certificate):
         failures.append("negative residual bound")
     if not (0.0 <= cert.tau < 1.0):
         failures.append("tau not in [0, 1)")
-    elif cert.k < k_formula(cert.kn, cert.tau).lo:
+    elif cert.k < k_formula(cert.kn, cert.tau).hi:
         failures.append("K inconsistent with kn and tau")
     if not cert.n >= 2:
         failures.append("truncation below 2")

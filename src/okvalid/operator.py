@@ -197,27 +197,11 @@ def fprime_series(p: ModelParams, u: CosineSeries, powers: list | None = None) -
 @dataclass(frozen=True)
 class Linearization:
     """The coefficient q = lam f'(u + mu) of the derivative of F at u, with
-    rigorous upper bounds on its sup and H2 norms, and what the K_N stage
-    reads of q, read once for every truncation."""
+    rigorous upper bounds on its sup and H2 norms."""
 
     q: CosineSeries
     q_sup: float
     q_h2: float
-
-    @functools.cached_property
-    def split(self) -> tuple:
-        """split_axes(q)."""
-        return split_axes(self.q)
-
-    @functools.cached_property
-    def kn_arrays(self) -> tuple:
-        """(perms, eps, arrays): the axis permutations of
-        series.axis_symmetries, their defect over the lower end of pi^2
-        rounded up, and _block_arrays of q's raw midpoint and radius; read
-        only once a truncation's memory charge has passed."""
-        qm, qr = _raw_mid_rad(self.q)[:2]
-        perms, defect = axis_symmetries(qm, qr, self.q.parity)
-        return perms, _up(defect / PI2.lo), _block_arrays(qm, qr, self.q.axes)
 
 
 def linearization_coefficient(p: ModelParams, fprime: CosineSeries) -> Linearization:
@@ -374,21 +358,13 @@ def _sign_partials(part: np.ndarray, tables, t: int = 0):
         yield from _sign_partials(part.take(tab, axis=2 * t + 1), tables, t + 1)
 
 
-def _block_arrays(qm: np.ndarray, qr: np.ndarray, lattice: tuple | None = None) -> tuple:
-    """(arrays, lattice): the two raw arrays that _galerkin_block sums, from
-    q's raw midpoint qm and radius qr held on lattice (default every
-    index): qm, and the radius that carries the midpoint sum's rounding;
-    qr is not needed while blocks stream."""
-    return [qm, _rump_radius(qm, qr, 2**qm.ndim + 7)], lattice
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflowed entries become (0, inf)
-def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
+def _galerkin_block(p: ModelParams, block: ParityBlock, raw: tuple) -> BallMatrix:
     """The ball matrix with entries -(1 + lam sigma / kappa_k^2)
     delta_{k,ell} + (q phi_ell, phi_k) / kappa_ell on the modes of one
-    parity class of split_axes(q), from arrays = _block_arrays(qm, qr,
-    q.axes) of q's raw arrays; every entry between two classes is an exact
-    zero.
+    parity class of split_axes(q), from raw = (qm, qr, q.axes), q's raw
+    midpoint and radius (series._raw_mid_rad) and their lattice; every
+    entry between two classes is an exact zero.
 
     The block is Rump's midpoint-radius form, as in series.multiply: the
     float sums of galerkin_matrix_point at the raw midpoint qm of q and at
@@ -407,9 +383,10 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, arrays) -> BallMatrix:
     meet no subnormal radii.  Entries are computed elementwise, so a block
     holds the one-block assembly's bits on its rows and columns.
     """
+    qm, qr, lattice = raw
     d = len(block.parity)
     t = 2**d + 7
-    mid, rad = _galerkin_sums(block.axes, *arrays)
+    mid, rad = _galerkin_sums(block.axes, [qm, _rump_radius(qm, qr, t)], lattice)
     diag = np.arange(block.size)
     free = rad == 0.0
     free[diag, diag] = False
@@ -535,13 +512,15 @@ class InverseBound:
 # a larger one's, whose midpoint and radius, two more arrays of its size,
 # stay live beside them (kn_stage_bytes).
 KN_WORK_ARRAYS = 7
-# Peak number of live double arrays of q's extent on top of them: the raw
-# midpoint and radius that every block reads, and the temporaries that form
-# them.  They set the peak where q is large against the truncation: the
-# traced peak less the block charge is 6.0, 5.2 and 2.5 times q's size for
-# the 3-d N=16 equilibrium (q of extent 31^3) at N=6, 8 and 10, 6.1 at 2-d
-# N=6 and 5.7 at 1-d N=16 (q of extent 255), where fixed costs count too.
-KN_Q_ARRAYS = 7
+# Peak number of live double arrays of q's size on top of them: the raw
+# midpoint and radius that every block reads, the radius that a block sums,
+# and the temporaries that form them.  They set the peak where q is large
+# against the truncation.  The traced peak of a first pass less the block
+# charge is 9.2 times q's size at 1-d N=16 (q of 128 coefficients on its
+# lattice), where fixed costs count too, 6.9 at 2-d N=6 (784), 4.1 at 3-d
+# N=6 (1728), and 5.3, 0.6 and below zero for the 3-d N=16 equilibrium
+# (4096) at N=6, 8 and 10 (OpenBLAS, 1 and 2 threads).
+KN_Q_ARRAYS = 10
 
 
 def available_memory_bytes() -> float:
@@ -647,26 +626,30 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     fit fails at stage kn_bound, without a suggested truncation, and the
     first that fits is held, its largest block counted in the charge of
     each smaller one (kn_stage_bytes); one that fits only alone takes a
-    pass of its own after this one.
+    pass of its own after this one.  Each pass reads q's raw arrays and
+    symmetries once, after its charges have passed.
     """
     avail = available_memory_bytes() if avail is None else avail
     q = lin.q
+    split = split_axes(q)
     result, held, later = {}, None, []
     for n in sorted(set(ns), reverse=True):
-        short = memory_shortfall(kn_stage_bytes(q, n, lin.split),
+        short = memory_shortfall(kn_stage_bytes(q, n, split),
                                  f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
         if short:
             result[n] = CertificationError("kn_bound", short)
         elif held is None:
             held = n
-        elif kn_stage_bytes(q, n, lin.split, held) > avail:
+        elif kn_stage_bytes(q, n, split, held) > avail:
             later.append(n)  # it fits alone, not beside the held blocks
     live = sorted(set(ns) - set(result) - set(later))  # the truncations still running
     classes, orbits, kn = {}, {}, dict.fromkeys(live, 0.0)
     if live:
-        perms, eps, arrays = lin.kn_arrays
+        qm, qr = _raw_mid_rad(q)[:2]
+        perms, defect = axis_symmetries(qm, qr, q.parity)
+        eps = _up(defect / PI2.lo)
     for n in live:
-        blocks = parity_blocks(lin.split, n)
+        blocks = parity_blocks(split, n)
         classes[n] = {block.parity: block for block in blocks}
         orbits[n] = {blocks[i].parity: {blocks[j].parity for j in members}
                      for i, members in parity_orbits(blocks, perms).items()}
@@ -675,7 +658,7 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
         if not need:
             continue
         top = classes[need[-1]][cls]
-        big = _galerkin_block(p, top, arrays)
+        big = _galerkin_block(p, top, (qm, qr, q.axes))
         for n in need:
             block = classes[n][cls]
             ball = big if block is top else _sub_block(big, top, block)
@@ -696,6 +679,7 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
                     live.remove(n)
             del ball  # before the next block is formed
         del big
+    qm = qr = None  # dropped before a later pass reads its own
     if later:  # a pass of their own, with nothing of this one held
         result.update(zip(later, inverse_bounds(p, lin, later, avail)))
     cb = table_constants(q.dim).cb
@@ -740,9 +724,7 @@ def auto_inverse_bound(
     larger truncation can help (one without a suggested truncation).  Every
     truncation's memory charge is checked against avail bytes, by default
     one reading of the available memory.  With no truncation certified,
-    the last failure is raised: each pass either certifies or fails.  q's
-    split, raw arrays, symmetries and block arrays are read once across the
-    doublings, as in a sweep (Linearization.split and kn_arrays).
+    the last failure is raised: each pass either certifies or fails.
     """
     avail = available_memory_bytes() if avail is None else avail
     ceiling = TRUNCATION_CEILING[lin.q.dim]

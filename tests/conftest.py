@@ -42,9 +42,9 @@ def galerkin_blocks(p, q, n):
     the modes 0 < |k|_inf < n, one class after another, as the K_N stage
     assembles them when it skips no class: each block is assembled only
     when the previous one has been taken."""
-    arrays = operator._block_arrays(*operator._raw_mid_rad(q)[:2], q.axes)
+    raw = (*operator._raw_mid_rad(q)[:2], q.axes)
     for block in operator.parity_blocks(operator.split_axes(q), n):
-        yield block, operator._galerkin_block(p, block, arrays)
+        yield block, operator._galerkin_block(p, block, raw)
 
 
 def galerkin_full(p, q, n, blocks=None) -> BallMatrix:

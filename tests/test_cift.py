@@ -287,9 +287,9 @@ def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2
     labels = []
     assemble = operator._galerkin_block
 
-    def recording(p, block, arrays):
+    def recording(p, block, raw):
         labels.append(block.label)
-        return assemble(p, block, arrays)
+        return assemble(p, block, raw)
 
     monkeypatch.setattr(operator, "_galerkin_block", recording)
     for name in widths:
@@ -534,12 +534,12 @@ _TAU_FAILURE = "tau below its formula at the stored kn, q_sup, q_h2 and n"
 
 
 def test_verify_replays_tau(certificates_1d):
-    # the 1-d lambda certificate with tau = 0 and K = max(kn, 1) to match
-    # passes every other replay, and so does tau one ulp below its formula:
-    # only the tau replay rejects them
+    # the 1-d lambda certificate with tau = 0 and K = k_formula(kn, 0).hi to
+    # match passes every other replay, and so does tau one ulp below its
+    # formula: only the tau replay rejects them
     cert = certificates_1d["lambda"]
     assert verify_certificate(cert)[0]
-    zero = dataclasses.replace(cert, tau=0.0, k=max(cert.kn, 1.0))
+    zero = dataclasses.replace(cert, tau=0.0, k=operator.k_formula(cert.kn, 0.0).hi)
     assert verify_certificate(zero) == (False, [_TAU_FAILURE])
     ulp = dataclasses.replace(cert, tau=math.nextafter(cert.tau, 0.0))
     assert verify_certificate(ulp) == (False, [_TAU_FAILURE])
@@ -548,6 +548,28 @@ def test_verify_replays_tau(certificates_1d):
     # tau = 1 leaves no K to replay: a failure, not a division through zero
     ok, failures = verify_certificate(dataclasses.replace(cert, tau=1.0))
     assert not ok and "tau not in [0, 1)" in failures
+
+
+def test_verify_replays_k_at_its_formulas_upper_end(solved_2d, tmp_path):
+    # the 2-d N=28 certificate stores K = k_formula(kn, tau).hi; its lower
+    # end lies below the exact max(kn, 1) / (1 - tau), so a certificate
+    # carrying it fails the replay, and okvalid check on its file exits 3
+    from fractions import Fraction
+
+    from okvalid.cli import EXIT_CERT, main
+    from okvalid.files import write_certificate
+    from okvalid.operator import k_formula
+
+    p, result = solved_2d
+    cert = validate(p, result.solution, "lambda", n=28)
+    formula = k_formula(cert.kn, cert.tau)
+    assert verify_certificate(cert) == (True, []) and cert.k == formula.hi
+    low = dataclasses.replace(cert, k=formula.lo)
+    assert Fraction(low.k) < Fraction(max(cert.kn, 1.0)) / (1 - Fraction(cert.tau)) < cert.k
+    assert verify_certificate(low) == (False, ["K inconsistent with kn and tau"])
+    path = tmp_path / "low_k.cert.json"
+    write_certificate(path, low, None)
+    assert main(["check", "--cert", str(path)]) == EXIT_CERT == 3
 
 
 def test_tau_replay_is_exact_in_1d_and_a_floor_above(certificates_1d, solved_2d, solved_3d):

@@ -661,9 +661,9 @@ def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
 
     assemble = operator._galerkin_block
 
-    def recording(p, block, arrays):
+    def recording(p, block, raw):
         assembled.append((block.n, block.label))
-        return assemble(p, block, arrays)
+        return assemble(p, block, raw)
 
     monkeypatch.setattr(cli, "validations", recorded)
     monkeypatch.setattr(operator, "_galerkin_block", recording)

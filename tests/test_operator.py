@@ -670,9 +670,9 @@ def _record_assembly(monkeypatch) -> list:
     labels = []
     assemble = operator._galerkin_block
 
-    def recording(p, block, arrays):
+    def recording(p, block, raw):
         labels.append(block.label)
-        return assemble(p, block, arrays)
+        return assemble(p, block, raw)
 
     monkeypatch.setattr(operator, "_galerkin_block", recording)
     return labels
@@ -917,9 +917,9 @@ def test_kn_stream_stops_at_the_failing_block(monkeypatch):
     assembled = []
     assemble = operator._galerkin_block
 
-    def recording(p, block, arrays):
+    def recording(p, block, raw):
         assembled.append(tuple(block_modes(block)[-1] % 2))
-        return assemble(p, block, arrays)
+        return assemble(p, block, raw)
 
     monkeypatch.setattr(operator, "_galerkin_block", recording)
     with pytest.raises(CertificationError, match=r"on parity class \(0, 1\) "):
@@ -1108,12 +1108,12 @@ def _kn_stage_peak(p, lin, n: int) -> int:
 
 
 def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d):
-    # the traced peak of the K_N stage on the canonical 2-d and 3-d cases,
-    # which stream 4 and 8 blocks, stays inside the one-block budget that
-    # the memory check charges, and below what the blocks hold together
+    # the traced peak of a first K_N pass, on a fresh Linearization as in a
+    # validate, on the canonical 2-d and 3-d cases, which stream 4 and 8
+    # blocks, stays inside the one-block budget that the memory check
+    # charges, and below what the blocks hold together
     for (p, result), n in ((solved_2d, 28), (solved_2d, 48), (solved_3d, 12), (solved_3d, 16)):
         lin = lin_of(p, result.solution)
-        derivative_inverse_bound(p, lin, n)
         peak = _kn_stage_peak(p, lin, n)
         assert peak <= operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q)), n
         sizes = [block.size for block in operator.parity_blocks((True,) * lin.q.dim, n)]
@@ -1125,7 +1125,6 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
     cases += [((p3, res16), n) for n in (6, 8, 10, 12)]
     for (p, result), n in cases:
         lin = lin_of(p, result.solution)
-        _kn_stage_peak(p, lin, n)
         charge = operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q))
         assert _kn_stage_peak(p, lin, n) <= charge, (lin.q.extent, n)
 
@@ -1196,25 +1195,25 @@ def test_kn_memory_ceiling_builds_nothing_of_the_truncation_size():
 
 
 def _shared_pass(p, lin, ns, avail, monkeypatch):
-    """inverse_bounds(p, lin, ns, avail) on a fresh copy of lin, with the
-    (truncation, class) of every block assembled, the traced peak, and
-    whether q's block arrays were read."""
-    lin = Linearization(lin.q, lin.q_sup, lin.q_h2)
-    assembled = []
-    assemble = operator._galerkin_block
+    """inverse_bounds(p, lin, ns, avail), with the (truncation, class) of
+    every block assembled, the traced peak, and whether q's raw arrays
+    were read (series._raw_mid_rad called)."""
+    assembled, reads = [], []
+    assemble, raw_mid_rad = operator._galerkin_block, operator._raw_mid_rad
 
-    def recording(p, block, arrays):
+    def recording(p, block, raw):
         assembled.append((block.n, block.label))
-        return assemble(p, block, arrays)
+        return assemble(p, block, raw)
 
     monkeypatch.setattr(operator, "_galerkin_block", recording)
+    monkeypatch.setattr(operator, "_raw_mid_rad", lambda q: reads.append(q) or raw_mid_rad(q))
     tracemalloc.start()
     try:
         out = operator.inverse_bounds(p, lin, ns, avail)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return out, assembled, peak, "kn_arrays" in vars(lin)
+    return out, assembled, peak, bool(reads)
 
 
 def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
@@ -1226,24 +1225,25 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     lin = lin_of(p, result.solution)
     ns = [24, 32, 48, 64, 96, 128, 256]
     alone = [derivative_inverse_bound(p, lin, n) for n in ns[:-1]]
-    avail = operator.kn_stage_bytes(lin.q, 256, lin.split) - 1
+    split = operator.split_axes(lin.q)
+    avail = operator.kn_stage_bytes(lin.q, 256, split) - 1
     out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
     assert out[:-1] == alone
     assert out[-1].stage == "kn_bound" and out[-1].suggested_n is None and "n=256" in str(out[-1])
     assert assembled == [(128, "(0)"), (128, "(1)")]
-    charges = [operator.kn_stage_bytes(lin.q, n, lin.split, 128) for n in ns[:-2]]
-    assert peak <= max(charges + [operator.kn_stage_bytes(lin.q, 128, lin.split)]) <= avail
+    charges = [operator.kn_stage_bytes(lin.q, n, split, 128) for n in ns[:-2]]
+    assert peak <= max(charges + [operator.kn_stage_bytes(lin.q, 128, split)]) <= avail
     # a truncation that fits alone but not beside the held blocks takes a
     # pass of its own after the held one's
-    avail = operator.kn_stage_bytes(lin.q, 100, lin.split)
-    assert operator.kn_stage_bytes(lin.q, 96, lin.split, 100) > avail
+    avail = operator.kn_stage_bytes(lin.q, 100, split)
+    assert operator.kn_stage_bytes(lin.q, 96, split, 100) > avail
     alone = [derivative_inverse_bound(p, lin, n) for n in (96, 100)]
     out, assembled, peak, read = _shared_pass(p, lin, [96, 100], avail, monkeypatch)
     assert out == alone
     assert assembled == [(100, "(0)"), (100, "(1)"), (96, "(0)"), (96, "(1)")]
     assert peak <= avail
-    # nothing is assembled, nor q's block arrays read, where nothing fits
-    avail = operator.kn_stage_bytes(lin.q, 24, lin.split) - 1
+    # nothing is assembled, nor q's raw arrays read, where nothing fits
+    avail = operator.kn_stage_bytes(lin.q, 24, split) - 1
     out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
     assert [e.stage for e in out] == ["kn_bound"] * len(ns)
     assert assembled == [] and not read and peak < 8.0 * lin.q.center.size * operator.KN_Q_ARRAYS

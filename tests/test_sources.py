@@ -76,17 +76,22 @@ def test_every_function_is_used_by_the_program():
 
 def test_program_imports_no_scipy():
     # a fresh interpreter imports the package, its command line and its
-    # file formats and runs one 1-d validate whose Gram certificate takes
-    # the Lanczos estimate; no scipy module is loaded, whose import alone
-    # costs more than the program's whole set-up
+    # file formats and runs one 1-d validate whose Gram certificates take
+    # the Lanczos estimate (blocks of 99 and 100 modes, wider than
+    # EIGVALSH_WIDTH); no scipy module is loaded, whose import alone costs
+    # more than the program's whole set-up
     script = (
         "import sys\n"
         "import okvalid, okvalid.cli, okvalid.files\n"
+        "import okvalid.intervals as iv\n"
         "from okvalid import CosineSeries, validate\n"
         "from okvalid.operator import ModelParams\n"
+        "estimate, widths = iv._lambda_max_estimate, []\n"
+        "iv._lambda_max_estimate = lambda g, v: widths.append(len(g)) or estimate(g, v)\n"
         "p = ModelParams(lam=5.0, sigma=1.0)\n"
-        "cert = validate(p, CosineSeries.zeros((2,)), 'lambda', n=128)\n"
+        "cert = validate(p, CosineSeries.zeros((2,)), 'lambda', n=200)\n"
         "assert cert.valid, cert.reason\n"
+        "assert min(widths, default=0) > iv.EIGVALSH_WIDTH, widths\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
