@@ -373,6 +373,26 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     return SolutionBounds(rho, lin, solution_sups(p, u, fprime), du0)
 
 
+def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries) -> list:
+    """Why cert, a complete certificate, is not bound to the solution (p,
+    u): parameters that differ, a box that is not one, or each of rho,
+    q_sup, q_h2 and l1..l4 stored below its value recomputed from (p, u)
+    (solution_bounds) and the stored box (lipschitz_bounds).  No matrix
+    work: K_N is not recomputed."""
+    if p != cert.params:
+        return ["solution parameters differ from the certificate's"]
+    try:
+        choice = ContinuationChoice(cert.which, dp=cert.ell_alpha, du=cert.ell_x)
+        bounds = solution_bounds(p, u)
+    except (ValueError, CertificationError) as exc:
+        return [f"bounds not recomputed from the solution: {exc}"]
+    lb = lipschitz_bounds(p, choice, bounds.sups)
+    recomputed = dict(rho=bounds.rho, q_sup=bounds.lin.q_sup, q_h2=bounds.lin.q_h2,
+                      l1=lb.l1, l2=lb.l2, l3=lb.l3, l4=lb.l4)
+    return [f"{name} {getattr(cert, name)!r} below its value {value!r} from the solution"
+            for name, value in recomputed.items() if not getattr(cert, name) >= value]
+
+
 # Lipschitz tightening rounds at most per truncation
 LIPSCHITZ_ROUNDS = 5
 

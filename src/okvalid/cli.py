@@ -20,6 +20,7 @@ import numpy as np
 from .cift import (
     TOOL_VERSION,
     feasible_dx_range,
+    solution_failures,
     validate,
     validations,
     verify_certificate,
@@ -189,8 +190,13 @@ def cmd_check(args) -> int:
             print("solution file hash mismatch: certificate is stale")
             return EXIT_CERT
     ok, failures = verify_certificate(cert)
+    if ok and args.solution:
+        p, u, _meta = read_solution(args.solution)
+        failures = solution_failures(cert, p, u)
+        ok = not failures
     if ok:
-        print("certificate inequalities verified")
+        bound = " and bound to the solution" if args.solution else ""
+        print(f"certificate inequalities verified{bound}")
         return EXIT_OK
     for f in failures:
         print(f"FAIL: {f}")
@@ -340,7 +346,8 @@ def build_parser() -> _Parser:
 
     k = sub.add_parser("check", help="re-verify a certificate's inequalities")
     k.add_argument("--cert", required=True)
-    k.add_argument("--solution", help="also check the embedded content hash")
+    k.add_argument("--solution", help="also bind the certificate to this solution file: "
+                   "its hash, parameters, rho, q_sup, q_h2 and l1..l4")
     k.set_defaults(func=cmd_check)
 
     w = sub.add_parser("sweep", help="K-vs-N tradeoff table (CSV)")

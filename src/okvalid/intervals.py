@@ -66,8 +66,8 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-# integers of magnitude at most 2^26: the exactness tests below only look at
-# these, and a miss only widens
+# integers of magnitude at most 2^26: the product, square and square-root
+# exactness tests below only look at these, and a miss only widens
 _SMALL = 67108864.0
 
 
@@ -76,13 +76,17 @@ def _small_int(x: float) -> bool:
 
 
 def _quot_is_exact(a: float, b: float, q: float) -> bool:
+    # q = fl(a / b) is a / b only where fl(q b) = a, which rejects some
+    # inexact quotients cheaply; then q b = a is decided in integers, from
+    # the exact ratios n / d of the three doubles
     if b == 0.0:
         return False
     if a == 0.0:
         return True
-    if not (_small_int(a) and _small_int(b)):
+    if not (math.isfinite(a) and q * b == a):
         return False
-    return math.isfinite(q) and Fraction(a) / Fraction(b) == Fraction(q)
+    (an, ad), (bn, bd), (qn, qd) = (x.as_integer_ratio() for x in (a, b, q))
+    return qn * bn * ad == an * qd * bd
 
 
 def _add_up(a: float, b: float) -> float:

@@ -7,7 +7,7 @@ reduced to a scaled Galerkin matrix whose certified inverse norm, combined
 with a tail contraction constant, yields an upper bound for the norm of the
 inverse of the full derivative.  One pass bounds it at every truncation of
 a sweep: each parity block is assembled once, at the largest truncation,
-and cut down to the principal sub-block of each smaller one.
+and cut down to the principal sub-block of each smaller one in turn.
 """
 
 from __future__ import annotations
@@ -508,9 +508,11 @@ class InverseBound:
 # derivative_inverse_bound is 5.20 and 5.03 m_b^2 at 2-d N=28 and 48 (m_b =
 # 196, 576), 5.56 and 5.10 at 3-d N=12 and 16 (m_b = 216, 512), and the
 # rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.  Where
-# several truncations share the stage, a smaller one's blocks are cut from
-# a larger one's, whose midpoint and radius, two more arrays of its size,
-# stay live beside them (kn_stage_bytes).
+# several truncations share the stage, a smaller one's block is cut from
+# the larger one's just certified, which is dropped after the cut: the two
+# hold 2 m^2 + 2 m_b^2 <= 4 m^2 doubles, m the larger block's size, inside
+# the 7 m^2 of the larger truncation's own charge, so every truncation is
+# charged alone.
 KN_WORK_ARRAYS = 7
 # Peak number of live double arrays of q's size on top of them: the raw
 # midpoint and radius that every block reads, the radius that a block sums,
@@ -538,14 +540,13 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def kn_stage_bytes(q: CosineSeries, n: int, split: tuple, held: int | None = None) -> float:
+def kn_stage_bytes(q: CosineSeries, n: int, split: tuple) -> float:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
-    time, the raw coefficient arrays of q that every block reads, and the
-    midpoint and radius of the largest block at a larger truncation held,
-    from which n's blocks are cut; split is split_axes(q)."""
-    m_b, m_h = (max(block.size for block in parity_blocks(split, t)) if t else 0 for t in (n, held))
-    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + 2 * m_h**2 + KN_Q_ARRAYS * q.center.size)
+    time, and the raw coefficient arrays of q that every block reads; split
+    is split_axes(q)."""
+    m_b = max(block.size for block in parity_blocks(split, n))
+    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
 def memory_shortfall(need: float, what: str, stage: str, avail: float | None = None) -> str | None:
@@ -615,34 +616,30 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     as any other block.  K_N is then the same bits as with every block
     walked, wherever the skipped members would have passed the plain test.
 
-    The truncations share one walk, class by class.  A class is assembled
-    once, at the largest truncation that needs it, and a smaller one takes
-    its principal sub-block (_sub_block): the same bits, as every entry is
-    formed elementwise from weights and a rounding budget that do not
-    depend on the truncation.  Each truncation keeps its own floor, cleared
-    classes and failure, so it decides as it would alone.  The memory
-    charges are checked first, largest truncation first, against avail
-    bytes (default: a reading of the available memory): one that does not
-    fit fails at stage kn_bound, without a suggested truncation, and the
-    first that fits is held, its largest block counted in the charge of
-    each smaller one (kn_stage_bytes); one that fits only alone takes a
-    pass of its own after this one.  Each pass reads q's raw arrays and
-    symmetries once, after its charges have passed.
+    The truncations share one walk, class by class, from the largest
+    truncation that needs a class down.  The class is assembled once, at
+    the largest, and each smaller truncation takes the principal sub-block
+    (_sub_block) of the block just certified, which is then dropped: the
+    same bits, as every entry is formed elementwise from weights and a
+    rounding budget that do not depend on the truncation.  Each truncation
+    keeps its own floor, cleared classes and failure, so it decides as it
+    would alone.  Every truncation is charged alone (kn_stage_bytes), as a
+    cut fits in the charge of the truncation it is cut from; the charges
+    are checked first, against avail bytes (default: a reading of the
+    available memory), and one that does not fit fails at stage kn_bound,
+    without a suggested truncation.  q's raw arrays and symmetries are read
+    once, after the charges have passed.
     """
     avail = available_memory_bytes() if avail is None else avail
     q = lin.q
     split = split_axes(q)
-    result, held, later = {}, None, []
-    for n in sorted(set(ns), reverse=True):
+    result = {}
+    for n in set(ns):
         short = memory_shortfall(kn_stage_bytes(q, n, split),
                                  f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
         if short:
             result[n] = CertificationError("kn_bound", short)
-        elif held is None:
-            held = n
-        elif kn_stage_bytes(q, n, split, held) > avail:
-            later.append(n)  # it fits alone, not beside the held blocks
-    live = sorted(set(ns) - set(result) - set(later))  # the truncations still running
+    live = sorted(set(ns) - set(result))  # the truncations still running
     classes, orbits, kn = {}, {}, dict.fromkeys(live, 0.0)
     if live:
         qm, qr = _raw_mid_rad(q)[:2]
@@ -653,15 +650,14 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
         classes[n] = {block.parity: block for block in blocks}
         orbits[n] = {blocks[i].parity: {blocks[j].parity for j in members}
                      for i, members in parity_orbits(blocks, perms).items()}
-    for cls in list(classes[held]) if live else ():  # a cleared class leaves classes[n]
-        need = [n for n in live if cls in classes[n]]
-        if not need:
-            continue
-        top = classes[need[-1]][cls]
-        big = _galerkin_block(p, top, (qm, qr, q.axes))
-        for n in need:
+    for cls in list(classes[live[-1]]) if live else ():  # a cleared class leaves classes[n]
+        ball = above = None  # the last block certified in this class, and its ParityBlock
+        for n in [n for n in reversed(live) if cls in classes[n]]:
             block = classes[n][cls]
-            ball = big if block is top else _sub_block(big, top, block)
+            # the cut replaces the block it is cut from
+            ball = (_galerkin_block(p, block, (qm, qr, q.axes)) if ball is None
+                    else _sub_block(ball, above, block))
+            above = block
             if orbits[n].get(cls) and inverse_norm2_at_most(ball, kn[n], eps):
                 for member in orbits[n][cls]:
                     del classes[n][member]
@@ -677,11 +673,7 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
                     )
                     result[n].__cause__ = exc
                     live.remove(n)
-            del ball  # before the next block is formed
-        del big
-    qm = qr = None  # dropped before a later pass reads its own
-    if later:  # a pass of their own, with nothing of this one held
-        result.update(zip(later, inverse_bounds(p, lin, later, avail)))
+        del ball  # before the next class's block is formed
     cb = table_constants(q.dim).cb
     for n in live:
         tau = tau_formula(kn[n], lin.q_sup, lin.q_h2, cb, n).hi

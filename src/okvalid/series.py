@@ -280,14 +280,17 @@ class CosineSeries:
     def __neg__(self) -> "CosineSeries":
         return CosineSeries(-self.center, self.rad, self.parity, self.extent)
 
-    def __add__(self, other: "CosineSeries") -> "CosineSeries":
+    def __add__(self, other: "CosineSeries", negate: bool = False) -> "CosineSeries":
         axes = tuple((max(n, m), p if p == q else None)
                      for (n, p), (m, q) in zip(self.axes, other.axes))
-        balls = [_relattice(x, u.axes, axes) for u in (self, other) for x in (u.center, u.rad)]
-        return _on(axes, *ball_add(*balls))
+        um, ur, vm, vr = [_relattice(x, u.axes, axes)
+                          for u in (self, other) for x in (u.center, u.rad)]
+        return _on(axes, *ball_add(um, ur, -vm if negate else vm, vr))
 
     def __sub__(self, other: "CosineSeries") -> "CosineSeries":
-        return self + (-other)
+        # other is negated on the common lattice, so a mode it does not hold
+        # is -0.0 there, as in the dense difference
+        return self.__add__(other, negate=True)
 
     def scale(self, c) -> "CosineSeries":
         """The series times a number or Interval c."""

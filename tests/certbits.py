@@ -10,7 +10,9 @@ written by float.hex, as one JSON document, for:
 - criterion 11: the 3-d equilibrium (40, 3, 0) validated in lambda at N=12;
 - the 2-d sweep in sigma over N = 40,12,28,20,28;
 - the criterion-09 sweep, 1-d (50, 2, 0), in lambda, sigma and mu over
-  N = 24..256.
+  N = 24..256;
+- the criterion-09 solution in lambda over N = 96, 100 with the available
+  memory read as the K_N charge of N=100 alone (memory-tight).
 
 The solutions of criteria 09 and 11 go through a solution file, as there.
 Run from the root of a checkout, and compare the outputs of two with cmp:
@@ -27,8 +29,10 @@ import json
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
-from okvalid.cift import Certificate, validate, validations
+from okvalid import operator
+from okvalid.cift import Certificate, solution_bounds, validate, validations
 from okvalid.cli import main
 from okvalid.files import read_solution
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
@@ -88,6 +92,11 @@ def dump() -> dict:
                                                   "--sigma", "2", "--seed", "mode:1,0.6"])
         out["sweep_09"] = {w: [record(c) for c in validations(p, u, w, SWEEP_1D)]
                            for w in PARAMETERS}
+        q = solution_bounds(p, u).lin.q
+        avail = operator.kn_stage_bytes(q, 100, operator.split_axes(q))
+        with mock.patch.object(operator, "available_memory_bytes", lambda: avail):
+            out["sweep_09_memory_tight"] = [record(c)
+                                            for c in validations(p, u, "lambda", [96, 100])]
     return out
 
 

@@ -28,8 +28,9 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
 
 
 def _small_int(x: float) -> bool:
-    # an integer of magnitude at most 2^26; the exactness tests below only
-    # look at these, and a miss only widens
+    # an integer of magnitude at most 2^26; the product, square and
+    # square-root exactness tests below only look at these, and a miss only
+    # widens
     return -67108864.0 <= x <= 67108864.0 and x.is_integer()
 
 
@@ -40,13 +41,13 @@ def _prod_is_exact(a: float, b: float) -> bool:
 
 
 def _quot_is_exact(a: float, b: float, q: float) -> bool:
+    # q = fl(a / b) is a / b only where fl(q b) = a, which rejects some
+    # inexact quotients cheaply; the rationals then decide
     if b == 0.0:
         return False
     if a == 0.0:
         return True
-    if not (_small_int(a) and _small_int(b)):
-        return False
-    return math.isfinite(q) and Fraction(a) / Fraction(b) == Fraction(q)
+    return math.isfinite(a) and q * b == a and Fraction(a) / Fraction(b) == Fraction(q)
 
 
 def _add_down(a: float, b: float) -> float:

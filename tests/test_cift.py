@@ -20,8 +20,9 @@ from okvalid.cift import (
     verify_certificate,
 )
 from okvalid.intervals import KRYLOV_STEPS, Interval
+from okvalid.lipschitz import ContinuationChoice, lipschitz_bounds
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
-from okvalid.operator import CertificationError, ModelParams
+from okvalid.operator import PARAMETERS, CertificationError, ModelParams
 from okvalid.series import CosineSeries
 
 
@@ -589,6 +590,32 @@ def test_tau_replay_is_exact_in_1d_and_a_floor_above(certificates_1d, solved_2d,
         floor = tau_formula(*args, table_constants(1).cb, cert.n).hi
         assert cert.tau == tau_formula(*args, table_constants(dim).cb, cert.n).hi
         assert (cert.tau == floor) == (dim == 1), dim
+
+
+_BOUND_FIELDS = ("rho", "q_sup", "q_h2", "l1", "l2", "l3", "l4")
+
+
+def test_solution_failures_recompute_the_stored_bounds(certificates_1d, solved_1d, solved_2d,
+                                                       solved_3d):
+    # the bounds recomputed from the solution and the stored box are the
+    # stored ones, bit for bit, in every parameter and dimension; one ulp
+    # below its recomputed value, each field is named, and nothing else
+    p1, res1 = solved_1d
+    cases = [(p1, res1.solution, cert) for cert in certificates_1d.values()]
+    cases += [(p, res.solution, validate(p, res.solution, which, n=n))
+              for (p, res), n in ((solved_2d, 28), (solved_3d, 12)) for which in PARAMETERS]
+    for p, u, cert in cases:
+        assert cert.valid and cift.solution_failures(cert, p, u) == [], cert.which
+        bounds = solution_bounds(p, u)
+        choice = ContinuationChoice(cert.which, cert.ell_alpha, cert.ell_x)
+        lb = lipschitz_bounds(p, choice, bounds.sups)
+        recomputed = (bounds.rho, bounds.lin.q_sup, bounds.lin.q_h2, lb.l1, lb.l2, lb.l3, lb.l4)
+        assert recomputed == tuple(getattr(cert, name) for name in _BOUND_FIELDS)
+    p, u, cert = cases[-1]
+    for name in _BOUND_FIELDS:
+        low = dataclasses.replace(cert, **{name: math.nextafter(getattr(cert, name), -math.inf)})
+        (failure,) = cift.solution_failures(low, p, u)
+        assert failure.startswith(f"{name} "), failure
 
 
 def test_validate_nontrivial_certificates(certificates_1d):

@@ -408,6 +408,56 @@ def test_check_rejects_certificate_without_solution_hash(workdir, solution_file,
     ]
 
 
+@pytest.fixture(scope="module")
+def bound_cert(workdir, solution_file):
+    """A certificate of solution_file in lambda, bound to it by its hash."""
+    path = workdir / "bound.lambda.cert.json"
+    assert main(["validate", "--in", str(solution_file), "--param", "lambda",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def _check_lines(capsys, argv) -> tuple:
+    capsys.readouterr()
+    code = main(["check", *argv])
+    return code, capsys.readouterr().out.strip().splitlines()
+
+
+@pytest.mark.parametrize("field", ["rho", "q_sup", "l1"])
+def test_check_solution_recomputes_the_solution_bounds(workdir, solution_file, bound_cert, capsys,
+                                                       field):
+    # a halved rho, q_sup or l1 keeps the certificate's own inequalities, so
+    # check passes it; check --solution recomputes the bounds from the
+    # solution and names the field stored below its value
+    assert _check_lines(capsys, ["--cert", str(bound_cert), "--solution", str(solution_file)]) == (
+        0, ["certificate inequalities verified and bound to the solution"])
+    payload = json.loads(bound_cert.read_text())
+    payload[field] *= 0.5
+    low = workdir / f"low_{field}.cert.json"
+    low.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(low)]) == 0
+    code, lines = _check_lines(capsys, ["--cert", str(low), "--solution", str(solution_file)])
+    assert code == 3 and len(lines) == 1 and lines[0].startswith(f"FAIL: {field} "), lines
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"ell_alpha": 0.0, "delta_alpha": 0.0}, "FAIL: bounds not recomputed from the solution"),
+    ({"params": {"lambda": 51.0}}, "FAIL: solution parameters differ from the certificate's"),
+])
+def test_check_solution_refuses_a_certificate_of_another_problem(workdir, solution_file, bound_cert,
+                                                                 capsys, edit, message):
+    # a box that is no box (ell_alpha = 0) or other parameters, with the
+    # inequalities still holding: one FAIL line and exit 3, no traceback
+    payload = json.loads(bound_cert.read_text())
+    for key, value in edit.items():
+        payload[key] = {**payload[key], **value} if isinstance(value, dict) else value
+    other = workdir / "other_problem.cert.json"
+    other.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(other)]) == 0
+    code, lines = _check_lines(capsys, ["--cert", str(other), "--solution", str(solution_file)])
+    assert code == 3 and len(lines) == 1 and lines[0].startswith(message), lines
+
+
 def test_check_truncated_json(workdir):
     broken = workdir / "broken.cert.json"
     broken.write_text('{"format_version": 1, "delta')

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balls import (
@@ -174,6 +174,27 @@ def test_scalar_ops_keep_the_helper_reference_bits(ends, other, n):
     for unary in (lambda v: v.square(), lambda v: v.sqrt(), abs, operator.neg, lambda v: v**n):
         for i in (0, 1):
             assert _outcome(lambda: unary(new[i])) == _outcome(lambda: unary(ref[i])), (n, new[i])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_FINITE, _FINITE.filter(lambda b: b != 0.0))
+@example(13.333457, 1.0)  # was one ulp wide on each side, a non-integer over 1
+def test_point_quotient_is_a_point_exactly_where_it_is_a_double(x, b):
+    # for a = x and a = fl(x b), the latter often a multiple of b: the
+    # quotient encloses a / b, and it is a point exactly when a / b is a
+    # double, whatever the size of the operands
+    for a in (x, x * b):
+        if not math.isfinite(a):
+            continue
+        r = Interval(a) / Interval(b)
+        exact = Fraction(a) / Fraction(b)
+        assert r.lo == -math.inf or Fraction(r.lo) <= exact, (a, b)
+        assert r.hi == math.inf or exact <= Fraction(r.hi), (a, b)
+        q = a / b
+        assert (r.lo == r.hi) == (math.isfinite(q) and Fraction(q) == exact), (a, b)
 
 
 def test_div_third():

@@ -1217,10 +1217,12 @@ def _shared_pass(p, lin, ns, avail, monkeypatch):
 
 
 def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
-    # the largest truncation alone does not fit: it fails at kn_bound, and
-    # the next one is held, each class assembled there once; every smaller
-    # truncation, charged beside the held blocks, is certified with the bits
-    # of its own pass, and the traced peak stays within the charges
+    # no block is held beside a smaller truncation's: each truncation is
+    # charged alone, and each class is assembled once, at the largest
+    # truncation that fits, and cut from the block just certified.  The
+    # largest truncation alone does not fit: it fails at kn_bound, and
+    # every smaller one is certified with the bits of its own pass, within
+    # its own charge
     p, result = solved_sweep_1d
     lin = lin_of(p, result.solution)
     ns = [24, 32, 48, 64, 96, 128, 256]
@@ -1231,16 +1233,14 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     assert out[:-1] == alone
     assert out[-1].stage == "kn_bound" and out[-1].suggested_n is None and "n=256" in str(out[-1])
     assert assembled == [(128, "(0)"), (128, "(1)")]
-    charges = [operator.kn_stage_bytes(lin.q, n, split, 128) for n in ns[:-2]]
-    assert peak <= max(charges + [operator.kn_stage_bytes(lin.q, 128, split)]) <= avail
-    # a truncation that fits alone but not beside the held blocks takes a
-    # pass of its own after the held one's
+    assert peak <= operator.kn_stage_bytes(lin.q, 128, split) <= avail
+    # where only the largest truncation's charge fits, a smaller one is
+    # still cut from its blocks, in the same pass
     avail = operator.kn_stage_bytes(lin.q, 100, split)
-    assert operator.kn_stage_bytes(lin.q, 96, split, 100) > avail
     alone = [derivative_inverse_bound(p, lin, n) for n in (96, 100)]
     out, assembled, peak, read = _shared_pass(p, lin, [96, 100], avail, monkeypatch)
     assert out == alone
-    assert assembled == [(100, "(0)"), (100, "(1)"), (96, "(0)"), (96, "(1)")]
+    assert assembled == [(100, "(0)"), (100, "(1)")]
     assert peak <= avail
     # nothing is assembled, nor q's raw arrays read, where nothing fits
     avail = operator.kn_stage_bytes(lin.q, 24, split) - 1
