@@ -39,6 +39,7 @@ from .operator import (
     ModelParams,
     auto_inverse_bound,
     ball_powers,
+    derivative_inverse_bound,
     fprime_series,
     k_formula,
     linearization_coefficient,
@@ -373,12 +374,15 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     return SolutionBounds(rho, lin, solution_sups(p, u, fprime), du0)
 
 
-def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries) -> list:
+def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
+                      deep: bool = False) -> list:
     """Why cert, a complete certificate, is not bound to the solution (p,
-    u): parameters that differ, a box that is not one, or each of rho,
-    q_sup, q_h2 and l1..l4 stored below its value recomputed from (p, u)
-    (solution_bounds) and the stored box (lipschitz_bounds).  No matrix
-    work: K_N is not recomputed."""
+    u): parameters that differ, a box that is not one, each of rho, q_sup,
+    q_h2 and l1..l4 stored below its value recomputed from (p, u)
+    (solution_bounds) and the stored box (lipschitz_bounds), or a tau below
+    its formula with the cb of u's dimension (verify_certificate takes 1-d's,
+    a floor in 2-d and 3-d).  With deep, also a kn below K_N recomputed at
+    the stored n (derivative_inverse_bound), or an n where it cannot be."""
     if p != cert.params:
         return ["solution parameters differ from the certificate's"]
     try:
@@ -389,8 +393,20 @@ def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries) -> lis
     lb = lipschitz_bounds(p, choice, bounds.sups)
     recomputed = dict(rho=bounds.rho, q_sup=bounds.lin.q_sup, q_h2=bounds.lin.q_h2,
                       l1=lb.l1, l2=lb.l2, l3=lb.l3, l4=lb.l4)
-    return [f"{name} {getattr(cert, name)!r} below its value {value!r} from the solution"
-            for name, value in recomputed.items() if not getattr(cert, name) >= value]
+    failures = [f"{name} {getattr(cert, name)!r} below its value {value!r} from the solution"
+                for name, value in recomputed.items() if not getattr(cert, name) >= value]
+    tau = tau_formula(cert.kn, cert.q_sup, cert.q_h2, table_constants(u.dim).cb, cert.n).hi
+    if not cert.tau >= tau:
+        failures.append(f"tau {cert.tau!r} below its formula {tau!r} in {u.dim}-d")
+    if deep:
+        try:
+            kn = derivative_inverse_bound(p, bounds.lin, cert.n).kn
+        except CertificationError as exc:
+            failures.append(f"K_N not recomputed at n={cert.n}: {exc}")
+        else:
+            if not cert.kn >= kn:
+                failures.append(f"kn {cert.kn!r} below its value {kn!r} recomputed at n={cert.n}")
+    return failures
 
 
 # Lipschitz tightening rounds at most per truncation

@@ -181,6 +181,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.deep and not args.solution:
+        return _usage_error("--deep needs --solution")
     cert, sha = read_certificate(args.cert)
     if args.solution:
         if sha is None:
@@ -192,10 +194,11 @@ def cmd_check(args) -> int:
     ok, failures = verify_certificate(cert)
     if ok and args.solution:
         p, u, _meta = read_solution(args.solution)
-        failures = solution_failures(cert, p, u)
+        failures = solution_failures(cert, p, u, args.deep)
         ok = not failures
     if ok:
         bound = " and bound to the solution" if args.solution else ""
+        bound += ", K_N recomputed" if args.deep else ""
         print(f"certificate inequalities verified{bound}")
         return EXIT_OK
     for f in failures:
@@ -347,7 +350,9 @@ def build_parser() -> _Parser:
     k = sub.add_parser("check", help="re-verify a certificate's inequalities")
     k.add_argument("--cert", required=True)
     k.add_argument("--solution", help="also bind the certificate to this solution file: "
-                   "its hash, parameters, rho, q_sup, q_h2 and l1..l4")
+                   "its hash, parameters, rho, q_sup, q_h2, l1..l4 and tau")
+    k.add_argument("--deep", action="store_true",
+                   help="with --solution, also recompute K_N at the stored truncation")
     k.set_defaults(func=cmd_check)
 
     w = sub.add_parser("sweep", help="K-vs-N tradeoff table (CSV)")

@@ -58,11 +58,11 @@ def equiv_factor() -> Interval:
     return ((Interval(1.0) + PI4).sqrt()) / PI2
 
 
-def cmbar_bytes(dim: int, ncut: int) -> float:
+def cmbar_bytes(dim: int, ncut: int) -> int:
     """Bytes that recompute_cmbar(dim, ncut) needs: four arrays of ncut
     doubles in 1-d, ten in 2-d, and in 3-d four of the ncut^2 counts of
     sums of squares (the traced peak is 3.6 of them at ncut 100 to 600)."""
-    return 8.0 * {1: 4 * ncut, 2: 10 * ncut, 3: 4 * ncut**2}[dim]
+    return 8 * {1: 4 * ncut, 2: 10 * ncut, 3: 4 * ncut**2}[dim]
 
 
 def _three_square_counts(n: int) -> np.ndarray:

@@ -75,16 +75,30 @@ def _small_int(x: float) -> bool:
     return -_SMALL <= x <= _SMALL and x.is_integer()
 
 
+# Veltkamp's splitter: c = (2^27 + 1) x gives x = (c - (c - x)) + the rest,
+# two halves of at most 26 bits whose products are exact
+_SPLITTER = 134217729.0
+
+
 def _quot_is_exact(a: float, b: float, q: float) -> bool:
     # q = fl(a / b) is a / b only where fl(q b) = a, which rejects some
-    # inexact quotients cheaply; then q b = a is decided in integers, from
-    # the exact ratios n / d of the three doubles
+    # inexact quotients cheaply; then q b = a where Dekker's TwoProduct
+    # error q b - fl(q b), from Veltkamp's splits, is zero.  That error is
+    # exact where no split or product overflows (|q|, |b| < 2^995, |a| <
+    # 2^1020) and no partial product underflows, which e_q + e_b >= e_min +
+    # 52 = -970 ensures (|a| >= 2^-960 gives e_q + e_b >= -962); elsewhere
+    # q b = a is decided in integers, from the exact ratios n / d
     if b == 0.0:
         return False
     if a == 0.0:
         return True
     if not (math.isfinite(a) and q * b == a):
         return False
+    if 2.0**-960 <= abs(a) < 2.0**1020 and abs(q) < 2.0**995 and abs(b) < 2.0**995:
+        c, d = _SPLITTER * q, _SPLITTER * b
+        qh, bh = c - (c - q), d - (d - b)
+        ql, bl = q - qh, b - bh
+        return ((qh * bh - a) + qh * bl + ql * bh) + ql * bl == 0.0
     (an, ad), (bn, bd), (qn, qd) = (x.as_integer_ratio() for x in (a, b, q))
     return qn * bn * ad == an * qd * bd
 

@@ -21,6 +21,7 @@ from . import operator
 from .operator import (
     PARAMETERS,
     ModelParams,
+    count_text,
     galerkin_matrix_point,
     memory_shortfall,
     parity_blocks,
@@ -119,8 +120,9 @@ NEWTON_WORK_ARRAYS = 4
 
 def _check_block_memory(rows: int, dim: int, n: int, avail: float | None) -> None:
     """Raise NewtonError unless a Jacobian block of rows modes fits in avail bytes."""
-    short = memory_shortfall(8.0 * NEWTON_WORK_ARRAYS * rows**2, f"truncation n={n} ({n**dim - 1} modes)",
-                             f"Newton Jacobian block of {rows} modes", avail)
+    short = memory_shortfall(8 * NEWTON_WORK_ARRAYS * rows**2,
+                             f"truncation n={n} ({count_text(n**dim - 1)} modes)",
+                             f"Newton Jacobian block of {count_text(rows)} modes", avail)
     if short:
         raise NewtonError(short)
 

@@ -59,7 +59,7 @@ class CertificationError(RuntimeError):
     """A rigorous bound could not be certified at the requested size.
 
     suggested_n is a larger truncation that may succeed; None means that no
-    larger truncation can help.
+    larger truncation that fits in memory can help.
     """
 
     def __init__(self, stage: str, message: str, suggested_n: int | None = None):
@@ -540,23 +540,42 @@ def available_memory_bytes() -> float:
         return math.inf
 
 
-def kn_stage_bytes(q: CosineSeries, n: int, split: tuple) -> float:
+def kn_stage_bytes(q: CosineSeries, n: int, split: tuple) -> int:
     """Bytes the K_N stage needs at truncation n: the working set of the
     largest block of the Galerkin matrix of q, since one block is live at a
     time, and the raw coefficient arrays of q that every block reads; split
-    is split_axes(q)."""
+    is split_axes(q).  An exact integer, so any truncation is charged."""
     m_b = max(block.size for block in parity_blocks(split, n))
-    return 8.0 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
+    return 8 * (KN_WORK_ARRAYS * m_b**2 + KN_Q_ARRAYS * q.center.size)
 
 
-def memory_shortfall(need: float, what: str, stage: str, avail: float | None = None) -> str | None:
+def memory_shortfall(need: int, what: str, stage: str, avail: float | None = None) -> str | None:
     """Why need bytes for stage at what (a truncation or a size) do not fit
     in avail bytes (default: a reading of the available memory), or None
-    when they do."""
+    when they do; need is an exact integer, compared exactly."""
     avail = available_memory_bytes() if avail is None else avail
     if need <= avail:
         return None
-    return f"{what} needs about {need / 1e6:.0f} MB for the {stage}, {avail / 1e6:.0f} MB available"
+    mb = count_text((need + 500_000) // 10**6)
+    return f"{what} needs about {mb} MB for the {stage}, {avail / 1e6:.0f} MB available"
+
+
+def count_text(m: int) -> str:
+    """m for a message, as a power of ten past 10^15: a count past the
+    double range, or past int's string limit, is written too."""
+    return str(m) if m < 10**15 else f"10^{math.log10(m):.0f}"
+
+
+def next_truncation(q: CosineSeries, split: tuple, n: int, tau: float, target: float,
+                    avail: float) -> int | None:
+    """The smallest N > n with N >= n sqrt(tau / target): at n's K_N, flat in
+    N, tau_formula is tau (n/N)^2 there.  Cut down to the largest N whose
+    kn_stage_bytes fit in avail; None where tau (n/N)^2 is still >= 1 there."""
+    lo, hi = n, max(n + 1, math.ceil(n * math.sqrt(tau / target))) + 1
+    while hi - lo > 1:  # the charge grows with N: bisect for the largest that fits
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if kn_stage_bytes(q, mid, split) <= avail else (lo, mid)
+    return lo if lo > n and tau * (n / lo) ** 2 < 1.0 else None
 
 
 def parity_orbits(blocks: list, perms: list) -> dict:
@@ -625,10 +644,10 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     keeps its own floor, cleared classes and failure, so it decides as it
     would alone.  Every truncation is charged alone (kn_stage_bytes), as a
     cut fits in the charge of the truncation it is cut from; the charges
-    are checked first, against avail bytes (default: a reading of the
-    available memory), and one that does not fit fails at stage kn_bound,
-    without a suggested truncation.  q's raw arrays and symmetries are read
-    once, after the charges have passed.
+    are checked first, against avail bytes (default: one memory reading),
+    and one that does not fit fails at stage kn_bound, with no suggestion.
+    q's raw arrays and symmetries are read once, after the charges pass.  A
+    tau >= 1 suggests next_truncation at 1/2, else names it and its charge.
     """
     avail = available_memory_bytes() if avail is None else avail
     q = lin.q
@@ -636,7 +655,8 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     result = {}
     for n in set(ns):
         short = memory_shortfall(kn_stage_bytes(q, n, split),
-                                 f"truncation n={n} ({n**q.dim - 1} modes)", "K_N stage", avail)
+                                 f"truncation n={n} ({count_text(n**q.dim - 1)} modes)",
+                                 "K_N stage", avail)
         if short:
             result[n] = CertificationError("kn_bound", short)
     live = sorted(set(ns) - set(result))  # the truncations still running
@@ -678,12 +698,12 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     for n in live:
         tau = tau_formula(kn[n], lin.q_sup, lin.q_h2, cb, n).hi
         if not tau < 1.0:
-            result[n] = CertificationError(
-                "inverse_bound",
-                f"tail contraction {tau:.4g} >= 1 at n={n}; increase the truncation "
-                f"(rule of thumb: n ~ {rule_of_thumb_n(lin.q_h2)})",
-                suggested_n=max(2 * n, rule_of_thumb_n(lin.q_h2)),
-            )
+            why = f"tail contraction {tau:.4g} >= 1 at n={n}"
+            if (suggested := next_truncation(q, split, n, tau, 0.5, avail)) is None:
+                want = next_truncation(q, split, n, tau, 0.5, math.inf)
+                why += "; " + memory_shortfall(kn_stage_bytes(q, want, split),
+                                               f"the predicted truncation n={want}", "K_N stage", avail)
+            result[n] = CertificationError("inverse_bound", why, suggested)
         else:
             result[n] = InverseBound(kn=kn[n], tau=tau, k=k_formula(kn[n], tau).hi, n=n)
     return [result[n] for n in ns]
@@ -699,43 +719,30 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     return ib
 
 
-TRUNCATION_CEILING = {1: 256, 2: 96, 3: 32}
-RULE_OF_THUMB_C = 0.7
-
-
 def rule_of_thumb_n(q_h2: float) -> int:
-    return max(4, math.ceil(RULE_OF_THUMB_C * math.sqrt(q_h2)))
+    return max(4, math.ceil(0.7 * math.sqrt(q_h2)))
 
 
 def auto_inverse_bound(
     p: ModelParams, lin: Linearization, tau_target: float = 0.5, avail: float | None = None
 ) -> InverseBound:
-    """Double the truncation from a rule-of-thumb start until tau is comfortable.
-
-    Escalation stops at TRUNCATION_CEILING, or at a failure for which no
-    larger truncation can help (one without a suggested truncation).  Every
-    truncation's memory charge is checked against avail bytes, by default
-    one reading of the available memory.  With no truncation certified,
-    the last failure is raised: each pass either certifies or fails.
-    """
+    """The inverse bound at the rule-of-thumb rung, then at most twice at the
+    truncation the last pass predicts, until tau <= tau_target; charges are
+    checked against avail, by default one memory reading.  Returns the last
+    bound certified, else raises the last failure."""
     avail = available_memory_bytes() if avail is None else avail
-    ceiling = TRUNCATION_CEILING[lin.q.dim]
-    n = min(rule_of_thumb_n(lin.q_h2), ceiling)
-    best: InverseBound | None = None
-    last_error: CertificationError | None = None
-    while True:
+    n, best = rule_of_thumb_n(lin.q_h2), None
+    for _ in range(3):  # the rung and at most two predicted passes
         try:
-            cand = derivative_inverse_bound(p, lin, n, avail)
-            best = cand if best is None or cand.tau < best.tau else best
-            if cand.tau <= tau_target:
-                return cand
+            best = derivative_inverse_bound(p, lin, n, avail)
         except CertificationError as exc:
-            last_error = exc
-            if exc.suggested_n is None:
-                break
-        if n >= ceiling:
+            error, n = exc, exc.suggested_n
+        else:
+            if best.tau <= tau_target:
+                return best
+            n = next_truncation(lin.q, split_axes(lin.q), n, best.tau, tau_target, avail)
+        if n is None:
             break
-        n = min(2 * n, ceiling)
     if best is None:
-        raise last_error
+        raise error
     return best

@@ -582,14 +582,15 @@ def multiply_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # evaluation (non-rigorous; plotting and diagnostics)
 # ---------------------------------------------------------------------------
 
-def grid_bytes(extent, points: int) -> float:
+def grid_bytes(extent, points: int) -> int:
     """Bytes that evaluate_grid needs on points^d points, coefficients of
     the given extent: twice the coefficients, every partial contraction
-    (each copies its input) and every cosine table (and its outer product)."""
+    (each copies its input) and every cosine table (and its outer product),
+    as an exact integer."""
     sizes = [math.prod(extent)]
     for e in extent:
         sizes.append(sizes[-1] // e * points)
-    return 16.0 * (sizes[0] + sum(sizes) + points * sum(extent))
+    return 16 * (sizes[0] + sum(sizes) + points * sum(extent))
 
 
 def evaluate_grid(u: CosineSeries, axes) -> np.ndarray:

@@ -510,7 +510,7 @@ def test_validate_small_truncation_fails_cleanly(solved_1d):
     cert = validate(p, result.solution, "lambda", n=8)
     assert not cert.valid
     assert cert.stage == "inverse_bound"
-    assert "increase the truncation" in cert.reason
+    assert "(suggested truncation: " in cert.reason
 
 
 def test_verify_rejects_tampering():
@@ -616,6 +616,49 @@ def test_solution_failures_recompute_the_stored_bounds(certificates_1d, solved_1
         low = dataclasses.replace(cert, **{name: math.nextafter(getattr(cert, name), -math.inf)})
         (failure,) = cift.solution_failures(low, p, u)
         assert failure.startswith(f"{name} "), failure
+
+
+def test_solution_failures_replay_tau_in_the_solution_dimension(solved_2d):
+    # a 2-d tau lowered to the 1-d formula's value passes the replay of the
+    # certificate alone, whose cb is 1-d's, and fails against its solution
+    from okvalid.embeddings import table_constants
+    from okvalid.operator import tau_formula
+
+    p, res = solved_2d
+    cert = validate(p, res.solution, "lambda", n=28)
+    low = dataclasses.replace(
+        cert, tau=tau_formula(cert.kn, cert.q_sup, cert.q_h2, table_constants(1).cb, cert.n).hi)
+    assert low.tau < cert.tau and verify_certificate(low)[0]
+    assert cift.solution_failures(cert, p, res.solution) == []
+    (failure,) = cift.solution_failures(low, p, res.solution)
+    assert failure.startswith(f"tau {low.tau!r} below its formula {cert.tau!r} in 2-d"), failure
+
+
+def test_solution_failures_deep_recomputes_kn(certificates_1d, solved_1d, solved_2d, solved_3d):
+    # the canonical certificates' kn is K_N recomputed at their n; a halved
+    # kn keeps every other check and fails only the deep one, naming both
+    p1, res1 = solved_1d
+    cases = [(p1, res1.solution, cert) for cert in certificates_1d.values()]
+    cases += [(p, res.solution, validate(p, res.solution, "lambda", n=n))
+              for (p, res), n in ((solved_2d, 28), (solved_3d, 12))]
+    for p, u, cert in cases:
+        assert cift.solution_failures(cert, p, u, deep=True) == [], cert.n
+        low = dataclasses.replace(cert, kn=cert.kn / 2)
+        assert verify_certificate(low)[0] and cift.solution_failures(low, p, u) == []
+        (failure,) = cift.solution_failures(low, p, u, deep=True)
+        assert failure == f"kn {low.kn!r} below its value {cert.kn!r} recomputed at n={cert.n}"
+
+
+def test_solution_failures_deep_at_a_truncation_too_large(solved_1d, certificates_1d):
+    # a stored n whose K_N charge does not fit, or lies past the double
+    # range, is a failure, not an exception
+    p, res = solved_1d
+    cert = certificates_1d["lambda"]
+    for n in (10**6, 10**300):
+        big = dataclasses.replace(cert, n=n)
+        assert verify_certificate(big)[0]
+        (failure,) = cift.solution_failures(big, p, res.solution, deep=True)
+        assert failure.startswith(f"K_N not recomputed at n={n}: truncation n={n} ") and "MB" in failure
 
 
 def test_validate_nontrivial_certificates(certificates_1d):

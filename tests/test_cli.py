@@ -1,19 +1,25 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balls import single_mode
 from okvalid import cift, cli
 from okvalid.cli import main
-from okvalid.files import read_certificate, read_solution, write_solution
+from okvalid.files import FileFormatError, file_sha256, read_certificate, read_solution, write_solution
 from okvalid.intervals import IntervalDomainError
-from okvalid.operator import ModelParams, residual_norm
+from okvalid.operator import ModelParams, count_text, residual_norm
+from okvalid.series import CosineSeries
 
 
 @pytest.fixture(scope="module")
@@ -351,40 +357,76 @@ def test_check_refuses_an_integer_beyond_the_double_range(workdir, solution_file
 
 
 HUGE_N = "1000000000000"
+# the truncation of each dimension: N = 10^12 in 1-d, whose array of N
+# doubles numpy refuses at once, and N = 10^200 in 2-d and 3-d, whose
+# charges lie past the double range
+HUGE = {1: int(HUGE_N), 2: 10**200, 3: 10**200}
+
+
+@pytest.fixture(scope="module")
+def zero_files(workdir, solution_file):
+    """{dim: solution file}: the 1-d solution, and the zero solution at
+    lambda 5, sigma 1 in 2-d and 3-d, an exact equilibrium."""
+    files = {1: solution_file}
+    for d in (2, 3):
+        files[d] = workdir / f"zero{d}d.json"
+        write_solution(files[d], ModelParams(lam=5.0, sigma=1.0), CosineSeries.zeros((4,) * d), 0.0)
+    return files
 
 
 @pytest.mark.parametrize("argv,code", [
     (["solve", "--dim", "1", "--lambda", "10", "--seed", "mode:1", "--out", "OUT"], 2),
     (["walk", "--in", "IN", "--param", "lambda", "--step", "1", "--out-prefix", "OUT"], 2),
     (["validate", "--in", "IN", "--param", "lambda", "--out", "OUT"], 3),
+    *[(["solve", "--dim", str(d), "--lambda", "10", "--seed", "zero", "--out", "OUT"], 2) for d in (2, 3)],
+    *[(["walk", "--in", f"IN{d}", "--param", "lambda", "--step", "1", "--out-prefix", "OUT"], 2)
+      for d in (2, 3)],
+    *[(["validate", "--in", f"IN{d}", "--param", "lambda", "--out", "OUT"], 3) for d in (2, 3)],
 ])
-def test_huge_truncation_refused_before_allocating(workdir, solution_file, capsys, argv, code):
-    # N = 10^12: an array of N doubles is 8 TB, which numpy refuses at once,
-    # so only a charge counted from sizes gets to its diagnosis
-    out = workdir / f"huge_{argv[0]}"
-    argv = [{"IN": str(solution_file), "OUT": str(out)}.get(a, a) for a in argv]
+def test_huge_truncation_refused_before_allocating(workdir, zero_files, capsys, argv, code):
+    # only a charge counted from sizes, in exact integers, gets to the
+    # diagnosis: no array of the truncation's size is tried
+    d = int(argv[2]) if argv[0] == "solve" else int(argv[2][2:] or 1)
+    n = HUGE[d]
+    out = workdir / f"huge_{argv[0]}_{d}"
+    argv = [str(zero_files[d]) if a.startswith("IN") else str(out) if a == "OUT" else a for a in argv]
     capsys.readouterr()
-    assert main(argv + ["--N", HUGE_N]) == code
+    assert main(argv + ["--N", str(n)]) == code
     stdout, err = capsys.readouterr()
     if code == 2:
         assert err.strip().splitlines() == [err.strip()]
-        assert err.startswith(f"solver failed: truncation n={HUGE_N} ({int(HUGE_N) - 1} modes) "
+        assert err.startswith(f"solver failed: truncation n={n} ({count_text(n**d - 1)} modes) "
                               "needs about ")
-        assert not list(workdir.glob(f"huge_{argv[0]}*"))
+        assert not list(workdir.glob(f"huge_{argv[0]}_{d}*"))
     else:
         assert err == "" and "INVALID at stage 'kn_bound'" in stdout
         cert, _ = read_certificate(out)
-        assert (cert.stage, cert.n) == ("kn_bound", int(HUGE_N))
+        assert (cert.stage, cert.n) == ("kn_bound", n)
         assert "needs about" in cert.reason
 
 
-def test_sweep_huge_truncation_fails_its_row_only(workdir, solution_file):
-    out = workdir / "sweep_huge.csv"
-    assert main(["sweep", "--in", str(solution_file), "--param", "lambda",
-                 "--Nlist", f"24,{HUGE_N},64", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
-    assert [(r["N"], r["status"]) for r in rows] == [
-        ("24", "ok"), (HUGE_N, "failed:kn_bound"), ("64", "ok")]
+def test_truncation_past_the_string_limit_gets_its_diagnosis(workdir, zero_files, capsys):
+    # N = 10^1500 in 3-d has 10^4500 modes, a count past int's 4300-digit
+    # string limit: each message writes it as a power of ten
+    n = str(10**1500)
+    cert = workdir / "huge_string_limit.cert.json"
+    capsys.readouterr()
+    assert main(["validate", "--in", str(zero_files[3]), "--param", "lambda", "--N", n,
+                 "--out", str(cert)]) == 3
+    assert "(10^4500 modes) needs about 10^" in capsys.readouterr().out
+    assert main(["walk", "--in", str(zero_files[3]), "--param", "lambda", "--step", "1",
+                 "--N", n, "--out-prefix", str(workdir / "huge_string_limit_")]) == 2
+    assert "(10^4500 modes) needs about 10^" in capsys.readouterr().err
+
+
+def test_sweep_huge_truncation_fails_its_row_only(workdir, zero_files):
+    for d, small in ((1, (24, 64)), (2, (6, 8)), (3, (6, 8))):
+        out = workdir / f"sweep_huge_{d}.csv"
+        assert main(["sweep", "--in", str(zero_files[d]), "--param", "lambda",
+                     "--Nlist", f"{small[0]},{HUGE[d]},{small[1]}", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["N"], r["status"]) for r in rows] == [
+            (str(small[0]), "ok"), (str(HUGE[d]), "failed:kn_bound"), (str(small[1]), "ok")], d
 
 
 def test_check_detects_stale_hash(workdir, solution_file):
@@ -456,6 +498,107 @@ def test_check_solution_refuses_a_certificate_of_another_problem(workdir, soluti
     assert main(["check", "--cert", str(other)]) == 0
     code, lines = _check_lines(capsys, ["--cert", str(other), "--solution", str(solution_file)])
     assert code == 3 and len(lines) == 1 and lines[0].startswith(message), lines
+
+
+def test_check_deep_recomputes_kn(workdir, solution_file, bound_cert, capsys):
+    # the certificate's kn is K_N recomputed at its n; a halved kn passes
+    # check and check --solution, and check --deep names both values
+    bind = ["--solution", str(solution_file)]
+    assert _check_lines(capsys, ["--cert", str(bound_cert), *bind, "--deep"]) == (
+        0, ["certificate inequalities verified and bound to the solution, K_N recomputed"])
+    payload = json.loads(bound_cert.read_text())
+    kn, payload["kn"] = payload["kn"], payload["kn"] / 2
+    low = workdir / "low_kn.cert.json"
+    low.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(low)]) == 0
+    assert main(["check", "--cert", str(low), *bind]) == 0
+    code, lines = _check_lines(capsys, ["--cert", str(low), *bind, "--deep"])
+    assert (code, lines) == (3, [f"FAIL: kn {kn / 2!r} below its value {kn!r} recomputed at "
+                                 f"n={payload['n']}"])
+
+
+def test_check_deep_needs_the_solution(bound_cert, capsys):
+    capsys.readouterr()
+    assert main(["check", "--cert", str(bound_cert), "--deep"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: --deep needs --solution"]
+
+
+def test_check_solution_replays_tau_in_the_solution_dimension(workdir, capsys):
+    # a 2-d tau lowered to the 1-d formula's value: check, whose replay
+    # takes 1-d's cb, passes it, and check --solution does not
+    from okvalid.embeddings import table_constants
+    from okvalid.operator import tau_formula
+
+    sol, cert = workdir / "canon2d.json", workdir / "canon2d.cert.json"
+    assert main(["solve", "--dim", "2", "--N", "28", "--lambda", "75", "--sigma", "6",
+                 "--seed", "mode:1,1,0.5", "--tol", "1e-9", "--out", str(sol)]) == 0
+    assert main(["validate", "--in", str(sol), "--param", "lambda", "--N", "28",
+                 "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    payload["tau"] = tau_formula(payload["kn"], payload["q_sup"], payload["q_h2"],
+                                 table_constants(1).cb, payload["n"]).hi
+    low = workdir / "canon2d_low_tau.cert.json"
+    low.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(low)]) == 0
+    code, lines = _check_lines(capsys, ["--cert", str(low), "--solution", str(sol), "--deep"])
+    assert code == 3 and len(lines) == 1 and lines[0].startswith("FAIL: tau "), lines
+
+
+_DELETE = object()
+# hostile JSON values: wrong types, bad shapes, integers past the double
+# range and past any memory, and floats json writes as NaN and Infinity
+_HOSTILE = st.one_of(
+    st.sampled_from([_DELETE, None, True, "x", [], {}, [[0.5]], 10**400, -10**400, 10**20,
+                     2**63, 10**6, 0, -1, 1e300, -1e300, 5e-324]),
+    st.floats(), st.integers(), st.text(max_size=3), st.lists(st.floats(), max_size=2),
+)
+
+
+def _mutate(payload: dict, data) -> dict:
+    """payload with one value, a top-level field or one inside params,
+    coeffs or extent, replaced by a hostile one or removed."""
+    paths = [(key,) for key in payload] + [("params", key) for key in payload["params"]]
+    paths += [(key, -1) for key in ("coeffs", "extent") if key in payload]
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(_HOSTILE)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return payload
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutate_solution=st.booleans(), data=st.data())
+def test_mutated_files_are_read_and_checked_without_a_traceback(workdir, solution_file, bound_cert,
+                                                                mutate_solution, data):
+    # one field of the solution file or of its certificate is mutated (the
+    # certificate records the solution's hash unless that is the field): each reader
+    # returns or raises FileFormatError, and check --solution --deep exits
+    # 0, 1 or 3, with the available memory read as 20 MB
+    sol, cert = workdir / "fuzz.json", workdir / "fuzz.cert.json"
+    sol_payload = json.loads(solution_file.read_text())
+    cert_payload = json.loads(bound_cert.read_text())
+    sha = cert_payload["solution_sha256"]
+    if mutate_solution:
+        sol_payload = _mutate(sol_payload, data)
+    else:
+        cert_payload = _mutate(cert_payload, data)
+    sol.write_text(json.dumps(sol_payload))
+    if cert_payload.get("solution_sha256") == sha:  # the hash itself not mutated
+        cert_payload["solution_sha256"] = file_sha256(sol)
+    cert.write_text(json.dumps(cert_payload))
+    for read, path in ((read_solution, sol), (read_certificate, cert)):
+        with contextlib.suppress(FileFormatError):
+            read(path)
+    out = io.StringIO()
+    with (mock.patch("okvalid.operator.available_memory_bytes", lambda: 2e7),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(out)):
+        code = main(["check", "--cert", str(cert), "--solution", str(sol), "--deep"])
+    assert code in (0, 1, 3), out.getvalue()
 
 
 def test_check_truncated_json(workdir):
@@ -550,18 +693,25 @@ def _traced_main(argv):
     (["render", "--in", "D3", "--grid", "100000", "--out", "OUT"], "--grid 100000", "3-d grid of values"),
     (["constants", "--dim", "3", "--ncut", "10000000"], "--ncut 10000000", "lattice sum of cm_bar"),
     (["constants", "--ncut", "100000"], "--ncut 100000", "lattice sum of cm_bar"),
+    *[pytest.param(["render", "--in", f"D{d}", "--grid", str(10**200), "--out", "OUT"],
+                   f"--grid {10**200}", f"{d}-d grid of values", id=f"render-{d}d-10^200")
+      for d in (2, 3)],
+    *[pytest.param(["constants", "--dim", str(d), "--ncut", str(10**200)], f"--ncut {10**200}",
+                   "lattice sum of cm_bar", id=f"constants-{d}d-10^200") for d in (2, 3)],
 ])
 def test_render_and_constants_check_memory_before_allocating(workdir, capsys, monkeypatch, argv, what, stage):
     # what a command would allocate is charged first: with 100 MB
-    # available, a 3-d grid of 10^15 points and the 3-d lattice sum at
-    # ncut = 10^5 or 10^7 are refused with one error line after a traced
+    # available, a 3-d grid of 10^15 points, the 3-d lattice sum at ncut =
+    # 10^5 or 10^7, and a grid or a sum at 10^200, whose charge lies past
+    # the double range, are refused with one error line after a traced
     # peak well under 1 MB, and no output is written
     from okvalid import operator
 
-    path = workdir / "mem3d.json"
-    write_solution(path, ModelParams(lam=1.0), single_mode((4, 4, 4), (1, 1, 1), 0.3), 0.0)
-    out = workdir / "mem3d.render.csv"
-    argv = [str(path) if a == "D3" else str(out) if a == "OUT" else a for a in argv]
+    paths = {"D2": workdir / "mem2d_grid.json", "D3": workdir / "mem3d.json"}
+    write_solution(paths["D2"], ModelParams(lam=1.0), single_mode((4, 4), (1, 1), 0.3), 0.0)
+    write_solution(paths["D3"], ModelParams(lam=1.0), single_mode((4, 4, 4), (1, 1, 1), 0.3), 0.0)
+    out = workdir / "mem.render.csv"
+    argv = [str(paths.get(a, a)) if a != "OUT" else str(out) for a in argv]
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e8)
     capsys.readouterr()
     code, peak = _traced_main(argv)

@@ -182,10 +182,16 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=1000, deadline=None)
 @given(_FINITE, _FINITE.filter(lambda b: b != 0.0))
 @example(13.333457, 1.0)  # was one ulp wide on each side, a non-integer over 1
+@example(2.0**-1074, 3.0)  # subnormal: the error term would underflow
+@example(3 * 2.0**-1074, 0.75)  # subnormal, exact as 4 * 2^-1074
+@example(3 * 2.0**-960, 3.0)  # at the underflow guard
+@example(1.5 * 2.0**1023, 3.0)  # huge: a split would overflow
+@example(2.0**1000, 2.0**-994)  # a huge quotient
 def test_point_quotient_is_a_point_exactly_where_it_is_a_double(x, b):
     # for a = x and a = fl(x b), the latter often a multiple of b: the
     # quotient encloses a / b, and it is a point exactly when a / b is a
-    # double, whatever the size of the operands
+    # double, whatever the size of the operands: inside the ranges of the
+    # error-free product and past them, where integers decide
     for a in (x, x * b):
         if not math.isfinite(a):
             continue

@@ -21,6 +21,7 @@ from balls import (
 )
 from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid import intervals, operator
+from okvalid.embeddings import table_constants
 from okvalid.intervals import (
     EIGVALSH_WIDTH,
     KRYLOV_STEPS,
@@ -1249,8 +1250,9 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     assert assembled == [] and not read and peak < 8.0 * lin.q.center.size * operator.KN_Q_ARRAYS
 
 
-def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
-    p, result = solved_1d
+def _record_tries(monkeypatch) -> list:
+    """The truncations that auto_inverse_bound passes to
+    derivative_inverse_bound, in order, from a rung patched to 32."""
     tried = []
     bound = operator.derivative_inverse_bound
 
@@ -1260,13 +1262,31 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
 
     monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
     monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
+    return tried
+
+
+def test_auto_inverse_bound_predicts_the_truncation(solved_1d, monkeypatch):
+    # tau >= 1 at the rung, n = 32; K_N there predicts n = 88 for tau = 1/2,
+    # and one pass there reaches it (doubling took 32, 64 and 128)
+    p, result = solved_1d
+    tried = _record_tries(monkeypatch)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e12)
+    ib = auto_inverse_bound(p, lin_of(p, result.solution))
+    assert tried == [32, 88]
+    assert ib.n == 88 and ib.tau <= 0.5
+
+
+def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
+    p, result = solved_1d
+    tried = _record_tries(monkeypatch)
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
     ib = auto_inverse_bound(p, lin_of(p, result.solution))
-    # tau at n = 64 misses the target; n = 128 does not fit, and neither
-    # would anything larger, so the escalation stops there
-    assert tried == [32, 64, 128]
-    assert ib.n == 64 and 0.5 < ib.tau < 1.0
+    # the prediction from n = 32, 88, does not fit: it is cut down to 65,
+    # the largest truncation charged as 64 is, where tau misses the target;
+    # nothing larger fits, so the escalation stops there
+    assert tried == [32, 65]
+    assert ib.n == 65 and 0.5 < ib.tau < 1.0
 
 
 def test_auto_inverse_bound_reads_the_memory_once(solved_1d, monkeypatch):
@@ -1275,21 +1295,77 @@ def test_auto_inverse_bound_reads_the_memory_once(solved_1d, monkeypatch):
     from okvalid.cift import validate
 
     p, result = solved_1d
-    tried, reads = [], []
-    bound = operator.derivative_inverse_bound
-
-    def recording(p, lin, n, avail):
-        tried.append(n)
-        return bound(p, lin, n, avail)
-
-    monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
-    monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
+    reads = []
+    tried = _record_tries(monkeypatch)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: reads.append(1) or 1e12)
     auto_inverse_bound(p, lin_of(p, result.solution))
     assert len(tried) > 1 and len(reads) == 1
     reads.clear()
     assert validate(p, result.solution, "lambda").valid
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("target", [0.5, 0.3, 0.1])
+def test_next_truncation_is_where_tau_formula_reaches_the_target(solved_1d, solved_2d, target):
+    # at the K_N certified at n, tau_formula is at most the target at the
+    # predicted truncation and above it one below
+    for (p, result), n in ((solved_1d, 65), (solved_2d, 24), (solved_2d, 28)):
+        lin = lin_of(p, result.solution)
+        ib = derivative_inverse_bound(p, lin, n)
+        big = operator.next_truncation(lin.q, operator.split_axes(lin.q), n, ib.tau, target, math.inf)
+        cb = table_constants(lin.q.dim).cb
+        assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big).hi <= target
+        assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big - 1).hi > target
+
+
+def test_next_truncation_cut_down_to_memory(solved_1d):
+    # the prediction from n = 65 for 1/2, 88, is cut down to the largest
+    # truncation that fits, and is None where none above n does
+    p, result = solved_1d
+    lin = lin_of(p, result.solution)
+    ib = derivative_inverse_bound(p, lin, 65)
+    split = operator.split_axes(lin.q)
+
+    def predict(avail):
+        return operator.next_truncation(lin.q, split, 65, ib.tau, 0.5, avail)
+
+    assert predict(math.inf) == 88
+    assert predict(_charge_1d(solved_1d, 88)) == 88
+    assert predict(_charge_1d(solved_1d, 80)) == 81  # 80 and 81 have one charge
+    assert predict(_charge_1d(solved_1d, 66)) == 67
+    assert predict(_charge_1d(solved_1d, 66) - 1) is None
+
+
+def test_tail_failure_names_the_predicted_truncation_past_memory(solved_1d):
+    # tau >= 1 at n = 32, and the truncation that K_N there predicts for
+    # 1/2, 88, does not fit, nor does one where tau would fall below 1:
+    # no suggestion, and the message names 88 and its charge
+    p, result = solved_1d
+    lin = lin_of(p, result.solution)
+    avail = _charge_1d(solved_1d, 33)
+    with pytest.raises(CertificationError) as err:
+        derivative_inverse_bound(p, lin, 32, avail)
+    assert err.value.stage == "inverse_bound" and err.value.suggested_n is None
+    need = _charge_1d(solved_1d, 88)
+    assert str(err.value).endswith(f"at n=32; the predicted truncation n=88 needs about "
+                                   f"{need / 1e6:.0f} MB for the K_N stage, "
+                                   f"{avail / 1e6:.0f} MB available")
+    # with memory for n = 88, 88 is the suggestion
+    with pytest.raises(CertificationError) as err:
+        derivative_inverse_bound(p, lin, 32, need)
+    assert err.value.suggested_n == 88 and "predicted" not in str(err.value)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_auto_rung_past_the_double_range_fails_at_kn_bound(dim):
+    # q = 1e150 on the zero solution puts the rung near 7e74, whose K_N
+    # charge lies past the double range: an exact integer, refused at
+    # kn_bound with no suggestion
+    from okvalid.cift import validate
+
+    cert = validate(ModelParams(lam=1e150), CosineSeries.zeros((2,) * dim), "lambda")
+    assert not cert.valid and cert.stage == "kn_bound"
+    assert "needs about 10^" in cert.reason and "suggested" not in cert.reason
 
 
 def test_validate_reports_memory_ceiling(solved_1d, monkeypatch):
