@@ -19,6 +19,7 @@ from .cift import (
 )
 from .embeddings import EmbeddingConstants, equiv_factor, recompute_cmbar, table_constants
 from .intervals import BallMatrix, Interval, IntervalDomainError
+from .inverse import InverseBound, auto_inverse_bound, derivative_inverse_bound, tau_formula
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,
@@ -31,17 +32,13 @@ from .lipschitz import (
 from .newton import NewtonError, NewtonResult, SolveOptions, newton_solve, parameter_walk, parse_seed
 from .operator import (
     CertificationError,
-    InverseBound,
     Linearization,
     ModelParams,
     PARAMETERS,
     apply_linearization,
-    auto_inverse_bound,
-    derivative_inverse_bound,
     linearization_coefficient,
     residual_norm,
     residual_series,
-    tau_formula,
 )
 from .series import CosineSeries, evaluate_grid, laplacian, multiply, norm, sup_bound, tail
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .embeddings import table_constants
 from .intervals import Interval
+from .inverse import auto_inverse_bound, derivative_inverse_bound, inverse_bounds, k_formula, tau_formula
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,
@@ -37,14 +38,10 @@ from .operator import (
     CertificationError,
     Linearization,
     ModelParams,
-    auto_inverse_bound,
     ball_powers,
-    derivative_inverse_bound,
     fprime_series,
-    k_formula,
     linearization_coefficient,
     residual_norm,
-    tau_formula,
 )
 from .series import CosineSeries, norm
 
@@ -420,7 +417,7 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
 
     Once per call: solution_bounds(p, u), one reading of the available
     memory, one K_N pass over the integer truncations
-    (operator.inverse_bounds; an n of None escalates towards tau_target
+    (inverse.inverse_bounds; an n of None escalates towards tau_target
     through auto_inverse_bound) and the first Lipschitz round, whose box
     depends on neither the truncation nor K.  Then per truncation:
     Lipschitz rounds -> radii -> replay.  The box radii default
@@ -446,7 +443,7 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
     rho, lin = bounds.rho, bounds.lin
     avail = operator.available_memory_bytes()
     fixed = [n for n in ns if n is not None]
-    inverse = dict(zip(fixed, operator.inverse_bounds(p, lin, fixed, avail)))
+    inverse = dict(zip(fixed, inverse_bounds(p, lin, fixed, avail)))
     pinned = du is not None or dp is not None
     du0 = du if du is not None else bounds.du0
     dp0 = dp if dp is not None else 0.05 * max(1.0, abs(p.get(which)))

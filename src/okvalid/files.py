@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import math
+import sys
 import typing
 
 import numpy as np
@@ -149,19 +150,18 @@ _FIELD_TYPES = typing.get_type_hints(Certificate)
 
 def _certificate_field(f: dataclasses.Field, value, path):
     """A certificate field's JSON value, checked against the field's type: a
-    JSON integer stands for a float, and a null or absent value takes the
-    field's default."""
+    JSON integer stands for a float within the double range, and a null or
+    absent value takes the field's default."""
     if value is None and f.default is not dataclasses.MISSING:
         return f.default
     if value is None and f.default_factory is not dataclasses.MISSING:
         return f.default_factory()
     kind = _FIELD_TYPES[f.name]
-    if type(value) is int:
-        try:  # every number of a certificate is read as a double somewhere
-            number = float(value)
+    if type(value) is int and isinstance(0.0, kind):
+        try:
+            value = float(value)
         except OverflowError:
             raise FileFormatError(f"{f.name} beyond the double range in certificate file {path}") from None
-        value = number if isinstance(0.0, kind) else value
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         name = getattr(kind, "__name__", kind)
         raise FileFormatError(
@@ -181,6 +181,9 @@ def _certificate_of(payload: dict, path):
     }
     if fields["which"] not in PARAMETERS:
         raise FileFormatError(f"unknown parameter {fields['which']!r} in certificate file {path}")
+    # a valid certificate's n is replayed as a double; an invalid one's records any truncation tried
+    if fields["valid"] and not (fields["n"] or 0) <= sys.float_info.max:
+        raise FileFormatError(f"n beyond the double range in certificate file {path}")
     return Certificate(params=p, **fields), payload.get("solution_sha256")
 
 

@@ -12,7 +12,9 @@ written by float.hex, as one JSON document, for:
 - the criterion-09 sweep, 1-d (50, 2, 0), in lambda, sigma and mu over
   N = 24..256;
 - the criterion-09 solution in lambda over N = 96, 100 with the available
-  memory read as the K_N charge of N=100 alone (memory-tight).
+  memory read as the K_N charge of N=100 alone (memory-tight);
+- the benchmark's 2-d solution from its seed 1 (bench/workloads.py), which
+  is off the axis swap by float debris, validated in lambda at N=28.
 
 The solutions of criteria 09 and 11 go through a solution file, as there.
 Run from the root of a checkout, and compare the outputs of two with cmp:
@@ -32,6 +34,11 @@ import tempfile
 from unittest import mock
 
 from okvalid import operator
+
+try:
+    from okvalid.inverse import kn_stage_bytes
+except ImportError:  # a checkout whose K_N stage lives in okvalid.operator
+    kn_stage_bytes = operator.kn_stage_bytes
 from okvalid.cift import Certificate, solution_bounds, validate, validations
 from okvalid.cli import main
 from okvalid.files import read_solution
@@ -40,6 +47,7 @@ from okvalid.operator import PARAMETERS, ModelParams
 
 SWEEP_1D = [24, 32, 48, 64, 96, 128, 256]
 SWEEP_2D = [40, 12, 28, 20, 28]
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def bits(value):
@@ -83,6 +91,12 @@ def dump() -> dict:
                            "auto": record(validate(p, u, "lambda"))}
     out["sweep_2d_sigma"] = [record(c) for c in validations(p, u, "sigma", SWEEP_2D)]
 
+    sys.path.insert(0, str(BENCH))
+    import workloads
+
+    p, result = workloads.solve_start("2d", 1)
+    out["bench_2d_seed_1"] = record(validate(p, result.solution, "lambda", n=28))
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         p, u = solved_via_file(tmp, "sol3d", ["--dim", "3", "--N", "12", "--lambda", "40",
@@ -93,7 +107,7 @@ def dump() -> dict:
         out["sweep_09"] = {w: [record(c) for c in validations(p, u, w, SWEEP_1D)]
                            for w in PARAMETERS}
         q = solution_bounds(p, u).lin.q
-        avail = operator.kn_stage_bytes(q, 100, operator.split_axes(q))
+        avail = kn_stage_bytes(q, 100, operator.split_axes(q))
         with mock.patch.object(operator, "available_memory_bytes", lambda: avail):
             out["sweep_09_memory_tight"] = [record(c)
                                             for c in validations(p, u, "lambda", [96, 100])]

@@ -12,7 +12,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from okvalid import operator
+from okvalid import inverse, operator
 from okvalid.intervals import BallMatrix
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import ModelParams, fprime_series, linearization_coefficient
@@ -42,9 +42,9 @@ def galerkin_blocks(p, q, n):
     the modes 0 < |k|_inf < n, one class after another, as the K_N stage
     assembles them when it skips no class: each block is assembled only
     when the previous one has been taken."""
-    raw = (*operator._raw_mid_rad(q)[:2], q.axes)
+    raw = (*inverse._raw_mid_rad(q)[:2], q.axes)
     for block in operator.parity_blocks(operator.split_axes(q), n):
-        yield block, operator._galerkin_block(p, block, raw)
+        yield block, inverse._galerkin_block(p, block, raw)
 
 
 def galerkin_full(p, q, n, blocks=None) -> BallMatrix:

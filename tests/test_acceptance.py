@@ -19,11 +19,11 @@ from okvalid.cli import main
 from okvalid.embeddings import recompute_cmbar
 from okvalid.files import read_certificate, read_solution, write_certificate, write_solution
 from okvalid.intervals import PI
+from okvalid.inverse import derivative_inverse_bound
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     ModelParams,
     apply_linearization,
-    derivative_inverse_bound,
 )
 from okvalid.series import (
     CosineSeries,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okvalid import cift, operator
+from okvalid import cift, inverse, operator
 from okvalid.cift import (
     Certificate,
     RadiiInequalities,
@@ -286,13 +286,13 @@ def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2
     p, result = solved_2d
     widths = {"inv": [], "eigvalsh": []}
     labels = []
-    assemble = operator._galerkin_block
+    assemble = inverse._galerkin_block
 
     def recording(p, block, raw):
         labels.append(block.label)
         return assemble(p, block, raw)
 
-    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    monkeypatch.setattr(inverse, "_galerkin_block", recording)
     for name in widths:
         fn = getattr(np.linalg, name)
 
@@ -540,7 +540,7 @@ def test_verify_replays_tau(certificates_1d):
     # formula: only the tau replay rejects them
     cert = certificates_1d["lambda"]
     assert verify_certificate(cert)[0]
-    zero = dataclasses.replace(cert, tau=0.0, k=operator.k_formula(cert.kn, 0.0).hi)
+    zero = dataclasses.replace(cert, tau=0.0, k=inverse.k_formula(cert.kn, 0.0).hi)
     assert verify_certificate(zero) == (False, [_TAU_FAILURE])
     ulp = dataclasses.replace(cert, tau=math.nextafter(cert.tau, 0.0))
     assert verify_certificate(ulp) == (False, [_TAU_FAILURE])
@@ -559,7 +559,7 @@ def test_verify_replays_k_at_its_formulas_upper_end(solved_2d, tmp_path):
 
     from okvalid.cli import EXIT_CERT, main
     from okvalid.files import write_certificate
-    from okvalid.operator import k_formula
+    from okvalid.inverse import k_formula
 
     p, result = solved_2d
     cert = validate(p, result.solution, "lambda", n=28)
@@ -578,7 +578,7 @@ def test_tau_replay_is_exact_in_1d_and_a_floor_above(certificates_1d, solved_2d,
     # smallest, so it meets the stored tau in 1-d and stays below it in 2-d
     # and 3-d
     from okvalid.embeddings import table_constants
-    from okvalid.operator import tau_formula
+    from okvalid.inverse import tau_formula
 
     (p2, res2), (p3, res3) = solved_2d, solved_3d
     certs = [(1, certificates_1d["lambda"]),
@@ -622,7 +622,7 @@ def test_solution_failures_replay_tau_in_the_solution_dimension(solved_2d):
     # a 2-d tau lowered to the 1-d formula's value passes the replay of the
     # certificate alone, whose cb is 1-d's, and fails against its solution
     from okvalid.embeddings import table_constants
-    from okvalid.operator import tau_formula
+    from okvalid.inverse import tau_formula
 
     p, res = solved_2d
     cert = validate(p, res.solution, "lambda", n=28)

@@ -47,12 +47,28 @@ def test_solve_writes_file_with_crosschecked_residual(solution_file):
     assert rho <= 1e-8
 
 
-def test_solve_zero_seed(workdir):
+@pytest.fixture(scope="module")
+def trivial_file(workdir):
+    """The zero 1-d solution that okvalid solve writes for the seed zero."""
     path = workdir / "trivial.json"
     code = main(["solve", "--dim", "1", "--lambda", "150", "--seed", "zero",
                  "--out", str(path)])
     assert code == 0
-    _p, u, meta = read_solution(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def lambda_cert(workdir, solution_file):
+    """The certificate of solution_file in lambda that okvalid validate writes."""
+    cert_path = workdir / "sol.lambda.cert.json"
+    code = main(["validate", "--in", str(solution_file), "--param", "lambda",
+                 "--out", str(cert_path)])
+    assert code == 0
+    return cert_path
+
+
+def test_solve_zero_seed(trivial_file):
+    _p, u, meta = read_solution(trivial_file)
     assert not u.mid().any()
     assert meta["residual_float"] == 0.0
 
@@ -99,6 +115,8 @@ def test_walk_bad_damping_usage_error(workdir, solution_file, capsys):
     ("walk", ["--step", "0"], "step must be finite and nonzero"),
     ("walk", ["--step", "nan"], "step must be finite and nonzero"),
     ("walk", ["--step", "inf"], "step must be finite and nonzero"),
+    ("sweep", ["--Nlist", "24,x"], "--Nlist must be a comma-separated list of integers"),
+    ("sweep", ["--Nlist", ","], "empty --Nlist"),
 ])
 def test_bad_truncation_or_step_usage_error(workdir, solution_file, capsys, monkeypatch,
                                             command, flags, message):
@@ -209,11 +227,8 @@ def test_newton_memory_check_before_allocating(workdir, solution_file, capsys, m
     assert not list(workdir.glob("too_big*"))
 
 
-def test_validate_and_check_roundtrip(workdir, solution_file):
-    cert_path = workdir / "sol.lambda.cert.json"
-    code = main(["validate", "--in", str(solution_file), "--param", "lambda",
-                 "--out", str(cert_path)])
-    assert code == 0
+def test_validate_and_check_roundtrip(solution_file, lambda_cert):
+    cert_path = lambda_cert
     cert, sha = read_certificate(cert_path)
     assert cert.valid and sha
     assert main(["check", "--cert", str(cert_path)]) == 0
@@ -252,8 +267,26 @@ def test_validate_rejects_non_finite_input(workdir, solution_file, capsys, field
     assert "Traceback" not in err
 
 
-def test_check_detects_tampering(workdir, solution_file):
-    cert_path = workdir / "sol.lambda.cert.json"
+def test_validate_at_alpha_reports_the_feasible_range(workdir, solution_file, lambda_cert, capsys):
+    # --at-alpha within the certified radius prints the feasible delta_x
+    # range of the certificate's inequalities, and far beyond it says that
+    # the radius is not feasible
+    cert, _ = read_certificate(lambda_cert)
+    out = workdir / "at_alpha.cert.json"
+    for da in (cert.delta_alpha / 2, 1e6):
+        rng = cift.feasible_dx_range(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4,
+                                     cert.ell_x, da)
+        assert (rng is None) == (da == 1e6)
+        want = (f"delta_alpha={da} is not feasible" if rng is None else
+                f"at delta_alpha={da}: feasible delta_x in [{rng[0]}, {rng[1]}]")
+        capsys.readouterr()
+        assert main(["validate", "--in", str(solution_file), "--param", "lambda",
+                     "--at-alpha", repr(da), "--out", str(out)]) == 0
+        assert want in capsys.readouterr().out.splitlines()
+
+
+def test_check_detects_tampering(workdir, lambda_cert):
+    cert_path = lambda_cert
     payload = json.loads(cert_path.read_text())
     payload["delta_alpha"] *= 1.1
     bad = workdir / "tampered.cert.json"
@@ -267,8 +300,8 @@ def test_check_detects_tampering(workdir, solution_file):
     ("tau", float("-inf")),
     ("lambda", float("nan")),
 ])
-def test_check_rejects_non_finite_certificate(workdir, solution_file, capsys, field, value):
-    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+def test_check_rejects_non_finite_certificate(workdir, lambda_cert, capsys, field, value):
+    payload = json.loads(lambda_cert.read_text())
     if field == "lambda":
         payload["params"][field] = value
     else:
@@ -294,10 +327,10 @@ def test_check_rejects_non_finite_certificate(workdir, solution_file, capsys, fi
     ("solution", "extent", [48, 1, 1, 1]),
     ("solution", "dim", 2),
 ])
-def test_hostile_file_usage_error(workdir, solution_file, capsys, kind, field, value):
+def test_hostile_file_usage_error(workdir, solution_file, lambda_cert, capsys, kind, field, value):
     # a field of the wrong type or shape is one error line and exit 1
     if kind == "certificate":
-        payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+        payload = json.loads(lambda_cert.read_text())
     else:
         payload = json.loads(solution_file.read_text())
         if value == [0]:
@@ -343,10 +376,10 @@ def test_validate_overflow_names_the_bound(workdir, solution_file, capsys, field
     ("rho", 401, "rho beyond the double range in certificate file"),
     ("n", 5001, "cannot read certificate file"),  # past int's string limit
 ])
-def test_check_refuses_an_integer_beyond_the_double_range(workdir, solution_file, capsys,
+def test_check_refuses_an_integer_beyond_the_double_range(workdir, lambda_cert, capsys,
                                                           field, digits, message):
     # one error line and exit 1, not an OverflowError from the tau replay
-    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    payload = json.loads(lambda_cert.read_text())
     payload[field] = "HUGE"
     bad = workdir / f"huge_{field}_{digits}.cert.json"
     bad.write_text(json.dumps(payload).replace('"HUGE"', "1" + "0" * (digits - 1)))
@@ -419,6 +452,21 @@ def test_truncation_past_the_string_limit_gets_its_diagnosis(workdir, zero_files
     assert "(10^4500 modes) needs about 10^" in capsys.readouterr().err
 
 
+def test_check_reads_an_invalid_certificate_past_the_double_range(workdir, zero_files, capsys):
+    # validate --N 10^400 writes a kn_bound certificate whose n lies past
+    # the double range; its n is never replayed, so check reads it back as
+    # an invalid certificate: one line and exit 3
+    n = 10**400
+    cert = workdir / "huge_400.cert.json"
+    assert main(["validate", "--in", str(zero_files[2]), "--param", "lambda", "--N", str(n),
+                 "--out", str(cert)]) == 3
+    assert read_certificate(cert)[0].n == n
+    capsys.readouterr()
+    assert main(["check", "--cert", str(cert), "--solution", str(zero_files[2])]) == 3
+    stdout, err = capsys.readouterr()
+    assert err == "" and stdout.splitlines() == ["FAIL: certificate not valid (stage=kn_bound)"]
+
+
 def test_sweep_huge_truncation_fails_its_row_only(workdir, zero_files):
     for d, small in ((1, (24, 64)), (2, (6, 8)), (3, (6, 8))):
         out = workdir / f"sweep_huge_{d}.csv"
@@ -429,16 +477,17 @@ def test_sweep_huge_truncation_fails_its_row_only(workdir, zero_files):
             (str(small[0]), "ok"), (str(HUGE[d]), "failed:kn_bound"), (str(small[1]), "ok")], d
 
 
-def test_check_detects_stale_hash(workdir, solution_file):
-    cert_path = workdir / "sol.lambda.cert.json"
-    other = workdir / "trivial.json"
+def test_check_detects_stale_hash(lambda_cert, trivial_file):
+    cert_path = lambda_cert
+    other = trivial_file
     assert main(["check", "--cert", str(cert_path), "--solution", str(other)]) == 3
 
 
-def test_check_rejects_certificate_without_solution_hash(workdir, solution_file, capsys):
+def test_check_rejects_certificate_without_solution_hash(workdir, solution_file, lambda_cert,
+                                                        capsys):
     # a certificate that records no solution hash cannot be bound to a
     # solution file: one line and exit 3, not "verified"
-    payload = json.loads((workdir / "sol.lambda.cert.json").read_text())
+    payload = json.loads(lambda_cert.read_text())
     payload["solution_sha256"] = None
     unbound = workdir / "unbound.cert.json"
     unbound.write_text(json.dumps(payload))
@@ -527,7 +576,7 @@ def test_check_solution_replays_tau_in_the_solution_dimension(workdir, capsys):
     # a 2-d tau lowered to the 1-d formula's value: check, whose replay
     # takes 1-d's cb, passes it, and check --solution does not
     from okvalid.embeddings import table_constants
-    from okvalid.operator import tau_formula
+    from okvalid.inverse import tau_formula
 
     sol, cert = workdir / "canon2d.json", workdir / "canon2d.cert.json"
     assert main(["solve", "--dim", "2", "--N", "28", "--lambda", "75", "--sigma", "6",
@@ -633,9 +682,9 @@ def test_sweep_reports_failures(workdir, solution_file):
     assert rows[1]["status"] == "ok"
 
 
-def test_render_trivial(workdir):
+def test_render_trivial(workdir, trivial_file):
     out = workdir / "trivial.render.csv"
-    assert main(["render", "--in", str(workdir / "trivial.json"), "--grid", "9",
+    assert main(["render", "--in", str(trivial_file), "--grid", "9",
                  "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 9
@@ -847,7 +896,7 @@ def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
     # and 20 fail at inverse_bound; each class is assembled once, at N=40,
     # and every truncation clears the (0, 1)/(1, 0) orbit, so (1, 0) is
     # never assembled; each row's certificate equals a fresh validate --N
-    from okvalid import operator
+    from okvalid import inverse
 
     p, result = solved_2d
     sol = workdir / "sol2d.json"
@@ -859,14 +908,14 @@ def test_sweep_2d_rows_equal_fresh_validates(workdir, monkeypatch, solved_2d):
             made.append(cert)
             yield cert
 
-    assemble = operator._galerkin_block
+    assemble = inverse._galerkin_block
 
     def recording(p, block, raw):
         assembled.append((block.n, block.label))
         return assemble(p, block, raw)
 
     monkeypatch.setattr(cli, "validations", recorded)
-    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    monkeypatch.setattr(inverse, "_galerkin_block", recording)
     out = workdir / "sweep_2d.csv"
     assert main(["sweep", "--in", str(sol), "--param", "lambda",
                  "--Nlist", "40,12,28,20,28", "--out", str(out)]) == 0
@@ -958,8 +1007,8 @@ def test_solution_roundtrip_lossless(workdir, solution_file):
     assert meta2["residual_float"] == meta["residual_float"]
 
 
-def test_certificate_roundtrip_lossless(workdir, solution_file):
-    cert_path = workdir / "sol.lambda.cert.json"
+def test_certificate_roundtrip_lossless(workdir, lambda_cert):
+    cert_path = lambda_cert
     cert, sha = read_certificate(cert_path)
     from okvalid.files import write_certificate
 
@@ -1010,14 +1059,12 @@ def _malformed(payload: dict, case: str):
     ("lambda negative", "lam must be positive in {path}"),
     ("f_coeffs a number", "malformed {kind} file {path}: 'float' object is not iterable"),
 ])
-def test_malformed_file_messages(workdir, solution_file, kind, case, message):
+def test_malformed_file_messages(workdir, solution_file, lambda_cert, kind, case, message):
     # both file kinds go through one reader: each fault is a FileFormatError
     # with the same message, the kind of file named where it is
     from okvalid.files import FileFormatError
 
-    good = solution_file if kind == "solution" else workdir / "sol.lambda.cert.json"
-    if not good.exists():
-        assert main(["validate", "--in", str(solution_file), "--param", "lambda"]) == 0
+    good = solution_file if kind == "solution" else lambda_cert
     path = workdir / f"malformed_{kind}_{case.replace(' ', '_')}.json"
     if case != "missing":
         path.write_text(_malformed(json.loads(good.read_text()), case))

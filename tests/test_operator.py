@@ -20,7 +20,7 @@ from balls import (
     width,
 )
 from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
-from okvalid import intervals, operator
+from okvalid import intervals, inverse, operator
 from okvalid.embeddings import table_constants
 from okvalid.intervals import (
     EIGVALSH_WIDTH,
@@ -32,21 +32,19 @@ from okvalid.intervals import (
     inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
+from okvalid.inverse import auto_inverse_bound, axis_symmetries, derivative_inverse_bound, tau_formula
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
     Linearization,
     ModelParams,
     apply_linearization,
-    auto_inverse_bound,
-    derivative_inverse_bound,
     galerkin_matrix_point,
     poly_deriv,
     residual_norm,
     residual_series,
-    tau_formula,
 )
-from okvalid.series import C_FLOAT, CosineSeries, axis_symmetries, evaluate_grid, norm, sup_bound
+from okvalid.series import C_FLOAT, CosineSeries, evaluate_grid, norm, sup_bound
 
 
 def test_model_params_validation():
@@ -363,7 +361,7 @@ def test_galerkin_contains_exact_inner_products(rng, monkeypatch, extent, n, poi
 
     read = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays, *lattice: read.extend(arrays) or sums(axes, arrays, *lattice))
+    monkeypatch.setattr(inverse, "_galerkin_sums", lambda axes, arrays, *lattice: read.extend(arrays) or sums(axes, arrays, *lattice))
     mid = rng.standard_normal(extent) * scale
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent) * scale
     mid[rng.uniform(size=extent) < 0.3] = 0.0
@@ -394,7 +392,7 @@ def test_galerkin_block_reads_two_sums_of_a_ball_q(rng, monkeypatch):
     # coefficients on every axis's two parities as on one
     calls = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(operator, "_galerkin_sums", lambda axes, arrays, *lattice: calls.append(len(arrays)) or sums(axes, arrays, *lattice))
+    monkeypatch.setattr(inverse, "_galerkin_sums", lambda axes, arrays, *lattice: calls.append(len(arrays)) or sums(axes, arrays, *lattice))
     p = ModelParams(lam=7.0, sigma=1.5)
     for extent, stride in (((6, 5), 1), ((7, 7), 2)):
         mid = np.zeros(extent)
@@ -669,13 +667,13 @@ def test_lambda_max_estimate_needs_an_unstructured_start(solved_2d):
 def _record_assembly(monkeypatch) -> list:
     """The labels of the blocks that _galerkin_block assembles from here on."""
     labels = []
-    assemble = operator._galerkin_block
+    assemble = inverse._galerkin_block
 
     def recording(p, block, raw):
         labels.append(block.label)
         return assemble(p, block, raw)
 
-    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    monkeypatch.setattr(inverse, "_galerkin_block", recording)
     return labels
 
 
@@ -762,16 +760,19 @@ def test_kn_3d_certifies_one_class_per_orbit(monkeypatch, solved_3d):
 
 @pytest.mark.parametrize("extent,n", [((7, 7), 8), ((5, 5, 5), 6)])
 def test_kn_asymmetric_q_assembles_every_class(rng, monkeypatch, extent, n):
-    # a random q with even indices only: it splits on every axis, and no
-    # axis permutation is consistent with its ball, so every class is
-    # assembled and K_N is that of the walk over every block, bit for bit
+    # a random q with even indices only: it splits on every axis, and every
+    # axis permutation is kept with a defect at least the exact sum, too
+    # large for the tightened floor, so every class is assembled and K_N is
+    # that of the walk over every block, bit for bit
     a = make_random_series(rng, extent, zero_mean=False, scale=0.3).mid()
     a *= (np.indices(extent) % 2 == 0).all(axis=0)
     q = CosineSeries.from_point(a)
     p = ModelParams(lam=10.0, sigma=1.0)
-    qm, qr = operator._raw_mid_rad(q)[:2]
+    qm, qr = inverse._raw_mid_rad(q)[:2]
     assert operator.split_axes(q) == (True,) * len(extent)
-    assert axis_symmetries(qm, qr) == ([], 0.0)
+    perms, defect = axis_symmetries(qm, qr)
+    assert len(perms) == math.factorial(len(extent)) - 1
+    assert all(Fraction(defect) >= _exact_defect(qm, qr, perm) for perm in perms)
     want = _kn_every_block(p, q, n)
     labels = _record_assembly(monkeypatch)
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
@@ -786,7 +787,7 @@ def test_kn_orbit_failing_the_tightened_floor_walks_its_members(monkeypatch, sol
     p, result = solved_2d
     lin = lin_of(p, result.solution)
     want = _kn_every_block(p, lin.q, 28)
-    monkeypatch.setattr(operator, "axis_symmetries", lambda m, r, *parity: (axis_symmetries(m, r, *parity)[0], 1e4))
+    monkeypatch.setattr(inverse, "axis_symmetries", lambda m, r, *parity: (axis_symmetries(m, r, *parity)[0], 1e4))
     labels = _record_assembly(monkeypatch)
     calls = _count_inverses(monkeypatch)
     assert derivative_inverse_bound(p, lin, 28).kn == want
@@ -807,24 +808,32 @@ def _swap_consistent_q(rng) -> CosineSeries:
     return CosineSeries(a + 0.5 * rad * rng.uniform(-1.0, 1.0, a.shape), rad)
 
 
+def _exact_defect(qm, qr, perm) -> Fraction:
+    """sum |qm - pi qm| + qr + pi qr over the raw arrays, in exact rationals."""
+    return sum(abs(Fraction(x) - Fraction(y)) + Fraction(r) + Fraction(s)
+               for x, y, r, s in zip(qm.ravel(), qm.transpose(perm).ravel(),
+                                     qr.ravel(), qr.transpose(perm).ravel()))
+
+
 def test_axis_symmetry_defect_bounds_the_exact_sum(rng):
     # the defect is at least sum |qm - pi qm| + qr + pi qr, in exact
     # rationals, and within a few roundings of it; an extent that the swap
-    # does not keep, or a midpoint asymmetric beyond the radii, gives no
-    # symmetry; a permutation that breaks the split pattern maps no class
+    # does not keep gives no symmetry, and a midpoint asymmetric beyond the
+    # radii keeps the swap with a larger defect; a permutation that breaks
+    # the split pattern maps no class
     q = _swap_consistent_q(rng)
-    qm, qr = operator._raw_mid_rad(q)[:2]
+    qm, qr = inverse._raw_mid_rad(q)[:2]
     assert np.any(qm != qm.T)
     perms, defect = axis_symmetries(qm, qr)
     assert perms == [(1, 0)]
-    exact = sum(abs(Fraction(x) - Fraction(y)) + Fraction(r) + Fraction(s)
-                for x, y, r, s in zip(qm.ravel(), qm.T.ravel(), qr.ravel(), qr.T.ravel()))
+    exact = _exact_defect(qm, qr, (1, 0))
     assert exact <= Fraction(defect) <= exact * (1 + Fraction(1, 10**12))
     assert axis_symmetries(qm[:, :4], qr[:, :4]) == ([], 0.0)
-    assert operator.parity_orbits(operator.parity_blocks((True, False), 6), perms) == {}
-    assert operator.parity_orbits(operator.parity_blocks((True, True), 6), perms) == {1: {2}}
+    assert inverse.parity_orbits(operator.parity_blocks((True, False), 6), perms) == {}
+    assert inverse.parity_orbits(operator.parity_blocks((True, True), 6), perms) == {(0, 1): {(1, 0)}}
     qm[2, 4] += 1e-3  # the ball no longer holds a symmetric q
-    assert axis_symmetries(qm, qr) == ([], 0.0)
+    perms, defect = axis_symmetries(qm, qr)
+    assert perms == [(1, 0)] and Fraction(defect) >= _exact_defect(qm, qr, (1, 0)) > exact
 
 
 def test_axis_symmetries_keep_the_lattice():
@@ -857,6 +866,25 @@ def test_kn_skipped_members_within_kn_mpmath(rng, monkeypatch):
         with mpmath.workdps(30):
             sigma_min = min(mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False))
         assert 1 / sigma_min <= kn
+
+
+def test_kn_swap_debris_past_the_radius_skips_the_member(rng, monkeypatch):
+    # one raw midpoint off the swap by about 1e-14 past its radius, as
+    # float debris leaves a Newton solution: the swap is kept, (1, 0) is
+    # not assembled, and K_N is that of the walk over every block, bit for
+    # bit
+    q = _swap_consistent_q(rng)
+    center = q.center.copy()
+    center[2, 4] = center[4, 2] + (q.rad[2, 4] + q.rad[4, 2]) + 1e-14
+    q = CosineSeries(center, q.rad)
+    qm, qr = inverse._raw_mid_rad(q)[:2]
+    assert abs(qm[2, 4] - qm[4, 2]) > qr[2, 4] + qr[4, 2]
+    p = ModelParams(lam=1.0)
+    want = _kn_every_block(p, q, 8)
+    labels = _record_assembly(monkeypatch)
+    lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+    assert derivative_inverse_bound(p, lin, 8).kn == want
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
 
 
 def test_kn_certifies_a_later_largest_block(monkeypatch):
@@ -916,13 +944,13 @@ def test_kn_stream_stops_at_the_failing_block(monkeypatch):
     # the classes (0, 1) and (1, 0) both fail; the stage assembles (0, 0)
     # and (0, 1), and no block after the first failing class
     assembled = []
-    assemble = operator._galerkin_block
+    assemble = inverse._galerkin_block
 
     def recording(p, block, raw):
         assembled.append(tuple(block_modes(block)[-1] % 2))
         return assemble(p, block, raw)
 
-    monkeypatch.setattr(operator, "_galerkin_block", recording)
+    monkeypatch.setattr(inverse, "_galerkin_block", recording)
     with pytest.raises(CertificationError, match=r"on parity class \(0, 1\) "):
         derivative_inverse_bound(ModelParams(lam=7.0), _unit_kappa_linearization(), 6)
     assert assembled == [(0, 0), (0, 1)]
@@ -1116,7 +1144,7 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
     for (p, result), n in ((solved_2d, 28), (solved_2d, 48), (solved_3d, 12), (solved_3d, 16)):
         lin = lin_of(p, result.solution)
         peak = _kn_stage_peak(p, lin, n)
-        assert peak <= operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q)), n
+        assert peak <= inverse.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q)), n
         sizes = [block.size for block in operator.parity_blocks((True,) * lin.q.dim, n)]
         assert len(sizes) == 2**lin.q.dim and peak < 8.0 * 2 * sum(s * s for s in sizes), n
     # where q is large against the truncation, its raw arrays set the peak
@@ -1126,7 +1154,7 @@ def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d
     cases += [((p3, res16), n) for n in (6, 8, 10, 12)]
     for (p, result), n in cases:
         lin = lin_of(p, result.solution)
-        charge = operator.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q))
+        charge = inverse.kn_stage_bytes(lin.q, n, operator.split_axes(lin.q))
         assert _kn_stage_peak(p, lin, n) <= charge, (lin.q.extent, n)
 
 
@@ -1147,19 +1175,19 @@ def test_kn_stage_charge_counts_blocks(solved_1d):
     # is the whole matrix
     p, result = solved_1d
     q = lin_of(p, result.solution).q
-    q_arrays = operator.KN_Q_ARRAYS * q.center.size
-    charge = operator.kn_stage_bytes(q, 64, operator.split_axes(q))
-    assert charge == 8.0 * (operator.KN_WORK_ARRAYS * 32**2 + q_arrays)
+    q_arrays = inverse.KN_Q_ARRAYS * q.center.size
+    charge = inverse.kn_stage_bytes(q, 64, operator.split_axes(q))
+    assert charge == 8.0 * (inverse.KN_WORK_ARRAYS * 32**2 + q_arrays)
     q_odd = CosineSeries.from_point(np.array([1.0, 0.5]))
-    q_arrays = operator.KN_Q_ARRAYS * 2
-    charge = operator.kn_stage_bytes(q_odd, 64, operator.split_axes(q_odd))
-    assert charge == 8.0 * (operator.KN_WORK_ARRAYS * 63**2 + q_arrays)
+    q_arrays = inverse.KN_Q_ARRAYS * 2
+    charge = inverse.kn_stage_bytes(q_odd, 64, operator.split_axes(q_odd))
+    assert charge == 8.0 * (inverse.KN_WORK_ARRAYS * 63**2 + q_arrays)
 
 
 def _charge_1d(solved_1d, n: int) -> float:
     p, result = solved_1d
     q = lin_of(p, result.solution).q
-    return operator.kn_stage_bytes(q, n, operator.split_axes(q))
+    return inverse.kn_stage_bytes(q, n, operator.split_axes(q))
 
 
 def _fail_if_called(*args, **kwargs):
@@ -1170,7 +1198,7 @@ def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
     p, result = solved_1d
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
-    monkeypatch.setattr(operator, "_galerkin_block", _fail_if_called)
+    monkeypatch.setattr(inverse, "_galerkin_block", _fail_if_called)
     with pytest.raises(CertificationError) as err:
         derivative_inverse_bound(p, lin_of(p, result.solution), 64)
     assert err.value.stage == "kn_bound"
@@ -1200,17 +1228,17 @@ def _shared_pass(p, lin, ns, avail, monkeypatch):
     every block assembled, the traced peak, and whether q's raw arrays
     were read (series._raw_mid_rad called)."""
     assembled, reads = [], []
-    assemble, raw_mid_rad = operator._galerkin_block, operator._raw_mid_rad
+    assemble, raw_mid_rad = inverse._galerkin_block, inverse._raw_mid_rad
 
     def recording(p, block, raw):
         assembled.append((block.n, block.label))
         return assemble(p, block, raw)
 
-    monkeypatch.setattr(operator, "_galerkin_block", recording)
-    monkeypatch.setattr(operator, "_raw_mid_rad", lambda q: reads.append(q) or raw_mid_rad(q))
+    monkeypatch.setattr(inverse, "_galerkin_block", recording)
+    monkeypatch.setattr(inverse, "_raw_mid_rad", lambda q: reads.append(q) or raw_mid_rad(q))
     tracemalloc.start()
     try:
-        out = operator.inverse_bounds(p, lin, ns, avail)
+        out = inverse.inverse_bounds(p, lin, ns, avail)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1229,39 +1257,39 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     ns = [24, 32, 48, 64, 96, 128, 256]
     alone = [derivative_inverse_bound(p, lin, n) for n in ns[:-1]]
     split = operator.split_axes(lin.q)
-    avail = operator.kn_stage_bytes(lin.q, 256, split) - 1
+    avail = inverse.kn_stage_bytes(lin.q, 256, split) - 1
     out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
     assert out[:-1] == alone
     assert out[-1].stage == "kn_bound" and out[-1].suggested_n is None and "n=256" in str(out[-1])
     assert assembled == [(128, "(0)"), (128, "(1)")]
-    assert peak <= operator.kn_stage_bytes(lin.q, 128, split) <= avail
+    assert peak <= inverse.kn_stage_bytes(lin.q, 128, split) <= avail
     # where only the largest truncation's charge fits, a smaller one is
     # still cut from its blocks, in the same pass
-    avail = operator.kn_stage_bytes(lin.q, 100, split)
+    avail = inverse.kn_stage_bytes(lin.q, 100, split)
     alone = [derivative_inverse_bound(p, lin, n) for n in (96, 100)]
     out, assembled, peak, read = _shared_pass(p, lin, [96, 100], avail, monkeypatch)
     assert out == alone
     assert assembled == [(100, "(0)"), (100, "(1)")]
     assert peak <= avail
     # nothing is assembled, nor q's raw arrays read, where nothing fits
-    avail = operator.kn_stage_bytes(lin.q, 24, split) - 1
+    avail = inverse.kn_stage_bytes(lin.q, 24, split) - 1
     out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
     assert [e.stage for e in out] == ["kn_bound"] * len(ns)
-    assert assembled == [] and not read and peak < 8.0 * lin.q.center.size * operator.KN_Q_ARRAYS
+    assert assembled == [] and not read and peak < 8.0 * lin.q.center.size * inverse.KN_Q_ARRAYS
 
 
 def _record_tries(monkeypatch) -> list:
     """The truncations that auto_inverse_bound passes to
     derivative_inverse_bound, in order, from a rung patched to 32."""
     tried = []
-    bound = operator.derivative_inverse_bound
+    bound = inverse.derivative_inverse_bound
 
     def recording(p, lin, n, avail):
         tried.append(n)
         return bound(p, lin, n, avail)
 
-    monkeypatch.setattr(operator, "derivative_inverse_bound", recording)
-    monkeypatch.setattr(operator, "rule_of_thumb_n", lambda q_h2: 32)
+    monkeypatch.setattr(inverse, "derivative_inverse_bound", recording)
+    monkeypatch.setattr(inverse, "rule_of_thumb_n", lambda q_h2: 32)
     return tried
 
 
@@ -1312,7 +1340,7 @@ def test_next_truncation_is_where_tau_formula_reaches_the_target(solved_1d, solv
     for (p, result), n in ((solved_1d, 65), (solved_2d, 24), (solved_2d, 28)):
         lin = lin_of(p, result.solution)
         ib = derivative_inverse_bound(p, lin, n)
-        big = operator.next_truncation(lin.q, operator.split_axes(lin.q), n, ib.tau, target, math.inf)
+        big = inverse.next_truncation(lin.q, operator.split_axes(lin.q), n, ib.tau, target, math.inf)
         cb = table_constants(lin.q.dim).cb
         assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big).hi <= target
         assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big - 1).hi > target
@@ -1327,7 +1355,7 @@ def test_next_truncation_cut_down_to_memory(solved_1d):
     split = operator.split_axes(lin.q)
 
     def predict(avail):
-        return operator.next_truncation(lin.q, split, 65, ib.tau, 0.5, avail)
+        return inverse.next_truncation(lin.q, split, 65, ib.tau, 0.5, avail)
 
     assert predict(math.inf) == 88
     assert predict(_charge_1d(solved_1d, 88)) == 88
