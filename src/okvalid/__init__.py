@@ -19,7 +19,7 @@ from .cift import (
 )
 from .embeddings import EmbeddingConstants, equiv_factor, recompute_cmbar, table_constants
 from .intervals import BallMatrix, Interval, IntervalDomainError
-from .inverse import InverseBound, auto_inverse_bound, derivative_inverse_bound, tau_formula
+from .inverse import InverseBound, derivative_inverse_bound, inverse_bounds, tau_formula
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,

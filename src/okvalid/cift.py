@@ -20,11 +20,12 @@ from __future__ import annotations
 import datetime
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .embeddings import table_constants
 from .intervals import Interval
-from .inverse import auto_inverse_bound, derivative_inverse_bound, inverse_bounds, k_formula, tau_formula
+from .inverse import derivative_inverse_bound, inverse_bounds, k_formula, tau_formula
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,
@@ -32,7 +33,6 @@ from .lipschitz import (
     lipschitz_bounds,
     solution_sups,
 )
-from . import operator
 from .operator import (
     PARAMETERS,
     CertificationError,
@@ -379,7 +379,8 @@ def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
     (solution_bounds) and the stored box (lipschitz_bounds), or a tau below
     its formula with the cb of u's dimension (verify_certificate takes 1-d's,
     a floor in 2-d and 3-d).  With deep, also a kn below K_N recomputed at
-    the stored n (derivative_inverse_bound), or an n where it cannot be."""
+    the stored n (derivative_inverse_bound), with the gap in ulps, or an n
+    where it cannot be."""
     if p != cert.params:
         return ["solution parameters differ from the certificate's"]
     try:
@@ -402,7 +403,12 @@ def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
             failures.append(f"K_N not recomputed at n={cert.n}: {exc}")
         else:
             if not cert.kn >= kn:
-                failures.append(f"kn {cert.kn!r} below its value {kn!r} recomputed at n={cert.n}")
+                # a positive double's bit pattern counts the ulps from zero up
+                # to it, a negative one's magnitude bits count them down
+                top, low = struct.unpack("<2q", struct.pack("<2d", kn, cert.kn))
+                gap = top - (low if low >= 0 else -(low & (2**63 - 1)))
+                failures.append(f"kn {cert.kn!r} below its value {kn!r} recomputed at n={cert.n}, "
+                                f"by {gap} ulp{'s' * (gap != 1)}")
     return failures
 
 
@@ -411,23 +417,22 @@ LIPSCHITZ_ROUNDS = 5
 
 
 def validations(p: ModelParams, u: CosineSeries, which: str, ns,
-                du: float | None = None, dp: float | None = None, tau_target: float = 0.5):
+                du: float | None = None, dp: float | None = None):
     """Validate u at each truncation of ns: yields one certificate per
     truncation, in order.
 
-    Once per call: solution_bounds(p, u), one reading of the available
-    memory, one K_N pass over the integer truncations
-    (inverse.inverse_bounds; an n of None escalates towards tau_target
-    through auto_inverse_bound) and the first Lipschitz round, whose box
-    depends on neither the truncation nor K.  Then per truncation:
-    Lipschitz rounds -> radii -> replay.  The box radii default
-    to 0.1 max(1, ||u||) and 0.05 max(1, |p*|) and are tightened towards
-    the concluded radii (which strictly improves the constants) unless the
-    caller pinned them; solve_radii concludes delta_x <= ell_x and
-    delta_alpha <= ell_alpha, so the constants cover the concluded region.
-    Invalid certificates carry the failing stage, and from the Lipschitz
-    rounds on the bounds that rho, q and the inverse bound gave; a failed
-    per-solution stage (input or residual) fails every truncation.
+    Once per call: solution_bounds(p, u), one K_N stage for every
+    truncation (inverse.inverse_bounds, where an n of None escalates) and
+    the first Lipschitz round, whose box depends on neither the truncation
+    nor K.  Then per truncation: Lipschitz rounds -> radii -> replay.  The
+    box radii default to 0.1 max(1, ||u||) and 0.05 max(1, |p*|) and are
+    tightened towards the concluded radii (which strictly improves the
+    constants) unless the caller pinned them; solve_radii concludes delta_x
+    <= ell_x and delta_alpha <= ell_alpha, so the constants cover the
+    concluded region.  Invalid certificates carry the failing stage, and
+    from the Lipschitz rounds on the bounds that rho, q and the inverse
+    bound gave; a failed per-solution stage (input or residual) fails every
+    truncation.
     """
     if which not in PARAMETERS:
         raise ValueError(f"unknown continuation parameter {which!r}")
@@ -441,19 +446,12 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
         yield from (_invalid(p, which, stage, str(exc)) for _ in ns)
         return
     rho, lin = bounds.rho, bounds.lin
-    avail = operator.available_memory_bytes()
-    fixed = [n for n in ns if n is not None]
-    inverse = dict(zip(fixed, inverse_bounds(p, lin, fixed, avail)))
     pinned = du is not None or dp is not None
     du0 = du if du is not None else bounds.du0
     dp0 = dp if dp is not None else 0.05 * max(1.0, abs(p.get(which)))
     first_round = functools.cache(lambda: lipschitz_bounds(
         p, ContinuationChoice(which=which, dp=dp0, du=du0), bounds.sups))
-    for n in ns:
-        try:
-            ib = inverse[n] if n is not None else auto_inverse_bound(p, lin, tau_target, avail)
-        except CertificationError as exc:
-            ib = exc
+    for n, ib in zip(ns, inverse_bounds(p, lin, ns)):
         if isinstance(ib, CertificationError):
             reason = str(ib)
             if ib.suggested_n is not None:
@@ -510,8 +508,7 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
 
 
 def validate(p: ModelParams, u: CosineSeries, which: str, n: int | None = None,
-             du: float | None = None, dp: float | None = None,
-             tau_target: float = 0.5) -> Certificate:
+             du: float | None = None, dp: float | None = None) -> Certificate:
     """validations at the one truncation n."""
-    (cert,) = validations(p, u, which, [n], du, dp, tau_target)
+    (cert,) = validations(p, u, which, [n], du, dp)
     return cert

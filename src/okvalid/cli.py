@@ -107,8 +107,7 @@ def cmd_solve(args) -> int:
     n = args.n if args.n is not None else _DEFAULT_N[args.dim]
     try:
         try:
-            opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
-                                damping=args.damping)
+            opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol)
             p = _model_from_args(args)
             check_truncation_memory(args.dim, n)  # before the n^d seed is built
             seed = parse_seed(args.seed, args.dim, n)
@@ -153,17 +152,14 @@ def _print_certificate(cert) -> None:
 def cmd_validate(args) -> int:
     if args.n is not None and args.n < 2:
         return _usage_error("truncation must be >= 2")
-    for flag, value in (("du", args.du), ("dp", args.dp), ("tau-target", args.tau_target)):
+    for flag, value in (("du", args.du), ("dp", args.dp)):
         if value is not None and not (math.isfinite(value) and value > 0):
             return _usage_error(f"--{flag} must be finite and positive")
     if args.at_alpha is not None and not (math.isfinite(args.at_alpha) and args.at_alpha >= 0):
         return _usage_error("--at-alpha must be finite and nonnegative")
     p, u, _meta = read_solution(args.infile)
     sha = file_sha256(args.infile)
-    cert = validate(
-        p, u, args.param, n=args.n, du=args.du, dp=args.dp,
-        tau_target=args.tau_target,
-    )
+    cert = validate(p, u, args.param, n=args.n, du=args.du, dp=args.dp)
     out = args.out or str(Path(args.infile).with_suffix(f".{args.param}.cert.json"))
     write_certificate(out, cert, sha)
     _print_certificate(cert)
@@ -267,8 +263,7 @@ def cmd_walk(args) -> int:
     p, u, meta = read_solution(args.infile)
     n = args.n if args.n is not None else max(u.extent)
     try:
-        opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol,
-                            damping=args.damping)
+        opts = SolveOptions(n=n, max_iter=args.max_iter, tol_residual=args.tol)
         check_walk(args.param, args.step)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -323,7 +318,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--tol", type=float, default=1e-10,
                         help="projected-residual tolerance")
         sp.add_argument("--max-iter", type=int, default=60)
-        sp.add_argument("--damping", type=float, default=1.0)
 
     s = sub.add_parser("solve", help="Newton-solve for an approximate equilibrium")
     s.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
@@ -341,7 +335,6 @@ def build_parser() -> _Parser:
     v.add_argument("--N", dest="n", type=int)
     v.add_argument("--du", type=float, help="pin the solution box radius")
     v.add_argument("--dp", type=float, help="pin the parameter box radius")
-    v.add_argument("--tau-target", type=float, default=0.5)
     v.add_argument("--at-alpha", type=float,
                    help="also report the feasible delta_x range at this radius")
     v.add_argument("--out")

@@ -211,6 +211,10 @@ def _sub_block(ball: BallMatrix, big: ParityBlock, block: ParityBlock) -> BallMa
     return BallMatrix(ball.mid[cut], ball.rad[cut])
 
 
+# the tail contraction that an escalation stops at and a tau >= 1 aims for
+TAU_TARGET = 0.5
+
+
 def next_truncation(q: CosineSeries, split: tuple, n: int, tau: float, target: float,
                     avail: float) -> int | None:
     """The smallest N > n with N >= n sqrt(tau / target): at n's K_N, flat in
@@ -223,10 +227,43 @@ def next_truncation(q: CosineSeries, split: tuple, n: int, tau: float, target: f
     return lo if lo > n and tau * (n / lo) ** 2 < 1.0 else None
 
 
+def rule_of_thumb_n(q_h2: float) -> int:
+    return max(4, math.ceil(0.7 * math.sqrt(q_h2)))
+
+
 def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None = None) -> list:
     """The finite inverse bound K_N and the full bound K at each truncation
-    of ns, in one pass: per entry an InverseBound, or the
-    CertificationError that stopped it there.
+    of ns, per entry an InverseBound or the CertificationError that stopped
+    it there, with charges checked against avail bytes (default: one memory
+    reading).  The integer truncations share one pass (_kn_pass).  An entry
+    None escalates: the rule-of-thumb rung joins that pass, then at most two
+    passes follow, each at the truncation the last predicts, until tau <=
+    TAU_TARGET; it gives the last bound certified, else the last failure.
+    """
+    avail = operator.available_memory_bytes() if avail is None else avail
+    rung = rule_of_thumb_n(lin.q_h2)
+    result = _kn_pass(p, lin, {rung if n is None else n for n in ns}, avail)
+    if None in ns:
+        n, best = rung, None
+        for _ in range(3):  # the rung and at most two predicted passes
+            if n not in result:
+                result.update(_kn_pass(p, lin, [n], avail))
+            ib = result[n]
+            if isinstance(ib, CertificationError):
+                error, n = ib, ib.suggested_n
+            else:
+                best = ib
+                if ib.tau <= TAU_TARGET:
+                    break
+                n = next_truncation(lin.q, split_axes(lin.q), n, ib.tau, TAU_TARGET, avail)
+            if n is None:
+                break
+        result[None] = error if best is None else best
+    return [result[n] for n in ns]
+
+
+def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
+    """{n: InverseBound or CertificationError} for each truncation of ns.
 
     Every member of the Galerkin ball matrix is block-diagonal by the
     parity classes, its blocks members of the block balls
@@ -266,12 +303,12 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     keeps its own floor, cleared classes and failure, so it decides as it
     would alone.  Every truncation is charged alone (kn_stage_bytes), as a
     cut fits in the charge of the truncation it is cut from; the charges
-    are checked first, against avail bytes (default: one memory reading),
-    and one that does not fit fails at stage kn_bound, with no suggestion.
-    q's raw arrays and symmetries are read once, after the charges pass.  A
-    tau >= 1 suggests next_truncation at 1/2, else names it and its charge.
+    are checked first, against avail bytes, and one that does not fit fails
+    at stage kn_bound, with no suggestion.  q's raw arrays and symmetries
+    are read once, after the charges pass.  A tau >= 1 suggests
+    next_truncation at TAU_TARGET, else names it and its charge; a tau
+    that is not finite (tau_formula overflows) suggests none.
     """
-    avail = operator.available_memory_bytes() if avail is None else avail
     q = lin.q
     split = split_axes(q)
     result = {}
@@ -313,16 +350,19 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
     cb = table_constants(q.dim).cb
     for n in live:
         tau = tau_formula(kn[n], lin.q_sup, lin.q_h2, cb, n).hi
-        if not tau < 1.0:
+        if not math.isfinite(tau):
+            result[n] = CertificationError(
+                "inverse_bound", f"tail contraction {tau} not finite at n={n}: no truncation predicted")
+        elif not tau < 1.0:
             why = f"tail contraction {tau:.4g} >= 1 at n={n}"
-            if (suggested := next_truncation(q, split, n, tau, 0.5, avail)) is None:
-                want = next_truncation(q, split, n, tau, 0.5, math.inf)
+            if (suggested := next_truncation(q, split, n, tau, TAU_TARGET, avail)) is None:
+                want = next_truncation(q, split, n, tau, TAU_TARGET, math.inf)
                 why += "; " + memory_shortfall(kn_stage_bytes(q, want, split),
                                                f"the predicted truncation n={want}", "K_N stage", avail)
             result[n] = CertificationError("inverse_bound", why, suggested)
         else:
             result[n] = InverseBound(kn=kn[n], tau=tau, k=k_formula(kn[n], tau).hi, n=n)
-    return [result[n] for n in ns]
+    return result
 
 
 def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
@@ -332,31 +372,3 @@ def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
     if isinstance(ib, CertificationError):
         raise ib
     return ib
-
-
-def rule_of_thumb_n(q_h2: float) -> int:
-    return max(4, math.ceil(0.7 * math.sqrt(q_h2)))
-
-
-def auto_inverse_bound(p: ModelParams, lin: Linearization, tau_target: float = 0.5,
-                       avail: float | None = None) -> InverseBound:
-    """The inverse bound at the rule-of-thumb rung, then at most twice at the
-    truncation the last pass predicts, until tau <= tau_target; charges are
-    checked against avail, by default one memory reading.  Returns the last
-    bound certified, else raises the last failure."""
-    avail = operator.available_memory_bytes() if avail is None else avail
-    n, best = rule_of_thumb_n(lin.q_h2), None
-    for _ in range(3):  # the rung and at most two predicted passes
-        try:
-            best = derivative_inverse_bound(p, lin, n, avail)
-        except CertificationError as exc:
-            error, n = exc, exc.suggested_n
-        else:
-            if best.tau <= tau_target:
-                return best
-            n = next_truncation(lin.q, split_axes(lin.q), n, best.tau, tau_target, avail)
-        if n is None:
-            break
-    if best is None:
-        raise error
-    return best

@@ -41,15 +41,12 @@ class SolveOptions:
     n: int
     max_iter: int = 60
     tol_residual: float = 1e-10
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.max_iter >= 0:
             raise ValueError("max_iter must be >= 0")
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
         if self.n < 2:
             raise ValueError("truncation must be >= 2")
 
@@ -207,7 +204,7 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
                     f"singular Jacobian at iteration {it} on parity class "
                     f"{block.label} ({block.size} modes): {exc}"
                 ) from exc
-            flat[cells] += opts.damping * step
+            flat[cells] += step
     raise NewtonError(
         f"no convergence in {opts.max_iter} iterations (residual {proj:.3g}, tol {opts.tol_residual:.3g})"
     )

@@ -37,10 +37,8 @@ import math
 
 import numpy as np
 
-# the arrays of one chunk of a's first axis hold at most this many times the
-# output's entries or, where more, the floor's (1 MiB of doubles; at least
-# one row)
-_PARTIAL_BUDGET = 1.0
+# the arrays of one chunk of a's first axis hold at most the output's
+# entries or, where more, the floor's (1 MiB of doubles; at least one row)
 _PARTIAL_FLOOR = 2**17
 
 
@@ -148,8 +146,8 @@ def point_conv(a: np.ndarray, b: np.ndarray, a_axes: tuple | None = None,
     has one, so the other parity holds exact zeros, and is scattered back
     where the result's lattice holds both; every entry that only products
     with a zero factor reach is an exact zero too.  The first axis of a is
-    taken in chunks whose arrays hold at most _PARTIAL_BUDGET times the
-    entries of the output's full extent, or _PARTIAL_FLOOR.
+    taken in chunks whose arrays hold at most the entries of the output's
+    full extent, or _PARTIAL_FLOOR.
 
     The roundings on one term's path: the gather's two additions; the
     scaling by b / 2; J along the last axis (one product and at most J - 1
@@ -209,7 +207,7 @@ def point_conv(a: np.ndarray, b: np.ndarray, a_axes: tuple | None = None,
     per_row = 2 * J[-1] * K[-1] * math.prod(I[1:-1]) + sum(
         K[-1] * math.prod(I[1:t]) * math.prod(J[:t]) * math.prod(K[t:-1]) for t in range(1, d))
     full_size = math.prod(nk for nk, _ in out_axes)
-    chunk = max(1, int(max(_PARTIAL_BUDGET * full_size, _PARTIAL_FLOOR) // per_row))
+    chunk = max(1, max(full_size, _PARTIAL_FLOOR) // per_row)
     acc = np.zeros(K[::-1])
     for lo in range(0, I[0], chunk):
         c = min(chunk, I[0] - lo)

@@ -4,7 +4,8 @@ Every Certificate field but provenance (a timestamp), with each float
 written by float.hex, as one JSON document, for:
 
 - criterion 07: the 1-d equilibrium (150, 6, 0) validated in lambda, sigma
-  and mu at the automatic truncation;
+  and mu at the automatic truncation, and in lambda from a rule-of-thumb
+  rung patched to 16, which escalates through more than one pass;
 - criterion 08: the 2-d equilibrium (75, 6, 0) validated in lambda at N=28
   and at the automatic truncation;
 - criterion 11: the 3-d equilibrium (40, 3, 0) validated in lambda at N=12;
@@ -33,12 +34,7 @@ import sys
 import tempfile
 from unittest import mock
 
-from okvalid import operator
-
-try:
-    from okvalid.inverse import kn_stage_bytes
-except ImportError:  # a checkout whose K_N stage lives in okvalid.operator
-    kn_stage_bytes = operator.kn_stage_bytes
+from okvalid import inverse, operator
 from okvalid.cift import Certificate, solution_bounds, validate, validations
 from okvalid.cli import main
 from okvalid.files import read_solution
@@ -83,6 +79,8 @@ def dump() -> dict:
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
     u = newton_solve(p, parse_seed("mode:1", 1, 128), SolveOptions(n=128)).solution
     out["criterion_07"] = {w: record(validate(p, u, w)) for w in PARAMETERS}
+    with mock.patch.object(inverse, "rule_of_thumb_n", lambda q_h2: 16):
+        out["criterion_07_rung_16"] = record(validate(p, u, "lambda"))
 
     p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
     u = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28),
@@ -107,7 +105,7 @@ def dump() -> dict:
         out["sweep_09"] = {w: [record(c) for c in validations(p, u, w, SWEEP_1D)]
                            for w in PARAMETERS}
         q = solution_bounds(p, u).lin.q
-        avail = kn_stage_bytes(q, 100, operator.split_axes(q))
+        avail = inverse.kn_stage_bytes(q, 100, operator.split_axes(q))
         with mock.patch.object(operator, "available_memory_bytes", lambda: avail):
             out["sweep_09_memory_tight"] = [record(c)
                                             for c in validations(p, u, "lambda", [96, 100])]

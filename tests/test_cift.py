@@ -646,7 +646,8 @@ def test_solution_failures_deep_recomputes_kn(certificates_1d, solved_1d, solved
         low = dataclasses.replace(cert, kn=cert.kn / 2)
         assert verify_certificate(low)[0] and cift.solution_failures(low, p, u) == []
         (failure,) = cift.solution_failures(low, p, u, deep=True)
-        assert failure == f"kn {low.kn!r} below its value {cert.kn!r} recomputed at n={cert.n}"
+        assert failure == (f"kn {low.kn!r} below its value {cert.kn!r} recomputed at n={cert.n}, "
+                           "by 4503599627370496 ulps")  # 2^52, halving a normal double
 
 
 def test_solution_failures_deep_at_a_truncation_too_large(solved_1d, certificates_1d):

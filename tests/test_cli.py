@@ -97,16 +97,6 @@ def test_solve_bad_model_usage_error(workdir, capsys, flags):
     assert not (workdir / "bad_model.json").exists()
 
 
-def test_walk_bad_damping_usage_error(workdir, solution_file, capsys):
-    code = main(["walk", "--in", str(solution_file), "--param", "lambda",
-                 "--step", "1", "--damping", "0",
-                 "--out-prefix", str(workdir / "bad_walk_")])
-    assert code == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: damping must be in (0, 1]"]
-    assert not list(workdir.glob("bad_walk_*"))
-
-
 @pytest.mark.parametrize("command,flags,message", [
     ("validate", ["--N", "0"], "truncation must be >= 2"),
     ("validate", ["--N", "1"], "truncation must be >= 2"),
@@ -147,8 +137,8 @@ _SOLVE = ["solve", "--dim", "1", "--lambda", "10", "--out", "OUT"]
     (_VALIDATE + ["--du", "-1"], "--du must be finite and positive"),
     (_VALIDATE + ["--du", "inf"], "--du must be finite and positive"),
     (_VALIDATE + ["--dp", "nan"], "--dp must be finite and positive"),
-    (_VALIDATE + ["--tau-target", "nan"], "--tau-target must be finite and positive"),
-    (_VALIDATE + ["--tau-target", "0"], "--tau-target must be finite and positive"),
+    (_VALIDATE + ["--du", "0"], "--du must be finite and positive"),
+    (_VALIDATE + ["--dp", "0"], "--dp must be finite and positive"),
     (_VALIDATE + ["--at-alpha", "nan"], "--at-alpha must be finite and nonnegative"),
     (_VALIDATE + ["--at-alpha=-1e-3"], "--at-alpha must be finite and nonnegative"),
     (["render", "--in", "IN", "--grid", "-1", "--out", "OUT"], "--grid must be >= 1"),
@@ -438,6 +428,23 @@ def test_huge_truncation_refused_before_allocating(workdir, zero_files, capsys, 
         assert "needs about" in cert.reason
 
 
+def test_validate_non_finite_tau_is_an_invalid_certificate(workdir, capsys):
+    # q_h2 of about 1.2e154 is finite, but its square in tau_formula is not:
+    # an invalid certificate at stage inverse_bound, exit 3, whose one reason
+    # names the non-finite tau and suggests no truncation, not a traceback
+    sol, cert = workdir / "huge_lambda.json", workdir / "huge_lambda.cert.json"
+    assert main(["solve", "--dim", "1", "--N", "8", "--lambda", "1.2e154", "--seed", "zero",
+                 "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--in", str(sol), "--param", "lambda", "--N", "8",
+                 "--out", str(cert)]) == 3
+    stdout, err = capsys.readouterr()
+    assert err == "" and "INVALID at stage 'inverse_bound'" in stdout
+    got, _ = read_certificate(cert)
+    assert (got.valid, got.stage, got.n) == (False, "inverse_bound", 8)
+    assert got.reason == "tail contraction inf not finite at n=8: no truncation predicted"
+
+
 def test_truncation_past_the_string_limit_gets_its_diagnosis(workdir, zero_files, capsys):
     # N = 10^1500 in 3-d has 10^4500 modes, a count past int's 4300-digit
     # string limit: each message writes it as a power of ten
@@ -563,7 +570,35 @@ def test_check_deep_recomputes_kn(workdir, solution_file, bound_cert, capsys):
     assert main(["check", "--cert", str(low), *bind]) == 0
     code, lines = _check_lines(capsys, ["--cert", str(low), *bind, "--deep"])
     assert (code, lines) == (3, [f"FAIL: kn {kn / 2!r} below its value {kn!r} recomputed at "
-                                 f"n={payload['n']}"])
+                                 f"n={payload['n']}, by 4503599627370496 ulps"])
+
+
+@pytest.mark.parametrize("lower,ulps", [
+    (lambda kn: math.nextafter(kn, 0.0), "1 ulp"),
+    (lambda kn: kn * (1.0 - 1e-6), None),
+])
+def test_check_deep_states_the_kn_gap_in_ulps(workdir, solution_file, bound_cert, capsys,
+                                              lower, ulps):
+    # a kn one ulp low, as another BLAS thread count can give, passes check
+    # and check --solution; check --deep fails it as before and reads 1 ulp,
+    # where a kn lowered by 1e-6 reads a count in the billions
+    bind = ["--solution", str(solution_file)]
+    payload = json.loads(bound_cert.read_text())
+    kn = payload["kn"]
+    payload["kn"] = lower(kn)
+    low = workdir / "ulp_kn.cert.json"
+    low.write_text(json.dumps(payload))
+    assert main(["check", "--cert", str(low)]) == 0
+    assert main(["check", "--cert", str(low), *bind]) == 0
+    code, lines = _check_lines(capsys, ["--cert", str(low), *bind, "--deep"])
+    assert code == 3 and len(lines) == 1, lines
+    head, gap = lines[0].rsplit(", by ", 1)
+    assert head == f"FAIL: kn {payload['kn']!r} below its value {kn!r} recomputed at n={payload['n']}"
+    if ulps is not None:
+        assert gap == ulps
+    else:
+        count = int(gap.removesuffix(" ulps"))
+        assert 10**9 <= count < 10**10 and abs(count - 1e-6 * kn / math.ulp(kn)) <= 1, gap
 
 
 def test_check_deep_needs_the_solution(bound_cert, capsys):

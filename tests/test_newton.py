@@ -96,8 +96,6 @@ def test_iteration_budget_error():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(n=8, tol_residual=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(n=8, damping=0.0)
 
 
 def test_walk_zero_steps():

@@ -32,7 +32,7 @@ from okvalid.intervals import (
     inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
-from okvalid.inverse import auto_inverse_bound, axis_symmetries, derivative_inverse_bound, tau_formula
+from okvalid.inverse import axis_symmetries, derivative_inverse_bound, inverse_bounds, tau_formula
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
@@ -1060,7 +1060,7 @@ def test_inverse_bound_raises_when_tau_large(solved_1d):
 
 def test_auto_inverse_bound(solved_1d):
     p, result = solved_1d
-    ib = auto_inverse_bound(p, lin_of(p, result.solution))
+    (ib,) = inverse_bounds(p, lin_of(p, result.solution), [None])
     assert ib.tau <= 0.5
     assert ib.n <= 160
 
@@ -1279,16 +1279,16 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
 
 
 def _record_tries(monkeypatch) -> list:
-    """The truncations that auto_inverse_bound passes to
-    derivative_inverse_bound, in order, from a rung patched to 32."""
+    """The truncations of every K_N pass that inverse_bounds runs, in
+    order, from a rung patched to 32."""
     tried = []
-    bound = inverse.derivative_inverse_bound
+    kn_pass = inverse._kn_pass
 
-    def recording(p, lin, n, avail):
-        tried.append(n)
-        return bound(p, lin, n, avail)
+    def recording(p, lin, ns, avail):
+        tried.extend(sorted(ns))
+        return kn_pass(p, lin, ns, avail)
 
-    monkeypatch.setattr(inverse, "derivative_inverse_bound", recording)
+    monkeypatch.setattr(inverse, "_kn_pass", recording)
     monkeypatch.setattr(inverse, "rule_of_thumb_n", lambda q_h2: 32)
     return tried
 
@@ -1299,9 +1299,21 @@ def test_auto_inverse_bound_predicts_the_truncation(solved_1d, monkeypatch):
     p, result = solved_1d
     tried = _record_tries(monkeypatch)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e12)
-    ib = auto_inverse_bound(p, lin_of(p, result.solution))
+    (ib,) = inverse_bounds(p, lin_of(p, result.solution), [None])
     assert tried == [32, 88]
     assert ib.n == 88 and ib.tau <= 0.5
+
+
+def test_auto_inverse_bound_shares_the_pass_of_the_fixed_truncations(solved_1d, monkeypatch):
+    # the rung joins the pass of the integer truncations, and a predicted
+    # truncation that pass already decided is not run again: one pass in all
+    p, result = solved_1d
+    tried = _record_tries(monkeypatch)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: 1e12)
+    lin = lin_of(p, result.solution)
+    fixed, auto = inverse_bounds(p, lin, [88, None])
+    assert tried == [32, 88]
+    assert auto == fixed == derivative_inverse_bound(p, lin, 88)
 
 
 def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
@@ -1309,7 +1321,7 @@ def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
     tried = _record_tries(monkeypatch)
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
-    ib = auto_inverse_bound(p, lin_of(p, result.solution))
+    (ib,) = inverse_bounds(p, lin_of(p, result.solution), [None])
     # the prediction from n = 32, 88, does not fit: it is cut down to 65,
     # the largest truncation charged as 64 is, where tau misses the target;
     # nothing larger fits, so the escalation stops there
@@ -1326,7 +1338,7 @@ def test_auto_inverse_bound_reads_the_memory_once(solved_1d, monkeypatch):
     reads = []
     tried = _record_tries(monkeypatch)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: reads.append(1) or 1e12)
-    auto_inverse_bound(p, lin_of(p, result.solution))
+    inverse_bounds(p, lin_of(p, result.solution), [None])
     assert len(tried) > 1 and len(reads) == 1
     reads.clear()
     assert validate(p, result.solution, "lambda").valid

@@ -1023,16 +1023,16 @@ def test_fold_error_bound_contains_exact(rng, d):
 def test_chunked_fold_matches_one_chunk(rng, monkeypatch, extent):
     # one row of a per chunk and a single chunk each stay within their own
     # bound, where every chunk after the first adds a rounding to n; the
-    # floor alone, without any budget, runs a product this small in one
-    # chunk, with the same bits.  The ball product on single rows keeps its
-    # radius above the bound with the chunks counted
+    # floor runs a product this small in one chunk, with the same bits.
+    # Without the floor one row's arrays hold more than the output's
+    # entries, so each chunk is one row.  The ball product on single rows
+    # keeps its radius above the bound with the chunks counted
     a = _on_coset(rng, extent, (1,) * len(extent), True).mid()
     a[(rng.random(extent) < 0.2)] = 0.0
     b = rng.standard_normal(tuple(2 * n - 1 for n in extent))
     populated_rows = np.count_nonzero((a != 0.0).any(axis=tuple(range(1, a.ndim))))
     runs = []
-    for budget, floor in ((1e9, 0), (0.0, 0), (0.0, pointconv._PARTIAL_FLOOR)):
-        monkeypatch.setattr(pointconv, "_PARTIAL_BUDGET", budget)
+    for floor in (2**62, 0, pointconv._PARTIAL_FLOOR):
         monkeypatch.setattr(pointconv, "_PARTIAL_FLOOR", floor)
         runs.append(pointconv.point_conv(a, b))
     (one, n_one), (rows, n_rows), (floor, n_floor) = runs

@@ -5,27 +5,32 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "okvalid"
 
+_COMPILE_PEAK = (
+    "import sys, tracemalloc\n"
+    "source = open(sys.argv[1], encoding='utf-8').read()\n"
+    "compile(source, sys.argv[1], 'exec')\n"
+    "tracemalloc.start()\n"
+    "compile(source, sys.argv[1], 'exec')\n"
+    "print(tracemalloc.get_traced_memory()[1])\n"
+)
+
 
 def _compile_peak(path: pathlib.Path) -> int:
-    """The traced peak of compiling path, after one untraced compile."""
-    source = path.read_text(encoding="utf-8")
-    compile(source, str(path), "exec")
-    tracemalloc.start()
-    try:
-        compile(source, str(path), "exec")
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The traced peak of compiling path in a fresh interpreter, after one
+    untraced compile there: within one process a later compile's peak can
+    read about 0.4 MB high."""
+    out = subprocess.run([sys.executable, "-c", _COMPILE_PEAK, str(path)],
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
 
 
 def test_no_module_compiles_above_intervals():
     # where no bytecode is written, each import compiles its module from
     # source, and the largest compile peak sets the import's memory
-    # high-water mark: intervals.py's (about 1.76 MB on CPython 3.11) is the
+    # high-water mark: intervals.py's (about 1.9 MB on CPython 3.11) is the
     # ceiling, and a module that outgrows it raises every process's peak
     peaks = {path.name: _compile_peak(path) for path in sorted(SRC.glob("*.py"))}
     ceiling = peaks["intervals.py"]
