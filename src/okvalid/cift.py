@@ -456,7 +456,7 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
             reason = str(ib)
             if ib.suggested_n is not None:
                 reason += f" (suggested truncation: {ib.suggested_n})"
-            yield _invalid(p, which, ib.stage, reason, rho=rho, n=n)
+            yield _invalid(p, which, ib.stage, reason, rho=rho, n=ib.n)
             continue
         # vars reads the records' fields without asdict's deep copy
         record = dict(rho=rho, q_sup=lin.q_sup, q_h2=lin.q_h2, **vars(ib))

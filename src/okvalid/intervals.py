@@ -499,8 +499,9 @@ def _cholesky_succeeds(x: np.ndarray) -> bool:
 # The Lanczos step cap: the Krylov basis holds at most this many vectors
 KRYLOV_STEPS = 32
 # A Gram matrix no wider goes to eigvalsh directly: at 1 and 2 OpenBLAS
-# threads eigvalsh took less time than the Lanczos estimate, with its mirror,
-# up to about 64 to 80 rows, and more from about 95 rows on
+# threads eigvalsh took less time than the Lanczos estimate (then with a
+# mirror pass over the Gram matrix) up to about 64 to 80 rows, and more from
+# about 95 rows on
 EIGVALSH_WIDTH = 80
 
 
@@ -537,17 +538,6 @@ def _lambda_max_estimate(g: np.ndarray, v: np.ndarray) -> float:
         basis[k + 1] = w / b
 
 
-def _mirror_lower(x: np.ndarray) -> None:
-    """Overwrite x's strict upper triangle with its lower one's transpose,
-    32 rows at a time."""
-    upper = ~np.tri(32, dtype=bool)
-    for i in range(0, len(x), 32):
-        x[i : i + 32, i + 32 :] = x[i + 32 :, i : i + 32].T
-        band = x[i : i + 32, i : i + 32]
-        k = len(band)
-        np.copyto(band, band.T.copy(), where=upper[:k, :k])
-
-
 def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     """A bound on ||X||_2 over the X with ||X^T X - Gm||_2 <= spread, Gm
     the symmetric matrix of gram's lower triangle (Rump, "Verification of
@@ -557,9 +547,10 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     backward-error term, then Y + beta I is positive semidefinite for Y's
     backward-error term beta, and lambda_max(X^T X) <= max_i (Y_ii + Gm_ii)
     + beta + spread, whatever the estimate.  It is the Lanczos one
-    (_lambda_max_estimate, on gram with its lower triangle mirrored) where
-    Gm is wider than EIGVALSH_WIDTH, and eigvalsh's where it is not or where
-    that Cholesky fails, for one more Cholesky.
+    (_lambda_max_estimate, on gram whole: numpy forms a product C^T C
+    bitwise symmetric, and any matrix gives an estimate) where Gm is wider
+    than EIGVALSH_WIDTH, and eigvalsh's where it is not or where that
+    Cholesky fails, for one more Cholesky.
     """
     if not (spread < _INF and np.isfinite(gram).all()):
         return _INF
@@ -567,7 +558,6 @@ def _gram_norm2_upper(gram: np.ndarray, spread: float) -> float:
     d = np.arange(n)
     gd = gram[d, d]
     if n > EIGVALSH_WIDTH:
-        _mirror_lower(gram)
         bound = _shifted_cholesky_bound(gram, gd, _lambda_max_estimate(gram, _krylov_start(n)), spread)
         if bound < _INF:
             return bound
@@ -594,12 +584,19 @@ def _shifted_cholesky_bound(gram: np.ndarray, gd: np.ndarray, lam: float, spread
     return _up(math.sqrt(_up(_up(top + beta) + spread)))
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """fl(x^T x), which numpy forms bitwise symmetric."""
+    return x.T @ x
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives False
-def inverse_norm2_at_most(a: BallMatrix, floor: float, eps: float = 0.0) -> bool:
-    """Whether ||(X + E)^-1||_2 <= floor is proved for every member X of
-    the square ball a and every E with ||E||_2 <= eps by one floating
-    Cholesky, with no inverse formed (Rump, BIT 46, 2006); False, never an
-    error, where it is not.
+def first_inverse_norm2_at_most(a: BallMatrix, floor: float, tries: tuple) -> int | None:
+    """The index of the first eps of tries for which ||(X + E)^-1||_2 <=
+    floor is proved for every member X of the square ball a and every E
+    with ||E||_2 <= eps by one floating Cholesky, with no inverse formed
+    (Rump, BIT 46, 2006); None, never an error, where none is.  The tests
+    share r, the spread and G, each formed once, at the first test that
+    reads it.
 
     Every X lies within r of Am in the 2-norm, r = sqrt(||Ar||_1
     ||Ar||_inf) rounded up (0 for a point ball), and Am^T Am within spread
@@ -611,26 +608,33 @@ def inverse_norm2_at_most(a: BallMatrix, floor: float, eps: float = 0.0) -> bool
     Weyl sigma_min(X + E) >= t - r - eps >= 1/floor: the test at the
     tightened floor 1/(1/floor + eps).  The a-priori shift costs about 1e-9
     relative on the K_N blocks, too much for a sharp bound but nothing
-    against a floor with a margin.  False also where floor is not positive
-    and finite, or anything else is not finite.
+    against a floor with a margin.  None also where floor is not positive
+    and finite; a test fails where anything else is not finite.  A Y with a
+    diagonal entry <= 0 is not factored: its Cholesky fails at that pivot or
+    before.
     """
     if not 0.0 < floor < _INF:
-        return False
+        return None
     m = len(a.mid)
     r = _norm2_from_sums(a.rad.sum(axis=1), a.rad.sum(axis=0), m) if a.rad.any() else 0.0
     abs_m = np.abs(a.mid)
     spread = _gram_spread(abs_m, abs_m.sum(axis=1))
     del abs_m
-    t = _add_up(_add_up(_up(1.0 / floor), r), eps)
-    s = _add_up(_up(t * t), spread)
-    if not s < _INF:  # also where r, eps or spread is not finite
-        return False
-    g = a.mid.T @ a.mid
-    d = np.arange(m)
-    gd = g[d, d]
-    c = _add_up(s, _cholesky_shift(m, float(np.max(gd))))
-    g[d, d] = add_toward(gd, -c, -_INF)
-    return _cholesky_succeeds(g)
+    g = None
+    for i, eps in enumerate(tries):
+        t = _add_up(_add_up(_up(1.0 / floor), r), eps)
+        s = _add_up(_up(t * t), spread)
+        if not s < _INF:  # also where r, eps or spread is not finite
+            continue
+        if g is None:
+            g = _gram(a.mid)
+            d = np.arange(m)
+            gd = g[d, d]
+        c = _add_up(s, _cholesky_shift(m, float(np.max(gd))))
+        g[d, d] = add_toward(gd, -c, -_INF)
+        if (g[d, d] > 0.0).all() and _cholesky_succeeds(g):
+            return i
+    return None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives e = inf
@@ -686,7 +690,7 @@ def mat_inverse_norm2_upper(a: BallMatrix):
     if not e < 1.0:
         raise IntervalDomainError(f"finite inverse not certified: ||C*A - I|| bound {e:.3g} >= 1")
     spread = _gram_spread(abs_c, c_rows)
-    gram = c.T @ c
+    gram = _gram(c)
     del c, abs_c  # only the Gram matrix is live in the certificate
     c_norm = min(_norm2_from_sums(c_rows, c_cols, len(gram)), _gram_norm2_upper(gram, spread))
     return _up(_up(c_norm) / _down(1.0 - e)), e, c_norm

@@ -28,7 +28,7 @@ from .intervals import (
     _gamma,
     _max_sum_upper,
     _up,
-    inverse_norm2_at_most,
+    first_inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
 from .operator import (
@@ -181,7 +181,7 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, raw: tuple) -> BallMatri
     qm, qr, lattice = raw
     d = len(block.parity)
     t = 2**d + 7
-    mid, rad = _galerkin_sums(block.axes, [qm, _rump_radius(qm, qr, t)], lattice)
+    mid, rad = _galerkin_sums(block, [qm, _rump_radius(qm, qr, t)], lattice)
     diag = np.arange(block.size)
     free = rad == 0.0
     free[diag, diag] = False
@@ -270,7 +270,7 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
     (_galerkin_block), so the 2-norm of its inverse is the largest of
     theirs.  The blocks are walked in order, each assembled, bounded and
     dropped before the next, with K_N so far as its floor: one Cholesky
-    (inverse_norm2_at_most) proves most blocks' inverses no larger than the
+    (first_inverse_norm2_at_most) proves most blocks' inverses no larger than the
     floor, and only a block it cannot is certified in full by
     mat_inverse_norm2_upper.  A block kept at or below the floor cannot
     raise K_N, so K_N is the largest of every block's full certificate;
@@ -286,10 +286,11 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
     q'||_inf / pi^2 <= eps, since kappa_l >= pi^2; eps is the symmetries'
     defect over the lower end of pi^2, rounded up.  So where the first
     class passes the Cholesky test at the tightened floor 1/(1/K_N + eps)
-    (inverse_norm2_at_most with eps), every member's inverse is at most K_N
-    and no member is assembled.  Where it does not, the first class takes
-    the plain test, and its members are assembled and bounded one by one,
-    as any other block (so on a q far from symmetric).  K_N is then the
+    (first_inverse_norm2_at_most at eps), every member's inverse is at most
+    K_N and no member is assembled.  Where it does not, the first class
+    takes the plain test on the same Gram matrix, and its members are
+    assembled and bounded one by one, as any other block (so on a q far
+    from symmetric).  K_N is then the
     same bits as with every block walked, wherever the skipped members
     would have passed the plain test.  The orbits are formed once, at the
     largest truncation; a smaller one skips a member it lacks.
@@ -317,7 +318,7 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
                                  f"truncation n={n} ({count_text(n**q.dim - 1)} modes)",
                                  "K_N stage", avail)
         if short:
-            result[n] = CertificationError("kn_bound", short)
+            result[n] = CertificationError("kn_bound", short, n=n)
     live = sorted(set(ns) - set(result))  # the truncations still running
     classes = {n: {block.parity: block for block in parity_blocks(split, n)} for n in live}
     kn = dict.fromkeys(live, 0.0)
@@ -334,16 +335,18 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
             ball = (_galerkin_block(p, block, (qm, qr, q.axes)) if ball is None
                     else _sub_block(ball, above, block))
             above = block
-            if cls in orbits and inverse_norm2_at_most(ball, kn[n], eps):
+            # a leader tries the tightened floor first, on the plain test's Gram matrix
+            passed = first_inverse_norm2_at_most(ball, kn[n], (eps, 0.0) if cls in orbits else (0.0,))
+            if cls in orbits and passed == 0:
                 for member in orbits[cls]:
                     classes[n].pop(member, None)
-            elif not inverse_norm2_at_most(ball, kn[n]):
+            elif passed is None:
                 try:
                     kn[n] = max(kn[n], mat_inverse_norm2_upper(ball)[0])
                 except IntervalDomainError as exc:
                     result[n] = CertificationError(
                         "kn_bound", f"finite inverse not certified at n={n} on parity class "
-                        f"{block.label} ({block.size} modes): {exc}", suggested_n=2 * n)
+                        f"{block.label} ({block.size} modes): {exc}", suggested_n=2 * n, n=n)
                     result[n].__cause__ = exc
                     live.remove(n)
         del ball  # before the next class's block is formed
@@ -352,14 +355,15 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
         tau = tau_formula(kn[n], lin.q_sup, lin.q_h2, cb, n).hi
         if not math.isfinite(tau):
             result[n] = CertificationError(
-                "inverse_bound", f"tail contraction {tau} not finite at n={n}: no truncation predicted")
+                "inverse_bound", f"tail contraction {tau} not finite at n={n}: no truncation predicted",
+                n=n)
         elif not tau < 1.0:
             why = f"tail contraction {tau:.4g} >= 1 at n={n}"
             if (suggested := next_truncation(q, split, n, tau, TAU_TARGET, avail)) is None:
                 want = next_truncation(q, split, n, tau, TAU_TARGET, math.inf)
                 why += "; " + memory_shortfall(kn_stage_bytes(q, want, split),
                                                f"the predicted truncation n={want}", "K_N stage", avail)
-            result[n] = CertificationError("inverse_bound", why, suggested)
+            result[n] = CertificationError("inverse_bound", why, suggested, n)
         else:
             result[n] = InverseBound(kn=kn[n], tau=tau, k=k_formula(kn[n], tau).hi, n=n)
     return result

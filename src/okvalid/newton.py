@@ -12,6 +12,7 @@ see).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,28 +82,49 @@ def parse_seed(description: str, dim: int, n: int) -> np.ndarray:
     raise ValueError(f"unknown seed description {description!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _kappa_grids(ext: tuple) -> tuple:
+    """kappa_k = pi^2 |k|^2 over the coefficient grid ext, -(kappa_k^2), and
+    kappa_k^2 with 1 at the origin (a divisor), read-only and shared per
+    extent, as series.c_grid."""
+    kap = math.pi**2 * k2_grid(ext)
+    neg_kap2 = -(kap**2)
+    div = kap**2
+    div[(0,) * len(ext)] = 1.0
+    for x in (kap, neg_kap2, div):
+        x.flags.writeable = False
+    return kap, neg_kap2, div
+
+
 def residual_point(p: ModelParams, coeffs: np.ndarray, powers: list):
     """Float residual coefficients and norms at coeffs, whose point_powers
     are powers.
 
     Returns (F, proj_norm, full_norm): F over the full populated extent, and
     the (-2)-weighted norms of its projection below the coefficient extent
-    and of everything.
+    and of everything.  F = -(kappa^2) a + (lam kappa) w - (lam sigma) a
+    and its weighted squares F^2 / kappa^2 (zero at the origin) are formed
+    in place, each operation on the same operands as elementwise.
     """
     n = coeffs.shape[0]
-    w0 = poly_point(p.f_coeffs, powers)
-    ext = tuple(max(a, b) for a, b in zip(w0.shape, coeffs.shape))
-    w = np.zeros(ext)
-    w[tuple(slice(0, s) for s in w0.shape)] = w0
+    w = poly_point(p.f_coeffs, powers)
+    ext = tuple(max(a, b) for a, b in zip(w.shape, coeffs.shape))
+    if w.shape != ext:
+        w0, w = w, np.zeros(ext)
+        w[tuple(slice(0, s) for s in w0.shape)] = w0
     a = np.zeros(ext)
     a[tuple(slice(0, s) for s in coeffs.shape)] = coeffs
-    kap = math.pi**2 * k2_grid(ext)
-    f_coeffs = -(kap**2) * a + p.lam * kap * w - p.lam * p.sigma * a
-    weighted = np.zeros_like(f_coeffs)
-    nonzero = kap > 0
-    weighted[nonzero] = f_coeffs[nonzero] ** 2 / kap[nonzero] ** 2
+    kap, neg_kap2, div = _kappa_grids(ext)
+    f_coeffs = np.multiply(neg_kap2, a)
+    term = np.multiply(kap, p.lam)
+    term *= w
+    f_coeffs += term
+    f_coeffs -= np.multiply(a, p.lam * p.sigma, out=term)
+    weighted = np.square(f_coeffs, out=term)
+    weighted /= div
+    weighted[(0,) * weighted.ndim] = 0.0
     full = math.sqrt(float(np.sum(weighted)))
-    proj = math.sqrt(float(np.sum(weighted[tuple(slice(0, min(n, s)) for s in w.shape)])))
+    proj = math.sqrt(float(np.sum(weighted[tuple(slice(0, min(n, s)) for s in ext)])))
     return f_coeffs, proj, full
 
 
@@ -140,8 +162,6 @@ class NewtonResult:
     iterations: int
 
 
-# Overflow is not an error here: a non-finite residual ends the iteration.
-@np.errstate(over="ignore", invalid="ignore")
 def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions) -> NewtonResult:
     """Newton iteration on the projected system; the mean mode stays exactly
     zero.
@@ -160,6 +180,17 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
     step fits is refused before anything of its size is allocated.  Every
     charge is checked against one reading of the available memory per solve.
     """
+    return _newton(p, u0, opts)[0]
+
+
+# Overflow is not an error here: a non-finite residual ends the iteration.
+@np.errstate(over="ignore", invalid="ignore")
+def _newton(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions,
+            start: tuple | None = None) -> tuple:
+    """newton_solve, and its last iterate with that iterate's point_powers at
+    p: (NewtonResult, (a, powers)).  start, where given, is such a pair
+    from a solve at the same mu and f; where the first iterate has start's
+    bits, its powers are read instead of formed again."""
     coeffs = u0.mid() if isinstance(u0, CosineSeries) else np.asarray(u0, dtype=np.float64)
     dim = coeffs.ndim
     n = opts.n
@@ -172,19 +203,23 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
 
     start_norm = None
     for it in range(opts.max_iter + 1):
-        powers = point_powers(p, a)
+        if it == 0 and start is not None and start[0].shape == a.shape and start[0].tobytes() == a.tobytes():
+            powers = start[1]
+        else:
+            powers = point_powers(p, a)
         f_all, proj, full = residual_point(p, a, powers)
         if not math.isfinite(proj):
             raise NewtonError(f"residual became non-finite at iteration {it}")
         if start_norm is None:
             start_norm = proj
         if proj <= opts.tol_residual:
-            return NewtonResult(
+            result = NewtonResult(
                 solution=CosineSeries.from_point(a),
                 residual_proj=proj,
                 residual_full=full,
                 iterations=it,
             )
+            return result, (a, powers)
         if proj > 1e8 * max(start_norm, 1.0):
             raise NewtonError(f"Newton iteration diverged (residual {proj:.3g})")
         if it == opts.max_iter:
@@ -230,21 +265,23 @@ def parameter_walk(
 
     Returns the list of (params, NewtonResult) pairs obtained before the
     first Newton failure; count is the number of steps beyond the initial
-    solve.  A failure of the initial solve raises its NewtonError.
+    solve.  A failure of the initial solve raises its NewtonError.  A
+    lambda or sigma step leaves mu and f, so the powers of u + mu, as it
+    does: each solve's first iteration reads the last solution's powers.
     """
     check_walk(which, step)
     out = []
     p = p0
-    guess = u0
+    guess, start = u0, None
     for _ in range(count + 1):
         try:
-            res = newton_solve(p, guess, opts)
+            res, last = _newton(p, guess, opts, start)
         except NewtonError:
             if not out:
                 raise
             break
         out.append((p, res))
-        guess = res.solution
+        guess, start = res.solution, (last if which != "mu" else None)
         try:
             p = p.step(which, step)
         except ValueError:

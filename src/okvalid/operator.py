@@ -39,13 +39,16 @@ class CertificationError(RuntimeError):
     """A rigorous bound could not be certified at the requested size.
 
     suggested_n is a larger truncation that may succeed; None means that no
-    larger truncation that fits in memory can help.
+    larger truncation that fits in memory can help.  n is the truncation
+    at which it failed, where the stage tried one.
     """
 
-    def __init__(self, stage: str, message: str, suggested_n: int | None = None):
+    def __init__(self, stage: str, message: str, suggested_n: int | None = None,
+                 n: int | None = None):
         super().__init__(message)
         self.stage = stage
         self.suggested_n = suggested_n
+        self.n = n
 
 
 def available_memory_bytes() -> float:
@@ -268,23 +271,34 @@ class ParityBlock(NamedTuple):
         """The class's parities, * on an axis that does not split."""
         return "(" + ", ".join("*" if c is None else str(c) for c in self.parity) + ")"
 
+    # the arrays below are read-only and built once per class, as c_grid per extent
+
+    @functools.lru_cache(maxsize=64)
     def cells(self) -> np.ndarray:
         """The flat indices of the class's modes in the n^d grid, in its order."""
         flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.parity)).ravel()
-        return flat[flat > 0]
+        return _read_only(flat[flat > 0])
 
+    @functools.lru_cache(maxsize=64)
     def weights(self) -> tuple:
         """|k|^2, exact, and the float c_k of the class's modes, in its order."""
         grid = np.ix_(*self.axes)
         k2 = sum(a.astype(np.float64) ** 2 for a in grid).ravel()
         nz = sum((a != 0).astype(np.intp) for a in grid).ravel()
-        return k2[k2 > 0], C_FLOAT[nz[k2 > 0]]
+        return _read_only(k2[k2 > 0]), _read_only(C_FLOAT[nz[k2 > 0]])
 
 
-def parity_blocks(split, n: int) -> list:
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def parity_blocks(split: tuple, n: int) -> tuple:
     """The parity classes k_j mod 2 on the split axes, in lexicographic order
     of their parities, as ParityBlocks; a class that is only the origin is
-    left out, and no split axis gives one class, the full grid.
+    left out, and no split axis gives one class, the full grid.  Counted
+    once per split and truncation.
 
     This is the one walk over the blocks of a matrix that splits by parity:
     the K_N stage, its memory charge and Newton's steps all follow it.  The
@@ -298,16 +312,62 @@ def parity_blocks(split, n: int) -> list:
         size = math.prod(_parity_count(n, c) for c in cls) - (1 not in cls)
         if size > 0:
             out.append(ParityBlock(n, cls, size))
-    return out
+    return tuple(out)
 
 
-def _galerkin_sums(axes, arrays, lattice: tuple | None = None) -> list:
+class _SumsPlan(NamedTuple):
+    """_galerkin_sums' index plan of one parity class, read-only."""
+
+    work: tuple  # the work lattice
+    half: np.ndarray  # 2^-nz on it
+    tables: tuple  # per axis but the last, its two tables |k_j + ell_j| and |k_j - ell_j|
+    last: tuple  # the last axis's halves and parity, whose tables each call forms
+    pairs: tuple  # the accumulator's shape
+    last_first: tuple  # the axes of a work array, the last first
+    to_rows: tuple  # the accumulator's axes in (k; ell) order
+    size: int  # the grid's modes, the origin counted
+    drop: bool  # whether the origin's row and column are cut
+
+
+def _sign_tables(h: np.ndarray, p: int) -> tuple:
+    """An axis's tables |k_j + ell_j| and |k_j - ell_j| on its work lattice,
+    from its halves h and parity p."""
+    return h[:, None] + (h + p)[None, :], np.abs(h[:, None] - h[None, :])
+
+
+@functools.lru_cache(maxsize=64)
+def _sums_plan(block: ParityBlock) -> _SumsPlan:
+    """The index plan of block that _galerkin_sums reads, built once per
+    class.  It holds the tables of every axis but the last, n_j x n_j: the
+    last axis's are formed per call, as in 1-d they are the block's size."""
+    axes = block.axes
+    d = len(axes)
+    ext = tuple(2 * int(a[-1]) + 1 for a in axes)
+    drop = all(a[0] == 0 for a in axes)  # the origin, first where the grid holds it
+    if d == 1:
+        axes, drop = [axes[0][int(drop):]], False
+    # along an axis whose indices share a parity every k_j +- ell_j is even:
+    # only a's even entries there are read, and the tables count in twos
+    steps = [2 if np.all(a % 2 == a[0] % 2) else 1 for a in axes]
+    halves = [(_read_only(a // s), int(a[0] % s)) for a, s in zip(axes, steps)]
+    tables = tuple(tuple(map(_read_only, _sign_tables(*half))) for half in halves[:-1])
+    # the work lattice: the modes below ext, only the even ones in twos
+    work = tuple((e, 0 if s == 2 else None) for e, s in zip(ext, steps))
+    # the accumulator's axes: (k_{d-1}, ell_{d-1}, k_0, ell_0, ..., k_{d-2}, ell_{d-2})
+    pairs = tuple(x for a in axes[-1:] + axes[:-1] for x in (a.size, a.size))
+    return _SumsPlan(work, _read_only(0.5 ** nz_grid(*zip(*work))), tables, halves[-1], pairs,
+                     (d - 1, *range(d - 1)), (*range(2, 2 * d, 2), 0, *range(3, 2 * d, 2), 1),
+                     math.prod(a.size for a in axes), drop)
+
+
+def _galerkin_sums(block: ParityBlock, arrays, lattice: tuple | None = None) -> list:
     """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
     coefficient array a (all held on one lattice, default every index of
-    the arrays, as a series is) and every pair of modes of the
-    lexicographic grid axes[0] x ... x axes[d-1] of per-axis indices, less
-    the origin where the grid holds it: the sum over sign patterns s of
-    2^-nz(k + s ell) a[|k + s ell|], zero where a holds no mode.
+    the arrays, as a series is) and every pair of modes of block's grid
+    (the lexicographic grid axes[0] x ... x axes[d-1] of its per-axis
+    indices, less the origin where the grid holds it): the sum over sign
+    patterns s of 2^-nz(k + s ell) a[|k + s ell|], zero where a holds no
+    mode.
 
     One array at a time, a 2^-nz on the modes 0 .. 2 max(axes[j]) along
     axis j (only the even ones where axes[j] has one parity, the only ones
@@ -320,41 +380,26 @@ def _galerkin_sums(axes, arrays, lattice: tuple | None = None) -> list:
     the same order as term by term, and a -0.0 term gives +0.0.  Every take
     copies whole rows, and one transposed copy makes the C-contiguous (k;
     ell) matrix.  In 1-d the origin is cut from the tables; elsewhere its
-    row and column are cut by one more copy.
+    row and column are cut by one more copy.  Everything but the arrays
+    comes from block's plan (_sums_plan).
     """
-    d = arrays[0].ndim
-    ext = tuple(2 * int(a[-1]) + 1 for a in axes)
-    drop = all(a[0] == 0 for a in axes)  # the origin, first where the grid holds it
-    if d == 1:
-        axes, drop = [axes[0][int(drop):]], False
-    # along an axis whose indices share a parity every k_j +- ell_j is even:
-    # only a's even entries there are read, and the tables count in twos
-    steps = [2 if np.all(a % 2 == a[0] % 2) else 1 for a in axes]
-    halves = [(a // s, a[0] % s) for a, s in zip(axes, steps)]
-    tables = [(h[:, None] + (h + p)[None, :], np.abs(h[:, None] - h[None, :])) for h, p in halves]
-    # the work lattice: the modes below ext, only the even ones in twos
-    work = tuple((e, 0 if s == 2 else None) for e, s in zip(ext, steps))
-    half = 0.5 ** nz_grid(*zip(*work))
+    plan = _sums_plan(block)
     lattice = lattice or _lattice(arrays[0].shape)
-    size = math.prod(a.size for a in axes)
-    # the accumulator's axes: (k_{d-1}, ell_{d-1}, k_0, ell_0, ..., k_{d-2}, ell_{d-2})
-    pairs = tuple(x for a in axes[-1:] + axes[:-1] for x in (a.size, a.size))
-    to_rows = (*range(2, 2 * d, 2), 0, *range(3, 2 * d, 2), 1)
-    last_first = (d - 1, *range(d - 1))
+    last = _sign_tables(*plan.last)
     sums = []
     for a in arrays:  # each array's work arrays are dropped before the next's are made
-        aw = _relattice(a, lattice, work, copy=True)
-        aw *= half
-        acc = np.zeros(pairs)
-        term = np.empty(pairs)
-        for part in _sign_partials(aw.transpose(last_first).copy(), tables[:-1]):
-            for tab in tables[-1]:
+        aw = _relattice(a, lattice, plan.work, copy=True)
+        aw *= plan.half
+        acc = np.zeros(plan.pairs)
+        term = np.empty(plan.pairs)
+        for part in _sign_partials(aw.transpose(plan.last_first).copy(), plan.tables):
+            for tab in last:
                 acc += part.take(tab, axis=0, out=term, mode="clip")
             del part  # before the next partial is taken
         del term
-        full = acc.transpose(to_rows).reshape(size, size)
+        full = acc.transpose(plan.to_rows).reshape(plan.size, plan.size)
         del acc
-        sums.append(np.ascontiguousarray(full[1:, 1:]) if drop else full)
+        sums.append(np.ascontiguousarray(full[1:, 1:]) if plan.drop else full)
         del full
     return sums
 
@@ -413,11 +458,11 @@ def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, block: ParityBlock)
 
     Entries -(kappa_k^2 + lam sigma) delta_{k,ell} + kappa_k (q phi_ell, phi_k).
     """
-    (acc,) = _galerkin_sums(block.axes, [q_raw])
+    (acc,) = _galerkin_sums(block, [q_raw])
     k2, cf = block.weights()
     acc *= cf[:, None] * cf[None, :] * 0.5 ** len(block.parity)
     kap = math.pi**2 * k2
-    b = kap[:, None] * acc
+    acc *= kap[:, None]
     diag = np.arange(block.size)
-    b[diag, diag] -= kap**2 + p.lam * p.sigma
-    return b
+    acc[diag, diag] -= kap**2 + p.lam * p.sigma
+    return acc

@@ -1,4 +1,4 @@
-"""Print the canonical certificates' bits, to compare two checkouts.
+"""Print the canonical certificates' and Newton solves' bits, to compare two checkouts.
 
 Every Certificate field but provenance (a timestamp), with each float
 written by float.hex, as one JSON document, for:
@@ -17,6 +17,12 @@ written by float.hex, as one JSON document, for:
 - the benchmark's 2-d solution from its seed 1 (bench/workloads.py), which
   is off the axis swap by float debris, validated in lambda at N=28.
 
+Under "newton", each Newton solve's solution array (its sha256), iteration
+count and projected and full residual norms (float.hex), for the solves of
+criteria 07, 08 and 11 and, for the benchmark's seeds 1 to 3, the 2-d start
+(workloads.solve_start) and the two solves of its walk-2d operation
+(parameter_walk in lambda by 0.5, one step).
+
 The solutions of criteria 09 and 11 go through a solution file, as there.
 Run from the root of a checkout, and compare the outputs of two with cmp:
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import pathlib
@@ -38,7 +45,7 @@ from okvalid import inverse, operator
 from okvalid.cift import Certificate, solution_bounds, validate, validations
 from okvalid.cli import main
 from okvalid.files import read_solution
-from okvalid.newton import SolveOptions, newton_solve, parse_seed
+from okvalid.newton import SolveOptions, newton_solve, parameter_walk, parse_seed
 from okvalid.operator import PARAMETERS, ModelParams
 
 SWEEP_1D = [24, 32, 48, 64, 96, 128, 256]
@@ -64,6 +71,13 @@ def record(cert: Certificate) -> dict:
     return out
 
 
+def solve_record(res) -> dict:
+    """A Newton solve's bits: its solution's sha256, iterations and residuals."""
+    return {"sha256": hashlib.sha256(res.solution.mid().tobytes()).hexdigest(),
+            "iterations": res.iterations, "residual_proj": res.residual_proj.hex(),
+            "residual_full": res.residual_full.hex()}
+
+
 def solved_via_file(tmp: pathlib.Path, name: str, argv: list):
     """The model and solution that okvalid solve writes for argv."""
     path = tmp / f"{name}.json"
@@ -76,15 +90,19 @@ def solved_via_file(tmp: pathlib.Path, name: str, argv: list):
 
 def dump() -> dict:
     out = {}
+    newton = out["newton"] = {}
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
-    u = newton_solve(p, parse_seed("mode:1", 1, 128), SolveOptions(n=128)).solution
+    res = newton_solve(p, parse_seed("mode:1", 1, 128), SolveOptions(n=128))
+    newton["criterion_07"] = solve_record(res)
+    u = res.solution
     out["criterion_07"] = {w: record(validate(p, u, w)) for w in PARAMETERS}
     with mock.patch.object(inverse, "rule_of_thumb_n", lambda q_h2: 16):
         out["criterion_07_rung_16"] = record(validate(p, u, "lambda"))
 
     p = ModelParams(lam=75.0, sigma=6.0, mu=0.0)
-    u = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28),
-                     SolveOptions(n=28, tol_residual=1e-9)).solution
+    res = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9))
+    newton["criterion_08"] = solve_record(res)
+    u = res.solution
     out["criterion_08"] = {"N=28": record(validate(p, u, "lambda", n=28)),
                            "auto": record(validate(p, u, "lambda"))}
     out["sweep_2d_sigma"] = [record(c) for c in validations(p, u, "sigma", SWEEP_2D)]
@@ -94,6 +112,14 @@ def dump() -> dict:
 
     p, result = workloads.solve_start("2d", 1)
     out["bench_2d_seed_1"] = record(validate(p, result.solution, "lambda", n=28))
+    for seed in (1, 2, 3):
+        p, result = workloads.solve_start("2d", seed)
+        walk = parameter_walk(p, result.solution, "lambda", workloads.Walk2d.step, 1,
+                              workloads.solve_options("2d"))
+        newton[f"walk_2d_seed_{seed}"] = [solve_record(r) for r in (result, *(r for _, r in walk))]
+    p = ModelParams(lam=40.0, sigma=3.0, mu=0.0)
+    newton["criterion_11"] = solve_record(
+        newton_solve(p, parse_seed("mode:1,1,1,0.5", 3, 12), SolveOptions(n=12)))
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)

@@ -445,6 +445,26 @@ def test_validate_non_finite_tau_is_an_invalid_certificate(workdir, capsys):
     assert got.reason == "tail contraction inf not finite at n=8: no truncation predicted"
 
 
+def test_failed_escalation_records_the_truncation_tried(workdir, capsys):
+    # without --N the escalation's rung, 0.7 sqrt(q_h2) for q_h2 of about
+    # 1.2e154, is too large for memory: the invalid certificate records
+    # that truncation, the one its reason names, not the n requested (None)
+    from okvalid.inverse import rule_of_thumb_n
+
+    sol, cert = workdir / "huge_lambda_auto.json", workdir / "huge_lambda_auto.cert.json"
+    assert main(["solve", "--dim", "1", "--N", "8", "--lambda", "1.2e154", "--seed", "zero",
+                 "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--in", str(sol), "--param", "lambda", "--out", str(cert)]) == 3
+    stdout, err = capsys.readouterr()
+    assert err == "" and "INVALID at stage 'kn_bound'" in stdout
+    got, _ = read_certificate(cert)
+    p, u, _ = read_solution(sol)
+    n = rule_of_thumb_n(cift.solution_bounds(p, u).lin.q_h2)
+    assert n > 10**76 and (got.valid, got.stage, got.n) == (False, "kn_bound", n)
+    assert got.reason.startswith(f"truncation n={n} ")
+
+
 def test_truncation_past_the_string_limit_gets_its_diagnosis(workdir, zero_files, capsys):
     # N = 10^1500 in 3-d has 10^4500 modes, a count past int's 4300-digit
     # string limit: each message writes it as a power of ten

@@ -13,6 +13,7 @@ from balls import (
     cheap_norm2_upper,
     contains,
     gram_spread,
+    inverse_norm2_at_most,
     mat_mul,
     mat_sub_identity,
     norm2_upper,
@@ -31,7 +32,6 @@ from okvalid.intervals import (
     _max_sum_upper,
     Interval,
     IntervalDomainError,
-    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
     add_toward,
     ball_add,
@@ -675,9 +675,10 @@ def test_cholesky_shift_covers_the_backward_error(rng):
 
 def test_gram_certificate_reads_only_the_lower_triangle(rng):
     # eigvalsh and the Cholesky read only the lower triangle: finite garbage
-    # in the upper one gives the same certified bound, bit for bit; n = 120
-    # is past EIGVALSH_WIDTH, where the lower triangle is mirrored for the
-    # Lanczos estimate
+    # in the upper one gives the same certified bound, bit for bit, up to
+    # EIGVALSH_WIDTH.  Past it (n = 120) the Lanczos estimate reads the
+    # whole matrix, and the bound, certified from the lower triangle
+    # whatever the estimate, still holds ||C||_2
     for n in (1, 7, 60, 120):
         c = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
         abs_c = np.abs(c)
@@ -689,7 +690,24 @@ def test_gram_certificate_reads_only_the_lower_triangle(rng):
         for garbage in (1e3 * rng.standard_normal(upper[0].size), -gram[upper], 0.0):
             dirty = gram.copy()
             dirty[upper] = garbage
-            assert _gram_norm2_upper(dirty, spread) == clean
+            bound = _gram_norm2_upper(dirty, spread)
+            if n <= intervals.EIGVALSH_WIDTH:
+                assert bound == clean
+            else:
+                assert np.linalg.norm(c, 2) <= bound < math.inf
+
+
+def test_canonical_leading_blocks_gram_is_bitwise_symmetric(solved_1d, solved_2d, solved_3d):
+    # the Lanczos estimate reads a Gram matrix whole, so the certificate
+    # relies on numpy forming C^T C bitwise symmetric: so it is for the
+    # approximate inverse of each canonical solution's leading K_N block
+    from conftest import galerkin_blocks, lin_of
+
+    for (p, result), n in ((solved_1d, 256), (solved_2d, 28), (solved_3d, 12)):
+        _, ball = next(iter(galerkin_blocks(p, lin_of(p, result.solution).q, n)))
+        gram = intervals._gram(np.linalg.inv(ball.mid))
+        assert len(gram) > intervals.EIGVALSH_WIDTH
+        assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
 
 
 def _eigvalsh_widths(monkeypatch) -> list:
@@ -915,15 +933,21 @@ def test_inverse_norm_at_most_covers_a_perturbation(rng, monkeypatch):
 def test_inverse_norm_at_most_rounds_the_reciprocal_up(rng, monkeypatch):
     # with spread and beta taken as zero and a point identity, the shift is
     # the square of 1/floor rounded up, and it is recovered exactly: 1 - c
-    # is exact for c in [1/2, 2]
+    # is exact for c in [1/2, 2], here below 1, so the test holds
     monkeypatch.setattr(intervals, "_gram_spread", lambda abs_c, c_rows: 0.0)
     monkeypatch.setattr(intervals, "_cholesky_shift", lambda n, norm_bound: 0.0)
     seen = _factored(monkeypatch)
-    floors = 1.0 / rng.uniform(1.2, 1.41, 200)
+    floors = 1.0 / rng.uniform(0.71, 0.99, 200)
     for floor in floors:
-        assert not inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
+        assert inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
     for floor, y in zip(floors, seen, strict=True):
         assert 1 - Fraction(y[0, 0]) >= (1 / Fraction(floor)) ** 2
+    # at a floor below 1 the shifted diagonal is negative: the test fails
+    # with nothing factored
+    seen.clear()
+    for floor in 1.0 / rng.uniform(1.2, 1.41, 20):
+        assert not inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
+    assert not seen
 
 
 def test_inverse_norm_bound(rng):

@@ -363,3 +363,52 @@ def test_newton_builds_the_product_plans_once_per_index_set(monkeypatch):
     for x in (s, *g, series.c_grid((3, 4))):
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0] = 1
+
+
+@pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
+def test_walk_reads_the_last_solution_powers(monkeypatch, solved_2d, which):
+    # on the canonical 2-d solution the walk's first solve converges at
+    # iteration 0, and a lambda or sigma step leaves u + mu, so the next
+    # solve's first iteration reads those powers: a lambda step runs 8
+    # products, not 10.  A mu step forms them again.  Either way each solve
+    # gives newton_solve's bits from the same guess
+    p, start = solved_2d
+    opts = SolveOptions(n=28, tol_residual=1e-9)
+    counts = _count_products(monkeypatch)
+    walk = parameter_walk(p, start.solution, which, 0.5, 1, opts)
+    products = counts["products"]
+    assert [r.iterations for _, r in walk][0] == 0 and len(walk) == 2
+    formed = sum(2 * (r.iterations + 1) for _, r in walk)
+    assert products == formed - 2 * (which != "mu")
+    if which == "lambda":
+        assert products == 8 and walk[1][1].iterations == 3
+    for (q, res), guess in zip(walk, (start, walk[0][1])):
+        alone = newton_solve(q, guess.solution, opts)
+        assert alone.solution.mid().tobytes() == res.solution.mid().tobytes()
+        assert (alone.residual_proj, alone.residual_full, alone.iterations) == (
+            res.residual_proj, res.residual_full, res.iterations)
+
+
+def test_walk_builds_each_block_plan_once(solved_2d):
+    # the canonical 2-d walk steps on the all-odd class alone: its weights
+    # and its Galerkin sums plan are built once for all the walk's steps and
+    # every later walk, and each class's cells once; all are read-only
+    from okvalid import operator
+    from okvalid.operator import ParityBlock
+
+    caches = (ParityBlock.weights, operator._sums_plan, ParityBlock.cells)
+    for cache in caches:
+        cache.cache_clear()
+    p, start = solved_2d
+    opts = SolveOptions(n=28, tol_residual=1e-9)
+    for _ in range(2):
+        walk = parameter_walk(p, start.solution, "lambda", 0.5, 1, opts)
+        assert walk[1][1].iterations == 3
+    weights, plans, cells = (cache.cache_info() for cache in caches)
+    assert (weights.misses, weights.hits) == (1, 5) and (plans.misses, plans.hits) == (1, 5)
+    assert cells.misses == 4 and cells.hits == 4 * 6 - 4
+    (block,) = [b for b in operator.parity_blocks((True, True), 28) if b.parity == (1, 1)]
+    for x in (*block.weights(), block.cells(), operator._sums_plan(block).half,
+              *operator._sums_plan(block).tables[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = 1

@@ -11,6 +11,7 @@ import sympy
 from balls import (
     block_modes,
     hull,
+    inverse_norm2_at_most,
     mat_mul,
     mat_sub_identity,
     norm2_upper,
@@ -29,7 +30,6 @@ from okvalid.intervals import (
     PI4_BALL,
     Interval,
     IntervalDomainError,
-    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
 from okvalid.inverse import axis_symmetries, derivative_inverse_bound, inverse_bounds, tau_formula
@@ -470,17 +470,17 @@ def test_galerkin_sums_match_definition(rng, n, extent):
     arrays[1] = np.abs(arrays[0])
     arrays[2] = np.abs(arrays[2]) * (rng.uniform(size=extent) < 0.5)
     d = len(extent)
-    grids = []
+    blocks = []
     for split in ((False,) * d, (True,) * d, tuple(rng.uniform(size=d) < 0.5)):
-        grids += [block.axes for block in operator.parity_blocks(split, n)]
-    for axes in grids:
-        sums = operator._galerkin_sums(axes, arrays)
+        blocks += operator.parity_blocks(split, n)
+    for block in blocks:
+        sums = operator._galerkin_sums(block, arrays)
         assert len(sums) == 3
         for got, a in zip(sums, arrays):
-            want = _galerkin_sums_reference(axes, a)
-            assert got.flags.c_contiguous, axes
-            assert np.array_equal(got, want), axes
-            assert np.array_equal(np.signbit(got), np.signbit(want)), axes
+            want = _galerkin_sums_reference(block.axes, a)
+            assert got.flags.c_contiguous, block
+            assert np.array_equal(got, want), block
+            assert np.array_equal(np.signbit(got), np.signbit(want)), block
 
 
 def _same_parity(modes, split):
@@ -887,6 +887,27 @@ def test_kn_swap_debris_past_the_radius_skips_the_member(rng, monkeypatch):
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
 
 
+def test_kn_orbit_leader_forms_its_gram_product_once(monkeypatch):
+    # q = 38 + 5 phi_(2,0) is far from the axis swap: the leader (0, 1)
+    # fails the tightened test and takes the plain one on the same Gram
+    # matrix.  The pass forms four Gram products, one per full certificate
+    # of (0, 0) and one per floor test of the three other classes (five
+    # with the leader's formed twice), and K_N is the walk's over every
+    # block, bit for bit
+    raw = np.zeros((3, 3))
+    raw[0, 0], raw[2, 0] = 38.0, 5.0
+    q = CosineSeries.from_point(raw)
+    p = ModelParams(lam=1.0)
+    want = _kn_every_block(p, q, 24)
+    grams = []
+    gram = intervals._gram
+    monkeypatch.setattr(intervals, "_gram", lambda x: grams.append(len(x)) or gram(x))
+    labels = _record_assembly(monkeypatch)
+    lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
+    assert derivative_inverse_bound(p, lin, 24).kn == want
+    assert labels == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"] and len(grams) == 4
+
+
 def test_kn_certifies_a_later_largest_block(monkeypatch):
     # q constant: two diagonal blocks, and at (lam, sigma) = (10, 1) the
     # largest inverse norm, at k = 1, lies in the second; the Cholesky test
@@ -1124,13 +1145,20 @@ def test_point_jacobian_matches_interval_matrix():
 # ---------------------------------------------------------------------------
 
 def _kn_stage_peak(p, lin, n: int) -> int:
-    """The traced peak of derivative_inverse_bound(p, lin, n), which may fail."""
-    tracemalloc.start()
-    try:
+    """The traced peak of derivative_inverse_bound(p, lin, n), which may
+    fail.  One untraced pass first builds the memoised per-class plans and
+    weights (a few kB, kept for the process), which later passes share, so
+    the peak does not depend on which tests ran before."""
+    def stage():
         try:
             derivative_inverse_bound(p, lin, n)
         except CertificationError:
             pass
+
+    stage()
+    tracemalloc.start()
+    try:
+        stage()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
