@@ -589,14 +589,14 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x.T @ x
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow gives False
-def first_inverse_norm2_at_most(a: BallMatrix, floor: float, tries: tuple) -> int | None:
-    """The index of the first eps of tries for which ||(X + E)^-1||_2 <=
-    floor is proved for every member X of the square ball a and every E
-    with ||E||_2 <= eps by one floating Cholesky, with no inverse formed
-    (Rump, BIT 46, 2006); None, never an error, where none is.  The tests
-    share r, the spread and G, each formed once, at the first test that
-    reads it.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails a test
+def inverse_norm2_at_most(a: BallMatrix, floor: float, eps: float = 0.0) -> float | None:
+    """The tolerance for which ||(X + E)^-1||_2 <= floor is proved for every
+    member X of the square ball a and every E with ||E||_2 <= it by one
+    floating Cholesky, with no inverse formed (Rump, BIT 46, 2006): eps,
+    else (where eps is not 0) 0.0 from one more Cholesky on the same G,
+    else None, never an error.  A proof reads as `is not None`: 0.0 is
+    false.
 
     Every X lies within r of Am in the 2-norm, r = sqrt(||Ar||_1
     ||Ar||_inf) rounded up (0 for a point ball), and Am^T Am within spread
@@ -608,10 +608,10 @@ def first_inverse_norm2_at_most(a: BallMatrix, floor: float, tries: tuple) -> in
     Weyl sigma_min(X + E) >= t - r - eps >= 1/floor: the test at the
     tightened floor 1/(1/floor + eps).  The a-priori shift costs about 1e-9
     relative on the K_N blocks, too much for a sharp bound but nothing
-    against a floor with a margin.  None also where floor is not positive
-    and finite; a test fails where anything else is not finite.  A Y with a
-    diagonal entry <= 0 is not factored: its Cholesky fails at that pivot or
-    before.
+    against a floor with a margin.  r, the spread and G are formed once,
+    for both tests.  None also where floor is not positive and finite; a
+    test fails where anything else is not finite.  A Y with a diagonal
+    entry <= 0 is not factored: its Cholesky fails at that pivot or before.
     """
     if not 0.0 < floor < _INF:
         return None
@@ -621,8 +621,8 @@ def first_inverse_norm2_at_most(a: BallMatrix, floor: float, tries: tuple) -> in
     spread = _gram_spread(abs_m, abs_m.sum(axis=1))
     del abs_m
     g = None
-    for i, eps in enumerate(tries):
-        t = _add_up(_add_up(_up(1.0 / floor), r), eps)
+    for tol in (eps, 0.0) if eps != 0.0 else (0.0,):
+        t = _add_up(_add_up(_up(1.0 / floor), r), tol)
         s = _add_up(_up(t * t), spread)
         if not s < _INF:  # also where r, eps or spread is not finite
             continue
@@ -633,7 +633,7 @@ def first_inverse_norm2_at_most(a: BallMatrix, floor: float, tries: tuple) -> in
         c = _add_up(s, _cholesky_shift(m, float(np.max(gd))))
         g[d, d] = add_toward(gd, -c, -_INF)
         if (g[d, d] > 0.0).all() and _cholesky_succeeds(g):
-            return i
+            return tol
     return None
 
 

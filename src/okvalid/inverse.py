@@ -28,7 +28,7 @@ from .intervals import (
     _gamma,
     _max_sum_upper,
     _up,
-    first_inverse_norm2_at_most,
+    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
 from .operator import (
@@ -37,6 +37,7 @@ from .operator import (
     ModelParams,
     ParityBlock,
     _galerkin_sums,
+    _sums_plan,
     count_text,
     memory_shortfall,
     parity_blocks,
@@ -181,7 +182,7 @@ def _galerkin_block(p: ModelParams, block: ParityBlock, raw: tuple) -> BallMatri
     qm, qr, lattice = raw
     d = len(block.parity)
     t = 2**d + 7
-    mid, rad = _galerkin_sums(block, [qm, _rump_radius(qm, qr, t)], lattice)
+    mid, rad = _galerkin_sums(_sums_plan(block), [qm, _rump_radius(qm, qr, t)], lattice)
     diag = np.arange(block.size)
     free = rad == 0.0
     free[diag, diag] = False
@@ -270,7 +271,7 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
     (_galerkin_block), so the 2-norm of its inverse is the largest of
     theirs.  The blocks are walked in order, each assembled, bounded and
     dropped before the next, with K_N so far as its floor: one Cholesky
-    (first_inverse_norm2_at_most) proves most blocks' inverses no larger than the
+    (inverse_norm2_at_most) proves most blocks' inverses no larger than the
     floor, and only a block it cannot is certified in full by
     mat_inverse_norm2_upper.  A block kept at or below the floor cannot
     raise K_N, so K_N is the largest of every block's full certificate;
@@ -286,14 +287,14 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
     q'||_inf / pi^2 <= eps, since kappa_l >= pi^2; eps is the symmetries'
     defect over the lower end of pi^2, rounded up.  So where the first
     class passes the Cholesky test at the tightened floor 1/(1/K_N + eps)
-    (first_inverse_norm2_at_most at eps), every member's inverse is at most
-    K_N and no member is assembled.  Where it does not, the first class
-    takes the plain test on the same Gram matrix, and its members are
+    (inverse_norm2_at_most with eps), every member's inverse is at most K_N
+    and no member is assembled.  Where it does not, the first class takes
+    the plain test (in the same call, on the same G), and its members are
     assembled and bounded one by one, as any other block (so on a q far
-    from symmetric).  K_N is then the
-    same bits as with every block walked, wherever the skipped members
-    would have passed the plain test.  The orbits are formed once, at the
-    largest truncation; a smaller one skips a member it lacks.
+    from symmetric).  K_N is then the same bits as with every block walked,
+    wherever the skipped members would have passed the plain test.  The
+    orbits are formed once, at the largest truncation; a smaller one skips
+    a member it lacks.
 
     The truncations share one walk, class by class, from the largest
     truncation that needs a class down.  The class is assembled once, at
@@ -335,12 +336,12 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
             ball = (_galerkin_block(p, block, (qm, qr, q.axes)) if ball is None
                     else _sub_block(ball, above, block))
             above = block
-            # a leader tries the tightened floor first, on the plain test's Gram matrix
-            passed = first_inverse_norm2_at_most(ball, kn[n], (eps, 0.0) if cls in orbits else (0.0,))
-            if cls in orbits and passed == 0:
+            # a leader tries the tightened floor first, then the plain one on the same G
+            proved = inverse_norm2_at_most(ball, kn[n], eps if cls in orbits else 0.0)
+            if cls in orbits and proved == eps:
                 for member in orbits[cls]:
                     classes[n].pop(member, None)
-            elif passed is None:
+            elif proved is None:
                 try:
                     kn[n] = max(kn[n], mat_inverse_norm2_upper(ball)[0])
                 except IntervalDomainError as exc:

@@ -187,10 +187,11 @@ def newton_solve(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptio
 @np.errstate(over="ignore", invalid="ignore")
 def _newton(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions,
             start: tuple | None = None) -> tuple:
-    """newton_solve, and its last iterate with that iterate's point_powers at
-    p: (NewtonResult, (a, powers)).  start, where given, is such a pair
-    from a solve at the same mu and f; where the first iterate has start's
-    bits, its powers are read instead of formed again."""
+    """newton_solve, and its last iterate a with that iterate's point_powers
+    at p: (NewtonResult, (mu, f_coeffs, a, powers)).  start, where given, is
+    such a tuple from an earlier solve; where it has p's mu and f and the
+    first iterate has its bits, its powers are read instead of formed
+    again."""
     coeffs = u0.mid() if isinstance(u0, CosineSeries) else np.asarray(u0, dtype=np.float64)
     dim = coeffs.ndim
     n = opts.n
@@ -203,8 +204,8 @@ def _newton(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions,
 
     start_norm = None
     for it in range(opts.max_iter + 1):
-        if it == 0 and start is not None and start[0].shape == a.shape and start[0].tobytes() == a.tobytes():
-            powers = start[1]
+        if it == 0 and start is not None and _same_point(start, p, a):
+            powers = start[3]
         else:
             powers = point_powers(p, a)
         f_all, proj, full = residual_point(p, a, powers)
@@ -219,7 +220,7 @@ def _newton(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions,
                 residual_full=full,
                 iterations=it,
             )
-            return result, (a, powers)
+            return result, (p.mu, p.f_coeffs, a, powers)
         if proj > 1e8 * max(start_norm, 1.0):
             raise NewtonError(f"Newton iteration diverged (residual {proj:.3g})")
         if it == opts.max_iter:
@@ -243,6 +244,12 @@ def _newton(p: ModelParams, u0: CosineSeries | np.ndarray, opts: SolveOptions,
     raise NewtonError(
         f"no convergence in {opts.max_iter} iterations (residual {proj:.3g}, tol {opts.tol_residual:.3g})"
     )
+
+
+def _same_point(start: tuple, p: ModelParams, a: np.ndarray) -> bool:
+    """Whether start, from _newton, is at p's mu and f and has a's bits."""
+    mu, f_coeffs, b, _ = start
+    return (mu, f_coeffs) == (p.mu, p.f_coeffs) and b.shape == a.shape and b.tobytes() == a.tobytes()
 
 
 def check_walk(which: str, step: float) -> None:
@@ -281,7 +288,7 @@ def parameter_walk(
                 raise
             break
         out.append((p, res))
-        guess, start = res.solution, (last if which != "mu" else None)
+        guess, start = res.solution, last
         try:
             p = p.step(which, step)
         except ValueError:

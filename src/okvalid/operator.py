@@ -271,21 +271,20 @@ class ParityBlock(NamedTuple):
         """The class's parities, * on an axis that does not split."""
         return "(" + ", ".join("*" if c is None else str(c) for c in self.parity) + ")"
 
-    # the arrays below are read-only and built once per class, as c_grid per extent
-
+    # Newton's steps read the cells of every class at every iteration: they
+    # are read-only and built once per class, as c_grid per extent
     @functools.lru_cache(maxsize=64)
     def cells(self) -> np.ndarray:
         """The flat indices of the class's modes in the n^d grid, in its order."""
         flat = np.ravel_multi_index(np.ix_(*self.axes), (self.n,) * len(self.parity)).ravel()
         return _read_only(flat[flat > 0])
 
-    @functools.lru_cache(maxsize=64)
     def weights(self) -> tuple:
         """|k|^2, exact, and the float c_k of the class's modes, in its order."""
         grid = np.ix_(*self.axes)
         k2 = sum(a.astype(np.float64) ** 2 for a in grid).ravel()
         nz = sum((a != 0).astype(np.intp) for a in grid).ravel()
-        return _read_only(k2[k2 > 0]), _read_only(C_FLOAT[nz[k2 > 0]])
+        return k2[k2 > 0], C_FLOAT[nz[k2 > 0]]
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -293,12 +292,10 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=64)
-def parity_blocks(split: tuple, n: int) -> tuple:
+def parity_blocks(split, n: int) -> list:
     """The parity classes k_j mod 2 on the split axes, in lexicographic order
     of their parities, as ParityBlocks; a class that is only the origin is
-    left out, and no split axis gives one class, the full grid.  Counted
-    once per split and truncation.
+    left out, and no split axis gives one class, the full grid.
 
     This is the one walk over the blocks of a matrix that splits by parity:
     the K_N stage, its memory charge and Newton's steps all follow it.  The
@@ -312,7 +309,7 @@ def parity_blocks(split: tuple, n: int) -> tuple:
         size = math.prod(_parity_count(n, c) for c in cls) - (1 not in cls)
         if size > 0:
             out.append(ParityBlock(n, cls, size))
-    return tuple(out)
+    return out
 
 
 class _SumsPlan(NamedTuple):
@@ -335,11 +332,12 @@ def _sign_tables(h: np.ndarray, p: int) -> tuple:
     return h[:, None] + (h + p)[None, :], np.abs(h[:, None] - h[None, :])
 
 
-@functools.lru_cache(maxsize=64)
 def _sums_plan(block: ParityBlock) -> _SumsPlan:
-    """The index plan of block that _galerkin_sums reads, built once per
-    class.  It holds the tables of every axis but the last, n_j x n_j: the
-    last axis's are formed per call, as in 1-d they are the block's size."""
+    """The index plan of block that _galerkin_sums reads.  It holds the
+    tables of every axis but the last, n_j x n_j: the last axis's are
+    formed per call, as in 1-d they are the block's size.  The K_N stage
+    forms a plan per block and drops it with the block; Newton's steps
+    read theirs from _point_plan."""
     axes = block.axes
     d = len(axes)
     ext = tuple(2 * int(a[-1]) + 1 for a in axes)
@@ -360,14 +358,21 @@ def _sums_plan(block: ParityBlock) -> _SumsPlan:
                      math.prod(a.size for a in axes), drop)
 
 
-def _galerkin_sums(block: ParityBlock, arrays, lattice: tuple | None = None) -> list:
+@functools.lru_cache(maxsize=64)
+def _point_plan(block: ParityBlock) -> tuple:
+    """galerkin_matrix_point's arrays of block, read-only and built once per
+    class, as c_grid per extent: its _sums_plan and its weights()."""
+    return _sums_plan(block), *map(_read_only, block.weights())
+
+
+def _galerkin_sums(plan: _SumsPlan, arrays, lattice: tuple | None = None) -> list:
     """(a phi_ell, phi_k) before the factor c_k c_ell / 2^d, for each raw
     coefficient array a (all held on one lattice, default every index of
-    the arrays, as a series is) and every pair of modes of block's grid
-    (the lexicographic grid axes[0] x ... x axes[d-1] of its per-axis
-    indices, less the origin where the grid holds it): the sum over sign
-    patterns s of 2^-nz(k + s ell) a[|k + s ell|], zero where a holds no
-    mode.
+    the arrays, as a series is) and every pair of modes of the parity class
+    whose _sums_plan is plan (the lexicographic grid axes[0] x ... x
+    axes[d-1] of its per-axis indices, less the origin where the grid
+    holds it): the sum over sign patterns s of 2^-nz(k + s ell) a[|k + s
+    ell|], zero where a holds no mode.
 
     One array at a time, a 2^-nz on the modes 0 .. 2 max(axes[j]) along
     axis j (only the even ones where axes[j] has one parity, the only ones
@@ -381,9 +386,8 @@ def _galerkin_sums(block: ParityBlock, arrays, lattice: tuple | None = None) -> 
     copies whole rows, and one transposed copy makes the C-contiguous (k;
     ell) matrix.  In 1-d the origin is cut from the tables; elsewhere its
     row and column are cut by one more copy.  Everything but the arrays
-    comes from block's plan (_sums_plan).
+    comes from the plan.
     """
-    plan = _sums_plan(block)
     lattice = lattice or _lattice(arrays[0].shape)
     last = _sign_tables(*plan.last)
     sums = []
@@ -458,8 +462,8 @@ def galerkin_matrix_point(p: ModelParams, q_raw: np.ndarray, block: ParityBlock)
 
     Entries -(kappa_k^2 + lam sigma) delta_{k,ell} + kappa_k (q phi_ell, phi_k).
     """
-    (acc,) = _galerkin_sums(block, [q_raw])
-    k2, cf = block.weights()
+    plan, k2, cf = _point_plan(block)
+    (acc,) = _galerkin_sums(plan, [q_raw])
     acc *= cf[:, None] * cf[None, :] * 0.5 ** len(block.parity)
     kap = math.pi**2 * k2
     acc *= kap[:, None]

@@ -6,8 +6,7 @@ defect C A - I as an m x m ball matrix, the form that the certified norm
 bounds in okvalid.intervals avoid: they are the oracle that the row and
 column sums there are checked against.  norm2_upper bounds the spectral
 norm of every member of a ball matrix, the program's Gram certificate on a
-ball spread; inverse_norm2_at_most is the program's Cholesky floor test at
-one tolerance, and truncation_modes lists the modes of the full Galerkin
+ball spread, and truncation_modes lists the modes of the full Galerkin
 matrix, in the order of the blocks' cells.
 """
 
@@ -25,7 +24,6 @@ from okvalid.intervals import (
     _norm2_from_sums,
     _up,
     ball_add,
-    first_inverse_norm2_at_most,
     mid_rad,
 )
 from okvalid.series import CosineSeries
@@ -172,9 +170,3 @@ def block_modes(block) -> np.ndarray:
     """The multi-indices of a ParityBlock's modes, in its order."""
     shape = (block.n,) * len(block.axes)
     return np.stack(np.unravel_index(block.cells(), shape), axis=1)
-
-
-def inverse_norm2_at_most(a: BallMatrix, floor: float, eps: float = 0.0) -> bool:
-    """Whether first_inverse_norm2_at_most proves ||(X + E)^-1||_2 <= floor
-    at the one tolerance eps."""
-    return first_inverse_norm2_at_most(a, floor, (eps,)) == 0

@@ -13,7 +13,6 @@ from balls import (
     cheap_norm2_upper,
     contains,
     gram_spread,
-    inverse_norm2_at_most,
     mat_mul,
     mat_sub_identity,
     norm2_upper,
@@ -32,6 +31,7 @@ from okvalid.intervals import (
     _max_sum_upper,
     Interval,
     IntervalDomainError,
+    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
     add_toward,
     ball_add,
@@ -837,8 +837,8 @@ def test_inverse_norm_at_most_mpmath_boundaries(rng, width):
     for label, am in _threshold_cases(rng):
         a = ball_hull(am, am + width * np.abs(am)) if width else point_matrix(am)
         kappa = _mp_inverse_norm(am)
-        assert inverse_norm2_at_most(a, float(kappa * mpmath.mpf("1.01"))), label
-        assert not inverse_norm2_at_most(a, float(kappa * mpmath.mpf("0.99"))), label
+        assert inverse_norm2_at_most(a, float(kappa * mpmath.mpf("1.01"))) == 0.0, label
+        assert inverse_norm2_at_most(a, float(kappa * mpmath.mpf("0.99"))) is None, label
 
 
 def test_inverse_norm_at_most_refuses_a_radius_reaching_below_the_floor(rng):
@@ -846,24 +846,24 @@ def test_inverse_norm_at_most_refuses_a_radius_reaching_below_the_floor(rng):
     # sampled members whose sigma_min is below it
     am = _integer_matrix(rng, 6)
     floor = float(_mp_inverse_norm(am) * mpmath.mpf("1.01"))
-    assert inverse_norm2_at_most(point_matrix(am), floor)
+    assert inverse_norm2_at_most(point_matrix(am), floor) == 0.0
     lo, hi = am - 0.25, am + 0.25
     below = [x for x in _sampled_members(rng, lo, hi, 20) if _mp_inverse_norm(x) > floor]
     assert below
-    assert not inverse_norm2_at_most(ball_hull(lo, hi), floor)
+    assert inverse_norm2_at_most(ball_hull(lo, hi), floor) is None
 
 
 def test_inverse_norm_at_most_is_false_where_nothing_is_finite():
     # no finite floor, an unbounded entry, or a Gram matrix past the
-    # largest double: False, and no error or warning
+    # largest double: None, and no error or warning
     eye = np.eye(4)
     for floor in (0.0, -1.0, math.nan, math.inf):
-        assert not inverse_norm2_at_most(point_matrix(eye), floor)
+        assert inverse_norm2_at_most(point_matrix(eye), floor) is None
     unbounded = BallMatrix(eye, np.zeros((4, 4)))
     unbounded.rad[0, 3] = math.inf
-    assert not inverse_norm2_at_most(unbounded, 2.0)
-    assert not inverse_norm2_at_most(point_matrix(1e200 * eye), 1.0)
-    assert not inverse_norm2_at_most(point_matrix(1e-200 * eye), 1.0)
+    assert inverse_norm2_at_most(unbounded, 2.0) is None
+    assert inverse_norm2_at_most(point_matrix(1e200 * eye), 1.0) is None
+    assert inverse_norm2_at_most(point_matrix(1e-200 * eye), 1.0) is None
 
 
 def _factored(monkeypatch) -> list:
@@ -896,7 +896,7 @@ def test_inverse_norm_at_most_shift_covers_every_term(rng, monkeypatch, width):
     kappa = float(_mp_inverse_norm(am))
     seen = _factored(monkeypatch)
     floors = [kappa * x for x in (1.01, 0.99)] + list(rng.uniform(0.1, 2.0, 30))
-    held = [inverse_norm2_at_most(a, floor) for floor in floors]
+    held = [inverse_norm2_at_most(a, floor) is not None for floor in floors]
     assert held[:2] == [True, False] and len(seen) == len(floors)
     lower = np.tril_indices(6, -1)
     for floor, y in zip(floors, seen):
@@ -908,9 +908,10 @@ def test_inverse_norm_at_most_shift_covers_every_term(rng, monkeypatch, width):
 
 def test_inverse_norm_at_most_covers_a_perturbation(rng, monkeypatch):
     # with eps, the test is the one at the tightened floor 1/(1/floor +
-    # eps): it holds a percent inside sigma_min - eps and not a percent
-    # outside, where the plain test still holds, and the factored diagonal
-    # leaves room for (1/floor + eps)^2; a non-finite eps proves nothing
+    # eps): it holds a percent inside sigma_min - eps, and the factored
+    # diagonal leaves room for (1/floor + eps)^2.  A percent outside, and
+    # at a non-finite eps, it proves nothing for E, and the plain test,
+    # which holds, follows on the same Gram matrix
     am = _integer_matrix(rng, 6)
     a = point_matrix(am)
     sigma = 1 / _mp_inverse_norm(am)
@@ -921,13 +922,16 @@ def test_inverse_norm_at_most_covers_a_perturbation(rng, monkeypatch):
     spread = Fraction(_gram_spread(abs_m, abs_m.sum(axis=1)))
     beta = Fraction(_cholesky_shift(6, float(np.max(np.diag(g)))))
     seen = _factored(monkeypatch)
-    assert inverse_norm2_at_most(a, inside, eps)
+    assert inverse_norm2_at_most(a, inside, eps) == eps
     need = (1 / Fraction(inside) + Fraction(eps)) ** 2 + spread + beta
     assert all(Fraction(seen[0][i, i]) <= Fraction(g[i, i]) - need for i in range(6))
-    assert not inverse_norm2_at_most(a, outside, eps)
-    assert inverse_norm2_at_most(a, outside) and inverse_norm2_at_most(a, outside, 0.0)
+    grams = []
+    gram = intervals._gram
+    monkeypatch.setattr(intervals, "_gram", lambda x: grams.append(x) or gram(x))
+    assert inverse_norm2_at_most(a, outside, eps) == 0.0 and len(seen) == 3 and len(grams) == 1
+    assert inverse_norm2_at_most(a, outside) == 0.0 and inverse_norm2_at_most(a, outside, 0.0) == 0.0
     for bad in (math.inf, math.nan):
-        assert not inverse_norm2_at_most(a, inside, bad)
+        assert inverse_norm2_at_most(a, inside, bad) == 0.0
 
 
 def test_inverse_norm_at_most_rounds_the_reciprocal_up(rng, monkeypatch):
@@ -939,14 +943,14 @@ def test_inverse_norm_at_most_rounds_the_reciprocal_up(rng, monkeypatch):
     seen = _factored(monkeypatch)
     floors = 1.0 / rng.uniform(0.71, 0.99, 200)
     for floor in floors:
-        assert inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
+        assert inverse_norm2_at_most(point_matrix(np.eye(2)), floor) == 0.0
     for floor, y in zip(floors, seen, strict=True):
         assert 1 - Fraction(y[0, 0]) >= (1 / Fraction(floor)) ** 2
     # at a floor below 1 the shifted diagonal is negative: the test fails
     # with nothing factored
     seen.clear()
     for floor in 1.0 / rng.uniform(1.2, 1.41, 20):
-        assert not inverse_norm2_at_most(point_matrix(np.eye(2)), floor)
+        assert inverse_norm2_at_most(point_matrix(np.eye(2)), floor) is None
     assert not seen
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,8 +371,9 @@ def test_walk_reads_the_last_solution_powers(monkeypatch, solved_2d, which):
     # on the canonical 2-d solution the walk's first solve converges at
     # iteration 0, and a lambda or sigma step leaves u + mu, so the next
     # solve's first iteration reads those powers: a lambda step runs 8
-    # products, not 10.  A mu step forms them again.  Either way each solve
-    # gives newton_solve's bits from the same guess
+    # products, not 10.  After a mu step the last solution's powers are at
+    # another mu, and they are formed again.  Either way each solve gives
+    # newton_solve's bits from the same guess
     p, start = solved_2d
     opts = SolveOptions(n=28, tol_residual=1e-9)
     counts = _count_products(monkeypatch)
@@ -389,6 +391,24 @@ def test_walk_reads_the_last_solution_powers(monkeypatch, solved_2d, which):
             res.residual_proj, res.residual_full, res.iterations)
 
 
+def test_newton_reads_a_start_only_at_its_mu_and_f(monkeypatch, solved_2d):
+    # a start from a solve at another f has the guess's bits but not its
+    # powers: they are formed again, and the solve gives newton_solve's bits
+    from okvalid import newton
+
+    p, start = solved_2d
+    opts = SolveOptions(n=28, tol_residual=1e-9)
+    _, last = newton._newton(p, start.solution, opts)
+    counts = _count_products(monkeypatch)
+    for q, read in ((p, True), (replace(p, f_coeffs=(0.0, 1.0, 0.0, -1.01)), False)):
+        counts["products"] = 0
+        res, _ = newton._newton(q, start.solution, opts, last)
+        assert counts["products"] == 2 * (res.iterations + 1) - 2 * read
+        alone = newton_solve(q, start.solution, opts)
+        assert alone.solution.mid().tobytes() == res.solution.mid().tobytes()
+        assert (alone.residual_proj, alone.residual_full) == (res.residual_proj, res.residual_full)
+
+
 def test_walk_builds_each_block_plan_once(solved_2d):
     # the canonical 2-d walk steps on the all-odd class alone: its weights
     # and its Galerkin sums plan are built once for all the walk's steps and
@@ -396,7 +416,7 @@ def test_walk_builds_each_block_plan_once(solved_2d):
     from okvalid import operator
     from okvalid.operator import ParityBlock
 
-    caches = (ParityBlock.weights, operator._sums_plan, ParityBlock.cells)
+    caches = (operator._point_plan, ParityBlock.cells)
     for cache in caches:
         cache.cache_clear()
     p, start = solved_2d
@@ -404,11 +424,11 @@ def test_walk_builds_each_block_plan_once(solved_2d):
     for _ in range(2):
         walk = parameter_walk(p, start.solution, "lambda", 0.5, 1, opts)
         assert walk[1][1].iterations == 3
-    weights, plans, cells = (cache.cache_info() for cache in caches)
-    assert (weights.misses, weights.hits) == (1, 5) and (plans.misses, plans.hits) == (1, 5)
+    plans, cells = (cache.cache_info() for cache in caches)
+    assert (plans.misses, plans.hits) == (1, 5)
     assert cells.misses == 4 and cells.hits == 4 * 6 - 4
     (block,) = [b for b in operator.parity_blocks((True, True), 28) if b.parity == (1, 1)]
-    for x in (*block.weights(), block.cells(), operator._sums_plan(block).half,
-              *operator._sums_plan(block).tables[0]):
+    plan, k2, cf = operator._point_plan(block)
+    for x in (k2, cf, block.cells(), plan.half, *plan.tables[0]):
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = 1

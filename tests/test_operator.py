@@ -11,7 +11,6 @@ import sympy
 from balls import (
     block_modes,
     hull,
-    inverse_norm2_at_most,
     mat_mul,
     mat_sub_identity,
     norm2_upper,
@@ -30,6 +29,7 @@ from okvalid.intervals import (
     PI4_BALL,
     Interval,
     IntervalDomainError,
+    inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
 from okvalid.inverse import axis_symmetries, derivative_inverse_bound, inverse_bounds, tau_formula
@@ -361,7 +361,7 @@ def test_galerkin_contains_exact_inner_products(rng, monkeypatch, extent, n, poi
 
     read = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(inverse, "_galerkin_sums", lambda axes, arrays, *lattice: read.extend(arrays) or sums(axes, arrays, *lattice))
+    monkeypatch.setattr(inverse, "_galerkin_sums", lambda plan, arrays, *lattice: read.extend(arrays) or sums(plan, arrays, *lattice))
     mid = rng.standard_normal(extent) * scale
     width = np.abs(rng.standard_normal(extent)) * rng.choice([0.0, 1e-13, 0.3], extent) * scale
     mid[rng.uniform(size=extent) < 0.3] = 0.0
@@ -392,7 +392,7 @@ def test_galerkin_block_reads_two_sums_of_a_ball_q(rng, monkeypatch):
     # coefficients on every axis's two parities as on one
     calls = []
     sums = operator._galerkin_sums
-    monkeypatch.setattr(inverse, "_galerkin_sums", lambda axes, arrays, *lattice: calls.append(len(arrays)) or sums(axes, arrays, *lattice))
+    monkeypatch.setattr(inverse, "_galerkin_sums", lambda plan, arrays, *lattice: calls.append(len(arrays)) or sums(plan, arrays, *lattice))
     p = ModelParams(lam=7.0, sigma=1.5)
     for extent, stride in (((6, 5), 1), ((7, 7), 2)):
         mid = np.zeros(extent)
@@ -474,7 +474,7 @@ def test_galerkin_sums_match_definition(rng, n, extent):
     for split in ((False,) * d, (True,) * d, tuple(rng.uniform(size=d) < 0.5)):
         blocks += operator.parity_blocks(split, n)
     for block in blocks:
-        sums = operator._galerkin_sums(block, arrays)
+        sums = operator._galerkin_sums(operator._sums_plan(block), arrays)
         assert len(sums) == 3
         for got, a in zip(sums, arrays):
             want = _galerkin_sums_reference(block.axes, a)
@@ -682,7 +682,7 @@ def _kn_every_block(p, q, n) -> float:
     and the full certificate where it fails."""
     kn = 0.0
     for _, ball in galerkin_blocks(p, q, n):
-        if not inverse_norm2_at_most(ball, kn):
+        if inverse_norm2_at_most(ball, kn) is None:
             kn = max(kn, mat_inverse_norm2_upper(ball)[0])
     return kn
 
@@ -703,7 +703,7 @@ def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, 
     balls = [ball for _, ball in galerkin_blocks(p, lin.q, n)]
     every = [mat_inverse_norm2_upper(ball)[0] for ball in balls]
     assert len(every) == blocks and every[0] == max(every)
-    assert all(inverse_norm2_at_most(ball, every[0]) for ball in balls[1:])
+    assert all(inverse_norm2_at_most(ball, every[0]) == 0.0 for ball in balls[1:])
     del balls
     calls = _count_inverses(monkeypatch)
     labels = _record_assembly(monkeypatch)
@@ -741,7 +741,7 @@ def test_kn_canonical_2d_skips_a_class_that_kn_bounds(monkeypatch, solved_2d):
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
     monkeypatch.undo()
     skipped = {block.label: ball for block, ball in galerkin_blocks(p, lin.q, 28)}["(1, 0)"]
-    assert inverse_norm2_at_most(skipped, kn)
+    assert inverse_norm2_at_most(skipped, kn) == 0.0
     assert mat_inverse_norm2_upper(skipped)[0] <= kn
 
 
@@ -919,7 +919,7 @@ def test_kn_certifies_a_later_largest_block(monkeypatch):
     assert [block.label for block, _ in blocks] == ["(0)", "(1)"]
     first, largest = (mat_inverse_norm2_upper(ball)[0] for _, ball in blocks)
     assert first < largest
-    assert not inverse_norm2_at_most(blocks[1][1], first)
+    assert inverse_norm2_at_most(blocks[1][1], first) is None
     calls = _count_inverses(monkeypatch)
     assert derivative_inverse_bound(p, lin, 32).kn == largest
     assert len(calls) == 2
@@ -1146,22 +1146,22 @@ def test_point_jacobian_matches_interval_matrix():
 
 def _kn_stage_peak(p, lin, n: int) -> int:
     """The traced peak of derivative_inverse_bound(p, lin, n), which may
-    fail.  One untraced pass first builds the memoised per-class plans and
-    weights (a few kB, kept for the process), which later passes share, so
-    the peak does not depend on which tests ran before."""
-    def stage():
+    fail, with the per-class caches of Newton's steps emptied first: the
+    pass must fill none of them, as it keeps nothing past its end."""
+    caches = (operator._point_plan, operator.ParityBlock.cells)
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
         try:
             derivative_inverse_bound(p, lin, n)
         except CertificationError:
             pass
-
-    stage()
-    tracemalloc.start()
-    try:
-        stage()
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    return peak
 
 
 def test_kn_stage_memory_peak_within_live_arrays(solved_1d, solved_2d, solved_3d):
