@@ -19,16 +19,8 @@ from .cift import (
 )
 from .embeddings import EmbeddingConstants, equiv_factor, recompute_cmbar, table_constants
 from .intervals import BallMatrix, Interval, IntervalDomainError
-from .inverse import InverseBound, derivative_inverse_bound, inverse_bounds, tau_formula
-from .lipschitz import (
-    ContinuationChoice,
-    LipschitzBounds,
-    bounds_lambda,
-    bounds_mu,
-    bounds_sigma,
-    lipschitz_bounds,
-    poly_range_max,
-)
+from .inverse import InverseBound, inverse_bounds, tau_formula
+from .lipschitz import ContinuationChoice, LipschitzBounds, lipschitz_bounds, poly_range_max
 from .newton import NewtonError, NewtonResult, SolveOptions, newton_solve, parameter_walk, parse_seed
 from .operator import (
     CertificationError,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .embeddings import table_constants
 from .intervals import Interval
-from .inverse import derivative_inverse_bound, inverse_bounds, k_formula, tau_formula
+from .inverse import inverse_bounds, k_formula, tau_formula
 from .lipschitz import (
     ContinuationChoice,
     LipschitzBounds,
@@ -281,12 +281,13 @@ class Certificate:
     provenance: dict = field(default_factory=dict)
 
 
+def _utcnow() -> str:
+    """The current UTC time in ISO 8601, the creation stamp of every file."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def _provenance() -> dict:
-    return {
-        "tool_version": TOOL_VERSION,
-        "basis_ordering": BASIS_ORDERING,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
+    return {"tool_version": TOOL_VERSION, "basis_ordering": BASIS_ORDERING, "created": _utcnow()}
 
 
 def verify_certificate(cert: Certificate):
@@ -352,8 +353,9 @@ class SolutionBounds:
 
 def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     """rho, the linearization of F at u and the sup bounds that the
-    Lipschitz rounds read: the residual and f'(u + mu) are both read off
-    one set of ball powers of u + mu (operator.ball_powers).
+    Lipschitz rounds read: the residual, f'(u + mu) and the sup of u + mu
+    are all read off one set of ball powers of u + mu
+    (operator.ball_powers).
 
     One SolutionBounds serves every truncation of a validations call.
     Raises CertificationError at stage residual, naming each of rho, q_sup
@@ -368,7 +370,7 @@ def solution_bounds(p: ModelParams, u: CosineSeries) -> SolutionBounds:
     if bad:
         raise CertificationError("residual", f"{', '.join(bad)} not finite (overflow)")
     du0 = 0.1 * max(1.0, norm(u, "Hbar", 2).hi)
-    return SolutionBounds(rho, lin, solution_sups(p, u, fprime), du0)
+    return SolutionBounds(rho, lin, solution_sups(u, powers, fprime), du0)
 
 
 def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
@@ -379,8 +381,8 @@ def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
     (solution_bounds) and the stored box (lipschitz_bounds), or a tau below
     its formula with the cb of u's dimension (verify_certificate takes 1-d's,
     a floor in 2-d and 3-d).  With deep, also a kn below K_N recomputed at
-    the stored n (derivative_inverse_bound), with the gap in ulps, or an n
-    where it cannot be."""
+    the stored n (inverse_bounds), with the gap in ulps, or an n where it
+    cannot be."""
     if p != cert.params:
         return ["solution parameters differ from the certificate's"]
     try:
@@ -397,18 +399,16 @@ def solution_failures(cert: Certificate, p: ModelParams, u: CosineSeries,
     if not cert.tau >= tau:
         failures.append(f"tau {cert.tau!r} below its formula {tau!r} in {u.dim}-d")
     if deep:
-        try:
-            kn = derivative_inverse_bound(p, bounds.lin, cert.n).kn
-        except CertificationError as exc:
-            failures.append(f"K_N not recomputed at n={cert.n}: {exc}")
-        else:
-            if not cert.kn >= kn:
-                # a positive double's bit pattern counts the ulps from zero up
-                # to it, a negative one's magnitude bits count them down
-                top, low = struct.unpack("<2q", struct.pack("<2d", kn, cert.kn))
-                gap = top - (low if low >= 0 else -(low & (2**63 - 1)))
-                failures.append(f"kn {cert.kn!r} below its value {kn!r} recomputed at n={cert.n}, "
-                                f"by {gap} ulp{'s' * (gap != 1)}")
+        (ib,) = inverse_bounds(p, bounds.lin, [cert.n])
+        if isinstance(ib, CertificationError):
+            failures.append(f"K_N not recomputed at n={cert.n}: {ib}")
+        elif not cert.kn >= ib.kn:
+            # a positive double's bit pattern counts the ulps from zero up
+            # to it, a negative one's magnitude bits count them down
+            top, low = struct.unpack("<2q", struct.pack("<2d", ib.kn, cert.kn))
+            gap = top - (low if low >= 0 else -(low & (2**63 - 1)))
+            failures.append(f"kn {cert.kn!r} below its value {ib.kn!r} recomputed at n={cert.n}, "
+                            f"by {gap} ulp{'s' * (gap != 1)}")
     return failures
 
 

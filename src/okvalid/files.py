@@ -9,7 +9,6 @@ certificates detectable.
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import hashlib
 import json
 import math
@@ -18,7 +17,7 @@ import typing
 
 import numpy as np
 
-from .cift import TOOL_VERSION, Certificate
+from .cift import TOOL_VERSION, Certificate, _utcnow
 from .operator import PARAMETERS, ModelParams
 from .series import CosineSeries
 
@@ -27,10 +26,6 @@ FORMAT_VERSION = 1
 
 class FileFormatError(ValueError):
     """Malformed or inconsistent solution/certificate file."""
-
-
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def file_sha256(path) -> str:

@@ -78,9 +78,9 @@ class InverseBound:
 # copies, and the assembly peaks lower, at 3.2-3.6 m_b^2 (two sums, an
 # accumulator, one take and the partials).  Measured on the canonical 2-d
 # and 3-d equilibria (OpenBLAS, 1 thread): the tracemalloc peak of
-# derivative_inverse_bound is 5.20 and 5.03 m_b^2 at 2-d N=28 and 48 (m_b =
-# 196, 576), 5.56 and 5.10 at 3-d N=12 and 16 (m_b = 216, 512), and the
-# rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.  Where
+# inverse_bounds at one truncation is 5.20 and 5.03 m_b^2 at 2-d N=28 and
+# 48 (m_b = 196, 576), 5.56 and 5.10 at 3-d N=12 and 16 (m_b = 216, 512),
+# and the rise of the peak RSS 6.31 and 6.17 at 2-d N=64 and 3-d N=20.  Where
 # several truncations share the stage, a smaller one's block is cut from
 # the larger one's just certified, which is dropped after the cut: the two
 # hold 2 m^2 + 2 m_b^2 <= 4 m^2 doubles, m the larger block's size, inside
@@ -216,12 +216,12 @@ def _sub_block(ball: BallMatrix, big: ParityBlock, block: ParityBlock) -> BallMa
 TAU_TARGET = 0.5
 
 
-def next_truncation(q: CosineSeries, split: tuple, n: int, tau: float, target: float,
-                    avail: float) -> int | None:
-    """The smallest N > n with N >= n sqrt(tau / target): at n's K_N, flat in
-    N, tau_formula is tau (n/N)^2 there.  Cut down to the largest N whose
-    kn_stage_bytes fit in avail; None where tau (n/N)^2 is still >= 1 there."""
-    lo, hi = n, max(n + 1, math.ceil(n * math.sqrt(tau / target))) + 1
+def next_truncation(q: CosineSeries, split: tuple, n: int, tau: float, avail: float) -> int | None:
+    """The smallest N > n with N >= n sqrt(tau / TAU_TARGET): at n's K_N,
+    flat in N, tau_formula is tau (n/N)^2 there.  Cut down to the largest N
+    whose kn_stage_bytes fit in avail; None where tau (n/N)^2 is still >= 1
+    there."""
+    lo, hi = n, max(n + 1, math.ceil(n * math.sqrt(tau / TAU_TARGET))) + 1
     while hi - lo > 1:  # the charge grows with N: bisect for the largest that fits
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if kn_stage_bytes(q, mid, split) <= avail else (lo, mid)
@@ -232,16 +232,16 @@ def rule_of_thumb_n(q_h2: float) -> int:
     return max(4, math.ceil(0.7 * math.sqrt(q_h2)))
 
 
-def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None = None) -> list:
+def inverse_bounds(p: ModelParams, lin: Linearization, ns) -> list:
     """The finite inverse bound K_N and the full bound K at each truncation
     of ns, per entry an InverseBound or the CertificationError that stopped
-    it there, with charges checked against avail bytes (default: one memory
-    reading).  The integer truncations share one pass (_kn_pass).  An entry
-    None escalates: the rule-of-thumb rung joins that pass, then at most two
-    passes follow, each at the truncation the last predicts, until tau <=
-    TAU_TARGET; it gives the last bound certified, else the last failure.
+    it there, with charges checked against one memory reading.  The integer
+    truncations share one pass (_kn_pass).  An entry None escalates: the
+    rule-of-thumb rung joins that pass, then at most two passes follow,
+    each at the truncation the last predicts, until tau <= TAU_TARGET; it
+    gives the last bound certified, else the last failure.
     """
-    avail = operator.available_memory_bytes() if avail is None else avail
+    avail = operator.available_memory_bytes()
     rung = rule_of_thumb_n(lin.q_h2)
     result = _kn_pass(p, lin, {rung if n is None else n for n in ns}, avail)
     if None in ns:
@@ -256,7 +256,7 @@ def inverse_bounds(p: ModelParams, lin: Linearization, ns, avail: float | None =
                 best = ib
                 if ib.tau <= TAU_TARGET:
                     break
-                n = next_truncation(lin.q, split_axes(lin.q), n, ib.tau, TAU_TARGET, avail)
+                n = next_truncation(lin.q, split_axes(lin.q), n, ib.tau, avail)
             if n is None:
                 break
         result[None] = error if best is None else best
@@ -308,8 +308,8 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
     are checked first, against avail bytes, and one that does not fit fails
     at stage kn_bound, with no suggestion.  q's raw arrays and symmetries
     are read once, after the charges pass.  A tau >= 1 suggests
-    next_truncation at TAU_TARGET, else names it and its charge; a tau
-    that is not finite (tau_formula overflows) suggests none.
+    next_truncation, else names it and its charge; a tau that is not
+    finite (tau_formula overflows) suggests none.
     """
     q = lin.q
     split = split_axes(q)
@@ -360,20 +360,11 @@ def _kn_pass(p: ModelParams, lin: Linearization, ns, avail: float) -> dict:
                 n=n)
         elif not tau < 1.0:
             why = f"tail contraction {tau:.4g} >= 1 at n={n}"
-            if (suggested := next_truncation(q, split, n, tau, TAU_TARGET, avail)) is None:
-                want = next_truncation(q, split, n, tau, TAU_TARGET, math.inf)
+            if (suggested := next_truncation(q, split, n, tau, avail)) is None:
+                want = next_truncation(q, split, n, tau, math.inf)
                 why += "; " + memory_shortfall(kn_stage_bytes(q, want, split),
                                                f"the predicted truncation n={want}", "K_N stage", avail)
             result[n] = CertificationError("inverse_bound", why, suggested, n)
         else:
             result[n] = InverseBound(kn=kn[n], tau=tau, k=k_formula(kn[n], tau).hi, n=n)
     return result
-
-
-def derivative_inverse_bound(p: ModelParams, lin: Linearization, n: int,
-                             avail: float | None = None) -> InverseBound:
-    """inverse_bounds at the one truncation n; raises its CertificationError."""
-    (ib,) = inverse_bounds(p, lin, [n], avail)
-    if isinstance(ib, CertificationError):
-        raise ib
-    return ib

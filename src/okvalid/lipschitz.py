@@ -115,61 +115,35 @@ class SolutionSups(NamedTuple):
     fprime: float
 
 
-def solution_sups(p: ModelParams, u: CosineSeries, fprime: CosineSeries) -> SolutionSups:
-    """The SolutionSups of u; fprime is fprime_series(p, u)."""
-    return SolutionSups(
-        u.dim, sup_bound(u), sup_bound(u.add_constant(p.mu)), sup_bound(fprime).hi
-    )
-
-
-def _f_range_radius(dim: int, sup: Interval, du: float, extra: float = 0.0) -> float:
-    """Upper bound for the sup of admissible arguments of the nonlinearity,
-    sup being the sup bound of the box's center."""
-    cm_bar = table_constants(dim).cm_bar
-    r = sup + Interval(cm_bar) * Interval(du) + Interval(extra)
-    return r.hi
-
-
-def bounds_lambda(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
-    if c.which != "lambda":
-        raise ValueError("continuation choice must vary lambda")
-    consts = table_constants(sups.dim)
-    radius = _f_range_radius(sups.dim, sups.u, c.du)
-    fmax1 = poly_range_max(poly_shift(p.fp_coeffs, p.mu), radius)
-    fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
-    lam_reach = abs(Interval(p.lam)) + Interval(c.dp)
-    l1 = (Interval(consts.cm_bar) * Interval(fmax2) * lam_reach / PI2).hi
-    l2 = (Interval(sups.fprime) / PI2 + Interval(p.sigma) / PI4).hi
-    l3 = (Interval(fmax1) / PI2 + Interval(p.sigma) / PI4).hi
-    return LipschitzBounds(l1=l1, l2=l2, l3=l3, l4=0.0, fmax1=fmax1, fmax2=fmax2)
-
-
-def bounds_sigma(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
-    if c.which != "sigma":
-        raise ValueError("continuation choice must vary sigma")
-    consts = table_constants(sups.dim)
-    radius = _f_range_radius(sups.dim, sups.u, c.du)
-    fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
-    l1 = (Interval(p.lam) * Interval(fmax2) * Interval(consts.cm_bar) / PI2).hi
-    l23 = (Interval(p.lam) / PI4).hi
-    return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=0.0, fmax2=fmax2)
-
-
-def bounds_mu(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
-    if c.which != "mu":
-        raise ValueError("continuation choice must vary mu")
-    consts = table_constants(sups.dim)
-    # the range must cover u* + mu* itself, the u-box, and the mu-box
-    radius = _f_range_radius(sups.dim, sups.u_mu, c.du, extra=c.dp)
-    fmax2 = poly_range_max(p.fpp_coeffs, radius)
-    lam_f = Interval(p.lam) * Interval(fmax2)
-    l1 = (lam_f * Interval(consts.cm_bar) / PI2).hi
-    l23 = (lam_f / PI2).hi
-    return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=lam_f.hi, fmax2=fmax2)
+def solution_sups(u: CosineSeries, powers: list, fprime: CosineSeries) -> SolutionSups:
+    """The SolutionSups of u; powers is ball_powers(p, u), whose first is
+    u + mu, and fprime is fprime_series(p, u, powers)."""
+    return SolutionSups(u.dim, sup_bound(u), sup_bound(powers[0]), sup_bound(fprime).hi)
 
 
 def lipschitz_bounds(p: ModelParams, c: ContinuationChoice, sups: SolutionSups) -> LipschitzBounds:
-    """The bounds for c.which, from the solution's sup bounds."""
-    if c.which == "lambda":
-        return bounds_lambda(p, c, sups)
-    return (bounds_sigma if c.which == "sigma" else bounds_mu)(p, c, sups)
+    """The bounds for c.which, from the solution's sup bounds.  The
+    nonlinearity's derivatives are bounded over the range of its arguments
+    in the box: the sup of the center (u* for lambda and sigma, u* + mu*
+    for mu), plus cm_bar du for the u-box, plus dp for the mu-box."""
+    cm_bar = Interval(table_constants(sups.dim).cm_bar)
+    reach = cm_bar * Interval(c.du)
+    if c.which == "mu":
+        radius = (sups.u_mu + reach + Interval(c.dp)).hi
+        fmax2 = poly_range_max(p.fpp_coeffs, radius)
+        lam_f = Interval(p.lam) * Interval(fmax2)
+        l1 = (lam_f * cm_bar / PI2).hi
+        l23 = (lam_f / PI2).hi
+        return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=lam_f.hi, fmax2=fmax2)
+    radius = (sups.u + reach).hi
+    fmax2 = poly_range_max(poly_shift(p.fpp_coeffs, p.mu), radius)
+    if c.which == "sigma":
+        l1 = (Interval(p.lam) * Interval(fmax2) * cm_bar / PI2).hi
+        l23 = (Interval(p.lam) / PI4).hi
+        return LipschitzBounds(l1=l1, l2=l23, l3=l23, l4=0.0, fmax2=fmax2)
+    fmax1 = poly_range_max(poly_shift(p.fp_coeffs, p.mu), radius)
+    lam_reach = abs(Interval(p.lam)) + Interval(c.dp)
+    l1 = (cm_bar * Interval(fmax2) * lam_reach / PI2).hi
+    l2 = (Interval(sups.fprime) / PI2 + Interval(p.sigma) / PI4).hi
+    l3 = (Interval(fmax1) / PI2 + Interval(p.sigma) / PI4).hi
+    return LipschitzBounds(l1=l1, l2=l2, l3=l3, l4=0.0, fmax1=fmax1, fmax2=fmax2)

@@ -17,6 +17,11 @@ written by float.hex, as one JSON document, for:
 - the benchmark's 2-d solution from its seed 1 (bench/workloads.py), which
   is off the axis swap by float debris, validated in lambda at N=28.
 
+Under "solution_failures", cift.solution_failures(cert, p, u, deep=True)
+for the criterion-08 certificate at N=28 and the criterion-11 certificate,
+which recomputes their bounds and K_N from the solution (check --deep);
+both lists are empty.
+
 Under "newton", each Newton solve's solution array (its sha256), iteration
 count and projected and full residual norms (float.hex), for the solves of
 criteria 07, 08 and 11 and, for the benchmark's seeds 1 to 3, the 2-d start
@@ -42,7 +47,7 @@ import tempfile
 from unittest import mock
 
 from okvalid import inverse, operator
-from okvalid.cift import Certificate, solution_bounds, validate, validations
+from okvalid.cift import Certificate, solution_bounds, solution_failures, validate, validations
 from okvalid.cli import main
 from okvalid.files import read_solution
 from okvalid.newton import SolveOptions, newton_solve, parameter_walk, parse_seed
@@ -103,8 +108,9 @@ def dump() -> dict:
     res = newton_solve(p, parse_seed("mode:1,1,0.5", 2, 28), SolveOptions(n=28, tol_residual=1e-9))
     newton["criterion_08"] = solve_record(res)
     u = res.solution
-    out["criterion_08"] = {"N=28": record(validate(p, u, "lambda", n=28)),
-                           "auto": record(validate(p, u, "lambda"))}
+    cert = validate(p, u, "lambda", n=28)
+    out["criterion_08"] = {"N=28": record(cert), "auto": record(validate(p, u, "lambda"))}
+    failures = out["solution_failures"] = {"criterion_08": solution_failures(cert, p, u, deep=True)}
     out["sweep_2d_sigma"] = [record(c) for c in validations(p, u, "sigma", SWEEP_2D)]
 
     sys.path.insert(0, str(BENCH))
@@ -125,7 +131,9 @@ def dump() -> dict:
         tmp = pathlib.Path(tmp)
         p, u = solved_via_file(tmp, "sol3d", ["--dim", "3", "--N", "12", "--lambda", "40",
                                               "--sigma", "3", "--seed", "mode:1,1,1,0.5"])
-        out["criterion_11"] = record(validate(p, u, "lambda", n=12))
+        cert = validate(p, u, "lambda", n=12)
+        out["criterion_11"] = record(cert)
+        failures["criterion_11"] = solution_failures(cert, p, u, deep=True)
         p, u = solved_via_file(tmp, "sweep_sol", ["--dim", "1", "--N", "64", "--lambda", "50",
                                                   "--sigma", "2", "--seed", "mode:1,0.6"])
         out["sweep_09"] = {w: [record(c) for c in validations(p, u, w, SWEEP_1D)]

@@ -13,13 +13,13 @@ import pytest
 
 import conftest
 from balls import truncation_modes
-from conftest import galerkin_full, gauss_rule, lin_of, make_random_series
+from conftest import galerkin_blocks, galerkin_full, gauss_rule, lin_of, make_random_series
 from okvalid.cift import validate, verify_certificate
 from okvalid.cli import main
 from okvalid.embeddings import recompute_cmbar
 from okvalid.files import read_certificate, read_solution, write_certificate, write_solution
 from okvalid.intervals import PI
-from okvalid.inverse import derivative_inverse_bound
+from okvalid.inverse import inverse_bounds
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     ModelParams,
@@ -57,6 +57,25 @@ def assert_not_looser(cert, upper: dict, delta_alpha: float):
     for name, ref in upper.items():
         assert getattr(cert, name) <= ref * (1 + _RATCHET_SLACK), (name, getattr(cert, name), ref)
     assert cert.delta_alpha >= delta_alpha * (1 - _RATCHET_SLACK), (cert.delta_alpha, delta_alpha)
+
+
+def assert_sharp(p, u, cert):
+    """K at least, and K_N within 1e-9 relative of, a rigorous lower bound
+    on the norm of the inverse of the derivative at u from its worst
+    Galerkin vector: x, the right singular vector of the smallest singular
+    value of the leading scaled block's midpoint at M = 3N (2N in 3-d),
+    goes in as v = x / kappa on that block's modes, in the orthonormal
+    coefficients, and ||v||_{Hbar 2} / ||DF v||_{Hbar -2} is the bound."""
+    q = lin_of(p, u).q
+    m = (2 if u.dim == 3 else 3) * cert.n
+    block, ball = next(galerkin_blocks(p, q, m))
+    x = np.linalg.svd(ball.mid)[2][-1]
+    coeffs = np.zeros((m,) * u.dim)
+    coeffs.flat[block.cells()] = x / (math.pi**2 * block.weights()[0])
+    v = CosineSeries.from_point(coeffs, zero_mean=True)
+    k_lower = norm(v, "Hbar", 2).lo / norm(apply_linearization(p, q, v), "Hbar", -2).hi
+    assert cert.k >= k_lower, (cert.k, k_lower)
+    assert cert.kn - k_lower <= 1e-9 * cert.kn, (cert.kn, k_lower)
 
 
 def _stamp(num, name, t0, budget):
@@ -158,7 +177,7 @@ def test_criterion_05_diagonal_analytic_case():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 128):
-            kn = derivative_inverse_bound(p, lin_of(p, u), n).kn
+            kn = inverse_bounds(p, lin_of(p, u), [n])[0].kn
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1.0 + lam * sig / ks**2) + lam / ks))
             assert oracle * 0.99 <= kn <= oracle * 1.01, (lam, sig, n)
@@ -189,6 +208,7 @@ def test_criterion_06_inverse_bound_necessary_condition(pipeline_1d):
         lhs = norm(v, "Hbar", 2).lo
         rhs = k_bound * norm(lv, "Hbar", -2).hi
         assert lhs <= rhs
+    assert_sharp(p, res.solution, cert)
     _stamp(6, "inverse-bound necessary condition", t0, 30)
 
 
@@ -231,6 +251,7 @@ def test_criterion_08_end_to_end_2d(tmp_path):
     # K recorded for this case in bench/data/reference.json
     assert abs(cert.k - 42.38408991878724) <= 1e-4
     assert_not_looser(cert, _RATCHET_2D, _RATCHET_2D_DA)
+    assert_sharp(p, res.solution, cert)
     ok, failures = verify_certificate(cert)
     assert ok, failures
     path = tmp_path / "c2d.cert.json"
@@ -295,8 +316,10 @@ def test_criterion_11_end_to_end_3d(tmp_path):
     assert main(["check", "--cert", str(path), "--solution", str(sol)]) == 0
     cert = read_certificate(path)[0]
     assert cert.valid and cert.n == 12 and cert.tau < 1.0
-    assert sup_bound(read_solution(sol)[1]).hi > 0.1  # nontrivial pattern
+    p, u = read_solution(sol)[:2]
+    assert sup_bound(u).hi > 0.1  # nontrivial pattern
     # K_N of the full 1727-mode matrix, before it was certified per block
     assert cert.kn <= 7.268621809915413
     assert_not_looser(cert, _RATCHET_3D, _RATCHET_3D_DA)
+    assert_sharp(p, u, cert)
     _stamp(11, "end-to-end 3-d validation", t0, 120)

@@ -505,6 +505,49 @@ def test_failed_certificate_carries_the_stage_records(solved_1d, monkeypatch, st
         assert getattr(bad, name) == getattr(good, name), name
 
 
+def _perturbed(rng, a):
+    """A zero-mean point series from the coefficients a, in one of five
+    ways: scaled by a power of ten up to 10^+-300, jittered, sparsified,
+    scaled to subnormals only, or with one coefficient made huge."""
+    a = a.copy()
+    kind = rng.integers(5)
+    if kind == 0:
+        a *= 10.0 ** rng.choice([-300, -150, -8, 8, 150, 300])
+    elif kind == 1:
+        a += 10.0 ** rng.uniform(-12, -1) * np.abs(a).max() * rng.standard_normal(a.shape)
+    elif kind == 2:
+        a[rng.random(a.shape) < rng.uniform(0.1, 0.9)] = 0.0
+    elif kind == 3:
+        a *= 1e-310
+    else:
+        a.flat[rng.integers(1, a.size)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2, 308)
+    a.flat[0] = 0.0
+    return CosineSeries.from_point(a, zero_mean=True)
+
+
+def test_validate_fuzz_gives_tagged_certificates(solved_1d, solved_2d):
+    # perturbed 1-d and 2-d solutions at random truncations, parameters
+    # and mu: every result is a certificate at a known stage, valid only
+    # when complete, and every valid one passes its replay; no exception
+    # and no RuntimeWarning (an error under pytest) escapes
+    rng = np.random.default_rng(20240817)
+    cases = [(p, res.solution.mid(), ns) for (p, res), ns in (
+        (solved_1d, [None, 2, 8, 32, 64, 112, 160]), (solved_2d, [2, 6, 12, 20, 28]))]
+    stages = {"input", "residual", "kn_bound", "inverse_bound", "solve_radii", "self_check",
+              "complete"}
+    seen = set()
+    for _ in range(400):
+        p, a, ns = cases[rng.integers(2)]
+        p = dataclasses.replace(p, mu=float(rng.choice([0.0, rng.uniform(-0.5, 0.5)])))
+        u = _perturbed(rng, a)
+        cert = validate(p, u, PARAMETERS[rng.integers(3)], n=ns[rng.integers(len(ns))])
+        assert isinstance(cert, Certificate) and cert.stage in stages, cert.stage
+        assert cert.valid == (cert.stage == "complete"), cert.reason
+        assert not cert.valid or verify_certificate(cert)[0]
+        seen.add(cert.stage)
+    assert {"residual", "inverse_bound", "solve_radii", "complete"} <= seen
+
+
 def test_validate_small_truncation_fails_cleanly(solved_1d):
     p, result = solved_1d
     cert = validate(p, result.solution, "lambda", n=8)

@@ -32,7 +32,7 @@ from okvalid.intervals import (
     inverse_norm2_at_most,
     mat_inverse_norm2_upper,
 )
-from okvalid.inverse import axis_symmetries, derivative_inverse_bound, inverse_bounds, tau_formula
+from okvalid.inverse import axis_symmetries, inverse_bounds, tau_formula
 from okvalid.newton import SolveOptions, newton_solve, parse_seed
 from okvalid.operator import (
     CertificationError,
@@ -264,7 +264,7 @@ def test_galerkin_zero_q_is_minus_identity():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
     lin = lin_of(p, CosineSeries.zeros((2,)))
     assert np.allclose(galerkin_full(p, lin.q, 6).mid, -np.eye(5), atol=1e-14)
-    kn = derivative_inverse_bound(p, lin, 6).kn
+    kn = inverse_bounds(p, lin, [6])[0].kn
     assert 1.0 <= kn <= 1.0 + 1e-10
 
 
@@ -581,7 +581,7 @@ def test_block_kn_not_looser_than_full_matrix(request, case, n):
     blocks = list(galerkin_blocks(p, lin.q, n))
     assert [block.label for block, _ in blocks] == _labels((True,) * lin.q.dim)
     bounds, defects, _ = zip(*(mat_inverse_norm2_upper(ball) for _, ball in blocks))
-    assert derivative_inverse_bound(p, lin, n).kn == max(bounds)
+    assert inverse_bounds(p, lin, [n])[0].kn == max(bounds)
     full, e_full, _ = mat_inverse_norm2_upper(galerkin_full(p, lin.q, n, blocks))
     assert max(bounds) <= full and max(defects) <= e_full
 
@@ -708,7 +708,7 @@ def test_kn_certifies_only_blocks_that_can_raise_it(request, monkeypatch, case, 
     calls = _count_inverses(monkeypatch)
     labels = _record_assembly(monkeypatch)
     widths = _eigvalsh_widths(monkeypatch)
-    assert derivative_inverse_bound(p, lin, n).kn == max(every)
+    assert inverse_bounds(p, lin, [n])[0].kn == max(every)
     assert len(calls) == certified and len(labels) == {1: 2, 2: 3, 3: 4}[lin.q.dim]
     if max(calls) <= EIGVALSH_WIDTH:
         assert widths == calls
@@ -725,7 +725,7 @@ def test_sweep_blocks_take_eigvalsh_below_the_crossover(monkeypatch, solved_swee
     p, result = solved_sweep_1d
     calls = _count_inverses(monkeypatch)
     widths = _eigvalsh_widths(monkeypatch)
-    derivative_inverse_bound(p, lin_of(p, result.solution), n)
+    inverse_bounds(p, lin_of(p, result.solution), [n])
     assert calls == [n // 2 - 1]
     assert (widths == calls) is direct
 
@@ -737,7 +737,7 @@ def test_kn_canonical_2d_skips_a_class_that_kn_bounds(monkeypatch, solved_2d):
     p, result = solved_2d
     lin = lin_of(p, result.solution)
     labels = _record_assembly(monkeypatch)
-    kn = derivative_inverse_bound(p, lin, 28).kn
+    kn = inverse_bounds(p, lin, [28])[0].kn
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
     monkeypatch.undo()
     skipped = {block.label: ball for block, ball in galerkin_blocks(p, lin.q, 28)}["(1, 0)"]
@@ -754,7 +754,7 @@ def test_kn_3d_certifies_one_class_per_orbit(monkeypatch, solved_3d):
     every = [mat_inverse_norm2_upper(ball)[0] for _, ball in galerkin_blocks(p, lin.q, 12)]
     assert len(every) == 8
     labels = _record_assembly(monkeypatch)
-    assert derivative_inverse_bound(p, lin, 12).kn == max(every)
+    assert inverse_bounds(p, lin, [12])[0].kn == max(every)
     assert labels == ["(0, 0, 0)", "(0, 0, 1)", "(0, 1, 1)", "(1, 1, 1)"]
 
 
@@ -776,7 +776,7 @@ def test_kn_asymmetric_q_assembles_every_class(rng, monkeypatch, extent, n):
     want = _kn_every_block(p, q, n)
     labels = _record_assembly(monkeypatch)
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
-    assert derivative_inverse_bound(p, lin, n).kn == want
+    assert inverse_bounds(p, lin, [n])[0].kn == want
     assert len(labels) == 2 ** len(extent)
 
 
@@ -790,7 +790,7 @@ def test_kn_orbit_failing_the_tightened_floor_walks_its_members(monkeypatch, sol
     monkeypatch.setattr(inverse, "axis_symmetries", lambda m, r, *parity: (axis_symmetries(m, r, *parity)[0], 1e4))
     labels = _record_assembly(monkeypatch)
     calls = _count_inverses(monkeypatch)
-    assert derivative_inverse_bound(p, lin, 28).kn == want
+    assert inverse_bounds(p, lin, [28])[0].kn == want
     assert labels == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"]
     assert len(calls) == 1
 
@@ -854,7 +854,7 @@ def test_kn_skipped_members_within_kn_mpmath(rng, monkeypatch):
     p = ModelParams(lam=1.0)
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
     labels = _record_assembly(monkeypatch)
-    kn = derivative_inverse_bound(p, lin, 8).kn
+    kn = inverse_bounds(p, lin, [8])[0].kn
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
     monkeypatch.undo()
     shape = q.extent
@@ -883,7 +883,7 @@ def test_kn_swap_debris_past_the_radius_skips_the_member(rng, monkeypatch):
     want = _kn_every_block(p, q, 8)
     labels = _record_assembly(monkeypatch)
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
-    assert derivative_inverse_bound(p, lin, 8).kn == want
+    assert inverse_bounds(p, lin, [8])[0].kn == want
     assert labels == ["(0, 0)", "(0, 1)", "(1, 1)"]
 
 
@@ -904,7 +904,7 @@ def test_kn_orbit_leader_forms_its_gram_product_once(monkeypatch):
     monkeypatch.setattr(intervals, "_gram", lambda x: grams.append(len(x)) or gram(x))
     labels = _record_assembly(monkeypatch)
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
-    assert derivative_inverse_bound(p, lin, 24).kn == want
+    assert inverse_bounds(p, lin, [24])[0].kn == want
     assert labels == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"] and len(grams) == 4
 
 
@@ -921,7 +921,7 @@ def test_kn_certifies_a_later_largest_block(monkeypatch):
     assert first < largest
     assert inverse_norm2_at_most(blocks[1][1], first) is None
     calls = _count_inverses(monkeypatch)
-    assert derivative_inverse_bound(p, lin, 32).kn == largest
+    assert inverse_bounds(p, lin, [32])[0].kn == largest
     assert len(calls) == 2
 
 
@@ -929,9 +929,9 @@ def test_kn_overflowing_entry_fails_at_kn_bound():
     # a coefficient of q whose radius overflowed, (0, inf), makes block
     # entries (0, inf): the defect bound is inf, and the stage fails
     q = CosineSeries(np.array([[5.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, math.inf]]))
-    with pytest.raises(CertificationError, match=r"bound inf >= 1") as err:
-        derivative_inverse_bound(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), 6)
-    assert err.value.stage == "kn_bound"
+    (err,) = inverse_bounds(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), [6])
+    assert isinstance(err, CertificationError) and "bound inf >= 1" in str(err)
+    assert err.stage == "kn_bound"
 
 
 def test_kn_overflowing_raw_coefficient_fails_at_kn_bound():
@@ -940,19 +940,18 @@ def test_kn_overflowing_raw_coefficient_fails_at_kn_bound():
     c = np.zeros((4, 4))
     c[1, 1] = 1e308
     q = CosineSeries.from_point(c)
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), 6)
-    assert err.value.stage == "kn_bound"
+    (err,) = inverse_bounds(ModelParams(lam=7.0), Linearization(q, 1.0, 1.0), [6])
+    assert isinstance(err, CertificationError) and err.stage == "kn_bound"
 
 
 def test_kn_failure_names_parity_class():
     # a constant q whose interval puts zero inside the diagonal entries of
     # the modes with |k|^2 = 1: the first class holding one, (0, 1), fails
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(ModelParams(lam=7.0), _unit_kappa_linearization(), 6)
-    assert err.value.stage == "kn_bound" and err.value.suggested_n == 12
-    assert "on parity class (0, 1) (9 modes): " in str(err.value)
-    assert ">= 1" in str(err.value)
+    (err,) = inverse_bounds(ModelParams(lam=7.0), _unit_kappa_linearization(), [6])
+    assert isinstance(err, CertificationError)
+    assert err.stage == "kn_bound" and err.suggested_n == 12
+    assert "on parity class (0, 1) (9 modes): " in str(err)
+    assert ">= 1" in str(err)
 
 
 def _unit_kappa_linearization() -> Linearization:
@@ -972,8 +971,8 @@ def test_kn_stream_stops_at_the_failing_block(monkeypatch):
         return assemble(p, block, raw)
 
     monkeypatch.setattr(inverse, "_galerkin_block", recording)
-    with pytest.raises(CertificationError, match=r"on parity class \(0, 1\) "):
-        derivative_inverse_bound(ModelParams(lam=7.0), _unit_kappa_linearization(), 6)
+    (err,) = inverse_bounds(ModelParams(lam=7.0), _unit_kappa_linearization(), [6])
+    assert isinstance(err, CertificationError) and "on parity class (0, 1) " in str(err)
     assert assembled == [(0, 0), (0, 1)]
 
 
@@ -1005,7 +1004,7 @@ def test_kn_diagonal_oracle():
     for lam, sig in ((10.0, 1.0), (150.0, 6.0)):
         p = ModelParams(lam=lam, sigma=sig, mu=0.0)
         for n in (32, 64):
-            kn = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), n).kn
+            kn = inverse_bounds(p, lin_of(p, CosineSeries.zeros((2,))), [n])[0].kn
             ks = math.pi**2 * np.arange(1, n, dtype=float) ** 2
             oracle = 1.0 / np.min(np.abs(-(1 + lam * sig / ks**2) + lam / ks))
             assert oracle <= kn <= oracle * 1.01
@@ -1031,14 +1030,14 @@ def test_kn_self_consistency(rng):
 
 def test_tau_zero_when_q_zero():
     p = ModelParams(lam=5.0, sigma=0.0, mu=0.0, f_coeffs=(1.0, 0.0))
-    ib = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), 8)
+    ib = inverse_bounds(p, lin_of(p, CosineSeries.zeros((2,))), [8])[0]
     assert ib.tau == 0.0
     assert ib.k == pytest.approx(max(ib.kn, 1.0), rel=1e-12)
 
 
 def test_inverse_bound_diagonal_case():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
-    ib = derivative_inverse_bound(p, lin_of(p, CosineSeries.zeros((2,))), 64)
+    ib = inverse_bounds(p, lin_of(p, CosineSeries.zeros((2,))), [64])[0]
     ks = math.pi**2 * np.arange(1, 64, dtype=float) ** 2
     kn_oracle = 1.0 / np.min(np.abs(-(1 + 150.0 * 6.0 / ks**2) + 150.0 / ks))
     k_expected = max(kn_oracle, 1.0) / (1.0 - ib.tau)
@@ -1049,8 +1048,8 @@ def test_inverse_bound_diagonal_case():
 def test_tau_quarters_when_n_doubles():
     p = ModelParams(lam=150.0, sigma=6.0, mu=0.0)
     lin = lin_of(p, CosineSeries.zeros((2,)))
-    t1 = derivative_inverse_bound(p, lin, 32).tau
-    t2 = derivative_inverse_bound(p, lin, 64).tau
+    t1 = inverse_bounds(p, lin, [32])[0].tau
+    t2 = inverse_bounds(p, lin, [64])[0].tau
     assert t2 <= t1 / 3.5
 
 
@@ -1073,10 +1072,9 @@ def test_tau_formula_against_mpmath(rng):
 
 def test_inverse_bound_raises_when_tau_large(solved_1d):
     p, result = solved_1d
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, lin_of(p, result.solution), 8)
-    assert err.value.stage == "inverse_bound"
-    assert err.value.suggested_n is not None and err.value.suggested_n > 8
+    (err,) = inverse_bounds(p, lin_of(p, result.solution), [8])
+    assert isinstance(err, CertificationError) and err.stage == "inverse_bound"
+    assert err.suggested_n is not None and err.suggested_n > 8
 
 
 def test_auto_inverse_bound(solved_1d):
@@ -1145,18 +1143,15 @@ def test_point_jacobian_matches_interval_matrix():
 # ---------------------------------------------------------------------------
 
 def _kn_stage_peak(p, lin, n: int) -> int:
-    """The traced peak of derivative_inverse_bound(p, lin, n), which may
-    fail, with the per-class caches of Newton's steps emptied first: the
-    pass must fill none of them, as it keeps nothing past its end."""
+    """The traced peak of inverse_bounds(p, lin, [n]), which may fail,
+    with the per-class caches of Newton's steps emptied first: the pass
+    must fill none of them, as it keeps nothing past its end."""
     caches = (operator._point_plan, operator.ParityBlock.cells)
     for cache in caches:
         cache.cache_clear()
     tracemalloc.start()
     try:
-        try:
-            derivative_inverse_bound(p, lin, n)
-        except CertificationError:
-            pass
+        inverse_bounds(p, lin, [n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1193,7 +1188,7 @@ def test_kn_stage_peak_not_above_the_full_certificates(solved_2d, solved_3d):
     for (p, result), n, ceiling in ((solved_2d, 48, 5.04), (solved_3d, 16, 5.12)):
         lin = lin_of(p, result.solution)
         m_b = max(block.size for block in operator.parity_blocks(operator.split_axes(lin.q), n))
-        derivative_inverse_bound(p, lin, n)
+        inverse_bounds(p, lin, [n])
         assert _kn_stage_peak(p, lin, n) <= ceiling * 8.0 * m_b**2, n
 
 
@@ -1227,11 +1222,10 @@ def test_kn_memory_ceiling_raises_before_assembly(solved_1d, monkeypatch):
     need = _charge_1d(solved_1d, 64)
     monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(inverse, "_galerkin_block", _fail_if_called)
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, lin_of(p, result.solution), 64)
-    assert err.value.stage == "kn_bound"
-    assert err.value.suggested_n is None
-    assert "MB" in str(err.value)
+    (err,) = inverse_bounds(p, lin_of(p, result.solution), [64])
+    assert isinstance(err, CertificationError) and err.stage == "kn_bound"
+    assert err.suggested_n is None
+    assert "MB" in str(err)
 
 
 def test_kn_memory_ceiling_builds_nothing_of_the_truncation_size():
@@ -1242,19 +1236,19 @@ def test_kn_memory_ceiling_builds_nothing_of_the_truncation_size():
     lin = Linearization(q, sup_bound(q).hi, norm(q, "H", 2).hi)
     tracemalloc.start()
     try:
-        with pytest.raises(CertificationError, match="MB") as err:
-            derivative_inverse_bound(ModelParams(lam=7.0), lin, 10**5)
+        (err,) = inverse_bounds(ModelParams(lam=7.0), lin, [10**5])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.stage == "kn_bound" and err.value.suggested_n is None
+    assert isinstance(err, CertificationError) and "MB" in str(err)
+    assert err.stage == "kn_bound" and err.suggested_n is None
     assert peak < 1e7
 
 
 def _shared_pass(p, lin, ns, avail, monkeypatch):
-    """inverse_bounds(p, lin, ns, avail), with the (truncation, class) of
-    every block assembled, the traced peak, and whether q's raw arrays
-    were read (series._raw_mid_rad called)."""
+    """inverse_bounds(p, lin, ns) with avail bytes available, with the
+    (truncation, class) of every block assembled, the traced peak, and
+    whether q's raw arrays were read (series._raw_mid_rad called)."""
     assembled, reads = [], []
     assemble, raw_mid_rad = inverse._galerkin_block, inverse._raw_mid_rad
 
@@ -1264,9 +1258,10 @@ def _shared_pass(p, lin, ns, avail, monkeypatch):
 
     monkeypatch.setattr(inverse, "_galerkin_block", recording)
     monkeypatch.setattr(inverse, "_raw_mid_rad", lambda q: reads.append(q) or raw_mid_rad(q))
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: avail)
     tracemalloc.start()
     try:
-        out = inverse.inverse_bounds(p, lin, ns, avail)
+        out = inverse.inverse_bounds(p, lin, ns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1283,7 +1278,7 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     p, result = solved_sweep_1d
     lin = lin_of(p, result.solution)
     ns = [24, 32, 48, 64, 96, 128, 256]
-    alone = [derivative_inverse_bound(p, lin, n) for n in ns[:-1]]
+    alone = [inverse_bounds(p, lin, [n])[0] for n in ns[:-1]]
     split = operator.split_axes(lin.q)
     avail = inverse.kn_stage_bytes(lin.q, 256, split) - 1
     out, assembled, peak, read = _shared_pass(p, lin, ns, avail, monkeypatch)
@@ -1294,7 +1289,7 @@ def test_shared_kn_pass_charges_the_held_block(solved_sweep_1d, monkeypatch):
     # where only the largest truncation's charge fits, a smaller one is
     # still cut from its blocks, in the same pass
     avail = inverse.kn_stage_bytes(lin.q, 100, split)
-    alone = [derivative_inverse_bound(p, lin, n) for n in (96, 100)]
+    alone = [inverse_bounds(p, lin, [n])[0] for n in (96, 100)]
     out, assembled, peak, read = _shared_pass(p, lin, [96, 100], avail, monkeypatch)
     assert out == alone
     assert assembled == [(100, "(0)"), (100, "(1)")]
@@ -1341,7 +1336,7 @@ def test_auto_inverse_bound_shares_the_pass_of_the_fixed_truncations(solved_1d, 
     lin = lin_of(p, result.solution)
     fixed, auto = inverse_bounds(p, lin, [88, None])
     assert tried == [32, 88]
-    assert auto == fixed == derivative_inverse_bound(p, lin, 88)
+    assert auto == fixed == inverse_bounds(p, lin, [88])[0]
 
 
 def test_auto_inverse_bound_stops_at_memory_ceiling(solved_1d, monkeypatch):
@@ -1374,13 +1369,15 @@ def test_auto_inverse_bound_reads_the_memory_once(solved_1d, monkeypatch):
 
 
 @pytest.mark.parametrize("target", [0.5, 0.3, 0.1])
-def test_next_truncation_is_where_tau_formula_reaches_the_target(solved_1d, solved_2d, target):
+def test_next_truncation_is_where_tau_formula_reaches_the_target(solved_1d, solved_2d, target,
+                                                                 monkeypatch):
     # at the K_N certified at n, tau_formula is at most the target at the
     # predicted truncation and above it one below
+    monkeypatch.setattr(inverse, "TAU_TARGET", target)
     for (p, result), n in ((solved_1d, 65), (solved_2d, 24), (solved_2d, 28)):
         lin = lin_of(p, result.solution)
-        ib = derivative_inverse_bound(p, lin, n)
-        big = inverse.next_truncation(lin.q, operator.split_axes(lin.q), n, ib.tau, target, math.inf)
+        ib = inverse_bounds(p, lin, [n])[0]
+        big = inverse.next_truncation(lin.q, operator.split_axes(lin.q), n, ib.tau, math.inf)
         cb = table_constants(lin.q.dim).cb
         assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big).hi <= target
         assert tau_formula(ib.kn, lin.q_sup, lin.q_h2, cb, big - 1).hi > target
@@ -1391,11 +1388,11 @@ def test_next_truncation_cut_down_to_memory(solved_1d):
     # truncation that fits, and is None where none above n does
     p, result = solved_1d
     lin = lin_of(p, result.solution)
-    ib = derivative_inverse_bound(p, lin, 65)
+    ib = inverse_bounds(p, lin, [65])[0]
     split = operator.split_axes(lin.q)
 
     def predict(avail):
-        return inverse.next_truncation(lin.q, split, 65, ib.tau, 0.5, avail)
+        return inverse.next_truncation(lin.q, split, 65, ib.tau, avail)
 
     assert predict(math.inf) == 88
     assert predict(_charge_1d(solved_1d, 88)) == 88
@@ -1404,24 +1401,25 @@ def test_next_truncation_cut_down_to_memory(solved_1d):
     assert predict(_charge_1d(solved_1d, 66) - 1) is None
 
 
-def test_tail_failure_names_the_predicted_truncation_past_memory(solved_1d):
+def test_tail_failure_names_the_predicted_truncation_past_memory(solved_1d, monkeypatch):
     # tau >= 1 at n = 32, and the truncation that K_N there predicts for
     # 1/2, 88, does not fit, nor does one where tau would fall below 1:
     # no suggestion, and the message names 88 and its charge
     p, result = solved_1d
     lin = lin_of(p, result.solution)
     avail = _charge_1d(solved_1d, 33)
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, lin, 32, avail)
-    assert err.value.stage == "inverse_bound" and err.value.suggested_n is None
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: avail)
+    (err,) = inverse_bounds(p, lin, [32])
+    assert isinstance(err, CertificationError)
+    assert err.stage == "inverse_bound" and err.suggested_n is None
     need = _charge_1d(solved_1d, 88)
-    assert str(err.value).endswith(f"at n=32; the predicted truncation n=88 needs about "
+    assert str(err).endswith(f"at n=32; the predicted truncation n=88 needs about "
                                    f"{need / 1e6:.0f} MB for the K_N stage, "
                                    f"{avail / 1e6:.0f} MB available")
     # with memory for n = 88, 88 is the suggestion
-    with pytest.raises(CertificationError) as err:
-        derivative_inverse_bound(p, lin, 32, need)
-    assert err.value.suggested_n == 88 and "predicted" not in str(err.value)
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
+    (err,) = inverse_bounds(p, lin, [32])
+    assert err.suggested_n == 88 and "predicted" not in str(err)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
