@@ -8,10 +8,10 @@ equilibria that seed the validation.
 
 from .cift import (
     Certificate,
+    RadiiInequalities,
     RadiiResult,
     SolutionBounds,
     TOOL_VERSION,
-    feasible_dx_range,
     solution_bounds,
     solve_radii,
     validate,

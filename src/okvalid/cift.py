@@ -50,31 +50,51 @@ BASIS_ORDERING = "lex"
 
 
 # ---------------------------------------------------------------------------
-# the two feasibility inequalities (shared by the solver and the checker)
+# the two feasibility inequalities (the solver's, the replay's and --at-alpha's)
 # ---------------------------------------------------------------------------
-
-def _two_k(k: float) -> Interval:
-    return Interval(2.0) * Interval(k)
-
 
 @dataclass(frozen=True)
 class RadiiInequalities:
-    """The two feasibility inequalities at fixed K, rho and l1..l4, with
-    their da-independent products 2 K rho and 2 K l1 .. 2 K l4 formed once.
-    Interval products associate left to right, so (2 K l3) da is the
-    product 2 K l3 da written out, bit for bit."""
+    """The theorem's two feasibility inequalities and their hypotheses at
+    fixed K, rho, l1..l4 and box radius ell_x, with the da-independent
+    products 2 K rho and 2 K l1 .. 2 K l4 formed once: the one place that
+    evaluates them, for the solver, the replay and --at-alpha.  Interval
+    products associate left to right, so (2 K l3) da is the product
+    2 K l3 da written out, bit for bit."""
 
+    k: float
+    rho: float
+    l1: float
+    l2: float
+    l3: float
+    l4: float
+    ell_x: float
     tk_rho: Interval
     tk_l1: Interval
     tk_l2: Interval
     tk_l3: Interval
     tk_l4: Interval
-    l1_positive: bool
 
     @classmethod
-    def of(cls, k: float, rho: float, l1: float, l2: float, l3: float, l4: float):
-        tk = _two_k(k)
-        return cls(*(tk * Interval(x) for x in (rho, l1, l2, l3, l4)), l1 > 0.0)
+    def of(cls, k: float, rho: float, l1: float, l2: float, l3: float, l4: float,
+           ell_x: float):
+        tk = Interval(2.0) * Interval(k)
+        return cls(k, rho, l1, l2, l3, l4, ell_x,
+                   *(tk * Interval(x) for x in (rho, l1, l2, l3, l4)))
+
+    def failures(self) -> list:
+        """The hypotheses for any radii that fail: l1..l4 >= 0; 4 K^2 rho l1
+        < 1, without which the contraction budget is spent at da = 0; and
+        2 K rho < ell_x, without which the radius requirement leaves the
+        box."""
+        failures = [f"{name} < 0" for name in ("l1", "l2", "l3", "l4")
+                    if not getattr(self, name) >= 0.0]
+        k, rho, l1 = (Interval(x) for x in (self.k, self.rho, self.l1))
+        if (Interval(4.0) * k.square() * rho * l1).hi >= 1.0:
+            failures.append("4 K^2 rho l1 >= 1: residual too large")
+        if self.tk_rho.hi >= self.ell_x:
+            failures.append("2 K rho >= ell_x: box too small")
+        return failures
 
     def requirement(self, da: float) -> Interval:
         """Lower requirement on dx: 2 K rho + 2 K l3 da + 2 K l4 da^2."""
@@ -85,7 +105,7 @@ class RadiiInequalities:
         """Contraction budget: 2 K l1 dx + 2 K l2 da (must stay <= 1)."""
         return self.tk_l1 * Interval(dx) + self.tk_l2 * Interval(da)
 
-    def root(self, ell_x: float) -> float:
+    def root(self) -> float:
         """Float estimate of the largest da at which both inequalities hold
         with dx at the radius requirement, from the upper ends of the
         products: the smaller of the positive roots where the requirement
@@ -93,31 +113,27 @@ class RadiiInequalities:
         evaluation fails."""
         rho, l1, l2, l3, l4 = (x.hi for x in (
             self.tk_rho, self.tk_l1, self.tk_l2, self.tk_l3, self.tk_l4))
-        box = _positive_root(l4, l3, rho - ell_x)
+        box = _positive_root(l4, l3, rho - self.ell_x)
         budget = _positive_root(l1 * l4, l1 * l3 + l2, l1 * rho - 1.0)
         if math.isnan(box) or math.isnan(budget):
             return math.nan
         return min(box, budget)
 
-    def dx_ceiling(self, ell_x: float, da: float) -> float:
+    def dx_ceiling(self, da: float) -> float:
         """min(ell_x, (1 - 2 K l2 da) / (2 K l1)) rounded down: the largest dx
         in the box that the contraction budget certainly admits at da."""
-        if not self.l1_positive:
-            return ell_x
+        if not self.l1 > 0.0:
+            return self.ell_x
         budget = (Interval(1.0) - self.tk_l2 * Interval(da)) / self.tk_l1
-        return min(ell_x, budget.lo)
+        return min(self.ell_x, budget.lo)
 
-
-def radii_preconditions(k: float, rho: float, l1: float, ell_x: float) -> list:
-    """The conditions for any radii that fail: 4 K^2 rho l1 < 1, without
-    which the contraction budget is spent at da = 0, and 2 K rho < ell_x,
-    without which the radius requirement leaves the box."""
-    failures = []
-    if (Interval(4.0) * Interval(k).square() * Interval(rho) * Interval(l1)).hi >= 1.0:
-        failures.append("4 K^2 rho l1 >= 1: residual too large")
-    if (_two_k(k) * Interval(rho)).hi >= ell_x:
-        failures.append("2 K rho >= ell_x: box too small")
-    return failures
+    def dx_range(self, da: float):
+        """The certified [lower, upper] range of dx available at da, or None."""
+        lo = self.requirement(da).hi
+        hi = self.dx_ceiling(da)
+        if lo > hi or self.budget(da, lo).hi > 1.0:
+            return None
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -171,17 +187,9 @@ def _bisect(feasible, hi: float, root: float) -> tuple[float, float]:
     return lo, hi
 
 
-def solve_radii(
-    k: float,
-    rho: float,
-    l1: float,
-    l2: float,
-    l3: float,
-    l4: float,
-    ell_x: float,
-    ell_alpha: float,
-) -> RadiiResult:
-    """Maximal da <= ell_alpha for which both inequalities hold, by bisection.
+def solve_radii(ineq: RadiiInequalities, ell_alpha: float) -> RadiiResult:
+    """Maximal da <= ell_alpha for which both of ineq's inequalities hold,
+    by bisection.
 
     Feasibility of a trial da is decided rigorously: dx is the outward value
     of the radius requirement, and the contraction budget is evaluated at
@@ -192,17 +200,15 @@ def solve_radii(
     Away from the boundary feasibility only grows towards 0, so a certified
     pair is reached only through the decisions evaluation would have made,
     and the result is the plain bisection's.  Raises CertificationError
-    when the preconditions fail.
+    with the first of ineq.failures().
     """
-    failures = radii_preconditions(k, rho, l1, ell_x)
+    failures = ineq.failures()
     if failures:
         raise CertificationError("solve_radii", failures[0])
 
-    ineq = RadiiInequalities.of(k, rho, l1, l2, l3, l4)
-
     def feasible(da: float):
         dx = ineq.requirement(da).hi
-        ok = dx <= ell_x and ineq.budget(da, dx).hi <= 1.0
+        ok = dx <= ineq.ell_x and ineq.budget(da, dx).hi <= 1.0
         return ok, dx
 
     ok0, _ = feasible(0.0)
@@ -214,7 +220,7 @@ def solve_radii(
     if ok:
         da = ell_alpha
     else:
-        root = ineq.root(ell_x)
+        root = ineq.root()
         da, witness = _bisect(feasible, ell_alpha, root)
         ok, dx = feasible(da)
         if not ok or feasible(witness)[0]:
@@ -225,23 +231,10 @@ def solve_radii(
         delta_alpha=da,
         delta_x=dx,
         # dx <= ell_x, so this is min(ell_x, max(dx, the budget's bound))
-        delta_x_sup=max(dx, ineq.dx_ceiling(ell_x, da)),
+        delta_x_sup=max(dx, ineq.dx_ceiling(da)),
         infeasible_witness=witness,
         point_only=(da == 0.0),
     )
-
-
-def feasible_dx_range(
-    k: float, rho: float, l1: float, l2: float, l3: float, l4: float,
-    ell_x: float, da: float,
-):
-    """The certified [lower, upper] range of dx available at a given da, or None."""
-    ineq = RadiiInequalities.of(k, rho, l1, l2, l3, l4)
-    lo = ineq.requirement(da).hi
-    hi = ineq.dx_ceiling(ell_x, da)
-    if lo > hi or ineq.budget(da, lo).hi > 1.0:
-        return None
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +313,8 @@ def verify_certificate(cert: Certificate):
         failures.append("truncation below 2")
     elif cert.tau < tau_formula(cert.kn, cert.q_sup, cert.q_h2, table_constants(1).cb, cert.n).hi:
         failures.append("tau below its formula at the stored kn, q_sup, q_h2 and n")
-    failures += radii_preconditions(cert.k, cert.rho, cert.l1, cert.ell_x)
-    ineq = RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4)
+    ineq = RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4, cert.ell_x)
+    failures += ineq.failures()
     if ineq.budget(da, dx).hi > 1.0:
         failures.append("contraction budget above 1")
     if ineq.requirement(da).hi > dx:
@@ -471,10 +464,8 @@ def validations(p: ModelParams, u: CosineSeries, which: str, ns,
                 choice = ContinuationChoice(which=which, dp=dp_cur, du=du_cur)
                 lb = lipschitz_bounds(p, choice, bounds.sups)
             try:
-                radii = solve_radii(
-                    ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4,
-                    ell_x=du_cur, ell_alpha=dp_cur,
-                )
+                ineq = RadiiInequalities.of(ib.k, rho, lb.l1, lb.l2, lb.l3, lb.l4, du_cur)
+                radii = solve_radii(ineq, dp_cur)
             except CertificationError as exc:
                 failure = exc
                 break

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cift import (
     TOOL_VERSION,
-    feasible_dx_range,
+    RadiiInequalities,
     solution_failures,
     validate,
     validations,
@@ -164,10 +164,9 @@ def cmd_validate(args) -> int:
     write_certificate(out, cert, sha)
     _print_certificate(cert)
     if args.at_alpha is not None and cert.valid:
-        rng = feasible_dx_range(
-            cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4,
-            cert.ell_x, args.at_alpha,
-        )
+        ineq = RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4,
+                                    cert.ell_x)
+        rng = ineq.dx_range(args.at_alpha)
         if rng is None:
             print(f"delta_alpha={args.at_alpha} is not feasible")
         else:

@@ -11,8 +11,6 @@ from okvalid.cift import (
     Certificate,
     RadiiInequalities,
     RadiiResult,
-    feasible_dx_range,
-    radii_preconditions,
     solution_bounds,
     solve_radii,
     validate,
@@ -31,8 +29,7 @@ from okvalid.series import CosineSeries
 # ---------------------------------------------------------------------------
 
 def test_radii_hand_solution():
-    r = solve_radii(k=1.0, rho=0.0, l1=1.0, l2=0.0, l3=0.0, l4=0.0,
-                    ell_x=1.0, ell_alpha=1.0)
+    r = solve_radii(RadiiInequalities.of(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, ell_x=1.0), ell_alpha=1.0)
     assert r.delta_alpha == 1.0  # capped by ell_alpha
     assert r.delta_x == 0.0  # accuracy radius collapses when rho = 0
     assert r.delta_x_sup == pytest.approx(0.5, rel=1e-12)  # uniqueness reach
@@ -41,23 +38,21 @@ def test_radii_hand_solution():
 
 def test_radii_precondition_residual():
     with pytest.raises(CertificationError):
-        solve_radii(k=1.0, rho=0.3, l1=1.0, l2=0.0, l3=0.0, l4=0.0,
-                    ell_x=10.0, ell_alpha=1.0)
+        solve_radii(RadiiInequalities.of(1.0, 0.3, 1.0, 0.0, 0.0, 0.0, ell_x=10.0), ell_alpha=1.0)
 
 
 def test_radii_precondition_box():
     with pytest.raises(CertificationError):
-        solve_radii(k=1.0, rho=0.6, l1=0.01, l2=0.0, l3=0.0, l4=0.0,
-                    ell_x=1.0, ell_alpha=1.0)
+        solve_radii(RadiiInequalities.of(1.0, 0.6, 0.01, 0.0, 0.0, 0.0, ell_x=1.0), ell_alpha=1.0)
 
 
 def test_radii_preconditions_shared_by_solver_and_checker():
     both = ["4 K^2 rho l1 >= 1: residual too large", "2 K rho >= ell_x: box too small"]
-    assert radii_preconditions(k=1.0, rho=0.6, l1=1.0, ell_x=1.0) == both
-    assert radii_preconditions(k=1.0, rho=0.01, l1=1.0, ell_x=1.0) == []
+    failing = RadiiInequalities.of(1.0, 0.6, 1.0, 0.0, 0.0, 0.0, ell_x=1.0)
+    assert failing.failures() == both
+    assert RadiiInequalities.of(1.0, 0.01, 1.0, 0.0, 0.0, 0.0, ell_x=1.0).failures() == []
     with pytest.raises(CertificationError, match="residual too large"):
-        solve_radii(k=1.0, rho=0.6, l1=1.0, l2=0.0, l3=0.0, l4=0.0,
-                    ell_x=1.0, ell_alpha=1.0)
+        solve_radii(failing, ell_alpha=1.0)
     cert = validate(ModelParams(lam=5.0, sigma=1.0), CosineSeries.zeros((2,)), "lambda")
     rho = 2.0 * max(1.0 / (4.0 * cert.k**2 * cert.l1), cert.ell_x / (2.0 * cert.k))
     ok, failures = verify_certificate(dataclasses.replace(cert, rho=rho))
@@ -66,8 +61,7 @@ def test_radii_preconditions_shared_by_solver_and_checker():
 
 def test_radii_closed_form_crossing():
     # g = 0.04 + 2 da, budget = 4(dx + da) <= 1  =>  da* = 0.07, dx* = 0.18
-    r = solve_radii(k=2.0, rho=0.01, l1=1.0, l2=1.0, l3=0.5, l4=0.0,
-                    ell_x=10.0, ell_alpha=10.0)
+    r = solve_radii(RadiiInequalities.of(2.0, 0.01, 1.0, 1.0, 0.5, 0.0, ell_x=10.0), ell_alpha=10.0)
     assert r.delta_alpha == pytest.approx(0.07, rel=1e-9)
     assert r.delta_x == pytest.approx(0.18, rel=1e-9)
     assert r.infeasible_witness is not None
@@ -75,10 +69,9 @@ def test_radii_closed_form_crossing():
 
 
 def test_radii_maximality_witness():
-    r = solve_radii(k=2.0, rho=0.01, l1=1.0, l2=1.0, l3=0.5, l4=0.1,
-                    ell_x=10.0, ell_alpha=10.0)
+    ineq = RadiiInequalities.of(2.0, 0.01, 1.0, 1.0, 0.5, 0.1, ell_x=10.0)
+    r = solve_radii(ineq, ell_alpha=10.0)
     # plugging the radii back in satisfies both inequalities
-    ineq = RadiiInequalities.of(2.0, 0.01, 1.0, 1.0, 0.5, 0.1)
     assert ineq.requirement(r.delta_alpha).hi <= r.delta_x
     assert ineq.budget(r.delta_alpha, r.delta_x).hi <= 1.0
     # and the witness is infeasible
@@ -87,8 +80,7 @@ def test_radii_maximality_witness():
 
 
 def test_radii_point_only():
-    r = solve_radii(k=1.0, rho=0.0, l1=1.0, l2=1e30, l3=0.0, l4=0.0,
-                    ell_x=1.0, ell_alpha=1.0)
+    r = solve_radii(RadiiInequalities.of(1.0, 0.0, 1.0, 1e30, 0.0, 0.0, ell_x=1.0), ell_alpha=1.0)
     assert r.delta_alpha == 0.0 and r.point_only
 
 
@@ -134,6 +126,11 @@ def reference_solve_radii(k, rho, l1, l2, l3, l4, ell_x, ell_alpha):
     return RadiiResult(da, dx, dx_sup, witness, da == 0.0)
 
 
+def record_solve_radii(k, rho, l1, l2, l3, l4, ell_x, ell_alpha):
+    """solve_radii on the record of the inequalities at these constants."""
+    return solve_radii(RadiiInequalities.of(k, rho, l1, l2, l3, l4, ell_x), ell_alpha)
+
+
 def _outcome(solver, *args):
     """The solver's result with every float as its hex string, or its error."""
     try:
@@ -146,7 +143,7 @@ def _outcome(solver, *args):
 
 
 def _assert_matches_reference(*args):
-    got = _outcome(solve_radii, *args)
+    got = _outcome(record_solve_radii, *args)
     assert got == _outcome(reference_solve_radii, *args)
     return got
 
@@ -205,7 +202,7 @@ def test_radii_wrong_root_falls_back(monkeypatch, scale):
     args = (2.0, 0.01, 1.0, 1.0, 0.5, 0.1, 10.0, 10.0)
     root = RadiiInequalities.root
     monkeypatch.setattr(
-        RadiiInequalities, "root", lambda self, ell_x: scale * root(self, ell_x)
+        RadiiInequalities, "root", lambda self: scale * root(self)
     )
     calls = []
     bisect = cift._bisect
@@ -220,9 +217,10 @@ def test_radii_without_finite_estimate_evaluate_every_point(monkeypatch):
     # 2 K l4 overflows to inf, and its product with 2 K l1 = 0 is nan, so
     # the budget's root, and with it the estimate, is nan
     args = (1.0, 0.0, 0.0, 1.0, 1.0, 1e308, 1.0, 1.0)
-    assert math.isnan(RadiiInequalities.of(*args[:6]).root(args[6]))
+    ineq = RadiiInequalities.of(*args[:7])
+    assert math.isnan(ineq.root())
     assert _assert_matches_reference(*args)[3] is not None  # bisected
-    counts = _radii_evaluations(monkeypatch, lambda: cift.solve_radii(*args))
+    counts = _radii_evaluations(monkeypatch, lambda: cift.solve_radii(ineq, args[7]))
     assert counts == [(2 + cift.BISECTION_STEPS + 2, 1)]
 
 
@@ -308,11 +306,11 @@ def test_canonical_2d_validate_certifies_one_block_in_full(monkeypatch, solved_2
 
 
 def test_feasible_dx_range():
-    rng_pair = feasible_dx_range(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, ell_x=1.0, da=0.0)
+    rng_pair = RadiiInequalities.of(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, ell_x=1.0).dx_range(0.0)
     assert rng_pair is not None
     lo, hi = rng_pair
     assert lo == 0.0 and hi == pytest.approx(0.5, rel=1e-12)
-    assert feasible_dx_range(1.0, 0.4, 1.0, 0.0, 0.0, 0.0, ell_x=1.0, da=0.0) is None
+    assert RadiiInequalities.of(1.0, 0.4, 1.0, 0.0, 0.0, 0.0, ell_x=1.0).dx_range(0.0) is None
 
 
 # ---------------------------------------------------------------------------

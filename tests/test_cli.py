@@ -264,8 +264,8 @@ def test_validate_at_alpha_reports_the_feasible_range(workdir, solution_file, la
     cert, _ = read_certificate(lambda_cert)
     out = workdir / "at_alpha.cert.json"
     for da in (cert.delta_alpha / 2, 1e6):
-        rng = cift.feasible_dx_range(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4,
-                                     cert.ell_x, da)
+        rng = cift.RadiiInequalities.of(cert.k, cert.rho, cert.l1, cert.l2, cert.l3, cert.l4,
+                                        cert.ell_x).dx_range(da)
         assert (rng is None) == (da == 1e6)
         want = (f"delta_alpha={da} is not feasible" if rng is None else
                 f"at delta_alpha={da}: feasible delta_x in [{rng[0]}, {rng[1]}]")
