@@ -21,6 +21,7 @@ import datetime
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 from .embeddings import table_constants
@@ -297,14 +298,17 @@ def verify_certificate(cert: Certificate):
     missing = [name for name in required if getattr(cert, name) is None]
     if missing:
         return False, [f"missing fields: {', '.join(missing)}"]
-    failures = []
+    # nan, an infinity or an int that no double holds; ints compare exactly
+    nonfinite = [name for name in required if not abs(getattr(cert, name)) <= sys.float_info.max]
+    if nonfinite:
+        return False, [f"non-finite fields: {', '.join(nonfinite)}"]
+    failures = [f"{name} < 0" for name in ("rho", "kn", "q_sup", "q_h2")
+                if getattr(cert, name) < 0.0]
     da, dx = cert.delta_alpha, cert.delta_x
     if not (0.0 <= da <= cert.ell_alpha):
         failures.append("delta_alpha outside [0, ell_alpha]")
     if not (0.0 <= dx <= cert.ell_x):
         failures.append("delta_x outside [0, ell_x]")
-    if not cert.rho >= 0.0:
-        failures.append("negative residual bound")
     if not (0.0 <= cert.tau < 1.0):
         failures.append("tau not in [0, 1)")
     elif cert.k < k_formula(cert.kn, cert.tau).hi:

@@ -12,16 +12,24 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import typing
 
 import numpy as np
 
 from .cift import TOOL_VERSION, Certificate, _utcnow
-from .operator import PARAMETERS, ModelParams
+from .operator import PARAMETERS, ModelParams, memory_shortfall
 from .series import CosineSeries
 
 FORMAT_VERSION = 1
+
+# Peak bytes that json.load holds per byte of the file, the file's text
+# included.  Measured with tracemalloc: 2.6 on a written 2-d solution of
+# random coefficients, 7.3 on a written 3-d zero solution, 13 on a compact
+# list of 0.0, and 23.4 on a list of empty objects, the most memory that
+# JSON asks for per byte.
+JSON_PEAK_FACTOR = 24
 
 
 class FileFormatError(ValueError):
@@ -29,8 +37,12 @@ class FileFormatError(ValueError):
 
 
 def file_sha256(path) -> str:
+    """The sha256 of the file at path, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_json(path, payload: dict) -> dict:
@@ -42,13 +54,19 @@ def _write_json(path, payload: dict) -> dict:
 
 def _read_json(path, kind: str, parse):
     """parse(payload, path) of the JSON file at path, a kind file of this
-    format_version; a file that cannot be read or parsed, another version
-    and malformed content all raise FileFormatError."""
+    format_version; a file that cannot be read, parsed or held in memory
+    while parsed, another version and malformed content all raise
+    FileFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer past int's string limit
+            need = JSON_PEAK_FACTOR * os.fstat(fh.fileno()).st_size
+            short = memory_shortfall(need, f"{kind} file {path}", "JSON parse")
+            payload = None if short else json.load(fh)
+    # JSONDecodeError, an integer past int's string limit, or nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"cannot read {kind} file {path}: {exc}") from exc
+    if short:
+        raise FileFormatError(short)
     try:
         if payload["format_version"] != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format_version {payload['format_version']}")
@@ -63,12 +81,21 @@ def _params_block(p: ModelParams) -> dict:
     return {**{name: p.get(name) for name in PARAMETERS}, "f_coeffs": list(p.f_coeffs)}
 
 
+def _number(value, name: str, path) -> float:
+    """A JSON number as a float, by _certificate_field's rule: an integer
+    stands for a float, and a bool or a string is not a number."""
+    if type(value) not in (int, float):
+        raise FileFormatError(f"{name} must be a number, not {type(value).__name__}, in {path}")
+    return float(value)
+
+
 def _read_params(prm: dict, path) -> ModelParams:
     """ModelParams, which takes the PARAMETERS in their order, from a file's
     params block; the type rejects non-finite values."""
+    values = [_number(prm[name], name, path) for name in PARAMETERS]
+    f_coeffs = tuple(_number(c, "f_coeffs", path) for c in prm["f_coeffs"])
     try:
-        return ModelParams(*(float(prm[name]) for name in PARAMETERS),
-                           f_coeffs=tuple(float(c) for c in prm["f_coeffs"]))
+        return ModelParams(*values, f_coeffs=f_coeffs)
     except ValueError as exc:
         raise FileFormatError(f"{exc} in {path}") from exc
 
@@ -101,13 +128,18 @@ def write_solution(path, p: ModelParams, u: CosineSeries, residual_float: float,
 
 
 def _solution_of(payload: dict, path):
-    extent = tuple(int(n) for n in payload["extent"])
-    if not (1 <= len(extent) <= 3 and min(extent) >= 1):
-        raise FileFormatError(f"extent {list(extent)} is not 1 to 3 positive sizes in {path}")
-    if payload["dim"] != len(extent):
-        raise FileFormatError(f"dim {payload['dim']!r} does not match extent {list(extent)} in {path}")
-    coeffs = np.asarray(payload["coeffs"], dtype=np.float64)
-    if coeffs.size != int(np.prod(extent)):
+    extent, dim, coeffs = payload["extent"], payload["dim"], payload["coeffs"]
+    if not (type(extent) is list and 1 <= len(extent) <= 3
+            and all(type(n) is int and n >= 1 for n in extent)):
+        raise FileFormatError(f"extent {extent!r:.60} is not 1 to 3 positive integers in {path}")
+    extent = tuple(extent)
+    if type(dim) is not int or dim != len(extent):
+        raise FileFormatError(f"dim {dim!r:.20} is not the integer {len(extent)}, the length of "
+                              f"extent {list(extent)}, in {path}")
+    if type(coeffs) is not list or not {type(c) for c in coeffs} <= {int, float}:
+        raise FileFormatError(f"coeffs must be a list of numbers in {path}")
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.size != math.prod(extent):
         raise FileFormatError("coefficient count does not match extent")
     coeffs = coeffs.reshape(extent)
     if not np.all(np.isfinite(coeffs)):

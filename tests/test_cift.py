@@ -572,6 +572,34 @@ def test_verify_rejects_invalid_or_incomplete():
     assert not ok and "missing fields" in failures[0]
 
 
+@pytest.mark.parametrize("name", ["l1", "l2", "l3", "l4"])
+def test_radii_refuse_a_negative_lipschitz_constant(name):
+    # the theorem bounds the variations by l1..l4 >= 0: the record's
+    # hypotheses fail on a negative one, and the solver raises on it
+    ls = {"l1": 1.0, "l2": 1.0, "l3": 0.5, "l4": 0.1, name: -1.0}
+    ineq = RadiiInequalities.of(2.0, 0.01, ls["l1"], ls["l2"], ls["l3"], ls["l4"], ell_x=10.0)
+    assert ineq.failures() == [f"{name} < 0"]
+    with pytest.raises(CertificationError, match=f"{name} < 0"):
+        solve_radii(ineq, ell_alpha=10.0)
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "l3", "l4", "kn", "q_sup", "q_h2"])
+def test_verify_refuses_a_negative_bound(certificates_1d, name):
+    # each of these, made negative alone, passed every other replay
+    cert = dataclasses.replace(certificates_1d["lambda"], **{name: -1.0})
+    assert verify_certificate(cert) == (False, [f"{name} < 0"])
+
+
+@pytest.mark.parametrize("name,value", [
+    ("kn", math.nan), ("k", math.nan), ("l1", math.nan), ("delta_x", math.nan),
+    ("rho", math.inf), pytest.param("n", 10**400, id="n-10**400"),
+])
+def test_verify_fails_on_a_non_finite_field(certificates_1d, name, value):
+    # a failure, not an IntervalDomainError or OverflowError from the replay
+    cert = dataclasses.replace(certificates_1d["lambda"], **{name: value})
+    assert verify_certificate(cert) == (False, [f"non-finite fields: {name}"])
+
+
 _TAU_FAILURE = "tau below its formula at the stored kn, q_sup, q_h2 and n"
 
 

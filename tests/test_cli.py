@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from balls import single_mode
 from okvalid import cift, cli
 from okvalid.cli import main
-from okvalid.files import FileFormatError, file_sha256, read_certificate, read_solution, write_solution
+from okvalid.files import (FileFormatError, file_sha256, read_certificate, read_solution,
+                           write_certificate, write_solution)
 from okvalid.intervals import IntervalDomainError
 from okvalid.operator import ModelParams, count_text, residual_norm
 from okvalid.series import CosineSeries
@@ -336,6 +339,118 @@ def test_hostile_file_usage_error(workdir, solution_file, lambda_cert, capsys, k
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (workdir / "hostile.cert.json").exists()
+
+
+def _set_coeff(payload, value):
+    payload["coeffs"][1] = value
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param(lambda pl: pl["params"].update(sigma=True), "sigma must be a number, not bool",
+                 id="sigma a bool"),
+    pytest.param(lambda pl: pl["params"].update({"lambda": "50"}),
+                 "lambda must be a number, not str", id="lambda a string"),
+    pytest.param(lambda pl: pl["params"].update(f_coeffs=["0", "1", "0", "-1"]),
+                 "f_coeffs must be a number, not str", id="f_coeffs strings"),
+    pytest.param(lambda pl: pl.update(dim=True), "dim True is not the integer 1", id="dim a bool"),
+    pytest.param(lambda pl: pl.update(extent=[48.7]),
+                 "extent [48.7] is not 1 to 3 positive integers", id="extent a float"),
+    pytest.param(lambda pl: pl.update(extent=["48"]),
+                 "extent ['48'] is not 1 to 3 positive integers", id="extent a string"),
+    pytest.param(lambda pl: _set_coeff(pl, str(pl["coeffs"][1])),
+                 "coeffs must be a list of numbers", id="coefficient a string"),
+    pytest.param(lambda pl: _set_coeff(pl, True), "coeffs must be a list of numbers",
+                 id="coefficient a bool"),
+])
+def test_solution_numbers_as_strict_as_certificates(workdir, solution_file, capsys, request,
+                                                    change, message):
+    # a JSON integer stands for a float, a bool is not a number and a string
+    # is refused; extent and dim are integers.  Each of these files read as
+    # a valid solution before (an extent of [48.7] as [48])
+    payload = json.loads(solution_file.read_text())
+    change(payload)
+    bad = workdir / f"strict_{request.node.callspec.id.replace(' ', '_')}.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}"):
+        read_solution(bad)
+    capsys.readouterr()
+    assert main(["validate", "--in", str(bad), "--param", "lambda",
+                 "--out", str(workdir / "strict.cert.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def test_solution_integers_stand_for_floats(workdir, solution_file):
+    # the rule's other half: integer parameters and coefficients read as floats
+    payload = json.loads(solution_file.read_text())
+    payload["params"].update({"lambda": 50, "f_coeffs": [0, 1, 0, -1]})
+    payload["coeffs"][1] = 0
+    path = workdir / "integers.json"
+    path.write_text(json.dumps(payload))
+    p, u, _meta = read_solution(path)
+    assert p.lam == 50.0 and p.f_coeffs == (0.0, 1.0, 0.0, -1.0) and u.mid()[1] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["solution", "certificate"])
+def test_file_too_large_to_parse_is_a_usage_error(workdir, solution_file, lambda_cert, monkeypatch,
+                                                  capsys, kind):
+    # the parse is charged JSON_PEAK_FACTOR times the file size before
+    # json.load runs: a file that would not fit is one error line, exit 1
+    from okvalid import files, operator
+
+    path = solution_file if kind == "solution" else lambda_cert
+    need = files.JSON_PEAK_FACTOR * path.stat().st_size
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need - 1)
+    argv = (["check", "--cert", str(path)] if kind == "certificate" else
+            ["validate", "--in", str(path), "--param", "lambda",
+             "--out", str(workdir / "too_large.cert.json")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {kind} file {path} needs about ")
+    assert err[0].endswith("MB for the JSON parse, 0 MB available")
+    monkeypatch.setattr(operator, "available_memory_bytes", lambda: need)
+    assert (read_solution if kind == "solution" else read_certificate)(path)
+
+
+def test_deeply_nested_file_is_a_usage_error(workdir, capsys):
+    # nesting past the recursion limit is a file error, not a RecursionError
+    bad = workdir / "nested.json"
+    bad.write_text("[" * 100_000)
+    capsys.readouterr()
+    assert main(["check", "--cert", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read certificate file {bad}: ")
+
+
+def test_file_sha256_hashes_in_chunks(workdir):
+    # the hash holds a 1 MiB chunk and the one before it, not the 8 MiB file
+    path = workdir / "eight_mib.bin"
+    data = bytes(range(256)) * (8 * 4096)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 2.5 * 2**20
+
+
+def test_check_refuses_negative_lipschitz_constants(workdir, solved_2d, capsys):
+    # the 2-d N=28 certificate with l2 = l3 = -1 and delta_alpha and
+    # ell_alpha raised to 10 passed every other replay
+    p, result = solved_2d
+    cert = cift.validate(p, result.solution, "lambda", n=28)
+    assert cert.valid and cert.delta_alpha < 1e-3
+    path = workdir / "inflated.cert.json"
+    write_certificate(path, dataclasses.replace(cert, l2=-1.0, l3=-1.0, delta_alpha=10.0,
+                                                ell_alpha=10.0), None)
+    capsys.readouterr()
+    assert main(["check", "--cert", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines() == ["FAIL: l2 < 0", "FAIL: l3 < 0"]
 
 
 @pytest.mark.parametrize("field,value", [
@@ -891,7 +1006,8 @@ SWEEP_NLIST = "24,32,48,64,96,128,256"
 
 def test_sweep_reads_the_memory_once(workdir, solution_file, monkeypatch):
     # every truncation's K_N charge is checked against one reading of the
-    # available memory, taken by the sweep
+    # available memory, taken by the sweep; the other reading is the
+    # solution file's parse charge
     from okvalid import operator
 
     reads = []
@@ -901,7 +1017,7 @@ def test_sweep_reads_the_memory_once(workdir, solution_file, monkeypatch):
                  "--Nlist", SWEEP_NLIST, "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 7 and all(r["status"] == "ok" for r in rows)
-    assert len(reads) == 1
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("which", ["lambda", "sigma", "mu"])
@@ -1110,7 +1226,7 @@ def _malformed(payload: dict, case: str):
     ("format_version 2", "unsupported format_version 2"),
     ("no params", "malformed {kind} file {path}: 'params'"),
     ("no sigma", "malformed {kind} file {path}: 'sigma'"),
-    ("lambda a string", "could not convert string to float: 'abc' in {path}"),
+    ("lambda a string", "lambda must be a number, not str, in {path}"),
     ("lambda negative", "lam must be positive in {path}"),
     ("f_coeffs a number", "malformed {kind} file {path}: 'float' object is not iterable"),
 ])

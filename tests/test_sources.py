@@ -103,3 +103,50 @@ def test_program_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+CERTBITS = pathlib.Path(__file__).resolve().parent / "certbits.py"
+
+
+def _okvalid_names(tree: ast.Module):
+    """(module, name) for every okvalid name that tree imports, reads off an
+    imported okvalid module, or patches on one by name (mock.patch.object,
+    monkeypatch.setattr)."""
+    modules = {}  # local name -> the okvalid module it may be
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "okvalid":
+            for alias in node.names:
+                yield node.module, alias.name
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("object", "setattr") and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+              and isinstance(node.args[1], ast.Constant)):
+            yield modules[node.args[0].id], node.args[1].value
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether name is an attribute or a submodule of the okvalid module."""
+    import importlib
+
+    try:
+        return hasattr(importlib.import_module(module), name) or bool(
+            importlib.import_module(f"{module}.{name}"))
+    except ImportError:
+        return False
+
+
+def test_certbits_names_still_exist():
+    # tests/certbits.py compares two checkouts' certificates bit for bit;
+    # an okvalid name it imports, reads off a module or patches that a
+    # change removed would break it only when next run
+    names = set(_okvalid_names(ast.parse(CERTBITS.read_text(encoding="utf-8"))))
+    assert ("okvalid.inverse", "rule_of_thumb_n") in names
+    assert ("okvalid.operator", "available_memory_bytes") in names
+    assert ("okvalid.cift", "validations") in names
+    missing = sorted(f"{module}.{name}" for module, name in names if not _resolves(module, name))
+    assert not missing
